@@ -102,9 +102,14 @@ fn phase_label(span: &str) -> &'static str {
         "core.vacation" => "vacation analysis",
         "core.generator" => "generator build",
         "core.effective" => "effective quanta",
+        "core.compress" => "moment compression",
         "core.measures" => "stationary measures",
         "qbd.solve" => "QBD assembly",
+        "qbd.irreducible" => "irreducibility check",
+        "qbd.drift" => "drift test",
         "qbd.solve_r" => "R iteration",
+        "qbd.inverse" => "(I-R)^-1 stability gate",
+        "qbd.spectral_radius" => "sp(R) diagnostic",
         "qbd.boundary_solve" => "boundary solve",
         _ => "other",
     }
@@ -348,9 +353,14 @@ mod tests {
             "core.vacation",
             "core.generator",
             "core.effective",
+            "core.compress",
             "core.measures",
             "qbd.solve",
+            "qbd.irreducible",
+            "qbd.drift",
             "qbd.solve_r",
+            "qbd.inverse",
+            "qbd.spectral_radius",
             "qbd.boundary_solve",
         ] {
             assert_ne!(phase_label(span), "other", "no label for {span}");

@@ -20,7 +20,6 @@ use gsched_linalg::Matrix;
 use gsched_obs as obs;
 use gsched_phase::{fit_three_moment, fit_two_moment, PhaseType};
 use gsched_qbd::QbdSolution;
-use std::collections::HashMap;
 
 /// The effective-quantum distribution of a class, with diagnostics.
 #[derive(Debug, Clone)]
@@ -67,41 +66,71 @@ pub fn effective_quantum(
         });
     }
 
-    // Pick the cap from the stationary tail. A truncated solution already
-    // certifies its own tail; never force the cap past its boundary.
-    let mut cap = c.min(sol.c()) + 1;
-    let hard_cap = cap + max_extra.max(1) - 1;
-    while cap < hard_cap && sol.tail_prob(cap + 1) > tail_eps {
-        cap += 1;
-    }
-    let truncated_mass = sol.tail_prob(cap + 1);
+    // ---- One walk up the levels picks the cap from the stationary tail and
+    // collects ξ, the stationary flow into quantum starts. A truncated
+    // solution already certifies its own tail; never force the cap past its
+    // boundary. Service states (i, a, cfg, k<m_q) are numbered level by
+    // level in (a, cfg, k) order: level i's block ends at `ends[i]`.
+    let mut ends = vec![0];
+    let mut xi: Vec<f64> = Vec::new();
+    let mut atom_flow = 0.0;
+    let first_cap = c.min(sol.c()) + 1;
+    let last_cap = first_cap + max_extra.max(1) - 1;
+    let (cap, truncated_mass) = sol.walk_to_cap(first_cap, last_cap, tail_eps, |i, pi| {
+        if i == 0 {
+            // Vacation ends with an empty queue — the turn is skipped.
+            for a in 0..sp.m_a {
+                for v in 0..sp.m_v {
+                    atom_flow += pi[sp.state_index(0, a, 0, v)] * d.s0v[v];
+                }
+            }
+            return;
+        }
+        let (off, ncfg) = (xi.len(), sp.num_cfgs(i));
+        xi.resize(off + sp.m_a * ncfg * sp.m_q, 0.0);
+        ends.push(xi.len());
+        for a in 0..sp.m_a {
+            for ci in 0..ncfg {
+                // Vacation completion with work, then quantum expiry followed
+                // by a zero-length vacation: either way a quantum starts per γ.
+                let at = |k: usize| pi[sp.state_index(i, a, ci, k)];
+                let vac = (0..sp.m_v).map(|v| at(sp.m_q + v) * d.s0v[v]);
+                let expiry = (0..sp.m_q)
+                    .filter(|_| d.atom_v > 0.0)
+                    .map(|k| at(k) * d.s0g[k] * d.atom_v);
+                let starts = off + (a * ncfg + ci) * sp.m_q;
+                for flow in vac.chain(expiry).filter(|&f| f > 0.0) {
+                    for (k2, &g) in d.gamma.iter().enumerate() {
+                        xi[starts + k2] += flow * g;
+                    }
+                }
+            }
+        }
+    });
     if obs::enabled() {
         obs::observe(obs::names::CORE_EFFECTIVE_LEVEL_CAP, cap as f64);
         obs::observe(obs::names::CORE_EFFECTIVE_TRUNCATED_MASS, truncated_mass);
     }
 
-    // ---- Index the service states (i, a, cfg, k<m_q) for i in 1..=cap ----
-    let mut index: HashMap<(usize, usize, usize, usize), usize> = HashMap::new();
-    let mut states: Vec<(usize, usize, usize, usize)> = Vec::new();
-    for i in 1..=cap {
-        let n = sp.in_service(i);
-        for a in 0..sp.m_a {
-            for ci in 0..sp.cfgs_for(n).len() {
-                for k in 0..sp.m_q {
-                    index.insert((i, a, ci, k), states.len());
-                    states.push((i, a, ci, k));
-                }
-            }
-        }
-    }
-    let ns = states.len();
+    let index = |i: usize, a: usize, ci: usize, k: usize| {
+        ends[i - 1] + (a * sp.num_cfgs(i) + ci) * sp.m_q + k
+    };
+    let ns = xi.len();
     let mut t = Matrix::zeros(ns, ns);
     // Absorption rate per state (quantum end events).
     let mut absorb = vec![0.0; ns];
+    // Neighbouring service configuration, rebuilt in place per transition.
+    let mut cfg2: Vec<u32> = Vec::with_capacity(sp.m_b);
+    let mut i = 1;
 
-    for (src, &(i, a, ci, k)) in states.iter().enumerate() {
-        let n = sp.in_service(i);
-        let cfg = &sp.cfgs_for(n)[ci].clone();
+    for src in 0..ns {
+        if src == ends[i] {
+            i += 1;
+        }
+        let (n, ncfg) = (sp.in_service(i), sp.num_cfgs(i));
+        let local = (src - ends[i - 1]) / sp.m_q;
+        let (a, ci, k) = (local / ncfg, local % ncfg, src % sp.m_q);
+        let cfg = &sp.cfgs_for(n)[ci];
         let mut out_sum = 0.0;
         let add = |t: &mut Matrix, dst: usize, rate: f64, out_sum: &mut f64| {
             if rate <= 0.0 || dst == src {
@@ -115,7 +144,7 @@ pub fn effective_quantum(
         for a2 in 0..sp.m_a {
             if a2 != a {
                 let r = d.sa[(a, a2)];
-                add(&mut t, index[&(i, a2, ci, k)], r, &mut out_sum);
+                add(&mut t, index(i, a2, ci, k), r, &mut out_sum);
             }
         }
         // Arrival completion.
@@ -132,32 +161,27 @@ pub fn effective_quantum(
                             if pb == 0.0 {
                                 continue;
                             }
-                            let mut cfg2 = cfg.clone();
+                            cfg2.clone_from(cfg);
                             cfg2[b] += 1;
                             let ci2 = sp.cfg_index(n + 1, &cfg2);
-                            add(
-                                &mut t,
-                                index[&(i + 1, a2, ci2, k)],
-                                ra * pa * pb,
-                                &mut out_sum,
-                            );
+                            add(&mut t, index(i + 1, a2, ci2, k), ra * pa * pb, &mut out_sum);
                         }
                     } else {
-                        add(&mut t, index[&(i + 1, a2, ci, k)], ra * pa, &mut out_sum);
+                        add(&mut t, index(i + 1, a2, ci, k), ra * pa, &mut out_sum);
                     }
                 }
             } else {
                 // At the cap: reject the arrival but let the arrival phase
                 // restart (keeps the arrival process honest).
                 for (a2, &pa) in d.alpha_a.iter().enumerate() {
-                    add(&mut t, index[&(i, a2, ci, k)], ra * pa, &mut out_sum);
+                    add(&mut t, index(i, a2, ci, k), ra * pa, &mut out_sum);
                 }
             }
         }
         // Quantum internal + expiry (absorbing).
         for k2 in 0..sp.m_q {
             if k2 != k {
-                add(&mut t, index[&(i, a, ci, k2)], d.sg[(k, k2)], &mut out_sum);
+                add(&mut t, index(i, a, ci, k2), d.sg[(k, k2)], &mut out_sum);
             }
         }
         absorb[src] += d.s0g[k];
@@ -172,11 +196,11 @@ pub fn effective_quantum(
                 if b2 != b {
                     let r = count * d.sb[(b, b2)];
                     if r > 0.0 {
-                        let mut cfg2 = cfg.clone();
+                        cfg2.clone_from(cfg);
                         cfg2[b] -= 1;
                         cfg2[b2] += 1;
                         let ci2 = sp.cfg_index(n, &cfg2);
-                        add(&mut t, index[&(i, a, ci2, k)], r, &mut out_sum);
+                        add(&mut t, index(i, a, ci2, k), r, &mut out_sum);
                     }
                 }
             }
@@ -190,67 +214,23 @@ pub fn effective_quantum(
                         if pb == 0.0 {
                             continue;
                         }
-                        let mut cfg2 = cfg.clone();
+                        cfg2.clone_from(cfg);
                         cfg2[b] -= 1;
                         cfg2[b2] += 1;
                         let ci2 = sp.cfg_index(n, &cfg2);
-                        add(&mut t, index[&(i - 1, a, ci2, k)], rc * pb, &mut out_sum);
+                        add(&mut t, index(i - 1, a, ci2, k), rc * pb, &mut out_sum);
                     }
                 } else {
-                    let mut cfg2 = cfg.clone();
+                    cfg2.clone_from(cfg);
                     cfg2[b] -= 1;
                     let ci2 = sp.cfg_index(n - 1, &cfg2);
-                    add(&mut t, index[&(i - 1, a, ci2, k)], rc, &mut out_sum);
+                    add(&mut t, index(i - 1, a, ci2, k), rc, &mut out_sum);
                 }
             }
         }
         t[(src, src)] = -(out_sum + absorb[src]);
     }
 
-    // ---- Initial vector ξ: stationary flow into quantum starts ----
-    let mut xi = vec![0.0; ns];
-    let mut atom_flow = 0.0;
-    // Level 0: vacation ends with an empty queue — the turn is skipped.
-    let pi0 = sol.level_vector(0);
-    for a in 0..sp.m_a {
-        for v in 0..sp.m_v {
-            let s = sp.state_index(0, a, 0, v);
-            atom_flow += pi0[s] * d.s0v[v];
-        }
-    }
-    // Levels 1..=cap.
-    for i in 1..=cap {
-        let pi = sol.level_vector(i);
-        let n = sp.in_service(i);
-        let ncfg = sp.cfgs_for(n).len();
-        for a in 0..sp.m_a {
-            for ci in 0..ncfg {
-                // Vacation completion with work: quantum starts per γ.
-                for v in 0..sp.m_v {
-                    let s = sp.state_index(i, a, ci, sp.m_q + v);
-                    let flow = pi[s] * d.s0v[v];
-                    if flow > 0.0 {
-                        for (k2, &g) in d.gamma.iter().enumerate() {
-                            xi[index[&(i, a, ci, k2)]] += flow * g;
-                        }
-                    }
-                }
-                // Quantum expiry followed by a zero-length vacation: a new
-                // quantum starts immediately.
-                if d.atom_v > 0.0 {
-                    for k in 0..sp.m_q {
-                        let s = sp.state_index(i, a, ci, k);
-                        let flow = pi[s] * d.s0g[k] * d.atom_v;
-                        if flow > 0.0 {
-                            for (k2, &g) in d.gamma.iter().enumerate() {
-                                xi[index[&(i, a, ci, k2)]] += flow * g;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
     let total: f64 = xi.iter().sum::<f64>() + atom_flow;
     if total <= 0.0 {
         return Err(GangError::from(gsched_qbd::QbdError::Shape(
@@ -274,16 +254,18 @@ pub fn effective_quantum(
 /// small representation matching its first `moments` (2 or 3) conditional
 /// moments, preserving the atom at zero exactly.
 pub fn compress(ph: &PhaseType, moments: u8) -> PhaseType {
+    let _span = obs::span("core.compress");
     let delta = ph.atom_at_zero();
     if delta >= 1.0 - 1e-12 || ph.order() == 0 {
         // Identically zero: the class is always skipped.
         return PhaseType::zero();
     }
     let scale = 1.0 - delta;
-    let m1 = ph.moment(1) / scale;
-    let m2 = ph.moment(2) / scale;
+    let raw = ph.moments(if moments >= 3 { 3 } else { 2 });
+    let m1 = raw[0] / scale;
+    let m2 = raw[1] / scale;
     let fitted = if moments >= 3 {
-        fit_three_moment(m1, m2, ph.moment(3) / scale).0
+        fit_three_moment(m1, m2, raw[2] / scale).0
     } else {
         let scv = ((m2 - m1 * m1) / (m1 * m1)).max(0.0);
         fit_two_moment(m1, scv)

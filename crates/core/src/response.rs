@@ -88,13 +88,12 @@ pub fn response_time_distribution(
     let c = sp.c;
     let nk = sp.m_q + sp.m_v;
 
-    // Ahead-count cap from the stationary tail.
-    let mut cap = c + 1;
-    let hard_cap = c + max_extra.max(1);
-    while cap < hard_cap && sol.tail_prob(cap + 1) > tail_eps {
-        cap += 1;
-    }
-    let folded_mass = sol.tail_prob(cap + 1);
+    // Ahead-count cap from the stationary tail, keeping the level vectors
+    // up to it for the initial distribution.
+    let mut levels: Vec<Vec<f64>> = Vec::new();
+    let (cap, folded_mass) = sol.walk_to_cap(c + 1, c + max_extra.max(1), tail_eps, |_, pi| {
+        levels.push(pi.to_vec())
+    });
     if obs::enabled() {
         obs::observe(obs::names::CORE_RESPONSE_AHEAD_CAP, cap as f64);
         obs::observe(obs::names::CORE_RESPONSE_FOLDED_MASS, folded_mass);
@@ -363,8 +362,7 @@ pub fn response_time_distribution(
     // Weight each stationary state by its arrival-completion flow
     // π(s)·s⁰_A[a]; the new job sees the *pre-arrival* state.
     let mut xi = vec![0.0; ns];
-    for i in 0..=cap {
-        let pi = sol.level_vector(i);
+    for (i, pi) in levels.iter().enumerate() {
         let h = i.min(cap);
         let n_srv = sp.in_service(i);
         for (s_idx, &pi_s) in pi.iter().enumerate() {

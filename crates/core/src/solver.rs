@@ -97,8 +97,10 @@ pub struct SolverOptions {
     pub damping: f64,
     /// Also assemble a per-class numerical-health report
     /// ([`GangSolution::health`]): drift slack, `sp(R)`, `R` residual, and
-    /// truncated tail mass at the fixed point. Costs one extra drift check
-    /// and residual evaluation per class.
+    /// truncated tail mass at the fixed point. Costs one extra drift check,
+    /// residual evaluation and `sp(R)` power iteration per class: the solve
+    /// itself certifies `sp(R) < 1` from `(I−R)⁻¹` and runs the power
+    /// iteration only here (or when an `obs` recorder is installed).
     pub collect_health: bool,
     /// Solve the `L` independent per-class QBD chains of each fixed-point
     /// pass on scoped worker threads instead of serially. The per-class

@@ -235,29 +235,33 @@ impl PhaseType {
     }
 
     /// `k`-th raw moment `E[Xᵏ] = k! · α (−S)^{−k} e` (the atom contributes 0).
-    ///
-    /// # Panics
-    /// Panics if `k == 0` (trivially 1) is requested with an empty
-    /// representation — callers should special-case it.
     pub fn moment(&self, k: u32) -> f64 {
-        if k == 0 {
-            return 1.0;
+        match k {
+            0 => 1.0,
+            _ => self.moments(k)[k as usize - 1],
         }
+    }
+
+    /// The first `k` raw moments `[E[X], …, E[Xᵏ]]` from one LU
+    /// factorization of `−S`, shared by all `k` of them.
+    pub fn moments(&self, k: u32) -> Vec<f64> {
         if self.order() == 0 {
-            return 0.0;
+            return vec![0.0; k as usize];
         }
         let neg_s = self.s.to_matrix().scaled(-1.0);
         let lu = Lu::new(&neg_s).expect("validated PH has invertible -S");
         // x_1 = α (−S)^{-1}; x_{j+1} = x_j (−S)^{-1}
-        let mut x = lu
-            .solve_left_vec(&self.alpha)
-            .expect("dimension checked at construction");
+        let mut out = Vec::with_capacity(k as usize);
+        let mut x = self.alpha.clone();
         let mut fact = 1.0;
-        for j in 2..=k {
-            x = lu.solve_left_vec(&x).expect("same dimensions");
+        for j in 1..=k {
+            x = lu
+                .solve_left_vec(&x)
+                .expect("dimension checked at construction");
             fact *= j as f64;
+            out.push(fact * x.iter().sum::<f64>());
         }
-        fact * x.iter().sum::<f64>()
+        out
     }
 
     /// Mean `E[X] = α(−S)^{-1}e` (paper §2.5).
@@ -267,8 +271,8 @@ impl PhaseType {
 
     /// Variance.
     pub fn variance(&self) -> f64 {
-        let m1 = self.moment(1);
-        (self.moment(2) - m1 * m1).max(0.0)
+        let m = self.moments(2);
+        (m[1] - m[0] * m[0]).max(0.0)
     }
 
     /// Squared coefficient of variation `Var/Mean²` (1 for exponential).
@@ -591,6 +595,42 @@ mod tests {
     use crate::builders::{erlang, exponential, hyperexponential};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn moments_match_moment_bitwise() {
+        // A defective PH (atom at zero) exercises the α-sum path too.
+        let defective = PhaseType::new(
+            vec![0.3, 0.2],
+            Matrix::from_rows(&[&[-2.0, 1.5], &[0.25, -0.75]]),
+        )
+        .unwrap();
+        for ph in [
+            exponential(2.0),
+            erlang(3, 1.7),
+            hyperexponential(&[0.25, 0.75], &[0.5, 4.0]).unwrap(),
+            defective,
+            PhaseType::zero(),
+        ] {
+            let got = ph.moments(3);
+            assert_eq!(got.len(), 3);
+            for k in 1..=3u32 {
+                let want = ph.moment(k);
+                assert_eq!(got[k as usize - 1].to_bits(), want.to_bits(), "k={k}");
+                if ph.order() > 0 {
+                    // One fresh LU per moment, as `k! · α(−S)^{−k}e` reads.
+                    let lu = Lu::new(&ph.sub_generator().scaled(-1.0)).unwrap();
+                    let mut x = lu.solve_left_vec(ph.alpha()).unwrap();
+                    let mut fact = 1.0;
+                    for j in 2..=k {
+                        x = lu.solve_left_vec(&x).unwrap();
+                        fact *= j as f64;
+                    }
+                    let fresh = fact * x.iter().sum::<f64>();
+                    assert_eq!(want.to_bits(), fresh.to_bits(), "k={k}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn exponential_moments() {

@@ -6,6 +6,7 @@ use crate::stability::drift_condition;
 use crate::{QbdError, Result};
 use gsched_linalg::{solve_left_nullspace, BackendKind, Matrix};
 use gsched_obs as obs;
+use std::sync::OnceLock;
 
 /// How the finite boundary system (eqs. 21/25/26 + 24) is solved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -31,6 +32,10 @@ pub const CENSORED_AUTO_THRESHOLD: usize = 384;
 /// [`LevelTruncation::Auto`] jumps from a stable-but-uncertified truncation
 /// to its projected certification level.
 const TRUNCATION_JUMP_CUSHION: usize = 8;
+
+/// Relative rounding tolerance of the stability gate: `(I−R)⁻¹` counts as
+/// entrywise nonnegative when no entry falls below `−tol · max|entry|`.
+const STABILITY_GATE_RTOL: f64 = 1e-9;
 
 /// Level-truncation policy for large boundaries (`c = P/g` in the thousands).
 ///
@@ -138,8 +143,8 @@ pub struct QbdSolution {
     r: Matrix,
     /// Cached `(I − R)⁻¹`.
     i_minus_r_inv: Matrix,
-    /// Spectral radius of `R`.
-    sp_r: f64,
+    /// Spectral radius of `R`, computed on first request.
+    sp_r: OnceLock<f64>,
     /// Kernel backend the solve ran under; post-solve matrix work
     /// (moments, tail sums) keeps using it.
     backend: BackendKind,
@@ -160,6 +165,7 @@ impl QbdProcess {
             let d = self.repeating_dim();
             if r0.rows() == d && r0.cols() == d {
                 let budget = opts.warm_max_iter.min(opts.max_iter).max(1);
+                let _span = obs::span("qbd.solve_r");
                 match solve_r_warm_with(
                     &self.a0,
                     &self.a1,
@@ -316,30 +322,31 @@ impl QbdProcess {
 
     fn solve_untruncated(&self, opts: &SolveOptions) -> Result<QbdSolution> {
         let _span = obs::span("qbd.solve");
-        if opts.check_irreducible && !self.is_irreducible() {
-            return Err(QbdError::NotIrreducible);
+        if opts.check_irreducible {
+            let _span = obs::span("qbd.irreducible");
+            if !self.is_irreducible() {
+                return Err(QbdError::NotIrreducible);
+            }
         }
-        let drift = drift_condition(&self.a0, &self.a1, &self.a2)?;
+        let drift = {
+            let _span = obs::span("qbd.drift");
+            drift_condition(&self.a0, &self.a1, &self.a2)?
+        };
         if !drift.is_stable() {
             return Err(QbdError::Unstable(drift));
         }
-        let be = opts.backend.instance();
         let r = self.solve_r_with_options(opts)?;
         debug_assert!(
             r_residual_with(&self.a0, &self.a1, &self.a2, &r, opts.backend) < 1e-6,
             "R residual too large"
         );
-        let d = self.repeating_dim();
-        let sp_r = be.spectral_radius(&r, 1e-12, 200_000).unwrap_or(1.0);
-        if obs::enabled() {
-            obs::observe(obs::names::QBD_SPECTRAL_RADIUS, sp_r);
-            obs::observe(obs::names::QBD_DRIFT_MARGIN, drift.margin());
-        }
-        if sp_r >= 1.0 {
-            return Err(QbdError::Unstable(drift));
-        }
-        let i_minus_r = &Matrix::identity(d) - &r;
-        let i_minus_r_inv = be.inverse(&i_minus_r)?;
+        let i_minus_r_inv = {
+            let _span = obs::span("qbd.inverse");
+            match stable_inverse(&r, opts.backend) {
+                Some(inv) => inv,
+                None => return Err(QbdError::Unstable(drift)),
+            }
+        };
 
         // ---- Boundary linear system (eqs. 21/25/26 + 24) ----
         let c = self.c();
@@ -365,14 +372,20 @@ impl QbdProcess {
         };
         drop(boundary_span);
 
-        Ok(QbdSolution {
+        let sol = QbdSolution {
             boundary,
             r,
             i_minus_r_inv,
-            sp_r,
+            sp_r: OnceLock::new(),
             backend: opts.backend,
             truncation: None,
-        })
+        };
+        if obs::enabled() {
+            let _span = obs::span("qbd.spectral_radius");
+            obs::observe(obs::names::QBD_SPECTRAL_RADIUS, sol.spectral_radius());
+            obs::observe(obs::names::QBD_DRIFT_MARGIN, drift.margin());
+        }
+        Ok(sol)
     }
 
     /// Dense boundary solve: assemble the full `nb × nb` flow-balance system
@@ -521,6 +534,19 @@ impl QbdProcess {
     }
 }
 
+/// The stability gate: `(I−R)⁻¹` when `sp(R) < 1`, `None` otherwise.
+///
+/// For `R ≥ 0`, `sp(R) < 1` exactly when `I − R` is a nonsingular M-matrix,
+/// i.e. when `(I−R)⁻¹ = Σ Rⁿ` exists and is entrywise nonnegative. So the
+/// inverse the solution needs anyway decides stability, up to a relative
+/// rounding tolerance, without a power iteration.
+fn stable_inverse(r: &Matrix, backend: BackendKind) -> Option<Matrix> {
+    let i_minus_r = &Matrix::identity(r.rows()) - r;
+    let inv = backend.instance().inverse(&i_minus_r).ok()?;
+    inv.is_nonnegative(STABILITY_GATE_RTOL * inv.max_abs())
+        .then_some(inv)
+}
+
 /// Clamp tiny negative round-off to zero; larger negatives are an error.
 fn clamp_nonneg(seg: &[f64], level: usize) -> Result<Vec<f64>> {
     let scale = seg.iter().fold(0.0_f64, |a, &v| a.max(v.abs())).max(1e-300);
@@ -549,8 +575,20 @@ impl QbdSolution {
     }
 
     /// Spectral radius of `R` (strictly below 1 for a solved system).
+    ///
+    /// A diagnostic: the solve itself certifies `sp(R) < 1` through
+    /// `(I−R)⁻¹ ≥ 0` and never needs the value. It is computed on first
+    /// request by power iteration (tolerance `1e-12`, at most 200 000
+    /// steps) and cached. Should the power iteration not settle, the
+    /// certified upper bound [`tail_decay_rate`](Self::tail_decay_rate) is
+    /// reported instead.
     pub fn spectral_radius(&self) -> f64 {
-        self.sp_r
+        *self.sp_r.get_or_init(|| {
+            self.backend
+                .instance()
+                .spectral_radius(&self.r, 1e-12, 200_000)
+                .unwrap_or_else(|_| self.tail_decay_rate())
+        })
     }
 
     /// Kernel backend the solve ran under.
@@ -609,6 +647,53 @@ impl QbdSolution {
             v = self.r.left_mul_vec(&v).expect("dimension");
         }
         v
+    }
+
+    /// Start a [`LevelWalk`] at level 0.
+    pub(crate) fn walk(&self) -> LevelWalk<'_> {
+        LevelWalk {
+            sol: self,
+            level: 0,
+            above: Vec::new(),
+            below: 0.0,
+            u: self.i_minus_r_inv.row_sums(),
+        }
+    }
+
+    /// Walk levels `0, 1, …` up to a level cap, handing each level's
+    /// stationary vector to `visit(level, π_level)`.
+    ///
+    /// The cap is the smallest level `≥ first` whose tail above it,
+    /// `P(level > cap)`, is at most `tail_eps`, but never above `last`.
+    /// Returns the cap and `P(level > cap)`. One incremental walk
+    /// (`π_{n+1} = π_n R`) serves both the search and the visits, so the
+    /// cost is linear in the cap where repeated [`level_vector`] /
+    /// [`tail_prob`] calls would be quadratic; every value is bit-identical
+    /// to theirs.
+    ///
+    /// [`level_vector`]: Self::level_vector
+    /// [`tail_prob`]: Self::tail_prob
+    pub fn walk_to_cap(
+        &self,
+        first: usize,
+        last: usize,
+        tail_eps: f64,
+        mut visit: impl FnMut(usize, &[f64]),
+    ) -> (usize, f64) {
+        let mut walk = self.walk();
+        visit(0, walk.vector());
+        let mut cap = 0;
+        loop {
+            walk.advance();
+            if cap >= first {
+                let tail = walk.tail_prob();
+                if cap >= last || tail <= tail_eps {
+                    return (cap, tail);
+                }
+            }
+            cap += 1;
+            visit(cap, walk.vector());
+        }
     }
 
     /// Total stationary probability of level `n`.
@@ -723,6 +808,61 @@ impl QbdSolution {
     }
 }
 
+/// Incremental walk up the levels of a [`QbdSolution`]: `π_0, π_1, …` with
+/// `π_{n+1} = π_n R` above the boundary, and `P(level ≥ n)` alongside.
+///
+/// Each step costs one vector–matrix product, so visiting levels `0..=n`
+/// costs `O(n·d²)` where repeated [`QbdSolution::level_vector`] /
+/// [`QbdSolution::tail_prob`] calls cost `O(n²·d²)`. Every value is
+/// bit-identical to theirs: the walk performs the same floating-point
+/// operations in the same order.
+#[derive(Debug, Clone)]
+pub(crate) struct LevelWalk<'a> {
+    sol: &'a QbdSolution,
+    level: usize,
+    /// `π_level` once the walk is above the boundary (empty before).
+    above: Vec<f64>,
+    /// `Σ_{i<level} π_i·e` while the walk is within the boundary.
+    below: f64,
+    /// `u = (I−R)⁻¹e`, so that `P(level ≥ n) = π_n·u` for `n ≥ c`.
+    u: Vec<f64>,
+}
+
+impl LevelWalk<'_> {
+    /// Stationary sub-vector of the current level.
+    pub(crate) fn vector(&self) -> &[f64] {
+        if self.level <= self.sol.c() {
+            &self.sol.boundary[self.level]
+        } else {
+            &self.above
+        }
+    }
+
+    /// `P(level ≥ n)` at the current level `n`.
+    pub(crate) fn tail_prob(&self) -> f64 {
+        if self.level <= self.sol.c() {
+            (1.0 - self.below).clamp(0.0, 1.0)
+        } else {
+            self.above
+                .iter()
+                .zip(self.u.iter())
+                .map(|(a, b)| a * b)
+                .sum()
+        }
+    }
+
+    /// Step up one level.
+    pub(crate) fn advance(&mut self) {
+        let c = self.sol.c();
+        if self.level < c {
+            self.below += self.sol.boundary[self.level].iter().sum::<f64>();
+        } else {
+            self.above = self.sol.r.left_mul_vec(self.vector()).expect("dimension");
+        }
+        self.level += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,6 +904,119 @@ mod tests {
             Matrix::from_rows(&[&[c as f64 * mu]]),
         )
         .unwrap()
+    }
+
+    /// M/E₂/1 with Erlang-2 service of mean 1: a two-phase repeating level,
+    /// offered load `lambda`.
+    fn m_e2_1(lambda: f64) -> QbdProcess {
+        let mu = 2.0; // per-phase rate
+        let a1 = Matrix::from_rows(&[&[-(lambda + mu), mu], &[0.0, -(lambda + mu)]]);
+        QbdProcess::new(
+            vec![Matrix::from_rows(&[&[lambda, 0.0]])],
+            vec![Matrix::from_rows(&[&[-lambda]]), a1.clone()],
+            vec![Matrix::from_rows(&[&[0.0], &[mu]])],
+            Matrix::from_rows(&[&[lambda, 0.0], &[0.0, lambda]]),
+            a1,
+            Matrix::from_rows(&[&[0.0, 0.0], &[mu, 0.0]]),
+        )
+        .unwrap()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn near_critical_verdicts_follow_the_drift_test() {
+        for rho in [0.99, 0.999, 0.9999, 1.0001, 1.001, 1.01] {
+            for (name, q) in [
+                ("M/M/1", mm1(rho, 1.0)),
+                ("M/M/3", mmc(3.0 * rho, 1.0, 3)),
+                ("M/E2/1", m_e2_1(rho)),
+            ] {
+                let stable = drift_condition(&q.a0, &q.a1, &q.a2).unwrap().is_stable();
+                assert_eq!(stable, rho < 1.0, "{name} at rho={rho}: drift verdict");
+                match q.solve(&SolveOptions::default()) {
+                    Ok(sol) => {
+                        assert!(stable, "{name} at rho={rho}: solved an unstable chain");
+                        assert!(stable_inverse(sol.r(), BackendKind::Naive).is_some());
+                        let sp = sol.spectral_radius();
+                        assert!(sp < 1.0, "{name} at rho={rho}: sp(R) = {sp}");
+                    }
+                    Err(QbdError::Unstable(_)) => {
+                        assert!(!stable, "{name} at rho={rho}: stable chain rejected")
+                    }
+                    Err(e) => panic!("{name} at rho={rho}: {e}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stability_gate_decides_spectral_radius_below_one() {
+        // A stochastic matrix scaled by `sp` has spectral radius `sp`.
+        let p = Matrix::from_rows(&[&[0.5, 0.5], &[0.25, 0.75]]);
+        for sp in [0.5, 0.99, 0.9999, 1.0, 1.0001, 1.5] {
+            for r in [Matrix::from_rows(&[&[sp]]), p.scaled(sp)] {
+                assert_eq!(
+                    stable_inverse(&r, BackendKind::Naive).is_some(),
+                    sp < 1.0,
+                    "sp(R) = {sp}, R = {r:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn walk_matches_level_vector_and_tail_prob_bitwise() {
+        let truncated = SolveOptions {
+            truncation: LevelTruncation::Fixed { level: 4 },
+            ..Default::default()
+        };
+        let sols = [
+            mmc(1.2, 1.0, 2).solve(&SolveOptions::default()).unwrap(),
+            m_e2_1(0.8).solve(&SolveOptions::default()).unwrap(),
+            mmc(2.0, 1.0, 8).solve(&truncated).unwrap(),
+        ];
+        for sol in &sols {
+            let mut walk = sol.walk();
+            for n in 0..=sol.c() + 100 {
+                assert_eq!(walk.level, n);
+                assert_eq!(bits(walk.vector()), bits(&sol.level_vector(n)), "n={n}");
+                assert_eq!(
+                    walk.tail_prob().to_bits(),
+                    sol.tail_prob(n).to_bits(),
+                    "n={n}"
+                );
+                walk.advance();
+            }
+        }
+    }
+
+    #[test]
+    fn walk_to_cap_matches_the_tail_search() {
+        let sol = mmc(3.0, 1.0, 5).solve(&SolveOptions::default()).unwrap();
+        for (first, last, eps) in [(6, 40, 1e-9), (6, 10, 1e-9), (6, 6, 1e-3), (2, 80, 1e-2)] {
+            let mut cap = first;
+            while cap < last && sol.tail_prob(cap + 1) > eps {
+                cap += 1;
+            }
+            let mut seen = Vec::new();
+            let (got, tail) = sol.walk_to_cap(first, last, eps, |i, pi| seen.push((i, bits(pi))));
+            assert_eq!(got, cap);
+            assert_eq!(tail.to_bits(), sol.tail_prob(cap + 1).to_bits());
+            let want: Vec<_> = (0..=cap).map(|i| (i, bits(&sol.level_vector(i)))).collect();
+            assert_eq!(seen, want);
+        }
+    }
+
+    #[test]
+    fn lazy_spectral_radius_matches_power_iteration() {
+        for q in [mm1(0.6, 1.0), mmc(3.0, 1.0, 5), m_e2_1(0.8)] {
+            let sol = q.solve(&SolveOptions::default()).unwrap();
+            let want = gsched_linalg::spectral_radius(sol.r(), 1e-12, 200_000).unwrap();
+            assert_eq!(sol.spectral_radius().to_bits(), want.to_bits());
+        }
     }
 
     #[test]
