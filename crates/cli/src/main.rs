@@ -734,16 +734,30 @@ struct SweepJob {
     scenario: Option<Scenario>,
 }
 
-/// Solver options for a Processors-axis (large-P) sweep: automatic
-/// certified level truncation targeted at the scenario's declared ceiling,
-/// with health collection so the certificates are reportable.
-fn scaling_solver_options(base: &SolverOptions, target_tail: f64) -> SolverOptions {
+/// True for a Processors-axis (large-P) scenario sweep.
+fn is_large_p(scenario: Option<&Scenario>) -> bool {
+    scenario
+        .and_then(|sc| sc.sweep.as_ref())
+        .is_some_and(|sweep| sweep.axis == AxisSpec::Processors)
+}
+
+/// The solver a sweep runs with. Processors-axis (large-P) scenarios get
+/// automatic certified level truncation — large P is intractable without
+/// it — targeted at the scenario's declared ceiling (default `1e-8`), with
+/// health collection so the certificates are reportable; every other sweep
+/// runs `base` unchanged. `gsched sweep` and `gsched profile` both resolve
+/// their solver here, so a profile measures the path a sweep runs.
+fn sweep_solver_options(base: &SolverOptions, scenario: Option<&Scenario>) -> SolverOptions {
     let mut solver = base.clone();
-    solver.qbd.truncation = LevelTruncation::Auto {
-        target_tail,
-        min_levels: 4,
-    };
-    solver.collect_health = true;
+    if is_large_p(scenario) {
+        solver.qbd.truncation = LevelTruncation::Auto {
+            target_tail: scenario
+                .and_then(|sc| sc.tolerance.certified_tail)
+                .unwrap_or(1e-8),
+            min_levels: 4,
+        };
+        solver.collect_health = true;
+    }
     solver
 }
 
@@ -875,27 +889,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let mut contract_lines = Vec::new();
     let mut contract_errors = Vec::new();
     for job in &jobs_list {
-        // Processors-axis sweeps get certified level truncation
-        // automatically — large P is intractable without it.
-        let is_large_p = job
-            .scenario
-            .as_ref()
-            .and_then(|sc| sc.sweep.as_ref())
-            .is_some_and(|sweep| sweep.axis == AxisSpec::Processors);
-        let job_solver = if is_large_p {
-            let target = job
-                .scenario
-                .as_ref()
-                .and_then(|sc| sc.tolerance.certified_tail)
-                .unwrap_or(1e-8);
-            scaling_solver_options(&solver, target)
-        } else {
-            solver.clone()
-        };
         let opts = SweepOptions::default()
             .with_jobs(jobs)
             .with_warm_start(!flags.contains_key("no-warm"))
-            .with_solver(job_solver);
+            .with_solver(sweep_solver_options(&solver, job.scenario.as_ref()));
         let classes = job
             .req
             .points
@@ -914,7 +911,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 ));
             }
         }
-        if let Some(sc) = job.scenario.as_ref().filter(|_| is_large_p) {
+        if let Some(sc) = job.scenario.as_ref().filter(|sc| is_large_p(Some(sc))) {
             match check_large_p_contract(sc, &report) {
                 Ok(lines) => contract_lines.extend(lines),
                 Err(e) => contract_errors.push(e),

@@ -18,6 +18,7 @@ use gsched_core::solver::{solve_warm, SolverOptions, WarmStart};
 use gsched_core::vacation::VacationCache;
 use gsched_linalg::WorkCounters;
 use gsched_obs as obs;
+use gsched_scenario::Scenario;
 use gsched_workload::figures::Figure;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -58,6 +59,20 @@ pub struct KernelRow {
     pub gflops_per_sec: f64,
 }
 
+/// Deterministic work counters of the certified level-truncation search
+/// (all zero when no solve truncates).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct SearchCounters {
+    /// Frozen-capacity truncations tried (`qbd.truncation.attempts`).
+    pub truncation_attempts: u64,
+    /// Attempts skipped by the drift test before any other work
+    /// (`qbd.truncation.unstable_skips`).
+    pub unstable_skips: u64,
+    /// Levels eliminated by censored boundary solves, each level once per
+    /// class solve (`qbd.boundary.levels_eliminated`).
+    pub levels_eliminated: u64,
+}
+
 /// The full `gsched profile` document.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProfileReport {
@@ -92,6 +107,10 @@ pub struct ProfileReport {
     pub kernels: Vec<KernelRow>,
     /// Convergence behaviour of the run.
     pub convergence: ConvergenceReport,
+    /// Truncation-search counters. Defaults when absent so documents
+    /// written before the search was counted keep parsing.
+    #[serde(default = "SearchCounters::default")]
+    pub search: SearchCounters,
 }
 
 /// Human phase label for a canonical span name.
@@ -105,6 +124,7 @@ fn phase_label(span: &str) -> &'static str {
         "core.compress" => "moment compression",
         "core.measures" => "stationary measures",
         "qbd.solve" => "QBD assembly",
+        "qbd.truncation" => "truncation search",
         "qbd.irreducible" => "irreducibility check",
         "qbd.drift" => "drift test",
         "qbd.solve_r" => "R iteration",
@@ -119,6 +139,9 @@ fn phase_label(span: &str) -> &'static str {
 struct Workload {
     name: String,
     models: Vec<GangModel>,
+    /// The scenario the models came from (`None` for `--sweep` figures);
+    /// it decides the solver, as in `gsched sweep`.
+    scenario: Option<Scenario>,
 }
 
 /// Resolve the requested workload set: `--sweep fig2..fig5|all` takes the
@@ -149,6 +172,7 @@ fn workloads(
                     .into_iter()
                     .map(|p| p.model)
                     .collect(),
+                scenario: None,
             })
             .collect());
     }
@@ -169,15 +193,18 @@ fn workloads(
     Ok(vec![Workload {
         name: sc.name.clone(),
         models,
+        scenario: Some(sc),
     }])
 }
 
 /// Solve every model of every workload serially with warm starting — the
-/// same numerical path the engine takes, confined to this thread so the
-/// span tree nests under one stack.
+/// same numerical path the engine takes (including the solver `gsched
+/// sweep` picks for the workload's scenario), confined to this thread so
+/// the span tree nests under one stack.
 fn run_workloads(workloads: &[Workload], solver: &SolverOptions) -> (u64, u64) {
     let (mut solved, mut failed) = (0u64, 0u64);
     for w in workloads {
+        let solver = &crate::sweep_solver_options(solver, w.scenario.as_ref());
         let cache = VacationCache::new();
         let mut warm: Option<WarmStart> = None;
         for model in &w.models {
@@ -262,6 +289,17 @@ fn measure(
             ),
         ],
         convergence: convergence::analyze(&snap),
+        search: SearchCounters {
+            truncation_attempts: snap
+                .counter(obs::names::QBD_TRUNCATION_ATTEMPTS)
+                .unwrap_or(0),
+            unstable_skips: snap
+                .counter(obs::names::QBD_TRUNCATION_UNSTABLE_SKIPS)
+                .unwrap_or(0),
+            levels_eliminated: snap
+                .counter(obs::names::QBD_BOUNDARY_LEVELS_ELIMINATED)
+                .unwrap_or(0),
+        },
     })
 }
 
@@ -304,6 +342,10 @@ fn print_human(rep: &ProfileReport) {
             k.kernel, k.calls, k.flops, k.gflops_per_sec
         );
     }
+    println!(
+        "truncation search: {} attempt(s), {} skipped as unstable, {} level(s) eliminated",
+        rep.search.truncation_attempts, rep.search.unstable_skips, rep.search.levels_eliminated
+    );
     println!("convergence:");
     print!("{}", rep.convergence.render());
 }
@@ -356,6 +398,7 @@ mod tests {
             "core.compress",
             "core.measures",
             "qbd.solve",
+            "qbd.truncation",
             "qbd.irreducible",
             "qbd.drift",
             "qbd.solve_r",
@@ -401,6 +444,11 @@ mod tests {
                 classes: Vec::new(),
                 warnings: Vec::new(),
             },
+            search: SearchCounters {
+                truncation_attempts: 12,
+                unstable_skips: 8,
+                levels_eliminated: 2048,
+            },
         };
         let text = serde_json::to_string_pretty(&rep).unwrap();
         let back: ProfileReport = serde_json::from_str(&text).unwrap();
@@ -417,5 +465,13 @@ mod tests {
         assert_eq!(old.profile_schema_version, PROFILE_SCHEMA_VERSION);
         assert!(old.backend.is_empty());
         assert!(old.r_solver.is_empty());
+
+        // So does one written before the search counters existed.
+        let cut = text
+            .find(",\n  \"search\"")
+            .expect("search is the last field");
+        let pre_search = format!("{}\n}}", &text[..cut]);
+        let old: ProfileReport = serde_json::from_str(&pre_search).unwrap();
+        assert_eq!(old.search, SearchCounters::default());
     }
 }

@@ -908,6 +908,49 @@ fn profile_quick_json_attributes_wall_time() {
 }
 
 #[test]
+fn profile_of_a_processors_sweep_runs_the_truncation_search() {
+    let out = gsched()
+        .arg("profile")
+        .arg("p_sweep")
+        .args(["--quick", "--json"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let parsed: serde_json::Value =
+        serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
+    let count = |span: &str| -> f64 {
+        parsed["phases"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|p| p["span"].as_str().unwrap() == span)
+            .map_or(0.0, |p| p["count"].as_f64().unwrap())
+    };
+    // `gsched sweep p_sweep` certifies a truncation per class solve, and
+    // the search solves more than one chain at the larger machine sizes: a
+    // profile of the same scenario must see those solves, not one full
+    // solve per class.
+    let class_solves = count("core.class*");
+    assert!(class_solves > 0.0);
+    assert!(
+        count("qbd.solve") > class_solves,
+        "{} qbd.solve spans for {class_solves} class solves",
+        count("qbd.solve")
+    );
+    assert!(count("qbd.truncation") > 0.0);
+    let search = &parsed["search"];
+    assert!(
+        search["truncation_attempts"].as_f64().unwrap()
+            > search["unstable_skips"].as_f64().unwrap()
+    );
+    assert!(search["levels_eliminated"].as_f64().unwrap() > 0.0);
+}
+
+#[test]
 fn doctor_convergence_reports_per_class_r_solves() {
     let out = gsched()
         .arg("doctor")

@@ -11,8 +11,8 @@
 //!   machinery behind the paper's construction of the effective-quantum
 //!   distribution (§4.3): the time to absorption of a PH chain *is* the
 //!   phase-type distribution.
-//! * [`scc`] — Tarjan's strongly-connected-components algorithm, used for
-//!   the irreducibility verification of §4.4.
+//! * [`scc`] — strong connectivity (a linear-time check and Tarjan's
+//!   components), used for the irreducibility verification of §4.4.
 //! * [`transient`] — Poisson-weighted transient solutions `π(t)` via
 //!   uniformization.
 
@@ -25,7 +25,7 @@ pub mod transient;
 pub use absorbing::AbsorbingCtmc;
 pub use ctmc::Ctmc;
 pub use dtmc::Dtmc;
-pub use scc::{condensation, is_strongly_connected, tarjan_scc};
+pub use scc::{condensation, is_strongly_connected, tarjan_scc, CsrDigraph};
 
 /// Errors produced by chain validation and solving.
 #[derive(Debug, Clone, PartialEq)]

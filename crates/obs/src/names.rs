@@ -77,6 +77,15 @@ pub const QBD_RMATRIX_WARM_MISSES: &str = "qbd.rmatrix.warm_misses";
 pub const QBD_SPECTRAL_RADIUS: &str = "qbd.spectral_radius";
 /// Drift margin per solve (histogram).
 pub const QBD_DRIFT_MARGIN: &str = "qbd.drift_margin";
+/// Frozen-capacity truncations tried by `LevelTruncation::Auto` / `Fixed`
+/// (counter).
+pub const QBD_TRUNCATION_ATTEMPTS: &str = "qbd.truncation.attempts";
+/// Truncation attempts skipped because their frozen capacity fails the
+/// drift test (counter).
+pub const QBD_TRUNCATION_UNSTABLE_SKIPS: &str = "qbd.truncation.unstable_skips";
+/// Levels eliminated by censored boundary solves; a truncation search that
+/// resumes its elimination counts each level once (counter).
+pub const QBD_BOUNDARY_LEVELS_ELIMINATED: &str = "qbd.boundary.levels_eliminated";
 
 // ---- gsched-core ----
 
@@ -153,6 +162,9 @@ pub const ALL: &[&str] = &[
     QBD_RMATRIX_WARM_MISSES,
     QBD_SPECTRAL_RADIUS,
     QBD_DRIFT_MARGIN,
+    QBD_TRUNCATION_ATTEMPTS,
+    QBD_TRUNCATION_UNSTABLE_SKIPS,
+    QBD_BOUNDARY_LEVELS_ELIMINATED,
     CORE_SOLVER_SOLVES,
     CORE_SOLVER_FP_ITERATIONS,
     CORE_SOLVER_FINAL_CHANGE,

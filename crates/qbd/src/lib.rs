@@ -36,11 +36,15 @@
 //!   solves the exact boundary in `O(c·d³)` time and `O(c·d²)` memory;
 //!   `Auto` (the default) switches to it past a size threshold.
 //! * [`solution::LevelTruncation`] — replaces the chain with its
-//!   frozen-capacity truncation at a level `m ≪ c`
-//!   ([`QbdProcess::truncated`]). The truncated chain stochastically
-//!   dominates the original, so its tail mass above `m` is a certified upper
-//!   bound on the mass the cut could misplace; the bound is attached to the
-//!   solution as a [`solution::TruncationCertificate`].
+//!   frozen-capacity truncation at a level `m ≪ c`: levels `0..=m`, borrowed
+//!   from the process without copying, with the level-`m` blocks repeating
+//!   above them. The truncated chain stochastically dominates the original,
+//!   so its tail mass above `m` is a certified upper bound on the mass the
+//!   cut could misplace; the bound is attached to the solution as a
+//!   [`solution::TruncationCertificate`]. The automatic search tests each
+//!   candidate's drift before solving it and resumes the censored
+//!   elimination from one candidate to the next, so every level is
+//!   eliminated once.
 //!
 //! ```
 //! use gsched_linalg::Matrix;

@@ -2,7 +2,7 @@
 
 use crate::{QbdError, Result};
 use gsched_linalg::Matrix;
-use gsched_markov::scc::is_strongly_connected;
+use gsched_markov::scc::CsrDigraph;
 
 /// A continuous-time QBD process with a finite, possibly inhomogeneous
 /// boundary — the structure of the paper's eq. (20):
@@ -139,13 +139,9 @@ impl QbdProcess {
         self.a1.rows()
     }
 
-    /// Dimension of boundary level `i`.
+    /// Dimension of level `i`.
     pub fn level_dim(&self, i: usize) -> usize {
-        if i <= self.c() {
-            self.boundary_local[i].rows()
-        } else {
-            self.repeating_dim()
-        }
+        self.view().level_dim(i)
     }
 
     /// Check sign structure and zero row sums level by level.
@@ -181,62 +177,49 @@ impl QbdProcess {
         check_nonneg("A2".to_string(), &self.a2, false)?;
 
         // Row sums per level.
-        let row_sum_check = |level: String, parts: Vec<&Matrix>| -> Result<()> {
-            let rows = parts[0].rows();
-            for r in 0..rows {
-                let total: f64 = parts.iter().map(|m| m.row(r).iter().sum::<f64>()).sum();
-                let scale: f64 = parts
-                    .iter()
-                    .map(|m| m.row(r).iter().map(|v| v.abs()).sum::<f64>())
-                    .sum();
-                if total.abs() > VTOL * (1.0 + scale) {
-                    return Err(QbdError::NotGenerator(format!(
-                        "row {r} of {level} sums to {total}"
-                    )));
-                }
-            }
-            Ok(())
-        };
         if c == 0 {
-            row_sum_check(
-                "level 0".to_string(),
-                vec![&self.boundary_local[0], &self.a0],
-            )?;
+            check_row_sums("level 0", &[&self.boundary_local[0], &self.a0])?;
         } else {
-            row_sum_check(
-                "level 0".to_string(),
-                vec![&self.boundary_local[0], &self.boundary_up[0]],
-            )?;
+            check_row_sums("level 0", &[&self.boundary_local[0], &self.boundary_up[0]])?;
             for i in 1..c {
-                row_sum_check(
-                    format!("level {i}"),
-                    vec![
+                check_row_sums(
+                    &format!("level {i}"),
+                    &[
                         &self.boundary_down[i - 1],
                         &self.boundary_local[i],
                         &self.boundary_up[i],
                     ],
                 )?;
             }
-            row_sum_check(
-                format!("level {c}"),
-                vec![
+            check_row_sums(
+                &format!("level {c}"),
+                &[
                     &self.boundary_down[c - 1],
                     &self.boundary_local[c],
                     &self.a0,
                 ],
             )?;
         }
-        row_sum_check(
-            "repeating level".to_string(),
-            vec![&self.a2, &self.a1, &self.a0],
-        )?;
-        Ok(())
+        check_row_sums("repeating level", &[&self.a2, &self.a1, &self.a0])
     }
 
-    /// The frozen-capacity truncation of this process at boundary level `m`.
+    /// The whole chain as a borrowed [`LevelView`].
+    pub(crate) fn view(&self) -> LevelView<'_> {
+        LevelView {
+            up: &self.boundary_up,
+            local: &self.boundary_local,
+            down: &self.boundary_down,
+            a0: &self.a0,
+            a1: &self.a1,
+            a2: &self.a2,
+        }
+    }
+
+    /// The frozen-capacity truncation of this process at boundary level `m`,
+    /// borrowed: nothing is copied.
     ///
-    /// The result is a QBD whose boundary is levels `0..=m` of this process
-    /// and whose repeating blocks are the level-`m` boundary blocks:
+    /// The truncated chain's boundary is levels `0..=m` of this process and
+    /// its repeating blocks are the level-`m` boundary blocks:
     /// `A₀' = up[m]`, `A₁' = local[m+1]`, `A₂' = down out of m+1`. Above
     /// level `m` the truncated chain keeps the level-`m+1` dynamics forever —
     /// in particular its service capacity is frozen at `m+1` busy partitions
@@ -250,8 +233,10 @@ impl QbdProcess {
     /// sizes must have saturated — true below `c` only when the service
     /// distribution has a single phase). Returns [`QbdError::Shape`]
     /// otherwise; callers using automatic truncation fall back to the full
-    /// solve on that error.
-    pub fn truncated(&self, m: usize) -> Result<QbdProcess> {
+    /// solve on that error. Levels `0..=m` were validated with the process;
+    /// the one new condition, zero row sums of the frozen repeating level,
+    /// is checked here ([`QbdError::NotGenerator`] when it fails).
+    pub(crate) fn frozen(&self, m: usize) -> Result<LevelView<'_>> {
         let c = self.c();
         if m == 0 || m >= c {
             return Err(QbdError::Shape(format!(
@@ -266,14 +251,16 @@ impl QbdProcess {
                 self.level_dim(m + 1)
             )));
         }
-        QbdProcess::new(
-            self.boundary_up[..m].to_vec(),
-            self.boundary_local[..=m].to_vec(),
-            self.boundary_down[..m].to_vec(),
-            self.boundary_up[m].clone(),
-            self.boundary_local[m + 1].clone(),
-            self.boundary_down[m].clone(),
-        )
+        let view = LevelView {
+            up: &self.boundary_up[..m],
+            local: &self.boundary_local[..=m],
+            down: &self.boundary_down[..m],
+            a0: &self.boundary_up[m],
+            a1: &self.boundary_local[m + 1],
+            a2: &self.boundary_down[m],
+        };
+        check_row_sums("repeating level", &[view.a2, view.a1, view.a0])?;
+        Ok(view)
     }
 
     /// The phase-process generator `A = A₀ + A₁ + A₂` of Theorem 4.4.
@@ -286,49 +273,7 @@ impl QbdProcess {
     /// above the truncation are dropped; by the repeating structure this is
     /// sufficient).
     pub fn is_irreducible(&self) -> bool {
-        let c = self.c();
-        // Global indices: levels 0..=c+2.
-        let dims: Vec<usize> = (0..=c + 2).map(|i| self.level_dim(i)).collect();
-        let offsets: Vec<usize> = dims
-            .iter()
-            .scan(0usize, |acc, &d| {
-                let o = *acc;
-                *acc += d;
-                Some(o)
-            })
-            .collect();
-        let n: usize = dims.iter().sum();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut add_block = |from_level: usize, to_level: usize, m: &Matrix| {
-            for i in 0..m.rows() {
-                for j in 0..m.cols() {
-                    if m[(i, j)] > 0.0 {
-                        let u = offsets[from_level] + i;
-                        let v = offsets[to_level] + j;
-                        if u != v {
-                            adj[u].push(v);
-                        }
-                    }
-                }
-            }
-        };
-        for (i, m) in self.boundary_local.iter().enumerate() {
-            add_block(i, i, m);
-        }
-        for (i, m) in self.boundary_up.iter().enumerate() {
-            add_block(i, i + 1, m);
-        }
-        for (i, m) in self.boundary_down.iter().enumerate() {
-            add_block(i + 1, i, m);
-        }
-        // Level c up, c+1 and c+2 blocks (truncate up-transitions from c+2).
-        add_block(c, c + 1, &self.a0);
-        add_block(c + 1, c + 1, &self.a1);
-        add_block(c + 1, c, &self.a2);
-        add_block(c + 1, c + 2, &self.a0);
-        add_block(c + 2, c + 2, &self.a1);
-        add_block(c + 2, c + 1, &self.a2);
-        is_strongly_connected(&adj)
+        self.view().is_irreducible()
     }
 
     /// Build the generator of the chain truncated at `max_level` (transitions
@@ -383,9 +328,107 @@ impl QbdProcess {
     }
 }
 
+/// Check that each row of the level made of the blocks `parts` sums to zero.
+fn check_row_sums(level: &str, parts: &[&Matrix]) -> Result<()> {
+    let rows = parts[0].rows();
+    for r in 0..rows {
+        let total: f64 = parts.iter().map(|m| m.row(r).iter().sum::<f64>()).sum();
+        let scale: f64 = parts
+            .iter()
+            .map(|m| m.row(r).iter().map(|v| v.abs()).sum::<f64>())
+            .sum();
+        if total.abs() > VTOL * (1.0 + scale) {
+            return Err(QbdError::NotGenerator(format!(
+                "row {r} of {level} sums to {total}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// A borrowed level-structured chain: boundary levels `0..=c` (`up`,
+/// `local`, `down`, laid out as in [`QbdProcess`]) followed by repeating
+/// levels with the blocks `a0`, `a1`, `a2`.
+///
+/// [`QbdProcess::view`] is the process itself; [`QbdProcess::frozen`] is its
+/// frozen-capacity truncation at a level `m < c`, which borrows the prefix
+/// `0..=m` and the level-`m` blocks. The solve runs on views, so a
+/// truncation search never copies the boundary.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LevelView<'a> {
+    /// `up[i]`: level `i → i+1`, for `i ∈ 0..c`.
+    pub(crate) up: &'a [Matrix],
+    /// `local[i]`: level `i → i`, for `i ∈ 0..=c`.
+    pub(crate) local: &'a [Matrix],
+    /// `down[i]`: level `i+1 → i`, for `i ∈ 0..c`.
+    pub(crate) down: &'a [Matrix],
+    /// Repeating up block, also used from level `c`.
+    pub(crate) a0: &'a Matrix,
+    /// Repeating local block, levels `> c`.
+    pub(crate) a1: &'a Matrix,
+    /// Repeating down block, levels `> c`.
+    pub(crate) a2: &'a Matrix,
+}
+
+impl LevelView<'_> {
+    /// Index of the first repeating level, `c`.
+    pub(crate) fn c(&self) -> usize {
+        self.local.len() - 1
+    }
+
+    /// Dimension of level `i`.
+    pub(crate) fn level_dim(&self, i: usize) -> usize {
+        self.local.get(i).unwrap_or(self.a1).rows()
+    }
+
+    /// §4.4 irreducibility check on levels `0..=c+2` (see
+    /// [`QbdProcess::is_irreducible`]).
+    ///
+    /// The positive off-diagonal rates are written straight into a CSR
+    /// digraph, one state at a time (down, local, then up block of its
+    /// level), and strong connectivity is decided by two reachability passes
+    /// — linear in the number of rates, with no per-state allocation.
+    pub(crate) fn is_irreducible(&self) -> bool {
+        let top = self.c() + 2;
+        let local = |l: usize| self.local.get(l).unwrap_or(self.a1);
+        let up = |l: usize| self.up.get(l).unwrap_or(self.a0);
+        let down = |l: usize| self.down.get(l - 1).unwrap_or(self.a2);
+        // offsets[l]: global index of level l's first state.
+        let mut offsets = vec![0usize];
+        for l in 0..=top {
+            offsets.push(offsets[l] + self.level_dim(l));
+        }
+        let n = offsets[top + 1];
+        let mut g = CsrDigraph::with_capacity(n, 4 * n);
+        for l in 0..=top {
+            // (block, first state of its target level); up-transitions out
+            // of the top level are dropped.
+            let blocks = [
+                (l >= 1).then(|| (down(l), offsets[l - 1])),
+                Some((local(l), offsets[l])),
+                (l < top).then(|| (up(l), offsets[l + 1])),
+            ];
+            for u in offsets[l]..offsets[l + 1] {
+                let i = u - offsets[l];
+                for &(m, base) in blocks.iter().flatten() {
+                    for (j, &v) in m.row(i).iter().enumerate() {
+                        if v > 0.0 && base + j != u {
+                            g.push_edge(base + j);
+                        }
+                    }
+                }
+                g.end_vertex();
+            }
+        }
+        g.is_strongly_connected()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt as _, SeedableRng};
 
     /// M/M/1 queue as a trivial QBD: one phase, boundary level 0 only.
     pub(crate) fn mm1(lambda: f64, mu: f64) -> QbdProcess {
@@ -496,6 +539,157 @@ mod tests {
         for rs in t.row_sums() {
             assert!(rs.abs() < 1e-12);
         }
+    }
+
+    /// The §4.4 check the long way: adjacency lists over levels `0..=c+2`
+    /// and Tarjan's components.
+    fn tarjan_irreducible(v: &LevelView<'_>) -> bool {
+        let c = v.c();
+        let mut offsets = vec![0usize];
+        for l in 0..=c + 2 {
+            offsets.push(offsets[l] + v.level_dim(l));
+        }
+        let mut adj = vec![Vec::new(); offsets[c + 3]];
+        let mut add = |from: usize, to: usize, m: &Matrix| {
+            for i in 0..m.rows() {
+                for j in 0..m.cols() {
+                    let (a, b) = (offsets[from] + i, offsets[to] + j);
+                    if m[(i, j)] > 0.0 && a != b {
+                        adj[a].push(b);
+                    }
+                }
+            }
+        };
+        for (i, m) in v.local.iter().enumerate() {
+            add(i, i, m);
+        }
+        for (i, m) in v.up.iter().enumerate() {
+            add(i, i + 1, m);
+        }
+        for (i, m) in v.down.iter().enumerate() {
+            add(i + 1, i, m);
+        }
+        add(c, c + 1, v.a0);
+        for l in [c + 1, c + 2] {
+            add(l, l, v.a1);
+            add(l, l - 1, v.a2);
+        }
+        add(c + 1, c + 2, v.a0);
+        gsched_markov::tarjan_scc(&adj).len() == 1
+    }
+
+    /// A seeded random QBD with `c` boundary levels of random sizes and
+    /// repeating dimension `d`; each rate is zero with probability `sparse`,
+    /// so sparse draws are often reducible.
+    fn random_qbd(rng: &mut StdRng, c: usize, d: usize, sparse: f64) -> QbdProcess {
+        let dims: Vec<usize> = (0..=c)
+            .map(|i| {
+                if i == c {
+                    d
+                } else {
+                    1 + rng.random_below(3) as usize
+                }
+            })
+            .collect();
+        let mut block = |r: usize, k: usize| {
+            let mut m = Matrix::zeros(r, k);
+            for v in m.as_mut_slice() {
+                if rng.random::<f64>() >= sparse {
+                    *v = 0.1 + rng.random::<f64>();
+                }
+            }
+            m
+        };
+        let up: Vec<Matrix> = (0..c).map(|i| block(dims[i], dims[i + 1])).collect();
+        let down: Vec<Matrix> = (0..c).map(|i| block(dims[i + 1], dims[i])).collect();
+        let mut local: Vec<Matrix> = dims.iter().map(|&k| block(k, k)).collect();
+        let (a0, mut a1, a2) = (block(d, d), block(d, d), block(d, d));
+        // Diagonals close every row: level i leaves by down[i-1], local[i]
+        // and up[i] (A₀ at level c); repeating levels by A₂, A₁, A₀.
+        let row_out = |m: &Matrix, r: usize| m.row(r).iter().sum::<f64>();
+        for (i, l) in local.iter_mut().enumerate() {
+            for r in 0..dims[i] {
+                l[(r, r)] = 0.0;
+                let mut out = row_out(l, r) + row_out(up.get(i).unwrap_or(&a0), r);
+                if i >= 1 {
+                    out += row_out(&down[i - 1], r);
+                }
+                l[(r, r)] = -out;
+            }
+        }
+        for r in 0..d {
+            a1[(r, r)] = 0.0;
+            a1[(r, r)] = -(row_out(&a1, r) + row_out(&a0, r) + row_out(&a2, r));
+        }
+        QbdProcess::new(up, local, down, a0, a1, a2).unwrap()
+    }
+
+    #[test]
+    fn irreducibility_agrees_with_tarjan_on_level_structured_chains() {
+        let mut rng = StdRng::seed_from_u64(44);
+        let (mut irreducible, mut reducible) = (0, 0);
+        for trial in 0..400 {
+            let c = rng.random_below(6) as usize;
+            let d = 1 + rng.random_below(3) as usize;
+            let sparse = [0.0, 0.5, 0.7, 0.85][trial % 4];
+            let q = random_qbd(&mut rng, c, d, sparse);
+            let want = tarjan_irreducible(&q.view());
+            assert_eq!(q.is_irreducible(), want, "trial {trial}: {q:?}");
+            if want {
+                irreducible += 1;
+            } else {
+                reducible += 1;
+            }
+        }
+        assert!(
+            irreducible > 50 && reducible > 50,
+            "{irreducible} vs {reducible}"
+        );
+        // Frozen truncations of the M/M/c-like chains, too.
+        let q = mm2(0.5, 1.0);
+        let frozen = q.frozen(1).unwrap();
+        assert!(frozen.is_irreducible());
+        assert_eq!(frozen.is_irreducible(), tarjan_irreducible(&frozen));
+    }
+
+    #[test]
+    fn frozen_level_must_be_a_generator() {
+        // Arrivals speed up from level 3 on: up[2] = λ but up[3] = 2λ, so
+        // freezing at m = 2 (repeating A₀' = up[2], A₁' = local[3]) leaves
+        // the repeating rows summing to −λ.
+        let (lambda, mu, c) = (0.5, 1.0, 5usize);
+        let rate = |i: usize| if i >= 3 { 2.0 * lambda } else { lambda };
+        let q = QbdProcess::new(
+            (0..c).map(|i| Matrix::from_rows(&[&[rate(i)]])).collect(),
+            (0..=c)
+                .map(|i| Matrix::from_rows(&[&[-(rate(i) + i as f64 * mu)]]))
+                .collect(),
+            (1..=c)
+                .map(|i| Matrix::from_rows(&[&[i as f64 * mu]]))
+                .collect(),
+            Matrix::from_rows(&[&[rate(c)]]),
+            Matrix::from_rows(&[&[-(rate(c) + c as f64 * mu)]]),
+            Matrix::from_rows(&[&[c as f64 * mu]]),
+        )
+        .unwrap();
+        assert!(q.frozen(1).is_ok());
+        assert!(q.frozen(3).is_ok());
+        assert!(matches!(q.frozen(2), Err(QbdError::NotGenerator(_))));
+        use crate::solution::{LevelTruncation, SolveOptions};
+        let fixed = SolveOptions {
+            truncation: LevelTruncation::Fixed { level: 2 },
+            ..Default::default()
+        };
+        assert!(matches!(q.solve(&fixed), Err(QbdError::NotGenerator(_))));
+        // The search meets the bad level on its way up (m = 1, then 2).
+        let auto = SolveOptions {
+            truncation: LevelTruncation::Auto {
+                target_tail: 1e-300,
+                min_levels: 1,
+            },
+            ..Default::default()
+        };
+        assert!(matches!(q.solve(&auto), Err(QbdError::NotGenerator(_))));
     }
 
     #[test]

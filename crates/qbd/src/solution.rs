@@ -1,10 +1,10 @@
 //! Boundary solve and the stationary solution object (Theorem 4.2, eq. 37).
 
-use crate::process::QbdProcess;
+use crate::process::{LevelView, QbdProcess};
 use crate::rmatrix::{r_residual_with, solve_r_warm_with, solve_r_with, RSolverMethod};
-use crate::stability::drift_condition;
+use crate::stability::{drift_condition, DriftReport};
 use crate::{QbdError, Result};
-use gsched_linalg::{solve_left_nullspace, BackendKind, Matrix};
+use gsched_linalg::{solve_left_nullspace, BackendKind, LinalgBackend, Matrix};
 use gsched_obs as obs;
 use std::sync::OnceLock;
 
@@ -40,10 +40,15 @@ const STABILITY_GATE_RTOL: f64 = 1e-9;
 /// Level-truncation policy for large boundaries (`c = P/g` in the thousands).
 ///
 /// A truncated solve replaces the chain with its frozen-capacity truncation
-/// at level `m` ([`QbdProcess::truncated`]), which stochastically dominates
-/// the original — the reported tail mass above `m` is a *certified upper
-/// bound* on the true mass the truncation could misplace. The certificate is
-/// attached to the solution as [`TruncationCertificate`].
+/// at level `m`: levels `0..=m` of the original, borrowed rather than
+/// copied, with the level-`m` blocks `up[m]`, `local[m+1]`, `down[m]`
+/// repeating above them. The truncation stochastically dominates the
+/// original — the reported tail mass above `m` is a *certified upper bound*
+/// on the true mass the truncation could misplace. The certificate is
+/// attached to the solution as [`TruncationCertificate`]. The only check a
+/// truncation adds to those the process passed on construction is that the
+/// frozen repeating level's rows sum to zero ([`QbdError::NotGenerator`]
+/// otherwise).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LevelTruncation {
     /// Solve the full boundary (the default).
@@ -59,6 +64,11 @@ pub enum LevelTruncation {
     /// `target_tail` (or truncation stops paying off, in which case the full
     /// solve runs). Chains whose level sizes have not saturated below `c`
     /// (multi-phase service) fall back to the full solve transparently.
+    ///
+    /// Each attempt runs the drift test on its three frozen blocks first
+    /// and moves on at once when the frozen capacity cannot drain the
+    /// load; a censored boundary solve continues the forward elimination of
+    /// the previous attempt instead of starting again from level 0.
     Auto {
         /// Certified tail-mass target the truncation must meet.
         target_tail: f64,
@@ -153,68 +163,27 @@ pub struct QbdSolution {
 }
 
 impl QbdProcess {
-    /// Compute `R`, honouring a warm-start iterate when one is supplied.
-    ///
-    /// A dimension-compatible `opts.initial_r` triggers a bounded warm
-    /// attempt honouring `opts.method` first; any failure (stall, residual
-    /// above tolerance, negative entries) falls back to the cold
-    /// `opts.method` solve so the result is always as trustworthy as a
-    /// cold solve.
-    fn solve_r_with_options(&self, opts: &SolveOptions) -> Result<Matrix> {
-        if let Some(r0) = &opts.initial_r {
-            let d = self.repeating_dim();
-            if r0.rows() == d && r0.cols() == d {
-                let budget = opts.warm_max_iter.min(opts.max_iter).max(1);
-                let _span = obs::span("qbd.solve_r");
-                match solve_r_warm_with(
-                    &self.a0,
-                    &self.a1,
-                    &self.a2,
-                    r0,
-                    opts.method,
-                    opts.tol,
-                    budget,
-                    1e-8,
-                    opts.backend,
-                ) {
-                    Ok(r) => {
-                        obs::counter_add(obs::names::QBD_RMATRIX_WARM_HITS, 1);
-                        return Ok(r);
-                    }
-                    Err(_) => obs::counter_add(obs::names::QBD_RMATRIX_WARM_MISSES, 1),
-                }
-            } else {
-                obs::counter_add(obs::names::QBD_RMATRIX_WARM_MISSES, 1);
-            }
-        }
-        solve_r_with(
-            &self.a0,
-            &self.a1,
-            &self.a2,
-            opts.method,
-            opts.tol,
-            opts.max_iter,
-            opts.backend,
-        )
-    }
-
     /// Solve for the stationary distribution (Theorem 4.2).
     ///
     /// Steps: §4.4 irreducibility check → drift condition (Theorem 4.4) →
     /// `R` from eq. (23) → boundary system eqs. (21)/(24) → assemble.
     ///
     /// With [`SolveOptions::truncation`] other than [`LevelTruncation::None`]
-    /// the solve runs on a frozen-capacity truncation of the chain
-    /// ([`QbdProcess::truncated`]) and attaches a [`TruncationCertificate`]
-    /// to the solution.
+    /// the solve runs on a frozen-capacity truncation of the chain — levels
+    /// `0..=m` borrowed from this process, with the level-`m` blocks
+    /// repeating above them — and attaches a [`TruncationCertificate`] to the
+    /// solution.
     pub fn solve(&self, opts: &SolveOptions) -> Result<QbdSolution> {
+        let warm = opts.initial_r.as_ref();
         match opts.truncation {
-            LevelTruncation::None => self.solve_untruncated(opts),
+            LevelTruncation::None => {
+                self.view()
+                    .solve(opts, warm, None, &mut CensoredElimination::default())
+            }
             LevelTruncation::Fixed { level } => {
-                let sub = self.truncated(level)?;
-                let mut sub_opts = opts.clone();
-                sub_opts.truncation = LevelTruncation::None;
-                let mut sol = sub.solve_untruncated(&sub_opts)?;
+                let view = self.frozen(level)?;
+                obs::counter_add(obs::names::QBD_TRUNCATION_ATTEMPTS, 1);
+                let mut sol = view.solve(opts, warm, None, &mut CensoredElimination::default())?;
                 sol.truncation = Some(TruncationCertificate {
                     level,
                     full_c: self.c(),
@@ -233,42 +202,56 @@ impl QbdProcess {
     /// Automatic truncation: double the truncation level until the certified
     /// tail mass meets `target_tail`, falling back to the full solve when
     /// truncation cannot apply or stops paying off.
+    ///
+    /// Each level's work is done once: every attempt borrows its chain
+    /// ([`QbdProcess::frozen`]), runs the drift test on its three frozen
+    /// blocks before anything else (an attempt that cannot drain the load
+    /// costs one `D × D` GTH solve), and a censored boundary solve continues
+    /// the forward elimination where the previous attempt stopped.
     fn solve_truncated_auto(
         &self,
         target_tail: f64,
         min_levels: usize,
         opts: &SolveOptions,
     ) -> Result<QbdSolution> {
+        let _span = obs::span("qbd.truncation");
         // Gate on the ORIGINAL repeating blocks first: a truly unstable
         // chain must surface as Unstable, not as a truncation that never
         // certifies (every frozen-capacity truncation of an unstable chain
         // is itself unstable, but the converse error would be misleading).
-        let drift = drift_condition(&self.a0, &self.a1, &self.a2)?;
+        let drift = self.view().drift()?;
         if !drift.is_stable() {
             return Err(QbdError::Unstable(drift));
         }
         let c = self.c();
-        let full = || {
-            let mut o = opts.clone();
-            o.truncation = LevelTruncation::None;
-            self.solve_untruncated(&o)
-        };
+        let mut elim = CensoredElimination::default();
         let mut m = min_levels.max(1);
-        let mut warm: Option<Matrix> = None;
+        // The last stable-but-uncertified attempt; the next attempt
+        // warm-starts its `R` iteration from this one's.
+        let mut prev: Option<QbdSolution> = None;
         while m < c {
-            let sub = match self.truncated(m) {
-                Ok(sub) => sub,
+            let view = match self.frozen(m) {
+                Ok(view) => view,
                 // Level sizes not saturated (multi-phase service): the
                 // truncation construction does not apply — solve in full.
-                Err(QbdError::Shape(_)) => return full(),
+                Err(QbdError::Shape(_)) => break,
                 Err(e) => return Err(e),
             };
-            let mut attempt = opts.clone();
-            attempt.truncation = LevelTruncation::None;
-            if let Some(r0) = warm.take() {
-                attempt.initial_r = Some(r0);
+            obs::counter_add(obs::names::QBD_TRUNCATION_ATTEMPTS, 1);
+            let warm = prev.take();
+            // The frozen capacity at m+1 partitions can be too small to
+            // drain the load even when the full chain is stable: grow.
+            let drift = view.drift()?;
+            if !drift.is_stable() {
+                obs::counter_add(obs::names::QBD_TRUNCATION_UNSTABLE_SKIPS, 1);
+                m *= 2;
+                continue;
             }
-            match sub.solve_untruncated(&attempt) {
+            let initial_r = warm
+                .as_ref()
+                .map(QbdSolution::r)
+                .or(opts.initial_r.as_ref());
+            match view.solve(opts, initial_r, Some(drift), &mut elim) {
                 Ok(mut sol) => {
                     let tail = sol.tail_prob(m + 1);
                     if tail <= target_tail {
@@ -280,47 +263,164 @@ impl QbdProcess {
                         });
                         return Ok(sol);
                     }
-                    // Stable but not yet certified. The tail beyond `m`
-                    // decays geometrically, so project the level where the
-                    // target is met from the measured decay rate. The
-                    // projection is taken at the *current* frozen capacity
-                    // and is therefore pessimistic while the capacity is
-                    // still growing — keep doubling when that is nearer.
-                    // But once `2m` would overshoot `c` (forcing a needless
-                    // full solve), the projection is the only way to land in
-                    // between: the certification level is often just a few
-                    // dozen levels up. The certificate is always the
-                    // re-solved chain's own tail, so the projection only has
-                    // to be a good guess, not a bound; a few cushion levels
-                    // absorb the capacity shift between the two truncations.
-                    let rate = sol.tail_decay_rate();
-                    let projected = if rate > 0.0 && rate < 1.0 {
-                        let extra = ((target_tail / tail).ln() / rate.ln()).ceil().max(1.0);
-                        if extra >= (c - m) as f64 {
-                            c
-                        } else {
-                            m + extra as usize + TRUNCATION_JUMP_CUSHION
-                        }
-                    } else {
-                        c
-                    };
-                    m = if 2 * m < c {
-                        projected.min(2 * m)
-                    } else {
-                        projected
-                    };
-                    warm = Some(sol.r().clone());
+                    m = next_truncation_level(m, c, tail, sol.tail_decay_rate(), target_tail);
+                    prev = Some(sol);
                 }
-                // The frozen capacity at m+1 partitions can be too small to
-                // drain the load even when the full chain is stable: grow.
                 Err(QbdError::Unstable(_)) => m *= 2,
                 Err(e) => return Err(e),
             }
         }
-        full()
+        self.view()
+            .solve(opts, opts.initial_r.as_ref(), None, &mut elim)
+    }
+}
+
+/// The next truncation level after a stable attempt at `m` whose tail above
+/// `m` is `tail > target_tail`, with certified decay rate `rate`.
+///
+/// The tail beyond `m` decays geometrically, so project the level where the
+/// target is met from the measured decay rate. The projection is taken at
+/// the *current* frozen capacity and is therefore pessimistic while the
+/// capacity is still growing — keep doubling when that is nearer. But once
+/// `2m` would overshoot `c` (forcing a needless full solve), the projection
+/// is the only way to land in between: the certification level is often
+/// just a few dozen levels up. The certificate is always the re-solved
+/// chain's own tail, so the projection only has to be a good guess, not a
+/// bound; a few cushion levels absorb the capacity shift between the two
+/// truncations.
+fn next_truncation_level(m: usize, c: usize, tail: f64, rate: f64, target_tail: f64) -> usize {
+    let projected = if rate > 0.0 && rate < 1.0 {
+        let extra = ((target_tail / tail).ln() / rate.ln()).ceil().max(1.0);
+        if extra >= (c - m) as f64 {
+            c
+        } else {
+            m + extra as usize + TRUNCATION_JUMP_CUSHION
+        }
+    } else {
+        c
+    };
+    if 2 * m < c {
+        projected.min(2 * m)
+    } else {
+        projected
+    }
+}
+
+/// Forward-elimination state of the censored boundary solve, carried from
+/// one truncation attempt to the next.
+///
+/// `S_i` and `T_i` for `i < m` depend only on the boundary blocks below
+/// level `m` — not on `R`, and not on where the chain is cut — so a solve at
+/// `m₂ > m₁` continues from the `S_{m₁}` an attempt at `m₁` left here rather
+/// than eliminating levels `0..m₁` again. The `+R·A₂` term of the top level
+/// is added to a copy, never to the stored `S`.
+#[derive(Debug, Default)]
+struct CensoredElimination {
+    /// `T_i = D_{i+1}(−S_i)⁻¹` for `i < ts.len()`, kept for
+    /// back-substitution.
+    ts: Vec<Matrix>,
+    /// `S_{ts.len()}` without any `R·A₂` term; `None` before the first step.
+    s: Option<Matrix>,
+}
+
+impl CensoredElimination {
+    /// Extend the elimination to level `c = view.c()` and return `S_c`
+    /// (still without `R·A₂`). `view` must share this state's lower levels.
+    fn advance_to(&mut self, view: &LevelView<'_>, be: &dyn LinalgBackend) -> Result<&Matrix> {
+        let c = view.c();
+        let (mut s, start) = match self.s.take() {
+            Some(s) if self.ts.len() <= c => (s, self.ts.len()),
+            _ => {
+                self.ts.clear();
+                (view.local[0].clone(), 0)
+            }
+        };
+        for i in start..c {
+            let mut neg_s_inv = be.inverse(&s.scaled(-1.0))?;
+            // `−S_i` is an M-matrix, so its inverse is entrywise nonnegative
+            // in exact arithmetic; clamp inversion roundoff so the `T_i`
+            // products (and the back-substituted `π_i`) stay nonnegative by
+            // construction instead of tripping the probability check.
+            for v in neg_s_inv.as_mut_slice() {
+                if *v < 0.0 {
+                    *v = 0.0;
+                }
+            }
+            let t = be.matmul(&view.down[i], &neg_s_inv)?;
+            let tu = be.matmul(&t, &view.up[i])?;
+            s = &view.local[i + 1] + &tu;
+            self.ts.push(t);
+        }
+        obs::counter_add(
+            obs::names::QBD_BOUNDARY_LEVELS_ELIMINATED,
+            (c - start) as u64,
+        );
+        Ok(self.s.insert(s))
+    }
+}
+
+impl LevelView<'_> {
+    /// The drift test (Theorem 4.4) on this chain's repeating blocks.
+    fn drift(&self) -> Result<DriftReport> {
+        let _span = obs::span("qbd.drift");
+        drift_condition(self.a0, self.a1, self.a2)
     }
 
-    fn solve_untruncated(&self, opts: &SolveOptions) -> Result<QbdSolution> {
+    /// Compute `R`, warm-starting from `initial_r` when one is supplied.
+    ///
+    /// A dimension-compatible `initial_r` triggers a bounded warm attempt
+    /// honouring `opts.method` first; any failure (stall, residual above
+    /// tolerance, negative entries) falls back to the cold `opts.method`
+    /// solve so the result is always as trustworthy as a cold solve.
+    fn solve_r(&self, opts: &SolveOptions, initial_r: Option<&Matrix>) -> Result<Matrix> {
+        if let Some(r0) = initial_r {
+            let d = self.a1.rows();
+            if r0.rows() == d && r0.cols() == d {
+                let budget = opts.warm_max_iter.min(opts.max_iter).max(1);
+                let _span = obs::span("qbd.solve_r");
+                match solve_r_warm_with(
+                    self.a0,
+                    self.a1,
+                    self.a2,
+                    r0,
+                    opts.method,
+                    opts.tol,
+                    budget,
+                    1e-8,
+                    opts.backend,
+                ) {
+                    Ok(r) => {
+                        obs::counter_add(obs::names::QBD_RMATRIX_WARM_HITS, 1);
+                        return Ok(r);
+                    }
+                    Err(_) => obs::counter_add(obs::names::QBD_RMATRIX_WARM_MISSES, 1),
+                }
+            } else {
+                obs::counter_add(obs::names::QBD_RMATRIX_WARM_MISSES, 1);
+            }
+        }
+        solve_r_with(
+            self.a0,
+            self.a1,
+            self.a2,
+            opts.method,
+            opts.tol,
+            opts.max_iter,
+            opts.backend,
+        )
+    }
+
+    /// Solve this chain: §4.4 irreducibility check → drift condition
+    /// (skipped when the caller passes the `drift` it already ran on these
+    /// blocks) → `R` (warm from `initial_r`) → boundary → assemble. A
+    /// censored boundary solve resumes `elim`.
+    fn solve(
+        &self,
+        opts: &SolveOptions,
+        initial_r: Option<&Matrix>,
+        drift: Option<DriftReport>,
+        elim: &mut CensoredElimination,
+    ) -> Result<QbdSolution> {
         let _span = obs::span("qbd.solve");
         if opts.check_irreducible {
             let _span = obs::span("qbd.irreducible");
@@ -328,16 +428,16 @@ impl QbdProcess {
                 return Err(QbdError::NotIrreducible);
             }
         }
-        let drift = {
-            let _span = obs::span("qbd.drift");
-            drift_condition(&self.a0, &self.a1, &self.a2)?
+        let drift = match drift {
+            Some(drift) => drift,
+            None => self.drift()?,
         };
         if !drift.is_stable() {
             return Err(QbdError::Unstable(drift));
         }
-        let r = self.solve_r_with_options(opts)?;
+        let r = self.solve_r(opts, initial_r)?;
         debug_assert!(
-            r_residual_with(&self.a0, &self.a1, &self.a2, &r, opts.backend) < 1e-6,
+            r_residual_with(self.a0, self.a1, self.a2, &r, opts.backend) < 1e-6,
             "R residual too large"
         );
         let i_minus_r_inv = {
@@ -366,7 +466,7 @@ impl QbdProcess {
             ],
         );
         let boundary = if use_censored {
-            self.boundary_censored(&r, &i_minus_r_inv, opts.backend)?
+            self.boundary_censored(&r, &i_minus_r_inv, opts.backend, elim)?
         } else {
             self.boundary_dense(&r, &i_minus_r_inv, opts.backend)?
         };
@@ -415,19 +515,19 @@ impl QbdProcess {
         for j in 0..=c {
             // local contribution (π_j · local[j]); for j = c add R·A2.
             if j < c {
-                m.set_block(offsets[j], offsets[j], &self.boundary_local[j]);
+                m.set_block(offsets[j], offsets[j], &self.local[j]);
             } else {
-                let ra2 = be.matmul(r, &self.a2)?;
-                let block = &self.boundary_local[c] + &ra2;
+                let ra2 = be.matmul(r, self.a2)?;
+                let block = &self.local[c] + &ra2;
                 m.set_block(offsets[c], offsets[c], &block);
             }
             // up contribution from level j-1 (π_{j-1} · up[j-1]).
             if j >= 1 {
-                m.set_block(offsets[j - 1], offsets[j], &self.boundary_up[j - 1]);
+                m.set_block(offsets[j - 1], offsets[j], &self.up[j - 1]);
             }
             // down contribution from level j+1 when j+1 <= c.
             if j < c {
-                m.set_block(offsets[j + 1], offsets[j], &self.boundary_down[j]);
+                m.set_block(offsets[j + 1], offsets[j], &self.down[j]);
             }
         }
 
@@ -452,39 +552,21 @@ impl QbdProcess {
     /// `S_{i+1} = L_{i+1} + T_i U_i` (plus `R·A₂` at `i+1 = c`); then
     /// `π_c S_c = 0` is a `d × d` nullspace problem, and back-substitution
     /// `π_i = π_{i+1} T_i` recovers the lower levels. Never materializes the
-    /// dense `nb × nb` system: `O(c·d³)` time, `O(c·d²)` memory.
+    /// dense `nb × nb` system: `O(c·d³)` time, `O(c·d²)` memory. The forward
+    /// elimination continues from wherever `elim` stopped.
     fn boundary_censored(
         &self,
         r: &Matrix,
         i_minus_r_inv: &Matrix,
         backend: BackendKind,
+        elim: &mut CensoredElimination,
     ) -> Result<Vec<Vec<f64>>> {
         let be = backend.instance();
         let c = self.c();
         debug_assert!(c >= 1);
-        let mut s = self.boundary_local[0].clone();
-        // T_i = D_{i+1}(−S_i)⁻¹, kept for back-substitution.
-        let mut ts: Vec<Matrix> = Vec::with_capacity(c);
-        for i in 0..c {
-            let mut neg_s_inv = be.inverse(&s.scaled(-1.0))?;
-            // `−S_i` is an M-matrix, so its inverse is entrywise nonnegative
-            // in exact arithmetic; clamp inversion roundoff so the `T_i`
-            // products (and the back-substituted `π_i`) stay nonnegative by
-            // construction instead of tripping the probability check.
-            for v in neg_s_inv.as_mut_slice() {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-            let t = be.matmul(&self.boundary_down[i], &neg_s_inv)?;
-            let tu = be.matmul(&t, &self.boundary_up[i])?;
-            s = &self.boundary_local[i + 1] + &tu;
-            if i + 1 == c {
-                let ra2 = be.matmul(r, &self.a2)?;
-                s = &s + &ra2;
-            }
-            ts.push(t);
-        }
+        let ra2 = be.matmul(r, self.a2)?;
+        let s = elim.advance_to(self, be)? + &ra2;
+        let ts = &elim.ts;
         // In exact arithmetic the censored matrix on level `c` is a
         // generator; `c` elimination steps of roundoff can leave it slightly
         // off, and a direct LU nullspace of a nearly-singular system may
@@ -924,6 +1006,162 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A two-phase environment-modulated M/M/c queue: arrivals at rate
+    /// `lambdas[e]` in environment `e`, which flips at rate `switch`;
+    /// `min(i, c)` servers of rate `mu` at level `i`. Every level has two
+    /// states, so the frozen truncation applies at any `1 ≤ m < c`.
+    fn env_mmc(lambdas: [f64; 2], switch: f64, mu: f64, c: usize) -> QbdProcess {
+        let diag = |a: f64, b: f64| Matrix::from_rows(&[&[a, 0.0], &[0.0, b]]);
+        let local = |i: usize| {
+            let svc = i.min(c) as f64 * mu;
+            Matrix::from_rows(&[
+                &[-(lambdas[0] + svc + switch), switch],
+                &[switch, -(lambdas[1] + svc + switch)],
+            ])
+        };
+        let up = diag(lambdas[0], lambdas[1]);
+        let down = |i: usize| diag(i as f64 * mu, i as f64 * mu);
+        QbdProcess::new(
+            vec![up.clone(); c],
+            (0..=c).map(local).collect(),
+            (1..=c).map(down).collect(),
+            up,
+            local(c),
+            down(c),
+        )
+        .unwrap()
+    }
+
+    /// The frozen truncation at `m` as an owned, fully validated process
+    /// built from copies of the prefix blocks: the reference the borrowed
+    /// truncation must reproduce.
+    fn owned_frozen(q: &QbdProcess, m: usize) -> QbdProcess {
+        QbdProcess::new(
+            q.boundary_up[..m].to_vec(),
+            q.boundary_local[..=m].to_vec(),
+            q.boundary_down[..m].to_vec(),
+            q.boundary_up[m].clone(),
+            q.boundary_local[m + 1].clone(),
+            q.boundary_down[m].clone(),
+        )
+        .unwrap()
+    }
+
+    /// The truncation search done the long way: every attempt solves an
+    /// owned copy from scratch (irreducibility, drift, `R` warm-started from
+    /// the previous stable attempt, boundary eliminated from level 0).
+    /// Returns the certified solution and the levels of the stable attempts.
+    fn reference_search(
+        q: &QbdProcess,
+        target: f64,
+        min_levels: usize,
+        opts: &SolveOptions,
+    ) -> (QbdSolution, Vec<usize>) {
+        let c = q.c();
+        let mut m = min_levels;
+        let mut warm: Option<Matrix> = None;
+        let mut stable = Vec::new();
+        loop {
+            assert!(m < c, "the reference search must certify below c = {c}");
+            let attempt = SolveOptions {
+                initial_r: warm.take().or(opts.initial_r.clone()),
+                truncation: LevelTruncation::None,
+                ..opts.clone()
+            };
+            match owned_frozen(q, m).solve(&attempt) {
+                Ok(sol) => {
+                    stable.push(m);
+                    let tail = sol.tail_prob(m + 1);
+                    if tail <= target {
+                        return (sol, stable);
+                    }
+                    m = next_truncation_level(m, c, tail, sol.tail_decay_rate(), target);
+                    warm = Some(sol.r().clone());
+                }
+                Err(QbdError::Unstable(_)) => m *= 2,
+                Err(e) => panic!("reference attempt at m = {m}: {e}"),
+            }
+        }
+    }
+
+    /// `R`, every boundary vector and the tail above the cut, bit for bit.
+    fn assert_same_bits(got: &QbdSolution, want: &QbdSolution, what: &str) {
+        let m = want.c();
+        assert_eq!(got.c(), m, "{what}: level");
+        assert_eq!(
+            bits(got.r().as_slice()),
+            bits(want.r().as_slice()),
+            "{what}: R"
+        );
+        for (i, (g, w)) in got.boundary().iter().zip(want.boundary()).enumerate() {
+            assert_eq!(bits(g), bits(w), "{what}: pi_{i}");
+        }
+        assert_eq!(
+            got.tail_prob(m + 1).to_bits(),
+            want.tail_prob(m + 1).to_bits(),
+            "{what}: tail above m"
+        );
+    }
+
+    /// Run `Auto` and `Fixed` at the certified level on `q` with both the
+    /// censored and the automatic boundary method, compare each against its
+    /// owned-copy reference, and return the stable attempt levels.
+    fn check_search_parity(q: &QbdProcess, target: f64, min_levels: usize) -> Vec<usize> {
+        let mut stable_levels = Vec::new();
+        for boundary in [BoundaryMethod::Censored, BoundaryMethod::Auto] {
+            let opts = SolveOptions {
+                boundary,
+                ..Default::default()
+            };
+            let (want, stable) = reference_search(q, target, min_levels, &opts);
+            let auto = SolveOptions {
+                truncation: LevelTruncation::Auto {
+                    target_tail: target,
+                    min_levels,
+                },
+                ..opts.clone()
+            };
+            let got = q.solve(&auto).unwrap();
+            let cert = got.truncation().expect("certified");
+            assert_eq!(cert.level, want.c());
+            assert_eq!(
+                cert.tail_mass.to_bits(),
+                want.tail_prob(want.c() + 1).to_bits()
+            );
+            assert_same_bits(&got, &want, &format!("Auto, {boundary:?}"));
+
+            let m = want.c();
+            let fixed = SolveOptions {
+                truncation: LevelTruncation::Fixed { level: m },
+                ..opts.clone()
+            };
+            let got = q.solve(&fixed).unwrap();
+            let want = owned_frozen(q, m).solve(&opts).unwrap();
+            assert_same_bits(&got, &want, &format!("Fixed at {m}, {boundary:?}"));
+            stable_levels = stable;
+        }
+        stable_levels
+    }
+
+    #[test]
+    fn truncation_search_matches_owned_copies_bitwise() {
+        // The crate-doc chain: a lightly loaded M/M/64.
+        let stable = check_search_parity(&mmc(8.0, 1.0, 64), 1e-9, 4);
+        assert!(!stable.is_empty());
+
+        // A saturated two-phase chain whose search certifies on its second
+        // stable attempt or later: the censored solve resumes.
+        let stable = check_search_parity(&env_mmc([60.0, 100.0], 0.5, 1.0, 400), 1e-9, 4);
+        assert!(stable.len() >= 2, "stable attempts {stable:?}");
+
+        // A chain whose first stable attempt is dense under
+        // `BoundaryMethod::Auto` and whose next one is censored.
+        let stable = check_search_parity(&env_mmc([40.0, 160.0], 0.05, 1.0, 1000), 1e-8, 4);
+        assert!(stable.len() >= 2, "stable attempts {stable:?}");
+        assert!(2 * (stable[0] + 1) < CENSORED_AUTO_THRESHOLD, "{stable:?}");
+        assert!(2 * (stable[1] + 1) >= CENSORED_AUTO_THRESHOLD, "{stable:?}");
     }
 
     #[test]
