@@ -12,7 +12,7 @@
 //!
 //! `--kernels` swaps the scenario set for the kernel microbenchmark: the
 //! canonical op mix (matrix products, LU factorizations, triangular
-//! solves) timed for every [`BackendKind`] at a ladder of QBD-like block
+//! solves) timed on the dense kernels at a ladder of QBD-like block
 //! sizes. The rows use the same schema, so the history and `bench trend`
 //! gate cover kernel regressions too — on the deterministic nominal flop
 //! counters, not wall time.
@@ -21,7 +21,7 @@ use gsched_core::model::GangModel;
 use gsched_core::qbd::LevelTruncation;
 use gsched_core::SolverOptions;
 use gsched_engine::{run_sweep, ScenarioBase, SweepOptions, SweepRequest};
-use gsched_linalg::{BackendKind, Matrix, WorkCounters};
+use gsched_linalg::{Lu, Matrix, WorkCounters};
 use gsched_obs as obs;
 use gsched_scenario::{registry, Scenario as ScenarioIr};
 use gsched_sim::{simulate, Policy, SimConfig};
@@ -497,8 +497,7 @@ const KERNEL_SOLVES: usize = 16;
 
 /// Block sizes exercised by `gsched bench --kernels`. The quick ladder tops
 /// out at the largest block a truncated multi-class QBD generator produces
-/// in practice; the full set adds one cache-pressure point where tiling
-/// pays off most.
+/// in practice; the full set adds one cache-pressure point.
 fn kernel_sizes(quick: bool) -> &'static [usize] {
     if quick {
         &[16, 48, 96]
@@ -507,10 +506,9 @@ fn kernel_sizes(quick: bool) -> &'static [usize] {
     }
 }
 
-/// Operand shapes the microbenchmark exercises: a fully dense block (where
-/// tiling pays) and a QBD-like narrow band, `kl = ku = max(2, n/8)` (where
-/// band storage pays). The two shapes bracket the block profiles the
-/// solver actually produces.
+/// Operand shapes the microbenchmark exercises: a fully dense block and a
+/// QBD-like narrow band, `kl = ku = max(2, n/8)`. The two shapes bracket
+/// the block profiles the solver actually produces.
 const KERNEL_SHAPES: [(&str, bool); 2] = [("dense", false), ("band", true)];
 
 /// Deterministic diagonally dominant operand with the requested bandwidth.
@@ -534,12 +532,11 @@ fn kernel_operand(n: usize, bw: usize, seed: u64) -> Matrix {
     m
 }
 
-/// Time the canonical kernel op mix for one backend at one block size and
-/// operand shape. Wall time is the median over `reps`; the flop counters
-/// come from the last repetition and are deterministic (equal nominal
-/// attribution across backends), which is what `bench trend` gates on.
-fn run_kernel_case(kind: BackendKind, n: usize, shape: (&str, bool), reps: u64) -> ScenarioResult {
-    let be = kind.instance();
+/// Time the canonical kernel op mix at one block size and operand shape.
+/// Wall time is the median over `reps`; the flop counters come from the
+/// last repetition and are deterministic, which is what `bench trend`
+/// gates on.
+fn run_kernel_case(n: usize, shape: (&str, bool), reps: u64) -> ScenarioResult {
     let (shape_name, banded) = shape;
     let bw = if banded { (n / 8).max(2) } else { n };
     let a = kernel_operand(n, bw, 0x5eed + n as u64);
@@ -552,11 +549,11 @@ fn run_kernel_case(kind: BackendKind, n: usize, shape: (&str, bool), reps: u64) 
         let base = WorkCounters::snapshot();
         let start = Instant::now();
         for _ in 0..KERNEL_MATMULS {
-            let c = be.matmul(&a, &b).expect("kernel operands conform");
+            let c = a.matmul(&b).expect("kernel operands conform");
             std::hint::black_box(&c);
         }
         for i in 0..KERNEL_FACTORS {
-            let f = be.factor(&a).expect("operand is diagonally dominant");
+            let f = Lu::new(&a).expect("operand is diagonally dominant");
             if i == 0 {
                 for _ in 0..KERNEL_SOLVES {
                     let x = f.solve_vec(&rhs).expect("factor solves");
@@ -570,7 +567,10 @@ fn run_kernel_case(kind: BackendKind, n: usize, shape: (&str, bool), reps: u64) 
         obs::uninstall();
     }
     ScenarioResult {
-        name: format!("kernel_{}_{}_n{:03}", kind.as_str(), shape_name, n),
+        // The `naive` tag keeps the row names of the history rows recorded
+        // when several kernel sets were timed side by side, so the trend
+        // gate still compares against them.
+        name: format!("kernel_naive_{shape_name}_n{n:03}"),
         kind: "kernel".to_string(),
         wall_ms: median(wall_ms),
         points: (KERNEL_MATMULS + KERNEL_FACTORS + KERNEL_SOLVES) as u64,
@@ -602,21 +602,15 @@ fn run_kernel_case(kind: BackendKind, n: usize, shape: (&str, bool), reps: u64) 
     }
 }
 
-/// Kernel rows for every backend at every size and shape, grouped by
-/// (size, shape) so neighbouring table rows compare backends directly.
+/// Kernel rows at every size and shape.
 fn kernel_rows(sizes: &[usize], reps: u64) -> Vec<ScenarioResult> {
-    let mut rows = Vec::new();
-    for &n in sizes {
-        for shape in KERNEL_SHAPES {
-            for kind in BackendKind::ALL {
-                rows.push(run_kernel_case(kind, n, shape, reps));
-            }
-        }
-    }
-    rows
+    sizes
+        .iter()
+        .flat_map(|&n| KERNEL_SHAPES.map(|shape| run_kernel_case(n, shape, reps)))
+        .collect()
 }
 
-/// Entry point for `gsched bench --kernels`: the backend microbenchmark
+/// Entry point for `gsched bench --kernels`: the kernel microbenchmark
 /// set instead of the canonical scenarios, same report schema and history.
 pub fn run_kernel_bench(label: &str, reps: u64, quick: bool) -> Result<BenchReport, String> {
     let reps = reps.max(1);
@@ -907,7 +901,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_rows_cover_all_backends_with_equal_nominal_work() {
+    fn kernel_rows_cover_every_shape_with_textbook_work() {
         let n = 12u64;
         let want = [
             (KERNEL_MATMULS as u64) * 2 * n.pow(3),
@@ -916,7 +910,7 @@ mod tests {
         ];
         // The flop counters are process-global and other tests in this
         // binary run solves concurrently; retry until a quiet window gives
-        // the exact textbook charge on all three backends.
+        // the exact textbook charge on every row.
         let mut clean = None;
         'attempt: for _ in 0..100 {
             let rows = kernel_rows(&[n as usize], 1);
@@ -929,18 +923,14 @@ mod tests {
             break;
         }
         let rows = clean.expect("no quiet counter window in 100 attempts");
-        assert_eq!(rows.len(), BackendKind::ALL.len() * KERNEL_SHAPES.len());
-        let mut it = rows.iter();
-        for (shape, _) in KERNEL_SHAPES {
-            for kind in BackendKind::ALL {
-                let r = it.next().unwrap();
-                assert_eq!(r.name, format!("kernel_{kind}_{shape}_n012"));
-                assert_eq!(r.kind, "kernel");
-                assert!(r.wall_ms >= 0.0 && r.wall_ms.is_finite());
-                assert_eq!(r.matmul_calls, KERNEL_MATMULS as u64);
-                assert_eq!(r.lu_factorizations, KERNEL_FACTORS as u64);
-                assert_eq!(r.triangular_solves, KERNEL_SOLVES as u64);
-            }
+        assert_eq!(rows.len(), KERNEL_SHAPES.len());
+        for (r, (shape, _)) in rows.iter().zip(KERNEL_SHAPES) {
+            assert_eq!(r.name, format!("kernel_naive_{shape}_n012"));
+            assert_eq!(r.kind, "kernel");
+            assert!(r.wall_ms >= 0.0 && r.wall_ms.is_finite());
+            assert_eq!(r.matmul_calls, KERNEL_MATMULS as u64);
+            assert_eq!(r.lu_factorizations, KERNEL_FACTORS as u64);
+            assert_eq!(r.triangular_solves, KERNEL_SOLVES as u64);
         }
     }
 

@@ -2,20 +2,20 @@
 //!
 //! ```text
 //! gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact]
-//!                  [--backend naive|blocked|banded] [--method lr|ss|newton]
-//!                  [--asymptotic] [--json]
+//!                  [--method lr|ss] [--percentiles] [--asymptotic] [--json]
 //! gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs]
 //!                               [--horizon T] [--warmup T] [--seed N] [--json]
 //! gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick]
-//!                  [--no-warm] [--parity-check] [--backend B] [--method M] [--json]
+//!                  [--no-warm] [--parity-check] [--method M] [--json]
 //! gsched validate  [<scenario>...] [--json]
 //! gsched xval      <scenario | all> [--points N] [--full]
 //!                  [--horizon-scale F] [--json]
 //! gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]
 //! gsched stability <model.json> [--class P] [--lo Q] [--hi Q]
 //! gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact]
-//!                  [--backend B] [--method M] [--convergence] [--json]
-//! gsched profile   <scenario | --sweep fig2..fig5|all> [--quick] [--backend B]
+//!                  [--method M] [--convergence] [--warn-drift X] [--warn-gap X]
+//!                  [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]
+//! gsched profile   <scenario | --sweep fig2..fig5|all> [--quick]
 //!                  [--method M] [--json] [--trace PATH]
 //! gsched bench     [--scenario S | --kernels | --scaling] [--label L] [--reps N] [--jobs N]
 //!                  [--quick] [--out DIR] [--compare BENCH.json] [--threshold FRAC]
@@ -24,7 +24,7 @@
 //!                  [--threshold FRAC] [--gate] [--json]
 //! gsched paper     [--rho R] [--quantum Q] [--json]
 //! gsched serve     [--addr A] [--workers N] [--cache-cap N] [--cache-path PATH]
-//!                  [--deadline-ms N] [--queue-limit N] [--batch-max N] [--backend B]
+//!                  [--deadline-ms N] [--queue-limit N] [--batch-max N]
 //!                  [--metrics-addr A] [--access-log PATH] [--access-log-max-bytes N]
 //! gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown]
 //!                  [--proto 1|2] [--quick] [--deadline-ms N] [--id ID] [--frame]
@@ -40,17 +40,15 @@
 //! is either a registry name (`fig2` … `near_instability`; see
 //! `gsched-scenario`) or a path to a scenario JSON file. The same scenario
 //! drives the analytic solver, the engine sweeps, and the simulator — one
-//! description, every backend.
+//! description, every solver path.
 //!
-//! The solving subcommands (`solve`, `sweep`, `doctor`, `profile`, `serve`)
-//! accept `--backend naive|blocked|banded` to pick the `gsched-linalg`
-//! kernel implementation under the whole solver stack, and (except `serve`)
-//! `--method lr|ss|newton` to pick the QBD `R`-matrix solver. Every
-//! backend/method combination agrees within each scenario's declared
-//! tolerance; the defaults (`naive`, `lr`) reproduce the historical results
-//! bit-for-bit. The active pair is surfaced by `doctor`, `profile --json`,
-//! and the service `stats` verb, and sweeps record the backend in their
-//! provenance parameters.
+//! The solving subcommands `solve`, `sweep`, `doctor` and `profile` accept
+//! `--method lr|ss` to pick the QBD `R`-matrix solver; both agree within
+//! each scenario's declared tolerance, and the default (`lr`) reproduces
+//! the historical results bit-for-bit. The active method is surfaced by
+//! `doctor`, `profile --json`, and the service `stats` verb. A flag no
+//! subcommand knows is an error (`unknown flag --X`), never silently
+//! ignored.
 //!
 //! `gsched sweep` evaluates the paper's figure sweeps on the
 //! `gsched-engine` work-stealing pool: `--jobs N` sets the worker count
@@ -125,9 +123,10 @@
 //! `--no-history` skips), and `gsched bench trend` compares the newest row
 //! against the trailing window — `--gate` turns that into a CI failure.
 //! `gsched bench --kernels` swaps in the kernel microbenchmark instead:
-//! every linalg backend timed on dense and QBD-band operand shapes across
-//! a ladder of block sizes, written to the same schema and history so the
-//! trend gate covers kernel regressions on the deterministic flop counters.
+//! the dense matmul/LU/solve kernels timed on dense and QBD-band operand
+//! shapes across a ladder of block sizes, written to the same schema and
+//! history so the trend gate covers kernel regressions on the
+//! deterministic flop counters.
 //! `gsched bench --scaling` swaps in the large-P scaling curve instead: the
 //! `p_sweep` registry scenario solved point by point (P = 8 … 4096) under
 //! certified truncation, one schema row per machine size, so the history
@@ -149,7 +148,6 @@ use gsched_core::solver::{solve, GangSolution, RSolverMethod, SolverOptions, Vac
 use gsched_core::tuning::{optimize_common_quantum, stability_threshold_quantum, Objective};
 use gsched_core::{solve_asymptotic, AsymptoticSolution};
 use gsched_engine::{run_sweep, SweepOptions, SweepReport, SweepRequest};
-use gsched_linalg::BackendKind;
 use gsched_scenario::{
     cross_validate, registry, validate_report, AxisSpec, LintLevel, ModelSpec, Policy, Scenario,
     XvalOptions, XvalReport,
@@ -231,34 +229,109 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 fn print_usage() {
-    eprintln!(
-        "usage:\n  gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact] [--backend naive|blocked|banded] [--method lr|ss|newton] [--asymptotic] [--json]\n  \
+    eprintln!("{}", usage());
+}
+
+fn usage() -> String {
+    format!(
+        "usage:\n  gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact] [--method lr|ss] [--percentiles] [--asymptotic] [--json]\n  \
          gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs] [--horizon T] [--warmup T] [--seed N] [--json]\n  \
-         gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick] [--no-warm] [--parity-check] [--backend B] [--method M] [--json]\n  \
+         gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick] [--no-warm] [--parity-check] [--method M] [--json]\n  \
          gsched validate  [<scenario>...] [--json]\n  \
          gsched xval      <scenario | all> [--points N] [--full] [--horizon-scale F] [--json]\n  \
          gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]\n  \
          gsched stability <model.json> [--class P] [--lo Q] [--hi Q]\n  \
-         gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--backend B] [--method M] [--convergence] [--json]\n  \
-         gsched profile   <scenario | --sweep fig2..fig5|all> [--quick] [--backend B] [--method M] [--json] [--trace PATH]\n  \
+         gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--method M] [--convergence] [--warn-drift X] [--warn-gap X] [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]\n  \
+         gsched profile   <scenario | --sweep fig2..fig5|all> [--quick] [--method M] [--json] [--trace PATH]\n  \
          gsched bench     [--scenario S | --kernels | --scaling] [--label L] [--reps N] [--jobs N] [--quick] [--out DIR] [--compare BENCH.json] [--threshold FRAC] [--history PATH] [--no-history]\n  \
          gsched bench trend [--history PATH] [--metric M1,M2] [--window N] [--threshold FRAC] [--gate] [--json]\n  \
          gsched paper     [--rho R] [--quantum Q] [--json]\n  \
-         gsched serve     [--addr A] [--workers N] [--cache-cap N] [--cache-path PATH] [--deadline-ms N] [--queue-limit N] [--batch-max N] [--backend B] [--metrics-addr A] [--access-log PATH] [--access-log-max-bytes N]\n  \
+         gsched serve     [--addr A] [--workers N] [--cache-cap N] [--cache-path PATH] [--deadline-ms N] [--queue-limit N] [--batch-max N] [--metrics-addr A] [--access-log PATH] [--access-log-max-bytes N]\n  \
          gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown] [--proto 1|2] [--quick] [--deadline-ms N] [--id ID] [--frame]\n  \
          gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick] [--label L] [--out DIR] [--history PATH] [--no-history] [--expect-no-shed] [--json]\n  \
          gsched top       [--addr A] [--interval SECS] [--count N] [--once]\n  \
          gsched example-model\n  \
          gsched example-scenario\n\
          a scenario S is a registry name ({}) or a scenario JSON file.\n\
-         --backend B picks the linalg kernels (naive|blocked|banded); \
-         --method M picks the R-matrix solver (lr|ss|newton).\n\
+         --method M picks the R-matrix solver (lr|ss).\n\
          diagnostics (any subcommand): --diag <path> writes a JSON metrics \
          snapshot; --trace <path> writes a Chrome Trace Event file \
          (Perfetto); -v prints a report to stderr (-vv adds events)",
         registry::NAMES.join("|")
-    );
+    )
 }
+
+/// Flags that take no value.
+const BOOL_FLAGS: &[&str] = &[
+    "json",
+    "percentiles",
+    "quick",
+    "full",
+    "no-warm",
+    "parity-check",
+    "frame",
+    "once",
+    "gate",
+    "convergence",
+    "no-history",
+    "expect-no-shed",
+    "kernels",
+    "scaling",
+    "asymptotic",
+];
+
+/// Flags that take a value. A `--name` in neither table is rejected.
+const VALUE_FLAGS: &[&str] = &[
+    "scenario",
+    "mode",
+    "method",
+    "policy",
+    "horizon",
+    "warmup",
+    "seed",
+    "jobs",
+    "points",
+    "horizon-scale",
+    "lo",
+    "hi",
+    "objective",
+    "class",
+    "warn-drift",
+    "warn-gap",
+    "warn-residual",
+    "warn-trunc",
+    "warn-certified",
+    "sweep",
+    "label",
+    "reps",
+    "out",
+    "compare",
+    "threshold",
+    "history",
+    "metric",
+    "window",
+    "rho",
+    "quantum",
+    "addr",
+    "workers",
+    "cache-cap",
+    "cache-path",
+    "deadline-ms",
+    "queue-limit",
+    "batch-max",
+    "metrics-addr",
+    "access-log",
+    "access-log-max-bytes",
+    "op",
+    "proto",
+    "id",
+    "clients",
+    "requests",
+    "interval",
+    "count",
+    "diag",
+    "trace",
+];
 
 /// Split positional arguments from `--flag value` options.
 fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
@@ -272,24 +345,12 @@ fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>)
             continue;
         }
         if let Some(name) = a.strip_prefix("--") {
-            if name == "json"
-                || name == "percentiles"
-                || name == "quick"
-                || name == "full"
-                || name == "no-warm"
-                || name == "parity-check"
-                || name == "frame"
-                || name == "once"
-                || name == "gate"
-                || name == "convergence"
-                || name == "no-history"
-                || name == "expect-no-shed"
-                || name == "kernels"
-                || name == "scaling"
-                || name == "asymptotic"
-            {
+            if BOOL_FLAGS.contains(&name) {
                 flags.insert(name.to_string(), "true".to_string());
                 continue;
+            }
+            if !VALUE_FLAGS.contains(&name) {
+                return Err(format!("unknown flag --{name}"));
             }
             let val = it
                 .next()
@@ -440,24 +501,14 @@ fn solver_options(flags: &HashMap<String, String>) -> Result<SolverOptions, Stri
         Some("exact") => VacationMode::Exact,
         Some(other) => return Err(format!("unknown --mode `{other}`")),
     };
-    let backend = parse_backend(flags)?;
     let mut builder = SolverOptions::builder()
         .mode(mode)
-        .backend(backend)
         .response_quantiles(flags.contains_key("percentiles"));
     if let Some(m) = flags.get("method") {
         let method: RSolverMethod = m.parse()?;
         builder = builder.r_method(method);
     }
     builder.build().map_err(|e| e.to_string())
-}
-
-/// Parse the `--backend` flag shared by solve/sweep/doctor/profile/bench/serve.
-fn parse_backend(flags: &HashMap<String, String>) -> Result<BackendKind, String> {
-    match flags.get("backend") {
-        None => Ok(BackendKind::default()),
-        Some(v) => v.parse(),
-    }
 }
 
 fn print_solution_human(model: &GangModel, sol: &GangSolution) {
@@ -870,17 +921,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     };
     let jobs = flag_f64(&flags, "jobs", 0.0)? as usize;
     let solver = solver_options(&flags)?;
-    // Record the kernel backend in each request's provenance params so
-    // archived sweep outputs say which backend produced them.
-    let backend = solver.qbd.backend;
-    let jobs_list: Vec<SweepJob> = jobs_list
-        .into_iter()
-        .map(|mut job| {
-            job.req.base =
-                std::mem::take(&mut job.req.base).with_param("backend", backend.index() as f64);
-            job
-        })
-        .collect();
     let parity = flags.contains_key("parity-check");
     let diag = Diagnostics::from_flags(&flags);
     let mut json_reports = Vec::new();
@@ -1307,10 +1347,9 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
             .map(|c| serde_json::to_string(c).expect("convergence report serializes"))
             .unwrap_or_else(|| "null".to_string());
         println!(
-            r#"{{"all_stable":{},"converged":{},"backend":{},"r_solver":{},"classes":[{}],"warnings":[{}],"convergence":{}}}"#,
+            r#"{{"all_stable":{},"converged":{},"r_solver":{},"classes":[{}],"warnings":[{}],"convergence":{}}}"#,
             sol.all_stable,
             sol.converged,
-            json_str(opts.qbd.backend.as_str()),
             json_str(opts.qbd.method.as_str()),
             classes.join(","),
             warnings.join(","),
@@ -1323,10 +1362,7 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
             sol.converged,
             sol.all_stable
         );
-        println!(
-            "kernel backend = {}, R solver = {}",
-            opts.qbd.backend, opts.qbd.method
-        );
+        println!("R solver = {}", opts.qbd.method);
         print!("{}", health.render(&thresholds));
         if let Some(c) = &conv {
             println!("convergence:");
@@ -1515,7 +1551,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .unwrap_or_else(|| "127.0.0.1:7070".to_string()),
         )
         .workers(flag_f64(&flags, "workers", 0.0)? as usize)
-        .backend(parse_backend(&flags)?)
         .cache_capacity(flag_f64(&flags, "cache-cap", 256.0)? as usize)
         .default_deadline_ms(flag_f64(&flags, "deadline-ms", 30_000.0)? as u64)
         .queue_limit(flag_f64(&flags, "queue-limit", defaults.queue_limit as f64)? as usize)
@@ -1689,6 +1724,24 @@ mod tests {
     fn flag_missing_value_rejected() {
         let args: Vec<String> = ["--mode"].iter().map(|s| s.to_string()).collect();
         assert!(parse_flags(&args).is_err());
+    }
+
+    #[test]
+    fn every_usage_flag_is_known() {
+        let text = usage();
+        let mut seen = 0;
+        for (i, _) in text.match_indices("--") {
+            let name: String = text[i + 2..]
+                .chars()
+                .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                .collect();
+            assert!(
+                BOOL_FLAGS.contains(&name.as_str()) || VALUE_FLAGS.contains(&name.as_str()),
+                "usage names --{name}, which parse_flags rejects"
+            );
+            seen += 1;
+        }
+        assert!(seen > 40, "usage text lists only {seen} flags");
     }
 
     #[test]

@@ -82,12 +82,9 @@ pub struct ProfileReport {
     pub workload: String,
     /// Whether the reduced `--quick` point grids were used.
     pub quick: bool,
-    /// Kernel backend the run used (`naive`, `blocked`, `banded`).
-    /// Defaults when absent so pre-backend documents keep parsing.
-    #[serde(default = "String::default")]
-    pub backend: String,
     /// R-solver method the run used (`logarithmic_reduction`,
-    /// `successive_substitution`, `newton`). Defaults like `backend`.
+    /// `successive_substitution`). Defaults when absent so documents
+    /// written before the field existed keep parsing.
     #[serde(default = "String::default")]
     pub r_solver: String,
     /// Models solved.
@@ -271,7 +268,6 @@ fn measure(
         profile_schema_version: PROFILE_SCHEMA_VERSION,
         workload: names.join("+"),
         quick,
-        backend: solver.qbd.backend.as_str().to_string(),
         r_solver: solver.qbd.method.as_str().to_string(),
         points: solved + failed,
         failed_points: failed,
@@ -313,10 +309,7 @@ fn print_human(rep: &ProfileReport) {
         rep.attributed_ms,
         rep.attributed_fraction * 100.0
     );
-    println!(
-        "kernel backend = {}, R solver = {}",
-        rep.backend, rep.r_solver
-    );
+    println!("R solver = {}", rep.r_solver);
     println!(
         "{:<26} {:<24} {:>8} {:>10} {:>10} {:>7}",
         "phase", "span", "count", "self ms", "cum ms", "wall%"
@@ -417,7 +410,6 @@ mod tests {
             profile_schema_version: PROFILE_SCHEMA_VERSION,
             workload: "fig2".to_string(),
             quick: true,
-            backend: "naive".to_string(),
             r_solver: "logarithmic_reduction".to_string(),
             points: 4,
             failed_points: 1,
@@ -454,17 +446,22 @@ mod tests {
         let back: ProfileReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, rep);
 
-        // A document written before the backend fields existed still
-        // parses (schema version unchanged); the fields default to empty.
-        let pre_backend: String = text
+        // A document written before `r_solver` existed still parses
+        // (schema version unchanged); the field defaults to empty.
+        let pre_solver: String = text
             .lines()
-            .filter(|l| !l.contains("\"backend\"") && !l.contains("\"r_solver\""))
+            .filter(|l| !l.contains("\"r_solver\""))
             .collect::<Vec<_>>()
             .join("\n");
-        let old: ProfileReport = serde_json::from_str(&pre_backend).unwrap();
+        let old: ProfileReport = serde_json::from_str(&pre_solver).unwrap();
         assert_eq!(old.profile_schema_version, PROFILE_SCHEMA_VERSION);
-        assert!(old.backend.is_empty());
         assert!(old.r_solver.is_empty());
+
+        // So does one that still carries the retired kernel `backend`
+        // field; the unknown field is ignored.
+        let with_backend = text.replacen("{", "{\n  \"backend\": \"naive\",", 1);
+        let old: ProfileReport = serde_json::from_str(&with_backend).unwrap();
+        assert_eq!(old, rep);
 
         // So does one written before the search counters existed.
         let cut = text

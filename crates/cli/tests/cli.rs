@@ -454,6 +454,38 @@ fn sweep_rejects_unknown_figure() {
 }
 
 #[test]
+fn unknown_and_removed_flags_fail_by_name() {
+    for (args, flag) in [
+        (
+            &["solve", "--scenario", "fig2", "--backend", "blocked"][..],
+            "--backend",
+        ),
+        (&["sweep", "fig2", "--quik", "--json"][..], "--quik"),
+        (
+            &["solve", "--scenario", "fig2", "--bogus", "3", "--json"][..],
+            "--bogus",
+        ),
+    ] {
+        let out = gsched().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(out.stdout.is_empty(), "{args:?} produced output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
+}
+
+#[test]
+fn removed_r_solver_method_fails_listing_the_methods() {
+    let out = gsched()
+        .args(["solve", "--scenario", "fig2", "--method", "newton"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("newton") && err.contains("lr, ss"), "{err}");
+}
+
+#[test]
 fn bench_rejects_bad_label() {
     let out = gsched()
         .arg("bench")

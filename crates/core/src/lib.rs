@@ -87,7 +87,7 @@ pub mod vacation;
 
 pub use asymptotic::{solve_asymptotic, AsymptoticClass, AsymptoticSolution};
 /// Re-export of the QBD solver crate so downstream users can name
-/// [`SolverOptions::qbd`] types (truncation, boundary method, backends)
+/// [`SolverOptions::qbd`] types (truncation, boundary method, `R` solver)
 /// without a direct dependency.
 pub use gsched_qbd as qbd;
 pub use health::{ClassHealth, HealthReport, HealthThresholds};

@@ -189,13 +189,6 @@ impl SolverOptionsBuilder {
         self
     }
 
-    /// Select the kernel backend for all dense linear algebra performed by
-    /// the per-class QBD solves (shorthand for setting `qbd.backend`).
-    pub fn backend(mut self, backend: gsched_linalg::BackendKind) -> Self {
-        self.opts.qbd.backend = backend;
-        self
-    }
-
     /// Select the `R`-matrix algorithm for the per-class QBD solves
     /// (shorthand for setting `qbd.method`).
     pub fn r_method(mut self, method: gsched_qbd::RSolverMethod) -> Self {
@@ -652,12 +645,11 @@ pub fn solve_warm(
                         stable: true,
                         drift_margin: drift.margin(),
                         spectral_radius: sol.spectral_radius(),
-                        r_residual: gsched_qbd::r_residual_with(
+                        r_residual: gsched_qbd::r_residual(
                             &chain.qbd.a0,
                             &chain.qbd.a1,
                             &chain.qbd.a2,
                             sol.r(),
-                            opts.qbd.backend,
                         ),
                         truncated_mass: eff.truncated_mass,
                         truncation_level: sol.truncation().map(|t| t.level),

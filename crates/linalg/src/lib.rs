@@ -6,20 +6,13 @@
 //! implements straightforward dense algorithms rather than pulling in an
 //! external linear-algebra stack:
 //!
-//! * [`Matrix`]: row-major dense matrix with the usual arithmetic.
-//! * [`backend`]: the [`LinalgBackend`] trait with swappable kernel
-//!   implementations — [`NaiveDense`] (reference), [`Blocked`]
-//!   (tiled/register-blocked), and [`BlockBanded`] (band-structure-aware) —
-//!   selected by a [`BackendKind`] token that travels through solver
-//!   options.
-//! * [`banded`]: band storage ([`BandedMatrix`]) and band LU
-//!   ([`BandedLu`]) for the block-tridiagonal QBD generators.
+//! * [`Matrix`]: row-major dense matrix with the usual arithmetic,
+//!   including the `i-k-j` matrix product every solver layer calls.
 //! * [`lu::Lu`]: LU decomposition with partial pivoting, linear solves and
 //!   inverses.
-//! * [`kron`]: Kronecker products and sums (used for min/max of phase-type
-//!   distributions and for building composite generators).
 //! * [`spectral`]: power iteration for the spectral radius of a nonnegative
-//!   matrix (stability checks on the rate matrix `R`).
+//!   matrix. A diagnostic only: the QBD solve certifies `sp(R) < 1` through
+//!   `(I−R)⁻¹ ≥ 0` and reports the power-iteration value on request.
 //! * [`stationary`]: solving `x M = 0`, `x e = 1` systems that arise for
 //!   stationary probability vectors and QBD boundary equations.
 //! * [`counters`]: process-global work counters (kernel calls and nominal
@@ -30,20 +23,14 @@
 //! workspace instrumentation layer `gsched-obs`, used solely as the on/off
 //! guard for the work counters.
 
-pub mod backend;
-pub mod banded;
 pub mod counters;
-pub mod kron;
 pub mod lu;
 pub mod matrix;
 pub mod spectral;
 pub mod stationary;
 pub mod vecops;
 
-pub use backend::{BackendKind, BlockBanded, Blocked, Factor, LinalgBackend, NaiveDense};
-pub use banded::{BandedLu, BandedMatrix};
 pub use counters::WorkCounters;
-pub use kron::{kron_product, kron_sum};
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use spectral::spectral_radius;
@@ -76,17 +63,6 @@ pub enum LinalgError {
         /// Residual at the last iteration.
         residual: f64,
     },
-    /// A write targeted an entry outside a band matrix's stored band.
-    OutOfBand {
-        /// Row of the rejected write.
-        row: usize,
-        /// Column of the rejected write.
-        col: usize,
-        /// Lower bandwidth of the storage.
-        kl: usize,
-        /// Upper bandwidth of the storage.
-        ku: usize,
-    },
 }
 
 impl std::fmt::Display for LinalgError {
@@ -105,10 +81,6 @@ impl std::fmt::Display for LinalgError {
             } => write!(
                 f,
                 "{method} failed to converge after {iterations} iterations (residual {residual:.3e})"
-            ),
-            LinalgError::OutOfBand { row, col, kl, ku } => write!(
-                f,
-                "write at ({row}, {col}) is outside the stored band (kl={kl}, ku={ku})"
             ),
         }
     }

@@ -77,14 +77,6 @@ impl Lu {
         Ok(Lu { lu, piv, sign })
     }
 
-    /// Assemble a factorization from an already-computed packed `L\U`
-    /// matrix, pivot vector, and permutation sign. Used by the blocked
-    /// backend, whose panel algorithm produces the same packed form.
-    pub(crate) fn from_parts(lu: Matrix, piv: Vec<usize>, sign: f64) -> Lu {
-        debug_assert!(lu.is_square() && piv.len() == lu.rows());
-        Lu { lu, piv, sign }
-    }
-
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.lu.rows()

@@ -1,6 +1,6 @@
 //! Property-based tests for the dense linear-algebra kernels.
 
-use gsched_linalg::{kron_product, kron_sum, lu, Lu, Matrix};
+use gsched_linalg::{lu, Lu, Matrix};
 use proptest::prelude::*;
 
 /// Strategy: a well-conditioned (diagonally dominant) square matrix.
@@ -60,29 +60,6 @@ proptest! {
         let db = Lu::new(&b).unwrap().det();
         let dab = Lu::new(&a.matmul(&b).unwrap()).unwrap().det();
         prop_assert!((dab - da * db).abs() < 1e-6 * dab.abs().max(1.0));
-    }
-
-    #[test]
-    fn kron_product_shapes_and_norm(ar in 1usize..4, ac in 1usize..4, br in 1usize..4, bc in 1usize..4) {
-        let a = Matrix::from_vec(ar, ac, vec![0.5; ar * ac]);
-        let b = Matrix::from_vec(br, bc, vec![2.0; br * bc]);
-        let k = kron_product(&a, &b);
-        prop_assert_eq!(k.shape(), (ar * br, ac * bc));
-        // All entries are 1.0 here.
-        prop_assert!((k.max_abs() - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn kron_sum_spectrum_additive_for_diagonals(d1 in proptest::collection::vec(-3.0f64..0.0, 2),
-                                                d2 in proptest::collection::vec(-3.0f64..0.0, 3)) {
-        // For diagonal matrices, eigenvalues of A ⊕ B are all pairwise sums;
-        // check the trace identity tr(A⊕B) = nb·tr(A) + na·tr(B).
-        let a = Matrix::diag(&d1);
-        let b = Matrix::diag(&d2);
-        let s = kron_sum(&a, &b);
-        let tr = |m: &Matrix| (0..m.rows()).map(|i| m[(i, i)]).sum::<f64>();
-        let want = d2.len() as f64 * tr(&a) + d1.len() as f64 * tr(&b);
-        prop_assert!((tr(&s) - want).abs() < 1e-10);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! skipped entirely.
 
 use crate::dist::{PhaseType, PhaseTypeError};
-use gsched_linalg::{kron::kron_vec, kron_sum, Matrix};
+use gsched_linalg::Matrix;
 
 /// Convolution `F * G` — the distribution of `X + Y` for independent
 /// `X ~ F`, `Y ~ G` (Theorem 2.5).
@@ -157,6 +157,43 @@ pub fn maximum(f: &PhaseType, g: &PhaseType) -> PhaseType {
     PhaseType::new(alpha, s).expect("maximum of valid PH is valid")
 }
 
+/// Kronecker sum `a ⊕ b = a ⊗ I + I ⊗ b` of two square sub-generators: the
+/// joint generator of two independent phase processes.
+fn kron_sum(a: &Matrix, b: &Matrix) -> Matrix {
+    let (na, nb) = (a.rows(), b.rows());
+    let mut out = Matrix::zeros(na * nb, na * nb);
+    for i in 0..na {
+        for j in 0..na {
+            let v = a[(i, j)];
+            for k in 0..nb {
+                for l in 0..nb {
+                    // Entry of `a ⊗ I` plus entry of `I ⊗ b`, formed with the
+                    // same operations as the sum of the two products (zero
+                    // entries of `a` skipped), so signed zeros come out
+                    // alike.
+                    let left = if v == 0.0 {
+                        0.0
+                    } else {
+                        v * if k == l { 1.0 } else { 0.0 }
+                    };
+                    let right = if i == j { b[(k, l)] } else { 0.0 };
+                    out[(i * nb + k, j * nb + l)] = left + right;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Kronecker product of two initial vectors: the joint process of two
+/// independent phase processes starts in phase `(i, j)` with probability
+/// `α_i β_j`.
+fn kron_vec(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter()
+        .flat_map(|&x| b.iter().map(move |&y| x * y))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,11 +299,17 @@ mod tests {
     #[test]
     fn min_plus_max_equals_sum() {
         // X + Y = min + max in expectation (and in every moment sum of pairs).
+        // The second pair has two phases on both sides, so both Kronecker
+        // factors are nontrivial.
         let f = erlang(2, 1.0);
-        let g = exponential(0.7);
-        let mn = minimum(&f, &g);
-        let mx = maximum(&f, &g);
-        assert!((mn.mean() + mx.mean() - (f.mean() + g.mean())).abs() < 1e-10);
+        for g in [
+            exponential(0.7),
+            hyperexponential(&[0.3, 0.7], &[0.5, 2.0]).unwrap(),
+        ] {
+            let mn = minimum(&f, &g);
+            let mx = maximum(&f, &g);
+            assert!((mn.mean() + mx.mean() - (f.mean() + g.mean())).abs() < 1e-10);
+        }
     }
 
     #[test]

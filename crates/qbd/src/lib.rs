@@ -16,12 +16,10 @@
 //! Provided here:
 //! * [`QbdProcess`] — a validated level-structured generator with an
 //!   arbitrary finite boundary (levels `0..=c` of possibly differing sizes).
-//! * [`rmatrix`] — three solvers for `R`: classical successive substitution,
-//!   the quadratically convergent logarithmic-reduction algorithm of
+//! * [`rmatrix`] — two solvers for `R`: classical successive substitution
+//!   and the quadratically convergent logarithmic-reduction algorithm of
 //!   Latouche–Ramaswami (the modern counterpart of the paper's reference
-//!   \[23\], MAGIC), and a Newton iteration on the defining quadratic. Every
-//!   solver has a `*_with` variant taking a `gsched_linalg::BackendKind` to
-//!   select the kernel backend.
+//!   \[23\], MAGIC), both on the dense `gsched-linalg` kernels.
 //! * [`solution::QbdSolution`] — the stationary distribution with closed-form
 //!   level moments (the paper's eq. 37).
 //! * [`stability`] — the drift condition of Theorem 4.4.
@@ -99,8 +97,7 @@ pub mod stability;
 
 pub use process::QbdProcess;
 pub use rmatrix::{
-    r_residual, r_residual_with, solve_g_logarithmic_reduction, solve_r, solve_r_newton,
-    solve_r_successive, solve_r_with, RSolverMethod,
+    r_residual, solve_g_logarithmic_reduction, solve_r, solve_r_successive, RSolverMethod,
 };
 pub use solution::{
     BoundaryMethod, LevelTruncation, QbdSolution, SolveOptions, TruncationCertificate,

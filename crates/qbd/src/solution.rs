@@ -1,10 +1,10 @@
 //! Boundary solve and the stationary solution object (Theorem 4.2, eq. 37).
 
 use crate::process::{LevelView, QbdProcess};
-use crate::rmatrix::{r_residual_with, solve_r_warm_with, solve_r_with, RSolverMethod};
+use crate::rmatrix::{r_residual, solve_r, solve_r_warm, RSolverMethod};
 use crate::stability::{drift_condition, DriftReport};
 use crate::{QbdError, Result};
-use gsched_linalg::{solve_left_nullspace, BackendKind, LinalgBackend, Matrix};
+use gsched_linalg::{solve_left_nullspace, spectral_radius, Lu, Matrix};
 use gsched_obs as obs;
 use std::sync::OnceLock;
 
@@ -109,18 +109,16 @@ pub struct SolveOptions {
     pub check_irreducible: bool,
     /// Warm-start iterate for `R`, typically the converged `R` of a nearby
     /// parameter point (continuation solves along a sweep axis). When set
-    /// and dimension-compatible, a bounded iteration honouring `method` is
-    /// run from it first; if that stalls or fails validation the solve falls
-    /// back to the cold `method` transparently. Hits and fallbacks are
-    /// counted under `qbd.rmatrix.warm_hits` / `qbd.rmatrix.warm_misses`.
+    /// and dimension-compatible, a bounded successive-substitution
+    /// iteration is run from it first; if that stalls or fails validation
+    /// the solve falls back to the cold `method` transparently. Hits and
+    /// fallbacks are counted under `qbd.rmatrix.warm_hits` /
+    /// `qbd.rmatrix.warm_misses`.
     pub initial_r: Option<Matrix>,
     /// Iteration budget for the warm-started `R` attempt before falling
     /// back to the cold solve. Kept small: a useful warm start converges in
     /// a handful of contractive steps.
     pub warm_max_iter: usize,
-    /// Kernel backend for all dense linear algebra performed by the solve
-    /// (products, factorizations, triangular/spectral work).
-    pub backend: BackendKind,
     /// How the finite boundary system is solved.
     pub boundary: BoundaryMethod,
     /// Level-truncation policy for very large boundaries.
@@ -136,7 +134,6 @@ impl Default for SolveOptions {
             check_irreducible: true,
             initial_r: None,
             warm_max_iter: 200,
-            backend: BackendKind::default(),
             boundary: BoundaryMethod::default(),
             truncation: LevelTruncation::default(),
         }
@@ -155,9 +152,6 @@ pub struct QbdSolution {
     i_minus_r_inv: Matrix,
     /// Spectral radius of `R`, computed on first request.
     sp_r: OnceLock<f64>,
-    /// Kernel backend the solve ran under; post-solve matrix work
-    /// (moments, tail sums) keeps using it.
-    backend: BackendKind,
     /// Present when the solve ran on a truncated chain.
     truncation: Option<TruncationCertificate>,
 }
@@ -326,7 +320,7 @@ struct CensoredElimination {
 impl CensoredElimination {
     /// Extend the elimination to level `c = view.c()` and return `S_c`
     /// (still without `R·A₂`). `view` must share this state's lower levels.
-    fn advance_to(&mut self, view: &LevelView<'_>, be: &dyn LinalgBackend) -> Result<&Matrix> {
+    fn advance_to(&mut self, view: &LevelView<'_>) -> Result<&Matrix> {
         let c = view.c();
         let (mut s, start) = match self.s.take() {
             Some(s) if self.ts.len() <= c => (s, self.ts.len()),
@@ -336,7 +330,7 @@ impl CensoredElimination {
             }
         };
         for i in start..c {
-            let mut neg_s_inv = be.inverse(&s.scaled(-1.0))?;
+            let mut neg_s_inv = Lu::new(&s.scaled(-1.0))?.inverse()?;
             // `−S_i` is an M-matrix, so its inverse is entrywise nonnegative
             // in exact arithmetic; clamp inversion roundoff so the `T_i`
             // products (and the back-substituted `π_i`) stay nonnegative by
@@ -346,8 +340,8 @@ impl CensoredElimination {
                     *v = 0.0;
                 }
             }
-            let t = be.matmul(&view.down[i], &neg_s_inv)?;
-            let tu = be.matmul(&t, &view.up[i])?;
+            let t = view.down[i].matmul(&neg_s_inv)?;
+            let tu = t.matmul(&view.up[i])?;
             s = &view.local[i + 1] + &tu;
             self.ts.push(t);
         }
@@ -368,27 +362,18 @@ impl LevelView<'_> {
 
     /// Compute `R`, warm-starting from `initial_r` when one is supplied.
     ///
-    /// A dimension-compatible `initial_r` triggers a bounded warm attempt
-    /// honouring `opts.method` first; any failure (stall, residual above
-    /// tolerance, negative entries) falls back to the cold `opts.method`
-    /// solve so the result is always as trustworthy as a cold solve.
+    /// A dimension-compatible `initial_r` triggers a bounded
+    /// successive-substitution attempt first; any failure (stall, residual
+    /// above tolerance, negative entries) falls back to the cold
+    /// `opts.method` solve so the result is always as trustworthy as a cold
+    /// solve.
     fn solve_r(&self, opts: &SolveOptions, initial_r: Option<&Matrix>) -> Result<Matrix> {
         if let Some(r0) = initial_r {
             let d = self.a1.rows();
             if r0.rows() == d && r0.cols() == d {
                 let budget = opts.warm_max_iter.min(opts.max_iter).max(1);
                 let _span = obs::span("qbd.solve_r");
-                match solve_r_warm_with(
-                    self.a0,
-                    self.a1,
-                    self.a2,
-                    r0,
-                    opts.method,
-                    opts.tol,
-                    budget,
-                    1e-8,
-                    opts.backend,
-                ) {
+                match solve_r_warm(self.a0, self.a1, self.a2, r0, opts.tol, budget, 1e-8) {
                     Ok(r) => {
                         obs::counter_add(obs::names::QBD_RMATRIX_WARM_HITS, 1);
                         return Ok(r);
@@ -399,14 +384,13 @@ impl LevelView<'_> {
                 obs::counter_add(obs::names::QBD_RMATRIX_WARM_MISSES, 1);
             }
         }
-        solve_r_with(
+        solve_r(
             self.a0,
             self.a1,
             self.a2,
             opts.method,
             opts.tol,
             opts.max_iter,
-            opts.backend,
         )
     }
 
@@ -437,12 +421,12 @@ impl LevelView<'_> {
         }
         let r = self.solve_r(opts, initial_r)?;
         debug_assert!(
-            r_residual_with(self.a0, self.a1, self.a2, &r, opts.backend) < 1e-6,
+            r_residual(self.a0, self.a1, self.a2, &r) < 1e-6,
             "R residual too large"
         );
         let i_minus_r_inv = {
             let _span = obs::span("qbd.inverse");
-            match stable_inverse(&r, opts.backend) {
+            match stable_inverse(&r) {
                 Some(inv) => inv,
                 None => return Err(QbdError::Unstable(drift)),
             }
@@ -466,9 +450,9 @@ impl LevelView<'_> {
             ],
         );
         let boundary = if use_censored {
-            self.boundary_censored(&r, &i_minus_r_inv, opts.backend, elim)?
+            self.boundary_censored(&r, &i_minus_r_inv, elim)?
         } else {
-            self.boundary_dense(&r, &i_minus_r_inv, opts.backend)?
+            self.boundary_dense(&r, &i_minus_r_inv)?
         };
         drop(boundary_span);
 
@@ -477,7 +461,6 @@ impl LevelView<'_> {
             r,
             i_minus_r_inv,
             sp_r: OnceLock::new(),
-            backend: opts.backend,
             truncation: None,
         };
         if obs::enabled() {
@@ -490,13 +473,7 @@ impl LevelView<'_> {
 
     /// Dense boundary solve: assemble the full `nb × nb` flow-balance system
     /// and take its left nullspace.
-    fn boundary_dense(
-        &self,
-        r: &Matrix,
-        i_minus_r_inv: &Matrix,
-        backend: BackendKind,
-    ) -> Result<Vec<Vec<f64>>> {
-        let be = backend.instance();
+    fn boundary_dense(&self, r: &Matrix, i_minus_r_inv: &Matrix) -> Result<Vec<Vec<f64>>> {
         let c = self.c();
         let dims: Vec<usize> = (0..=c).map(|i| self.level_dim(i)).collect();
         let offsets: Vec<usize> = dims
@@ -517,7 +494,7 @@ impl LevelView<'_> {
             if j < c {
                 m.set_block(offsets[j], offsets[j], &self.local[j]);
             } else {
-                let ra2 = be.matmul(r, self.a2)?;
+                let ra2 = r.matmul(self.a2)?;
                 let block = &self.local[c] + &ra2;
                 m.set_block(offsets[c], offsets[c], &block);
             }
@@ -558,14 +535,12 @@ impl LevelView<'_> {
         &self,
         r: &Matrix,
         i_minus_r_inv: &Matrix,
-        backend: BackendKind,
         elim: &mut CensoredElimination,
     ) -> Result<Vec<Vec<f64>>> {
-        let be = backend.instance();
         let c = self.c();
         debug_assert!(c >= 1);
-        let ra2 = be.matmul(r, self.a2)?;
-        let s = elim.advance_to(self, be)? + &ra2;
+        let ra2 = r.matmul(self.a2)?;
+        let s = elim.advance_to(self)? + &ra2;
         let ts = &elim.ts;
         // In exact arithmetic the censored matrix on level `c` is a
         // generator; `c` elimination steps of roundoff can leave it slightly
@@ -622,9 +597,9 @@ impl LevelView<'_> {
 /// i.e. when `(I−R)⁻¹ = Σ Rⁿ` exists and is entrywise nonnegative. So the
 /// inverse the solution needs anyway decides stability, up to a relative
 /// rounding tolerance, without a power iteration.
-fn stable_inverse(r: &Matrix, backend: BackendKind) -> Option<Matrix> {
+fn stable_inverse(r: &Matrix) -> Option<Matrix> {
     let i_minus_r = &Matrix::identity(r.rows()) - r;
-    let inv = backend.instance().inverse(&i_minus_r).ok()?;
+    let inv = Lu::new(&i_minus_r).ok()?.inverse().ok()?;
     inv.is_nonnegative(STABILITY_GATE_RTOL * inv.max_abs())
         .then_some(inv)
 }
@@ -666,16 +641,8 @@ impl QbdSolution {
     /// reported instead.
     pub fn spectral_radius(&self) -> f64 {
         *self.sp_r.get_or_init(|| {
-            self.backend
-                .instance()
-                .spectral_radius(&self.r, 1e-12, 200_000)
-                .unwrap_or_else(|_| self.tail_decay_rate())
+            spectral_radius(&self.r, 1e-12, 200_000).unwrap_or_else(|_| self.tail_decay_rate())
         })
-    }
-
-    /// Kernel backend the solve ran under.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// The truncation certificate, when this solution came from a truncated
@@ -818,11 +785,11 @@ impl QbdSolution {
                 .map(|(a, b)| a * b)
                 .sum::<f64>();
         // π_c (I−R)⁻² R e
-        let be = self.backend.instance();
-        let inv2 = be
-            .matmul(&self.i_minus_r_inv, &self.i_minus_r_inv)
+        let inv2 = self
+            .i_minus_r_inv
+            .matmul(&self.i_minus_r_inv)
             .expect("square");
-        let inv2_r = be.matmul(&inv2, &self.r).expect("square");
+        let inv2_r = inv2.matmul(&self.r).expect("square");
         let v = inv2_r.row_sums();
         n += pi_c.iter().zip(v.iter()).map(|(a, b)| a * b).sum::<f64>();
         n
@@ -838,19 +805,19 @@ impl QbdSolution {
         }
         let pi_c = &self.boundary[c];
         let d = self.r.rows();
-        let be = self.backend.instance();
         let inv = &self.i_minus_r_inv;
-        let inv2 = be.matmul(inv, inv).expect("square");
-        let inv3 = be.matmul(&inv2, inv).expect("square");
+        let inv2 = inv.matmul(inv).expect("square");
+        let inv3 = inv2.matmul(inv).expect("square");
         // Σ_{n≥0} (c+n)² π_c Rⁿ e
         //   = c² π_c(I−R)⁻¹e + 2c π_c R(I−R)⁻²e + π_c R(I+R)(I−R)⁻³e
         let t1 = inv.row_sums();
-        let r_inv2 = be.matmul(&self.r, &inv2).expect("square");
+        let r_inv2 = self.r.matmul(&inv2).expect("square");
         let t2 = r_inv2.row_sums();
         let i_plus_r = &Matrix::identity(d) + &self.r;
-        let r_ipr_inv3 = be
-            .matmul(&self.r, &i_plus_r)
-            .and_then(|m| be.matmul(&m, &inv3))
+        let r_ipr_inv3 = self
+            .r
+            .matmul(&i_plus_r)
+            .and_then(|m| m.matmul(&inv3))
             .expect("square");
         let t3 = r_ipr_inv3.row_sums();
         let cf = c as f64;
@@ -1177,7 +1144,7 @@ mod tests {
                 match q.solve(&SolveOptions::default()) {
                     Ok(sol) => {
                         assert!(stable, "{name} at rho={rho}: solved an unstable chain");
-                        assert!(stable_inverse(sol.r(), BackendKind::Naive).is_some());
+                        assert!(stable_inverse(sol.r()).is_some());
                         let sp = sol.spectral_radius();
                         assert!(sp < 1.0, "{name} at rho={rho}: sp(R) = {sp}");
                     }
@@ -1197,7 +1164,7 @@ mod tests {
         for sp in [0.5, 0.99, 0.9999, 1.0, 1.0001, 1.5] {
             for r in [Matrix::from_rows(&[&[sp]]), p.scaled(sp)] {
                 assert_eq!(
-                    stable_inverse(&r, BackendKind::Naive).is_some(),
+                    stable_inverse(&r).is_some(),
                     sp < 1.0,
                     "sp(R) = {sp}, R = {r:?}"
                 );
@@ -1429,97 +1396,46 @@ mod tests {
     }
 
     #[test]
-    fn warm_start_honors_newton_method() {
-        // Same warm-start scenario as above but with the Newton method
-        // requested: the warm path must use it (and still land on rho).
-        let rho: f64 = 0.6;
-        let q = mm1(rho, 1.0);
-        let cold = q.solve(&SolveOptions::default()).unwrap();
-        let mut r0 = cold.r().clone();
-        r0[(0, 0)] += 1e-3;
-        let warm_opts = SolveOptions {
-            method: RSolverMethod::Newton,
-            initial_r: Some(r0),
-            ..Default::default()
-        };
-        let warm = q.solve(&warm_opts).unwrap();
-        assert!((warm.r()[(0, 0)] - rho).abs() < 1e-10, "R should be rho");
-        assert!((warm.mean_level() - cold.mean_level()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn backends_and_methods_agree_on_solution() {
+    fn methods_agree_on_solution() {
         let q = mmc(1.2, 1.0, 2);
         let want = q.solve(&SolveOptions::default()).unwrap();
-        for backend in BackendKind::ALL {
-            for method in [
-                RSolverMethod::LogarithmicReduction,
-                RSolverMethod::SuccessiveSubstitution,
-                RSolverMethod::Newton,
-            ] {
-                let opts = SolveOptions {
-                    method,
-                    backend,
-                    ..Default::default()
-                };
-                let sol = q.solve(&opts).unwrap();
-                assert_eq!(sol.backend(), backend);
-                assert!(
-                    (sol.mean_level() - want.mean_level()).abs() < 1e-9,
-                    "{backend}/{method}: {} vs {}",
-                    sol.mean_level(),
-                    want.mean_level()
-                );
-                assert!((sol.total_mass() - 1.0).abs() < 1e-9);
-            }
-        }
+        let sol = q
+            .solve(&SolveOptions {
+                method: RSolverMethod::SuccessiveSubstitution,
+                ..Default::default()
+            })
+            .unwrap();
+        assert!(
+            (sol.mean_level() - want.mean_level()).abs() < 1e-9,
+            "ss vs lr: {} vs {}",
+            sol.mean_level(),
+            want.mean_level()
+        );
+        assert!((sol.total_mass() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn censored_matches_dense_boundary() {
-        let q = mmc(3.0, 1.0, 5);
-        let dense = q
-            .solve(&SolveOptions {
-                boundary: BoundaryMethod::Dense,
-                ..Default::default()
-            })
-            .unwrap();
-        let cens = q
-            .solve(&SolveOptions {
-                boundary: BoundaryMethod::Censored,
-                ..Default::default()
-            })
-            .unwrap();
-        assert!((dense.mean_level() - cens.mean_level()).abs() < 1e-10);
-        assert!((cens.total_mass() - 1.0).abs() < 1e-10);
-        for n in 0..12 {
-            assert!(
-                (dense.level_prob(n) - cens.level_prob(n)).abs() < 1e-12,
-                "n={n}: {} vs {}",
-                dense.level_prob(n),
-                cens.level_prob(n)
-            );
-        }
-    }
-
-    #[test]
-    fn censored_matches_dense_on_all_backends() {
-        let q = mmc(1.2, 1.0, 3);
-        let want = q.solve(&SolveOptions::default()).unwrap();
-        for backend in BackendKind::ALL {
-            let sol = q
-                .solve(&SolveOptions {
-                    boundary: BoundaryMethod::Censored,
-                    backend,
+        for q in [mmc(3.0, 1.0, 5), mmc(1.2, 1.0, 3)] {
+            let solve = |boundary| {
+                q.solve(&SolveOptions {
+                    boundary,
                     ..Default::default()
                 })
-                .unwrap();
-            assert!(
-                (sol.mean_level() - want.mean_level()).abs() < 1e-9,
-                "{backend}: {} vs {}",
-                sol.mean_level(),
-                want.mean_level()
-            );
+                .unwrap()
+            };
+            let dense = solve(BoundaryMethod::Dense);
+            let cens = solve(BoundaryMethod::Censored);
+            assert!((dense.mean_level() - cens.mean_level()).abs() < 1e-10);
+            assert!((cens.total_mass() - 1.0).abs() < 1e-10);
+            for n in 0..12 {
+                assert!(
+                    (dense.level_prob(n) - cens.level_prob(n)).abs() < 1e-12,
+                    "n={n}: {} vs {}",
+                    dense.level_prob(n),
+                    cens.level_prob(n)
+                );
+            }
         }
     }
 

@@ -108,8 +108,6 @@ pub struct ServeConfig {
     /// Rotate the access log (atomically, to `<path>.1`) once the live
     /// file exceeds this many bytes; `0` never rotates.
     pub access_log_max_bytes: u64,
-    /// Kernel backend used by the workers' solves (reported by `stats`).
-    pub backend: gsched_linalg::BackendKind,
 }
 
 impl Default for ServeConfig {
@@ -125,7 +123,6 @@ impl Default for ServeConfig {
             metrics_addr: None,
             access_log: None,
             access_log_max_bytes: 8 * 1024 * 1024,
-            backend: gsched_linalg::BackendKind::default(),
         }
     }
 }
@@ -208,12 +205,6 @@ impl ServeConfigBuilder {
     /// Rotate the access log past this many bytes; `0` never rotates.
     pub fn access_log_max_bytes(mut self, bytes: u64) -> Self {
         self.config.access_log_max_bytes = bytes;
-        self
-    }
-
-    /// Kernel backend for the workers' solves.
-    pub fn backend(mut self, backend: gsched_linalg::BackendKind) -> Self {
-        self.config.backend = backend;
         self
     }
 
@@ -435,13 +426,8 @@ impl Server {
             access_log,
             shutdown: AtomicBool::new(false),
             // The same defaults `gsched solve` uses, so served results are
-            // byte-identical to local solves; only the kernel backend is
-            // taken from the configuration.
-            solver: {
-                let mut solver = SolverOptions::default();
-                solver.qbd.backend = opts.backend;
-                solver
-            },
+            // byte-identical to local solves.
+            solver: SolverOptions::default(),
         })
     }
 
@@ -1097,7 +1083,6 @@ impl Server {
             cache_entries: cache.entries,
             cache_capacity: cache.capacity,
             cache_replayed: self.cache_replayed,
-            backend: self.solver.qbd.backend.as_str(),
             r_solver: self.solver.qbd.method.as_str(),
         }
     }

@@ -93,8 +93,6 @@ pub(crate) struct ExternalStats {
     pub batch_merged: u64,
     /// Cache entries replayed from the persistent segment at startup.
     pub cache_replayed: u64,
-    /// Kernel backend the workers solve with (stable name).
-    pub backend: &'static str,
     /// `R`-matrix algorithm the workers solve with (stable name).
     pub r_solver: &'static str,
 }
@@ -197,7 +195,7 @@ impl Telemetry {
                 r#"{{"workers":{},"queue_depth":{},"requests":{},"errors":{},"#,
                 r#""cache_hits":{},"cache_misses":{},"cache_entries":{},"cache_capacity":{},"#,
                 r#""queue_limit":{},"shed":{},"coalesced":{},"batch_merged":{},"#,
-                r#""cache_replayed":{},"backend":{},"r_solver":{},"uptime_ms":{},"#,
+                r#""cache_replayed":{},"r_solver":{},"uptime_ms":{},"#,
                 r#""workers_busy":{},"connections":{},"cache_hit_ratio":{},"#,
                 r#""queue_wait_ms":{},"solve_ms":{},"ops":{{{}}}}}"#
             ),
@@ -214,7 +212,6 @@ impl Telemetry {
             ext.coalesced,
             ext.batch_merged,
             ext.cache_replayed,
-            json_str(ext.backend),
             json_str(ext.r_solver),
             self.uptime_ms(),
             self.workers_busy_now(),
@@ -579,7 +576,6 @@ mod tests {
             coalesced: 0,
             batch_merged: 0,
             cache_replayed: 0,
-            backend: "naive",
             r_solver: "logarithmic_reduction",
         }
     }
@@ -600,8 +596,8 @@ mod tests {
         assert_eq!(v["batch_merged"].as_u64(), Some(0));
         assert_eq!(v["queue_limit"].as_u64(), Some(0));
         assert_eq!(v["cache_replayed"].as_u64(), Some(0));
-        assert_eq!(v["backend"].as_str(), Some("naive"));
         assert_eq!(v["r_solver"].as_str(), Some("logarithmic_reduction"));
+        assert!(v.get("backend").is_none(), "{text}");
     }
 
     #[test]
