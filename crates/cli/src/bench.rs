@@ -25,8 +25,6 @@ use gsched_linalg::{Lu, Matrix, WorkCounters};
 use gsched_obs as obs;
 use gsched_scenario::{registry, Scenario as ScenarioIr};
 use gsched_sim::{simulate, Policy, SimConfig};
-use gsched_workload::figures::Figure;
-use gsched_workload::{paper_model, PaperConfig};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -204,18 +202,22 @@ struct Scenario {
 /// The canonical scenario set. `quick` shrinks every sweep to a few points
 /// and the simulation horizon by 10× — used by CI smoke runs.
 fn scenarios(quick: bool) -> Vec<Scenario> {
-    let mut out: Vec<Scenario> = Figure::ALL
+    let rows = [
+        "fig2_quantum_sweep_rho04",
+        "fig3_quantum_sweep_rho06",
+        "fig4_service_rate_sweep",
+        "fig5_cycle_fraction_sweep",
+    ];
+    let mut out: Vec<Scenario> = registry::FIGURES
         .iter()
-        .map(|fig| Scenario {
-            name: match fig {
-                Figure::Fig2 => "fig2_quantum_sweep_rho04",
-                Figure::Fig3 => "fig3_quantum_sweep_rho06",
-                Figure::Fig4 => "fig4_service_rate_sweep",
-                Figure::Fig5 => "fig5_cycle_fraction_sweep",
-            }
-            .to_string(),
+        .zip(rows)
+        .map(|(fig, row)| Scenario {
+            name: row.to_string(),
             workload: Workload::Sweep {
-                req: fig.request(quick),
+                req: registry::lookup(fig)
+                    .expect("figures are registered")
+                    .sweep_request(quick)
+                    .expect("figure grids are valid"),
                 solver: SolverOptions::default(),
             },
         })
@@ -223,12 +225,9 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
     out.push(Scenario {
         name: "sim_gang_rho06".to_string(),
         workload: Workload::Sim {
-            model: paper_model(&PaperConfig {
-                lambda: 0.6,
-                quantum_mean: 1.0,
-                quantum_stages: 2,
-                overhead_mean: 0.01,
-            }),
+            model: registry::paper_machine(0.6, 1.0, 2)
+                .build()
+                .expect("paper parameters are valid"),
             policy: Policy::Gang,
             horizon: if quick { 2_000.0 } else { 20_000.0 },
         },

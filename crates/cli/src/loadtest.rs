@@ -210,10 +210,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
         return Err(format!("loadtest: unexpected argument `{}`", pos[0]));
     }
     let quick = flags.contains_key("quick");
-    let clients =
-        (crate::flag_f64(&flags, "clients", if quick { 3.0 } else { 4.0 })? as usize).max(1);
-    let per_client =
-        (crate::flag_f64(&flags, "requests", if quick { 6.0 } else { 8.0 })? as usize).max(1);
+    let clients = crate::flag_count(&flags, "clients", if quick { 3 } else { 4 })?.max(1);
+    let per_client = crate::flag_count(&flags, "requests", if quick { 6 } else { 8 })?.max(1);
     let label = flags.get("label").cloned().unwrap_or_else(|| {
         if quick {
             "loadtest_quick".to_string()
@@ -240,9 +238,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
             recorder = Some(obs::install_memory());
             let config = ServeConfig::builder()
                 .addr("127.0.0.1:0")
-                .workers(crate::flag_f64(&flags, "workers", 2.0)? as usize)
+                .workers(crate::flag_count(&flags, "workers", 2)?)
                 .cache_capacity(256)
-                .queue_limit(crate::flag_f64(&flags, "queue-limit", 0.0)? as usize)
+                .queue_limit(crate::flag_count(&flags, "queue-limit", 0)?)
                 .build()
                 .map_err(|e| format!("loadtest: {}", e.message))?;
             let server =

@@ -23,11 +23,12 @@
 //! gsched bench trend [--history PATH] [--metric M1,M2] [--window N]
 //!                  [--threshold FRAC] [--gate] [--json]
 //! gsched paper     [--rho R] [--quantum Q] [--json]
+//! gsched figure    <fig1|fig2|fig3|fig4|fig5|all>
 //! gsched serve     [--addr A] [--workers N] [--cache-cap N] [--cache-path PATH]
 //!                  [--deadline-ms N] [--queue-limit N] [--batch-max N]
 //!                  [--metrics-addr A] [--access-log PATH] [--access-log-max-bytes N]
 //! gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown]
-//!                  [--proto 1|2] [--quick] [--deadline-ms N] [--id ID] [--frame]
+//!                  [--quick] [--deadline-ms N] [--id ID] [--frame]
 //! gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick]
 //!                  [--label L] [--out DIR] [--history PATH] [--no-history]
 //!                  [--expect-no-shed] [--json]
@@ -87,8 +88,7 @@
 //! compatible queued sweeps, and — with `--queue-limit` — sheds overflow
 //! with `overloaded` errors; `--cache-path` makes the result cache
 //! persistent across restarts. `gsched request` is the matching client;
-//! by default it speaks protocol v2 (`--proto 1` sends legacy frames) and
-//! prints just the `result` document, which is byte-identical to the
+//! it prints just the `result` document, which is byte-identical to the
 //! corresponding `gsched solve --json` output. See the `gsched-service`
 //! crate docs for the wire protocol. `gsched loadtest` drives a server —
 //! self-hosted, or a live one via `--addr` — with mixed concurrent
@@ -132,11 +132,17 @@
 //! certified truncation, one schema row per machine size, so the history
 //! and trend gate track how solve cost scales with P.
 //!
+//! `gsched figure` regenerates the paper's figures: `fig1` prints the
+//! class-chain state diagram as Graphviz DOT, and `fig2`…`fig5` run the
+//! figure sweeps, print their CSV, check the paper's qualitative shapes,
+//! and write `results/<id>.json` (see the `figure` module).
+//!
 //! Model files are JSON (see `gsched_scenario::ModelSpec`); `gsched
 //! example-model` and `gsched example-scenario` print templates.
 
 mod bench;
 mod convergence;
+mod figure;
 mod loadtest;
 mod profile;
 mod top;
@@ -162,8 +168,6 @@ use gsched_service::{
     ServiceError,
 };
 use gsched_sim::{simulate, SimConfig, SimResult};
-use gsched_workload::figures::Figure;
-use gsched_workload::{paper_model, PaperConfig};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -199,6 +203,7 @@ fn run(args: &[String]) -> Result<(), String> {
             _ => cmd_bench(rest),
         },
         "paper" => cmd_paper(rest),
+        "figure" => figure::run(rest),
         "serve" => cmd_serve(rest),
         "request" => cmd_request(rest),
         "loadtest" => loadtest::run(rest),
@@ -246,8 +251,9 @@ fn usage() -> String {
          gsched bench     [--scenario S | --kernels | --scaling] [--label L] [--reps N] [--jobs N] [--quick] [--out DIR] [--compare BENCH.json] [--threshold FRAC] [--history PATH] [--no-history]\n  \
          gsched bench trend [--history PATH] [--metric M1,M2] [--window N] [--threshold FRAC] [--gate] [--json]\n  \
          gsched paper     [--rho R] [--quantum Q] [--json]\n  \
+         gsched figure    <fig1|fig2|fig3|fig4|fig5|all>\n  \
          gsched serve     [--addr A] [--workers N] [--cache-cap N] [--cache-path PATH] [--deadline-ms N] [--queue-limit N] [--batch-max N] [--metrics-addr A] [--access-log PATH] [--access-log-max-bytes N]\n  \
-         gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown] [--proto 1|2] [--quick] [--deadline-ms N] [--id ID] [--frame]\n  \
+         gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown] [--quick] [--deadline-ms N] [--id ID] [--frame]\n  \
          gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick] [--label L] [--out DIR] [--history PATH] [--no-history] [--expect-no-shed] [--json]\n  \
          gsched top       [--addr A] [--interval SECS] [--count N] [--once]\n  \
          gsched example-model\n  \
@@ -323,7 +329,6 @@ const VALUE_FLAGS: &[&str] = &[
     "access-log",
     "access-log-max-bytes",
     "op",
-    "proto",
     "id",
     "clients",
     "requests",
@@ -369,6 +374,21 @@ fn flag_f64(flags: &HashMap<String, String>, name: &str, default: f64) -> Result
         Some(v) => v
             .parse()
             .map_err(|_| format!("--{name} expects a number, got `{v}`")),
+    }
+}
+
+/// A count-valued flag (`--jobs`, `--class`, `--workers`, …): negative,
+/// fractional and non-numeric values are errors, never coerced.
+fn flag_count<T: std::str::FromStr>(
+    flags: &HashMap<String, String>,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    match flags.get(name) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--{name} expects a non-negative integer, got `{v}`")),
     }
 }
 
@@ -705,7 +725,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
         cfg.warmup
     };
     cfg.warmup = flag_f64(&flags, "warmup", default_warmup)?;
-    cfg.seed = flag_f64(&flags, "seed", cfg.seed as f64)? as u64;
+    cfg.seed = flag_count(&flags, "seed", cfg.seed)?;
     let diag = Diagnostics::from_flags(&flags);
     let result = simulate(&model, policy, cfg);
     diag.finish()?;
@@ -777,18 +797,18 @@ fn print_sweep_human(name: &str, report: &SweepReport, classes: usize) {
     }
 }
 
-/// One sweep to run: named request plus, for scenario-driven sweeps, the
-/// scenario itself (which carries the tolerance contract to enforce).
+/// One sweep to run: the scenario (which carries the tolerance contract to
+/// enforce) and its request.
 struct SweepJob {
-    name: String,
     req: SweepRequest,
-    scenario: Option<Scenario>,
+    scenario: Scenario,
 }
 
 /// True for a Processors-axis (large-P) scenario sweep.
-fn is_large_p(scenario: Option<&Scenario>) -> bool {
+fn is_large_p(scenario: &Scenario) -> bool {
     scenario
-        .and_then(|sc| sc.sweep.as_ref())
+        .sweep
+        .as_ref()
         .is_some_and(|sweep| sweep.axis == AxisSpec::Processors)
 }
 
@@ -798,13 +818,11 @@ fn is_large_p(scenario: Option<&Scenario>) -> bool {
 /// health collection so the certificates are reportable; every other sweep
 /// runs `base` unchanged. `gsched sweep` and `gsched profile` both resolve
 /// their solver here, so a profile measures the path a sweep runs.
-fn sweep_solver_options(base: &SolverOptions, scenario: Option<&Scenario>) -> SolverOptions {
+fn sweep_solver_options(base: &SolverOptions, scenario: &Scenario) -> SolverOptions {
     let mut solver = base.clone();
     if is_large_p(scenario) {
         solver.qbd.truncation = LevelTruncation::Auto {
-            target_tail: scenario
-                .and_then(|sc| sc.tolerance.certified_tail)
-                .unwrap_or(1e-8),
+            target_tail: scenario.tolerance.certified_tail.unwrap_or(1e-8),
             min_levels: 4,
         };
         solver.collect_health = true;
@@ -885,11 +903,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let quick = flags.contains_key("quick");
     let scenario_job = |sc: Scenario| -> Result<SweepJob, String> {
         let req = sc.sweep_request(quick).map_err(|e| e.to_string())?;
-        Ok(SweepJob {
-            name: sc.name.clone(),
-            req,
-            scenario: Some(sc),
-        })
+        Ok(SweepJob { req, scenario: sc })
     };
     let jobs_list: Vec<SweepJob> = if let Some(arg) = flags.get("scenario") {
         if !pos.is_empty() {
@@ -897,29 +911,18 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         }
         vec![scenario_job(load_scenario(arg)?)?]
     } else {
-        let which = pos.first().map(String::as_str).unwrap_or("all");
-        if which == "all" {
-            Figure::ALL
+        // `all` is the paper's figure set; any other name is a
+        // sweep-capable registry scenario (`fig2`, `p_sweep`, …) or a
+        // scenario file.
+        match pos.first().map(String::as_str).unwrap_or("all") {
+            "all" => registry::FIGURES
                 .iter()
-                .map(|fig| SweepJob {
-                    name: fig.name().to_string(),
-                    req: fig.request(quick),
-                    scenario: None,
-                })
-                .collect()
-        } else if let Some(fig) = Figure::from_name(which) {
-            vec![SweepJob {
-                name: fig.name().to_string(),
-                req: fig.request(quick),
-                scenario: None,
-            }]
-        } else {
-            // Not a figure: any sweep-capable registry scenario (or a
-            // scenario file) works positionally — `gsched sweep p_sweep`.
-            vec![scenario_job(load_scenario(which)?)?]
+                .map(|name| scenario_job(registry::lookup(name).expect("figures are registered")))
+                .collect::<Result<_, _>>()?,
+            which => vec![scenario_job(load_scenario(which)?)?],
         }
     };
-    let jobs = flag_f64(&flags, "jobs", 0.0)? as usize;
+    let jobs = flag_count(&flags, "jobs", 0)?;
     let solver = solver_options(&flags)?;
     let parity = flags.contains_key("parity-check");
     let diag = Diagnostics::from_flags(&flags);
@@ -932,7 +935,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
         let opts = SweepOptions::default()
             .with_jobs(jobs)
             .with_warm_start(!flags.contains_key("no-warm"))
-            .with_solver(sweep_solver_options(&solver, job.scenario.as_ref()));
+            .with_solver(sweep_solver_options(&solver, &job.scenario));
         let classes = job
             .req
             .points
@@ -947,20 +950,20 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             if div > 1e-10 {
                 parity_errors.push(format!(
                     "{}: parallel vs sequential diverge by {div:.3e} (> 1e-10)",
-                    job.name
+                    job.scenario.name
                 ));
             }
         }
-        if let Some(sc) = job.scenario.as_ref().filter(|sc| is_large_p(Some(sc))) {
-            match check_large_p_contract(sc, &report) {
+        if is_large_p(&job.scenario) {
+            match check_large_p_contract(&job.scenario, &report) {
                 Ok(lines) => contract_lines.extend(lines),
                 Err(e) => contract_errors.push(e),
             }
         }
         if flags.contains_key("json") {
-            json_reports.push(sweep_report_json(&job.name, &report, classes));
+            json_reports.push(sweep_report_json(&job.scenario.name, &report, classes));
         } else {
-            print_sweep_human(&job.name, &report, classes);
+            print_sweep_human(&job.scenario.name, &report, classes);
         }
     }
     diag.finish()?;
@@ -1177,7 +1180,7 @@ fn cmd_xval(args: &[String]) -> Result<(), String> {
     };
     let opts = XvalOptions {
         solver: solver_options(&flags)?,
-        max_points: flag_f64(&flags, "points", 2.0)? as usize,
+        max_points: flag_count(&flags, "points", 2)?,
         quick: !flags.contains_key("full"),
         horizon_scale: flag_f64(&flags, "horizon-scale", 1.0)?,
     };
@@ -1265,7 +1268,7 @@ fn cmd_stability(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags(args)?;
     let path = pos.first().ok_or("stability: missing <model.json>")?;
     let model = load_model(path)?;
-    let class = flag_f64(&flags, "class", 0.0)? as usize;
+    let class = flag_count(&flags, "class", 0)?;
     if class >= model.num_classes() {
         return Err(format!(
             "--class {class} out of range (model has {})",
@@ -1402,8 +1405,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "--label `{label}` must be alphanumeric (plus `_` and `-`); it names the output file"
         ));
     }
-    let reps = flag_f64(&flags, "reps", if quick { 1.0 } else { 3.0 })? as u64;
-    let jobs = flag_f64(&flags, "jobs", 0.0)? as usize;
+    let reps: u64 = flag_count(&flags, "reps", if quick { 1 } else { 3 })?;
+    let jobs = flag_count(&flags, "jobs", 0)?;
     let only = flags
         .get("scenario")
         .map(|arg| load_scenario(arg))
@@ -1518,12 +1521,7 @@ fn cmd_paper(args: &[String]) -> Result<(), String> {
     let (_, flags) = parse_flags(args)?;
     let rho = flag_f64(&flags, "rho", 0.4)?;
     let quantum = flag_f64(&flags, "quantum", 1.0)?;
-    let model = paper_model(&PaperConfig {
-        lambda: rho,
-        quantum_mean: quantum,
-        quantum_stages: 2,
-        overhead_mean: 0.01,
-    });
+    let model = registry::paper_machine(rho, quantum, 2).build()?;
     let diag = Diagnostics::from_flags(&flags);
     let sol = solve(&model, &SolverOptions::default()).map_err(|e| e.to_string());
     diag.finish()?;
@@ -1550,16 +1548,16 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .cloned()
                 .unwrap_or_else(|| "127.0.0.1:7070".to_string()),
         )
-        .workers(flag_f64(&flags, "workers", 0.0)? as usize)
-        .cache_capacity(flag_f64(&flags, "cache-cap", 256.0)? as usize)
-        .default_deadline_ms(flag_f64(&flags, "deadline-ms", 30_000.0)? as u64)
-        .queue_limit(flag_f64(&flags, "queue-limit", defaults.queue_limit as f64)? as usize)
-        .batch_max(flag_f64(&flags, "batch-max", defaults.batch_max as f64)? as usize)
-        .access_log_max_bytes(flag_f64(
+        .workers(flag_count(&flags, "workers", 0)?)
+        .cache_capacity(flag_count(&flags, "cache-cap", 256)?)
+        .default_deadline_ms(flag_count(&flags, "deadline-ms", 30_000)?)
+        .queue_limit(flag_count(&flags, "queue-limit", defaults.queue_limit)?)
+        .batch_max(flag_count(&flags, "batch-max", defaults.batch_max)?)
+        .access_log_max_bytes(flag_count(
             &flags,
             "access-log-max-bytes",
-            defaults.access_log_max_bytes as f64,
-        )? as u64);
+            defaults.access_log_max_bytes,
+        )?);
     if let Some(path) = flags.get("cache-path") {
         builder = builder.cache_path(path);
     }
@@ -1620,14 +1618,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
                 .map_err(|_| format!("--deadline-ms expects a non-negative integer, got `{v}`"))
         })
         .transpose()?;
-    let proto = match flags.get("proto").map(String::as_str) {
-        None => RequestSpec::default().proto,
-        Some("1") => 1,
-        Some("2") => 2,
-        Some(v) => return Err(format!("--proto expects 1 or 2, got `{v}`")),
-    };
     let spec = RequestSpec {
-        proto,
         id: flags.get("id").cloned(),
         op,
         quick: flags.contains_key("quick"),
@@ -1645,7 +1636,6 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
             }
         }
         (None, Op::Stats | Op::Shutdown) => control_frame_for(&RequestSpec {
-            proto,
             id: spec.id.clone(),
             op: Some(effective_op),
             ..RequestSpec::default()

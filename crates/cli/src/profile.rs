@@ -18,8 +18,7 @@ use gsched_core::solver::{solve_warm, SolverOptions, WarmStart};
 use gsched_core::vacation::VacationCache;
 use gsched_linalg::WorkCounters;
 use gsched_obs as obs;
-use gsched_scenario::Scenario;
-use gsched_workload::figures::Figure;
+use gsched_scenario::{registry, Scenario};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -136,9 +135,29 @@ fn phase_label(span: &str) -> &'static str {
 struct Workload {
     name: String,
     models: Vec<GangModel>,
-    /// The scenario the models came from (`None` for `--sweep` figures);
-    /// it decides the solver, as in `gsched sweep`.
-    scenario: Option<Scenario>,
+    /// The scenario the models came from; it decides the solver, as in
+    /// `gsched sweep`.
+    scenario: Scenario,
+}
+
+/// A scenario's workload: its declared sweep when it has one, otherwise
+/// its single model.
+fn scenario_workload(sc: Scenario, quick: bool) -> Result<Workload, String> {
+    let models = if sc.sweep.is_some() {
+        sc.sweep_request(quick)
+            .map_err(|e| e.to_string())?
+            .points
+            .into_iter()
+            .map(|p| p.model)
+            .collect()
+    } else {
+        vec![sc.build_model().map_err(|e| e.to_string())?]
+    };
+    Ok(Workload {
+        name: sc.name.clone(),
+        models,
+        scenario: sc,
+    })
 }
 
 /// Resolve the requested workload set: `--sweep fig2..fig5|all` takes the
@@ -153,45 +172,28 @@ fn workloads(
         if !pos.is_empty() {
             return Err("profile: give either a scenario or --sweep, not both".to_string());
         }
-        let figures: Vec<Figure> = if which == "all" {
-            Figure::ALL.to_vec()
-        } else {
-            vec![Figure::from_name(which)
-                .ok_or_else(|| format!("unknown --sweep `{which}` (fig2|fig3|fig4|fig5|all)"))?]
+        let figures: Vec<&str> = match which.as_str() {
+            "all" => registry::FIGURES.to_vec(),
+            one if registry::FIGURES.contains(&one) => vec![one],
+            _ => {
+                return Err(format!(
+                    "unknown --sweep `{which}` ({}|all)",
+                    registry::FIGURES.join("|")
+                ))
+            }
         };
-        return Ok(figures
+        return figures
             .into_iter()
-            .map(|fig| Workload {
-                name: fig.name().to_string(),
-                models: fig
-                    .request(quick)
-                    .points
-                    .into_iter()
-                    .map(|p| p.model)
-                    .collect(),
-                scenario: None,
+            .map(|fig| {
+                let sc = registry::lookup(fig).expect("figures are registered");
+                scenario_workload(sc, quick)
             })
-            .collect());
+            .collect();
     }
     let arg = pos
         .first()
         .ok_or("profile: missing <scenario> (registry name or file.json; or --sweep)")?;
-    let sc = crate::load_scenario(arg)?;
-    let models = if sc.sweep.is_some() {
-        sc.sweep_request(quick)
-            .map_err(|e| e.to_string())?
-            .points
-            .into_iter()
-            .map(|p| p.model)
-            .collect()
-    } else {
-        vec![sc.build_model().map_err(|e| e.to_string())?]
-    };
-    Ok(vec![Workload {
-        name: sc.name.clone(),
-        models,
-        scenario: Some(sc),
-    }])
+    Ok(vec![scenario_workload(crate::load_scenario(arg)?, quick)?])
 }
 
 /// Solve every model of every workload serially with warm starting — the
@@ -201,7 +203,7 @@ fn workloads(
 fn run_workloads(workloads: &[Workload], solver: &SolverOptions) -> (u64, u64) {
     let (mut solved, mut failed) = (0u64, 0u64);
     for w in workloads {
-        let solver = &crate::sweep_solver_options(solver, w.scenario.as_ref());
+        let solver = &crate::sweep_solver_options(solver, &w.scenario);
         let cache = VacationCache::new();
         let mut warm: Option<WarmStart> = None;
         for model in &w.models {

@@ -32,12 +32,7 @@ pub fn run(pos: &[String], flags: &HashMap<String, String>) -> Result<(), String
     let count: u64 = if flags.contains_key("once") {
         1
     } else {
-        match flags.get("count") {
-            None => 0, // forever
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--count expects a non-negative integer, got `{v}`"))?,
-        }
+        crate::flag_count(flags, "count", 0)? // 0 = forever
     };
 
     let mut client =

@@ -272,7 +272,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         .map(|m| m.trim().to_string())
         .filter(|m| !m.is_empty())
         .collect();
-    let window = crate::flag_f64(&flags, "window", 5.0)? as usize;
+    let window = crate::flag_count(&flags, "window", 5)?;
     if window == 0 {
         return Err("--window must be at least 1".to_string());
     }

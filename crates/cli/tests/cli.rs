@@ -465,6 +465,7 @@ fn unknown_and_removed_flags_fail_by_name() {
             &["solve", "--scenario", "fig2", "--bogus", "3", "--json"][..],
             "--bogus",
         ),
+        (&["request", "fig2", "--proto", "1"][..], "--proto"),
     ] {
         let out = gsched().args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} succeeded");
@@ -472,6 +473,98 @@ fn unknown_and_removed_flags_fail_by_name() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
     }
+}
+
+#[test]
+fn count_flags_reject_non_integers() {
+    let dir = tmpdir("countflags");
+    let model = write_model(&dir);
+    let model = model.to_str().unwrap();
+    for bad in ["-1", "1.5", "nan"] {
+        for (args, flag) in [
+            (&["stability", model, "--class", bad][..], "--class"),
+            (&["sweep", "fig2", "--quick", "--jobs", bad][..], "--jobs"),
+            (&["xval", "fig2", "--points", bad][..], "--points"),
+            (&["bench", "trend", "--window", bad][..], "--window"),
+        ] {
+            let out = gsched().args(args).output().unwrap();
+            assert!(!out.status.success(), "{args:?} succeeded");
+            assert!(out.stdout.is_empty(), "{args:?} produced output");
+            let err = String::from_utf8_lossy(&out.stderr);
+            let want = format!("{flag} expects a non-negative integer, got `{bad}`");
+            assert!(err.contains(&want), "{args:?}: {err}");
+        }
+    }
+}
+
+#[test]
+fn figure_fig4_reproduces_the_committed_record() {
+    let dir = tmpdir("figure-fig4");
+    let out = gsched()
+        .args(["figure", "fig4"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("fig4: all shape checks passed"), "{err}");
+    let csv = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        csv.starts_with("service_rate,class0,class1,class2,class3\n"),
+        "{csv}"
+    );
+    let written = std::fs::read(dir.join("results/fig4.json")).unwrap();
+    let committed = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/fig4.json"
+    ))
+    .unwrap();
+    assert!(
+        written == committed,
+        "results/fig4.json differs from the committed record"
+    );
+}
+
+#[test]
+fn figure_write_failure_still_writes_the_diag_snapshot() {
+    // A plain file named `results` makes every record write fail, for any
+    // user (directory permissions would not stop root).
+    let dir = tmpdir("figure-unwritable");
+    std::fs::write(dir.join("results"), b"not a directory").unwrap();
+    let out = gsched()
+        .args(["figure", "fig4", "--diag", "fig4.diag.json"])
+        .current_dir(&dir)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{err}");
+    assert!(err.contains("cannot write `results/fig4.json`"), "{err}");
+    assert!(err.contains("fig4: all shape checks passed"), "{err}");
+    assert!(!err.contains("shape checks failed"), "{err}");
+    let diag = std::fs::read_to_string(dir.join("fig4.diag.json")).unwrap();
+    let v: serde_json::Value = serde_json::from_str(&diag).unwrap();
+    assert!(v.get("counters").is_some(), "{diag}");
+}
+
+#[test]
+fn figure_fig1_prints_dot() {
+    let out = gsched().args(["figure", "fig1"]).output().unwrap();
+    assert!(out.status.success());
+    let dot = String::from_utf8_lossy(&out.stdout);
+    assert!(dot.starts_with("digraph class_chain"), "{dot}");
+    assert!(dot.trim_end().ends_with('}'), "{dot}");
+}
+
+#[test]
+fn figure_rejects_unknown_name_listing_the_figures() {
+    let out = gsched().args(["figure", "fig9"]).output().unwrap();
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown figure `fig9`") && err.contains("fig1, fig2, fig3, fig4, fig5, all"),
+        "{err}"
+    );
 }
 
 #[test]
@@ -873,6 +966,8 @@ fn validate_json_failure_emits_error_frame() {
     let frame: serde_json::Value =
         serde_json::from_str(text.trim().lines().last().unwrap()).unwrap();
     assert_eq!(frame["status"].as_str().unwrap(), "error");
+    // The same frame shape the server sends: one error schema.
+    assert_eq!(frame["proto"].as_u64(), Some(2));
     assert_eq!(
         frame["error"]["kind"].as_str().unwrap(),
         "validation_failed"

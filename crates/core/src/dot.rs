@@ -4,7 +4,7 @@
 //! Poisson arrivals, exponential service, exponential overheads, a K-stage
 //! Erlang quantum and 3 servers. This module regenerates that diagram (for
 //! any parameterization) from the same generator the solver uses: run
-//! `cargo run -p gsched-repro --bin fig1_dot` and render with `dot -Tsvg`.
+//! `gsched figure fig1` and render with `dot -Tsvg`.
 
 use crate::generator::ClassChain;
 

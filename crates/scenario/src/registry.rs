@@ -495,6 +495,10 @@ fn p_sweep() -> Scenario {
         .expect("p_sweep parameters are valid")
 }
 
+/// The paper's figure sweeps (Figures 2–5), in paper order. Each name is
+/// also the registry scenario behind the figure.
+pub const FIGURES: [&str; 4] = ["fig2", "fig3", "fig4", "fig5"];
+
 /// All registry scenario names, in catalog order.
 pub const NAMES: [&str; 12] = [
     "fig2",
@@ -541,6 +545,8 @@ pub fn all() -> Vec<Scenario> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsched_core::model::GangModel;
+    use gsched_engine::SweepAxis;
 
     #[test]
     fn every_name_resolves_and_validates() {
@@ -574,6 +580,132 @@ mod tests {
         let mus = paper_service_rates();
         for (p, mu) in mus.iter().enumerate() {
             assert!((m.class(p).service_rate() - mu).abs() < 1e-12);
+        }
+    }
+
+    fn paper_model(lambda: f64) -> GangModel {
+        paper_machine(lambda, 1.0, 2).build().unwrap()
+    }
+
+    #[test]
+    fn normalization_makes_rho_equal_lambda() {
+        for &lambda in &[0.2, 0.4, 0.6, 0.9] {
+            let m = paper_model(lambda);
+            assert!(
+                (m.total_utilization() - lambda).abs() < 1e-12,
+                "lambda={lambda}: rho={}",
+                m.total_utilization()
+            );
+        }
+    }
+
+    #[test]
+    fn service_rates_keep_ratios() {
+        let mus = paper_service_rates();
+        assert!((mus[1] / mus[0] - 2.0).abs() < 1e-12);
+        assert!((mus[2] / mus[1] - 2.0).abs() < 1e-12);
+        assert!((mus[3] / mus[2] - 2.0).abs() < 1e-12);
+        // s = 21.25/8 = 2.65625; mu_0 = 0.5 s.
+        assert!((mus[0] - 1.328125).abs() < 1e-12);
+    }
+
+    #[test]
+    fn partitions_are_powers_of_two() {
+        let m = paper_model(0.4);
+        for p in 0..4 {
+            assert_eq!(m.partitions(p), 1 << p, "class {p}");
+        }
+    }
+
+    #[test]
+    fn class_utilizations_decrease_with_index() {
+        // With equal lambda, class 0 has by far the highest offered load.
+        let m = paper_model(0.4);
+        for p in 0..3 {
+            assert!(m.class_utilization(p) > m.class_utilization(p + 1));
+        }
+    }
+
+    #[test]
+    fn custom_builder_round_trips() {
+        let mus = paper_service_rates();
+        let m = paper_machine_custom(0.6, &mus, &[1.0, 2.0, 3.0, 4.0], 3)
+            .build()
+            .unwrap();
+        assert_eq!(m.num_classes(), 4);
+        assert!((m.class(2).quantum.mean() - 3.0).abs() < 1e-9);
+        assert!((m.class(0).switch_overhead.mean() - OVERHEAD_MEAN).abs() < 1e-12);
+    }
+
+    #[test]
+    fn figure_names_are_registry_sweeps() {
+        for name in FIGURES {
+            let sc = lookup(name).unwrap_or_else(|| panic!("{name} missing"));
+            let quick = sc.sweep_request(true).unwrap();
+            let full = sc.sweep_request(false).unwrap();
+            assert!(quick.len() >= 2, "{name}");
+            assert!(full.len() > quick.len(), "{name}");
+        }
+    }
+
+    #[test]
+    fn quantum_request_sets_quantum() {
+        let req = quantum_scenario("q", 0.4, 2, vec![0.5, 1.0, 2.0], None)
+            .sweep_request(false)
+            .unwrap();
+        assert_eq!(req.len(), 3);
+        assert_eq!(req.axis, SweepAxis::QuantumMean);
+        assert!(req
+            .base
+            .params
+            .iter()
+            .any(|(k, v)| k == "lambda" && *v == 0.4));
+        for pt in &req.points {
+            for p in 0..4 {
+                assert!((pt.model.class(p).quantum.mean() - pt.x).abs() < 1e-9);
+            }
+            assert!((pt.model.total_utilization() - 0.4).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn service_request_sets_common_mu() {
+        let req = service_rate_scenario("s", 2, vec![2.0, 10.0], None)
+            .sweep_request(false)
+            .unwrap();
+        assert_eq!(req.axis, SweepAxis::ServiceRate);
+        for pt in &req.points {
+            for p in 0..4 {
+                assert!((pt.model.class(p).service_rate() - pt.x).abs() < 1e-9);
+                assert!((pt.model.class(p).quantum.mean() - 5.0).abs() < 1e-9);
+            }
+        }
+    }
+
+    #[test]
+    fn fraction_request_budget_conserved() {
+        let budget = 4.0;
+        let req = cycle_fraction_scenario("f", 1, budget, 2, vec![0.25, 0.5, 0.75], None)
+            .sweep_request(false)
+            .unwrap();
+        assert_eq!(req.axis, SweepAxis::CycleFraction { class: 1 });
+        for pt in &req.points {
+            let total: f64 = (0..4).map(|p| pt.model.class(p).quantum.mean()).sum();
+            assert!((total - budget).abs() < 1e-9, "total {total}");
+            assert!((pt.model.class(1).quantum.mean() - pt.x * budget).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn default_grids_are_monotone() {
+        for grid in [
+            default_quantum_grid(),
+            default_service_rate_grid(),
+            default_fraction_grid(),
+        ] {
+            for w in grid.windows(2) {
+                assert!(w[0] < w[1]);
+            }
         }
     }
 

@@ -13,13 +13,8 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 /// Everything about a request other than which scenario it names.
-///
-/// The default spec speaks protocol v2; set `proto: 1` to produce the
-/// legacy frames a pre-v2 server understands.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RequestSpec {
-    /// Protocol version to put on the wire (`1` omits the field).
-    pub proto: u8,
     /// Correlation id echoed back by the server.
     pub id: Option<String>,
     /// Operation; `None` lets the server default (`solve`) apply.
@@ -30,23 +25,8 @@ pub struct RequestSpec {
     pub deadline_ms: Option<u64>,
 }
 
-impl Default for RequestSpec {
-    fn default() -> Self {
-        RequestSpec {
-            proto: PROTO_VERSION,
-            id: None,
-            op: None,
-            quick: false,
-            deadline_ms: None,
-        }
-    }
-}
-
 fn frame(spec: &RequestSpec, scenario_field: Option<String>) -> String {
-    let mut fields: Vec<String> = Vec::new();
-    if spec.proto >= 2 {
-        fields.push(format!(r#""proto":{}"#, PROTO_VERSION));
-    }
+    let mut fields = vec![format!(r#""proto":{PROTO_VERSION}"#)];
     if let Some(id) = &spec.id {
         fields.push(format!(r#""id":{}"#, json_str(id)));
     }
@@ -80,13 +60,12 @@ pub fn frame_for_scenario(scenario: &Scenario, spec: &RequestSpec) -> String {
 }
 
 /// A scenario-less control frame (`stats` or `shutdown`) honouring the
-/// spec's protocol version and correlation id (`op` must be set).
+/// spec's correlation id (`op` must be set).
 pub fn control_frame_for(spec: &RequestSpec) -> String {
     frame(spec, None)
 }
 
-/// A scenario-less control frame (`stats` or `shutdown`) in the current
-/// protocol version.
+/// A scenario-less control frame (`stats` or `shutdown`).
 pub fn control_frame(op: Op, id: Option<&str>) -> String {
     control_frame_for(&RequestSpec {
         id: id.map(String::from),
@@ -157,31 +136,10 @@ mod tests {
             op: Some(Op::Sweep),
             quick: true,
             deadline_ms: Some(500),
-            ..RequestSpec::default()
         };
         assert_eq!(
             frame_for_name("fig3", &spec),
             r#"{"proto":2,"id":"r-1","op":"sweep","scenario":"fig3","quick":true,"deadline_ms":500}"#
-        );
-    }
-
-    #[test]
-    fn v1_spec_produces_legacy_frames() {
-        let spec = RequestSpec {
-            proto: 1,
-            ..RequestSpec::default()
-        };
-        assert_eq!(frame_for_name("fig2", &spec), r#"{"scenario":"fig2"}"#);
-        let spec = RequestSpec {
-            proto: 1,
-            id: Some("r-1".to_string()),
-            op: Some(Op::Sweep),
-            quick: true,
-            deadline_ms: Some(500),
-        };
-        assert_eq!(
-            frame_for_name("fig3", &spec),
-            r#"{"id":"r-1","op":"sweep","scenario":"fig3","quick":true,"deadline_ms":500}"#
         );
     }
 
@@ -195,13 +153,15 @@ mod tests {
             control_frame(Op::Shutdown, Some("bye")),
             r#"{"proto":2,"id":"bye","op":"shutdown"}"#
         );
-        // A v1 spec produces the legacy control frame.
         let spec = RequestSpec {
-            proto: 1,
+            id: Some("s".to_string()),
             op: Some(Op::Stats),
             ..RequestSpec::default()
         };
-        assert_eq!(control_frame_for(&spec), r#"{"op":"stats"}"#);
+        assert_eq!(
+            control_frame_for(&spec),
+            r#"{"proto":2,"id":"s","op":"stats"}"#
+        );
     }
 
     #[test]

@@ -38,12 +38,10 @@
 //! line, one response frame per line, answered in order. Any tool that
 //! can write a line and read a line is a client (`nc` works).
 //!
-//! Two protocol versions are live. **v2** (current) adds an explicit
-//! `proto` field to requests and responses; **v1** (legacy, the default
-//! when `proto` is absent) keeps the original frame layout. Requests are
-//! answered *in kind*: a v1 request gets byte-identical v1 frames, a v2
-//! request gets v2 frames. Everything else — field meanings, error
-//! schema, the `result`-last splice contract — is shared.
+//! The server speaks one protocol version, **2**. A request may name it
+//! (`"proto":2`) or leave the field out; any other value is rejected with
+//! `bad_request`. Every response carries `"proto":2` right after
+//! `status`.
 //!
 //! ## Request frames
 //!
@@ -57,7 +55,7 @@
 //!
 //! | field         | type                    | meaning                                            |
 //! |---------------|-------------------------|----------------------------------------------------|
-//! | `proto`       | integer, default `1`    | protocol version (`1` or `2`); replies match it    |
+//! | `proto`       | integer, optional       | protocol version; only `2` is accepted             |
 //! | `id`          | string, optional        | correlation id, echoed in the response             |
 //! | `op`          | string, default `solve` | `solve`, `sweep`, `stats`, or `shutdown`           |
 //! | `scenario`    | string or object        | registry name, or a full inline scenario document  |
@@ -71,12 +69,10 @@
 //! ## Response frames
 //!
 //! Success (`result` is always the **last** field; for `op:"solve"` it is
-//! exactly the `gsched solve --json` document). v2 frames carry `proto`
-//! right after `status`; v1 frames omit it:
+//! exactly the `gsched solve --json` document):
 //!
 //! ```json
 //! {"status":"ok","proto":2,"id":"r-1","op":"solve","cached":false,"result":{...}}
-//! {"status":"ok","id":"r-1","op":"solve","cached":false,"result":{...}}
 //! ```
 //!
 //! Error:
@@ -136,7 +132,7 @@ mod telemetry;
 pub use cache::{CacheStats, CacheStore, MemoryLru, PersistentLru};
 pub use client::Client;
 pub use protocol::{
-    error_frame, extract_result, frame_is_ok, ok_frame, parse_request, ErrorKind, Op, Request,
-    Response, ResponseBody, ScenarioRef, ServiceError, PROTO_VERSION,
+    error_frame, extract_result, frame_is_ok, parse_request, ErrorKind, Op, Request, Response,
+    ResponseBody, ScenarioRef, ServiceError, PROTO_VERSION,
 };
 pub use server::{install_ctrl_c_handler, ServeConfig, ServeConfigBuilder, Server};

@@ -7,20 +7,19 @@
 //! ([`extract_result`]) without a JSON round-trip that could perturb
 //! number formatting.
 //!
-//! Two protocol versions share the wire. A request that carries
-//! `"proto":2` is a v2 frame and is answered with a `"proto":2` response;
-//! a request without the field is v1 and is answered with the original
-//! frame layout, byte-for-byte what pre-v2 servers produced. Responses are
-//! built through the typed [`Response`]/[`ResponseBody`] pair; the
-//! [`ok_frame`]/[`error_frame`] free functions remain as v1-rendering
-//! conveniences for CLI error output and tests.
+//! The wire speaks one protocol version, [`PROTO_VERSION`]. A request may
+//! carry `"proto":2` or omit the field; any other value is a
+//! `bad_request`. Every response carries `"proto":2` right after `status`.
+//! Responses are built through the typed [`Response`]/[`ResponseBody`]
+//! pair; [`error_frame`] is the convenience the CLI uses to print its
+//! `--json` failures in the same shape.
 
 use crate::render::json_str;
 use gsched_scenario::Scenario;
 use serde_json::Value;
 use std::sync::Arc;
 
-/// The newest protocol version this crate speaks.
+/// The protocol version this crate speaks.
 pub const PROTO_VERSION: u8 = 2;
 
 /// Operations a request frame may ask for.
@@ -71,9 +70,6 @@ pub enum ScenarioRef {
 /// A parsed request frame.
 #[derive(Debug, Clone)]
 pub struct Request {
-    /// Protocol version of the frame: `1` when the `proto` field is absent,
-    /// `2` when the client sent `"proto":2`. Responses answer in kind.
-    pub proto: u8,
     /// Client-chosen correlation id, echoed back in the response.
     pub id: Option<String>,
     /// Requested operation.
@@ -168,18 +164,17 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
             return Err(bad(format!("unknown request field {key:?}")));
         }
     }
-    let proto = match value.get("proto") {
-        None => 1,
-        Some(v) => match v.as_u64() {
-            Some(p @ 1..=2) => p as u8,
+    if let Some(v) = value.get("proto") {
+        match v.as_u64() {
+            Some(p) if p == u64::from(PROTO_VERSION) => {}
             Some(p) => {
                 return Err(bad(format!(
-                    "unsupported proto {p} (this server speaks 1-2)"
+                    "unsupported proto {p} (this server speaks {PROTO_VERSION})"
                 )))
             }
             None => return Err(bad(format!("proto must be an integer, got {}", v.kind()))),
-        },
-    };
+        }
+    }
     let id = match value.get("id") {
         None | Some(Value::Null) => None,
         Some(Value::String(s)) => Some(s.clone()),
@@ -225,7 +220,6 @@ pub fn parse_request(line: &str) -> Result<Request, ServiceError> {
         return Err(bad(format!("op {:?} requires a scenario", op.as_str())));
     }
     Ok(Request {
-        proto,
         id,
         op,
         scenario,
@@ -259,16 +253,13 @@ pub enum ResponseBody {
     Err(ServiceError),
 }
 
-/// A typed response frame: protocol version, correlation id, and body.
+/// A typed response frame: correlation id and body.
 ///
-/// [`Response::render`] produces the wire bytes. A `proto == 1` response
-/// renders the original pre-v2 frame layout byte-for-byte; `proto >= 2`
-/// adds `"proto":2` directly after `status`. In both versions `result`
-/// stays the **last** field, so [`extract_result`] works unchanged.
+/// [`Response::render`] produces the wire bytes: `"proto":2` directly
+/// after `status`, and `result` as the **last** field, so
+/// [`extract_result`] can splice it out.
 #[derive(Debug, Clone)]
 pub struct Response {
-    /// Protocol version to render (`1` or `2`); answer a request in kind.
-    pub proto: u8,
     /// Correlation id echoed from the request, if any.
     pub id: Option<String>,
     /// The response payload.
@@ -277,18 +268,16 @@ pub struct Response {
 
 impl Response {
     /// Build a success response.
-    pub fn ok(proto: u8, id: Option<String>, op: Op, cached: bool, result: Arc<String>) -> Self {
+    pub fn ok(id: Option<String>, op: Op, cached: bool, result: Arc<String>) -> Self {
         Response {
-            proto,
             id,
             body: ResponseBody::Ok { op, cached, result },
         }
     }
 
     /// Build an error response.
-    pub fn error(proto: u8, id: Option<String>, error: ServiceError) -> Self {
+    pub fn error(id: Option<String>, error: ServiceError) -> Self {
         Response {
-            proto,
             id,
             body: ResponseBody::Err(error),
         }
@@ -296,24 +285,19 @@ impl Response {
 
     /// Render the wire frame (no trailing newline).
     pub fn render(&self) -> String {
-        let proto = if self.proto >= 2 {
-            format!(r#""proto":{},"#, PROTO_VERSION)
-        } else {
-            String::new()
-        };
         let id = id_field(self.id.as_deref());
         match &self.body {
             ResponseBody::Ok { op, cached, result } => format!(
-                r#"{{"status":"ok",{}{}"op":{},"cached":{},"result":{}}}"#,
-                proto,
+                r#"{{"status":"ok","proto":{},{}"op":{},"cached":{},"result":{}}}"#,
+                PROTO_VERSION,
                 id,
                 json_str(op.as_str()),
                 cached,
                 result
             ),
             ResponseBody::Err(error) => format!(
-                r#"{{"status":"error",{}{}"error":{{"kind":{},"message":{}}}}}"#,
-                proto,
+                r#"{{"status":"error","proto":{},{}"error":{{"kind":{},"message":{}}}}}"#,
+                PROTO_VERSION,
                 id,
                 json_str(error.kind.as_str()),
                 json_str(&error.message)
@@ -322,24 +306,10 @@ impl Response {
     }
 }
 
-/// Build a v1 `ok` response frame (no trailing newline). `result` must be a
-/// complete JSON document; it is spliced in verbatim as the final field.
-/// Convenience over [`Response`] for tests and v1-only call sites.
-pub fn ok_frame(id: Option<&str>, op: Op, cached: bool, result: &str) -> String {
-    Response::ok(
-        1,
-        id.map(String::from),
-        op,
-        cached,
-        Arc::new(result.to_string()),
-    )
-    .render()
-}
-
-/// Build a v1 error response frame (no trailing newline). This is the
+/// Build an error response frame (no trailing newline). This is the
 /// error shape `gsched validate --json` and `gsched xval --json` reuse.
 pub fn error_frame(id: Option<&str>, error: &ServiceError) -> String {
-    Response::error(1, id.map(String::from), error.clone()).render()
+    Response::error(id.map(String::from), error.clone()).render()
 }
 
 /// Splice the `result` document back out of an `ok` frame, byte-for-byte.
@@ -377,23 +347,14 @@ mod tests {
         assert!(req.id.is_none());
         assert!(!req.quick);
         assert!(req.deadline_ms.is_none());
-        assert_eq!(req.proto, 1, "absent proto field means a v1 frame");
     }
 
     #[test]
-    fn proto_field_parses_and_bounds() {
-        assert_eq!(
-            parse_request(r#"{"proto":2,"scenario":"fig2"}"#)
-                .unwrap()
-                .proto,
-            2
-        );
-        assert_eq!(
-            parse_request(r#"{"proto":1,"scenario":"fig2"}"#)
-                .unwrap()
-                .proto,
-            1
-        );
+    fn proto_field_is_optional_and_only_2() {
+        assert!(parse_request(r#"{"proto":2,"scenario":"fig2"}"#).is_ok());
+        let err = parse_request(r#"{"proto":1,"scenario":"fig2"}"#).unwrap_err();
+        assert_eq!(err.kind, ErrorKind::BadRequest);
+        assert_eq!(err.message, "unsupported proto 1 (this server speaks 2)");
         for bad in [
             r#"{"proto":3,"scenario":"fig2"}"#,
             r#"{"proto":0,"scenario":"fig2"}"#,
@@ -406,10 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn v2_frames_carry_proto_and_keep_result_last() {
+    fn frames_carry_proto_and_keep_result_last() {
         let result = r#"{"iterations":3}"#;
         let ok = Response::ok(
-            2,
             Some("r-9".into()),
             Op::Solve,
             false,
@@ -421,35 +381,20 @@ mod tests {
             r#"{"status":"ok","proto":2,"id":"r-9","op":"solve","cached":false,"result":{"iterations":3}}"#
         );
         assert_eq!(extract_result(&ok), Some(result));
-        let err = Response::error(
-            2,
-            None,
-            ServiceError::new(ErrorKind::Overloaded, "queue full"),
-        )
-        .render();
+        let err =
+            Response::error(None, ServiceError::new(ErrorKind::Overloaded, "queue full")).render();
         assert_eq!(
             err,
             r#"{"status":"error","proto":2,"error":{"kind":"overloaded","message":"queue full"}}"#
         );
         assert!(!frame_is_ok(&err));
-    }
-
-    #[test]
-    fn v1_render_matches_legacy_free_functions() {
-        let result = r#"{"x":1}"#;
-        let typed = Response::ok(
-            1,
-            Some("a".into()),
-            Op::Sweep,
-            true,
-            Arc::new(result.to_string()),
-        )
-        .render();
-        assert_eq!(typed, ok_frame(Some("a"), Op::Sweep, true, result));
-        let e = ServiceError::new(ErrorKind::Cancelled, "gone");
-        let typed = Response::error(1, None, e.clone()).render();
-        assert_eq!(typed, error_frame(None, &e));
-        assert!(!typed.contains("proto"), "v1 frames must not grow fields");
+        assert_eq!(
+            err,
+            error_frame(
+                None,
+                &ServiceError::new(ErrorKind::Overloaded, "queue full")
+            )
+        );
     }
 
     #[test]
@@ -504,7 +449,13 @@ mod tests {
     #[test]
     fn result_extraction_is_exact() {
         let result = r#"{"a":[1,2,{"b":null}],"c":0.30000000000000004}"#;
-        let frame = ok_frame(Some("x"), Op::Solve, true, result);
+        let frame = Response::ok(
+            Some("x".into()),
+            Op::Solve,
+            true,
+            Arc::new(result.to_string()),
+        )
+        .render();
         assert!(frame_is_ok(&frame));
         assert_eq!(extract_result(&frame), Some(result));
         assert_eq!(extract_result(&format!("{frame}\n")), Some(result));

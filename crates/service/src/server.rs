@@ -820,10 +820,6 @@ impl Server {
     /// The op dispatch behind [`Server::handle_request`], filling `access`
     /// as facts about the request become known.
     ///
-    /// Every reply is rendered at the request's own protocol version:
-    /// v1 requests get the legacy frame layout, v2 requests get frames
-    /// carrying `proto`. Unparseable requests (version unknowable) are
-    /// answered in v1, which every client understands.
     fn dispatch(
         &self,
         stream: &TcpStream,
@@ -834,22 +830,21 @@ impl Server {
             Ok(req) => req,
             Err(e) => {
                 access.outcome = format!("error:{}", e.kind.as_str());
-                return Some(self.error_reply(1, None, e));
+                return Some(self.error_reply(None, e));
             }
         };
         access.op = req.op.as_str();
         access.client_id = req.id.clone();
         let id = req.id.clone();
         match req.op {
-            Op::Stats => Some(
-                Response::ok(req.proto, id, Op::Stats, false, Arc::new(self.stats_json())).render(),
-            ),
+            Op::Stats => {
+                Some(Response::ok(id, Op::Stats, false, Arc::new(self.stats_json())).render())
+            }
             Op::Shutdown => {
                 self.request_shutdown();
                 self.queue.ready.notify_all();
                 Some(
                     Response::ok(
-                        req.proto,
                         id,
                         Op::Shutdown,
                         false,
@@ -862,13 +857,13 @@ impl Server {
                 if self.shutting_down() {
                     let e = ServiceError::new(ErrorKind::ShuttingDown, "server is shutting down");
                     access.outcome = format!("error:{}", e.kind.as_str());
-                    return Some(self.error_reply(req.proto, id, e));
+                    return Some(self.error_reply(id, e));
                 }
                 let scenario = match resolve_scenario(req.scenario.as_ref()) {
                     Ok(sc) => sc,
                     Err(e) => {
                         access.outcome = format!("error:{}", e.kind.as_str());
-                        return Some(self.error_reply(req.proto, id, e));
+                        return Some(self.error_reply(id, e));
                     }
                 };
                 if !scenario.name.is_empty() {
@@ -880,15 +875,15 @@ impl Server {
                 if let Some(hit) = self.cache.get(key) {
                     obs::counter_add(obs::names::SERVICE_CACHE_HITS, 1);
                     access.cached = true;
-                    return Some(Response::ok(req.proto, id, req.op, true, hit).render());
+                    return Some(Response::ok(id, req.op, true, hit).render());
                 }
                 obs::counter_add(obs::names::SERVICE_CACHE_MISSES, 1);
                 let outcome = self.dispatch_and_wait(stream, &req, scenario, key, access)?;
                 Some(match outcome {
-                    Ok(result) => Response::ok(req.proto, id, req.op, false, result).render(),
+                    Ok(result) => Response::ok(id, req.op, false, result).render(),
                     Err(e) => {
                         access.outcome = format!("error:{}", e.kind.as_str());
-                        self.error_reply(req.proto, id, e)
+                        self.error_reply(id, e)
                     }
                 })
             }
@@ -1060,10 +1055,10 @@ impl Server {
         }
     }
 
-    fn error_reply(&self, proto: u8, id: Option<String>, error: ServiceError) -> String {
+    fn error_reply(&self, id: Option<String>, error: ServiceError) -> String {
         self.stats.errors.fetch_add(1, Ordering::Relaxed);
         obs::counter_add(obs::names::SERVICE_ERRORS, 1);
-        Response::error(proto, id, error).render()
+        Response::error(id, error).render()
     }
 
     /// Server-owned counters the telemetry reports fold in.

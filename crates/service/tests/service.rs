@@ -187,11 +187,10 @@ fn structured_errors_keep_the_connection_and_server_alive() {
     assert!(frame_is_ok(&ok), "{ok}");
 }
 
-/// Requests are answered in the protocol version they speak: v2 frames
-/// carry `proto` right after `status`, v1 frames keep the legacy layout
-/// byte-for-byte — and both splice out identical result documents.
+/// The wire speaks one protocol version: a frame without `proto` gets the
+/// same v2 reply as a `"proto":2` frame, and `"proto":1` is rejected.
 #[test]
-fn protocol_versions_are_answered_in_kind() {
+fn one_protocol_version_on_the_wire() {
     let ts = TestServer::start(1, 8);
     let mut client = ts.client();
 
@@ -199,35 +198,23 @@ fn protocol_versions_are_answered_in_kind() {
         .request_line(&frame_for_name("fig2", &RequestSpec::default()))
         .unwrap();
     assert!(
-        v2.starts_with(r#"{"status":"ok","proto":2,"#),
+        v2.starts_with(r#"{"status":"ok","proto":2,"op":"solve","cached":false,"#),
         "v2 reply carries proto: {v2}"
     );
-
-    let v1_spec = RequestSpec {
-        proto: 1,
-        id: Some("legacy".to_string()),
-        ..RequestSpec::default()
-    };
-    let v1 = client
-        .request_line(&frame_for_name("fig2", &v1_spec))
-        .unwrap();
-    assert!(
-        v1.starts_with(r#"{"status":"ok","id":"legacy","op":"solve""#),
-        "v1 reply keeps the legacy layout: {v1}"
-    );
-    let v1_doc: Value = serde_json::from_str(&v1).unwrap();
-    assert!(v1_doc.get("proto").is_none(), "{v1}");
-
+    let bare = client.request_line(r#"{"scenario":"fig2"}"#).unwrap();
     assert_eq!(
-        extract_result(&v1),
-        extract_result(&v2),
-        "both versions serve identical result bytes"
+        bare,
+        v2.replacen(r#""cached":false"#, r#""cached":true"#, 1),
+        "a frame without proto is answered in v2"
     );
 
-    // v1 errors keep the legacy error frame shape, too.
-    let bad = client.request_line("this is not json").unwrap();
-    let bad_doc: Value = serde_json::from_str(&bad).unwrap();
-    assert!(bad_doc.get("proto").is_none(), "{bad}");
+    let v1 = client
+        .request_line(r#"{"proto":1,"id":"legacy","scenario":"fig2"}"#)
+        .unwrap();
+    assert_eq!(
+        v1,
+        r#"{"status":"error","proto":2,"error":{"kind":"bad_request","message":"unsupported proto 1 (this server speaks 2)"}}"#
+    );
 }
 
 /// M identical concurrent cache misses must run exactly one engine

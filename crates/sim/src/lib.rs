@@ -14,8 +14,8 @@
 //!   ([`baselines`]): pure time-sharing (the whole machine round-robins over
 //!   jobs) and pure space-sharing (FCFS run-to-completion).
 //!
-//! Simulation results validate the analytic solver (see the `validate_sim`
-//! binary and the integration tests) and exercise regimes the analysis does
+//! Simulation results validate the analytic solver (see `gsched xval` and
+//! the integration tests) and exercise regimes the analysis does
 //! not cover.
 
 pub mod baselines;

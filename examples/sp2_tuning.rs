@@ -10,9 +10,9 @@
 //!
 //! Run: `cargo run --release --example sp2_tuning`
 
+use gang_scheduling::scenario::registry::paper_machine;
 use gang_scheduling::sim::{GangPolicy, GangSim, SimConfig};
 use gang_scheduling::solver::{solve, SolverOptions};
-use gang_scheduling::workload::{paper_model, PaperConfig};
 
 fn main() {
     let lambda = 0.5; // workload intensity (rho = lambda)
@@ -27,12 +27,9 @@ fn main() {
     let mut best = (f64::NAN, f64::INFINITY);
     let mut table = Vec::new();
     for &q in &grid {
-        let model = paper_model(&PaperConfig {
-            lambda,
-            quantum_mean: q,
-            quantum_stages: 2,
-            overhead_mean: 0.01,
-        });
+        let model = paper_machine(lambda, q, 2)
+            .build()
+            .expect("paper parameters are valid");
         let sol = solve(&model, &SolverOptions::default()).expect("solves");
         let ns: Vec<f64> = sol.classes.iter().map(|c| c.mean_jobs).collect();
         let total: f64 = ns.iter().sum();
@@ -63,12 +60,9 @@ fn main() {
     // ---- Validate the recommendation by simulation ----
     println!("\nvalidating the knee by simulation…");
     for &q in &[grid[0], best.0, *grid.last().unwrap()] {
-        let model = paper_model(&PaperConfig {
-            lambda,
-            quantum_mean: q,
-            quantum_stages: 2,
-            overhead_mean: 0.01,
-        });
+        let model = paper_machine(lambda, q, 2)
+            .build()
+            .expect("paper parameters are valid");
         let sim = GangSim::new(
             &model,
             GangPolicy::SystemWide,

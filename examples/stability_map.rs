@@ -9,8 +9,8 @@
 //!
 //! Run: `cargo run --release --example stability_map`
 
+use gang_scheduling::scenario::registry::paper_machine;
 use gang_scheduling::solver::{solve, SolverOptions, VacationMode};
-use gang_scheduling::workload::{paper_model, PaperConfig};
 
 fn main() {
     println!("stability map of the paper's 8-processor system (quantum = 1)\n");
@@ -22,12 +22,9 @@ fn main() {
     let mut boundary_fp = None;
     for i in 1..=19 {
         let rho = i as f64 * 0.05;
-        let model = paper_model(&PaperConfig {
-            lambda: rho,
-            quantum_mean: 1.0,
-            quantum_stages: 2,
-            overhead_mean: 0.01,
-        });
+        let model = paper_machine(rho, 1.0, 2)
+            .build()
+            .expect("paper parameters are valid");
         let ht = solve(
             &model,
             &SolverOptions::builder()

@@ -16,7 +16,6 @@
 //! * [`qbd`] — the quasi-birth-death solver (`gsched-qbd`);
 //! * [`sim`] — a discrete-event simulator of the policy, its SP2 variant,
 //!   and the classical time-/space-sharing baselines (`gsched-sim`);
-//! * [`workload`] — the paper's §5 evaluation scenarios (`gsched-workload`);
 //! * [`scenario`] — the typed scenario IR and named registry that drive the
 //!   solver, sweep engine, simulator, and cross-validation harness
 //!   (`gsched-scenario`);
@@ -96,12 +95,6 @@ pub mod core {
 /// Discrete-event simulation (re-export of `gsched-sim`).
 pub mod sim {
     pub use gsched_sim::*;
-}
-
-/// Evaluation workloads from the paper's §5 (re-export of
-/// `gsched-workload`).
-pub mod workload {
-    pub use gsched_workload::*;
 }
 
 /// The canonical scenario layer: typed experiment descriptions, the named

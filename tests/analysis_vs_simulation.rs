@@ -5,14 +5,14 @@
 //! class's own state (the paper defers the exact conditional treatment to an
 //! extended version, §4.3 footnote); the simulator implements the true
 //! coupled policy. The approximation is measurably optimistic — about
-//! 10–25% low on mean populations at ρ = 0.4 (see the `validate_sim`
-//! binary and EXPERIMENTS.md) — while preserving every qualitative shape,
+//! 10–25% low on mean populations at ρ = 0.4 (see `gsched xval fig2` and
+//! EXPERIMENTS.md) — while preserving every qualitative shape,
 //! so these tests check agreement within that documented margin.
 
+use gang_scheduling::scenario::registry::paper_machine;
 use gang_scheduling::scenario::{cross_validate, registry, XvalOptions};
 use gang_scheduling::sim::{GangPolicy, GangSim, SimConfig};
 use gang_scheduling::solver::{solve, SolverOptions};
-use gang_scheduling::workload::{paper_model, PaperConfig};
 
 fn sim_cfg(seed: u64) -> SimConfig {
     SimConfig {
@@ -24,12 +24,9 @@ fn sim_cfg(seed: u64) -> SimConfig {
 }
 
 fn compare(lambda: f64, quantum: f64, tolerance: f64) {
-    let model = paper_model(&PaperConfig {
-        lambda,
-        quantum_mean: quantum,
-        quantum_stages: 2,
-        overhead_mean: 0.01,
-    });
+    let model = paper_machine(lambda, quantum, 2)
+        .build()
+        .expect("paper parameters are valid");
     let ana = solve(&model, &SolverOptions::default()).expect("analysis solves");
     assert!(ana.all_stable, "analysis says unstable at rho={lambda}");
     let sim = GangSim::new(&model, GangPolicy::SystemWide, sim_cfg(1234)).run();
@@ -68,12 +65,9 @@ fn simulation_sees_u_shape_too() {
     let totals: Vec<f64> = [0.05, 1.0, 6.0]
         .iter()
         .map(|&q| {
-            let model = paper_model(&PaperConfig {
-                lambda: 0.5,
-                quantum_mean: q,
-                quantum_stages: 2,
-                overhead_mean: 0.01,
-            });
+            let model = paper_machine(0.5, q, 2)
+                .build()
+                .expect("paper parameters are valid");
             let sim = GangSim::new(&model, GangPolicy::SystemWide, sim_cfg(777)).run();
             sim.classes.iter().map(|c| c.mean_jobs).sum()
         })
@@ -136,12 +130,9 @@ fn every_registry_scenario_cross_validates() {
 
 #[test]
 fn littles_law_in_simulation() {
-    let model = paper_model(&PaperConfig {
-        lambda: 0.4,
-        quantum_mean: 1.0,
-        quantum_stages: 2,
-        overhead_mean: 0.01,
-    });
+    let model = paper_machine(0.4, 1.0, 2)
+        .build()
+        .expect("paper parameters are valid");
     let sim = GangSim::new(&model, GangPolicy::SystemWide, sim_cfg(31415)).run();
     for p in 0..4 {
         let gap = sim.littles_law_gap(p);

@@ -1,10 +1,23 @@
 //! Integration tests: the qualitative shapes of the paper's Figures 2–5 on
-//! coarse grids (the full grids run in the `gsched-repro` binaries).
+//! coarse grids (the full grids run in `gsched figure`).
 
+use gang_scheduling::scenario::{registry, Scenario};
 use gang_scheduling::solver::{solve, SolverOptions};
-use gang_scheduling::workload::figures::{
-    cycle_fraction_sweep_request, quantum_sweep_request, service_rate_sweep_request,
-};
+use gsched_engine::SweepPoint;
+
+fn points(scenario: Scenario) -> Vec<SweepPoint> {
+    scenario.sweep_request(false).expect("grid is valid").points
+}
+
+fn quantum_points(lambda: f64, grid: &[f64]) -> Vec<SweepPoint> {
+    points(registry::quantum_scenario(
+        "quantum",
+        lambda,
+        2,
+        grid.to_vec(),
+        None,
+    ))
+}
 
 fn n_of(model: &gang_scheduling::model::GangModel, class: usize) -> f64 {
     solve(model, &SolverOptions::default()).unwrap().classes[class].mean_jobs
@@ -18,7 +31,7 @@ fn fig2_shape_u_curve_at_rho_04() {
     // tests/analysis_vs_simulation.rs and EXPERIMENTS.md).
     // The knee sits further left for the light narrow classes (class 3's
     // minimum is near q = 0.2), so probe two moderate quanta.
-    let pts = quantum_sweep_request(0.4, 2, &[0.05, 0.2, 0.75, 6.0]).points;
+    let pts = quantum_points(0.4, &[0.05, 0.2, 0.75, 6.0]);
     for class in 0..4 {
         let n: Vec<f64> = pts.iter().map(|pt| n_of(&pt.model, class)).collect();
         let knee = n[1].min(n[2]);
@@ -48,7 +61,7 @@ fn fig2_shape_u_curve_at_rho_04() {
 #[test]
 fn fig2_class_ordering() {
     // With service ratios 0.5:1:2:4, class 0 dominates at every quantum.
-    let pts = quantum_sweep_request(0.4, 2, &[0.5, 2.0]).points;
+    let pts = quantum_points(0.4, &[0.5, 2.0]);
     for pt in &pts {
         let sol = solve(&pt.model, &SolverOptions::default()).unwrap();
         for p in 0..3 {
@@ -69,9 +82,9 @@ fn fig3_heavier_load_amplifies_everything() {
     // steeper. Class 0 at rho=0.9 is saturated at short quanta (it needs
     // ~68% of the machine) — checked separately below.
     let quanta = [0.75, 4.0];
-    let light = quantum_sweep_request(0.4, 2, &quanta).points;
-    let heavy = quantum_sweep_request(0.9, 2, &quanta).points;
-    let n_of_pt = |pt: &gang_scheduling::workload::figures::SweepPoint, class: usize| -> f64 {
+    let light = quantum_points(0.4, &quanta);
+    let heavy = quantum_points(0.9, &quanta);
+    let n_of_pt = |pt: &SweepPoint, class: usize| -> f64 {
         solve(&pt.model, &SolverOptions::default()).unwrap().classes[class].mean_jobs
     };
     for class in 1..4 {
@@ -95,7 +108,7 @@ fn fig3_class0_saturation_crossover() {
     // At rho = 0.9 class 0 is unstable at short quanta and recovers at
     // long ones — the "worst-case quantum length" the paper's model is
     // meant to compute (§6).
-    let pts = quantum_sweep_request(0.9, 2, &[1.0, 6.0]).points;
+    let pts = quantum_points(0.9, &[1.0, 6.0]);
     let short = solve(&pts[0].model, &SolverOptions::default()).unwrap();
     assert!(
         !short.classes[0].stable,
@@ -112,7 +125,12 @@ fn fig3_class0_saturation_crossover() {
 
 #[test]
 fn fig4_service_rate_diminishing_returns() {
-    let pts = service_rate_sweep_request(2, &[2.0, 4.0, 10.0, 20.0]).points;
+    let pts = points(registry::service_rate_scenario(
+        "service",
+        2,
+        vec![2.0, 4.0, 10.0, 20.0],
+        None,
+    ));
     for class in 0..4 {
         let n: Vec<f64> = pts.iter().map(|pt| n_of(&pt.model, class)).collect();
         // Monotone decreasing…
@@ -132,7 +150,14 @@ fn fig4_service_rate_diminishing_returns() {
 #[test]
 fn fig5_own_fraction_monotone() {
     for class in [0usize, 3] {
-        let pts = cycle_fraction_sweep_request(class, 4.0, 2, &[0.2, 0.5, 0.8]).points;
+        let pts = points(registry::cycle_fraction_scenario(
+            "fraction",
+            class,
+            4.0,
+            2,
+            vec![0.2, 0.5, 0.8],
+            None,
+        ));
         let n: Vec<f64> = pts.iter().map(|pt| n_of(&pt.model, class)).collect();
         for w in n.windows(2) {
             assert!(
