@@ -18,7 +18,7 @@ use gsched_core::vacation::heavy_traffic_vacation;
 use gsched_engine::{run_sweep, SweepOptions, SweepRequest};
 use gsched_phase::{erlang, exponential};
 use gsched_scenario::registry;
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Serialize, Value};
 use std::path::Path;
 
 /// Every figure name `gsched figure` accepts, `all` last.
@@ -28,11 +28,9 @@ const NAMES: [&str; 6] = ["fig1", "fig2", "fig3", "fig4", "fig5", "all"];
 ///
 /// `y` values may be non-finite (an unstable sweep point reports an
 /// infinite mean population). Strict JSON has no encoding for those, so the
-/// hand-written codec below maps any non-finite `y` to `null` on the wire
-/// and decodes `null` back to `NaN`. The mapping is lossy for `±inf` (it
-/// comes back as `NaN`), which is fine for plots: both mean "no finite
-/// measurement".
-#[derive(Debug, Clone, PartialEq)]
+/// hand-written encoder below writes any non-finite `y` as `null`: for
+/// plots, `NaN` and `±inf` both mean "no finite measurement".
+#[derive(Debug)]
 struct Series {
     /// Curve label (e.g. `"class 0"`).
     label: String,
@@ -63,35 +61,8 @@ impl Serialize for Series {
     }
 }
 
-impl Deserialize for Series {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let label = value
-            .get("label")
-            .ok_or_else(|| Error::msg("Series: missing field `label`"))
-            .and_then(String::from_value)?;
-        let x = value
-            .get("x")
-            .ok_or_else(|| Error::msg("Series: missing field `x`"))
-            .and_then(Vec::<f64>::from_value)?;
-        let y = value
-            .get("y")
-            .and_then(Value::as_array)
-            .ok_or_else(|| Error::msg("Series: missing array field `y`"))?
-            .iter()
-            .map(|v| {
-                if v.is_null() {
-                    Ok(f64::NAN)
-                } else {
-                    f64::from_value(v)
-                }
-            })
-            .collect::<Result<Vec<f64>, Error>>()?;
-        Ok(Series { label, x, y })
-    }
-}
-
 /// The provenance record of one figure, written to `results/<id>.json`.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Serialize)]
 struct ExperimentRecord {
     /// Figure id, e.g. `"fig2"`.
     id: String,
@@ -106,7 +77,7 @@ struct ExperimentRecord {
 }
 
 /// A qualitative property of the measured curves, recorded with its outcome.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Serialize)]
 struct ShapeCheck {
     /// What is being checked.
     name: String,
@@ -645,8 +616,16 @@ mod tests {
         assert!(is_monotone_decreasing(&[5.0, 5.01, 4.0], 0.01));
     }
 
+    /// The `y` array of an encoded series, checked to have `n` entries
+    /// (indexing a `Value` past its end yields `null` too).
+    fn encoded_y(series: &Value, n: usize) -> &[Value] {
+        let y = series["y"].as_array().expect("`y` is an array");
+        assert_eq!(y.len(), n, "y: {y:?}");
+        y
+    }
+
     #[test]
-    fn record_roundtrip_semantics() {
+    fn record_encoding_semantics() {
         let rec = ExperimentRecord {
             id: "fig2".to_string(),
             description: "quantum sweep".to_string(),
@@ -664,12 +643,18 @@ mod tests {
         };
         assert!(rec.all_passed());
         let json = serde_json::to_string_pretty(&rec).expect("record encodes");
-        let back: ExperimentRecord = serde_json::from_str(&json).expect("record parses");
-        assert_eq!(back.id, rec.id);
-        assert_eq!(back.parameters, rec.parameters);
-        assert_eq!(back.shape_checks, rec.shape_checks);
-        assert_eq!(back.series[0].y[0], 3.0);
-        assert!(back.series[0].y[1].is_nan(), "non-finite comes back as NaN");
+        let v: Value = serde_json::from_str(&json).expect("record is valid JSON");
+        assert_eq!(v["id"].as_str(), Some("fig2"));
+        assert_eq!(v["description"].as_str(), Some("quantum sweep"));
+        assert_eq!(v["parameters"][0][0].as_str(), Some("lambda"));
+        assert_eq!(v["parameters"][0][1].as_f64(), Some(0.4));
+        let check = &v["shape_checks"][0];
+        assert_eq!(check["name"].as_str(), Some("u-shape"));
+        assert_eq!(check["passed"].as_bool(), Some(true));
+        assert_eq!(check["detail"].as_str(), Some("knee at 1.0"));
+        let y = encoded_y(&v["series"][0], 2);
+        assert_eq!(y[0].as_f64(), Some(3.0));
+        assert!(y[1].is_null(), "non-finite is encoded as null");
     }
 
     #[test]
@@ -701,31 +686,27 @@ mod tests {
         assert!(!json.to_ascii_lowercase().contains("inf"), "json: {json}");
         assert_eq!(json.matches("null").count(), 3, "json: {json}");
 
-        let back: Series = serde_json::from_str(&json).expect("series parses");
-        assert_eq!(back.label, series.label);
-        assert_eq!(back.x, series.x);
-        assert_eq!(back.y[0], 3.5);
-        // null decodes to NaN for every non-finite input (inf is lossy by
-        // design: see the Series docs).
-        assert!(back.y[1..].iter().all(|v| v.is_nan()), "y: {:?}", back.y);
+        let v: Value = serde_json::from_str(&json).expect("series is valid JSON");
+        assert_eq!(v["label"].as_str(), Some("class 0"));
+        assert_eq!(v["x"], series.x.to_value());
+        let y = encoded_y(&v, 4);
+        assert_eq!(y[0].as_f64(), Some(3.5));
+        // Every non-finite input, NaN and ±inf alike, is encoded as null.
+        assert!(y[1..].iter().all(Value::is_null), "y: {y:?}");
     }
 
     #[test]
-    fn series_finite_round_trip_is_exact() {
+    fn series_finite_values_encode_exactly() {
         let series = Series {
             label: "µ sweep".to_string(),
             x: vec![0.5, 1.5],
             y: vec![0.125, 2.75],
         };
         let json = serde_json::to_string(&series).expect("series encodes");
-        let back: Series = serde_json::from_str(&json).expect("series parses");
-        assert_eq!(back, series);
-    }
-
-    #[test]
-    fn series_rejects_malformed_objects() {
-        assert!(serde_json::from_str::<Series>(r#"{"label":"a","x":[]}"#).is_err());
-        assert!(serde_json::from_str::<Series>(r#"{"label":"a","x":[],"y":1}"#).is_err());
-        assert!(serde_json::from_str::<Series>(r#"{"x":[],"y":[]}"#).is_err());
+        let v: Value = serde_json::from_str(&json).expect("series is valid JSON");
+        assert_eq!(v["label"].as_str(), Some("µ sweep"));
+        assert_eq!(v["x"], series.x.to_value());
+        let y: Vec<Option<f64>> = encoded_y(&v, 2).iter().map(Value::as_f64).collect();
+        assert_eq!(y, [Some(0.125), Some(2.75)]);
     }
 }

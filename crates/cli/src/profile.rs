@@ -67,7 +67,7 @@ pub struct SearchCounters {
     /// Attempts skipped by the drift test before any other work
     /// (`qbd.truncation.unstable_skips`).
     pub unstable_skips: u64,
-    /// Levels eliminated by censored boundary solves, each level once per
+    /// Levels eliminated by the boundary solves, each level once per
     /// class solve (`qbd.boundary.levels_eliminated`).
     pub levels_eliminated: u64,
 }

@@ -206,13 +206,6 @@ impl SolverOptionsBuilder {
         self
     }
 
-    /// Select the boundary solve method for the per-class QBD solves
-    /// (shorthand for setting `qbd.boundary`).
-    pub fn boundary(mut self, boundary: gsched_qbd::BoundaryMethod) -> Self {
-        self.opts.qbd.boundary = boundary;
-        self
-    }
-
     /// Error out (instead of reporting) when a class remains unstable.
     pub fn require_stable(mut self, yes: bool) -> Self {
         self.opts.require_stable = yes;

@@ -83,7 +83,7 @@ pub const QBD_TRUNCATION_ATTEMPTS: &str = "qbd.truncation.attempts";
 /// Truncation attempts skipped because their frozen capacity fails the
 /// drift test (counter).
 pub const QBD_TRUNCATION_UNSTABLE_SKIPS: &str = "qbd.truncation.unstable_skips";
-/// Levels eliminated by censored boundary solves; a truncation search that
+/// Levels eliminated by the boundary solves; a truncation search that
 /// resumes its elimination counts each level once (counter).
 pub const QBD_BOUNDARY_LEVELS_ELIMINATED: &str = "qbd.boundary.levels_eliminated";
 

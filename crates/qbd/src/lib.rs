@@ -30,9 +30,11 @@
 //! levels and the dense boundary system is quadratic in memory and cubic in
 //! time. Two mechanisms keep it tractable:
 //!
-//! * [`solution::BoundaryMethod`] — block-tridiagonal *censored* elimination
-//!   solves the exact boundary in `O(c·d³)` time and `O(c·d²)` memory;
-//!   `Auto` (the default) switches to it past a size threshold.
+//! * Block-tridiagonal *censored* elimination solves the exact boundary in
+//!   `O(c·d³)` time and `O(c·d²)` memory, never the dense system. Each step
+//!   rebuilds the censored block's diagonal from conservation of mass (the
+//!   Grassmann–Taksar–Heyman idea), so the elimination stays accurate at
+//!   levels far above the load.
 //! * [`solution::LevelTruncation`] — replaces the chain with its
 //!   frozen-capacity truncation at a level `m ≪ c`: levels `0..=m`, borrowed
 //!   from the process without copying, with the level-`m` blocks repeating
@@ -99,9 +101,7 @@ pub use process::QbdProcess;
 pub use rmatrix::{
     r_residual, solve_g_logarithmic_reduction, solve_r, solve_r_successive, RSolverMethod,
 };
-pub use solution::{
-    BoundaryMethod, LevelTruncation, QbdSolution, SolveOptions, TruncationCertificate,
-};
+pub use solution::{LevelTruncation, QbdSolution, SolveOptions, TruncationCertificate};
 pub use stability::{drift_condition, DriftReport};
 
 /// Errors from QBD construction and solving.

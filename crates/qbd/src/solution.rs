@@ -4,34 +4,19 @@ use crate::process::{LevelView, QbdProcess};
 use crate::rmatrix::{r_residual, solve_r, solve_r_warm, RSolverMethod};
 use crate::stability::{drift_condition, DriftReport};
 use crate::{QbdError, Result};
-use gsched_linalg::{solve_left_nullspace, spectral_radius, Lu, Matrix};
+use gsched_linalg::{spectral_radius, Lu, Matrix};
 use gsched_obs as obs;
 use std::sync::OnceLock;
-
-/// How the finite boundary system (eqs. 21/25/26 + 24) is solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BoundaryMethod {
-    /// Dense below [`CENSORED_AUTO_THRESHOLD`] total boundary states,
-    /// censored elimination above. Small chains keep the bit-identical
-    /// dense path; large ones never materialize the dense system.
-    #[default]
-    Auto,
-    /// Always assemble and solve the dense `nb × nb` boundary system.
-    Dense,
-    /// Always use block-tridiagonal censored elimination: `O(c·d³)` time and
-    /// `O(c·d²)` memory instead of `O((c·d)³)` / `O((c·d)²)`.
-    Censored,
-}
-
-/// Boundary size (total states over levels `0..=c`) at which
-/// [`BoundaryMethod::Auto`] switches from the dense solve to censored
-/// elimination.
-pub const CENSORED_AUTO_THRESHOLD: usize = 384;
 
 /// Safety levels added on top of the decay-rate projection when
 /// [`LevelTruncation::Auto`] jumps from a stable-but-uncertified truncation
 /// to its projected certification level.
 const TRUNCATION_JUMP_CUSHION: usize = 8;
+
+/// `2^512`: the power of two by which the boundary back-substitution scales
+/// a level down once any entry exceeds it, leaving `2^511` of headroom for
+/// the next level's growth.
+const RESCALE: f64 = f64::from_bits((1023 + 512) << 52);
 
 /// Relative rounding tolerance of the stability gate: `(I−R)⁻¹` counts as
 /// entrywise nonnegative when no entry falls below `−tol · max|entry|`.
@@ -67,8 +52,8 @@ pub enum LevelTruncation {
     ///
     /// Each attempt runs the drift test on its three frozen blocks first
     /// and moves on at once when the frozen capacity cannot drain the
-    /// load; a censored boundary solve continues the forward elimination of
-    /// the previous attempt instead of starting again from level 0.
+    /// load; the boundary solve continues the forward elimination of the
+    /// previous attempt instead of starting again from level 0.
     Auto {
         /// Certified tail-mass target the truncation must meet.
         target_tail: f64,
@@ -119,8 +104,6 @@ pub struct SolveOptions {
     /// back to the cold solve. Kept small: a useful warm start converges in
     /// a handful of contractive steps.
     pub warm_max_iter: usize,
-    /// How the finite boundary system is solved.
-    pub boundary: BoundaryMethod,
     /// Level-truncation policy for very large boundaries.
     pub truncation: LevelTruncation,
 }
@@ -134,7 +117,6 @@ impl Default for SolveOptions {
             check_irreducible: true,
             initial_r: None,
             warm_max_iter: 200,
-            boundary: BoundaryMethod::default(),
             truncation: LevelTruncation::default(),
         }
     }
@@ -200,8 +182,8 @@ impl QbdProcess {
     /// Each level's work is done once: every attempt borrows its chain
     /// ([`QbdProcess::frozen`]), runs the drift test on its three frozen
     /// blocks before anything else (an attempt that cannot drain the load
-    /// costs one `D × D` GTH solve), and a censored boundary solve continues
-    /// the forward elimination where the previous attempt stopped.
+    /// costs one `D × D` GTH solve), and the boundary solve continues the
+    /// forward elimination where the previous attempt stopped.
     fn solve_truncated_auto(
         &self,
         target_tail: f64,
@@ -300,8 +282,8 @@ fn next_truncation_level(m: usize, c: usize, tail: f64, rate: f64, target_tail: 
     }
 }
 
-/// Forward-elimination state of the censored boundary solve, carried from
-/// one truncation attempt to the next.
+/// Forward-elimination state of the boundary solve, carried from one
+/// truncation attempt to the next.
 ///
 /// `S_i` and `T_i` for `i < m` depend only on the boundary blocks below
 /// level `m` — not on `R`, and not on where the chain is cut — so a solve at
@@ -343,6 +325,7 @@ impl CensoredElimination {
             let t = view.down[i].matmul(&neg_s_inv)?;
             let tu = t.matmul(&view.up[i])?;
             s = &view.local[i + 1] + &tu;
+            conserve_mass(&mut s, view.up.get(i + 1).unwrap_or(view.a0));
             self.ts.push(t);
         }
         obs::counter_add(
@@ -350,6 +333,30 @@ impl CensoredElimination {
             (c - start) as u64,
         );
         Ok(self.s.insert(s))
+    }
+}
+
+/// Project the censored block `S_{i+1}` back onto what it is in exact
+/// arithmetic: nonnegative off-diagonal rates, and rows that lose exactly
+/// the mass `up` carries to the next level, `S_{i+1} e = −U_{i+1} e`.
+///
+/// This is the Grassmann–Taksar–Heyman idea applied once per elimination
+/// step. Each diagonal entry is rebuilt from sums of nonnegative terms
+/// instead of the cancelling recurrence `L_{i+1} + T_i U_i`. For M/M/c that
+/// recurrence is `x_{i+1} = λ + (i+1)μ − (i+1)μλ/x_i`, which multiplies its
+/// roundoff by `(i+1)μ/λ` per level once the level passes the load: a
+/// lightly loaded chain with `c` in the thousands loses every digit.
+fn conserve_mass(s: &mut Matrix, up: &Matrix) {
+    for (i, out) in up.row_sums().into_iter().enumerate() {
+        let mut off = 0.0;
+        for j in 0..s.cols() {
+            if j != i {
+                let v = &mut s[(i, j)];
+                *v = v.max(0.0);
+                off += *v;
+            }
+        }
+        s[(i, i)] = -(off + out);
     }
 }
 
@@ -396,8 +403,8 @@ impl LevelView<'_> {
 
     /// Solve this chain: §4.4 irreducibility check → drift condition
     /// (skipped when the caller passes the `drift` it already ran on these
-    /// blocks) → `R` (warm from `initial_r`) → boundary → assemble. A
-    /// censored boundary solve resumes `elim`.
+    /// blocks) → `R` (warm from `initial_r`) → boundary, resuming `elim` →
+    /// assemble.
     fn solve(
         &self,
         opts: &SolveOptions,
@@ -435,12 +442,6 @@ impl LevelView<'_> {
         // ---- Boundary linear system (eqs. 21/25/26 + 24) ----
         let c = self.c();
         let nb: usize = (0..=c).map(|i| self.level_dim(i)).sum();
-        let use_censored = c >= 1
-            && match opts.boundary {
-                BoundaryMethod::Censored => true,
-                BoundaryMethod::Dense => false,
-                BoundaryMethod::Auto => nb >= CENSORED_AUTO_THRESHOLD,
-            };
         let boundary_span = obs::span("qbd.boundary_solve");
         obs::event(
             "qbd.boundary",
@@ -449,11 +450,7 @@ impl LevelView<'_> {
                 ("levels", obs::FieldValue::U64((c + 1) as u64)),
             ],
         );
-        let boundary = if use_censored {
-            self.boundary_censored(&r, &i_minus_r_inv, elim)?
-        } else {
-            self.boundary_dense(&r, &i_minus_r_inv)?
-        };
+        let boundary = self.boundary(&r, &i_minus_r_inv, elim)?;
         drop(boundary_span);
 
         let sol = QbdSolution {
@@ -471,108 +468,59 @@ impl LevelView<'_> {
         Ok(sol)
     }
 
-    /// Dense boundary solve: assemble the full `nb × nb` flow-balance system
-    /// and take its left nullspace.
-    fn boundary_dense(&self, r: &Matrix, i_minus_r_inv: &Matrix) -> Result<Vec<Vec<f64>>> {
-        let c = self.c();
-        let dims: Vec<usize> = (0..=c).map(|i| self.level_dim(i)).collect();
-        let offsets: Vec<usize> = dims
-            .iter()
-            .scan(0usize, |acc, &x| {
-                let o = *acc;
-                *acc += x;
-                Some(o)
-            })
-            .collect();
-        let nb: usize = dims.iter().sum();
-        let mut m = Matrix::zeros(nb, nb);
-
-        // Column block j collects flow-balance contributions into level j.
-        // Row block i = unknown π_i.
-        for j in 0..=c {
-            // local contribution (π_j · local[j]); for j = c add R·A2.
-            if j < c {
-                m.set_block(offsets[j], offsets[j], &self.local[j]);
-            } else {
-                let ra2 = r.matmul(self.a2)?;
-                let block = &self.local[c] + &ra2;
-                m.set_block(offsets[c], offsets[c], &block);
-            }
-            // up contribution from level j-1 (π_{j-1} · up[j-1]).
-            if j >= 1 {
-                m.set_block(offsets[j - 1], offsets[j], &self.up[j - 1]);
-            }
-            // down contribution from level j+1 when j+1 <= c.
-            if j < c {
-                m.set_block(offsets[j + 1], offsets[j], &self.down[j]);
-            }
-        }
-
-        // Normalization weights: 1 for levels < c, (I−R)⁻¹e for level c.
-        let mut w = vec![1.0; nb];
-        let tail = i_minus_r_inv.row_sums();
-        w[offsets[c]..offsets[c] + dims[c]].copy_from_slice(&tail);
-
-        let x = solve_left_nullspace(&m, &w)?;
-        // Clamp tiny negative round-off and split into levels.
-        let mut boundary = Vec::with_capacity(c + 1);
-        for j in 0..=c {
-            boundary.push(clamp_nonneg(&x[offsets[j]..offsets[j] + dims[j]], j)?);
-        }
-        Ok(boundary)
-    }
-
-    /// Censored (block-tridiagonal) boundary solve.
+    /// The boundary solve (eqs. 21/25/26 + 24) by censored block elimination.
     ///
     /// Forward elimination censors the chain onto level `c`:
     /// `S_0 = L_0`, `T_i = D_{i+1}(−S_i)⁻¹`,
-    /// `S_{i+1} = L_{i+1} + T_i U_i` (plus `R·A₂` at `i+1 = c`); then
-    /// `π_c S_c = 0` is a `d × d` nullspace problem, and back-substitution
+    /// `S_{i+1} = L_{i+1} + T_i U_i` with its diagonal rebuilt from
+    /// conservation (see [`conserve_mass`]), plus `R·A₂` at `i+1 = c`; then
+    /// `π_c S_c = 0` is a `d × d` stationary problem, and back-substitution
     /// `π_i = π_{i+1} T_i` recovers the lower levels. Never materializes the
     /// dense `nb × nb` system: `O(c·d³)` time, `O(c·d²)` memory. The forward
     /// elimination continues from wherever `elim` stopped.
-    fn boundary_censored(
+    fn boundary(
         &self,
         r: &Matrix,
         i_minus_r_inv: &Matrix,
         elim: &mut CensoredElimination,
     ) -> Result<Vec<Vec<f64>>> {
         let c = self.c();
-        debug_assert!(c >= 1);
         let ra2 = r.matmul(self.a2)?;
-        let s = elim.advance_to(self)? + &ra2;
+        // `S_c + R·A₂` is a generator in exact arithmetic (`R·A₂e = A₀e`).
+        // Clamp roundoff-negative rates (`from_rates` rebuilds the diagonal)
+        // and take the stationary vector by subtraction-free GTH, nonnegative
+        // by construction; a reducible censored chain is a typed error.
+        let mut rates = elim.advance_to(self)? + &ra2;
+        for v in rates.as_mut_slice() {
+            *v = v.max(0.0);
+        }
+        let pi_c = gsched_markov::Ctmc::from_rates(&rates)?.stationary_gth()?;
         let ts = &elim.ts;
-        // In exact arithmetic the censored matrix on level `c` is a
-        // generator; `c` elimination steps of roundoff can leave it slightly
-        // off, and a direct LU nullspace of a nearly-singular system may
-        // return a sign-mixed vector. Project the roundoff away (clamp
-        // negative off-diagonal rates, rebuild the diagonal) and use
-        // subtraction-free GTH, which guarantees a nonnegative stationary
-        // vector; fall back to the LU nullspace only if the projected chain
-        // is reducible.
-        let pi_c = {
-            let d = s.rows();
-            let mut rates = s.clone();
-            for i in 0..d {
-                for j in 0..d {
-                    if i != j && rates[(i, j)] < 0.0 {
-                        rates[(i, j)] = 0.0;
-                    }
-                }
-            }
-            match gsched_markov::Ctmc::from_rates(&rates).and_then(|ch| ch.stationary_gth()) {
-                Ok(pi) => pi,
-                Err(_) => {
-                    let ones = vec![1.0; d];
-                    solve_left_nullspace(&s, &ones)?
-                }
-            }
-        };
+        // Back-substitution can span more than the exponent range of an
+        // `f64` (M/M/2000 at λ = 250: π_250 / π_2000 ≈ 1e1046). Level `i`
+        // holds `π_i / RESCALE^shift[i]`: a level that grows past `RESCALE`
+        // is divided by it — exact, as `RESCALE` is a power of two — and the
+        // levels below inherit its shift. With no rescale every shift is 0
+        // and nothing below changes a bit.
+        let mut shift = vec![0; c + 1];
         let mut boundary = vec![Vec::new(); c + 1];
         boundary[c] = clamp_nonneg(&pi_c, c)?;
         for i in (0..c).rev() {
-            let v = ts[i].left_mul_vec(&boundary[i + 1])?;
-            boundary[i] = clamp_nonneg(&v, i)?;
+            let mut v = clamp_nonneg(&ts[i].left_mul_vec(&boundary[i + 1])?, i)?;
+            shift[i] = shift[i + 1];
+            if v.iter().any(|&x| x > RESCALE) {
+                v.iter_mut().for_each(|x| *x /= RESCALE);
+                shift[i] += 1;
+            }
+            boundary[i] = v;
+        }
+        // Shifts only grow downwards: bring every level to level 0's scale
+        // (levels far smaller than it underflow to zero, as they should).
+        if shift[0] > 0 {
+            for (v, &s) in boundary.iter_mut().zip(&shift) {
+                let f = RESCALE.powi(s - shift[0]);
+                v.iter_mut().for_each(|x| *x *= f);
+            }
         }
         // Global normalization (eq. 24): Σ_{i<c} π_i·e + π_c(I−R)⁻¹e = 1.
         let tail = i_minus_r_inv.row_sums();
@@ -1072,44 +1020,37 @@ mod tests {
         );
     }
 
-    /// Run `Auto` and `Fixed` at the certified level on `q` with both the
-    /// censored and the automatic boundary method, compare each against its
-    /// owned-copy reference, and return the stable attempt levels.
+    /// Run `Auto` and `Fixed` at the certified level on `q`, compare each
+    /// against its owned-copy reference, and return the stable attempt
+    /// levels.
     fn check_search_parity(q: &QbdProcess, target: f64, min_levels: usize) -> Vec<usize> {
-        let mut stable_levels = Vec::new();
-        for boundary in [BoundaryMethod::Censored, BoundaryMethod::Auto] {
-            let opts = SolveOptions {
-                boundary,
-                ..Default::default()
-            };
-            let (want, stable) = reference_search(q, target, min_levels, &opts);
-            let auto = SolveOptions {
-                truncation: LevelTruncation::Auto {
-                    target_tail: target,
-                    min_levels,
-                },
-                ..opts.clone()
-            };
-            let got = q.solve(&auto).unwrap();
-            let cert = got.truncation().expect("certified");
-            assert_eq!(cert.level, want.c());
-            assert_eq!(
-                cert.tail_mass.to_bits(),
-                want.tail_prob(want.c() + 1).to_bits()
-            );
-            assert_same_bits(&got, &want, &format!("Auto, {boundary:?}"));
+        let opts = SolveOptions::default();
+        let (want, stable) = reference_search(q, target, min_levels, &opts);
+        let auto = SolveOptions {
+            truncation: LevelTruncation::Auto {
+                target_tail: target,
+                min_levels,
+            },
+            ..opts.clone()
+        };
+        let got = q.solve(&auto).unwrap();
+        let cert = got.truncation().expect("certified");
+        assert_eq!(cert.level, want.c());
+        assert_eq!(
+            cert.tail_mass.to_bits(),
+            want.tail_prob(want.c() + 1).to_bits()
+        );
+        assert_same_bits(&got, &want, "Auto");
 
-            let m = want.c();
-            let fixed = SolveOptions {
-                truncation: LevelTruncation::Fixed { level: m },
-                ..opts.clone()
-            };
-            let got = q.solve(&fixed).unwrap();
-            let want = owned_frozen(q, m).solve(&opts).unwrap();
-            assert_same_bits(&got, &want, &format!("Fixed at {m}, {boundary:?}"));
-            stable_levels = stable;
-        }
-        stable_levels
+        let m = want.c();
+        let fixed = SolveOptions {
+            truncation: LevelTruncation::Fixed { level: m },
+            ..opts.clone()
+        };
+        let got = q.solve(&fixed).unwrap();
+        let want = owned_frozen(q, m).solve(&opts).unwrap();
+        assert_same_bits(&got, &want, &format!("Fixed at {m}"));
+        stable
     }
 
     #[test]
@@ -1123,12 +1064,10 @@ mod tests {
         let stable = check_search_parity(&env_mmc([60.0, 100.0], 0.5, 1.0, 400), 1e-9, 4);
         assert!(stable.len() >= 2, "stable attempts {stable:?}");
 
-        // A chain whose first stable attempt is dense under
-        // `BoundaryMethod::Auto` and whose next one is censored.
+        // A slowly switching two-phase chain on 1000 servers whose stable
+        // attempts span a small and a large boundary.
         let stable = check_search_parity(&env_mmc([40.0, 160.0], 0.05, 1.0, 1000), 1e-8, 4);
         assert!(stable.len() >= 2, "stable attempts {stable:?}");
-        assert!(2 * (stable[0] + 1) < CENSORED_AUTO_THRESHOLD, "{stable:?}");
-        assert!(2 * (stable[1] + 1) >= CENSORED_AUTO_THRESHOLD, "{stable:?}");
     }
 
     #[test]
@@ -1414,26 +1353,34 @@ mod tests {
         assert!((sol.total_mass() - 1.0).abs() < 1e-9);
     }
 
+    /// Mean number in an M/M/c system by Erlang-C, through the Erlang-B
+    /// recursion: no QBD code involved.
+    fn erlang_c_mean(lambda: f64, mu: f64, servers: usize) -> f64 {
+        let a = lambda / mu;
+        let b = (1..=servers).fold(1.0, |b, k| a * b / (k as f64 + a * b));
+        let c = servers as f64;
+        a + c * b / (c - a * (1.0 - b)) * a / (c - a)
+    }
+
     #[test]
-    fn censored_matches_dense_boundary() {
-        for q in [mmc(3.0, 1.0, 5), mmc(1.2, 1.0, 3)] {
-            let solve = |boundary| {
-                q.solve(&SolveOptions {
-                    boundary,
-                    ..Default::default()
-                })
-                .unwrap()
-            };
-            let dense = solve(BoundaryMethod::Dense);
-            let cens = solve(BoundaryMethod::Censored);
-            assert!((dense.mean_level() - cens.mean_level()).abs() < 1e-10);
-            assert!((cens.total_mass() - 1.0).abs() < 1e-10);
-            for n in 0..12 {
+    fn boundary_matches_truncated_ctmc_and_erlang_c() {
+        use gsched_markov::Ctmc;
+        for (lambda, servers) in [(3.0, 5), (1.2, 3)] {
+            let sol = mmc(lambda, 1.0, servers)
+                .solve(&SolveOptions::default())
+                .unwrap();
+            let want = erlang_c_mean(lambda, 1.0, servers);
+            assert!(((sol.mean_level() - want) / want).abs() < 1e-12);
+            assert!((sol.total_mass() - 1.0).abs() < 1e-12);
+            // One state per level; the reflected tail above 200 is below
+            // 1e-40.
+            let t = mmc(lambda, 1.0, servers).truncated_generator(200);
+            let pi = Ctmc::new(t).unwrap().stationary_gth().unwrap();
+            for (n, &pi_n) in pi.iter().enumerate().take(12) {
                 assert!(
-                    (dense.level_prob(n) - cens.level_prob(n)).abs() < 1e-12,
-                    "n={n}: {} vs {}",
-                    dense.level_prob(n),
-                    cens.level_prob(n)
+                    (sol.level_prob(n) - pi_n).abs() < 1e-12,
+                    "n={n}: {} vs {pi_n}",
+                    sol.level_prob(n)
                 );
             }
         }

@@ -4,7 +4,7 @@
 
 use gsched_linalg::Matrix;
 use gsched_obs as obs;
-use gsched_qbd::solution::{BoundaryMethod, LevelTruncation, SolveOptions};
+use gsched_qbd::solution::{LevelTruncation, SolveOptions};
 use gsched_qbd::QbdProcess;
 
 /// M/M/c as a QBD with one state per level.
@@ -27,7 +27,6 @@ fn mmc(lambda: f64, mu: f64, c: usize) -> QbdProcess {
 fn search_counts_attempts_skips_and_each_level_once() {
     let q = mmc(8.0, 1.0, 64);
     let opts = SolveOptions {
-        boundary: BoundaryMethod::Censored,
         truncation: LevelTruncation::Auto {
             target_tail: 1e-9,
             min_levels: 4,
