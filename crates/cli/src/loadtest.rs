@@ -1,5 +1,6 @@
 //! `gsched loadtest` — drive a solve server with mixed concurrent
-//! traffic and record latency/throughput into the bench schema.
+//! traffic, report latency/throughput, and record its counters into the
+//! bench schema.
 //!
 //! The harness spins up `--clients` threads, each holding one TCP
 //! connection, and replays a deterministic script that mixes the four
@@ -21,13 +22,14 @@
 //! With `--addr` it drives a live server (the CI smoke test does this)
 //! and records client-side observations only.
 //!
-//! Results land in the `BENCH_<label>.json` schema (kind `"loadtest"`,
-//! scenario `loadtest_mixed`) and append one row to the bench history,
-//! so `gsched bench trend --metric requests,request_errors,shed --gate`
-//! gates load behaviour the same way solver work metrics are gated.
+//! The human summary prints p50/p99 latency and throughput. The
+//! `BENCH_<label>.json` row (kind `"loadtest"`, scenario `loadtest_mixed`)
+//! carries counters only — replies, errors, shed, cache hits and the
+//! solver work — and appends to the bench history, so `gsched bench trend
+//! --metric requests,request_errors,shed --gate` gates load behaviour the
+//! same way solver work metrics are gated.
 
-use crate::bench::{self, BenchReport, ScenarioResult, BENCH_SCHEMA_VERSION};
-use crate::trend;
+use crate::bench::{BenchReport, ScenarioResult};
 use gsched_obs as obs;
 use gsched_service::client::{control_frame, frame_for_name, RequestSpec};
 use gsched_service::{frame_is_ok, Client, Op, ServeConfig, Server};
@@ -141,6 +143,23 @@ fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
     Some(sorted[idx])
 }
 
+/// The latency and throughput lines of the human summary, from the sorted
+/// per-request latencies, the reply count and the load's wall time. They
+/// are printed only: the bench row records counters, not timings.
+fn timing_summary(sorted_ms: &[f64], replies: u64, wall_ms: f64) -> String {
+    let wall_secs = wall_ms / 1e3;
+    let rps = if wall_secs > 0.0 {
+        replies as f64 / wall_secs
+    } else {
+        0.0
+    };
+    format!(
+        "latency   p50 {:.1} ms, p99 {:.1} ms\nthroughput {rps:.1} req/s over {wall_secs:.2} s\n",
+        percentile(sorted_ms, 0.50).unwrap_or(0.0),
+        percentile(sorted_ms, 0.99).unwrap_or(0.0),
+    )
+}
+
 /// Run the scripted load against `addr` and collect the tallies.
 fn drive(addr: &str, clients: usize, per_client: usize, quick: bool) -> Result<LoadTally, String> {
     let barrier = Barrier::new(clients);
@@ -212,21 +231,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let quick = flags.contains_key("quick");
     let clients = crate::flag_count(&flags, "clients", if quick { 3 } else { 4 })?.max(1);
     let per_client = crate::flag_count(&flags, "requests", if quick { 6 } else { 8 })?.max(1);
-    let label = flags.get("label").cloned().unwrap_or_else(|| {
-        if quick {
-            "loadtest_quick".to_string()
-        } else {
-            "loadtest".to_string()
-        }
-    });
-    if !label
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-    {
-        return Err(format!(
-            "--label `{label}` must be alphanumeric (plus `_` and `-`); it names the output file"
-        ));
-    }
+    let label = crate::bench_label(&flags, if quick { "loadtest_quick" } else { "loadtest" })?;
 
     // External mode drives a live server; self-hosted mode binds one
     // in-process and captures its solver telemetry.
@@ -284,56 +289,24 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
 
     let total = tally.ok + tally.expected_errors + tally.shed;
-    let wall_secs = tally.wall_ms / 1e3;
-    let rps = if wall_secs > 0.0 {
-        Some(total as f64 / wall_secs)
-    } else {
-        None
-    };
     let snap = recorder.map(|r| r.snapshot());
     let counter = |name: &str| snap.as_ref().and_then(|s| s.counter(name)).unwrap_or(0);
     let scenario = ScenarioResult {
         name: SCENARIO_NAME.to_string(),
         kind: "loadtest".to_string(),
-        wall_ms: tally.wall_ms,
         points: tally.ok,
         fp_iterations: counter("core.solver.fp_iterations"),
         rmatrix_solves: counter("qbd.rmatrix.solves"),
         rmatrix_iterations: counter("qbd.rmatrix.iterations"),
-        max_r_residual: None,
-        max_spectral_radius: None,
-        min_drift_margin: None,
-        sim_events: 0,
-        sim_event_rate: None,
         warm_hits: counter("engine.warm.hits"),
         warm_misses: counter("engine.warm.misses"),
-        parallel_speedup: None,
-        matmul_calls: 0,
-        matmul_flops: 0,
-        lu_factorizations: 0,
-        lu_flops: 0,
-        triangular_solves: 0,
-        triangular_flops: 0,
-        phases: snap
-            .as_ref()
-            .map(bench::phase_breakdown)
-            .unwrap_or_default(),
         requests: total,
         request_errors: tally.expected_errors,
         shed: tally.shed,
         cached_hits: tally.cached,
-        p50_ms: percentile(&tally.latencies_ms, 0.50),
-        p99_ms: percentile(&tally.latencies_ms, 0.99),
-        rps,
+        ..ScenarioResult::default()
     };
-    let report = BenchReport {
-        schema_version: BENCH_SCHEMA_VERSION,
-        label: label.clone(),
-        reps: 1,
-        quick,
-        jobs: clients as u64,
-        scenarios: vec![scenario],
-    };
+    let report = BenchReport::new(&label, quick, vec![scenario]);
 
     if flags.contains_key("json") {
         println!("{}", report.to_json());
@@ -351,31 +324,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
             "replies   {} ok ({} cached), {} expected error(s), {} shed",
             s.points, s.cached_hits, s.request_errors, s.shed
         );
-        println!(
-            "latency   p50 {:.1} ms, p99 {:.1} ms",
-            s.p50_ms.unwrap_or(0.0),
-            s.p99_ms.unwrap_or(0.0)
-        );
-        println!(
-            "throughput {:.1} req/s over {:.2} s",
-            s.rps.unwrap_or(0.0),
-            wall_secs
+        print!(
+            "{}",
+            timing_summary(&tally.latencies_ms, total, tally.wall_ms)
         );
     }
-    let dir = flags.get("out").map(String::as_str).unwrap_or(".");
-    let out_path = format!("{dir}/BENCH_{label}.json");
-    gsched_obs::write_atomic(&out_path, report.to_json().as_bytes())
-        .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
-    println!("wrote {out_path}");
-    if !flags.contains_key("no-history") {
-        let history_path = flags
-            .get("history")
-            .map(String::as_str)
-            .unwrap_or(trend::DEFAULT_HISTORY_PATH);
-        trend::append_history(history_path, &report)?;
-        println!("appended history row to {history_path}");
-    }
-    Ok(())
+    crate::record_bench(&report, &flags)
 }
 
 #[cfg(test)]
@@ -443,8 +397,18 @@ mod tests {
         assert_eq!(percentile(&[], 0.50), None);
     }
 
+    #[test]
+    fn timing_summary_prints_percentiles_and_throughput() {
+        let xs = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
+        assert_eq!(
+            timing_summary(&xs, 10, 2_000.0),
+            "latency   p50 6.0 ms, p99 10.0 ms\nthroughput 5.0 req/s over 2.00 s\n"
+        );
+        assert!(timing_summary(&[], 0, 0.0).contains("throughput 0.0 req/s"));
+    }
+
     /// End-to-end: a quick self-hosted run completes every scripted
-    /// request with zero shed and records latency percentiles.
+    /// request with zero shed and records the solver work it caused.
     #[test]
     fn self_hosted_quick_loadtest_completes() {
         let dir = std::env::temp_dir().join(format!("gsched-loadtest-{}", std::process::id()));
@@ -470,7 +434,7 @@ mod tests {
         .collect();
         run(&args).unwrap();
         let text = std::fs::read_to_string(dir.join("BENCH_unit.json")).unwrap();
-        let report = BenchReport::from_json(&text).unwrap();
+        let report: BenchReport = serde_json::from_str(&text).unwrap();
         assert_eq!(report.scenarios.len(), 1);
         let s = &report.scenarios[0];
         assert_eq!(s.name, SCENARIO_NAME);
@@ -479,13 +443,10 @@ mod tests {
         assert_eq!(s.points, 6, "every quick request must succeed");
         assert_eq!(s.request_errors, 0);
         assert_eq!(s.shed, 0);
-        assert!(s.p50_ms.unwrap() > 0.0);
-        assert!(s.p99_ms.unwrap() >= s.p50_ms.unwrap());
-        assert!(s.rps.unwrap() > 0.0);
         // The self-hosted server's solver telemetry was captured.
         assert!(s.fp_iterations > 0, "expected captured solver work");
         // One history row appended and parseable.
-        let (rows, skipped) = trend::load_history(history.to_str().unwrap()).unwrap();
+        let (rows, skipped) = crate::trend::load_history(history.to_str().unwrap()).unwrap();
         assert_eq!((rows.len(), skipped), (1, 0));
     }
 }

@@ -17,8 +17,7 @@
 //!                  [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]
 //! gsched profile   <scenario | --sweep fig2..fig5|all> [--quick]
 //!                  [--method M] [--json] [--trace PATH]
-//! gsched bench     [--scenario S | --kernels | --scaling] [--label L] [--reps N] [--jobs N]
-//!                  [--quick] [--out DIR] [--compare BENCH.json] [--threshold FRAC]
+//! gsched bench     [--scenario S | --scaling] [--label L] [--quick] [--out DIR]
 //!                  [--history PATH] [--no-history]
 //! gsched bench trend [--history PATH] [--metric M1,M2] [--window N]
 //!                  [--threshold FRAC] [--gate] [--json]
@@ -92,8 +91,9 @@
 //! corresponding `gsched solve --json` output. See the `gsched-service`
 //! crate docs for the wire protocol. `gsched loadtest` drives a server —
 //! self-hosted, or a live one via `--addr` — with mixed concurrent
-//! hit/miss/duplicate/cancel traffic and records p50/p99 latency and
-//! throughput into the bench schema and history.
+//! hit/miss/duplicate/cancel traffic, prints p50/p99 latency and
+//! throughput, and records its reply and work counters into the bench
+//! schema and history.
 //!
 //! A running server is observable three ways: the `stats` verb returns the
 //! full telemetry report (per-op latency percentiles, queue/occupancy
@@ -115,22 +115,19 @@
 //! with achieved GFLOP/s, and the convergence report. `--trace PATH` also
 //! writes the Chrome Trace Event timeline of the same run.
 //!
-//! `gsched bench` runs the canonical Figure 2–5 solver sweeps plus a
-//! simulator workload and writes schema-versioned telemetry to
-//! `BENCH_<label>.json`; with `--compare` it exits non-zero when a scenario's
-//! wall time regresses beyond the threshold. Each run also appends one row
-//! to the NDJSON history (`results/bench_history.ndjson` by default;
-//! `--no-history` skips), and `gsched bench trend` compares the newest row
-//! against the trailing window — `--gate` turns that into a CI failure.
-//! `gsched bench --kernels` swaps in the kernel microbenchmark instead:
-//! the dense matmul/LU/solve kernels timed on dense and QBD-band operand
-//! shapes across a ladder of block sizes, written to the same schema and
-//! history so the trend gate covers kernel regressions on the
-//! deterministic flop counters.
-//! `gsched bench --scaling` swaps in the large-P scaling curve instead: the
-//! `p_sweep` registry scenario solved point by point (P = 8 … 4096) under
-//! certified truncation, one schema row per machine size, so the history
-//! and trend gate track how solve cost scales with P.
+//! `gsched bench` counts; it does not time. It runs the canonical Figure
+//! 2–5 solver sweeps plus a simulator workload and writes their
+//! deterministic work counters (fixed-point and `R` iterations, kernel
+//! flops, simulator events) to a schema-versioned `BENCH_<label>.json`.
+//! Each run also appends one row to the NDJSON history
+//! (`results/bench_history.ndjson` by default; `--no-history` skips), and
+//! `gsched bench trend` compares the newest row against the trailing
+//! window — `--gate` turns that into a CI failure, and fails too when it
+//! found nothing to compare. `gsched bench --scaling` swaps in the large-P
+//! scaling curve: the `p_sweep` registry scenario solved point by point
+//! (P = 8 … 4096) under certified truncation, one row per machine size.
+//! Solver speed is measured by the repository benchmark in `perfbench/`,
+//! the one program here that times anything.
 //!
 //! `gsched figure` regenerates the paper's figures: `fig1` prints the
 //! class-chain state diagram as Graphviz DOT, and `fig2`…`fig5` run the
@@ -248,7 +245,7 @@ fn usage() -> String {
          gsched stability <model.json> [--class P] [--lo Q] [--hi Q]\n  \
          gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--method M] [--convergence] [--warn-drift X] [--warn-gap X] [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]\n  \
          gsched profile   <scenario | --sweep fig2..fig5|all> [--quick] [--method M] [--json] [--trace PATH]\n  \
-         gsched bench     [--scenario S | --kernels | --scaling] [--label L] [--reps N] [--jobs N] [--quick] [--out DIR] [--compare BENCH.json] [--threshold FRAC] [--history PATH] [--no-history]\n  \
+         gsched bench     [--scenario S | --scaling] [--label L] [--quick] [--out DIR] [--history PATH] [--no-history]\n  \
          gsched bench trend [--history PATH] [--metric M1,M2] [--window N] [--threshold FRAC] [--gate] [--json]\n  \
          gsched paper     [--rho R] [--quantum Q] [--json]\n  \
          gsched figure    <fig1|fig2|fig3|fig4|fig5|all>\n  \
@@ -281,7 +278,6 @@ const BOOL_FLAGS: &[&str] = &[
     "convergence",
     "no-history",
     "expect-no-shed",
-    "kernels",
     "scaling",
     "asymptotic",
 ];
@@ -309,9 +305,7 @@ const VALUE_FLAGS: &[&str] = &[
     "warn-certified",
     "sweep",
     "label",
-    "reps",
     "out",
-    "compare",
     "threshold",
     "history",
     "metric",
@@ -1378,73 +1372,31 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     let (_, flags) = parse_flags(args)?;
     let quick = flags.contains_key("quick");
-    let kernels = flags.contains_key("kernels");
     let scaling = flags.contains_key("scaling");
-    if kernels && flags.contains_key("scenario") {
-        return Err("--kernels and --scenario are mutually exclusive".to_string());
+    if scaling && flags.contains_key("scenario") {
+        return Err("--scaling and --scenario are mutually exclusive".to_string());
     }
-    if scaling && (kernels || flags.contains_key("scenario")) {
-        return Err("--scaling excludes --kernels and --scenario".to_string());
-    }
-    let label = flags.get("label").cloned().unwrap_or_else(|| {
-        match (kernels, scaling, quick) {
-            (true, _, true) => "kernels-quick",
-            (true, _, false) => "kernels",
-            (false, true, true) => "scaling-quick",
-            (false, true, false) => "scaling",
-            (false, false, true) => "quick",
-            (false, false, false) => "local",
-        }
-        .to_string()
-    });
-    if !label
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-    {
-        return Err(format!(
-            "--label `{label}` must be alphanumeric (plus `_` and `-`); it names the output file"
-        ));
-    }
-    let reps: u64 = flag_count(&flags, "reps", if quick { 1 } else { 3 })?;
-    let jobs = flag_count(&flags, "jobs", 0)?;
-    let only = flags
-        .get("scenario")
-        .map(|arg| load_scenario(arg))
-        .transpose()?;
-    let report = if kernels {
-        bench::run_kernel_bench(&label, reps, quick)?
-    } else if scaling {
-        bench::run_scaling_bench(&label, reps, quick)?
+    let label = bench_label(
+        &flags,
+        match (scaling, quick) {
+            (true, true) => "scaling-quick",
+            (true, false) => "scaling",
+            (false, true) => "quick",
+            (false, false) => "local",
+        },
+    )?;
+    let report = if scaling {
+        bench::run_scaling_bench(&label, quick)?
     } else {
-        bench::run_bench(&label, reps, quick, jobs, only.as_ref())?
+        let only = flags
+            .get("scenario")
+            .map(|arg| load_scenario(arg))
+            .transpose()?;
+        bench::run_bench(&label, quick, only.as_ref())?
     };
-    let dir = flags.get("out").map(String::as_str).unwrap_or(".");
-    let out_path = format!("{dir}/BENCH_{label}.json");
-    gsched_obs::write_atomic(&out_path, report.to_json().as_bytes())
-        .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
-    if kernels {
-        println!(
-            "{:<26} {:>12} {:>8} {:>14} {:>10}",
-            "kernel", "wall ms", "ops", "nominal flops", "gflop/s"
-        );
-        for s in &report.scenarios {
-            let flops = (s.matmul_flops + s.lu_flops + s.triangular_flops) as f64;
-            let gflops = if s.wall_ms > 0.0 {
-                format!("{:.2}", flops / (s.wall_ms * 1e6))
-            } else {
-                "-".to_string()
-            };
-            println!(
-                "{:<26} {:>12.3} {:>8} {:>14} {:>10}",
-                s.name, s.wall_ms, s.points, flops as u64, gflops
-            );
-        }
-        write_and_gate_bench(&report, &flags, &out_path)?;
-        return Ok(());
-    }
     println!(
-        "{:<28} {:>12} {:>8} {:>10} {:>12} {:>14} {:>9} {:>9}",
-        "scenario", "wall ms", "points", "fp iters", "R solves", "max residual", "warm", "speedup"
+        "{:<28} {:>8} {:>10} {:>12} {:>14} {:>9}",
+        "scenario", "points", "fp iters", "R solves", "max residual", "warm"
     );
     for s in &report.scenarios {
         let warm = if s.warm_hits + s.warm_misses > 0 {
@@ -1456,9 +1408,8 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             "-".to_string()
         };
         println!(
-            "{:<28} {:>12.2} {:>8} {:>10} {:>12} {:>14} {:>9} {:>9}",
+            "{:<28} {:>8} {:>10} {:>12} {:>14} {:>9}",
             s.name,
-            s.wall_ms,
             s.points,
             s.fp_iterations,
             s.rmatrix_solves,
@@ -1466,21 +1417,37 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
                 .map(|v| format!("{v:.3e}"))
                 .unwrap_or_else(|| "-".to_string()),
             warm,
-            s.parallel_speedup
-                .map(|v| format!("{v:.2}x"))
-                .unwrap_or_else(|| "-".to_string()),
         );
     }
-    write_and_gate_bench(&report, &flags, &out_path)
+    record_bench(&report, &flags)
 }
 
-/// Shared tail of `gsched bench`: report the output path, append the
-/// history row, and run the `--compare` wall-time gate when requested.
-fn write_and_gate_bench(
+/// The `--label` of a `bench` or `loadtest` run, or `default`; it names
+/// the output file, so it must be alphanumeric plus `_` and `-`.
+fn bench_label(flags: &HashMap<String, String>, default: &str) -> Result<String, String> {
+    let label = flags.get("label").map(String::as_str).unwrap_or(default);
+    if !label
+        .chars()
+        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+    {
+        return Err(format!(
+            "--label `{label}` must be alphanumeric (plus `_` and `-`); it names the output file"
+        ));
+    }
+    Ok(label.to_string())
+}
+
+/// Shared tail of `gsched bench` and `gsched loadtest`: write
+/// `BENCH_<label>.json` under `--out` and, unless `--no-history`, append
+/// the history row.
+fn record_bench(
     report: &bench::BenchReport,
     flags: &HashMap<String, String>,
-    out_path: &str,
 ) -> Result<(), String> {
+    let dir = flags.get("out").map(String::as_str).unwrap_or(".");
+    let out_path = format!("{dir}/BENCH_{}.json", report.label);
+    gsched_obs::write_atomic(&out_path, report.to_json().as_bytes())
+        .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
     println!("wrote {out_path}");
     if !flags.contains_key("no-history") {
         let history_path = flags
@@ -1489,30 +1456,6 @@ fn write_and_gate_bench(
             .unwrap_or(trend::DEFAULT_HISTORY_PATH);
         trend::append_history(history_path, report)?;
         println!("appended history row to {history_path}");
-    }
-    if let Some(baseline_path) = flags.get("compare") {
-        let text = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("cannot read `{baseline_path}`: {e}"))?;
-        let baseline = bench::BenchReport::from_json(&text)?;
-        let threshold = flag_f64(flags, "threshold", 0.25)?;
-        let outcome = bench::compare_reports(&baseline, report, threshold);
-        for line in &outcome.lines {
-            println!("{line}");
-        }
-        if !outcome.regressions.is_empty() {
-            for r in &outcome.regressions {
-                eprintln!("regression: {r}");
-            }
-            return Err(format!(
-                "{} scenario(s) regressed beyond the {:.0}% wall-time threshold",
-                outcome.regressions.len(),
-                threshold * 100.0
-            ));
-        }
-        println!(
-            "no wall-time regressions against {baseline_path} (threshold {:.0}%)",
-            threshold * 100.0
-        );
     }
     Ok(())
 }

@@ -131,6 +131,32 @@ fn phase_label(span: &str) -> &'static str {
     }
 }
 
+/// Collapse a snapshot's span tree into one phase row per canonical span
+/// name, sorted by descending self time.
+fn phase_breakdown(snap: &obs::Snapshot, wall_ms: f64) -> Vec<PhaseRow> {
+    let att = snap.attribution();
+    att.by_name()
+        .into_iter()
+        .map(|(span, count, self_nanos)| {
+            let cum_nanos: u64 = att
+                .rows
+                .iter()
+                .filter(|r| obs::canonical_span_name(&r.name) == span)
+                .map(|r| r.cum_nanos)
+                .sum();
+            let self_ms = self_nanos as f64 / 1e6;
+            PhaseRow {
+                phase: phase_label(&span).to_string(),
+                span,
+                count,
+                self_ms,
+                cum_ms: cum_nanos as f64 / 1e6,
+                fraction: self_ms / wall_ms.max(1e-9),
+            }
+        })
+        .collect()
+}
+
 /// The models a profile run solves, in order.
 struct Workload {
     name: String,
@@ -247,17 +273,7 @@ fn measure(
 
     let wall_ms = wall.as_secs_f64() * 1e3;
     let attributed_ms = snap.attribution().total_self_nanos() as f64 / 1e6;
-    let phases: Vec<PhaseRow> = crate::bench::phase_breakdown(&snap)
-        .into_iter()
-        .map(|p| PhaseRow {
-            phase: phase_label(&p.span).to_string(),
-            span: p.span,
-            count: p.count,
-            self_ms: p.self_ms,
-            cum_ms: p.cum_ms,
-            fraction: p.self_ms / wall_ms.max(1e-9),
-        })
-        .collect();
+    let phases = phase_breakdown(&snap, wall_ms);
     let secs = wall.as_secs_f64().max(1e-12);
     let kernel = |name: &str, calls: u64, flops: u64| KernelRow {
         kernel: name.to_string(),

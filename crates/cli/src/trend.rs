@@ -1,18 +1,20 @@
 //! Bench history (`results/bench_history.ndjson`) and trend gating.
 //!
-//! Every `gsched bench` run appends one NDJSON row — label, git revision,
-//! timestamp, and the full [`BenchReport`] — via the atomic append in
-//! `gsched-obs`, building a machine-readable performance history inside
-//! the repository. `gsched bench trend` reads that history back, compares
-//! the newest row against the median of a trailing window of comparable
-//! rows (same `quick` flag), and with `--gate` exits non-zero when any
-//! tracked metric regressed beyond the threshold — the CI gate.
+//! Every `gsched bench` and `gsched loadtest` run appends one NDJSON row —
+//! label, git revision, timestamp, and the full [`BenchReport`] — via the
+//! atomic append in `gsched-obs`, building a machine-readable work history
+//! inside the repository. `gsched bench trend` reads that history back,
+//! compares the newest row against the median of a trailing window of
+//! comparable rows (same `quick` flag), and with `--gate` exits non-zero
+//! when any tracked metric regressed beyond the threshold — the CI gate.
 //!
-//! CI gates on deterministic *work* metrics (iteration and flop counts),
-//! not wall time: counts are bit-stable across machines, so a regression
-//! means the code does more work, not that the runner was noisy.
+//! Every tracked metric is a deterministic work counter (iteration, flop,
+//! event and request counts): counts are bit-stable across runs and
+//! machines, so a regression means the code does more work, not that the
+//! runner was noisy. A `--gate` run that finds nothing to compare fails,
+//! since a gate that compares nothing would pass any change.
 
-use crate::bench::{BenchReport, ScenarioResult};
+use crate::bench::{BenchReport, ScenarioResult, BENCH_SCHEMA_VERSION};
 use gsched_obs as obs;
 use serde::{Deserialize, Serialize};
 
@@ -85,7 +87,7 @@ pub fn load_history(path: &str) -> Result<(Vec<HistoryRow>, usize), String> {
         match serde_json::from_str::<HistoryRow>(line) {
             Ok(row)
                 if row.history_schema_version == HISTORY_SCHEMA_VERSION
-                    && row.report.schema_version == crate::bench::BENCH_SCHEMA_VERSION =>
+                    && row.report.schema_version == BENCH_SCHEMA_VERSION =>
             {
                 rows.push(row)
             }
@@ -95,10 +97,9 @@ pub fn load_history(path: &str) -> Result<(Vec<HistoryRow>, usize), String> {
     Ok((rows, skipped))
 }
 
-/// Metrics `trend` can track, extracted per scenario. The last six are
-/// recorded by `gsched loadtest` rows only.
+/// Metrics `trend` can track, extracted per scenario. The last three are
+/// non-zero on `gsched loadtest` rows only.
 pub const METRICS: &[&str] = &[
-    "wall_ms",
     "fp_iterations",
     "rmatrix_solves",
     "rmatrix_iterations",
@@ -109,17 +110,12 @@ pub const METRICS: &[&str] = &[
     "requests",
     "request_errors",
     "shed",
-    "rps",
-    "p50_ms",
-    "p99_ms",
 ];
 
-/// The metric's value in one scenario row, or `None` when the row does
-/// not record it (e.g. `p99_ms` on a solver scenario). Unknown metric
-/// names are caught by [`analyze`] against [`METRICS`].
+/// The metric's value in one scenario row. Unknown metric names are
+/// caught by [`analyze`] against [`METRICS`].
 fn metric_value(s: &ScenarioResult, metric: &str) -> Option<f64> {
     match metric {
-        "wall_ms" => Some(s.wall_ms),
         "fp_iterations" => Some(s.fp_iterations as f64),
         "rmatrix_solves" => Some(s.rmatrix_solves as f64),
         "rmatrix_iterations" => Some(s.rmatrix_iterations as f64),
@@ -130,9 +126,6 @@ fn metric_value(s: &ScenarioResult, metric: &str) -> Option<f64> {
         "requests" => Some(s.requests as f64),
         "request_errors" => Some(s.request_errors as f64),
         "shed" => Some(s.shed as f64),
-        "rps" => s.rps,
-        "p50_ms" => s.p50_ms,
-        "p99_ms" => s.p99_ms,
         _ => None,
     }
 }
@@ -203,8 +196,6 @@ pub fn analyze(
     }
     for cur in &latest.report.scenarios {
         for metric in metrics {
-            // Rows that don't record the metric (a solver row asked for
-            // `p99_ms`, say) are skipped, not an error.
             let Some(latest_v) = metric_value(cur, metric) else {
                 continue;
             };
@@ -254,6 +245,34 @@ pub fn analyze(
     })
 }
 
+/// The `--gate` verdict on `report`: an error when a metric regressed or
+/// when nothing was compared, otherwise the pass line. `path` and `label`
+/// (the latest row's) name what was missing in the empty case.
+pub fn gate(
+    report: &TrendReport,
+    path: &str,
+    label: &str,
+    threshold: f64,
+) -> Result<String, String> {
+    if !report.regressions.is_empty() {
+        return Err(format!(
+            "{} metric(s) regressed beyond the {:.0}% trend threshold",
+            report.regressions.len(),
+            threshold * 100.0
+        ));
+    }
+    if report.lines.is_empty() {
+        return Err(format!(
+            "trend gate compared nothing: no earlier row of `{path}` with the same --quick \
+             setting records a scenario of the latest row `{label}`"
+        ));
+    }
+    Ok(format!(
+        "trend gate passed ({} comparison(s))",
+        report.lines.len()
+    ))
+}
+
 /// Entry point for `gsched bench trend`.
 pub fn run(args: &[String]) -> Result<(), String> {
     let (pos, flags) = crate::parse_flags(args)?;
@@ -267,7 +286,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let metrics: Vec<String> = flags
         .get("metric")
         .map(String::as_str)
-        .unwrap_or("wall_ms")
+        .unwrap_or("fp_iterations,rmatrix_iterations,matmul_flops")
         .split(',')
         .map(|m| m.trim().to_string())
         .filter(|m| !m.is_empty())
@@ -317,19 +336,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
             }
         }
     }
-    if !report.regressions.is_empty() {
-        for r in &report.regressions {
-            eprintln!("regression: {r}");
-        }
-        if flags.contains_key("gate") {
-            return Err(format!(
-                "{} metric(s) regressed beyond the {:.0}% trend threshold",
-                report.regressions.len(),
-                threshold * 100.0
-            ));
-        }
-    } else if flags.contains_key("gate") {
-        println!("trend gate passed ({} comparison(s))", report.lines.len());
+    for r in &report.regressions {
+        eprintln!("regression: {r}");
+    }
+    if flags.contains_key("gate") {
+        let label = &rows.last().expect("rows is non-empty").label;
+        println!("{}", gate(&report, path, label, threshold)?);
     }
     Ok(())
 }
@@ -338,151 +350,118 @@ pub fn run(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn scenario(name: &str, wall_ms: f64, fp: u64) -> ScenarioResult {
-        ScenarioResult {
-            name: name.to_string(),
+    fn row(fp: u64, quick: bool) -> HistoryRow {
+        let fig2 = ScenarioResult {
+            name: "fig2".to_string(),
             kind: "solver".to_string(),
-            wall_ms,
             points: 3,
             fp_iterations: fp,
             rmatrix_solves: 10,
             rmatrix_iterations: 500,
-            max_r_residual: None,
-            max_spectral_radius: None,
-            min_drift_margin: None,
-            sim_events: 0,
-            sim_event_rate: None,
-            warm_hits: 0,
-            warm_misses: 0,
-            parallel_speedup: None,
             matmul_calls: 100,
             matmul_flops: 1_000_000,
             lu_factorizations: 5,
             lu_flops: 10_000,
             triangular_solves: 50,
             triangular_flops: 2_000,
-            phases: Vec::new(),
-            requests: 0,
-            request_errors: 0,
-            shed: 0,
-            cached_hits: 0,
-            p50_ms: None,
-            p99_ms: None,
-            rps: None,
-        }
-    }
-
-    fn row(wall_ms: f64, fp: u64, quick: bool) -> HistoryRow {
+            ..ScenarioResult::default()
+        };
         HistoryRow {
             history_schema_version: HISTORY_SCHEMA_VERSION,
             label: "t".to_string(),
             git_rev: "abc1234".to_string(),
             unix_time_secs: 1,
-            report: BenchReport {
-                schema_version: crate::bench::BENCH_SCHEMA_VERSION,
-                label: "t".to_string(),
-                reps: 1,
-                quick,
-                jobs: 1,
-                scenarios: vec![scenario("fig2", wall_ms, fp)],
-            },
+            report: BenchReport::new("t", quick, vec![fig2]),
         }
+    }
+
+    fn metrics(names: &[&str]) -> Vec<String> {
+        names.iter().map(|m| m.to_string()).collect()
     }
 
     #[test]
     fn stable_history_passes() {
-        let rows = vec![
-            row(10.0, 40, true),
-            row(10.5, 40, true),
-            row(10.2, 40, true),
-        ];
-        let rep = analyze(
-            &rows,
-            &["wall_ms".to_string(), "fp_iterations".to_string()],
-            5,
-            0.25,
-        )
-        .unwrap();
+        let rows = vec![row(40, true), row(40, true), row(40, true)];
+        let rep = analyze(&rows, &metrics(&["matmul_flops", "fp_iterations"]), 5, 0.25).unwrap();
         assert!(rep.regressions.is_empty(), "{:?}", rep.regressions);
         assert_eq!(rep.lines.len(), 2);
         assert_eq!(rep.lines[0].window, 2);
+        assert!(gate(&rep, "h.ndjson", "t", 0.25).is_ok());
     }
 
     #[test]
     fn work_regression_is_flagged() {
-        let rows = vec![
-            row(10.0, 40, true),
-            row(10.0, 40, true),
-            row(10.0, 80, true),
-        ];
-        let rep = analyze(&rows, &["fp_iterations".to_string()], 5, 0.25).unwrap();
+        let rows = vec![row(40, true), row(40, true), row(80, true)];
+        let rep = analyze(&rows, &metrics(&["fp_iterations"]), 5, 0.25).unwrap();
         assert_eq!(rep.regressions.len(), 1, "{:?}", rep.regressions);
         assert!(rep.regressions[0].contains("fig2/fp_iterations"));
         assert!(rep.lines[0].regressed);
+        let err = gate(&rep, "h.ndjson", "t", 0.25).unwrap_err();
+        assert!(err.contains("1 metric(s) regressed"), "{err}");
     }
 
     #[test]
     fn quick_and_full_rows_never_mix() {
-        // Latest is quick; the slow full row must not poison the baseline.
-        let rows = vec![
-            row(100.0, 400, false),
-            row(10.0, 40, true),
-            row(10.0, 40, true),
-        ];
-        let rep = analyze(&rows, &["wall_ms".to_string()], 5, 0.25).unwrap();
+        // Latest is quick; the heavier full row must not poison the baseline.
+        let rows = vec![row(400, false), row(40, true), row(40, true)];
+        let rep = analyze(&rows, &metrics(&["fp_iterations"]), 5, 0.25).unwrap();
         assert_eq!(rep.comparable_rows, 2);
         assert!(rep.regressions.is_empty(), "{:?}", rep.regressions);
-        assert_eq!(rep.lines[0].baseline, 10.0);
+        assert_eq!(rep.lines[0].baseline, 40.0);
     }
 
     #[test]
     fn first_row_has_nothing_to_compare() {
-        let rows = vec![row(10.0, 40, true)];
-        let rep = analyze(&rows, &["wall_ms".to_string()], 5, 0.25).unwrap();
+        let rows = vec![row(40, true)];
+        let rep = analyze(&rows, &metrics(&["fp_iterations"]), 5, 0.25).unwrap();
         assert!(rep.lines.is_empty());
         assert!(rep.regressions.is_empty());
+    }
+
+    #[test]
+    fn gate_fails_when_nothing_was_compared() {
+        // A first row, and a latest row whose scenarios no earlier row
+        // records: both compare nothing, so the gate must not pass.
+        let mut other = row(40, true);
+        other.label = "scaling-ci".to_string();
+        other.report.scenarios[0].name = "scaling_p0008".to_string();
+        for rows in [vec![row(40, true)], vec![row(40, true), other]] {
+            let rep = analyze(&rows, &metrics(&["fp_iterations"]), 5, 0.25).unwrap();
+            assert!(rep.lines.is_empty());
+            let label = &rows.last().unwrap().label;
+            let err = gate(&rep, "results/h.ndjson", label, 0.25).unwrap_err();
+            assert!(err.contains("compared nothing"), "{err}");
+            assert!(err.contains("`results/h.ndjson`"), "{err}");
+            assert!(err.contains(&format!("`{label}`")), "{err}");
+        }
     }
 
     #[test]
     fn unknown_metric_is_an_error() {
-        let rows = vec![row(10.0, 40, true), row(10.0, 40, true)];
-        let err = analyze(&rows, &["warp_factor".to_string()], 5, 0.25).unwrap_err();
-        assert!(err.contains("unknown metric"), "{err}");
+        let rows = vec![row(40, true), row(40, true)];
+        for gone in ["warp_factor", "wall_ms", "p99_ms"] {
+            let err = analyze(&rows, &metrics(&[gone]), 5, 0.25).unwrap_err();
+            assert!(err.contains("unknown metric"), "{err}");
+        }
     }
 
-    fn load_row(requests: u64, p99: f64) -> HistoryRow {
-        let mut r = row(10.0, 40, true);
+    fn load_row(requests: u64, shed: u64) -> HistoryRow {
+        let mut r = row(40, true);
         let s = &mut r.report.scenarios[0];
         s.name = "loadtest_mixed".to_string();
         s.kind = "loadtest".to_string();
         s.requests = requests;
-        s.p99_ms = Some(p99);
-        s.rps = Some(30.0);
+        s.shed = shed;
         r
     }
 
     #[test]
-    fn absent_metrics_are_skipped_not_errors() {
-        // Solver rows record no p99_ms; asking for it yields no
-        // comparisons rather than an error.
-        let rows = vec![row(10.0, 40, true), row(10.0, 40, true)];
-        let rep = analyze(&rows, &["p99_ms".to_string()], 5, 0.25).unwrap();
-        assert!(rep.lines.is_empty());
-        assert!(rep.regressions.is_empty());
-    }
-
-    #[test]
     fn loadtest_counters_gate_like_work_metrics() {
-        let rows = vec![load_row(18, 10.0), load_row(18, 11.0), load_row(40, 10.5)];
-        let rep = analyze(
-            &rows,
-            &["requests".to_string(), "p99_ms".to_string()],
-            5,
-            0.25,
-        )
-        .unwrap();
+        let rows = vec![load_row(18, 2), load_row(18, 2), load_row(18, 5)];
+        let rep = analyze(&rows, &metrics(&["requests", "shed"]), 5, 0.25).unwrap();
+        assert_eq!(rep.lines.len(), 2);
         assert_eq!(rep.regressions.len(), 1, "{:?}", rep.regressions);
-        assert!(rep.regressions[0].contains("loadtest_mixed/requests"));
+        assert!(rep.regressions[0].contains("loadtest_mixed/shed"));
     }
 
     #[test]
@@ -492,10 +471,10 @@ mod tests {
         let path = dir.join("history.ndjson");
         let path_s = path.to_str().unwrap();
         let _ = std::fs::remove_file(&path);
-        append_history(path_s, &row(10.0, 40, true).report).unwrap();
-        append_history(path_s, &row(11.0, 40, true).report).unwrap();
+        append_history(path_s, &row(40, true).report).unwrap();
+        append_history(path_s, &row(41, true).report).unwrap();
         // A malformed line and a wrong-version row are skipped, not fatal.
-        let mut old = row(12.0, 40, true);
+        let mut old = row(42, true);
         old.history_schema_version = 99;
         std::fs::OpenOptions::new()
             .append(true)
@@ -509,7 +488,30 @@ mod tests {
         let (rows, skipped) = load_history(path_s).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(skipped, 2);
-        assert_eq!(rows[1].report.scenarios[0].wall_ms, 11.0);
+        assert_eq!(rows[1].report.scenarios[0].fp_iterations, 41);
         assert!(rows[0].git_rev.len() >= 4 || rows[0].git_rev == "unknown");
+    }
+
+    #[test]
+    fn wrong_schema_version_is_rejected() {
+        // A row of an earlier report schema, still carrying its wall-time
+        // fields, is skipped by the version check.
+        let dir = std::env::temp_dir().join(format!("gsched-trend-v-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("history.ndjson");
+        let mut old = serde_json::to_string(&row(40, true))
+            .unwrap()
+            .replacen("\"quick\"", "\"reps\":1,\"jobs\":1,\"quick\"", 1)
+            .replacen("\"points\"", "\"wall_ms\":12.5,\"points\"", 1);
+        let v = format!("\"schema_version\":{BENCH_SCHEMA_VERSION}");
+        assert!(old.contains(&v), "{old}");
+        old = old.replacen(
+            &v,
+            &format!("\"schema_version\":{}", BENCH_SCHEMA_VERSION - 1),
+            1,
+        );
+        std::fs::write(&path, format!("{old}\n")).unwrap();
+        let (rows, skipped) = load_history(path.to_str().unwrap()).unwrap();
+        assert_eq!((rows.len(), skipped), (0, 1));
     }
 }
