@@ -533,7 +533,7 @@ fn finish(record: &ExperimentRecord) -> (bool, Result<(), String>) {
 
 /// `gsched figure <fig1|fig2|fig3|fig4|fig5|all>`.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = crate::parse_flags(args)?;
+    let (pos, flags) = crate::parse_flags("figure", args)?;
     let which = match pos.as_slice() {
         [name] if NAMES.contains(&name.as_str()) => name.as_str(),
         [name] => {

@@ -224,7 +224,7 @@ fn drive(addr: &str, clients: usize, per_client: usize, quick: bool) -> Result<L
 
 /// Entry point for `gsched loadtest`.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = crate::parse_flags(args)?;
+    let (pos, flags) = crate::parse_flags("loadtest", args)?;
     if !pos.is_empty() {
         return Err(format!("loadtest: unexpected argument `{}`", pos[0]));
     }

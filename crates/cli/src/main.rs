@@ -46,9 +46,10 @@
 //! `--method lr|ss` to pick the QBD `R`-matrix solver; both agree within
 //! each scenario's declared tolerance, and the default (`lr`) reproduces
 //! the historical results bit-for-bit. The active method is surfaced by
-//! `doctor`, `profile --json`, and the service `stats` verb. A flag no
-//! subcommand knows is an error (`unknown flag --X`), never silently
-//! ignored.
+//! `doctor`, `profile --json`, and the service `stats` verb. Each
+//! subcommand accepts only the flags it reads plus the diagnostics flags
+//! below; any other flag, including one another subcommand owns, is an
+//! error (`<subcommand>: unknown flag --X`), never silently ignored.
 //!
 //! `gsched sweep` evaluates the paper's figure sweeps on the
 //! `gsched-engine` work-stealing pool: `--jobs N` sets the worker count
@@ -109,8 +110,9 @@
 //! method, residual decay rate, stagnation warnings); `--json` always
 //! includes it.
 //!
-//! `gsched profile` runs a scenario's workload single-threaded under the
-//! instrumentation layer and prints a phase table (self time per solver
+//! `gsched profile` runs a scenario's workload through the same engine
+//! sweep as `gsched sweep --jobs 1`, on the calling thread under the
+//! instrumentation layer, and prints a phase table (self time per solver
 //! phase, attributing ≥90% of wall time), the dense-kernel work counters
 //! with achieved GFLOP/s, and the convergence report. `--trace PATH` also
 //! writes the Chrome Trace Event timeline of the same run.
@@ -205,7 +207,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "request" => cmd_request(rest),
         "loadtest" => loadtest::run(rest),
         "top" => {
-            let (pos, flags) = parse_flags(rest)?;
+            let (pos, flags) = parse_flags("top", rest)?;
             top::run(&pos, &flags)
         }
         "example-model" => {
@@ -264,7 +266,7 @@ fn usage() -> String {
     )
 }
 
-/// Flags that take no value.
+/// Flags that take no value; every other flag takes one.
 const BOOL_FLAGS: &[&str] = &[
     "json",
     "percentiles",
@@ -282,82 +284,92 @@ const BOOL_FLAGS: &[&str] = &[
     "asymptotic",
 ];
 
-/// Flags that take a value. A `--name` in neither table is rejected.
-const VALUE_FLAGS: &[&str] = &[
-    "scenario",
-    "mode",
-    "method",
-    "policy",
-    "horizon",
-    "warmup",
-    "seed",
-    "jobs",
-    "points",
-    "horizon-scale",
-    "lo",
-    "hi",
-    "objective",
-    "class",
-    "warn-drift",
-    "warn-gap",
-    "warn-residual",
-    "warn-trunc",
-    "warn-certified",
-    "sweep",
-    "label",
-    "out",
-    "threshold",
-    "history",
-    "metric",
-    "window",
-    "rho",
-    "quantum",
-    "addr",
-    "workers",
-    "cache-cap",
-    "cache-path",
-    "deadline-ms",
-    "queue-limit",
-    "batch-max",
-    "metrics-addr",
-    "access-log",
-    "access-log-max-bytes",
-    "op",
-    "id",
-    "clients",
-    "requests",
-    "interval",
-    "count",
-    "diag",
-    "trace",
+/// The diagnostics flags every subcommand accepts (`-v`/`-vv` too).
+const DIAG_FLAGS: &[&str] = &["diag", "trace"];
+
+/// The flags each subcommand reads (space-separated), besides
+/// [`DIAG_FLAGS`]. A flag outside its subcommand's set is an error, never
+/// silently ignored.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("solve", "scenario mode method percentiles asymptotic json"),
+    ("simulate", "scenario policy horizon warmup seed json"),
+    (
+        "sweep",
+        "scenario jobs quick no-warm parity-check mode method percentiles json",
+    ),
+    ("validate", "mode method percentiles json"),
+    (
+        "xval",
+        "points full horizon-scale mode method percentiles json",
+    ),
+    ("tune", "lo hi objective json"),
+    ("stability", "class lo hi"),
+    (
+        "doctor",
+        "scenario mode method percentiles convergence warn-drift warn-gap \
+         warn-residual warn-trunc warn-certified json",
+    ),
+    ("profile", "sweep quick mode method percentiles json"),
+    (
+        "bench",
+        "scenario scaling label quick out history no-history",
+    ),
+    ("bench trend", "history metric window threshold gate json"),
+    ("paper", "rho quantum json"),
+    ("figure", ""),
+    (
+        "serve",
+        "addr workers cache-cap cache-path deadline-ms queue-limit batch-max \
+         metrics-addr access-log access-log-max-bytes",
+    ),
+    ("request", "addr op quick deadline-ms id frame"),
+    (
+        "loadtest",
+        "addr clients requests workers queue-limit quick label out history \
+         no-history expect-no-shed json",
+    ),
+    ("top", "addr interval count once"),
 ];
 
-/// Split positional arguments from `--flag value` options.
-fn parse_flags(args: &[String]) -> Result<(Vec<String>, HashMap<String, String>), String> {
+/// Whether subcommand `cmd` accepts `--name`.
+fn accepts(cmd: &str, name: &str) -> bool {
+    let (_, own) = COMMAND_FLAGS
+        .iter()
+        .find(|(c, _)| *c == cmd)
+        .unwrap_or_else(|| panic!("no flag table for subcommand `{cmd}`"));
+    own.split_whitespace().any(|f| f == name) || DIAG_FLAGS.contains(&name)
+}
+
+/// Split subcommand `cmd`'s positional arguments from its `--flag value`
+/// options, rejecting any flag `cmd` does not read.
+fn parse_flags(
+    cmd: &str,
+    args: &[String],
+) -> Result<(Vec<String>, HashMap<String, String>), String> {
     let mut pos = Vec::new();
     let mut flags = HashMap::new();
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         if a == "-v" || a == "-vv" {
             let level = if a == "-vv" { "2" } else { "1" };
             flags.insert("verbose".to_string(), level.to_string());
             continue;
         }
-        if let Some(name) = a.strip_prefix("--") {
-            if BOOL_FLAGS.contains(&name) {
-                flags.insert(name.to_string(), "true".to_string());
-                continue;
-            }
-            if !VALUE_FLAGS.contains(&name) {
-                return Err(format!("unknown flag --{name}"));
-            }
-            let val = it
-                .next()
-                .ok_or_else(|| format!("flag --{name} needs a value"))?;
-            flags.insert(name.to_string(), val.clone());
-        } else {
+        let Some(name) = a.strip_prefix("--") else {
             pos.push(a.clone());
+            continue;
+        };
+        if !accepts(cmd, name) {
+            return Err(format!("{cmd}: unknown flag --{name}"));
         }
+        let val = if BOOL_FLAGS.contains(&name) {
+            "true".to_string()
+        } else {
+            it.next()
+                .ok_or_else(|| format!("flag --{name} needs a value"))?
+                .clone()
+        };
+        flags.insert(name.to_string(), val);
     }
     Ok((pos, flags))
 }
@@ -611,7 +623,7 @@ fn asymptotic_json(asym: &AsymptoticSolution) -> String {
 }
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("solve", args)?;
     let model = resolve_model("solve", &pos, &flags)?;
     // `--asymptotic` swaps the finite-P QBD solve for the zero-queueing
     // large-system limit — the anchor large-P solves are checked against.
@@ -683,7 +695,7 @@ fn sim_json(r: &SimResult) -> String {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("simulate", args)?;
     // A scenario supplies model, policy, and sim config in one place;
     // explicit flags still override its choices.
     let (model, mut cfg, mut policy) = match (flags.get("scenario"), pos.first()) {
@@ -893,7 +905,7 @@ fn check_large_p_contract(sc: &Scenario, report: &SweepReport) -> Result<Vec<Str
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("sweep", args)?;
     let quick = flags.contains_key("quick");
     let scenario_job = |sc: Scenario| -> Result<SweepJob, String> {
         let req = sc.sweep_request(quick).map_err(|e| e.to_string())?;
@@ -1038,7 +1050,7 @@ fn fail(flags: &HashMap<String, String>, kind: ErrorKind, message: String) -> Re
 }
 
 fn cmd_validate(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("validate", args)?;
     let scenarios: Vec<Scenario> = if pos.is_empty() {
         registry::all()
     } else {
@@ -1159,7 +1171,7 @@ fn print_xval_human(rep: &XvalReport) {
 }
 
 fn cmd_xval(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("xval", args)?;
     let which = pos
         .first()
         .ok_or("xval: missing <scenario> (registry name, file.json, or `all`)")?;
@@ -1224,7 +1236,7 @@ fn cmd_xval(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_tune(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("tune", args)?;
     let path = pos.first().ok_or("tune: missing <model.json>")?;
     let model = load_model(path)?;
     let lo = flag_f64(&flags, "lo", 0.02)?;
@@ -1259,7 +1271,7 @@ fn cmd_tune(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stability(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("stability", args)?;
     let path = pos.first().ok_or("stability: missing <model.json>")?;
     let model = load_model(path)?;
     let class = flag_count(&flags, "class", 0)?;
@@ -1285,7 +1297,7 @@ fn cmd_stability(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_doctor(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("doctor", args)?;
     let model = resolve_model("doctor", &pos, &flags)?;
     let mut opts = solver_options(&flags)?;
     opts.collect_health = true;
@@ -1370,7 +1382,7 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags) = parse_flags("bench", args)?;
     let quick = flags.contains_key("quick");
     let scaling = flags.contains_key("scaling");
     if scaling && flags.contains_key("scenario") {
@@ -1461,7 +1473,7 @@ fn record_bench(
 }
 
 fn cmd_paper(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse_flags(args)?;
+    let (_, flags) = parse_flags("paper", args)?;
     let rho = flag_f64(&flags, "rho", 0.4)?;
     let quantum = flag_f64(&flags, "quantum", 1.0)?;
     let model = registry::paper_machine(rho, quantum, 2).build()?;
@@ -1479,7 +1491,7 @@ fn cmd_paper(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("serve", args)?;
     if !pos.is_empty() {
         return Err(format!("serve: unexpected argument `{}`", pos[0]));
     }
@@ -1543,7 +1555,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_request(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = parse_flags(args)?;
+    let (pos, flags) = parse_flags("request", args)?;
     let addr = flags
         .get("addr")
         .cloned()
@@ -1641,39 +1653,85 @@ fn example_model_json() -> &'static str {
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn flag_parsing() {
-        let args: Vec<String> = ["model.json", "--mode", "exact", "--json"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (pos, flags) = parse_flags(&args).unwrap();
+        let args = strings(&["model.json", "--mode", "exact", "--json", "-v"]);
+        let (pos, flags) = parse_flags("solve", &args).unwrap();
         assert_eq!(pos, vec!["model.json"]);
         assert_eq!(flags.get("mode").map(|s| s.as_str()), Some("exact"));
         assert!(flags.contains_key("json"));
+        assert_eq!(flags.get("verbose").map(|s| s.as_str()), Some("1"));
     }
 
     #[test]
     fn flag_missing_value_rejected() {
-        let args: Vec<String> = ["--mode"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_flags(&args).is_err());
+        assert!(parse_flags("solve", &strings(&["--mode"])).is_err());
     }
 
     #[test]
-    fn every_usage_flag_is_known() {
-        let text = usage();
-        let mut seen = 0;
-        for (i, _) in text.match_indices("--") {
-            let name: String = text[i + 2..]
-                .chars()
-                .take_while(|c| c.is_ascii_lowercase() || *c == '-')
-                .collect();
-            assert!(
-                BOOL_FLAGS.contains(&name.as_str()) || VALUE_FLAGS.contains(&name.as_str()),
-                "usage names --{name}, which parse_flags rejects"
-            );
-            seen += 1;
+    fn diagnostics_flags_are_shared_by_every_subcommand() {
+        for (cmd, _) in COMMAND_FLAGS {
+            let args = strings(&["--diag", "d.json", "--trace", "t.json", "-vv"]);
+            let (_, flags) = parse_flags(cmd, &args).unwrap();
+            assert_eq!(flags.len(), 3, "{cmd}");
         }
+    }
+
+    #[test]
+    fn every_bool_flag_is_read_by_some_subcommand() {
+        for name in BOOL_FLAGS {
+            assert!(
+                COMMAND_FLAGS.iter().any(|(cmd, _)| accepts(cmd, name)),
+                "--{name} is in BOOL_FLAGS but no subcommand reads it"
+            );
+        }
+    }
+
+    #[test]
+    fn every_usage_flag_is_accepted_by_its_subcommand() {
+        let flag_names = |line: &str| -> Vec<String> {
+            line.match_indices("--")
+                .map(|(i, _)| {
+                    line[i + 2..]
+                        .chars()
+                        .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                        .collect()
+                })
+                .collect()
+        };
+        let mut seen = 0;
+        let mut commands = 0;
+        for line in usage().lines() {
+            let Some(rest) = line.trim_start().strip_prefix("gsched ") else {
+                // The trailing notes name shared flags.
+                for name in flag_names(line) {
+                    assert!(
+                        COMMAND_FLAGS.iter().any(|(cmd, _)| accepts(cmd, &name)),
+                        "usage names --{name}, which no subcommand accepts"
+                    );
+                    seen += 1;
+                }
+                continue;
+            };
+            let cmd = if rest.starts_with("bench trend") {
+                "bench trend"
+            } else {
+                rest.split_whitespace().next().unwrap()
+            };
+            if cmd.starts_with("example-") {
+                continue;
+            }
+            commands += 1;
+            for name in flag_names(line) {
+                assert!(accepts(cmd, &name), "usage gives `{cmd}` --{name}");
+                seen += 1;
+            }
+        }
+        assert_eq!(commands, COMMAND_FLAGS.len(), "one usage line per table");
         assert!(seen > 40, "usage text lists only {seen} flags");
     }
 

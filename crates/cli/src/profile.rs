@@ -1,21 +1,21 @@
 //! `gsched profile` — where does a solve actually spend its time?
 //!
-//! Runs a scenario's workload **single-threaded on the calling thread**
-//! (a serial warm-started `solve_warm` loop over the sweep points, not the
-//! engine pool) so that every span nests under the command's own stack and
-//! self-time attribution partitions the measured wall clock. On top of the
-//! span tree it reports the dense-kernel work counters from
-//! `gsched-linalg` — calls, nominal flops, and achieved GFLOP/s — and the
-//! convergence behaviour of the `R` solves and the outer fixed point.
+//! Runs a scenario's workload through the same engine sweep `gsched
+//! sweep` runs (`run_sweep`, chunked warm-start chains and all) with one
+//! worker, which is the calling thread, so every span nests under the
+//! command's own stack and self-time attribution partitions the measured
+//! wall clock. On top of the span tree it reports the dense-kernel work
+//! counters from `gsched-linalg` — calls, nominal flops, and achieved
+//! GFLOP/s — and the convergence behaviour of the `R` solves and the
+//! outer fixed point.
 //!
 //! The `--json` document is schema-versioned ([`PROFILE_SCHEMA_VERSION`])
 //! and consumed by the CI `profile-smoke` job, which asserts the phase
 //! table attributes at least 90% of wall time.
 
 use crate::convergence::{self, ConvergenceReport};
-use gsched_core::model::GangModel;
-use gsched_core::solver::{solve_warm, SolverOptions, WarmStart};
-use gsched_core::vacation::VacationCache;
+use gsched_core::solver::SolverOptions;
+use gsched_engine::{run_sweep, ScenarioBase, SweepAxis, SweepOptions, SweepPoint, SweepRequest};
 use gsched_linalg::WorkCounters;
 use gsched_obs as obs;
 use gsched_scenario::{registry, Scenario};
@@ -127,6 +127,7 @@ fn phase_label(span: &str) -> &'static str {
         "qbd.inverse" => "(I-R)^-1 stability gate",
         "qbd.spectral_radius" => "sp(R) diagnostic",
         "qbd.boundary_solve" => "boundary solve",
+        s if s.starts_with("engine.sweep.") => "sweep engine",
         _ => "other",
     }
 }
@@ -157,33 +158,28 @@ fn phase_breakdown(snap: &obs::Snapshot, wall_ms: f64) -> Vec<PhaseRow> {
         .collect()
 }
 
-/// The models a profile run solves, in order.
+/// One sweep a profile run evaluates.
 struct Workload {
-    name: String,
-    models: Vec<GangModel>,
-    /// The scenario the models came from; it decides the solver, as in
+    req: SweepRequest,
+    /// The scenario the request came from; it decides the solver, as in
     /// `gsched sweep`.
     scenario: Scenario,
 }
 
 /// A scenario's workload: its declared sweep when it has one, otherwise
-/// its single model.
+/// a one-point request for its single model.
 fn scenario_workload(sc: Scenario, quick: bool) -> Result<Workload, String> {
-    let models = if sc.sweep.is_some() {
-        sc.sweep_request(quick)
-            .map_err(|e| e.to_string())?
-            .points
-            .into_iter()
-            .map(|p| p.model)
-            .collect()
+    let req = if sc.sweep.is_some() {
+        sc.sweep_request(quick).map_err(|e| e.to_string())?
     } else {
-        vec![sc.build_model().map_err(|e| e.to_string())?]
+        let model = sc.build_model().map_err(|e| e.to_string())?;
+        SweepRequest::new(
+            SweepAxis::Custom("point".to_string()),
+            ScenarioBase::labeled(sc.name.clone()),
+            vec![SweepPoint { x: 0.0, model }],
+        )
     };
-    Ok(Workload {
-        name: sc.name.clone(),
-        models,
-        scenario: sc,
-    })
+    Ok(Workload { req, scenario: sc })
 }
 
 /// Resolve the requested workload set: `--sweep fig2..fig5|all` takes the
@@ -222,34 +218,6 @@ fn workloads(
     Ok(vec![scenario_workload(crate::load_scenario(arg)?, quick)?])
 }
 
-/// Solve every model of every workload serially with warm starting — the
-/// same numerical path the engine takes (including the solver `gsched
-/// sweep` picks for the workload's scenario), confined to this thread so
-/// the span tree nests under one stack.
-fn run_workloads(workloads: &[Workload], solver: &SolverOptions) -> (u64, u64) {
-    let (mut solved, mut failed) = (0u64, 0u64);
-    for w in workloads {
-        let solver = &crate::sweep_solver_options(solver, &w.scenario);
-        let cache = VacationCache::new();
-        let mut warm: Option<WarmStart> = None;
-        for model in &w.models {
-            match solve_warm(model, solver, warm.as_ref(), Some(&cache)) {
-                Ok(out) => {
-                    warm = Some(out.warm);
-                    solved += 1;
-                }
-                Err(_) => {
-                    // Unstable/non-convergent sweep ends: drop the warm
-                    // state so the next point starts cold, keep profiling.
-                    warm = None;
-                    failed += 1;
-                }
-            }
-        }
-    }
-    (solved, failed)
-}
-
 /// Run the workloads under a fresh recorder, optionally export the Chrome
 /// trace, and assemble the report — one instrumented run feeds everything.
 fn measure(
@@ -261,7 +229,17 @@ fn measure(
     let recorder = obs::install_memory();
     let base = WorkCounters::snapshot();
     let start = Instant::now();
-    let (solved, failed) = run_workloads(workloads, solver);
+    let (mut points, mut failed) = (0, 0);
+    for w in workloads {
+        // One worker: the sweep runs on this thread, so its spans nest
+        // under this stack and the engine leaves per-class parallelism off.
+        let opts = SweepOptions::default()
+            .with_jobs(1)
+            .with_solver(crate::sweep_solver_options(solver, &w.scenario));
+        let report = run_sweep(&w.req, &opts);
+        points += report.points.len() as u64;
+        failed += report.failures() as u64;
+    }
     let wall = start.elapsed();
     let work = base.delta_since();
     obs::uninstall();
@@ -281,13 +259,13 @@ fn measure(
         flops,
         gflops_per_sec: flops as f64 / secs / 1e9,
     };
-    let names: Vec<&str> = workloads.iter().map(|w| w.name.as_str()).collect();
+    let names: Vec<&str> = workloads.iter().map(|w| w.scenario.name.as_str()).collect();
     Ok(ProfileReport {
         profile_schema_version: PROFILE_SCHEMA_VERSION,
         workload: names.join("+"),
         quick,
         r_solver: solver.qbd.method.as_str().to_string(),
-        points: solved + failed,
+        points,
         failed_points: failed,
         wall_ms,
         attributed_ms,
@@ -363,7 +341,7 @@ fn print_human(rep: &ProfileReport) {
 
 /// Entry point for `gsched profile`.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = crate::parse_flags(args)?;
+    let (pos, flags) = crate::parse_flags("profile", args)?;
     if flags.contains_key("diag") || flags.contains_key("verbose") {
         // Profile owns the recorder for the duration of the measured loop;
         // a second capture of the same run would race with it.
@@ -374,9 +352,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     }
     let quick = flags.contains_key("quick");
     let workloads = workloads(&pos, &flags, quick)?;
-    let mut solver = crate::solver_options(&flags)?;
-    // The measurement relies on every span nesting under this thread.
-    solver.parallel_classes = false;
+    let solver = crate::solver_options(&flags)?;
     let rep = measure(
         &workloads,
         &solver,
@@ -419,7 +395,8 @@ mod tests {
         ] {
             assert_ne!(phase_label(span), "other", "no label for {span}");
         }
-        assert_eq!(phase_label("engine.sweep.chunk*"), "other");
+        assert_eq!(phase_label("engine.sweep.chunk*"), "sweep engine");
+        assert_eq!(phase_label("service.request"), "other");
     }
 
     #[test]

@@ -275,7 +275,7 @@ pub fn gate(
 
 /// Entry point for `gsched bench trend`.
 pub fn run(args: &[String]) -> Result<(), String> {
-    let (pos, flags) = crate::parse_flags(args)?;
+    let (pos, flags) = crate::parse_flags("bench trend", args)?;
     if !pos.is_empty() {
         return Err(format!("bench trend: unexpected argument `{}`", pos[0]));
     }

@@ -404,6 +404,24 @@ fn unknown_and_removed_flags_fail_by_name() {
             "--compare",
         ),
         (&["bench", "--kernels", "--quick"][..], "--kernels"),
+        // Flags another subcommand owns are unknown here.
+        (
+            &[
+                "solve",
+                "--scenario",
+                "fig2",
+                "--jobs",
+                "3",
+                "--window",
+                "2",
+            ][..],
+            "--jobs",
+        ),
+        (&["validate", "fig2", "--jobs", "4"][..], "--jobs"),
+        (
+            &["bench", "--quick", "--jobs", "4", "--scenario", "fig2"][..],
+            "--jobs",
+        ),
     ] {
         let out = gsched().args(args).output().unwrap();
         assert!(!out.status.success(), "{args:?} succeeded");
@@ -970,6 +988,41 @@ fn profile_quick_json_attributes_wall_time() {
         .as_array()
         .unwrap()
         .is_empty());
+}
+
+/// `gsched profile` measures the sweep `gsched sweep` runs: the same
+/// chunked warm-start chains, so the same fixed-point iteration count.
+#[test]
+fn profile_counts_the_fixed_point_iterations_of_the_sweep() {
+    let dir = tmpdir("profile_vs_sweep");
+    let diag = dir.join("sweep.diag.json");
+    let out = gsched()
+        .args(["sweep", "fig2", "--quick", "--jobs", "1", "--diag"])
+        .arg(&diag)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let snap: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&diag).unwrap()).unwrap();
+    let sweep_iterations = snap["counters"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .find(|c| c["name"].as_str() == Some("core.solver.fp_iterations"))
+        .and_then(|c| c["value"].as_u64())
+        .unwrap();
+
+    let out = gsched()
+        .args(["profile", "fig2", "--quick", "--json"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let profile: serde_json::Value =
+        serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
+    assert_eq!(
+        profile["convergence"]["fp_iterations"].as_u64(),
+        Some(sweep_iterations)
+    );
 }
 
 #[test]

@@ -3,21 +3,26 @@
 //! Every figure in the paper (Figs. 2–5) is a *sweep*: the same model
 //! solved at dozens of nearby parameter points. This crate turns such a
 //! batch into a [`SweepRequest`] and evaluates it on a work-stealing pool
-//! of scoped worker threads ([`run_sweep`]), exploiting two independent
-//! levels of parallelism:
+//! ([`run_batch`], with [`run_sweep`] as its one-request form). The
+//! calling thread is one of the workers and scoped helper threads join
+//! it, exploiting two independent levels of parallelism:
 //!
-//! 1. **across sweep points** — points are grouped into fixed-size
-//!    contiguous chunks along the sweep axis; workers steal whole chunks;
+//! 1. **across sweep points** — points are grouped into contiguous chunks
+//!    of [`DEFAULT_CHUNK_SIZE`] along the sweep axis; workers steal whole
+//!    chunks;
 //! 2. **across classes** — the `L` per-class QBD solves inside one
 //!    fixed-point pass are mutually independent and can run on their own
 //!    threads ([`gsched_core::SolverOptions::parallel_classes`], enabled
 //!    automatically when there are more workers than chunks).
 //!
+//! Several requests (the scenario server's queued sweeps) can share one
+//! pool through [`run_batch`]; their chunks feed one work list.
+//!
 //! Within a chunk, points are solved left to right and each point
 //! *warm-starts* from its neighbour's converged state: the previous `R`
 //! matrix seeds the successive-substitution iteration for eq. (23) and the
 //! converged effective quanta seed the fixed point of Theorem 4.3.
-//! Vacation convolutions (Theorem 4.1) are memoized across the whole sweep
+//! Vacation convolutions (Theorem 4.1) are memoized across the whole call
 //! in a [`gsched_core::VacationCache`].
 //!
 //! # Cancellation
@@ -31,13 +36,14 @@
 //!
 //! # Determinism
 //!
-//! The chunk layout depends only on the point count and
-//! [`SweepOptions::chunk_size`] — never on the worker count — and
-//! warm-start chaining never crosses a chunk boundary. Every memoized or
+//! A request's chunk layout depends only on its point count — never on
+//! the worker count or on the requests batched with it — and warm-start
+//! chaining never crosses a chunk boundary. Every memoized or
 //! warm-started computation is a deterministic function of its inputs, so
-//! a sweep's results are **bitwise identical** for any `jobs` value; see
-//! `points_and_parity` in the test suite and the `gsched sweep
-//! --parity-check` CLI flag.
+//! a sweep's results are **bitwise identical** for any `jobs` value and
+//! any batch; see `points_and_parity` and
+//! `batched_requests_are_bitwise_identical_to_standalone` in the test
+//! suite and the `gsched sweep --parity-check` CLI flag.
 
 mod cancel;
 mod pool;

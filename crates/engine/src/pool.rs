@@ -1,20 +1,22 @@
 //! The work-stealing evaluation pool.
 //!
-//! Points are split into fixed-size contiguous chunks along the sweep
-//! axis. Worker threads steal whole chunks off a shared atomic counter and
-//! solve each chunk's points left to right, warm-starting every point from
-//! its left neighbour's converged state. Because the chunk layout depends
-//! only on the point count and chunk size — never on the worker count —
-//! and warm chains never cross chunk boundaries, results are bitwise
-//! identical for any `jobs` value.
+//! [`run_batch`] evaluates one or more sweep requests on one pool of
+//! workers. Each request's points are split into contiguous chunks of
+//! [`DEFAULT_CHUNK_SIZE`] along its sweep axis, and the chunks of every
+//! request form one work list that the workers take from a shared atomic
+//! counter. A worker solves a chunk's points left to right, warm-starting
+//! every point from its left neighbour's converged state, and one
+//! [`VacationCache`] serves the whole call. [`run_sweep`] is a one-item
+//! batch.
 //!
-//! [`run_batch`] evaluates several requests on one shared pool: each
-//! request is chunked exactly as [`run_sweep`] would chunk it alone, the
-//! chunks of all requests feed one work queue, and a single
-//! [`VacationCache`] is shared across the batch so repeated distribution
-//! constructions amortize across clients. Warm chains still never cross
-//! chunk (hence request) boundaries, so every request's results are
-//! bitwise identical to a standalone `run_sweep`.
+//! The calling thread is always one of the workers; `jobs − 1` scoped
+//! helpers join it. A one-worker sweep therefore starts no thread, and its
+//! chunk and point spans nest under the caller's open spans.
+//!
+//! Because a request's chunk layout depends only on its point count —
+//! never on the worker count or on the requests it is batched with — and
+//! warm chains never cross a chunk boundary, every request's results are
+//! bitwise identical for any `jobs` value and any batch.
 
 use crate::cancel::{CancelToken, CANCELLED_POINT_ERROR};
 use crate::report::{PointReport, SweepReport, SweepStats};
@@ -25,12 +27,12 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Default points per work-stealing chunk. Four gives a ~75% warm-start
-/// rate on the paper's figure grids while still exposing enough chunks for
-/// the pool to balance.
+/// Points per work-stealing chunk. Four gives a ~75% warm-start rate on
+/// the paper's figure grids while still exposing enough chunks for the
+/// pool to balance.
 pub const DEFAULT_CHUNK_SIZE: usize = 4;
 
-/// Options for [`run_sweep`].
+/// Options for [`run_sweep`] and [`run_batch`].
 ///
 /// `#[non_exhaustive]`: start from `SweepOptions::default()` and adjust via
 /// the chainable `with_*` methods (or field assignment).
@@ -44,10 +46,6 @@ pub struct SweepOptions {
     /// Warm-start each point from its chunk-neighbour's converged state
     /// (default true).
     pub warm_start: bool,
-    /// Points per work-stealing chunk; `0` (default) means
-    /// [`DEFAULT_CHUNK_SIZE`]. Changing this changes the warm-start
-    /// chains, and therefore the results within solver tolerance.
-    pub chunk_size: usize,
     /// Options for each point's solve.
     pub solver: SolverOptions,
     /// Cooperative cancellation: workers poll this token between points
@@ -61,7 +59,6 @@ impl Default for SweepOptions {
         SweepOptions {
             jobs: 0,
             warm_start: true,
-            chunk_size: 0,
             solver: SolverOptions::default(),
             cancel: None,
         }
@@ -80,13 +77,6 @@ impl SweepOptions {
     #[must_use]
     pub fn with_warm_start(mut self, warm: bool) -> Self {
         self.warm_start = warm;
-        self
-    }
-
-    /// Set the chunk size (`0` = default).
-    #[must_use]
-    pub fn with_chunk_size(mut self, size: usize) -> Self {
-        self.chunk_size = size;
         self
     }
 
@@ -112,204 +102,6 @@ fn effective_jobs(requested: usize) -> usize {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    }
-}
-
-/// Everything a chunk solve needs about its request, shared between
-/// [`run_sweep`] and [`run_batch`] so a batched request solves through the
-/// same code path (and therefore the same bytes) as a standalone sweep.
-struct ChunkScope<'a> {
-    req: &'a SweepRequest,
-    solver: &'a SolverOptions,
-    warm_start: bool,
-    cache: &'a VacationCache,
-    results: &'a Mutex<Vec<Option<PointReport>>>,
-    hits: &'a AtomicU64,
-    misses: &'a AtomicU64,
-}
-
-/// Solve points `lo..hi` left to right, warm-chaining within the chunk.
-/// `cancelled` is polled before every point; once it reports true the
-/// remaining points are recorded as cancelled failures without solving.
-fn solve_chunk(scope: &ChunkScope<'_>, lo: usize, hi: usize, cancelled: &dyn Fn() -> bool) {
-    let mut carry: Option<WarmStart> = None;
-    for i in lo..hi {
-        let pt = &scope.req.points[i];
-        if cancelled() {
-            // Finish bookkeeping for every remaining point but
-            // never start another solve.
-            carry = None;
-            obs::counter_add(obs::names::ENGINE_SWEEP_CANCELLED_POINTS, 1);
-            scope.results.lock()[i] = Some(PointReport {
-                x: pt.x,
-                solution: None,
-                error: Some(CANCELLED_POINT_ERROR.to_string()),
-                warm_started: false,
-                wall_ms: 0.0,
-            });
-            continue;
-        }
-        let t0 = Instant::now();
-        let warm_ref = if scope.warm_start {
-            carry.as_ref()
-        } else {
-            None
-        };
-        let warm_started = warm_ref.is_some();
-        let res = {
-            let _pt_span = obs::span(format!("engine.sweep.point{i}"));
-            solve_warm(&pt.model, scope.solver, warm_ref, Some(scope.cache))
-        };
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let report = match res {
-            Ok(outcome) => {
-                if warm_started {
-                    scope.hits.fetch_add(1, Ordering::Relaxed);
-                    obs::counter_add(obs::names::ENGINE_WARM_HITS, 1);
-                } else {
-                    scope.misses.fetch_add(1, Ordering::Relaxed);
-                    obs::counter_add(obs::names::ENGINE_WARM_MISSES, 1);
-                }
-                carry = Some(outcome.warm);
-                PointReport {
-                    x: pt.x,
-                    solution: Some(outcome.solution),
-                    error: None,
-                    warm_started,
-                    wall_ms,
-                }
-            }
-            Err(e) => {
-                // Do not chain a warm start through a failure.
-                carry = None;
-                let msg = e.with_sweep_point(pt.x).to_string();
-                if obs::enabled() {
-                    obs::event(
-                        "engine.sweep.point_error",
-                        &[
-                            ("x", obs::FieldValue::F64(pt.x)),
-                            ("error", obs::FieldValue::Str(msg.clone())),
-                        ],
-                    );
-                }
-                PointReport {
-                    x: pt.x,
-                    solution: None,
-                    error: Some(msg),
-                    warm_started,
-                    wall_ms,
-                }
-            }
-        };
-        scope.results.lock()[i] = Some(report);
-    }
-}
-
-/// Evaluate every point of `req` and collect the outcomes.
-///
-/// Per-point failures are recorded in the corresponding [`PointReport`]
-/// (with class and sweep-point context in the message) and never abort the
-/// rest of the sweep.
-pub fn run_sweep(req: &SweepRequest, opts: &SweepOptions) -> SweepReport {
-    let start = Instant::now();
-    let _span = obs::span(format!("engine.sweep.{}", req.base.label));
-    let n = req.points.len();
-    let chunk_size = if opts.chunk_size == 0 {
-        DEFAULT_CHUNK_SIZE
-    } else {
-        opts.chunk_size
-    };
-    let num_chunks = n.div_ceil(chunk_size);
-    let requested = effective_jobs(opts.jobs);
-    let jobs = requested.clamp(1, num_chunks.max(1));
-
-    let mut solver = opts.solver.clone();
-    // More workers than chunks: spend the spare cores inside each solve.
-    // Per-class parallelism is numerics-neutral, so parity is unaffected.
-    if requested > num_chunks && !solver.parallel_classes {
-        solver.parallel_classes = true;
-    }
-
-    if obs::enabled() {
-        obs::event(
-            "engine.sweep.start",
-            &[
-                ("label", obs::FieldValue::Str(req.base.label.clone())),
-                ("axis", obs::FieldValue::Str(req.axis.label())),
-                ("points", obs::FieldValue::U64(n as u64)),
-                ("chunks", obs::FieldValue::U64(num_chunks as u64)),
-                ("jobs", obs::FieldValue::U64(jobs as u64)),
-                ("chunk_size", obs::FieldValue::U64(chunk_size as u64)),
-            ],
-        );
-    }
-
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<PointReport>>> = Mutex::new(vec![None; n]);
-    let hits = AtomicU64::new(0);
-    let misses = AtomicU64::new(0);
-    let cache = VacationCache::new();
-    let scope = ChunkScope {
-        req,
-        solver: &solver,
-        warm_start: opts.warm_start,
-        cache: &cache,
-        results: &results,
-        hits: &hits,
-        misses: &misses,
-    };
-    let scope_ref = &scope;
-    let next_ref = &next;
-    let cancelled = move || opts.cancel.as_ref().is_some_and(|c| c.is_cancelled());
-    // Worker threads inherit the caller's request context so every chunk
-    // and point span stays attributed to the service request (if any)
-    // driving this sweep.
-    let ctx = obs::current_context();
-
-    crossbeam::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(move |_| {
-                let _ctx = obs::context_enter(ctx);
-                loop {
-                    let ci = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if ci >= num_chunks {
-                        break;
-                    }
-                    let lo = ci * chunk_size;
-                    let hi = (lo + chunk_size).min(n);
-                    let _chunk_span = obs::span(format!("engine.sweep.chunk{ci}"));
-                    solve_chunk(scope_ref, lo, hi, &cancelled);
-                }
-            });
-        }
-    })
-    .expect("sweep worker threads join cleanly");
-
-    let points: Vec<PointReport> = results
-        .into_inner()
-        .into_iter()
-        .map(|p| p.expect("every sweep point is evaluated"))
-        .collect();
-    let stats = SweepStats {
-        warm_hits: hits.load(Ordering::Relaxed),
-        warm_misses: misses.load(Ordering::Relaxed),
-        jobs,
-        chunks: num_chunks,
-        parallel_classes: solver.parallel_classes,
-        wall_ms: start.elapsed().as_secs_f64() * 1e3,
-    };
-    if obs::enabled() {
-        obs::gauge_set(
-            obs::names::ENGINE_SWEEP_WARM_HIT_RATE,
-            stats.warm_hit_rate(),
-        );
-        obs::gauge_set(obs::names::ENGINE_SWEEP_JOBS, stats.jobs as f64);
-    }
-    SweepReport {
-        axis: req.axis.clone(),
-        label: req.base.label.clone(),
-        points,
-        stats,
     }
 }
 
@@ -352,154 +144,265 @@ impl<'a> BatchItem<'a> {
     }
 }
 
+/// One chunk of one item: points `lo..hi` of `items[item]`.
+struct Task {
+    item: usize,
+    chunk: usize,
+    lo: usize,
+    hi: usize,
+}
+
+/// What the workers accumulate for one item.
+struct ItemOutcome {
+    points: Mutex<Vec<Option<PointReport>>>,
+    warm_hits: AtomicU64,
+    warm_misses: AtomicU64,
+}
+
+/// Everything a chunk solve shares with the other workers.
+struct Pool<'a> {
+    items: &'a [BatchItem<'a>],
+    outcomes: Vec<ItemOutcome>,
+    tasks: Vec<Task>,
+    next: AtomicUsize,
+    solver: SolverOptions,
+    opts: &'a SweepOptions,
+    cache: VacationCache,
+    caller_ctx: u64,
+}
+
+impl Pool<'_> {
+    /// One worker: take chunks off the shared counter until none are left.
+    fn work(&self) {
+        while let Some(task) = self.tasks.get(self.next.fetch_add(1, Ordering::Relaxed)) {
+            let item = &self.items[task.item];
+            // Chunk and point spans attribute to the item's own request,
+            // not to whichever request the batch was started for.
+            let ctx = if item.ctx != 0 {
+                item.ctx
+            } else {
+                self.caller_ctx
+            };
+            let _ctx = obs::context_enter(ctx);
+            let _chunk_span = obs::span(format!("engine.sweep.chunk{}", task.chunk));
+            self.solve_chunk(task, item);
+        }
+    }
+
+    fn cancelled(&self, item: &BatchItem<'_>) -> bool {
+        [&self.opts.cancel, &item.cancel]
+            .into_iter()
+            .flatten()
+            .any(CancelToken::is_cancelled)
+    }
+
+    /// Solve one chunk's points left to right, warm-chaining within it.
+    /// Cancellation is polled before every point; once it fires, the
+    /// remaining points are recorded as cancelled without solving.
+    fn solve_chunk(&self, task: &Task, item: &BatchItem<'_>) {
+        let outcome = &self.outcomes[task.item];
+        let mut carry: Option<WarmStart> = None;
+        for i in task.lo..task.hi {
+            let pt = &item.request.points[i];
+            if self.cancelled(item) {
+                carry = None;
+                obs::counter_add(obs::names::ENGINE_SWEEP_CANCELLED_POINTS, 1);
+                outcome.points.lock()[i] = Some(PointReport {
+                    x: pt.x,
+                    solution: None,
+                    error: Some(CANCELLED_POINT_ERROR.to_string()),
+                    warm_started: false,
+                    wall_ms: 0.0,
+                });
+                continue;
+            }
+            let t0 = Instant::now();
+            let warm = carry.take().filter(|_| self.opts.warm_start);
+            let warm_started = warm.is_some();
+            let res = {
+                let _pt_span = obs::span(format!("engine.sweep.point{i}"));
+                solve_warm(&pt.model, &self.solver, warm.as_ref(), Some(&self.cache))
+            };
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            let report = match res {
+                Ok(solved) => {
+                    if warm_started {
+                        outcome.warm_hits.fetch_add(1, Ordering::Relaxed);
+                        obs::counter_add(obs::names::ENGINE_WARM_HITS, 1);
+                    } else {
+                        outcome.warm_misses.fetch_add(1, Ordering::Relaxed);
+                        obs::counter_add(obs::names::ENGINE_WARM_MISSES, 1);
+                    }
+                    carry = Some(solved.warm);
+                    PointReport {
+                        x: pt.x,
+                        solution: Some(solved.solution),
+                        error: None,
+                        warm_started,
+                        wall_ms,
+                    }
+                }
+                Err(e) => {
+                    // A failure breaks the warm chain (`carry` is empty).
+                    let msg = e.with_sweep_point(pt.x).to_string();
+                    if obs::enabled() {
+                        obs::event(
+                            "engine.sweep.point_error",
+                            &[
+                                ("x", obs::FieldValue::F64(pt.x)),
+                                ("error", obs::FieldValue::Str(msg.clone())),
+                            ],
+                        );
+                    }
+                    PointReport {
+                        x: pt.x,
+                        solution: None,
+                        error: Some(msg),
+                        warm_started,
+                        wall_ms,
+                    }
+                }
+            };
+            outcome.points.lock()[i] = Some(report);
+        }
+    }
+}
+
+/// Evaluate every point of `req` and collect the outcomes: a one-item
+/// [`run_batch`].
+///
+/// Per-point failures are recorded in the corresponding [`PointReport`]
+/// (with class and sweep-point context in the message) and never abort the
+/// rest of the sweep.
+pub fn run_sweep(req: &SweepRequest, opts: &SweepOptions) -> SweepReport {
+    run_batch(&[BatchItem::new(req)], opts)
+        .pop()
+        .expect("one report per item")
+}
+
 /// Evaluate several sweep requests on one shared worker pool.
 ///
-/// Each request is chunked exactly as [`run_sweep`] would chunk it alone
-/// and its points solve through the same code path, so every report is
-/// **bitwise identical** to the standalone sweep — the batch only shares
-/// the pool and one [`VacationCache`], and memoized vacation constructions
-/// are value-deterministic. Reports come back in item order. A cancelled
-/// item never stops its batch-mates; per-item tokens compose with the
+/// Every request is chunked the same way whatever it shares the pool
+/// with, so each report is **bitwise identical** to the request's
+/// standalone [`run_sweep`] — the batch only shares the workers and one
+/// [`VacationCache`], whose memoized constructions are
+/// value-deterministic. Reports come back in item order. A cancelled item
+/// never stops its batch-mates; per-item tokens compose with the
 /// batch-wide `opts.cancel`.
 ///
-/// `opts.jobs` sizes the shared pool (0 = auto), clamped to the total
-/// chunk count across the batch. Each report's `stats.jobs` records the
-/// shared pool size and `stats.wall_ms` the whole batch's wall time (items
-/// interleave on the pool, so per-item wall is not meaningful).
+/// `opts.jobs` sizes the pool (0 = auto), clamped to the total chunk
+/// count; when more workers were asked for than there are chunks, the
+/// spare cores go to per-class parallelism inside each solve, which is
+/// numerics-neutral. Each report's `stats.jobs` records the pool size and
+/// `stats.wall_ms` the whole call's wall time (items interleave on the
+/// pool, so per-item wall is not meaningful).
 pub fn run_batch(items: &[BatchItem<'_>], opts: &SweepOptions) -> Vec<SweepReport> {
     let start = Instant::now();
     if items.is_empty() {
         return Vec::new();
     }
-    let _span = obs::span("engine.batch");
-    let chunk_size = if opts.chunk_size == 0 {
-        DEFAULT_CHUNK_SIZE
-    } else {
-        opts.chunk_size
-    };
-    // Flatten every item's chunk layout into one work list. The layout per
-    // item depends only on its point count and the chunk size — identical
-    // to what run_sweep would produce.
-    struct Task {
-        item: usize,
-        ci: usize,
-        lo: usize,
-        hi: usize,
-    }
-    let mut tasks: Vec<Task> = Vec::new();
+    let labels: Vec<&str> = items
+        .iter()
+        .map(|b| b.request.base.label.as_str())
+        .collect();
+    let label = labels.join("+");
+    let _span = obs::span(format!("engine.sweep.{label}"));
+    let mut tasks = Vec::new();
     for (item, b) in items.iter().enumerate() {
         let n = b.request.points.len();
-        for ci in 0..n.div_ceil(chunk_size) {
-            let lo = ci * chunk_size;
+        for chunk in 0..n.div_ceil(DEFAULT_CHUNK_SIZE) {
+            let lo = chunk * DEFAULT_CHUNK_SIZE;
+            let hi = (lo + DEFAULT_CHUNK_SIZE).min(n);
             tasks.push(Task {
                 item,
-                ci,
+                chunk,
                 lo,
-                hi: (lo + chunk_size).min(n),
+                hi,
             });
         }
     }
-    let total_chunks = tasks.len();
     let requested = effective_jobs(opts.jobs);
-    let jobs = requested.clamp(1, total_chunks.max(1));
+    let jobs = requested.clamp(1, tasks.len().max(1));
     let mut solver = opts.solver.clone();
-    if requested > total_chunks && !solver.parallel_classes {
-        solver.parallel_classes = true;
-    }
+    solver.parallel_classes |= requested > tasks.len();
 
-    let total_points: usize = items.iter().map(|b| b.request.points.len()).sum();
-    obs::counter_add(obs::names::ENGINE_BATCH_REQUESTS, items.len() as u64);
+    let points: usize = items.iter().map(|b| b.request.points.len()).sum();
     if obs::enabled() {
         obs::event(
-            "engine.batch.start",
+            "engine.sweep.start",
             &[
+                ("label", obs::FieldValue::Str(label)),
                 ("items", obs::FieldValue::U64(items.len() as u64)),
-                ("points", obs::FieldValue::U64(total_points as u64)),
-                ("chunks", obs::FieldValue::U64(total_chunks as u64)),
+                ("points", obs::FieldValue::U64(points as u64)),
+                ("chunks", obs::FieldValue::U64(tasks.len() as u64)),
                 ("jobs", obs::FieldValue::U64(jobs as u64)),
             ],
         );
     }
 
-    let cache = VacationCache::new();
-    let results: Vec<Mutex<Vec<Option<PointReport>>>> = items
-        .iter()
-        .map(|b| Mutex::new(vec![None; b.request.points.len()]))
-        .collect();
-    let hits: Vec<AtomicU64> = (0..items.len()).map(|_| AtomicU64::new(0)).collect();
-    let misses: Vec<AtomicU64> = (0..items.len()).map(|_| AtomicU64::new(0)).collect();
-    let next = AtomicUsize::new(0);
-
-    let tasks_ref = &tasks;
-    let next_ref = &next;
-    let cache_ref = &cache;
-    let solver_ref = &solver;
-    let results_ref = &results;
-    let hits_ref = &hits;
-    let misses_ref = &misses;
-    let caller_ctx = obs::current_context();
-
+    let pool = Pool {
+        items,
+        outcomes: items
+            .iter()
+            .map(|b| ItemOutcome {
+                points: Mutex::new(vec![None; b.request.points.len()]),
+                warm_hits: AtomicU64::new(0),
+                warm_misses: AtomicU64::new(0),
+            })
+            .collect(),
+        tasks,
+        next: AtomicUsize::new(0),
+        solver,
+        opts,
+        cache: VacationCache::new(),
+        caller_ctx: obs::current_context(),
+    };
     crossbeam::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(move |_| {
-                loop {
-                    let ti = next_ref.fetch_add(1, Ordering::Relaxed);
-                    if ti >= tasks_ref.len() {
-                        break;
-                    }
-                    let task = &tasks_ref[ti];
-                    let b = &items[task.item];
-                    // Chunk and point spans attribute to the item's own
-                    // request, not whichever request triggered the batch.
-                    let ctx = if b.ctx != 0 { b.ctx } else { caller_ctx };
-                    let _ctx = obs::context_enter(ctx);
-                    let scope = ChunkScope {
-                        req: b.request,
-                        solver: solver_ref,
-                        warm_start: opts.warm_start,
-                        cache: cache_ref,
-                        results: &results_ref[task.item],
-                        hits: &hits_ref[task.item],
-                        misses: &misses_ref[task.item],
-                    };
-                    let cancelled = || {
-                        opts.cancel.as_ref().is_some_and(|c| c.is_cancelled())
-                            || b.cancel.as_ref().is_some_and(|c| c.is_cancelled())
-                    };
-                    let _chunk_span = obs::span(format!("engine.sweep.chunk{}", task.ci));
-                    solve_chunk(&scope, task.lo, task.hi, &cancelled);
-                }
-            });
+        for _ in 1..jobs {
+            s.spawn(|_| pool.work());
         }
+        pool.work();
     })
-    .expect("batch worker threads join cleanly");
+    .expect("sweep worker threads join cleanly");
 
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    results
+    let parallel_classes = pool.solver.parallel_classes;
+    let reports: Vec<SweepReport> = pool
+        .outcomes
         .into_iter()
         .zip(items)
-        .enumerate()
-        .map(|(i, (res, b))| {
-            let points: Vec<PointReport> = res
+        .map(|(outcome, b)| SweepReport {
+            axis: b.request.axis.clone(),
+            label: b.request.base.label.clone(),
+            points: outcome
+                .points
                 .into_inner()
                 .into_iter()
-                .map(|p| p.expect("every batched point is evaluated"))
-                .collect();
-            SweepReport {
-                axis: b.request.axis.clone(),
-                label: b.request.base.label.clone(),
-                points,
-                stats: SweepStats {
-                    warm_hits: hits[i].load(Ordering::Relaxed),
-                    warm_misses: misses[i].load(Ordering::Relaxed),
-                    jobs,
-                    chunks: b.request.points.len().div_ceil(chunk_size),
-                    parallel_classes: solver.parallel_classes,
-                    wall_ms,
-                },
-            }
+                .map(|p| p.expect("every sweep point is evaluated"))
+                .collect(),
+            stats: SweepStats {
+                warm_hits: outcome.warm_hits.into_inner(),
+                warm_misses: outcome.warm_misses.into_inner(),
+                jobs,
+                chunks: b.request.points.len().div_ceil(DEFAULT_CHUNK_SIZE),
+                parallel_classes,
+                wall_ms,
+            },
         })
-        .collect()
+        .collect();
+    if obs::enabled() {
+        let total = SweepStats {
+            warm_hits: reports.iter().map(|r| r.stats.warm_hits).sum(),
+            warm_misses: reports.iter().map(|r| r.stats.warm_misses).sum(),
+            ..SweepStats::default()
+        };
+        obs::gauge_set(
+            obs::names::ENGINE_SWEEP_WARM_HIT_RATE,
+            total.warm_hit_rate(),
+        );
+        obs::gauge_set(obs::names::ENGINE_SWEEP_JOBS, jobs as f64);
+    }
+    reports
 }
 
 #[cfg(test)]
@@ -697,17 +600,5 @@ mod tests {
     #[test]
     fn empty_batch_returns_nothing() {
         assert!(run_batch(&[], &SweepOptions::default()).is_empty());
-    }
-
-    #[test]
-    fn custom_chunk_size_changes_chains() {
-        let req = request(6, 0.15);
-        let big = run_sweep(
-            &req,
-            &SweepOptions::default().with_jobs(1).with_chunk_size(6),
-        );
-        assert_eq!(big.stats.chunks, 1);
-        assert_eq!(big.stats.warm_misses, 1);
-        assert_eq!(big.stats.warm_hits, 5);
     }
 }

@@ -56,8 +56,6 @@ pub const ENGINE_SWEEP_CANCELLED_POINTS: &str = "engine.sweep.cancelled_points";
 pub const ENGINE_SWEEP_WARM_HIT_RATE: &str = "engine.sweep.warm_hit_rate";
 /// Worker threads of the last sweep (gauge).
 pub const ENGINE_SWEEP_JOBS: &str = "engine.sweep.jobs";
-/// Sweep requests evaluated through the shared batch pool (counter).
-pub const ENGINE_BATCH_REQUESTS: &str = "engine.batch.requests";
 
 // ---- gsched-qbd ----
 
@@ -153,7 +151,6 @@ pub const ALL: &[&str] = &[
     ENGINE_SWEEP_CANCELLED_POINTS,
     ENGINE_SWEEP_WARM_HIT_RATE,
     ENGINE_SWEEP_JOBS,
-    ENGINE_BATCH_REQUESTS,
     QBD_RMATRIX_SOLVES,
     QBD_RMATRIX_ITERATIONS,
     QBD_RMATRIX_ITERATIONS_PER_SOLVE,

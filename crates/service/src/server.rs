@@ -18,12 +18,13 @@
 //!   all share the published result. The solve is cancelled only when
 //!   the **last** waiter departs; one impatient client never kills work
 //!   another client is still waiting for.
-//! * **Request batching** — when several sweep jobs are queued, a worker
-//!   drains up to `batch_max` of them into a single engine
-//!   [`run_batch`] call: one shared thread pool and one shared vacation
-//!   cache amortize warm-start state across clients. Per-request point
-//!   results are bitwise identical to standalone evaluation (only the
-//!   run-dependent `stats.jobs`/`wall_ms` fields reflect the batch).
+//! * **Request batching** — every sweep job runs through one engine
+//!   [`run_batch`] call. A worker drains up to `batch_max` queued sweeps
+//!   into that call (just the one when no other sweep is waiting): one
+//!   shared pool and one shared vacation cache amortize work across
+//!   clients. Per-request point results are bitwise identical to
+//!   standalone evaluation (only the run-dependent `stats.jobs`/`wall_ms`
+//!   fields reflect the batch).
 //! * **Admission control** — when `queue_limit` is set, requests that
 //!   would push the queue past the limit are shed with an `overloaded`
 //!   error frame instead of being allowed to grow the queue without
@@ -60,7 +61,7 @@ use crate::protocol::{parse_request, ErrorKind, Op, Request, Response, ScenarioR
 use crate::render;
 use crate::telemetry::{AccessRecord, ExternalStats, Telemetry};
 use gsched_core::{solve, SolverOptions};
-use gsched_engine::{run_batch, run_sweep, BatchItem, CancelToken, SweepOptions};
+use gsched_engine::{run_batch, BatchItem, CancelToken, SweepOptions};
 use gsched_obs as obs;
 use gsched_obs::AccessLog;
 use gsched_scenario::{registry, Scenario};
@@ -561,36 +562,32 @@ impl Server {
             }
             let _busy = self.telemetry.worker_busy();
             let t0 = Instant::now();
+            // Re-enter the leading request's context so every span the
+            // work opens here (service.solve, service.sweep, engine.sweep.*,
+            // core/qbd internals) carries its request_id in the trace
+            // export; batched sweeps attribute their own chunks.
+            let _ctx = obs::context_enter(batch[0].ctx);
             // A panic inside numerical code must degrade to error frames,
             // never take the whole server down.
-            let results: Vec<Result<Arc<String>, ServiceError>> = if batch.len() == 1 {
-                let job = &batch[0];
-                // Re-enter the originating request's context so every span
-                // the solve opens here (service.solve, engine.sweep.*,
-                // core/qbd internals) carries its request_id in the trace
-                // export.
-                let _ctx = obs::context_enter(job.ctx);
-                vec![
-                    catch_unwind(AssertUnwindSafe(|| self.process_job(job))).unwrap_or_else(|_| {
-                        Err(ServiceError::new(
-                            ErrorKind::Internal,
-                            "worker panicked while processing the request",
-                        ))
-                    }),
-                ]
-            } else {
-                catch_unwind(AssertUnwindSafe(|| self.process_batch(&batch))).unwrap_or_else(|_| {
+            let results: Vec<Result<Arc<String>, ServiceError>> =
+                catch_unwind(AssertUnwindSafe(|| match batch[0].op {
+                    Op::Sweep => self.process_batch(&batch),
+                    Op::Solve => batch.iter().map(|job| self.process_solve(job)).collect(),
+                    Op::Stats | Op::Shutdown => {
+                        unreachable!("control operations never reach the queue")
+                    }
+                }))
+                .unwrap_or_else(|_| {
                     batch
                         .iter()
                         .map(|_| {
                             Err(ServiceError::new(
                                 ErrorKind::Internal,
-                                "worker panicked while processing the batch",
+                                "worker panicked while processing the request",
                             ))
                         })
                         .collect()
-                })
-            };
+                });
             // Batched jobs all report the batch wall clock: the work was
             // genuinely shared and no finer attribution exists.
             let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -630,50 +627,19 @@ impl Server {
         }
     }
 
-    fn process_job(&self, job: &Job) -> Result<Arc<String>, ServiceError> {
+    /// Solve one `solve` job: the scenario's single model.
+    fn process_solve(&self, job: &Job) -> Result<Arc<String>, ServiceError> {
         if job.cancel.is_cancelled() {
             return Err(cancel_error(&job.cancel));
         }
-        let _span = obs::span(format!("service.{}", job.op.as_str()));
-        let rendered =
-            match job.op {
-                Op::Solve => {
-                    let model = job.scenario.build_model().map_err(|e| {
-                        ServiceError::new(ErrorKind::InvalidScenario, e.to_string())
-                    })?;
-                    let sol = solve(&model, &self.solver)
-                        .map_err(|e| ServiceError::new(ErrorKind::SolveFailed, e.to_string()))?;
-                    render::solution_json(&sol)
-                }
-                Op::Sweep => {
-                    let req = job.scenario.sweep_request(job.quick).map_err(|e| {
-                        ServiceError::new(ErrorKind::InvalidScenario, e.to_string())
-                    })?;
-                    let classes = job.scenario.machine.classes.len();
-                    // One core per request: concurrency comes from the worker
-                    // pool, cancellation from the shared token.
-                    let opts = SweepOptions::default()
-                        .with_jobs(1)
-                        .with_solver(self.solver.clone())
-                        .with_cancel(job.cancel.clone());
-                    let report = run_sweep(&req, &opts);
-                    if job.cancel.is_cancelled() {
-                        return Err(cancel_error(&job.cancel));
-                    }
-                    format!(
-                        "[{}]",
-                        render::sweep_report_json(&job.scenario.name, &report, classes)
-                    )
-                }
-                // Stats/shutdown never reach the queue.
-                Op::Stats | Op::Shutdown => {
-                    return Err(ServiceError::new(
-                        ErrorKind::Internal,
-                        "control operation routed to a worker",
-                    ))
-                }
-            };
-        let rendered = Arc::new(rendered);
+        let _span = obs::span("service.solve");
+        let model = job
+            .scenario
+            .build_model()
+            .map_err(|e| ServiceError::new(ErrorKind::InvalidScenario, e.to_string()))?;
+        let sol = solve(&model, &self.solver)
+            .map_err(|e| ServiceError::new(ErrorKind::SolveFailed, e.to_string()))?;
+        let rendered = Arc::new(render::solution_json(&sol));
         // Cache even when the deadline has passed: the work is done and
         // the next caller should benefit.
         self.cache.insert(job.cache_key, rendered.clone());
@@ -683,9 +649,11 @@ impl Server {
         Ok(rendered)
     }
 
-    /// Evaluate a drained batch of sweep jobs through the engine's shared
-    /// batch pool. Per-job failures (validation, cancellation) degrade to
-    /// per-job error outcomes; the rest still batch.
+    /// Evaluate a drained batch of one or more sweep jobs on one engine
+    /// pool, one worker per job: concurrency comes from the server's
+    /// worker pool, cancellation from each job's token. Per-job failures
+    /// (validation, cancellation) degrade to per-job error outcomes; the
+    /// rest still batch.
     fn process_batch(&self, jobs: &[Job]) -> Vec<Result<Arc<String>, ServiceError>> {
         let _span = obs::span("service.sweep");
         let mut out: Vec<Result<Arc<String>, ServiceError>> = jobs

@@ -220,10 +220,36 @@ fn one_protocol_version_on_the_wire() {
 /// M identical concurrent cache misses must run exactly one engine
 /// solve: the leader enqueues, the rest coalesce onto the same flight,
 /// and everyone shares the published bytes.
+///
+/// The server's one worker is held by a distinct long sweep while the
+/// burst arrives, so the flight cannot be published (turning a late
+/// arrival into a cache hit instead of a coalesce) before every burst
+/// request has joined it.
 #[test]
 fn singleflight_coalesces_identical_concurrent_misses() {
     const M: usize = 4;
-    let ts = TestServer::start(2, 64);
+    let ts = TestServer::start(1, 64);
+    let mut client = ts.client();
+    let blocker_addr = ts.addr.clone();
+    let blocker = std::thread::spawn(move || {
+        let spec = RequestSpec {
+            op: Some(Op::Sweep),
+            ..RequestSpec::default()
+        };
+        Client::connect(&blocker_addr)
+            .expect("connect")
+            .request_line(&frame_for_name("fig4", &spec))
+            .expect("reply")
+    });
+    let waiting_since = std::time::Instant::now();
+    while field(&stats_doc(&mut client), "workers_busy").as_u64() != Some(1) {
+        assert!(
+            waiting_since.elapsed().as_secs() < 30,
+            "the blocking sweep never occupied the worker"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+
     let barrier = Arc::new(Barrier::new(M));
     let mut handles = Vec::new();
     for _ in 0..M {
@@ -248,19 +274,21 @@ fn singleflight_coalesces_identical_concurrent_misses() {
     for r in &results[1..] {
         assert_eq!(*r, results[0], "all waiters share identical bytes");
     }
+    let blocked = blocker.join().unwrap();
+    assert!(frame_is_ok(&blocked), "{blocked}");
 
-    let mut client = ts.client();
     let stats = stats_doc(&mut client);
-    // The proof of exactly one engine solve: one job crossed the queue,
-    // one worker solve happened.
+    // The proof of exactly one engine solve for the burst: besides the
+    // blocking sweep, one job crossed the queue and one worker solve
+    // happened.
     assert_eq!(
         field(&stats, "queue_wait_ms")["count"].as_u64(),
-        Some(1),
+        Some(2),
         "{stats}"
     );
     assert_eq!(
         field(&stats, "solve_ms")["count"].as_u64(),
-        Some(1),
+        Some(2),
         "{stats}"
     );
     assert_eq!(field(&stats, "coalesced").as_u64(), Some((M - 1) as u64));
