@@ -7,15 +7,20 @@
 //! every scenario the harness records the work the run did, as published
 //! through `gsched_obs` and the `gsched-linalg` kernel counters: fixed-point
 //! and `R` iterations, `R` solves, kernel calls and nominal flops,
-//! simulator events, warm-start hits, and the largest residual, spectral
-//! radius and smallest drift margin seen. The result is a schema-versioned
-//! [`BenchReport`] written as `BENCH_<label>.json` and appended to the
-//! history that `gsched bench trend --gate` compares.
+//! simulator events, warm-start hits, and the largest residual and
+//! smallest drift margin seen. The result is a schema-versioned
+//! [`BenchReport`] written to a file named after the scenario set
+//! ([`record_name`]): `results/bench/quick.json` for `--quick`,
+//! `results/bench/scaling-quick.json` for `--scaling --quick`.
 //!
 //! The counters are identical from run to run, so a change in one means
-//! the code does different work. `gsched bench` records no wall time: the
-//! repository benchmark in `perfbench/` is the one program that times the
-//! solver, with repeated runs, their spread, and the recorder off.
+//! the code does different work. Those two records are committed, and CI
+//! regenerates them and fails on any byte of difference, the way it gates
+//! `results/fig*.json`: a change that alters solver work shows the counter
+//! diff in review and commits the new records with it. `gsched bench`
+//! records no wall time: the repository benchmark in `perfbench/` is the
+//! one program that times the solver, with repeated runs, their spread,
+//! and the recorder off.
 
 use gsched_core::model::GangModel;
 use gsched_core::qbd::LevelTruncation;
@@ -25,24 +30,24 @@ use gsched_linalg::WorkCounters;
 use gsched_obs as obs;
 use gsched_scenario::{registry, Scenario as ScenarioIr};
 use gsched_sim::{simulate, Policy, SimConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-/// Version of the `BENCH_*.json` schema. Bump on incompatible changes.
+/// Version of the bench record schema. Bump on incompatible changes.
 ///
-/// v4: work counters only. The wall-time fields (`wall_ms`,
-/// `sim_event_rate`, `parallel_speedup`, the loadtest `p50_ms`/`p99_ms`/
-/// `rps`), the `phases` breakdown and the top-level `reps`/`jobs` are gone.
-pub const BENCH_SCHEMA_VERSION: u64 = 4;
+/// v5: the record names no run. The `label` field is gone (the file name
+/// says which scenario set ran), and so are `max_spectral_radius` and the
+/// loadtest reply counters (`requests`, `request_errors`, `shed`,
+/// `cached_hits`), which were timing-dependent.
+pub const BENCH_SCHEMA_VERSION: u64 = 5;
 
 /// Work counters for one benchmark scenario.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct ScenarioResult {
-    /// Scenario identifier (stable across runs; the trend key).
+    /// Scenario identifier, stable across runs.
     pub name: String,
-    /// `"solver"`, `"sim"` or `"loadtest"`.
+    /// `"solver"` or `"sim"`.
     pub kind: String,
-    /// Models solved (solver scenarios), simulated runs (sim scenarios) or
-    /// successful replies (load tests).
+    /// Models solved (solver scenarios) or simulated runs (sim scenarios).
     pub points: u64,
     /// Fixed-point iterations across all solves.
     pub fp_iterations: u64,
@@ -52,8 +57,6 @@ pub struct ScenarioResult {
     pub rmatrix_iterations: u64,
     /// Largest `R` residual seen (`None` for sim scenarios).
     pub max_r_residual: Option<f64>,
-    /// Largest `sp(R)` seen (`None` for sim scenarios).
-    pub max_spectral_radius: Option<f64>,
     /// Smallest drift margin seen (`None` for sim scenarios).
     pub min_drift_margin: Option<f64>,
     /// Simulator events processed (`0` for solver scenarios).
@@ -74,24 +77,13 @@ pub struct ScenarioResult {
     pub triangular_solves: u64,
     /// Nominal substitution flops (`2n²` per pair).
     pub triangular_flops: u64,
-    /// Replies received during a `gsched loadtest` run (`0` elsewhere).
-    pub requests: u64,
-    /// Error replies during a load test, including the expected errors
-    /// from cancel traffic (`0` elsewhere).
-    pub request_errors: u64,
-    /// `overloaded` (shed) replies during a load test (`0` elsewhere).
-    pub shed: u64,
-    /// Cache-hit replies (`"cached":true`) during a load test.
-    pub cached_hits: u64,
 }
 
-/// A full benchmark run: schema version, label, and per-scenario counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A full benchmark run: schema version and per-scenario counters.
+#[derive(Debug, Serialize)]
 pub struct BenchReport {
     /// Schema version ([`BENCH_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Run label (`--label`), embedded in the output filename.
-    pub label: String,
     /// Whether the reduced `--quick` scenario set was used.
     pub quick: bool,
     /// Per-scenario results, in execution order.
@@ -100,10 +92,9 @@ pub struct BenchReport {
 
 impl BenchReport {
     /// A report at the current schema version.
-    pub fn new(label: &str, quick: bool, scenarios: Vec<ScenarioResult>) -> Self {
+    pub fn new(quick: bool, scenarios: Vec<ScenarioResult>) -> Self {
         BenchReport {
             schema_version: BENCH_SCHEMA_VERSION,
-            label: label.to_string(),
             quick,
             scenarios,
         }
@@ -254,7 +245,6 @@ fn run_scenario(sc: &Scenario) -> ScenarioResult {
         rmatrix_solves: snap.counter("qbd.rmatrix.solves").unwrap_or(0),
         rmatrix_iterations: snap.counter("qbd.rmatrix.iterations").unwrap_or(0),
         max_r_residual: hist_max(&snap, "qbd.rmatrix.residual"),
-        max_spectral_radius: hist_max(&snap, "qbd.spectral_radius"),
         min_drift_margin: hist_min(&snap, "qbd.drift_margin"),
         sim_events: snap.counter("sim.events_processed").unwrap_or(0),
         warm_hits: snap.counter("engine.warm.hits").unwrap_or(0),
@@ -265,12 +255,11 @@ fn run_scenario(sc: &Scenario) -> ScenarioResult {
         lu_flops: work.lu_flops,
         triangular_solves: work.triangular_solves,
         triangular_flops: work.triangular_flops,
-        ..ScenarioResult::default()
     }
 }
 
 /// Run every scenario of `set`, in order, into one report.
-fn run_set(label: &str, quick: bool, set: Vec<Scenario>) -> BenchReport {
+fn run_set(quick: bool, set: Vec<Scenario>) -> BenchReport {
     let scenarios = set
         .iter()
         .map(|sc| {
@@ -278,29 +267,25 @@ fn run_set(label: &str, quick: bool, set: Vec<Scenario>) -> BenchReport {
             run_scenario(sc)
         })
         .collect();
-    BenchReport::new(label, quick, scenarios)
+    BenchReport::new(quick, scenarios)
 }
 
 /// Run the canonical scenario set, or just `only` when a `--scenario` was
 /// given.
-pub fn run_bench(
-    label: &str,
-    quick: bool,
-    only: Option<&ScenarioIr>,
-) -> Result<BenchReport, String> {
+pub fn run_bench(quick: bool, only: Option<&ScenarioIr>) -> Result<BenchReport, String> {
     let set = match only {
         Some(sc) => vec![ir_scenario(sc, quick)?],
         None => scenarios(quick),
     };
-    Ok(run_set(label, quick, set))
+    Ok(run_set(quick, set))
 }
 
 /// Entry point for `gsched bench --scaling`: the `p_sweep` registry
 /// scenario solved point by point under automatic certified level
 /// truncation, one scenario row per machine size (`scaling_p0008` …
 /// `scaling_p4096`). The rows share the solver-bench schema, so the
-/// history and `bench trend` gate cover how solve work scales with `P`.
-pub fn run_scaling_bench(label: &str, quick: bool) -> Result<BenchReport, String> {
+/// committed scaling record shows how solve work scales with `P`.
+pub fn run_scaling_bench(quick: bool) -> Result<BenchReport, String> {
     let sc = registry::lookup("p_sweep").ok_or("registry scenario `p_sweep` is missing")?;
     let req = sc.sweep_request(quick).map_err(|e| e.to_string())?;
     let mut solver = SolverOptions::default();
@@ -326,62 +311,84 @@ pub fn run_scaling_bench(label: &str, quick: bool) -> Result<BenchReport, String
             }
         })
         .collect();
-    Ok(run_set(label, quick, set))
+    Ok(run_set(quick, set))
+}
+
+/// File name of the record a run writes. It depends only on what ran:
+/// `quick.json` or `full.json` for the canonical set, and
+/// `<set>-quick.json` or `<set>.json` for a named set (`scaling`, or the
+/// scenario a `--scenario` run benches, with any character outside
+/// `[A-Za-z0-9_-]` replaced by `_`).
+pub fn record_name(set: Option<&str>, quick: bool) -> String {
+    let stem = match set {
+        None => return format!("{}.json", if quick { "quick" } else { "full" }),
+        Some(set) => set
+            .chars()
+            .map(|c| {
+                if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
+                    c
+                } else {
+                    '_'
+                }
+            })
+            .collect::<String>(),
+    };
+    if quick {
+        format!("{stem}-quick.json")
+    } else {
+        format!("{stem}.json")
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_report() -> BenchReport {
-        let fig2 = ScenarioResult {
-            name: "fig2".to_string(),
-            kind: "solver".to_string(),
-            points: 3,
-            fp_iterations: 42,
-            rmatrix_solves: 12,
-            rmatrix_iterations: 900,
-            max_r_residual: Some(3.2e-13),
-            max_spectral_radius: Some(0.81),
-            min_drift_margin: Some(0.12),
-            warm_hits: 9,
-            warm_misses: 3,
-            matmul_calls: 5_000,
-            matmul_flops: 9_000_000,
-            lu_factorizations: 40,
-            lu_flops: 120_000,
-            triangular_solves: 800,
-            triangular_flops: 64_000,
-            ..ScenarioResult::default()
-        };
+    #[test]
+    fn record_json_holds_only_schema_quick_and_scenarios() {
         let sim = ScenarioResult {
             name: "sim".to_string(),
             kind: "sim".to_string(),
             points: 1,
+            fp_iterations: 0,
+            rmatrix_solves: 0,
+            rmatrix_iterations: 0,
+            max_r_residual: None,
+            min_drift_margin: None,
             sim_events: 12_345,
-            ..ScenarioResult::default()
+            warm_hits: 0,
+            warm_misses: 0,
+            matmul_calls: 0,
+            matmul_flops: 0,
+            lu_factorizations: 0,
+            lu_flops: 0,
+            triangular_solves: 0,
+            triangular_flops: 0,
         };
-        BenchReport::new("test", true, vec![fig2, sim])
+        let v: serde_json::Value =
+            serde_json::from_str(&BenchReport::new(true, vec![sim]).to_json()).unwrap();
+        let keys: Vec<&str> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["schema_version", "quick", "scenarios"]);
+        assert_eq!(v["schema_version"].as_u64(), Some(BENCH_SCHEMA_VERSION));
+        let row = &v["scenarios"][0];
+        assert_eq!(row["sim_events"].as_u64(), Some(12_345));
+        // Sim rows have no solver telemetry: the extremes encode as null.
+        assert!(row["max_r_residual"].is_null());
+        assert!(row["min_drift_margin"].is_null());
     }
 
     #[test]
-    fn report_json_round_trips() {
-        let report = sample_report();
-        let back: BenchReport = serde_json::from_str(&report.to_json()).unwrap();
-        assert_eq!(back, report);
-        assert_eq!(back.schema_version, BENCH_SCHEMA_VERSION);
-    }
-
-    #[test]
-    fn nullable_metrics_survive_round_trip() {
-        let mut report = sample_report();
-        report.scenarios[0].max_r_residual = None;
-        report.scenarios[0].min_drift_margin = None;
-        let back: BenchReport = serde_json::from_str(&report.to_json()).unwrap();
-        assert_eq!(back.scenarios[0].max_r_residual, None);
-        assert_eq!(back.scenarios[0].min_drift_margin, None);
-        assert_eq!(back.scenarios[0].max_spectral_radius, Some(0.81));
-        assert_eq!(back.scenarios[1].max_spectral_radius, None);
+    fn record_names_depend_only_on_the_scenario_set() {
+        assert_eq!(record_name(None, true), "quick.json");
+        assert_eq!(record_name(None, false), "full.json");
+        assert_eq!(record_name(Some("scaling"), true), "scaling-quick.json");
+        assert_eq!(record_name(Some("p_sweep"), false), "p_sweep.json");
+        assert_eq!(record_name(Some("../x y"), true), "___x_y-quick.json");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `core.solve/core.class1/qbd.solve/qbd.solve_r` belongs to class 1.
 
 use gsched_obs::{EventSnapshot, Snapshot};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Residual series stop counting as "decaying" above this per-iteration
 /// contraction rate.
@@ -18,7 +18,7 @@ const STAGNATION_RATE: f64 = 0.95;
 const STAGNATION_MIN_ITERATIONS: usize = 10;
 
 /// Convergence behaviour of one class's `R` solves.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct ClassConvergence {
     /// Class index, or `None` when the event's span path carried no
     /// `core.class<p>` segment (e.g. a bare `solve_r` call).
@@ -41,7 +41,7 @@ pub struct ClassConvergence {
 }
 
 /// Snapshot-wide convergence report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct ConvergenceReport {
     /// Outer fixed-point iterations (`core.solver.fp_iterations`).
     pub fp_iterations: u64,

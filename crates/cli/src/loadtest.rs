@@ -1,6 +1,5 @@
 //! `gsched loadtest` — drive a solve server with mixed concurrent
-//! traffic, report latency/throughput, and record its counters into the
-//! bench schema.
+//! traffic, check every reply, and report counts, latency and throughput.
 //!
 //! The harness spins up `--clients` threads, each holding one TCP
 //! connection, and replays a deterministic script that mixes the four
@@ -17,28 +16,20 @@
 //!   *expected* outcome and whose departure must cancel the flight.
 //!
 //! Without `--addr` the harness self-hosts: it binds an in-process
-//! server on an ephemeral port, runs the load, and shuts it down again,
-//! capturing the solver work counters for deterministic trend gating.
-//! With `--addr` it drives a live server (the CI smoke test does this)
-//! and records client-side observations only.
+//! server on an ephemeral port, runs the load, and shuts it down again.
+//! With `--addr` it drives a live server (the CI smoke test does this).
 //!
-//! The human summary prints p50/p99 latency and throughput. The
-//! `BENCH_<label>.json` row (kind `"loadtest"`, scenario `loadtest_mixed`)
-//! carries counters only — replies, errors, shed, cache hits and the
-//! solver work — and appends to the bench history, so `gsched bench trend
-//! --metric requests,request_errors,shed --gate` gates load behaviour the
-//! same way solver work metrics are gated.
+//! The run fails on an unexpected error reply, when the replies do not
+//! number clients × requests, and, with `--expect-no-shed`, on any shed
+//! request. It writes no record: which requests hit the cache depends on
+//! how the clients interleave, so its counts are not a fixed number to
+//! commit. `--json` prints the counts as one object; the human summary
+//! adds p50/p99 latency and throughput.
 
-use crate::bench::{BenchReport, ScenarioResult};
-use gsched_obs as obs;
 use gsched_service::client::{control_frame, frame_for_name, RequestSpec};
 use gsched_service::{frame_is_ok, Client, Op, ServeConfig, Server};
 use std::sync::Barrier;
 use std::time::Instant;
-
-/// Scenario name under which load results are recorded in the bench
-/// history (the trend compare key).
-pub const SCENARIO_NAME: &str = "loadtest_mixed";
 
 /// Registry scenarios the miss traffic rotates through. Kept to the
 /// cheaper entries so a debug-build self-hosted run stays fast.
@@ -145,7 +136,7 @@ fn percentile(sorted: &[f64], p: f64) -> Option<f64> {
 
 /// The latency and throughput lines of the human summary, from the sorted
 /// per-request latencies, the reply count and the load's wall time. They
-/// are printed only: the bench row records counters, not timings.
+/// are printed, never asserted on.
 fn timing_summary(sorted_ms: &[f64], replies: u64, wall_ms: f64) -> String {
     let wall_secs = wall_ms / 1e3;
     let rps = if wall_secs > 0.0 {
@@ -222,6 +213,31 @@ fn drive(addr: &str, clients: usize, per_client: usize, quick: bool) -> Result<L
     Ok(tally)
 }
 
+/// The run's verdict: an error on any unexpected reply, on a reply count
+/// other than `sent`, or (`no_shed`) on any shed request; otherwise the
+/// number of replies.
+fn check(tally: &LoadTally, sent: u64, no_shed: bool) -> Result<u64, String> {
+    if let Some(first) = tally.unexpected.first() {
+        return Err(format!(
+            "loadtest: {} unexpected error repl(y/ies); first: {first}",
+            tally.unexpected.len()
+        ));
+    }
+    if no_shed && tally.shed > 0 {
+        return Err(format!(
+            "loadtest: {} request(s) shed at a load that must not shed",
+            tally.shed
+        ));
+    }
+    let replies = tally.ok + tally.expected_errors + tally.shed;
+    if replies != sent {
+        return Err(format!(
+            "loadtest: {replies} repl(y/ies) to {sent} request(s)"
+        ));
+    }
+    Ok(replies)
+}
+
 /// Entry point for `gsched loadtest`.
 pub fn run(args: &[String]) -> Result<(), String> {
     let (pos, flags) = crate::parse_flags("loadtest", args)?;
@@ -231,16 +247,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let quick = flags.contains_key("quick");
     let clients = crate::flag_count(&flags, "clients", if quick { 3 } else { 4 })?.max(1);
     let per_client = crate::flag_count(&flags, "requests", if quick { 6 } else { 8 })?.max(1);
-    let label = crate::bench_label(&flags, if quick { "loadtest_quick" } else { "loadtest" })?;
 
     // External mode drives a live server; self-hosted mode binds one
-    // in-process and captures its solver telemetry.
-    let external = flags.get("addr").cloned();
-    let mut recorder = None;
-    let (addr, hosted) = match &external {
+    // in-process.
+    let diag = crate::Diagnostics::from_flags(&flags);
+    let (addr, hosted) = match flags.get("addr") {
         Some(addr) => (addr.clone(), None),
         None => {
-            recorder = Some(obs::install_memory());
             let config = ServeConfig::builder()
                 .addr("127.0.0.1:0")
                 .workers(crate::flag_count(&flags, "workers", 2)?)
@@ -266,52 +279,23 @@ pub fn run(args: &[String]) -> Result<(), String> {
             running.join().expect("server thread panicked").ok();
             tally
         });
-        if recorder.is_some() {
-            obs::uninstall();
-        }
         result?
     } else {
         drive(&addr, clients, per_client, quick)?
     };
+    diag.finish()?;
 
-    if !tally.unexpected.is_empty() {
-        return Err(format!(
-            "loadtest: {} unexpected error repl(y/ies); first: {}",
-            tally.unexpected.len(),
-            tally.unexpected[0]
-        ));
-    }
-    if flags.contains_key("expect-no-shed") && tally.shed > 0 {
-        return Err(format!(
-            "loadtest: {} request(s) shed at a load that must not shed",
-            tally.shed
-        ));
-    }
-
-    let total = tally.ok + tally.expected_errors + tally.shed;
-    let snap = recorder.map(|r| r.snapshot());
-    let counter = |name: &str| snap.as_ref().and_then(|s| s.counter(name)).unwrap_or(0);
-    let scenario = ScenarioResult {
-        name: SCENARIO_NAME.to_string(),
-        kind: "loadtest".to_string(),
-        points: tally.ok,
-        fp_iterations: counter("core.solver.fp_iterations"),
-        rmatrix_solves: counter("qbd.rmatrix.solves"),
-        rmatrix_iterations: counter("qbd.rmatrix.iterations"),
-        warm_hits: counter("engine.warm.hits"),
-        warm_misses: counter("engine.warm.misses"),
-        requests: total,
-        request_errors: tally.expected_errors,
-        shed: tally.shed,
-        cached_hits: tally.cached,
-        ..ScenarioResult::default()
-    };
-    let report = BenchReport::new(&label, quick, vec![scenario]);
-
+    let replies = check(
+        &tally,
+        (clients * per_client) as u64,
+        flags.contains_key("expect-no-shed"),
+    )?;
     if flags.contains_key("json") {
-        println!("{}", report.to_json());
+        println!(
+            r#"{{"requests":{replies},"request_errors":{},"shed":{},"cached_hits":{}}}"#,
+            tally.expected_errors, tally.shed, tally.cached
+        );
     } else {
-        let s = &report.scenarios[0];
         println!(
             "loadtest: {clients} clients x {per_client} requests against {addr}{}",
             if hosted.is_some() {
@@ -322,14 +306,14 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
         println!(
             "replies   {} ok ({} cached), {} expected error(s), {} shed",
-            s.points, s.cached_hits, s.request_errors, s.shed
+            tally.ok, tally.cached, tally.expected_errors, tally.shed
         );
         print!(
             "{}",
-            timing_summary(&tally.latencies_ms, total, tally.wall_ms)
+            timing_summary(&tally.latencies_ms, replies, tally.wall_ms)
         );
     }
-    crate::record_bench(&report, &flags)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -390,6 +374,27 @@ mod tests {
     }
 
     #[test]
+    fn check_counts_every_reply() {
+        let tally = |ok, shed| LoadTally {
+            ok,
+            cached: 0,
+            expected_errors: 1,
+            shed,
+            unexpected: Vec::new(),
+            latencies_ms: Vec::new(),
+            wall_ms: 0.0,
+        };
+        assert_eq!(check(&tally(4, 1), 6, false), Ok(6));
+        let err = check(&tally(4, 1), 6, true).unwrap_err();
+        assert!(err.contains("1 request(s) shed"), "{err}");
+        let err = check(&tally(4, 0), 6, false).unwrap_err();
+        assert!(err.contains("5 repl(y/ies) to 6 request(s)"), "{err}");
+        let mut bad = tally(5, 0);
+        bad.unexpected.push("{}".to_string());
+        assert!(check(&bad, 6, false).is_err());
+    }
+
+    #[test]
     fn percentiles_use_sorted_order() {
         let xs = vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
         assert_eq!(percentile(&xs, 0.50), Some(6.0));
@@ -408,13 +413,9 @@ mod tests {
     }
 
     /// End-to-end: a quick self-hosted run completes every scripted
-    /// request with zero shed and records the solver work it caused.
+    /// request with zero shed.
     #[test]
     fn self_hosted_quick_loadtest_completes() {
-        let dir = std::env::temp_dir().join(format!("gsched-loadtest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let history = dir.join("history.ndjson");
-        let _ = std::fs::remove_file(&history);
         let args: Vec<String> = [
             "--quick",
             "--clients",
@@ -422,31 +423,11 @@ mod tests {
             "--requests",
             "3",
             "--expect-no-shed",
-            "--label",
-            "unit",
-            "--out",
-            dir.to_str().unwrap(),
-            "--history",
-            history.to_str().unwrap(),
+            "--json",
         ]
         .iter()
         .map(|s| s.to_string())
         .collect();
         run(&args).unwrap();
-        let text = std::fs::read_to_string(dir.join("BENCH_unit.json")).unwrap();
-        let report: BenchReport = serde_json::from_str(&text).unwrap();
-        assert_eq!(report.scenarios.len(), 1);
-        let s = &report.scenarios[0];
-        assert_eq!(s.name, SCENARIO_NAME);
-        assert_eq!(s.kind, "loadtest");
-        assert_eq!(s.requests, 6);
-        assert_eq!(s.points, 6, "every quick request must succeed");
-        assert_eq!(s.request_errors, 0);
-        assert_eq!(s.shed, 0);
-        // The self-hosted server's solver telemetry was captured.
-        assert!(s.fp_iterations > 0, "expected captured solver work");
-        // One history row appended and parseable.
-        let (rows, skipped) = crate::trend::load_history(history.to_str().unwrap()).unwrap();
-        assert_eq!((rows.len(), skipped), (1, 0));
     }
 }

@@ -17,10 +17,7 @@
 //!                  [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]
 //! gsched profile   <scenario | --sweep fig2..fig5|all> [--quick]
 //!                  [--method M] [--json] [--trace PATH]
-//! gsched bench     [--scenario S | --scaling] [--label L] [--quick] [--out DIR]
-//!                  [--history PATH] [--no-history]
-//! gsched bench trend [--history PATH] [--metric M1,M2] [--window N]
-//!                  [--threshold FRAC] [--gate] [--json]
+//! gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]
 //! gsched paper     [--rho R] [--quantum Q] [--json]
 //! gsched figure    <fig1|fig2|fig3|fig4|fig5|all>
 //! gsched serve     [--addr A] [--workers N] [--cache-cap N] [--cache-path PATH]
@@ -29,7 +26,6 @@
 //! gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown]
 //!                  [--quick] [--deadline-ms N] [--id ID] [--frame]
 //! gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick]
-//!                  [--label L] [--out DIR] [--history PATH] [--no-history]
 //!                  [--expect-no-shed] [--json]
 //! gsched top       [--addr A] [--interval SECS] [--count N] [--once]
 //! gsched example-model
@@ -70,7 +66,10 @@
 //! when any class's mean response disagrees beyond the scenario's declared
 //! tolerance.
 //!
-//! Every subcommand also accepts the diagnostics flags:
+//! Every subcommand also accepts the diagnostics flags, except where one
+//! would record nothing: `top` and `request` do no solver work and `bench`
+//! records each scenario itself, so they reject all three by name, and
+//! `profile` (which instruments itself) rejects `--diag` and `-v`:
 //!
 //! * `--diag <path>` — capture solver/simulator instrumentation through
 //!   `gsched_obs` and write the JSON snapshot to `<path>`;
@@ -92,9 +91,9 @@
 //! corresponding `gsched solve --json` output. See the `gsched-service`
 //! crate docs for the wire protocol. `gsched loadtest` drives a server —
 //! self-hosted, or a live one via `--addr` — with mixed concurrent
-//! hit/miss/duplicate/cancel traffic, prints p50/p99 latency and
-//! throughput, and records its reply and work counters into the bench
-//! schema and history.
+//! hit/miss/duplicate/cancel traffic, prints its reply counts, p50/p99
+//! latency and throughput, and fails on an unexpected error reply, on a
+//! missing reply, or (with `--expect-no-shed`) on any shed request.
 //!
 //! A running server is observable three ways: the `stats` verb returns the
 //! full telemetry report (per-op latency percentiles, queue/occupancy
@@ -120,14 +119,14 @@
 //! `gsched bench` counts; it does not time. It runs the canonical Figure
 //! 2–5 solver sweeps plus a simulator workload and writes their
 //! deterministic work counters (fixed-point and `R` iterations, kernel
-//! flops, simulator events) to a schema-versioned `BENCH_<label>.json`.
-//! Each run also appends one row to the NDJSON history
-//! (`results/bench_history.ndjson` by default; `--no-history` skips), and
-//! `gsched bench trend` compares the newest row against the trailing
-//! window — `--gate` turns that into a CI failure, and fails too when it
-//! found nothing to compare. `gsched bench --scaling` swaps in the large-P
-//! scaling curve: the `p_sweep` registry scenario solved point by point
-//! (P = 8 … 4096) under certified truncation, one row per machine size.
+//! flops, simulator events) to a schema-versioned record whose name says
+//! which scenarios ran: `results/bench/quick.json` for `--quick`
+//! (`--out DIR` writes elsewhere). `gsched bench --scaling` swaps in the
+//! large-P scaling curve: the `p_sweep` registry scenario solved point by
+//! point (P = 8 … 4096) under certified truncation, one row per machine
+//! size, into `scaling-quick.json` with `--quick`. The counters do not
+//! vary between runs; the two quick records are committed, and CI
+//! regenerates them and fails on any byte of difference.
 //! Solver speed is measured by the repository benchmark in `perfbench/`,
 //! the one program here that times anything.
 //!
@@ -145,7 +144,6 @@ mod figure;
 mod loadtest;
 mod profile;
 mod top;
-mod trend;
 
 use gsched_core::model::GangModel;
 use gsched_core::qbd::LevelTruncation;
@@ -197,10 +195,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "stability" => cmd_stability(rest),
         "doctor" => cmd_doctor(rest),
         "profile" => profile::run(rest),
-        "bench" => match rest.first().map(String::as_str) {
-            Some("trend") => trend::run(&rest[1..]),
-            _ => cmd_bench(rest),
-        },
+        "bench" => cmd_bench(rest),
         "paper" => cmd_paper(rest),
         "figure" => figure::run(rest),
         "serve" => cmd_serve(rest),
@@ -208,6 +203,12 @@ fn run(args: &[String]) -> Result<(), String> {
         "loadtest" => loadtest::run(rest),
         "top" => {
             let (pos, flags) = parse_flags("top", rest)?;
+            reject_flags(
+                "top",
+                &flags,
+                &["diag", "trace", "verbose"],
+                "top does no solver work to record",
+            )?;
             top::run(&pos, &flags)
         }
         "example-model" => {
@@ -247,19 +248,18 @@ fn usage() -> String {
          gsched stability <model.json> [--class P] [--lo Q] [--hi Q]\n  \
          gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--method M] [--convergence] [--warn-drift X] [--warn-gap X] [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]\n  \
          gsched profile   <scenario | --sweep fig2..fig5|all> [--quick] [--method M] [--json] [--trace PATH]\n  \
-         gsched bench     [--scenario S | --scaling] [--label L] [--quick] [--out DIR] [--history PATH] [--no-history]\n  \
-         gsched bench trend [--history PATH] [--metric M1,M2] [--window N] [--threshold FRAC] [--gate] [--json]\n  \
+         gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]\n  \
          gsched paper     [--rho R] [--quantum Q] [--json]\n  \
          gsched figure    <fig1|fig2|fig3|fig4|fig5|all>\n  \
          gsched serve     [--addr A] [--workers N] [--cache-cap N] [--cache-path PATH] [--deadline-ms N] [--queue-limit N] [--batch-max N] [--metrics-addr A] [--access-log PATH] [--access-log-max-bytes N]\n  \
          gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown] [--quick] [--deadline-ms N] [--id ID] [--frame]\n  \
-         gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick] [--label L] [--out DIR] [--history PATH] [--no-history] [--expect-no-shed] [--json]\n  \
+         gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick] [--expect-no-shed] [--json]\n  \
          gsched top       [--addr A] [--interval SECS] [--count N] [--once]\n  \
          gsched example-model\n  \
          gsched example-scenario\n\
          a scenario S is a registry name ({}) or a scenario JSON file.\n\
          --method M picks the R-matrix solver (lr|ss).\n\
-         diagnostics (any subcommand): --diag <path> writes a JSON metrics \
+         diagnostics (every subcommand but top, request and bench): --diag <path> writes a JSON metrics \
          snapshot; --trace <path> writes a Chrome Trace Event file \
          (Perfetto); -v prints a report to stderr (-vv adds events)",
         registry::NAMES.join("|")
@@ -276,9 +276,7 @@ const BOOL_FLAGS: &[&str] = &[
     "parity-check",
     "frame",
     "once",
-    "gate",
     "convergence",
-    "no-history",
     "expect-no-shed",
     "scaling",
     "asymptotic",
@@ -310,11 +308,7 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
          warn-residual warn-trunc warn-certified json",
     ),
     ("profile", "sweep quick mode method percentiles json"),
-    (
-        "bench",
-        "scenario scaling label quick out history no-history",
-    ),
-    ("bench trend", "history metric window threshold gate json"),
+    ("bench", "scenario scaling quick out"),
     ("paper", "rho quantum json"),
     ("figure", ""),
     (
@@ -325,8 +319,7 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("request", "addr op quick deadline-ms id frame"),
     (
         "loadtest",
-        "addr clients requests workers queue-limit quick label out history \
-         no-history expect-no-shed json",
+        "addr clients requests workers queue-limit quick expect-no-shed json",
     ),
     ("top", "addr interval count once"),
 ];
@@ -625,10 +618,13 @@ fn asymptotic_json(asym: &AsymptoticSolution) -> String {
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags("solve", args)?;
     let model = resolve_model("solve", &pos, &flags)?;
+    let diag = Diagnostics::from_flags(&flags);
     // `--asymptotic` swaps the finite-P QBD solve for the zero-queueing
     // large-system limit — the anchor large-P solves are checked against.
     if flags.contains_key("asymptotic") {
-        let asym = solve_asymptotic(&model).map_err(|e| e.to_string())?;
+        let asym = solve_asymptotic(&model).map_err(|e| e.to_string());
+        diag.finish()?;
+        let asym = asym?;
         if flags.contains_key("json") {
             println!("{}", asymptotic_json(&asym));
         } else {
@@ -637,7 +633,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let opts = solver_options(&flags)?;
-    let diag = Diagnostics::from_flags(&flags);
     let sol = solve(&model, &opts).map_err(|e| e.to_string());
     diag.finish()?;
     let sol = sol?;
@@ -1382,29 +1377,35 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let (_, flags) = parse_flags("bench", args)?;
+    let (pos, flags) = parse_flags("bench", args)?;
+    if let Some(arg) = pos.first() {
+        return Err(format!("bench: unexpected argument `{arg}`"));
+    }
+    // Every scenario runs under a recorder of its own, so a second,
+    // command-wide capture would see none of it.
+    reject_flags(
+        "bench",
+        &flags,
+        &["diag", "trace", "verbose"],
+        "bench records its own counters",
+    )?;
     let quick = flags.contains_key("quick");
     let scaling = flags.contains_key("scaling");
     if scaling && flags.contains_key("scenario") {
         return Err("--scaling and --scenario are mutually exclusive".to_string());
     }
-    let label = bench_label(
-        &flags,
-        match (scaling, quick) {
-            (true, true) => "scaling-quick",
-            (true, false) => "scaling",
-            (false, true) => "quick",
-            (false, false) => "local",
-        },
-    )?;
-    let report = if scaling {
-        bench::run_scaling_bench(&label, quick)?
+    let (report, set) = if scaling {
+        (
+            bench::run_scaling_bench(quick)?,
+            Some("scaling".to_string()),
+        )
     } else {
         let only = flags
             .get("scenario")
             .map(|arg| load_scenario(arg))
             .transpose()?;
-        bench::run_bench(&label, quick, only.as_ref())?
+        let set = only.as_ref().map(|sc| sc.name.clone());
+        (bench::run_bench(quick, only.as_ref())?, set)
     };
     println!(
         "{:<28} {:>8} {:>10} {:>12} {:>14} {:>9}",
@@ -1431,45 +1432,29 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
             warm,
         );
     }
-    record_bench(&report, &flags)
-}
-
-/// The `--label` of a `bench` or `loadtest` run, or `default`; it names
-/// the output file, so it must be alphanumeric plus `_` and `-`.
-fn bench_label(flags: &HashMap<String, String>, default: &str) -> Result<String, String> {
-    let label = flags.get("label").map(String::as_str).unwrap_or(default);
-    if !label
-        .chars()
-        .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
-    {
-        return Err(format!(
-            "--label `{label}` must be alphanumeric (plus `_` and `-`); it names the output file"
-        ));
-    }
-    Ok(label.to_string())
-}
-
-/// Shared tail of `gsched bench` and `gsched loadtest`: write
-/// `BENCH_<label>.json` under `--out` and, unless `--no-history`, append
-/// the history row.
-fn record_bench(
-    report: &bench::BenchReport,
-    flags: &HashMap<String, String>,
-) -> Result<(), String> {
-    let dir = flags.get("out").map(String::as_str).unwrap_or(".");
-    let out_path = format!("{dir}/BENCH_{}.json", report.label);
-    gsched_obs::write_atomic(&out_path, report.to_json().as_bytes())
-        .map_err(|e| format!("cannot write `{out_path}`: {e}"))?;
-    println!("wrote {out_path}");
-    if !flags.contains_key("no-history") {
-        let history_path = flags
-            .get("history")
-            .map(String::as_str)
-            .unwrap_or(trend::DEFAULT_HISTORY_PATH);
-        trend::append_history(history_path, report)?;
-        println!("appended history row to {history_path}");
-    }
+    let dir = std::path::Path::new(flags.get("out").map_or("results/bench", String::as_str));
+    let path = dir.join(bench::record_name(set.as_deref(), quick));
+    std::fs::create_dir_all(dir)
+        .and_then(|()| gsched_obs::write_atomic(&path, report.to_json().as_bytes()))
+        .map_err(|e| format!("cannot write `{}`: {e}", path.display()))?;
+    println!("wrote {}", path.display());
     Ok(())
+}
+
+/// Fail when any of `names` (flag names; `verbose` stands for `-v`/`-vv`)
+/// was given to `cmd`, naming the flag: for subcommands where a shared
+/// diagnostics flag would otherwise be accepted and do nothing.
+fn reject_flags(
+    cmd: &str,
+    flags: &HashMap<String, String>,
+    names: &[&str],
+    why: &str,
+) -> Result<(), String> {
+    match names.iter().find(|name| flags.contains_key(**name)) {
+        Some(&"verbose") => Err(format!("{cmd}: -v is not supported ({why})")),
+        Some(name) => Err(format!("{cmd}: --{name} is not supported ({why})")),
+        None => Ok(()),
+    }
 }
 
 fn cmd_paper(args: &[String]) -> Result<(), String> {
@@ -1556,6 +1541,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 fn cmd_request(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags("request", args)?;
+    reject_flags(
+        "request",
+        &flags,
+        &["diag", "trace", "verbose"],
+        "the server solves; run it with --diag",
+    )?;
     let addr = flags
         .get("addr")
         .cloned()
@@ -1717,11 +1708,7 @@ mod tests {
                 }
                 continue;
             };
-            let cmd = if rest.starts_with("bench trend") {
-                "bench trend"
-            } else {
-                rest.split_whitespace().next().unwrap()
-            };
+            let cmd = rest.split_whitespace().next().unwrap();
             if cmd.starts_with("example-") {
                 continue;
             }

@@ -19,7 +19,7 @@ use gsched_engine::{run_sweep, ScenarioBase, SweepAxis, SweepOptions, SweepPoint
 use gsched_linalg::WorkCounters;
 use gsched_obs as obs;
 use gsched_scenario::{registry, Scenario};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -28,7 +28,7 @@ use std::time::Instant;
 pub const PROFILE_SCHEMA_VERSION: u64 = 1;
 
 /// One row of the phase table: a canonical span name with its self time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct PhaseRow {
     /// Canonical span name (`core.class*`, `qbd.solve_r`, ...).
     pub span: String,
@@ -45,7 +45,7 @@ pub struct PhaseRow {
 }
 
 /// Work and achieved rate for one kernel family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct KernelRow {
     /// Kernel family (`matmul`, `lu_factorization`, `triangular_solve`).
     pub kernel: String,
@@ -60,7 +60,7 @@ pub struct KernelRow {
 
 /// Deterministic work counters of the certified level-truncation search
 /// (all zero when no solve truncates).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct SearchCounters {
     /// Frozen-capacity truncations tried (`qbd.truncation.attempts`).
     pub truncation_attempts: u64,
@@ -73,7 +73,7 @@ pub struct SearchCounters {
 }
 
 /// The full `gsched profile` document.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 pub struct ProfileReport {
     /// Document version ([`PROFILE_SCHEMA_VERSION`]).
     pub profile_schema_version: u64,
@@ -82,9 +82,7 @@ pub struct ProfileReport {
     /// Whether the reduced `--quick` point grids were used.
     pub quick: bool,
     /// R-solver method the run used (`logarithmic_reduction`,
-    /// `successive_substitution`). Defaults when absent so documents
-    /// written before the field existed keep parsing.
-    #[serde(default = "String::default")]
+    /// `successive_substitution`).
     pub r_solver: String,
     /// Models solved.
     pub points: u64,
@@ -103,9 +101,7 @@ pub struct ProfileReport {
     pub kernels: Vec<KernelRow>,
     /// Convergence behaviour of the run.
     pub convergence: ConvergenceReport,
-    /// Truncation-search counters. Defaults when absent so documents
-    /// written before the search was counted keep parsing.
-    #[serde(default = "SearchCounters::default")]
+    /// Truncation-search counters.
     pub search: SearchCounters,
 }
 
@@ -125,7 +121,6 @@ fn phase_label(span: &str) -> &'static str {
         "qbd.drift" => "drift test",
         "qbd.solve_r" => "R iteration",
         "qbd.inverse" => "(I-R)^-1 stability gate",
-        "qbd.spectral_radius" => "sp(R) diagnostic",
         "qbd.boundary_solve" => "boundary solve",
         s if s.starts_with("engine.sweep.") => "sweep engine",
         _ => "other",
@@ -342,14 +337,14 @@ fn print_human(rep: &ProfileReport) {
 /// Entry point for `gsched profile`.
 pub fn run(args: &[String]) -> Result<(), String> {
     let (pos, flags) = crate::parse_flags("profile", args)?;
-    if flags.contains_key("diag") || flags.contains_key("verbose") {
-        // Profile owns the recorder for the duration of the measured loop;
-        // a second capture of the same run would race with it.
-        return Err(
-            "profile: --diag/-v are not supported (profile instruments itself; use --trace/--json)"
-                .to_string(),
-        );
-    }
+    // Profile owns the recorder for the duration of the measured loop; a
+    // second capture of the same run would race with it.
+    crate::reject_flags(
+        "profile",
+        &flags,
+        &["diag", "verbose"],
+        "profile instruments itself; use --trace/--json",
+    )?;
     let quick = flags.contains_key("quick");
     let workloads = workloads(&pos, &flags, quick)?;
     let solver = crate::solver_options(&flags)?;
@@ -390,7 +385,6 @@ mod tests {
             "qbd.drift",
             "qbd.solve_r",
             "qbd.inverse",
-            "qbd.spectral_radius",
             "qbd.boundary_solve",
         ] {
             assert_ne!(phase_label(span), "other", "no label for {span}");
@@ -400,7 +394,7 @@ mod tests {
     }
 
     #[test]
-    fn profile_report_json_round_trips() {
+    fn profile_report_encodes_every_field() {
         let rep = ProfileReport {
             profile_schema_version: PROFILE_SCHEMA_VERSION,
             workload: "fig2".to_string(),
@@ -437,33 +431,51 @@ mod tests {
                 levels_eliminated: 2048,
             },
         };
-        let text = serde_json::to_string_pretty(&rep).unwrap();
-        let back: ProfileReport = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, rep);
-
-        // A document written before `r_solver` existed still parses
-        // (schema version unchanged); the field defaults to empty.
-        let pre_solver: String = text
-            .lines()
-            .filter(|l| !l.contains("\"r_solver\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let old: ProfileReport = serde_json::from_str(&pre_solver).unwrap();
-        assert_eq!(old.profile_schema_version, PROFILE_SCHEMA_VERSION);
-        assert!(old.r_solver.is_empty());
-
-        // So does one that still carries the retired kernel `backend`
-        // field; the unknown field is ignored.
-        let with_backend = text.replacen("{", "{\n  \"backend\": \"naive\",", 1);
-        let old: ProfileReport = serde_json::from_str(&with_backend).unwrap();
-        assert_eq!(old, rep);
-
-        // So does one written before the search counters existed.
-        let cut = text
-            .find(",\n  \"search\"")
-            .expect("search is the last field");
-        let pre_search = format!("{}\n}}", &text[..cut]);
-        let old: ProfileReport = serde_json::from_str(&pre_search).unwrap();
-        assert_eq!(old.search, SearchCounters::default());
+        let v: serde_json::Value =
+            serde_json::from_str(&serde_json::to_string_pretty(&rep).unwrap()).unwrap();
+        let keys: Vec<&str> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "profile_schema_version",
+                "workload",
+                "quick",
+                "r_solver",
+                "points",
+                "failed_points",
+                "wall_ms",
+                "attributed_ms",
+                "attributed_fraction",
+                "phases",
+                "kernels",
+                "convergence",
+                "search"
+            ]
+        );
+        assert_eq!(
+            v["profile_schema_version"].as_u64(),
+            Some(PROFILE_SCHEMA_VERSION)
+        );
+        assert_eq!(v["workload"].as_str(), Some("fig2"));
+        assert_eq!(v["quick"].as_bool(), Some(true));
+        assert_eq!(v["r_solver"].as_str(), Some("logarithmic_reduction"));
+        assert_eq!(v["points"].as_u64(), Some(4));
+        assert_eq!(v["failed_points"].as_u64(), Some(1));
+        assert_eq!(v["attributed_fraction"].as_f64(), Some(0.96));
+        assert_eq!(v["phases"][0]["span"].as_str(), Some("qbd.solve_r"));
+        assert_eq!(v["phases"][0]["phase"].as_str(), Some("R iteration"));
+        assert_eq!(v["phases"][0]["count"].as_u64(), Some(40));
+        assert_eq!(v["kernels"][0]["kernel"].as_str(), Some("matmul"));
+        assert_eq!(v["kernels"][0]["flops"].as_u64(), Some(2_000_000));
+        assert_eq!(v["convergence"]["fp_iterations"].as_u64(), Some(9));
+        assert_eq!(v["convergence"]["final_change"].as_f64(), Some(1e-9));
+        assert_eq!(v["search"]["truncation_attempts"].as_u64(), Some(12));
+        assert_eq!(v["search"]["unstable_skips"].as_u64(), Some(8));
+        assert_eq!(v["search"]["levels_eliminated"].as_u64(), Some(2048));
     }
 }

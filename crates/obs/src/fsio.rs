@@ -34,30 +34,6 @@ pub fn write_atomic(path: impl AsRef<Path>, contents: &[u8]) -> std::io::Result<
     result
 }
 
-/// Append one line to an NDJSON file with the same crash-safety guarantee
-/// as [`write_atomic`]: the existing contents plus the new line are written
-/// to a temporary file which is renamed over the destination, so a reader
-/// (or a crash) never observes a torn final line. `line` should not contain
-/// a newline; one is appended.
-///
-/// This is a read-modify-write, not an `O_APPEND`, so it is not safe
-/// against *concurrent* appenders — fine for its intended use, the
-/// single-writer `results/bench_history.ndjson`.
-pub fn append_line_atomic(path: impl AsRef<Path>, line: &str) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let mut contents = match std::fs::read(path) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    if !contents.is_empty() && !contents.ends_with(b"\n") {
-        contents.push(b'\n');
-    }
-    contents.extend_from_slice(line.as_bytes());
-    contents.push(b'\n');
-    write_atomic(path, &contents)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,21 +73,6 @@ mod tests {
             std::fs::read_to_string(dir.join("bare.json")).unwrap(),
             "ok"
         );
-    }
-
-    #[test]
-    fn append_creates_then_extends() {
-        let dir = tmpdir("append");
-        let path = dir.join("history.ndjson");
-        append_line_atomic(&path, r#"{"row":1}"#).unwrap();
-        append_line_atomic(&path, r#"{"row":2}"#).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "{\"row\":1}\n{\"row\":2}\n");
-        // A file missing its trailing newline is healed before appending.
-        std::fs::write(&path, "{\"row\":3}").unwrap();
-        append_line_atomic(&path, r#"{"row":4}"#).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(text, "{\"row\":3}\n{\"row\":4}\n");
     }
 
     #[test]

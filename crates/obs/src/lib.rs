@@ -49,7 +49,7 @@ mod trace;
 
 pub use accesslog::AccessLog;
 pub use attribution::{canonical_span_name, Attribution, AttributionRow};
-pub use fsio::{append_line_atomic, write_atomic};
+pub use fsio::write_atomic;
 pub use histogram::{LogHistogram, WindowedHistogram};
 pub use recorder::{
     context_enter, context_label, counter_add, current_context, enabled, event, gauge_set, install,

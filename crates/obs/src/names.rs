@@ -71,8 +71,6 @@ pub const QBD_RMATRIX_RESIDUAL: &str = "qbd.rmatrix.residual";
 pub const QBD_RMATRIX_WARM_HITS: &str = "qbd.rmatrix.warm_hits";
 /// `R` solves that fell back to a cold start (counter).
 pub const QBD_RMATRIX_WARM_MISSES: &str = "qbd.rmatrix.warm_misses";
-/// Spectral radius of `R` per solve (histogram).
-pub const QBD_SPECTRAL_RADIUS: &str = "qbd.spectral_radius";
 /// Drift margin per solve (histogram).
 pub const QBD_DRIFT_MARGIN: &str = "qbd.drift_margin";
 /// Frozen-capacity truncations tried by `LevelTruncation::Auto` / `Fixed`
@@ -157,7 +155,6 @@ pub const ALL: &[&str] = &[
     QBD_RMATRIX_RESIDUAL,
     QBD_RMATRIX_WARM_HITS,
     QBD_RMATRIX_WARM_MISSES,
-    QBD_SPECTRAL_RADIUS,
     QBD_DRIFT_MARGIN,
     QBD_TRUNCATION_ATTEMPTS,
     QBD_TRUNCATION_UNSTABLE_SKIPS,

@@ -453,19 +453,14 @@ impl LevelView<'_> {
         let boundary = self.boundary(&r, &i_minus_r_inv, elim)?;
         drop(boundary_span);
 
-        let sol = QbdSolution {
+        obs::observe(obs::names::QBD_DRIFT_MARGIN, drift.margin());
+        Ok(QbdSolution {
             boundary,
             r,
             i_minus_r_inv,
             sp_r: OnceLock::new(),
             truncation: None,
-        };
-        if obs::enabled() {
-            let _span = obs::span("qbd.spectral_radius");
-            obs::observe(obs::names::QBD_SPECTRAL_RADIUS, sol.spectral_radius());
-            obs::observe(obs::names::QBD_DRIFT_MARGIN, drift.margin());
-        }
-        Ok(sol)
+        })
     }
 
     /// The boundary solve (eqs. 21/25/26 + 24) by censored block elimination.
