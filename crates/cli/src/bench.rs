@@ -23,7 +23,6 @@
 //! and the recorder off.
 
 use gsched_core::model::GangModel;
-use gsched_core::qbd::LevelTruncation;
 use gsched_core::SolverOptions;
 use gsched_engine::{run_sweep, ScenarioBase, SweepOptions, SweepRequest};
 use gsched_linalg::WorkCounters;
@@ -108,9 +107,9 @@ impl BenchReport {
 
 /// What one scenario actually runs.
 enum Workload {
-    /// Evaluate a sweep on the engine pool (warm-started) with the given
-    /// solver options (default for the figure sweeps; certified truncation
-    /// for the large-P scaling rows).
+    /// Evaluate a sweep on the engine pool (warm-started) under the options
+    /// its scenario resolves to (`Scenario::solver_options`: the defaults
+    /// for the figure sweeps, certified truncation for the large-P rows).
     Sweep {
         req: SweepRequest,
         solver: SolverOptions,
@@ -142,13 +141,12 @@ fn scenarios(quick: bool) -> Vec<Scenario> {
         .zip(rows)
         .map(|(fig, row)| Scenario {
             name: row.to_string(),
-            workload: Workload::Sweep {
-                req: registry::lookup(fig)
-                    .expect("figures are registered")
-                    .sweep_request(quick)
-                    .expect("figure grids are valid"),
-                solver: SolverOptions::default(),
-            },
+            workload: ir_scenario(
+                &registry::lookup(fig).expect("figures are registered"),
+                quick,
+            )
+            .expect("figure grids are valid")
+            .workload,
         })
         .collect();
     out.push(Scenario {
@@ -171,7 +169,7 @@ fn ir_scenario(sc: &ScenarioIr, quick: bool) -> Result<Scenario, String> {
     let workload = if sc.sweep.is_some() {
         Workload::Sweep {
             req: sc.sweep_request(quick).map_err(|e| e.to_string())?,
-            solver: SolverOptions::default(),
+            solver: sc.solver_options(&SolverOptions::default()),
         }
     } else {
         let model = sc.build_model().map_err(|e| e.to_string())?;
@@ -288,11 +286,7 @@ pub fn run_bench(quick: bool, only: Option<&ScenarioIr>) -> Result<BenchReport, 
 pub fn run_scaling_bench(quick: bool) -> Result<BenchReport, String> {
     let sc = registry::lookup("p_sweep").ok_or("registry scenario `p_sweep` is missing")?;
     let req = sc.sweep_request(quick).map_err(|e| e.to_string())?;
-    let mut solver = SolverOptions::default();
-    solver.qbd.truncation = LevelTruncation::Auto {
-        target_tail: sc.tolerance.certified_tail.unwrap_or(1e-8),
-        min_levels: 4,
-    };
+    let solver = sc.solver_options(&SolverOptions::default());
     let set = req
         .points
         .into_iter()

@@ -6,7 +6,7 @@
 //! gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs]
 //!                               [--horizon T] [--warmup T] [--seed N] [--json]
 //! gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick]
-//!                  [--no-warm] [--parity-check] [--method M] [--json]
+//!                  [--parity-check] [--method M] [--json]
 //! gsched validate  [<scenario>...] [--json]
 //! gsched xval      <scenario | all> [--points N] [--full]
 //!                  [--horizon-scale F] [--json]
@@ -36,7 +36,11 @@
 //! is either a registry name (`fig2` … `near_instability`; see
 //! `gsched-scenario`) or a path to a scenario JSON file. The same scenario
 //! drives the analytic solver, the engine sweeps, and the simulator — one
-//! description, every solver path.
+//! description, every solver path. The scenario also decides how it is
+//! solved (`Scenario::solver_options`): a processors-axis (large-P)
+//! scenario solves under certified level truncation wherever it runs —
+//! `solve`, `doctor`, `sweep`, `profile`, `bench`, `validate`, `xval` and
+//! the server alike.
 //!
 //! The solving subcommands `solve`, `sweep`, `doctor` and `profile` accept
 //! `--method lr|ss` to pick the QBD `R`-matrix solver; both agree within
@@ -48,15 +52,15 @@
 //! error (`<subcommand>: unknown flag --X`), never silently ignored.
 //!
 //! `gsched sweep` evaluates the paper's figure sweeps on the
-//! `gsched-engine` work-stealing pool: `--jobs N` sets the worker count
-//! (0 = all cores), `--no-warm` disables neighbour warm starting, and
+//! `gsched-engine` work-stealing pool, each point warm-started from its
+//! chunk neighbour: `--jobs N` sets the worker count (0 = all cores), and
 //! `--parity-check` re-runs the sweep single-threaded and fails unless the
 //! parallel results match to 1e-10. A sweep-capable registry scenario also
-//! works positionally (`gsched sweep p_sweep`); on the Processors axis the
-//! solver automatically enables certified level truncation, checks every
-//! point's certified tail mass against the scenario's declared ceiling, and
-//! cross-checks the largest point against the zero-queueing asymptotic
-//! limit (`gsched solve --asymptotic`) — see `docs/LARGE_P.md`.
+//! works positionally (`gsched sweep p_sweep`). A scenario that declares a
+//! certified-tail ceiling has every point's certificate checked against
+//! it, and one that declares an asymptotic tolerance has its largest point
+//! cross-checked against the zero-queueing limit (`gsched solve
+//! --asymptotic`) — see `docs/LARGE_P.md`.
 //!
 //! `gsched validate` lints scenarios (schema, grids, solvability) and
 //! reports per-class stability with drift margins; it exits non-zero when
@@ -146,14 +150,13 @@ mod profile;
 mod top;
 
 use gsched_core::model::GangModel;
-use gsched_core::qbd::LevelTruncation;
 use gsched_core::solver::{solve, GangSolution, RSolverMethod, SolverOptions, VacationMode};
 use gsched_core::tuning::{optimize_common_quantum, stability_threshold_quantum, Objective};
 use gsched_core::{solve_asymptotic, AsymptoticSolution};
 use gsched_engine::{run_sweep, SweepOptions, SweepReport, SweepRequest};
 use gsched_scenario::{
-    cross_validate, registry, validate_report, AxisSpec, LintLevel, ModelSpec, Policy, Scenario,
-    XvalOptions, XvalReport,
+    cross_validate, registry, validate_report, LintLevel, ModelSpec, Policy, Scenario, XvalOptions,
+    XvalReport,
 };
 use gsched_service::client::{control_frame_for, frame_for_name, frame_for_scenario, RequestSpec};
 // The render module is the single implementation of the solve/sweep JSON
@@ -211,15 +214,25 @@ fn run(args: &[String]) -> Result<(), String> {
             )?;
             top::run(&pos, &flags)
         }
-        "example-model" => {
-            println!("{}", example_model_json());
-            Ok(())
-        }
-        "example-scenario" => {
-            let sc = registry::lookup("fig2").expect("fig2 is registered");
-            println!("{}", sc.to_json());
-            // On stderr so stdout stays parseable JSON.
-            eprintln!("field-by-field schema reference: docs/SCENARIO_SCHEMA.md");
+        "example-model" | "example-scenario" => {
+            let (pos, flags) = parse_flags(cmd, rest)?;
+            if let Some(arg) = pos.first() {
+                return Err(format!("{cmd}: unexpected argument `{arg}`"));
+            }
+            reject_flags(
+                cmd,
+                &flags,
+                &["diag", "trace", "verbose"],
+                "it prints a template and solves nothing",
+            )?;
+            if cmd == "example-model" {
+                println!("{}", example_model_json());
+            } else {
+                let sc = registry::lookup("fig2").expect("fig2 is registered");
+                println!("{}", sc.to_json());
+                // On stderr so stdout stays parseable JSON.
+                eprintln!("field-by-field schema reference: docs/SCENARIO_SCHEMA.md");
+            }
             Ok(())
         }
         "--help" | "-h" | "help" => {
@@ -241,7 +254,7 @@ fn usage() -> String {
     format!(
         "usage:\n  gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact] [--method lr|ss] [--percentiles] [--asymptotic] [--json]\n  \
          gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs] [--horizon T] [--warmup T] [--seed N] [--json]\n  \
-         gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick] [--no-warm] [--parity-check] [--method M] [--json]\n  \
+         gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick] [--parity-check] [--method M] [--json]\n  \
          gsched validate  [<scenario>...] [--json]\n  \
          gsched xval      <scenario | all> [--points N] [--full] [--horizon-scale F] [--json]\n  \
          gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]\n  \
@@ -259,7 +272,7 @@ fn usage() -> String {
          gsched example-scenario\n\
          a scenario S is a registry name ({}) or a scenario JSON file.\n\
          --method M picks the R-matrix solver (lr|ss).\n\
-         diagnostics (every subcommand but top, request and bench): --diag <path> writes a JSON metrics \
+         diagnostics (every subcommand but top, request, bench and example-*): --diag <path> writes a JSON metrics \
          snapshot; --trace <path> writes a Chrome Trace Event file \
          (Perfetto); -v prints a report to stderr (-vv adds events)",
         registry::NAMES.join("|")
@@ -272,7 +285,6 @@ const BOOL_FLAGS: &[&str] = &[
     "percentiles",
     "quick",
     "full",
-    "no-warm",
     "parity-check",
     "frame",
     "once",
@@ -293,7 +305,7 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("simulate", "scenario policy horizon warmup seed json"),
     (
         "sweep",
-        "scenario jobs quick no-warm parity-check mode method percentiles json",
+        "scenario jobs quick parity-check mode method percentiles json",
     ),
     ("validate", "mode method percentiles json"),
     (
@@ -322,6 +334,8 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
         "addr clients requests workers queue-limit quick expect-no-shed json",
     ),
     ("top", "addr interval count once"),
+    ("example-model", ""),
+    ("example-scenario", ""),
 ];
 
 /// Whether subcommand `cmd` accepts `--name`.
@@ -493,19 +507,25 @@ fn load_scenario(arg: &str) -> Result<Scenario, String> {
     }
 }
 
-/// A subcommand's model source: either a positional `<model.json>` or
-/// `--scenario <name|file>`, never both.
+/// A subcommand's model source — either a positional `<model.json>` or
+/// `--scenario <name|file>`, never both — and the options it solves under:
+/// the flags' options, adjusted by the scenario when there is one.
 fn resolve_model(
     cmd: &str,
     pos: &[String],
     flags: &HashMap<String, String>,
-) -> Result<GangModel, String> {
+) -> Result<(GangModel, SolverOptions), String> {
+    let opts = solver_options(flags)?;
     match (flags.get("scenario"), pos.first()) {
         (Some(_), Some(_)) => Err(format!(
             "{cmd}: give either <model.json> or --scenario, not both"
         )),
-        (Some(arg), None) => load_scenario(arg)?.build_model().map_err(|e| e.to_string()),
-        (None, Some(path)) => load_model(path),
+        (Some(arg), None) => {
+            let sc = load_scenario(arg)?;
+            let model = sc.build_model().map_err(|e| e.to_string())?;
+            Ok((model, sc.solver_options(&opts)))
+        }
+        (None, Some(path)) => Ok((load_model(path)?, opts)),
         (None, None) => Err(format!(
             "{cmd}: missing <model.json> (or --scenario <name|file>)"
         )),
@@ -520,14 +540,15 @@ fn solver_options(flags: &HashMap<String, String>) -> Result<SolverOptions, Stri
         Some("exact") => VacationMode::Exact,
         Some(other) => return Err(format!("unknown --mode `{other}`")),
     };
-    let mut builder = SolverOptions::builder()
-        .mode(mode)
-        .response_quantiles(flags.contains_key("percentiles"));
+    let mut opts = SolverOptions {
+        mode,
+        response_quantiles: flags.contains_key("percentiles"),
+        ..SolverOptions::default()
+    };
     if let Some(m) = flags.get("method") {
-        let method: RSolverMethod = m.parse()?;
-        builder = builder.r_method(method);
+        opts.qbd.method = m.parse::<RSolverMethod>()?;
     }
-    builder.build().map_err(|e| e.to_string())
+    Ok(opts)
 }
 
 fn print_solution_human(model: &GangModel, sol: &GangSolution) {
@@ -617,7 +638,7 @@ fn asymptotic_json(asym: &AsymptoticSolution) -> String {
 
 fn cmd_solve(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags("solve", args)?;
-    let model = resolve_model("solve", &pos, &flags)?;
+    let (model, opts) = resolve_model("solve", &pos, &flags)?;
     let diag = Diagnostics::from_flags(&flags);
     // `--asymptotic` swaps the finite-P QBD solve for the zero-queueing
     // large-system limit — the anchor large-P solves are checked against.
@@ -632,7 +653,6 @@ fn cmd_solve(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     }
-    let opts = solver_options(&flags)?;
     let sol = solve(&model, &opts).map_err(|e| e.to_string());
     diag.finish()?;
     let sol = sol?;
@@ -805,37 +825,12 @@ struct SweepJob {
     scenario: Scenario,
 }
 
-/// True for a Processors-axis (large-P) scenario sweep.
-fn is_large_p(scenario: &Scenario) -> bool {
-    scenario
-        .sweep
-        .as_ref()
-        .is_some_and(|sweep| sweep.axis == AxisSpec::Processors)
-}
-
-/// The solver a sweep runs with. Processors-axis (large-P) scenarios get
-/// automatic certified level truncation — large P is intractable without
-/// it — targeted at the scenario's declared ceiling (default `1e-8`), with
-/// health collection so the certificates are reportable; every other sweep
-/// runs `base` unchanged. `gsched sweep` and `gsched profile` both resolve
-/// their solver here, so a profile measures the path a sweep runs.
-fn sweep_solver_options(base: &SolverOptions, scenario: &Scenario) -> SolverOptions {
-    let mut solver = base.clone();
-    if is_large_p(scenario) {
-        solver.qbd.truncation = LevelTruncation::Auto {
-            target_tail: scenario.tolerance.certified_tail.unwrap_or(1e-8),
-            min_levels: 4,
-        };
-        solver.collect_health = true;
-    }
-    solver
-}
-
-/// Enforce a large-P scenario's tolerance contract on a finished sweep:
-/// every truncated point's *certified* tail mass must stay under the
-/// scenario's ceiling, and the largest solved point must agree with the
-/// zero-queueing asymptotic limit within the declared relative tolerance.
-/// Returns human-readable check lines; `Err` lists the violations.
+/// Enforce a scenario's large-P tolerance contract on a finished sweep
+/// (each part only when the scenario declares it): every truncated point's
+/// *certified* tail mass must stay under the scenario's ceiling, and the
+/// largest solved point must agree with the zero-queueing asymptotic limit
+/// within the declared relative tolerance. Returns human-readable check
+/// lines; `Err` lists the violations.
 fn check_large_p_contract(sc: &Scenario, report: &SweepReport) -> Result<Vec<String>, String> {
     let mut lines = Vec::new();
     let mut violations = Vec::new();
@@ -843,16 +838,18 @@ fn check_large_p_contract(sc: &Scenario, report: &SweepReport) -> Result<Vec<Str
         let mut worst: f64 = 0.0;
         let mut checked = 0usize;
         for p in &report.points {
-            let Some(health) = p.solution.as_ref().and_then(|s| s.health.as_ref()) else {
+            let Some(sol) = &p.solution else {
                 continue;
             };
             checked += 1;
-            for h in &health.classes {
-                worst = worst.max(h.certified_tail);
-                if h.certified_tail > ceiling {
+            for (class, c) in sol.classes.iter().enumerate() {
+                // A full (untruncated) solve misplaces no mass.
+                let tail = c.truncation.map_or(0.0, |t| t.tail_mass);
+                worst = worst.max(tail);
+                if tail > ceiling {
                     violations.push(format!(
-                        "{}: P = {}, class {}: certified tail {:.3e} exceeds ceiling {ceiling:.3e}",
-                        sc.name, p.x, h.class, h.certified_tail
+                        "{}: P = {}, class {class}: certified tail {tail:.3e} exceeds ceiling {ceiling:.3e}",
+                        sc.name, p.x
                     ));
                 }
             }
@@ -935,8 +932,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     for job in &jobs_list {
         let opts = SweepOptions::default()
             .with_jobs(jobs)
-            .with_warm_start(!flags.contains_key("no-warm"))
-            .with_solver(sweep_solver_options(&solver, &job.scenario));
+            .with_solver(job.scenario.solver_options(&solver));
         let classes = job
             .req
             .points
@@ -955,11 +951,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
                 ));
             }
         }
-        if is_large_p(&job.scenario) {
-            match check_large_p_contract(&job.scenario, &report) {
-                Ok(lines) => contract_lines.extend(lines),
-                Err(e) => contract_errors.push(e),
-            }
+        match check_large_p_contract(&job.scenario, &report) {
+            Ok(lines) => contract_lines.extend(lines),
+            Err(e) => contract_errors.push(e),
         }
         if flags.contains_key("json") {
             json_reports.push(sweep_report_json(&job.scenario.name, &report, classes));
@@ -1293,8 +1287,7 @@ fn cmd_stability(args: &[String]) -> Result<(), String> {
 
 fn cmd_doctor(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags("doctor", args)?;
-    let model = resolve_model("doctor", &pos, &flags)?;
-    let mut opts = solver_options(&flags)?;
+    let (model, mut opts) = resolve_model("doctor", &pos, &flags)?;
     opts.collect_health = true;
     let defaults = gsched_core::HealthThresholds::default();
     let thresholds = gsched_core::HealthThresholds {
@@ -1709,9 +1702,6 @@ mod tests {
                 continue;
             };
             let cmd = rest.split_whitespace().next().unwrap();
-            if cmd.starts_with("example-") {
-                continue;
-            }
             commands += 1;
             for name in flag_names(line) {
                 assert!(accepts(cmd, &name), "usage gives `{cmd}` --{name}");

@@ -230,7 +230,7 @@ fn measure(
         // under this stack and the engine leaves per-class parallelism off.
         let opts = SweepOptions::default()
             .with_jobs(1)
-            .with_solver(crate::sweep_solver_options(solver, &w.scenario));
+            .with_solver(w.scenario.solver_options(solver));
         let report = run_sweep(&w.req, &opts);
         points += report.points.len() as u64;
         failed += report.failures() as u64;

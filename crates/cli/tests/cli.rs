@@ -442,6 +442,7 @@ fn unknown_and_removed_flags_fail_by_name() {
             "--backend",
         ),
         (&["sweep", "fig2", "--quik", "--json"][..], "--quik"),
+        (&["sweep", "fig2", "--quick", "--no-warm"][..], "--no-warm"),
         (
             &["solve", "--scenario", "fig2", "--bogus", "3", "--json"][..],
             "--bogus",
@@ -504,6 +505,35 @@ fn unknown_and_removed_flags_fail_by_name() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(want), "{args:?}: {err}");
     }
+}
+
+/// The template printers take no arguments: a flag, a diagnostics flag or
+/// a positional argument fails by name instead of being ignored.
+#[test]
+fn example_templates_reject_every_argument() {
+    let dir = tmpdir("example-args");
+    let diag = dir.join("x.json");
+    for cmd in ["example-model", "example-scenario"] {
+        let out = gsched().arg(cmd).output().unwrap();
+        assert!(out.status.success(), "{cmd}");
+        serde_json::from_str::<serde_json::Value>(&String::from_utf8_lossy(&out.stdout))
+            .unwrap_or_else(|e| panic!("{cmd} prints JSON: {e}"));
+        for (args, want) in [
+            (vec!["--bogus"], format!("{cmd}: unknown flag --bogus")),
+            (vec!["extra"], format!("{cmd}: unexpected argument `extra`")),
+            (
+                vec!["--diag", diag.to_str().unwrap()],
+                format!("{cmd}: --diag is not supported"),
+            ),
+        ] {
+            let out = gsched().arg(cmd).args(&args).output().unwrap();
+            assert!(!out.status.success(), "{cmd} {args:?} succeeded");
+            assert!(out.stdout.is_empty(), "{cmd} {args:?} produced output");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(&want), "{cmd} {args:?}: {err}");
+        }
+    }
+    assert!(!diag.exists(), "a rejected --diag wrote its snapshot");
 }
 
 #[test]

@@ -87,14 +87,13 @@ pub mod vacation;
 
 pub use asymptotic::{solve_asymptotic, AsymptoticClass, AsymptoticSolution};
 /// Re-export of the QBD solver crate so downstream users can name
-/// [`SolverOptions::qbd`] types (truncation, boundary method, `R` solver)
+/// [`SolverOptions::qbd`] types (truncation, certificate, `R` solver)
 /// without a direct dependency.
 pub use gsched_qbd as qbd;
 pub use health::{ClassHealth, HealthReport, HealthThresholds};
 pub use model::{ClassParams, GangModel, ModelError};
 pub use solver::{
-    solve, solve_warm, GangSolution, SolveOutcome, SolverOptions, SolverOptionsBuilder,
-    VacationMode, WarmStart,
+    solve, solve_warm, GangSolution, SolveOutcome, SolverOptions, VacationMode, WarmStart,
 };
 pub use vacation::VacationCache;
 
@@ -128,8 +127,8 @@ pub enum GangError {
         /// The QBD error.
         source: gsched_qbd::QbdError,
     },
-    /// Invalid [`SolverOptions`] rejected by
-    /// [`SolverOptions::builder`]'s `build()` validation.
+    /// Invalid [`SolverOptions`], rejected by [`SolverOptions::validate`]
+    /// when a solve starts.
     InvalidOptions(String),
     /// Underlying phase-type failure.
     Phase(gsched_phase::PhaseTypeError),

@@ -23,7 +23,7 @@ use gsched_linalg::Matrix;
 use gsched_obs as obs;
 use gsched_phase::PhaseType;
 use gsched_qbd::solution::SolveOptions as QbdSolveOptions;
-use gsched_qbd::{QbdError, QbdSolution};
+use gsched_qbd::{QbdError, QbdSolution, TruncationCertificate};
 
 // Re-exported so downstream crates (CLI, service) can name the R-solver
 // method without depending on gsched-qbd directly.
@@ -55,28 +55,53 @@ impl Default for VacationMode {
     }
 }
 
-/// Options for [`solve`].
+/// Fixed-point iteration budget. Near saturation the iteration converges
+/// geometrically with a rate approaching 1; a budget-exhausted iterate
+/// whose residual is already small is still returned (unconverged).
+const FP_MAX_ITER: usize = 300;
+
+/// Under-relaxation weight `θ` on the moment-matched effective-quantum
+/// update: the next iteration uses the mixture `θ·new + (1−θ)·old`, which
+/// suppresses the stable/unstable flapping that can occur near saturation.
+/// [`VacationMode::Exact`] takes the undamped update (its mixtures would
+/// grow without bound).
+const DAMPING: f64 = 0.7;
+
+/// Options for [`solve`]: plain data, set by field assignment from
+/// [`SolverOptions::default`]. [`solve_warm`] checks them
+/// ([`SolverOptions::validate`]) before it solves anything.
 ///
-/// The struct is `#[non_exhaustive]`: construct it with
-/// [`SolverOptions::default`] or [`SolverOptions::builder`] and adjust
-/// fields from there. Literal construction is reserved so new knobs can be
-/// added without a breaking change.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
+/// Per-iteration diagnostics (populations, effective quanta, convergence
+/// deltas) are published through `gsched_obs` — install a recorder with
+/// `gsched_obs::install_memory()` to capture them.
+///
+/// ```
+/// use gsched_core::solver::{SolverOptions, VacationMode};
+/// let opts = SolverOptions {
+///     mode: VacationMode::Exact,
+///     fp_tol: 1e-8,
+///     collect_health: true,
+///     ..SolverOptions::default()
+/// };
+/// assert!(opts.validate().is_ok());
+/// ```
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverOptions {
     /// Vacation construction mode.
     pub mode: VacationMode,
     /// Relative tolerance on per-class mean populations for fixed-point
     /// convergence.
     pub fp_tol: f64,
-    /// Maximum fixed-point iterations.
-    pub fp_max_iter: usize,
     /// Stationary tail mass allowed above the truncation cap when
     /// extracting effective quanta.
     pub tail_eps: f64,
     /// Maximum levels above `c_p` for the truncation cap.
     pub max_extra_levels: usize,
-    /// Options passed to the per-class QBD solves.
+    /// Options passed to the per-class QBD solves: the `R` method and its
+    /// tolerance and budget, a warm-start `R`, and the level-truncation
+    /// policy. With [`gsched_qbd::LevelTruncation::Auto`], solves at large
+    /// `c_p` pick a truncation level automatically and attach a certified
+    /// tail-mass bound to [`ClassResult::truncation`].
     pub qbd: QbdSolveOptions,
     /// If true, return [`GangError::Unstable`] when any class remains
     /// unstable at the end; if false (default) report it in the solution.
@@ -85,16 +110,6 @@ pub struct SolverOptions {
     /// (tagged-job analysis) and store its (p50, p90, p95, p99) quantiles in
     /// the results. Costs one extra absorbing-chain solve per class.
     pub response_quantiles: bool,
-    /// Under-relaxation weight `θ ∈ (0, 1]` on the effective-quantum update:
-    /// the next iteration uses the mixture `θ·new + (1−θ)·old`. `1` (no
-    /// damping) converges fastest when the iteration is well behaved; values
-    /// around `0.5` suppress the stable/unstable flapping that can occur
-    /// near saturation.
-    ///
-    /// Per-iteration diagnostics (populations, effective quanta,
-    /// convergence deltas) are published through `gsched_obs` — install a
-    /// recorder with `gsched_obs::install_memory()` to capture them.
-    pub damping: f64,
     /// Also assemble a per-class numerical-health report
     /// ([`GangSolution::health`]): drift slack, `sp(R)`, `R` residual, and
     /// truncated tail mass at the fixed point. Costs one extra drift check,
@@ -114,13 +129,11 @@ impl Default for SolverOptions {
         SolverOptions {
             mode: VacationMode::default(),
             fp_tol: 1e-6,
-            fp_max_iter: 300,
             tail_eps: 1e-9,
             max_extra_levels: 80,
             qbd: QbdSolveOptions::default(),
             require_stable: false,
             response_quantiles: false,
-            damping: 0.7,
             collect_health: false,
             parallel_classes: false,
         }
@@ -128,179 +141,38 @@ impl Default for SolverOptions {
 }
 
 impl SolverOptions {
-    /// Start building options from the defaults.
-    pub fn builder() -> SolverOptionsBuilder {
-        SolverOptionsBuilder::default()
-    }
-}
-
-/// Chainable builder for [`SolverOptions`]; [`SolverOptionsBuilder::build`]
-/// validates the combination before handing the options out.
-///
-/// ```
-/// use gsched_core::solver::{SolverOptions, VacationMode};
-/// let opts = SolverOptions::builder()
-///     .mode(VacationMode::Exact)
-///     .fp_tol(1e-8)
-///     .collect_health(true)
-///     .build()
-///     .unwrap();
-/// assert_eq!(opts.fp_tol, 1e-8);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SolverOptionsBuilder {
-    opts: SolverOptions,
-}
-
-impl SolverOptionsBuilder {
-    /// Set the vacation construction mode.
-    pub fn mode(mut self, mode: VacationMode) -> Self {
-        self.opts.mode = mode;
-        self
-    }
-
-    /// Set the fixed-point convergence tolerance.
-    pub fn fp_tol(mut self, tol: f64) -> Self {
-        self.opts.fp_tol = tol;
-        self
-    }
-
-    /// Set the fixed-point iteration budget.
-    pub fn fp_max_iter(mut self, n: usize) -> Self {
-        self.opts.fp_max_iter = n;
-        self
-    }
-
-    /// Set the stationary tail mass allowed above the truncation cap.
-    pub fn tail_eps(mut self, eps: f64) -> Self {
-        self.opts.tail_eps = eps;
-        self
-    }
-
-    /// Set the maximum levels above `c_p` for the truncation cap.
-    pub fn max_extra_levels(mut self, n: usize) -> Self {
-        self.opts.max_extra_levels = n;
-        self
-    }
-
-    /// Set the options passed to the per-class QBD solves.
-    pub fn qbd(mut self, qbd: QbdSolveOptions) -> Self {
-        self.opts.qbd = qbd;
-        self
-    }
-
-    /// Select the `R`-matrix algorithm for the per-class QBD solves
-    /// (shorthand for setting `qbd.method`).
-    pub fn r_method(mut self, method: gsched_qbd::RSolverMethod) -> Self {
-        self.opts.qbd.method = method;
-        self
-    }
-
-    /// Select the level-truncation policy for the per-class QBD solves
-    /// (shorthand for setting `qbd.truncation`). With
-    /// [`gsched_qbd::LevelTruncation::Auto`], solves at large `c_p` pick a
-    /// truncation level automatically and attach a certified tail-mass bound
-    /// to the health report.
-    pub fn truncation(mut self, truncation: gsched_qbd::LevelTruncation) -> Self {
-        self.opts.qbd.truncation = truncation;
-        self
-    }
-
-    /// Error out (instead of reporting) when a class remains unstable.
-    pub fn require_stable(mut self, yes: bool) -> Self {
-        self.opts.require_stable = yes;
-        self
-    }
-
-    /// Also compute response-time quantiles per class.
-    pub fn response_quantiles(mut self, yes: bool) -> Self {
-        self.opts.response_quantiles = yes;
-        self
-    }
-
-    /// Set the under-relaxation weight on the effective-quantum update.
-    pub fn damping(mut self, theta: f64) -> Self {
-        self.opts.damping = theta;
-        self
-    }
-
-    /// Also assemble the per-class numerical-health report.
-    pub fn collect_health(mut self, yes: bool) -> Self {
-        self.opts.collect_health = yes;
-        self
-    }
-
-    /// Solve the per-class chains on scoped worker threads.
-    pub fn parallel_classes(mut self, yes: bool) -> Self {
-        self.opts.parallel_classes = yes;
-        self
-    }
-
-    /// Validate and produce the final [`SolverOptions`].
-    pub fn build(self) -> Result<SolverOptions> {
-        let o = self.opts;
-        if !(o.fp_tol.is_finite() && o.fp_tol > 0.0) {
-            return Err(GangError::InvalidOptions(format!(
-                "fp_tol must be finite and positive, got {}",
-                o.fp_tol
-            )));
-        }
-        if o.fp_max_iter == 0 {
-            return Err(GangError::InvalidOptions(
-                "fp_max_iter must be at least 1".into(),
-            ));
-        }
-        if !(o.tail_eps > 0.0 && o.tail_eps < 1.0) {
-            return Err(GangError::InvalidOptions(format!(
-                "tail_eps must lie in (0, 1), got {}",
-                o.tail_eps
-            )));
-        }
-        if o.max_extra_levels == 0 {
-            return Err(GangError::InvalidOptions(
-                "max_extra_levels must be at least 1".into(),
-            ));
-        }
-        if !(o.damping > 0.0 && o.damping <= 1.0) {
-            return Err(GangError::InvalidOptions(format!(
-                "damping must lie in (0, 1], got {}",
-                o.damping
-            )));
-        }
-        if let VacationMode::MomentMatched { moments } = &o.mode {
-            if !(2..=3).contains(moments) {
-                return Err(GangError::InvalidOptions(format!(
-                    "MomentMatched supports 2 or 3 moments, got {moments}"
-                )));
-            }
-        }
-        if !(o.qbd.tol.is_finite() && o.qbd.tol > 0.0) {
-            return Err(GangError::InvalidOptions(format!(
-                "qbd.tol must be finite and positive, got {}",
-                o.qbd.tol
-            )));
-        }
-        if o.qbd.max_iter == 0 {
-            return Err(GangError::InvalidOptions(
-                "qbd.max_iter must be at least 1".into(),
-            ));
-        }
-        match o.qbd.truncation {
-            gsched_qbd::LevelTruncation::Fixed { level: 0 } => {
-                return Err(GangError::InvalidOptions(
-                    "qbd.truncation Fixed level must be at least 1".into(),
-                ));
-            }
-            gsched_qbd::LevelTruncation::Auto { target_tail, .. }
-                if !(target_tail > 0.0 && target_tail < 1.0) =>
-            {
-                return Err(GangError::InvalidOptions(format!(
-                    "qbd.truncation Auto target_tail must lie in (0, 1), got {target_tail}"
-                )));
-            }
-            _ => {}
-        }
-        Ok(o)
+    /// Check every field, naming the first invalid one in
+    /// [`GangError::InvalidOptions`]. [`solve_warm`] (and so [`solve`])
+    /// calls this first, so options set by field assignment are checked
+    /// before any work is done.
+    pub fn validate(&self) -> Result<()> {
+        use gsched_qbd::LevelTruncation::{Auto, Fixed};
+        use VacationMode::MomentMatched;
+        let (mode, q) = (&self.mode, &self.qbd);
+        let in_unit = |x: f64| x > 0.0 && x < 1.0;
+        let problem = if !(self.fp_tol.is_finite() && self.fp_tol > 0.0) {
+            format!("fp_tol must be finite and positive, got {}", self.fp_tol)
+        } else if !in_unit(self.tail_eps) {
+            format!("tail_eps must lie in (0, 1), got {}", self.tail_eps)
+        } else if self.max_extra_levels == 0 {
+            "max_extra_levels must be at least 1".into()
+        } else if matches!(mode, MomentMatched { moments } if !(2..=3).contains(moments)) {
+            format!("MomentMatched supports 2 or 3 moments, got {mode:?}")
+        } else if !(q.tol.is_finite() && q.tol > 0.0) {
+            format!("qbd.tol must be finite and positive, got {}", q.tol)
+        } else if q.max_iter == 0 {
+            "qbd.max_iter must be at least 1".into()
+        } else if q.truncation == (Fixed { level: 0 }) {
+            "qbd.truncation Fixed level must be at least 1".into()
+        } else if matches!(q.truncation, Auto { target_tail, .. } if !in_unit(target_tail)) {
+            format!(
+                "qbd.truncation Auto target_tail must lie in (0, 1): {:?}",
+                q.truncation
+            )
+        } else {
+            return Ok(());
+        };
+        Err(GangError::InvalidOptions(problem))
     }
 }
 
@@ -327,6 +199,10 @@ pub struct ClassResult {
     /// distribution, when requested via
     /// [`SolverOptions::response_quantiles`].
     pub response_quantiles: Option<(f64, f64, f64, f64)>,
+    /// Where a level-truncated solve cut the class's chain and the
+    /// certified tail mass above the cut; `None` when the full chain was
+    /// solved (or the class is unstable).
+    pub truncation: Option<TruncationCertificate>,
 }
 
 /// The solved gang-scheduling model.
@@ -452,6 +328,7 @@ pub fn solve_warm(
     warm: Option<&WarmStart>,
     cache: Option<&VacationCache>,
 ) -> Result<SolveOutcome> {
+    opts.validate()?;
     let _span = obs::span("core.solve");
     let l = model.num_classes();
     let continuation = warm.is_some();
@@ -563,7 +440,7 @@ pub fn solve_warm(
                         obs::FieldValue::F64s(quanta.iter().map(|q| q.mean()).collect()),
                     ),
                     ("max_relative_change", obs::FieldValue::F64(change)),
-                    ("damping", obs::FieldValue::F64(opts.damping)),
+                    ("damping", obs::FieldValue::F64(DAMPING)),
                 ],
             );
         }
@@ -580,13 +457,12 @@ pub fn solve_warm(
             converged = true;
             break;
         }
-        if iterations >= opts.fp_max_iter {
+        if iterations >= FP_MAX_ITER {
             break;
         }
 
         // ---- Update effective quanta for the next iteration ----
         let _eff_span = obs::span("core.effective");
-        let theta = opts.damping.clamp(1e-3, 1.0);
         for p in 0..l {
             let raw = match &last_pass[p] {
                 ClassIterate::Stable(cs) => {
@@ -603,13 +479,12 @@ pub fn solve_warm(
                 // A saturated class always has work: full quantum.
                 ClassIterate::Unstable => model.class(p).quantum.clone(),
             };
-            quanta[p] = if theta >= 1.0 {
-                raw
-            } else if let VacationMode::MomentMatched { moments } = &opts.mode {
+            quanta[p] = if let VacationMode::MomentMatched { moments } = &opts.mode {
                 // Under-relax in distribution space (mixture), then re-compress
                 // so the representation size stays bounded across iterations.
-                let mixed = gsched_phase::mixture(&[theta, 1.0 - theta], &[raw, quanta[p].clone()])
-                    .expect("damping mixture weights are valid");
+                let mixed =
+                    gsched_phase::mixture(&[DAMPING, 1.0 - DAMPING], &[raw, quanta[p].clone()])
+                        .expect("damping mixture weights are valid");
                 compress(&mixed, *moments)
             } else {
                 // Exact mode: mixtures would grow without bound — no damping.
@@ -670,6 +545,7 @@ pub fn solve_warm(
                     vacation_mean: last_vacations[p].mean(),
                     measures: Some(meas),
                     response_quantiles,
+                    truncation: sol.truncation().copied(),
                 });
             }
             ClassIterate::Unstable => {
@@ -701,6 +577,7 @@ pub fn solve_warm(
                     skip_probability: 0.0,
                     vacation_mean: last_vacations[p].mean(),
                     response_quantiles: None,
+                    truncation: None,
                 });
             }
         }
@@ -826,10 +703,10 @@ mod tests {
         let m = symmetric_model(4, 3, 0.25, 1.0, 1.5);
         let ht = solve(
             &m,
-            &SolverOptions::builder()
-                .mode(VacationMode::HeavyTraffic)
-                .build()
-                .unwrap(),
+            &SolverOptions {
+                mode: VacationMode::HeavyTraffic,
+                ..Default::default()
+            },
         )
         .unwrap();
         let fp = solve(&m, &SolverOptions::default()).unwrap();
@@ -848,10 +725,10 @@ mod tests {
         let mm = solve(&m, &SolverOptions::default()).unwrap();
         let ex = solve(
             &m,
-            &SolverOptions::builder()
-                .mode(VacationMode::Exact)
-                .build()
-                .unwrap(),
+            &SolverOptions {
+                mode: VacationMode::Exact,
+                ..Default::default()
+            },
         )
         .unwrap();
         let a = mm.classes[0].mean_jobs;
@@ -882,10 +759,10 @@ mod tests {
         // Strict mode errors out instead.
         let err = solve(
             &m,
-            &SolverOptions::builder()
-                .require_stable(true)
-                .build()
-                .unwrap(),
+            &SolverOptions {
+                require_stable: true,
+                ..Default::default()
+            },
         )
         .unwrap_err();
         assert!(matches!(err, GangError::Unstable { .. }));
@@ -959,10 +836,10 @@ mod tests {
         let m = symmetric_model(2, 2, 0.25, 1.0, 1.0);
         let plain = solve(&m, &SolverOptions::default()).unwrap();
         assert!(plain.classes[0].response_quantiles.is_none());
-        let opts = SolverOptions::builder()
-            .response_quantiles(true)
-            .build()
-            .unwrap();
+        let opts = SolverOptions {
+            response_quantiles: true,
+            ..Default::default()
+        };
         let rich = solve(&m, &opts).unwrap();
         let (p50, p90, p95, p99) = rich.classes[0].response_quantiles.unwrap();
         assert!(p50 > 0.0 && p50 < p90 && p90 < p95 && p95 < p99);
@@ -977,10 +854,10 @@ mod tests {
         assert!(plain.health.is_none());
         let rich = solve(
             &m,
-            &SolverOptions::builder()
-                .collect_health(true)
-                .build()
-                .unwrap(),
+            &SolverOptions {
+                collect_health: true,
+                ..Default::default()
+            },
         )
         .unwrap();
         let health = rich.health.unwrap();
@@ -1014,11 +891,11 @@ mod tests {
         let m = symmetric_model(2, 2, 0.48, 1.0, 4.0);
         let sol = solve(
             &m,
-            &SolverOptions::builder()
-                .collect_health(true)
-                .mode(VacationMode::HeavyTraffic)
-                .build()
-                .unwrap(),
+            &SolverOptions {
+                collect_health: true,
+                mode: VacationMode::HeavyTraffic,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(sol.all_stable, "model must stay stable for this test");
@@ -1048,10 +925,10 @@ mod tests {
         let m = symmetric_model(4, 2, 0.8, 1.0, 1.0);
         let sol = solve(
             &m,
-            &SolverOptions::builder()
-                .collect_health(true)
-                .build()
-                .unwrap(),
+            &SolverOptions {
+                collect_health: true,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert!(!sol.all_stable);
@@ -1066,30 +943,36 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_options() {
-        assert!(SolverOptions::builder().build().is_ok());
-        for bad in [
-            SolverOptions::builder().fp_tol(0.0).build(),
-            SolverOptions::builder().fp_tol(f64::NAN).build(),
-            SolverOptions::builder().fp_max_iter(0).build(),
-            SolverOptions::builder().tail_eps(1.0).build(),
-            SolverOptions::builder().max_extra_levels(0).build(),
-            SolverOptions::builder().damping(0.0).build(),
-            SolverOptions::builder().damping(1.5).build(),
-            SolverOptions::builder()
-                .mode(VacationMode::MomentMatched { moments: 5 })
-                .build(),
-        ] {
-            assert!(matches!(bad, Err(GangError::InvalidOptions(_))), "{bad:?}");
+    fn invalid_options_fail_at_solve() {
+        use gsched_qbd::LevelTruncation::{Auto, Fixed};
+        let m = symmetric_model(2, 2, 0.2, 1.0, 1.0);
+        let cases: [fn(&mut SolverOptions); 10] = [
+            |o| o.fp_tol = -1.0,
+            |o| o.fp_tol = 0.0,
+            |o| o.fp_tol = f64::NAN,
+            |o| o.tail_eps = 1.0,
+            |o| o.max_extra_levels = 0,
+            |o| o.mode = VacationMode::MomentMatched { moments: 5 },
+            |o| o.qbd.tol = 0.0,
+            |o| o.qbd.max_iter = 0,
+            |o| o.qbd.truncation = Fixed { level: 0 },
+            |o| {
+                o.qbd.truncation = Auto {
+                    target_tail: 1.5,
+                    min_levels: 4,
+                }
+            },
+        ];
+        for (k, set) in cases.iter().enumerate() {
+            let mut opts = SolverOptions::default();
+            set(&mut opts);
+            let got = solve(&m, &opts);
+            assert!(
+                matches!(got, Err(GangError::InvalidOptions(_))),
+                "case {k}: {got:?}"
+            );
         }
-        let opts = SolverOptions::builder()
-            .fp_tol(1e-8)
-            .damping(1.0)
-            .parallel_classes(true)
-            .build()
-            .unwrap();
-        assert_eq!(opts.fp_tol, 1e-8);
-        assert!(opts.parallel_classes);
+        assert!(solve(&m, &SolverOptions::default()).is_ok());
     }
 
     #[test]
@@ -1098,10 +981,10 @@ mod tests {
         let serial = solve(&m, &SolverOptions::default()).unwrap();
         let par = solve(
             &m,
-            &SolverOptions::builder()
-                .parallel_classes(true)
-                .build()
-                .unwrap(),
+            &SolverOptions {
+                parallel_classes: true,
+                ..Default::default()
+            },
         )
         .unwrap();
         assert_eq!(serial.iterations, par.iterations);

@@ -110,6 +110,8 @@ pub fn optimize_common_quantum(
 ) -> Result<TuningResult> {
     assert!(lo > 0.0 && hi > lo, "need a positive range");
     assert!(scan_points >= 3, "need at least 3 scan points");
+    // Evaluations score failed solves as infinity: check the options here.
+    opts.validate()?;
     let mut evals = 0usize;
 
     // Geometric scan.
@@ -206,6 +208,7 @@ pub fn stability_threshold_quantum(
     opts: &SolverOptions,
 ) -> Result<Option<f64>> {
     assert!(lo > 0.0 && hi > lo, "need a positive range");
+    opts.validate()?;
     let stable_at = |q: f64| -> Result<bool> {
         Ok(solve(&with_common_quantum(model, q), opts)
             .map(|sol| sol.classes[class].stable)
@@ -251,6 +254,7 @@ pub fn optimize_cycle_fractions(
         min_fraction > 0.0 && min_fraction * l as f64 <= 1.0,
         "min_fraction infeasible for {l} classes"
     );
+    opts.validate()?;
     let mut fractions = vec![1.0 / l as f64; l];
 
     let eval = |fractions: &[f64]| -> f64 {
@@ -327,7 +331,10 @@ mod tests {
     }
 
     fn quick_opts() -> SolverOptions {
-        SolverOptions::builder().fp_tol(1e-4).build().unwrap()
+        SolverOptions {
+            fp_tol: 1e-4,
+            ..SolverOptions::default()
+        }
     }
 
     #[test]

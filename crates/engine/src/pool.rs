@@ -36,16 +36,13 @@ pub const DEFAULT_CHUNK_SIZE: usize = 4;
 ///
 /// `#[non_exhaustive]`: start from `SweepOptions::default()` and adjust via
 /// the chainable `with_*` methods (or field assignment).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct SweepOptions {
     /// Worker threads; `0` (default) uses the machine's available
     /// parallelism. The answer is identical for every value — only the
     /// wall-clock time changes.
     pub jobs: usize,
-    /// Warm-start each point from its chunk-neighbour's converged state
-    /// (default true).
-    pub warm_start: bool,
     /// Options for each point's solve.
     pub solver: SolverOptions,
     /// Cooperative cancellation: workers poll this token between points
@@ -54,29 +51,11 @@ pub struct SweepOptions {
     pub cancel: Option<CancelToken>,
 }
 
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            jobs: 0,
-            warm_start: true,
-            solver: SolverOptions::default(),
-            cancel: None,
-        }
-    }
-}
-
 impl SweepOptions {
     /// Set the worker-thread count (`0` = auto).
     #[must_use]
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
-        self
-    }
-
-    /// Enable or disable warm starting.
-    #[must_use]
-    pub fn with_warm_start(mut self, warm: bool) -> Self {
-        self.warm_start = warm;
         self
     }
 
@@ -217,7 +196,7 @@ impl Pool<'_> {
                 continue;
             }
             let t0 = Instant::now();
-            let warm = carry.take().filter(|_| self.opts.warm_start);
+            let warm = carry.take();
             let warm_started = warm.is_some();
             let res = {
                 let _pt_span = obs::span(format!("engine.sweep.point{i}"));
@@ -469,19 +448,19 @@ mod tests {
         assert_eq!(warm.stats.warm_misses, 3);
         assert_eq!(warm.stats.warm_hits, 7);
         assert!(warm.stats.warm_hit_rate() > 0.5);
-        let cold = run_sweep(
-            &req,
-            &SweepOptions::default().with_jobs(1).with_warm_start(false),
-        );
-        assert_eq!(cold.stats.warm_hits, 0);
-        assert_eq!(cold.stats.warm_misses, 10);
-        // Warm and cold sweeps converge to the same fixed point.
-        for (w, c) in warm.points.iter().zip(cold.points.iter()) {
+        // Warm points converge to the fixed point a cold per-point solve
+        // finds; the chunk-leading (cold) points are that solve exactly.
+        for (pt, w) in req.points.iter().zip(warm.points.iter()) {
+            let cold = gsched_core::solve(&pt.model, &SolverOptions::default()).unwrap();
             let (wr, cr) = (
                 w.solution.as_ref().unwrap().classes[0].mean_response,
-                c.solution.as_ref().unwrap().classes[0].mean_response,
+                cold.classes[0].mean_response,
             );
-            assert!((wr - cr).abs() / cr < 1e-4, "warm {wr} vs cold {cr}");
+            if w.warm_started {
+                assert!((wr - cr).abs() / cr < 1e-4, "warm {wr} vs cold {cr}");
+            } else {
+                assert_eq!(wr.to_bits(), cr.to_bits(), "cold point x = {}", pt.x);
+            }
         }
     }
 
@@ -490,12 +469,12 @@ mod tests {
         let mut req = request(6, 0.15);
         // Overload the middle point and make instability a hard error.
         req.points[2].model = model(1.0, 2.0);
-        let opts = SweepOptions::default().with_jobs(2).with_solver(
-            SolverOptions::builder()
-                .require_stable(true)
-                .build()
-                .unwrap(),
-        );
+        let opts = SweepOptions::default()
+            .with_jobs(2)
+            .with_solver(SolverOptions {
+                require_stable: true,
+                ..SolverOptions::default()
+            });
         let report = run_sweep(&req, &opts);
         assert_eq!(report.failures(), 1);
         assert!(!report.points[2].is_ok());

@@ -224,7 +224,9 @@ pub fn solve_r_warm(
     let (r, iterations, _, residuals) =
         substitute(a0, a1, a2, initial.clone(), tol, max_iter, "solve_r_warm")?;
     let residual = r_residual(a0, a1, a2, &r);
-    if residual > residual_tol || !r.is_nonnegative(1e-9) {
+    // A diverging start overflows to `inf`, whose `inf − inf` step reads as
+    // converged and whose NaN residual the max-norm drops: reject it here.
+    if !r.is_finite() || residual > residual_tol || !r.is_nonnegative(1e-9) {
         return Err(QbdError::Linalg(
             gsched_linalg::LinalgError::NoConvergence {
                 method: "solve_r_warm",

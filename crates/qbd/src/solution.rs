@@ -18,6 +18,11 @@ const TRUNCATION_JUMP_CUSHION: usize = 8;
 /// the next level's growth.
 const RESCALE: f64 = f64::from_bits((1023 + 512) << 52);
 
+/// Iteration budget for a warm-started `R` attempt before falling back to
+/// the cold solve. Kept small: a useful warm start converges in a handful
+/// of contractive steps.
+const WARM_MAX_ITER: usize = 200;
+
 /// Relative rounding tolerance of the stability gate: `(I−R)⁻¹` counts as
 /// entrywise nonnegative when no entry falls below `−tol · max|entry|`.
 const STABILITY_GATE_RTOL: f64 = 1e-9;
@@ -79,8 +84,9 @@ pub struct TruncationCertificate {
     pub target: f64,
 }
 
-/// Options controlling the QBD solve.
-#[derive(Debug, Clone)]
+/// Options controlling the QBD solve. Every solve checks §4.4
+/// irreducibility first ([`QbdError::NotIrreducible`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
     /// Algorithm for the rate matrix `R`.
     pub method: RSolverMethod,
@@ -88,10 +94,6 @@ pub struct SolveOptions {
     pub tol: f64,
     /// Iteration budget for the `R` iteration.
     pub max_iter: usize,
-    /// If true (default), fail with [`QbdError::NotIrreducible`] when the
-    /// §4.4 strong-connectivity check fails; if false, skip the check
-    /// (useful when the caller has already verified it).
-    pub check_irreducible: bool,
     /// Warm-start iterate for `R`, typically the converged `R` of a nearby
     /// parameter point (continuation solves along a sweep axis). When set
     /// and dimension-compatible, a bounded successive-substitution
@@ -100,10 +102,6 @@ pub struct SolveOptions {
     /// fallbacks are counted under `qbd.rmatrix.warm_hits` /
     /// `qbd.rmatrix.warm_misses`.
     pub initial_r: Option<Matrix>,
-    /// Iteration budget for the warm-started `R` attempt before falling
-    /// back to the cold solve. Kept small: a useful warm start converges in
-    /// a handful of contractive steps.
-    pub warm_max_iter: usize,
     /// Level-truncation policy for very large boundaries.
     pub truncation: LevelTruncation,
 }
@@ -114,9 +112,7 @@ impl Default for SolveOptions {
             method: RSolverMethod::default(),
             tol: 1e-12,
             max_iter: 10_000,
-            check_irreducible: true,
             initial_r: None,
-            warm_max_iter: 200,
             truncation: LevelTruncation::default(),
         }
     }
@@ -378,7 +374,7 @@ impl LevelView<'_> {
         if let Some(r0) = initial_r {
             let d = self.a1.rows();
             if r0.rows() == d && r0.cols() == d {
-                let budget = opts.warm_max_iter.min(opts.max_iter).max(1);
+                let budget = WARM_MAX_ITER.min(opts.max_iter).max(1);
                 let _span = obs::span("qbd.solve_r");
                 match solve_r_warm(self.a0, self.a1, self.a2, r0, opts.tol, budget, 1e-8) {
                     Ok(r) => {
@@ -413,11 +409,12 @@ impl LevelView<'_> {
         elim: &mut CensoredElimination,
     ) -> Result<QbdSolution> {
         let _span = obs::span("qbd.solve");
-        if opts.check_irreducible {
+        let irreducible = {
             let _span = obs::span("qbd.irreducible");
-            if !self.is_irreducible() {
-                return Err(QbdError::NotIrreducible);
-            }
+            self.is_irreducible()
+        };
+        if !irreducible {
+            return Err(QbdError::NotIrreducible);
         }
         let drift = match drift {
             Some(drift) => drift,
@@ -1311,7 +1308,6 @@ mod tests {
         let r0 = Matrix::from_rows(&[&[50.0]]);
         let opts = SolveOptions {
             initial_r: Some(r0),
-            warm_max_iter: 5,
             ..Default::default()
         };
         let sol = q.solve(&opts).unwrap();
@@ -1508,15 +1504,5 @@ mod tests {
             });
             assert!(matches!(got, Err(QbdError::Shape(_))), "level {level}");
         }
-    }
-
-    #[test]
-    fn skip_irreducibility_check_option() {
-        let q = mm1(0.5, 1.0);
-        let opts = SolveOptions {
-            check_irreducible: false,
-            ..Default::default()
-        };
-        assert!(q.solve(&opts).is_ok());
     }
 }

@@ -762,6 +762,22 @@ mod tests {
     }
 
     #[test]
+    fn only_the_processors_axis_changes_the_solver() {
+        use gsched_core::qbd::LevelTruncation;
+        let base = gsched_core::SolverOptions {
+            parallel_classes: true,
+            ..Default::default()
+        };
+        let mut want = base.clone();
+        want.qbd.truncation = LevelTruncation::Auto {
+            target_tail: 1e-8,
+            min_levels: 4,
+        };
+        assert_eq!(lookup("p_sweep").unwrap().solver_options(&base), want);
+        assert_eq!(lookup("fig2").unwrap().solver_options(&base), base);
+    }
+
+    #[test]
     fn ablation_has_no_sweep() {
         let sc = ablation();
         assert!(sc.sweep.is_none());

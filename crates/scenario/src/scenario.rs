@@ -10,11 +10,14 @@
 //! * `sweep_request()` — a [`SweepRequest`] for the `gsched-engine` pool;
 //! * `sim_config()` / `simulate()` — the discrete-event simulator, with the
 //!   scenario's policy;
+//! * `solver_options()` — the solver configuration every analytic surface
+//!   (CLI, service, bench, xval, validation) solves the scenario under;
 //! * `crate::xval::cross_validate` — analysis vs simulation against the
 //!   declared tolerance.
 
 use crate::dist::DistSpec;
 use crate::model_spec::ModelSpec;
+use gsched_core::qbd::LevelTruncation;
 use gsched_core::{solve, GangModel, HealthThresholds, SolverOptions};
 use gsched_engine::{ScenarioBase, SweepAxis, SweepPoint, SweepRequest};
 use gsched_sim::{Policy, SimConfig, SimResult};
@@ -530,6 +533,27 @@ impl Scenario {
         Ok(SweepRequest::new(sweep.axis.engine_axis(), base, points))
     }
 
+    /// The options this scenario solves under, starting from `base`: a
+    /// processors-axis (large-P) scenario adds certified level truncation
+    /// at its `certified_tail` ceiling (default `1e-8`), so each class
+    /// result carries a truncation certificate; any other scenario keeps
+    /// `base`. Every surface that solves a scenario resolves its options
+    /// here, so `gsched sweep`, profiles, bench rows and served replies agree.
+    pub fn solver_options(&self, base: &SolverOptions) -> SolverOptions {
+        let mut opts = base.clone();
+        if self
+            .sweep
+            .as_ref()
+            .is_some_and(|sweep| sweep.axis == AxisSpec::Processors)
+        {
+            opts.qbd.truncation = LevelTruncation::Auto {
+                target_tail: self.tolerance.certified_tail.unwrap_or(1e-8),
+                min_levels: 4,
+            };
+        }
+        opts
+    }
+
     /// The simulator configuration (`horizon_scale` shrinks horizon and
     /// warmup together for quick runs).
     pub fn sim_config(&self, horizon_scale: f64) -> SimConfig {
@@ -677,6 +701,7 @@ impl ValidationReport {
 }
 
 /// Lint a scenario: structural validation, then a solve of the base model
+/// (under the scenario's [`Scenario::solver_options`] of `solver`)
 /// reporting per-class stability and drift margins. Near-instability (drift
 /// margin below the [`HealthThresholds`] default) is a warning; an unstable
 /// class is an error.
@@ -703,7 +728,7 @@ pub fn validate_report(scenario: &Scenario, solver: &SolverOptions) -> Validatio
             return report;
         }
     };
-    let mut opts = solver.clone();
+    let mut opts = scenario.solver_options(solver);
     opts.collect_health = true;
     opts.require_stable = false;
     match solve(&model, &opts) {

@@ -30,7 +30,8 @@ pub struct XvalOptions {
     pub quick: bool,
     /// Multiplier on the scenario's simulation horizon (and warmup).
     pub horizon_scale: f64,
-    /// Solver options for the analytic side.
+    /// Solver options for the analytic side, before the scenario's own
+    /// adjustments ([`Scenario::solver_options`]).
     pub solver: SolverOptions,
 }
 
@@ -141,7 +142,7 @@ pub fn cross_validate(
             scenario.policy.name()
         )));
     }
-    let mut solver = opts.solver.clone();
+    let mut solver = scenario.solver_options(&opts.solver);
     solver.require_stable = false;
     let xs: Vec<Option<f64>> = if scenario.sweep.is_some() {
         let grid = scenario.grid(opts.quick);

@@ -8,6 +8,7 @@
 //!   starting changes the iteration path, not the answer, so the results
 //!   may differ only within the solver's fixed-point tolerance.
 
+use gsched_core::{solve, SolverOptions};
 use gsched_engine::{run_sweep, SweepOptions, SweepReport, SweepRequest};
 use gsched_scenario::registry;
 
@@ -54,14 +55,11 @@ fn parallel_sweeps_match_sequential_bitwise() {
 fn warm_starts_converge_to_cold_answers() {
     // Fig2 exercises the quantum axis (the warmest chains), Fig4 the
     // service-rate axis; together they cover both sweep shapes cheaply.
+    // The cold reference is a per-point `solve`.
     for fig in ["fig2", "fig4"] {
         let req = quick_request(fig);
         let classes = req.points[0].model.num_classes();
         let warm = run_sweep(&req, &SweepOptions::default().with_jobs(1));
-        let cold = run_sweep(
-            &req,
-            &SweepOptions::default().with_jobs(1).with_warm_start(false),
-        );
         // Fig4's quick grid is 2 points (1 cold + 1 warm = exactly 50%);
         // longer grids exceed it.
         let min_rate = if req.len() > 2 { 0.5 } else { 0.49 };
@@ -71,13 +69,11 @@ fn warm_starts_converge_to_cold_answers() {
             fig,
             warm.stats.warm_hit_rate()
         );
-        assert_eq!(cold.stats.warm_hits, 0);
-        for (w, c) in warm.points.iter().zip(cold.points.iter()) {
-            for (rw, rc) in w
-                .mean_responses(classes)
-                .iter()
-                .zip(c.mean_responses(classes).iter())
-            {
+        for (pt, w) in req.points.iter().zip(warm.points.iter()) {
+            let cold = solve(&pt.model, &SolverOptions::default())
+                .unwrap_or_else(|e| panic!("{fig} x={}: {e}", pt.x));
+            for (rw, c) in w.mean_responses(classes).iter().zip(cold.classes.iter()) {
+                let rc = c.mean_response;
                 let rel = (rw - rc).abs() / rc.abs().max(1e-12);
                 assert!(
                     rel < 1e-3,

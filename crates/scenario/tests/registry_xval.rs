@@ -3,21 +3,13 @@
 //! at its quick grid, and the large-P scaling scenario is additionally held
 //! to its declared truncation and asymptotic tolerances.
 
-use gsched_core::qbd::LevelTruncation;
 use gsched_core::{solve, solve_asymptotic, SolverOptions};
-use gsched_scenario::{cross_validate, registry, XvalOptions};
+use gsched_scenario::{cross_validate, registry, Scenario, XvalOptions};
 
-/// Solver options matching what `gsched sweep` uses on the processors axis:
-/// automatic certified level truncation plus health collection.
-fn scaling_solver() -> SolverOptions {
-    SolverOptions::builder()
-        .truncation(LevelTruncation::Auto {
-            target_tail: 1e-8,
-            min_levels: 4,
-        })
-        .collect_health(true)
-        .build()
-        .unwrap()
+/// The options every surface solves `sc` under (certified level truncation
+/// on the processors axis).
+fn scenario_solver(sc: &Scenario) -> SolverOptions {
+    sc.solver_options(&SolverOptions::default())
 }
 
 #[test]
@@ -41,11 +33,7 @@ fn registry_quick_grids_cross_validate() {
             // tolerance band widens with the simulation CI, so shorter runs
             // stay comparable.
             horizon_scale: 0.2,
-            solver: if sc.name == "p_sweep" {
-                scaling_solver()
-            } else {
-                SolverOptions::default()
-            },
+            solver: SolverOptions::default(),
         };
         let report = cross_validate(&sc, &opts)
             .unwrap_or_else(|e| panic!("{}: cross-validation errored: {e}", sc.name));
@@ -75,23 +63,21 @@ fn p_sweep_spans_8_to_4096_with_certified_truncation() {
         .tolerance
         .certified_tail
         .expect("p_sweep declares a certified-tail ceiling");
-    let opts = scaling_solver();
+    let opts = scenario_solver(&sc);
     let mut saw_truncated = false;
     for &x in sc.grid(true) {
         let model = sc.model_at(x).unwrap();
         let sol = solve(&model, &opts).unwrap_or_else(|e| panic!("P = {x}: {e}"));
         assert!(sol.all_stable, "P = {x} should be stable");
-        let health = sol.health.as_ref().expect("health requested");
-        for h in &health.classes {
-            // Full solves report a zero certified tail; truncated solves
-            // must stay within the scenario's declared ceiling.
-            assert!(
-                h.certified_tail <= certified_ceiling,
-                "P = {x}, class {}: certified tail {:.3e} above ceiling {certified_ceiling:.3e}",
-                h.class,
-                h.certified_tail
-            );
-            if h.truncation_level.is_some() {
+        // Full solves carry no certificate; truncated solves must stay
+        // within the scenario's declared ceiling.
+        for (p, cert) in sol.classes.iter().enumerate() {
+            if let Some(cert) = cert.truncation {
+                assert!(
+                    cert.tail_mass <= certified_ceiling,
+                    "P = {x}, class {p}: certified tail {:.3e} above ceiling {certified_ceiling:.3e}",
+                    cert.tail_mass
+                );
                 saw_truncated = true;
             }
         }
@@ -109,7 +95,7 @@ fn p_sweep_converges_to_the_zero_queueing_limit() {
         .tolerance
         .asymptotic_rel
         .expect("p_sweep declares an asymptotic tolerance");
-    let opts = scaling_solver();
+    let opts = scenario_solver(&sc);
 
     let rel_gap = |p_value: f64| {
         let model = sc.model_at(p_value).unwrap();

@@ -25,7 +25,9 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Minimal JSON string escaping for hand-rolled output.
+/// JSON string literal for hand-rolled output, escaped per RFC 8259: the
+/// quote, the backslash, the five control characters with short escapes,
+/// and every other control character as `\u00XX`.
 pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -34,6 +36,11 @@ pub fn json_str(s: &str) -> String {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
             _ => out.push(c),
         }
     }
@@ -136,7 +143,17 @@ mod tests {
     }
 
     #[test]
-    fn json_str_escapes() {
-        assert_eq!(json_str("a\"b\\c\nd"), r#""a\"b\\c\nd""#);
+    fn json_str_escapes_quotes_backslashes_and_every_control_character() {
+        // DEL (U+007F) is not a control character to JSON: it passes raw.
+        assert_eq!(
+            json_str("a\"b\\c\nd\te\rf\u{8}g\u{c}h\u{1}i\u{1f}j\u{7f}"),
+            "\"a\\\"b\\\\c\\nd\\te\\rf\\bg\\fh\\u0001i\\u001fj\u{7f}\""
+        );
+        for c in (0u32..0x20).filter_map(char::from_u32) {
+            let lit = json_str(&format!("x{c}y"));
+            assert!(lit.chars().all(|c| c >= ' '), "raw control in {lit:?}");
+            let back: String = serde_json::from_str(&lit).expect("valid JSON string");
+            assert_eq!(back, format!("x{c}y"));
+        }
     }
 }

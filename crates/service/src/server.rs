@@ -20,8 +20,9 @@
 //!   another client is still waiting for.
 //! * **Request batching** — every sweep job runs through one engine
 //!   [`run_batch`] call. A worker drains up to `batch_max` queued sweeps
-//!   into that call (just the one when no other sweep is waiting): one
-//!   shared pool and one shared vacation cache amortize work across
+//!   that resolve to the same solver options (`Scenario::solver_options`)
+//!   into that call (just the one when no other such sweep is waiting):
+//!   one shared pool and one shared vacation cache amortize work across
 //!   clients. Per-request point results are bitwise identical to
 //!   standalone evaluation (only the run-dependent `stats.jobs`/`wall_ms`
 //!   fields reflect the batch).
@@ -139,10 +140,10 @@ impl ServeConfig {
 
 /// Builder for [`ServeConfig`] with validation at `build` time.
 ///
-/// Mirrors `SolverOptions::builder()`: setters chain, and every
-/// misconfiguration is reported as a [`ServiceError`] of kind
-/// `bad_request` — the same error shape the wire protocol uses — so CLI
-/// flags and programmatic configuration fail identically.
+/// Setters chain, and every misconfiguration is reported as a
+/// [`ServiceError`] of kind `bad_request` — the same error shape the wire
+/// protocol uses — so CLI flags and programmatic configuration fail
+/// identically.
 #[derive(Debug, Clone)]
 pub struct ServeConfigBuilder {
     config: ServeConfig,
@@ -313,6 +314,9 @@ impl FlightSlot {
 /// One queued unit of solver work (the leader's half of a flight).
 struct Job {
     scenario: Scenario,
+    /// The options the scenario solves under; queued sweeps batch only
+    /// with sweeps whose options are equal.
+    solver: SolverOptions,
     op: Op,
     quick: bool,
     cache_key: u64,
@@ -514,11 +518,12 @@ impl Server {
             if let Some(first) = jobs.pop_front() {
                 let mut batch = vec![first];
                 if batch[0].op == Op::Sweep && self.batch_max > 1 {
-                    // Pull further sweeps from anywhere in the queue;
-                    // non-sweep jobs keep their relative order.
+                    // Pull further sweeps under the same options from
+                    // anywhere in the queue; every other job keeps its
+                    // relative order.
                     let mut i = 0;
                     while i < jobs.len() && batch.len() < self.batch_max {
-                        if jobs[i].op == Op::Sweep {
+                        if jobs[i].op == Op::Sweep && jobs[i].solver == batch[0].solver {
                             if let Some(job) = jobs.remove(i) {
                                 batch.push(job);
                             }
@@ -637,7 +642,7 @@ impl Server {
             .scenario
             .build_model()
             .map_err(|e| ServiceError::new(ErrorKind::InvalidScenario, e.to_string()))?;
-        let sol = solve(&model, &self.solver)
+        let sol = solve(&model, &job.solver)
             .map_err(|e| ServiceError::new(ErrorKind::SolveFailed, e.to_string()))?;
         let rendered = Arc::new(render::solution_json(&sol));
         // Cache even when the deadline has passed: the work is done and
@@ -650,10 +655,11 @@ impl Server {
     }
 
     /// Evaluate a drained batch of one or more sweep jobs on one engine
-    /// pool, one worker per job: concurrency comes from the server's
-    /// worker pool, cancellation from each job's token. Per-job failures
-    /// (validation, cancellation) degrade to per-job error outcomes; the
-    /// rest still batch.
+    /// pool, one worker per job, under the options the jobs share
+    /// ([`Server::next_batch`] batches only equal ones): concurrency comes
+    /// from the server's worker pool, cancellation from each job's token.
+    /// Per-job failures (validation, cancellation) degrade to per-job error
+    /// outcomes; the rest still batch.
     fn process_batch(&self, jobs: &[Job]) -> Vec<Result<Arc<String>, ServiceError>> {
         let _span = obs::span("service.sweep");
         let mut out: Vec<Result<Arc<String>, ServiceError>> = jobs
@@ -688,7 +694,7 @@ impl Server {
             .collect();
         let opts = SweepOptions::default()
             .with_jobs(items.len())
-            .with_solver(self.solver.clone());
+            .with_solver(jobs[0].solver.clone());
         let reports = run_batch(&items, &opts);
         for ((i, _), report) in requests.iter().zip(reports) {
             let job = &jobs[*i];
@@ -939,6 +945,7 @@ impl Server {
         let depth = self.stats.queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
         obs::gauge_set(obs::names::SERVICE_QUEUE_DEPTH, depth as f64);
         jobs.push_back(Job {
+            solver: scenario.solver_options(&self.solver),
             scenario,
             op: req.op,
             quick: req.quick,

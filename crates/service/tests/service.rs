@@ -2,6 +2,7 @@
 //! thread, blocking client in the test, shutdown via protocol frame.
 
 use gsched_service::client::{control_frame, frame_for_name, frame_for_scenario, RequestSpec};
+use gsched_service::render::sweep_report_json;
 use gsched_service::{
     extract_result, frame_is_ok, CacheStats, CacheStore, Client, Op, ServeConfig, Server,
 };
@@ -551,4 +552,48 @@ fn zero_cache_capacity_disables_caching() {
     assert_eq!(field(&second_doc, "cached").as_bool(), Some(false));
     // Both solved fresh, still byte-identical (same solver, same render).
     assert_eq!(extract_result(&first), extract_result(&second));
+}
+
+#[test]
+fn control_characters_in_ids_are_escaped_in_replies() {
+    let ts = TestServer::start(1, 0);
+    let mut client = ts.client();
+    // The tab arrives escaped, as any JSON client sends it; the echo must
+    // escape it again rather than write a raw tab into the frame.
+    let reply = client
+        .request_line(r#"{"proto":2,"op":"stats","id":"a\tb"}"#)
+        .unwrap();
+    assert!(
+        !reply.chars().any(|c| c < ' '),
+        "raw control character in {reply:?}"
+    );
+    let doc: Value = serde_json::from_str(&reply).expect("reply parses");
+    assert_eq!(field(&doc, "id").as_str(), Some("a\tb"));
+}
+
+#[test]
+fn served_p_sweep_solves_under_the_scenario_options() {
+    use gsched_engine::{run_sweep, SweepOptions};
+    let sc = gsched_scenario::registry::lookup("p_sweep").unwrap();
+    let opts = SweepOptions::default()
+        .with_jobs(1)
+        .with_solver(sc.solver_options(&Default::default()));
+    let local = run_sweep(&sc.sweep_request(true).unwrap(), &opts);
+    let local = format!("[{}]", sweep_report_json("p_sweep", &local, 2));
+    let ts = TestServer::start(1, 0);
+    let spec = RequestSpec {
+        op: Some(Op::Sweep),
+        quick: true,
+        ..RequestSpec::default()
+    };
+    let reply = ts.client().request_line(&frame_for_name("p_sweep", &spec));
+    let reply = reply.unwrap();
+    let served = extract_result(&reply).expect("ok frame");
+    // Equal text is equal bits: floats print as their shortest round trip.
+    let mask = |doc: &str| {
+        let at = doc.find(r#""wall_ms":"#).expect("wall_ms field");
+        let end = at + doc[at..].find(',').unwrap();
+        format!("{}{}", &doc[..at], &doc[end..])
+    };
+    assert_eq!(mask(served), mask(&local));
 }

@@ -28,7 +28,10 @@ fn main() {
         ("exact-truncated", VacationMode::Exact),
     ];
     for (name, mode) in modes {
-        let opts = SolverOptions::builder().mode(mode).build().unwrap();
+        let opts = SolverOptions {
+            mode,
+            ..SolverOptions::default()
+        };
         match solve(&model, &opts) {
             Ok(sol) => {
                 let ns: Vec<String> = sol
@@ -71,7 +74,10 @@ fn main() {
     println!("\n# Ablation 3: fixed-point tolerance (lambda=0.5, quantum=1)");
     println!("tol,N0,iterations");
     for tol in [1e-2, 1e-4, 1e-6, 1e-8] {
-        let opts = SolverOptions::builder().fp_tol(tol).build().unwrap();
+        let opts = SolverOptions {
+            fp_tol: tol,
+            ..SolverOptions::default()
+        };
         match solve(&model, &opts) {
             Ok(sol) => println!(
                 "{tol:.0e},{:.6},{}",

@@ -57,10 +57,10 @@ fn main() {
         model.total_utilization()
     );
 
-    let opts = SolverOptions::builder()
-        .response_quantiles(true)
-        .build()
-        .unwrap();
+    let opts = SolverOptions {
+        response_quantiles: true,
+        ..SolverOptions::default()
+    };
     let sol = solve(&model, &opts).expect("solver succeeds");
     println!(
         "fixed point: {} iterations; effective cycle {:.3} (nominal {:.3})\n",
@@ -88,7 +88,10 @@ fn main() {
         ("worst response  ", Objective::MaxResponse),
     ] {
         // Tuning only needs ~3 digits: loosen the fixed-point tolerance.
-        let tune_opts = SolverOptions::builder().fp_tol(1e-4).build().unwrap();
+        let tune_opts = SolverOptions {
+            fp_tol: 1e-4,
+            ..SolverOptions::default()
+        };
         let res = optimize_common_quantum(&model, 0.1, 8.0, 7, &obj, &tune_opts)
             .expect("tuning succeeds");
         println!(

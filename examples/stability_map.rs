@@ -27,10 +27,10 @@ fn main() {
             .expect("paper parameters are valid");
         let ht = solve(
             &model,
-            &SolverOptions::builder()
-                .mode(VacationMode::HeavyTraffic)
-                .build()
-                .unwrap(),
+            &SolverOptions {
+                mode: VacationMode::HeavyTraffic,
+                ..SolverOptions::default()
+            },
         );
         let fp = solve(&model, &SolverOptions::default());
         let fmt = |r: &Result<gang_scheduling::solver::GangSolution, _>| match r {
