@@ -98,8 +98,8 @@ pub struct SolverOptions {
     /// Maximum levels above `c_p` for the truncation cap.
     pub max_extra_levels: usize,
     /// Options passed to the per-class QBD solves: the `R` method and its
-    /// tolerance and budget, a warm-start `R`, and the level-truncation
-    /// policy. With [`gsched_qbd::LevelTruncation::Auto`], solves at large
+    /// tolerance and budget, an explicit warm-start `R` (which no solver
+    /// path sets), and the level-truncation policy. With [`gsched_qbd::LevelTruncation::Auto`], solves at large
     /// `c_p` pick a truncation level automatically and attach a certified
     /// tail-mass bound to [`ClassResult::truncation`].
     pub qbd: QbdSolveOptions,
@@ -243,11 +243,11 @@ enum ClassIterate {
 /// Converged solver state exportable to a neighbouring scenario.
 ///
 /// A sweep engine hands the `WarmStart` returned for point `k` to the solve
-/// of point `k+1`: the effective quanta seed the fixed point near its
-/// solution and each class's `R` matrix seeds the successive-substitution
-/// iteration for eq. (23). Passing `WarmStart::default()` (nothing to seed
-/// from) still enables *continuation mode*, in which each fixed-point pass
-/// warm-starts its `R` solves from the previous pass of the same solve.
+/// of point `k+1`, where the effective quanta seed the fixed point near its
+/// solution. Every `R` (eq. 23) is still solved cold by logarithmic
+/// reduction: seeding successive substitution from a neighbouring `R`
+/// converges linearly at a rate near `sp(R)`, while the cold solve converges
+/// quadratically.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Converged per-class effective quanta (ignored by
@@ -255,6 +255,11 @@ pub struct WarmStart {
     pub quanta: Option<Vec<PhaseType>>,
     /// Converged per-class rate matrices `R`; `None` for classes that were
     /// unstable at the exporting point.
+    ///
+    /// Filled on output only: no solver path reads it as input. It stays
+    /// because the benchmark harness (`perfbench/`) replays an explicit
+    /// [`QbdSolveOptions::initial_r`] solve from it; deleting it waits for
+    /// a change to that harness.
     pub r_matrices: Vec<Option<Matrix>>,
 }
 
@@ -280,7 +285,6 @@ fn solve_one_class(
     opts: &SolverOptions,
     p: usize,
     quanta: &[PhaseType],
-    initial_r: Option<&Matrix>,
     cache: Option<&VacationCache>,
 ) -> Result<(PhaseType, ClassIterate)> {
     // Named per class so qbd events fired inside carry the class in their
@@ -297,17 +301,7 @@ fn solve_one_class(
         let _gen_span = obs::span("core.generator");
         build_class_chain(model, p, &vac)?
     };
-    let qbd_opts;
-    let qbd_ref = match initial_r {
-        Some(r0) => {
-            let mut o = opts.qbd.clone();
-            o.initial_r = Some(r0.clone());
-            qbd_opts = o;
-            &qbd_opts
-        }
-        None => &opts.qbd,
-    };
-    match chain.qbd.solve(qbd_ref) {
+    match chain.qbd.solve(&opts.qbd) {
         Ok(sol) => Ok((vac, ClassIterate::Stable(Box::new((chain, sol))))),
         Err(QbdError::Unstable(_)) => Ok((vac, ClassIterate::Unstable)),
         Err(source) => Err(GangError::from(source).with_class(p)),
@@ -317,11 +311,12 @@ fn solve_one_class(
 /// Solve the gang-scheduling model with optional warm start and vacation
 /// memoization, returning the converged state for reuse.
 ///
-/// `warm = None` reproduces [`solve`] exactly (every `R` solve is cold).
-/// `warm = Some(_)` enables continuation mode: per-class `R` solves seed
-/// from the supplied matrices (and from the previous fixed-point pass
-/// thereafter), and the supplied quanta seed the effective-quantum fixed
-/// point. A `cache` memoizes vacation convolutions across calls.
+/// `warm = None` reproduces [`solve`] exactly. `warm = Some(_)` enables
+/// continuation mode, in which the supplied quanta seed the
+/// effective-quantum fixed point; with no quanta to seed from it is `solve`
+/// again, bit for bit. Every `R` solve is cold in both modes: the supplied
+/// `WarmStart::r_matrices` are ignored. A `cache` memoizes vacation
+/// convolutions across calls.
 pub fn solve_warm(
     model: &GangModel,
     opts: &SolverOptions,
@@ -331,23 +326,13 @@ pub fn solve_warm(
     opts.validate()?;
     let _span = obs::span("core.solve");
     let l = model.num_classes();
-    let continuation = warm.is_some();
     // Effective quanta, initialized to the full parameter quanta (Thm 4.1)
     // or, in continuation mode, to the neighbouring point's converged
     // quanta (heavy-traffic mode always starts from the full quanta).
     let mut quanta: Vec<PhaseType> = model.classes().iter().map(|c| c.quantum.clone()).collect();
-    // Per-class R warm-start state, threaded through fixed-point passes.
-    let mut r_state: Vec<Option<Matrix>> = vec![None; l];
-    if let Some(w) = warm {
-        if opts.mode != VacationMode::HeavyTraffic {
-            if let Some(q) = &w.quanta {
-                if q.len() == l {
-                    quanta = q.clone();
-                }
-            }
-        }
-        if w.r_matrices.len() == l {
-            r_state = w.r_matrices.clone();
+    if let Some(q) = warm.and_then(|w| w.quanta.as_ref()) {
+        if q.len() == l && opts.mode != VacationMode::HeavyTraffic {
+            quanta = q.clone();
         }
     }
     let mut prev_n: Vec<f64> = vec![f64::NAN; l];
@@ -370,18 +355,10 @@ pub fn solve_warm(
             let mut slots: Vec<Option<Result<(PhaseType, ClassIterate)>>> = Vec::new();
             slots.resize_with(l, || None);
             let quanta_ref = &quanta;
-            let r_state_ref = &r_state;
             crossbeam::scope(|s| {
                 for (p, slot) in slots.iter_mut().enumerate() {
                     s.spawn(move |_| {
-                        *slot = Some(solve_one_class(
-                            model,
-                            opts,
-                            p,
-                            quanta_ref,
-                            r_state_ref[p].as_ref(),
-                            cache,
-                        ));
+                        *slot = Some(solve_one_class(model, opts, p, quanta_ref, cache));
                     });
                 }
             })
@@ -392,7 +369,7 @@ pub fn solve_warm(
                 .collect()
         } else {
             (0..l)
-                .map(|p| solve_one_class(model, opts, p, &quanta, r_state[p].as_ref(), cache))
+                .map(|p| solve_one_class(model, opts, p, &quanta, cache))
                 .collect()
         };
         let mut pass = Vec::with_capacity(l);
@@ -406,13 +383,6 @@ pub fn solve_warm(
             });
             pass.push(item);
             vacs.push(vac);
-        }
-        if continuation {
-            for (p, item) in pass.iter().enumerate() {
-                if let ClassIterate::Stable(cs) = item {
-                    r_state[p] = Some(cs.1.r().clone());
-                }
-            }
         }
 
         // ---- Convergence test on the mean populations ----
@@ -1018,16 +988,60 @@ mod tests {
             let rel = (a.mean_jobs - b.mean_jobs).abs() / a.mean_jobs;
             assert!(rel < 1e-4, "cold {} vs warm {}", a.mean_jobs, b.mean_jobs);
         }
-        // An empty warm start (continuation mode only) reproduces the cold
-        // trajectory: quanta seeds are absent and R seeding starts empty.
+        // An empty warm start (continuation mode only) seeds nothing, so it
+        // is the cold solve bit for bit.
         let cont = solve_warm(&m, &opts, Some(&WarmStart::default()), None).unwrap();
-        for (a, b) in cold
-            .solution
-            .classes
+        assert_same_bits(&cold.solution, &cont.solution, "empty warm start");
+    }
+
+    /// Iterations and every class's mean jobs, response and effective
+    /// quantum, bit for bit.
+    fn assert_same_bits(a: &GangSolution, b: &GangSolution, what: &str) {
+        assert_eq!(a.iterations, b.iterations, "{what}: iterations");
+        for (p, (x, y)) in a.classes.iter().zip(b.classes.iter()).enumerate() {
+            assert_eq!(
+                x.mean_jobs.to_bits(),
+                y.mean_jobs.to_bits(),
+                "{what}: class {p}"
+            );
+            assert_eq!(
+                x.mean_response.to_bits(),
+                y.mean_response.to_bits(),
+                "{what}: class {p}"
+            );
+            assert_eq!(
+                x.effective_quantum_mean.to_bits(),
+                y.effective_quantum_mean.to_bits(),
+                "{what}: class {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn warm_start_r_matrices_are_never_read() {
+        let m = symmetric_model(4, 2, 0.25, 1.0, 1.0);
+        let opts = SolverOptions::default();
+        let cold = solve_warm(&m, &opts, None, None).unwrap();
+        let seeded = |r_matrices: Vec<Option<Matrix>>| {
+            let warm = WarmStart {
+                quanta: cold.warm.quanta.clone(),
+                r_matrices,
+            };
+            solve_warm(&m, &opts, Some(&warm), None).unwrap().solution
+        };
+        let want = seeded(Vec::new());
+        let converged = cold.warm.r_matrices.clone();
+        let scaled = converged
             .iter()
-            .zip(cont.solution.classes.iter())
-        {
-            assert!((a.mean_jobs - b.mean_jobs).abs() < 1e-9);
+            .map(|r| r.as_ref().map(|r| r.scaled(10.0)))
+            .collect();
+        let wrong_shape = vec![Some(Matrix::identity(1)); 2];
+        for (what, r_matrices) in [
+            ("converged R", converged),
+            ("R x 10", scaled),
+            ("wrong shape", wrong_shape),
+        ] {
+            assert_same_bits(&want, &seeded(r_matrices), what);
         }
     }
 

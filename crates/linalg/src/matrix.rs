@@ -1,6 +1,6 @@
 //! Row-major dense matrix type and elementwise / algebraic operations.
 
-use crate::{LinalgError, Result};
+use crate::{vecops, LinalgError, Result};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Mul, Neg, Sub, SubAssign};
 
@@ -238,16 +238,16 @@ impl Matrix {
         m
     }
 
-    /// Maximum absolute entry (entrywise infinity norm).
+    /// Maximum absolute entry (entrywise infinity norm); NaN when any entry
+    /// is NaN.
     pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
+        vecops::max_abs(&self.data)
     }
 
-    /// Induced infinity norm (maximum absolute row sum).
+    /// Induced infinity norm (maximum absolute row sum); NaN when any entry
+    /// is NaN.
     pub fn norm_inf(&self) -> f64 {
-        (0..self.rows)
-            .map(|i| self.row(i).iter().map(|v| v.abs()).sum::<f64>())
-            .fold(0.0_f64, f64::max)
+        vecops::max_abs_of((0..self.rows).map(|i| self.row(i).iter().map(|v| v.abs()).sum()))
     }
 
     /// Frobenius norm.
@@ -305,16 +305,14 @@ impl Matrix {
         self.data.iter().all(|&v| v >= -tol)
     }
 
-    /// Entrywise maximum absolute difference to `other`.
+    /// Entrywise maximum absolute difference to `other`; NaN when any
+    /// difference is NaN (including `inf − inf`).
     ///
     /// # Panics
     /// Panics on shape mismatch.
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.shape(), other.shape(), "max_abs_diff: shape mismatch");
-        self.data
-            .iter()
-            .zip(other.data.iter())
-            .fold(0.0_f64, |m, (&a, &b)| m.max((a - b).abs()))
+        vecops::max_abs_diff(&self.data, &other.data)
     }
 }
 
@@ -548,5 +546,54 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 2.0]]);
         let b = Matrix::from_rows(&[&[1.5, 1.0]]);
         assert_eq!(a.max_abs_diff(&b), 1.0);
+    }
+
+    /// A 2×2 matrix holding `v` at `at`: at `(0, 0)` it comes before the
+    /// largest entry, at `(1, 1)` after it, so a fold that drops NaN in
+    /// either position shows.
+    fn with_entry(at: (usize, usize), v: f64) -> Matrix {
+        let mut m = Matrix::from_rows(&[&[1.0, -5.0], &[2.0, 3.0]]);
+        m[at] = v;
+        m
+    }
+
+    #[test]
+    fn max_abs_propagates_nan() {
+        for at in [(0, 0), (1, 1)] {
+            assert!(with_entry(at, f64::NAN).max_abs().is_nan(), "NaN at {at:?}");
+        }
+        assert_eq!(
+            with_entry((0, 0), f64::NEG_INFINITY).max_abs(),
+            f64::INFINITY
+        );
+        assert_eq!(Matrix::zeros(0, 0).max_abs(), 0.0);
+    }
+
+    #[test]
+    fn norm_inf_propagates_nan() {
+        for at in [(0, 0), (1, 1)] {
+            assert!(
+                with_entry(at, f64::NAN).norm_inf().is_nan(),
+                "NaN at {at:?}"
+            );
+        }
+        assert_eq!(
+            with_entry((1, 1), f64::NEG_INFINITY).norm_inf(),
+            f64::INFINITY
+        );
+        assert_eq!(with_entry((0, 0), 0.0).norm_inf(), 5.0);
+    }
+
+    #[test]
+    fn max_abs_diff_propagates_nan() {
+        let a = Matrix::from_rows(&[&[1.0, -5.0], &[2.0, 3.0]]);
+        for at in [(0, 0), (1, 1)] {
+            let b = with_entry(at, f64::NAN);
+            assert!(a.max_abs_diff(&b).is_nan(), "NaN at {at:?}");
+            assert!(b.max_abs_diff(&a).is_nan(), "NaN at {at:?}, swapped");
+        }
+        // `inf − inf` is NaN: two overflowed iterates never read as equal.
+        let inf = with_entry((1, 1), f64::INFINITY);
+        assert!(inf.max_abs_diff(&inf).is_nan());
     }
 }

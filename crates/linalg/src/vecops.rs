@@ -44,20 +44,36 @@ pub fn normalize_l1(a: &mut [f64]) -> f64 {
     s
 }
 
-/// Maximum absolute entry.
-pub fn max_abs(a: &[f64]) -> f64 {
-    a.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
+/// Largest absolute value in `values`: `0` when empty, NaN when any value
+/// is NaN.
+///
+/// `f64::max` returns its other operand when one is NaN, so a plain
+/// `fold(0.0, f64::max)` reads a NaN entry as no entry at all; a
+/// convergence test built on it would pass on a NaN iterate.
+pub fn max_abs_of(values: impl IntoIterator<Item = f64>) -> f64 {
+    values.into_iter().fold(0.0_f64, |m, v| {
+        let v = v.abs();
+        if m >= v || m.is_nan() {
+            m
+        } else {
+            v
+        }
+    })
 }
 
-/// Maximum absolute difference between two equal-length vectors.
+/// Maximum absolute entry (NaN when any entry is NaN).
+pub fn max_abs(a: &[f64]) -> f64 {
+    max_abs_of(a.iter().copied())
+}
+
+/// Maximum absolute difference between two equal-length vectors (NaN when
+/// any difference is NaN).
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "max_abs_diff: length mismatch");
-    a.iter()
-        .zip(b.iter())
-        .fold(0.0_f64, |m, (&x, &y)| m.max((x - y).abs()))
+    max_abs_of(a.iter().zip(b.iter()).map(|(&x, &y)| x - y))
 }
 
 /// True if all entries are finite.
@@ -107,6 +123,10 @@ mod tests {
     fn diff_and_bounds() {
         assert_eq!(max_abs_diff(&[1.0, 5.0], &[2.0, 3.0]), 2.0);
         assert_eq!(max_abs(&[-3.0, 2.0]), 3.0);
+        assert!(max_abs(&[f64::NAN, 2.0]).is_nan());
+        assert!(max_abs(&[2.0, f64::NAN]).is_nan());
+        assert!(max_abs_diff(&[f64::INFINITY], &[f64::INFINITY]).is_nan());
+        assert_eq!(max_abs_of(std::iter::empty()), 0.0);
         assert!(is_nonnegative(&[0.0, -1e-15], 1e-12));
         assert!(!is_nonnegative(&[-1.0], 1e-12));
         assert!(is_finite(&[1.0, 2.0]));

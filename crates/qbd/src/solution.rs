@@ -94,13 +94,18 @@ pub struct SolveOptions {
     pub tol: f64,
     /// Iteration budget for the `R` iteration.
     pub max_iter: usize,
-    /// Warm-start iterate for `R`, typically the converged `R` of a nearby
-    /// parameter point (continuation solves along a sweep axis). When set
-    /// and dimension-compatible, a bounded successive-substitution
-    /// iteration is run from it first; if that stalls or fails validation
-    /// the solve falls back to the cold `method` transparently. Hits and
-    /// fallbacks are counted under `qbd.rmatrix.warm_hits` /
-    /// `qbd.rmatrix.warm_misses`.
+    /// Explicit warm-start iterate for `R`. When set and
+    /// dimension-compatible, a bounded successive-substitution iteration is
+    /// run from it first; if that stalls or fails validation the solve falls
+    /// back to the cold `method` transparently. Hits and fallbacks are
+    /// counted under `qbd.rmatrix.warm_hits` / `qbd.rmatrix.warm_misses`.
+    ///
+    /// No solver path sets it: the fixed point, the sweeps and the
+    /// truncation search solve every `R` cold, because substitution from a
+    /// nearby `R` converges linearly at a rate near `sp(R)` where the cold
+    /// logarithmic reduction converges quadratically. It stays because the
+    /// benchmark harness (`perfbench/`) replays an explicit warm solve;
+    /// deleting it waits for a change to that harness.
     pub initial_r: Option<Matrix>,
     /// Level-truncation policy for very large boundaries.
     pub truncation: LevelTruncation,
@@ -146,16 +151,15 @@ impl QbdProcess {
     /// repeating above them — and attaches a [`TruncationCertificate`] to the
     /// solution.
     pub fn solve(&self, opts: &SolveOptions) -> Result<QbdSolution> {
-        let warm = opts.initial_r.as_ref();
         match opts.truncation {
             LevelTruncation::None => {
                 self.view()
-                    .solve(opts, warm, None, &mut CensoredElimination::default())
+                    .solve(opts, None, &mut CensoredElimination::default())
             }
             LevelTruncation::Fixed { level } => {
                 let view = self.frozen(level)?;
                 obs::counter_add(obs::names::QBD_TRUNCATION_ATTEMPTS, 1);
-                let mut sol = view.solve(opts, warm, None, &mut CensoredElimination::default())?;
+                let mut sol = view.solve(opts, None, &mut CensoredElimination::default())?;
                 sol.truncation = Some(TruncationCertificate {
                     level,
                     full_c: self.c(),
@@ -179,7 +183,10 @@ impl QbdProcess {
     /// ([`QbdProcess::frozen`]), runs the drift test on its three frozen
     /// blocks before anything else (an attempt that cannot drain the load
     /// costs one `D × D` GTH solve), and the boundary solve continues the
-    /// forward elimination where the previous attempt stopped.
+    /// forward elimination where the previous attempt stopped. `R` is not
+    /// carried over: each attempt's repeating blocks differ, and a cold
+    /// solve of its `R` converges faster than substitution from the last
+    /// attempt's.
     fn solve_truncated_auto(
         &self,
         target_tail: f64,
@@ -198,9 +205,6 @@ impl QbdProcess {
         let c = self.c();
         let mut elim = CensoredElimination::default();
         let mut m = min_levels.max(1);
-        // The last stable-but-uncertified attempt; the next attempt
-        // warm-starts its `R` iteration from this one's.
-        let mut prev: Option<QbdSolution> = None;
         while m < c {
             let view = match self.frozen(m) {
                 Ok(view) => view,
@@ -210,7 +214,6 @@ impl QbdProcess {
                 Err(e) => return Err(e),
             };
             obs::counter_add(obs::names::QBD_TRUNCATION_ATTEMPTS, 1);
-            let warm = prev.take();
             // The frozen capacity at m+1 partitions can be too small to
             // drain the load even when the full chain is stable: grow.
             let drift = view.drift()?;
@@ -219,11 +222,7 @@ impl QbdProcess {
                 m *= 2;
                 continue;
             }
-            let initial_r = warm
-                .as_ref()
-                .map(QbdSolution::r)
-                .or(opts.initial_r.as_ref());
-            match view.solve(opts, initial_r, Some(drift), &mut elim) {
+            match view.solve(opts, Some(drift), &mut elim) {
                 Ok(mut sol) => {
                     let tail = sol.tail_prob(m + 1);
                     if tail <= target_tail {
@@ -236,14 +235,12 @@ impl QbdProcess {
                         return Ok(sol);
                     }
                     m = next_truncation_level(m, c, tail, sol.tail_decay_rate(), target_tail);
-                    prev = Some(sol);
                 }
                 Err(QbdError::Unstable(_)) => m *= 2,
                 Err(e) => return Err(e),
             }
         }
-        self.view()
-            .solve(opts, opts.initial_r.as_ref(), None, &mut elim)
+        self.view().solve(opts, None, &mut elim)
     }
 }
 
@@ -363,15 +360,16 @@ impl LevelView<'_> {
         drift_condition(self.a0, self.a1, self.a2)
     }
 
-    /// Compute `R`, warm-starting from `initial_r` when one is supplied.
+    /// Compute `R` cold by `opts.method`, unless the caller supplied an
+    /// explicit [`SolveOptions::initial_r`].
     ///
     /// A dimension-compatible `initial_r` triggers a bounded
     /// successive-substitution attempt first; any failure (stall, residual
     /// above tolerance, negative entries) falls back to the cold
     /// `opts.method` solve so the result is always as trustworthy as a cold
     /// solve.
-    fn solve_r(&self, opts: &SolveOptions, initial_r: Option<&Matrix>) -> Result<Matrix> {
-        if let Some(r0) = initial_r {
+    fn solve_r(&self, opts: &SolveOptions) -> Result<Matrix> {
+        if let Some(r0) = &opts.initial_r {
             let d = self.a1.rows();
             if r0.rows() == d && r0.cols() == d {
                 let budget = WARM_MAX_ITER.min(opts.max_iter).max(1);
@@ -399,12 +397,10 @@ impl LevelView<'_> {
 
     /// Solve this chain: §4.4 irreducibility check → drift condition
     /// (skipped when the caller passes the `drift` it already ran on these
-    /// blocks) → `R` (warm from `initial_r`) → boundary, resuming `elim` →
-    /// assemble.
+    /// blocks) → `R` → boundary, resuming `elim` → assemble.
     fn solve(
         &self,
         opts: &SolveOptions,
-        initial_r: Option<&Matrix>,
         drift: Option<DriftReport>,
         elim: &mut CensoredElimination,
     ) -> Result<QbdSolution> {
@@ -423,7 +419,7 @@ impl LevelView<'_> {
         if !drift.is_stable() {
             return Err(QbdError::Unstable(drift));
         }
-        let r = self.solve_r(opts, initial_r)?;
+        let r = self.solve_r(opts)?;
         debug_assert!(
             r_residual(self.a0, self.a1, self.a2, &r) < 1e-6,
             "R residual too large"
@@ -957,9 +953,9 @@ mod tests {
     }
 
     /// The truncation search done the long way: every attempt solves an
-    /// owned copy from scratch (irreducibility, drift, `R` warm-started from
-    /// the previous stable attempt, boundary eliminated from level 0).
-    /// Returns the certified solution and the levels of the stable attempts.
+    /// owned copy from scratch (irreducibility, drift, a cold `R`, boundary
+    /// eliminated from level 0). Returns the certified solution and the
+    /// levels of the stable attempts.
     fn reference_search(
         q: &QbdProcess,
         target: f64,
@@ -968,15 +964,13 @@ mod tests {
     ) -> (QbdSolution, Vec<usize>) {
         let c = q.c();
         let mut m = min_levels;
-        let mut warm: Option<Matrix> = None;
         let mut stable = Vec::new();
+        let attempt = SolveOptions {
+            truncation: LevelTruncation::None,
+            ..opts.clone()
+        };
         loop {
             assert!(m < c, "the reference search must certify below c = {c}");
-            let attempt = SolveOptions {
-                initial_r: warm.take().or(opts.initial_r.clone()),
-                truncation: LevelTruncation::None,
-                ..opts.clone()
-            };
             match owned_frozen(q, m).solve(&attempt) {
                 Ok(sol) => {
                     stable.push(m);
@@ -985,7 +979,6 @@ mod tests {
                         return (sol, stable);
                     }
                     m = next_truncation_level(m, c, tail, sol.tail_decay_rate(), target);
-                    warm = Some(sol.r().clone());
                 }
                 Err(QbdError::Unstable(_)) => m *= 2,
                 Err(e) => panic!("reference attempt at m = {m}: {e}"),
