@@ -20,14 +20,12 @@
 //! gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]
 //! gsched paper     [--rho R] [--quantum Q] [--json]
 //! gsched figure    <fig1|fig2|fig3|fig4|fig5|all>
-//! gsched serve     [--addr A] [--workers N] [--cache-cap N] [--cache-path PATH]
+//! gsched serve     [--addr A] [--workers N] [--cache-cap N]
 //!                  [--deadline-ms N] [--queue-limit N] [--batch-max N]
-//!                  [--metrics-addr A] [--access-log PATH] [--access-log-max-bytes N]
 //! gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown]
 //!                  [--quick] [--deadline-ms N] [--id ID] [--frame]
 //! gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick]
 //!                  [--expect-no-shed] [--json]
-//! gsched top       [--addr A] [--interval SECS] [--count N] [--once]
 //! gsched example-model
 //! gsched example-scenario
 //! ```
@@ -71,7 +69,7 @@
 //! tolerance.
 //!
 //! Every subcommand also accepts the diagnostics flags, except where one
-//! would record nothing: `top` and `request` do no solver work and `bench`
+//! would record nothing: `request` does no solver work and `bench`
 //! records each scenario itself, so they reject all three by name, and
 //! `profile` (which instruments itself) rejects `--diag` and `-v`:
 //!
@@ -89,8 +87,7 @@
 //! `shutdown` frame) stops it cleanly. Under concurrent traffic the
 //! server coalesces identical in-flight requests (singleflight), batches
 //! compatible queued sweeps, and — with `--queue-limit` — sheds overflow
-//! with `overloaded` errors; `--cache-path` makes the result cache
-//! persistent across restarts. `gsched request` is the matching client;
+//! with `overloaded` errors. `gsched request` is the matching client;
 //! it prints just the `result` document, which is byte-identical to the
 //! corresponding `gsched solve --json` output. See the `gsched-service`
 //! crate docs for the wire protocol. `gsched loadtest` drives a server —
@@ -99,12 +96,11 @@
 //! latency and throughput, and fails on an unexpected error reply, on a
 //! missing reply, or (with `--expect-no-shed`) on any shed request.
 //!
-//! A running server is observable three ways: the `stats` verb returns the
-//! full telemetry report (per-op latency percentiles, queue/occupancy
-//! gauges, cache behaviour), `--metrics-addr` serves the same numbers as
-//! Prometheus text exposition over HTTP, and `--access-log` appends one
-//! NDJSON line per request. `gsched top` polls `stats` and renders a live
-//! terminal dashboard (`--once` prints a single pipeable snapshot).
+//! A running server has one live view: the `stats` verb (`gsched request
+//! --op stats`) returns the full telemetry report (per-op latency
+//! percentiles, queue/occupancy gauges, cache behaviour). `serve --diag`
+//! and `--trace` record the server's spans and counters for its lifetime,
+//! each span tagged with the request it served.
 //!
 //! `gsched doctor` solves the model and prints the per-class numerical-health
 //! table (drift slack, `sp(R)`, `R` residual, truncated tail mass) with WARN
@@ -147,7 +143,6 @@ mod convergence;
 mod figure;
 mod loadtest;
 mod profile;
-mod top;
 
 use gsched_core::model::GangModel;
 use gsched_core::solver::{solve, GangSolution, RSolverMethod, SolverOptions, VacationMode};
@@ -204,16 +199,6 @@ fn run(args: &[String]) -> Result<(), String> {
         "serve" => cmd_serve(rest),
         "request" => cmd_request(rest),
         "loadtest" => loadtest::run(rest),
-        "top" => {
-            let (pos, flags) = parse_flags("top", rest)?;
-            reject_flags(
-                "top",
-                &flags,
-                &["diag", "trace", "verbose"],
-                "top does no solver work to record",
-            )?;
-            top::run(&pos, &flags)
-        }
         "example-model" | "example-scenario" => {
             let (pos, flags) = parse_flags(cmd, rest)?;
             if let Some(arg) = pos.first() {
@@ -264,15 +249,14 @@ fn usage() -> String {
          gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]\n  \
          gsched paper     [--rho R] [--quantum Q] [--json]\n  \
          gsched figure    <fig1|fig2|fig3|fig4|fig5|all>\n  \
-         gsched serve     [--addr A] [--workers N] [--cache-cap N] [--cache-path PATH] [--deadline-ms N] [--queue-limit N] [--batch-max N] [--metrics-addr A] [--access-log PATH] [--access-log-max-bytes N]\n  \
+         gsched serve     [--addr A] [--workers N] [--cache-cap N] [--deadline-ms N] [--queue-limit N] [--batch-max N]\n  \
          gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown] [--quick] [--deadline-ms N] [--id ID] [--frame]\n  \
          gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick] [--expect-no-shed] [--json]\n  \
-         gsched top       [--addr A] [--interval SECS] [--count N] [--once]\n  \
          gsched example-model\n  \
          gsched example-scenario\n\
          a scenario S is a registry name ({}) or a scenario JSON file.\n\
          --method M picks the R-matrix solver (lr|ss).\n\
-         diagnostics (every subcommand but top, request, bench and example-*): --diag <path> writes a JSON metrics \
+         diagnostics (every subcommand but request, bench and example-*): --diag <path> writes a JSON metrics \
          snapshot; --trace <path> writes a Chrome Trace Event file \
          (Perfetto); -v prints a report to stderr (-vv adds events)",
         registry::NAMES.join("|")
@@ -287,7 +271,6 @@ const BOOL_FLAGS: &[&str] = &[
     "full",
     "parity-check",
     "frame",
-    "once",
     "convergence",
     "expect-no-shed",
     "scaling",
@@ -325,15 +308,13 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("figure", ""),
     (
         "serve",
-        "addr workers cache-cap cache-path deadline-ms queue-limit batch-max \
-         metrics-addr access-log access-log-max-bytes",
+        "addr workers cache-cap deadline-ms queue-limit batch-max",
     ),
     ("request", "addr op quick deadline-ms id frame"),
     (
         "loadtest",
         "addr clients requests workers queue-limit quick expect-no-shed json",
     ),
-    ("top", "addr interval count once"),
     ("example-model", ""),
     ("example-scenario", ""),
 ];
@@ -1474,7 +1455,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err(format!("serve: unexpected argument `{}`", pos[0]));
     }
     let defaults = ServeConfig::default();
-    let mut builder = ServeConfig::builder()
+    let opts = ServeConfig::builder()
         .addr(
             flags
                 .get("addr")
@@ -1486,21 +1467,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .default_deadline_ms(flag_count(&flags, "deadline-ms", 30_000)?)
         .queue_limit(flag_count(&flags, "queue-limit", defaults.queue_limit)?)
         .batch_max(flag_count(&flags, "batch-max", defaults.batch_max)?)
-        .access_log_max_bytes(flag_count(
-            &flags,
-            "access-log-max-bytes",
-            defaults.access_log_max_bytes,
-        )?);
-    if let Some(path) = flags.get("cache-path") {
-        builder = builder.cache_path(path);
-    }
-    if let Some(addr) = flags.get("metrics-addr") {
-        builder = builder.metrics_addr(addr);
-    }
-    if let Some(path) = flags.get("access-log") {
-        builder = builder.access_log(path);
-    }
-    let opts = builder
         .build()
         .map_err(|e| format!("serve: {}", e.message))?;
     let diag = Diagnostics::from_flags(&flags);
@@ -1513,20 +1479,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         server.worker_count(),
         opts.cache_capacity
     );
-    if let Some(maddr) = server.metrics_local_addr() {
-        println!("metrics on http://{maddr}/metrics");
-    }
-    if let Some(path) = &opts.access_log {
-        println!("access log at {}", path.display());
-    }
-    if let Some(path) = &opts.cache_path {
-        // The warm-restart smoke test greps for "entries replayed".
-        println!(
-            "persistent cache at {} ({} entries replayed)",
-            path.display(),
-            server.cache_replayed()
-        );
-    }
     let result = server.run().map_err(|e| e.to_string());
     diag.finish()?;
     result

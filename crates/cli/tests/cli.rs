@@ -507,6 +507,39 @@ fn unknown_and_removed_flags_fail_by_name() {
     }
 }
 
+/// The server's persistent cache, Prometheus endpoint, access log and the
+/// `top` dashboard are gone: their flags and the subcommand fail by name
+/// instead of being ignored.
+#[test]
+fn removed_serving_extras_fail_by_name() {
+    for (args, want) in [
+        (
+            &["serve", "--cache-path", "x"][..],
+            "serve: unknown flag --cache-path",
+        ),
+        (
+            &["serve", "--metrics-addr", "127.0.0.1:0"][..],
+            "serve: unknown flag --metrics-addr",
+        ),
+        (
+            &["serve", "--access-log", "x"][..],
+            "serve: unknown flag --access-log",
+        ),
+        (
+            &["serve", "--access-log-max-bytes", "1"][..],
+            "serve: unknown flag --access-log-max-bytes",
+        ),
+        (&["top"][..], "unknown subcommand `top`"),
+        (&["top", "--once"][..], "unknown subcommand `top`"),
+    ] {
+        let out = gsched().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} succeeded");
+        assert!(out.stdout.is_empty(), "{args:?} produced output");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(want), "{args:?}: {err}");
+    }
+}
+
 /// The template printers take no arguments: a flag, a diagnostics flag or
 /// a positional argument fails by name instead of being ignored.
 #[test]
@@ -566,9 +599,6 @@ fn solve_asymptotic_honours_the_diagnostics_flags() {
 #[test]
 fn diagnostics_flags_that_would_record_nothing_fail_by_name() {
     for (args, flag) in [
-        (&["top", "--once", "--diag", "x.json"][..], "--diag"),
-        (&["top", "--once", "--trace", "x.json"][..], "--trace"),
-        (&["top", "--once", "-v"][..], "-v"),
         (&["request", "fig2", "--trace", "x.json"][..], "--trace"),
         (&["bench", "--quick", "--diag", "x.json"][..], "--diag"),
         (&["profile", "fig2", "--quick", "-v"][..], "-v"),

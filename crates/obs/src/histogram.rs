@@ -119,116 +119,6 @@ impl LogHistogram {
         }
         self.max
     }
-
-    /// Discard every recorded sample, returning the histogram to its
-    /// freshly constructed state (bucket storage is kept for reuse).
-    pub fn reset(&mut self) {
-        self.buckets.clear();
-        self.zero_count = 0;
-        self.count = 0;
-        self.sum = 0.0;
-        self.min = 0.0;
-        self.max = 0.0;
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.zero_count += other.zero_count;
-        for (&index, &n) in &other.buckets {
-            *self.buckets.entry(index).or_insert(0) += n;
-        }
-    }
-}
-
-/// A rotating window over [`LogHistogram`]s for "recent" statistics.
-///
-/// Samples land in the current window; when a window's duration elapses the
-/// oldest window is reset and becomes current. [`WindowedHistogram::merged`]
-/// combines every non-expired window, so reported quantiles cover between
-/// `(windows - 1) × window` and `windows × window` of trailing history —
-/// a live server's "last minute" view, in contrast to the lifetime
-/// histograms a [`MemoryRecorder`](crate::MemoryRecorder) accumulates.
-///
-/// Time is passed in explicitly (`now`), which keeps rotation deterministic
-/// under test and lets one clock read serve several histograms.
-#[derive(Debug, Clone)]
-pub struct WindowedHistogram {
-    windows: Vec<LogHistogram>,
-    /// Index of the window currently recording.
-    current: usize,
-    /// Duration of one window, in seconds.
-    window_secs: f64,
-    /// Monotonic time (seconds) at which the current window started, or
-    /// `None` before the first sample.
-    current_start: Option<f64>,
-}
-
-impl WindowedHistogram {
-    /// A histogram of `windows` rotating windows of `window_secs` each.
-    /// At least two windows are kept so "recent" never collapses to an
-    /// empty just-rotated window.
-    pub fn new(window_secs: f64, windows: usize) -> Self {
-        WindowedHistogram {
-            windows: vec![LogHistogram::new(); windows.max(2)],
-            current: 0,
-            window_secs: if window_secs > 0.0 { window_secs } else { 1.0 },
-            current_start: None,
-        }
-    }
-
-    /// Rotate expired windows given the current monotonic time in seconds.
-    fn advance(&mut self, now: f64) {
-        let Some(start) = self.current_start else {
-            self.current_start = Some(now);
-            return;
-        };
-        let mut elapsed = now - start;
-        let mut rotations = 0usize;
-        while elapsed >= self.window_secs && rotations < self.windows.len() {
-            self.current = (self.current + 1) % self.windows.len();
-            self.windows[self.current].reset();
-            elapsed -= self.window_secs;
-            rotations += 1;
-        }
-        if rotations == self.windows.len() {
-            // Idle longer than the whole span: every window is stale.
-            for w in &mut self.windows {
-                w.reset();
-            }
-            self.current_start = Some(now);
-        } else if rotations > 0 {
-            self.current_start = Some(now - elapsed);
-        }
-    }
-
-    /// Record one sample at monotonic time `now` (seconds).
-    pub fn record(&mut self, now: f64, value: f64) {
-        self.advance(now);
-        self.windows[self.current].record(value);
-    }
-
-    /// Merge every live window into one histogram covering the trailing
-    /// `windows × window` span, rotating out expired windows first.
-    pub fn merged(&mut self, now: f64) -> LogHistogram {
-        self.advance(now);
-        let mut out = LogHistogram::new();
-        for w in &self.windows {
-            out.merge(w);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -277,28 +167,6 @@ mod tests {
         assert_eq!(h.count(), 5);
         let p50 = h.quantile(0.5);
         assert!((p50 - 1.0).abs() < 0.045, "p50 {p50}");
-    }
-
-    #[test]
-    fn merge_matches_combined_recording() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut both = LogHistogram::new();
-        for i in 1..=100 {
-            let v = (i as f64).sqrt();
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            both.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert!((a.sum() - both.sum()).abs() < 1e-9);
-        for q in [0.25, 0.5, 0.75, 0.95] {
-            assert_eq!(a.quantile(q), both.quantile(q));
-        }
     }
 
     #[test]
@@ -367,69 +235,5 @@ mod tests {
         assert_eq!(h.count(), 1);
         assert_eq!(h.mean(), 4.0);
         assert_eq!(h.quantile(0.5), 4.0);
-    }
-
-    #[test]
-    fn reset_returns_to_empty() {
-        let mut h = LogHistogram::new();
-        for i in 1..=100 {
-            h.record(i as f64);
-        }
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0.0);
-        assert!(h.mean().is_nan());
-        assert!(h.quantile(0.5).is_nan());
-        // Recording after reset behaves like a fresh histogram.
-        h.record(3.0);
-        assert_eq!(h.min(), 3.0);
-        assert_eq!(h.max(), 3.0);
-        assert_eq!(h.quantile(0.5), 3.0);
-    }
-
-    #[test]
-    fn windowed_histogram_expires_old_samples() {
-        let mut w = WindowedHistogram::new(1.0, 3);
-        w.record(0.0, 10.0);
-        w.record(0.5, 20.0);
-        // Still inside the trailing span: both samples visible.
-        assert_eq!(w.merged(1.5).count(), 2);
-        // Newer traffic in later windows.
-        w.record(1.6, 30.0);
-        assert_eq!(w.merged(1.7).count(), 3);
-        // Far future: everything expired.
-        assert_eq!(w.merged(100.0).count(), 0);
-        // And recording again starts cleanly.
-        w.record(100.5, 7.0);
-        let m = w.merged(100.6);
-        assert_eq!(m.count(), 1);
-        assert_eq!(m.quantile(0.5), 7.0);
-    }
-
-    #[test]
-    fn windowed_histogram_rotation_is_gradual() {
-        let mut w = WindowedHistogram::new(1.0, 4);
-        for i in 0..8 {
-            w.record(i as f64, 1.0);
-        }
-        // 8 samples, one per second, 4 windows of 1 s: only the trailing
-        // ~4 s of samples remain.
-        let m = w.merged(8.0);
-        assert!(m.count() >= 3 && m.count() <= 5, "count {}", m.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity_both_ways() {
-        let mut a = LogHistogram::new();
-        a.record(3.0);
-        let empty = LogHistogram::new();
-        let mut b = a.clone();
-        b.merge(&empty);
-        assert_eq!(b.count(), 1);
-        assert_eq!(b.min(), 3.0);
-        let mut c = LogHistogram::new();
-        c.merge(&a);
-        assert_eq!(c.count(), 1);
-        assert_eq!(c.quantile(0.5), 3.0);
     }
 }

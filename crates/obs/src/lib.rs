@@ -34,10 +34,8 @@
 //! id entered with [`context_enter`] and carried across worker threads via
 //! [`current_context`]. Span intervals remember the context that was active
 //! when they opened, so the Chrome-trace export can label every span of one
-//! service request with its `request_id` ([`context_label`]) and an access
-//! log line ([`AccessLog`]) can point at its span tree.
+//! service request with its `request_id` ([`context_label`]).
 
-mod accesslog;
 pub mod attribution;
 mod fsio;
 mod histogram;
@@ -47,10 +45,9 @@ mod report;
 mod snapshot;
 mod trace;
 
-pub use accesslog::AccessLog;
 pub use attribution::{canonical_span_name, Attribution, AttributionRow};
 pub use fsio::write_atomic;
-pub use histogram::{LogHistogram, WindowedHistogram};
+pub use histogram::LogHistogram;
 pub use recorder::{
     context_enter, context_label, counter_add, current_context, enabled, event, gauge_set, install,
     install_memory, installed_memory, observe, span, thread_label, uninstall, ContextGuard,

@@ -41,8 +41,6 @@ pub const SERVICE_SHED: &str = "service.shed";
 pub const SERVICE_SINGLEFLIGHT_COALESCED: &str = "service.singleflight.coalesced";
 /// Queued sweep jobs merged into an engine batch behind a leader (counter).
 pub const SERVICE_BATCH_MERGED: &str = "service.batch.merged";
-/// Cache entries replayed from the persistent segment at startup (gauge).
-pub const SERVICE_CACHE_REPLAYED: &str = "service.cache.replayed";
 
 // ---- gsched-engine ----
 
@@ -143,7 +141,6 @@ pub const ALL: &[&str] = &[
     SERVICE_SHED,
     SERVICE_SINGLEFLIGHT_COALESCED,
     SERVICE_BATCH_MERGED,
-    SERVICE_CACHE_REPLAYED,
     ENGINE_WARM_HITS,
     ENGINE_WARM_MISSES,
     ENGINE_SWEEP_CANCELLED_POINTS,

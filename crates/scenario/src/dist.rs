@@ -79,6 +79,11 @@ fn default_det_stages() -> usize {
 impl DistSpec {
     /// Materialize the specification into a validated [`PhaseType`].
     pub fn build(&self) -> Result<PhaseType, String> {
+        // JSON admits overflowing literals (`1e999` reads as infinity);
+        // the phase-type constructors assume finite parameters.
+        if let Some(x) = self.reals().into_iter().find(|x| !x.is_finite()) {
+            return Err(format!("parameters must be finite, got {x}"));
+        }
         match self {
             DistSpec::Exponential { rate } => {
                 if *rate <= 0.0 {
@@ -120,6 +125,21 @@ impl DistSpec {
                 let mat = gsched_linalg::Matrix::from_vec(n, n, flat);
                 PhaseType::new(alpha.clone(), mat).map_err(|e| e.to_string())
             }
+        }
+    }
+
+    /// Every real-valued parameter of the specification.
+    fn reals(&self) -> Vec<f64> {
+        match self {
+            DistSpec::Exponential { rate } | DistSpec::Erlang { rate, .. } => vec![*rate],
+            DistSpec::Hyperexponential { probs, rates } => {
+                probs.iter().chain(rates).copied().collect()
+            }
+            DistSpec::Hypoexponential { rates } => rates.clone(),
+            DistSpec::Coxian { rates, cont } => rates.iter().chain(cont).copied().collect(),
+            DistSpec::Deterministic { value, .. } => vec![*value],
+            DistSpec::TwoMoment { mean, scv } => vec![*mean, *scv],
+            DistSpec::Ph { alpha, s } => alpha.iter().chain(s.iter().flatten()).copied().collect(),
         }
     }
 
@@ -261,6 +281,45 @@ mod tests {
         for s in all_variants() {
             let ph = s.build().unwrap_or_else(|e| panic!("{s:?}: {e}"));
             assert!(ph.mean() > 0.0, "{s:?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_parameters_are_errors_not_panics() {
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for spec in [
+                DistSpec::Exponential { rate: bad },
+                DistSpec::Erlang {
+                    stages: 2,
+                    rate: bad,
+                },
+                DistSpec::Hyperexponential {
+                    probs: vec![0.5, 0.5],
+                    rates: vec![1.0, bad],
+                },
+                DistSpec::Hypoexponential {
+                    rates: vec![bad, 2.0],
+                },
+                DistSpec::Coxian {
+                    rates: vec![1.0, 2.0],
+                    cont: vec![bad],
+                },
+                DistSpec::Deterministic {
+                    value: bad,
+                    stages: 16,
+                },
+                DistSpec::TwoMoment {
+                    mean: 1.0,
+                    scv: bad,
+                },
+                DistSpec::Ph {
+                    alpha: vec![1.0, 0.0],
+                    s: vec![vec![-2.0, bad], vec![0.0, -2.0]],
+                },
+            ] {
+                let err = spec.build().expect_err(&format!("{spec:?} built"));
+                assert!(err.contains("finite"), "{spec:?}: {err}");
+            }
         }
     }
 

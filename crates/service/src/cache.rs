@@ -1,62 +1,23 @@
-//! Result stores: the [`CacheStore`] trait and its two implementations.
+//! The result cache: a process-local sharded LRU.
 //!
-//! A store maps 64-bit canonical request digests (scenario content hash
-//! folded with the operation and grid flavour) to the *rendered JSON text*
-//! of a completed request — not the solver's data structures: replaying
-//! the exact bytes is what makes a cache hit indistinguishable from a
-//! fresh solve on the wire.
+//! [`MemoryLru`] maps 64-bit canonical request digests (scenario content
+//! hash folded with the operation and grid flavour) to the *rendered JSON
+//! text* of a completed request — not the solver's data structures:
+//! replaying the exact bytes is what makes a cache hit indistinguishable
+//! from a fresh solve on the wire.
 //!
-//! [`MemoryLru`] is the process-local sharded LRU. Sharding bounds lock
-//! contention: a key's upper bits pick a shard, each shard is an
-//! independent mutex-guarded LRU, and capacity is divided evenly across
-//! shards. Recency is tracked with a per-shard logical clock; eviction
-//! scans the (small, bounded) shard for the stalest entry.
-//!
-//! [`PersistentLru`] wraps a `MemoryLru` with an append-only NDJSON
-//! segment file. Every insert is appended (one self-describing,
-//! checksummed line per entry) and flushed, so a torn write can only
-//! corrupt the final line; on open the segment is replayed into memory,
-//! stopping at the first corrupt line, and the server comes up warm.
-//! The server is generic over the trait, so tests can inject a failing
-//! store and assert the request path survives it.
+//! Sharding bounds lock contention: a key's upper bits pick a shard, each
+//! shard is an independent mutex-guarded LRU, and capacity is divided
+//! evenly across shards. Recency is tracked with a per-shard logical
+//! clock; eviction scans the (small, bounded) shard for the stalest entry.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Number of independently locked shards.
 const SHARDS: usize = 8;
-
-/// A point-in-time summary of a store's contents and traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lifetime hit count.
-    pub hits: u64,
-    /// Lifetime miss count.
-    pub misses: u64,
-    /// Entries currently stored.
-    pub entries: usize,
-    /// Total capacity (as rounded at construction).
-    pub capacity: usize,
-}
-
-/// A concurrent store of rendered results, keyed by request digest.
-///
-/// Implementations must be safe to share across the server's connection
-/// and worker threads. `get` refreshes recency and counts a hit or miss;
-/// `insert` may evict. A failing implementation (for tests) may drop
-/// inserts or always miss — the server treats every miss as "solve it".
-pub trait CacheStore: Send + Sync {
-    /// Look up `key`, refreshing its recency. Counts a hit or miss.
-    fn get(&self, key: u64) -> Option<Arc<String>>;
-    /// Insert (or refresh) `key`, evicting if full.
-    fn insert(&self, key: u64, value: Arc<String>);
-    /// Current contents and traffic counters.
-    fn stats(&self) -> CacheStats;
-}
 
 struct Entry {
     value: Arc<String>,
@@ -121,13 +82,31 @@ impl MemoryLru {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Insert without counting traffic — used by segment replay, which is
-    /// restoration, not a request.
-    fn restore(&self, key: u64, value: Arc<String>) {
-        self.insert_entry(key, value);
+    /// Look up `key`, refreshing its recency. Counts a hit or miss.
+    pub fn get(&self, key: u64) -> Option<Arc<String>> {
+        if self.per_shard_capacity == 0 {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        let mut shard = self.shard(key).lock();
+        shard.clock += 1;
+        let clock = shard.clock;
+        match shard.map.get_mut(&key) {
+            Some(entry) => {
+                entry.last_used = clock;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                Some(Arc::clone(&entry.value))
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
     }
 
-    fn insert_entry(&self, key: u64, value: Arc<String>) {
+    /// Insert (or refresh) `key`, evicting the shard's stalest entry if
+    /// it is full.
+    pub fn insert(&self, key: u64, value: Arc<String>) {
         if self.per_shard_capacity == 0 {
             return;
         }
@@ -154,230 +133,12 @@ impl MemoryLru {
     }
 }
 
-impl CacheStore for MemoryLru {
-    fn get(&self, key: u64) -> Option<Arc<String>> {
-        if self.per_shard_capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut shard = self.shard(key).lock();
-        shard.clock += 1;
-        let clock = shard.clock;
-        match shard.map.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = clock;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    fn insert(&self, key: u64, value: Arc<String>) {
-        self.insert_entry(key, value);
-    }
-
-    fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            entries: self.len(),
-            capacity: self.capacity(),
-        }
-    }
-}
-
-/// Version tag written on every segment line.
-const SEGMENT_VERSION: u64 = 1;
-
-/// FNV-1a 64-bit over `bytes` — the per-line checksum primitive.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Render one segment line (no trailing newline): version, key, checksum,
-/// then the value verbatim as the **last** field so replay can splice its
-/// bytes out without a JSON round-trip (the same trick as `result` in
-/// response frames).
-fn segment_line(key: u64, value: &str) -> String {
-    let sum = fnv1a64(value.as_bytes()) ^ key;
-    format!(r#"{{"v":{SEGMENT_VERSION},"key":"{key:016x}","sum":"{sum:016x}","value":{value}}}"#)
-}
-
-/// Parse one segment line back into `(key, value)`. Returns `None` for
-/// anything malformed or checksum-failing — the caller treats that as the
-/// corrupt tail and stops.
-fn parse_segment_line(line: &str) -> Option<(u64, String)> {
-    let prefix = format!(r#"{{"v":{SEGMENT_VERSION},"key":""#);
-    let rest = line.strip_prefix(prefix.as_str())?;
-    let (key_hex, rest) = rest.split_at_checked(16)?;
-    let key = u64::from_str_radix(key_hex, 16).ok()?;
-    let rest = rest.strip_prefix(r#"","sum":""#)?;
-    let (sum_hex, rest) = rest.split_at_checked(16)?;
-    let sum = u64::from_str_radix(sum_hex, 16).ok()?;
-    let value = rest.strip_prefix(r#"","value":"#)?.strip_suffix('}')?;
-    if fnv1a64(value.as_bytes()) ^ key != sum {
-        return None;
-    }
-    Some((key, value.to_string()))
-}
-
-/// A [`MemoryLru`] backed by an append-only NDJSON segment file.
-///
-/// Inserts append one checksummed line and flush before returning, so a
-/// crash can tear at most the final line. [`PersistentLru::open`] replays
-/// the segment into memory (later lines win, and land most-recent in the
-/// LRU), stopping at the first corrupt line — a truncated tail costs the
-/// torn entry, never the store. The segment is append-only across
-/// restarts; memory capacity still bounds what is *served* (replay beyond
-/// capacity just evicts the stalest).
-pub struct PersistentLru {
-    memory: MemoryLru,
-    path: PathBuf,
-    segment: Mutex<std::fs::File>,
-    replayed: usize,
-    corrupt_tail_lines: usize,
-}
-
-impl PersistentLru {
-    /// Open (or create) the segment at `path` and replay it into a memory
-    /// LRU of `capacity` entries.
-    pub fn open(path: impl AsRef<Path>, capacity: usize) -> std::io::Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let memory = MemoryLru::new(capacity);
-        let mut replayed = 0usize;
-        let mut corrupt_tail_lines = 0usize;
-        // Bytes of the clean prefix; everything past it is truncated away
-        // so later appends land on a line boundary, not glued to a torn
-        // entry.
-        let mut clean_bytes = 0u64;
-        match std::fs::File::open(&path) {
-            Ok(f) => {
-                let mut reader = std::io::BufReader::new(f);
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    let n = reader.read_line(&mut line)?;
-                    if n == 0 {
-                        break;
-                    }
-                    let trimmed = line.trim_end_matches(['\n', '\r']);
-                    if trimmed.is_empty() {
-                        clean_bytes += n as u64;
-                        continue;
-                    }
-                    match parse_segment_line(trimmed) {
-                        Some((key, value)) => {
-                            memory.restore(key, Arc::new(value));
-                            replayed += 1;
-                            clean_bytes += n as u64;
-                        }
-                        None => {
-                            // Corrupt tail: count this and everything after
-                            // it, serve what replayed cleanly.
-                            corrupt_tail_lines = 1;
-                            while reader.read_line(&mut line)? > 0 {
-                                corrupt_tail_lines += 1;
-                                line.clear();
-                            }
-                            break;
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        if corrupt_tail_lines > 0 {
-            // Drop the torn tail (crash-recovery semantics of an
-            // append-only log): the clean prefix is the durable history.
-            let f = std::fs::OpenOptions::new().write(true).open(&path)?;
-            f.set_len(clean_bytes)?;
-        }
-        let segment = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        Ok(PersistentLru {
-            memory,
-            path,
-            segment: Mutex::new(segment),
-            replayed,
-            corrupt_tail_lines,
-        })
-    }
-
-    /// Entries restored from the segment at open.
-    pub fn replayed(&self) -> usize {
-        self.replayed
-    }
-
-    /// Lines discarded (and truncated from the file) as the corrupt tail
-    /// at open; 0 for a clean segment.
-    pub fn corrupt_tail_lines(&self) -> usize {
-        self.corrupt_tail_lines
-    }
-
-    /// The segment file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Access the in-memory side (entry count, hit/miss counters).
-    pub fn memory(&self) -> &MemoryLru {
-        &self.memory
-    }
-}
-
-impl CacheStore for PersistentLru {
-    fn get(&self, key: u64) -> Option<Arc<String>> {
-        self.memory.get(key)
-    }
-
-    fn insert(&self, key: u64, value: Arc<String>) {
-        if self.memory.capacity() == 0 {
-            return;
-        }
-        // Append-then-flush under the lock so concurrent inserts never
-        // interleave bytes; a torn write can only hit the final line, which
-        // replay tolerates. An append failure costs durability for this
-        // entry, not the request — the memory insert still happens.
-        let line = segment_line(key, &value);
-        {
-            let mut f = self.segment.lock();
-            let _ = f
-                .write_all(line.as_bytes())
-                .and_then(|()| f.write_all(b"\n"))
-                .and_then(|()| f.flush());
-        }
-        self.memory.insert(key, value);
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.memory.stats()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn value(s: &str) -> Arc<String> {
         Arc::new(s.to_string())
-    }
-
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("gsched-cache-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
     }
 
     #[test]
@@ -388,10 +149,7 @@ mod tests {
         assert_eq!(cache.get(7).as_deref().map(String::as_str), Some("seven"));
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 1);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -445,92 +203,5 @@ mod tests {
             h.join().unwrap();
         }
         assert!(cache.len() <= cache.capacity());
-    }
-
-    #[test]
-    fn segment_lines_round_trip_exactly() {
-        let doc = r#"{"a":[1,2,{"b":null}],"c":0.30000000000000004}"#;
-        let line = segment_line(0xdead_beef_cafe_f00d, doc);
-        let (key, back) = parse_segment_line(&line).unwrap();
-        assert_eq!(key, 0xdead_beef_cafe_f00d);
-        assert_eq!(back, doc, "value bytes must survive verbatim");
-    }
-
-    #[test]
-    fn segment_parse_rejects_corruption() {
-        let good = segment_line(42, r#"{"x":1}"#);
-        assert!(parse_segment_line(&good).is_some());
-        // Flip a byte inside the value: checksum fails.
-        let bad = good.replace(r#"{"x":1}"#, r#"{"x":2}"#);
-        assert!(parse_segment_line(&bad).is_none());
-        // Truncated line: structure fails.
-        assert!(parse_segment_line(&good[..good.len() - 3]).is_none());
-        assert!(parse_segment_line("").is_none());
-        assert!(parse_segment_line("not json").is_none());
-    }
-
-    #[test]
-    fn persistent_replay_survives_restart() {
-        let dir = tmpdir("replay");
-        let path = dir.join("segment.ndjson");
-        let _ = std::fs::remove_file(&path);
-        {
-            let store = PersistentLru::open(&path, 16).unwrap();
-            assert_eq!(store.replayed(), 0);
-            store.insert(1, value(r#"{"one":1}"#));
-            store.insert(2, value(r#"{"two":2}"#));
-            store.insert(1, value(r#"{"one":"updated"}"#));
-        }
-        // "Restart": a fresh store over the same segment comes up warm,
-        // later lines winning.
-        let store = PersistentLru::open(&path, 16).unwrap();
-        assert_eq!(store.replayed(), 3);
-        assert_eq!(store.corrupt_tail_lines(), 0);
-        assert_eq!(store.memory().len(), 2);
-        assert_eq!(
-            store.get(1).as_deref().map(String::as_str),
-            Some(r#"{"one":"updated"}"#)
-        );
-        assert_eq!(
-            store.get(2).as_deref().map(String::as_str),
-            Some(r#"{"two":2}"#)
-        );
-    }
-
-    #[test]
-    fn persistent_replay_tolerates_torn_tail() {
-        let dir = tmpdir("torn");
-        let path = dir.join("segment.ndjson");
-        let _ = std::fs::remove_file(&path);
-        {
-            let store = PersistentLru::open(&path, 16).unwrap();
-            store.insert(1, value(r#"{"one":1}"#));
-            store.insert(2, value(r#"{"two":2}"#));
-        }
-        // Tear the final line mid-entry, as a crash mid-append would.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let torn = &text[..text.len() - 9];
-        std::fs::write(&path, torn).unwrap();
-        let store = PersistentLru::open(&path, 16).unwrap();
-        assert_eq!(store.replayed(), 1, "clean prefix replays");
-        assert_eq!(store.corrupt_tail_lines(), 1, "torn tail is counted");
-        assert!(store.get(1).is_some());
-        assert!(store.get(2).is_none(), "the torn entry is gone");
-        // The store keeps working after a torn open: appends still land.
-        store.insert(3, value(r#"{"three":3}"#));
-        drop(store);
-        let store = PersistentLru::open(&path, 16).unwrap();
-        assert!(store.get(3).is_some());
-    }
-
-    #[test]
-    fn persistent_zero_capacity_appends_nothing() {
-        let dir = tmpdir("zero");
-        let path = dir.join("segment.ndjson");
-        let _ = std::fs::remove_file(&path);
-        let store = PersistentLru::open(&path, 0).unwrap();
-        store.insert(1, value("x"));
-        assert!(store.get(1).is_none());
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
     }
 }

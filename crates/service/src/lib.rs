@@ -28,9 +28,7 @@
 //! identical cache misses onto one in-flight solve (singleflight),
 //! **batches** queued sweeps through the engine's shared batch pool, and
 //! **sheds** load with `overloaded` errors once the bounded queue is
-//! full — see [`server`] for the mechanics. With a persistent cache path
-//! configured, results survive restarts: the cache is replayed from an
-//! append-only segment file at bind time.
+//! full — see [`server`] for the mechanics.
 //!
 //! # Wire protocol
 //!
@@ -90,37 +88,28 @@
 //!
 //! # Observability
 //!
-//! Live telemetry is always on and exposed three ways (the repository's
+//! The server has one live view, the `stats` verb (the repository's
 //! `docs/ARCHITECTURE.md` diagrams the request lifecycle):
 //!
 //! * **`{"op":"stats"}`** returns the full telemetry report: the flat
 //!   counters (`requests`, `errors`, `cache_hits`, `cache_misses`,
-//!   `queue_depth`, `uptime_ms`, …) plus `workers_busy`, `connections`,
-//!   `cache_hit_ratio`, `queue_wait_ms` / `solve_ms` histograms, and a
-//!   per-op `ops` object with cumulative and recent (last 60 s) latency
+//!   `queue_depth`, `shed`, `coalesced`, `uptime_ms`, …) plus
+//!   `workers_busy`, `connections`, `cache_hit_ratio`, `queue_wait_ms` /
+//!   `solve_ms` histograms, and a per-op `ops` object with lifetime latency
 //!   percentiles (p50/p90/p95/p99). Statistics of empty histograms are
 //!   `null`, never `NaN`.
-//! * **`--metrics-addr HOST:PORT`** serves Prometheus text exposition
-//!   (`GET /metrics`): `gsched_requests_total{op=…}`,
-//!   `gsched_request_latency_ms{op=…,quantile=…}` summaries,
-//!   `gsched_queue_depth`, cache counters, and friends.
-//! * **`--access-log PATH`** appends one NDJSON line per request —
-//!   `request_id`, client `id`, `op`, `scenario` + content hash, `cached`,
-//!   `queue_wait_ms`, `solve_ms`, `latency_ms`, `outcome` — rotating
-//!   atomically to `PATH.1` past `--access-log-max-bytes`.
-//!
-//! Every request is additionally assigned a trace context: with
-//! `gsched serve --diag`/`--trace`, all spans recorded while serving it —
-//! `service.request`, `service.solve`, the engine's sweep/point spans, and
-//! the qbd/core solver spans below them — carry the same `request_id`
-//! (`r-<n>`) that the access log records, and the Chrome-trace export
-//! tags each event with it (`args.request_id`). The `--diag` snapshot
-//! includes `service.requests`, `service.cache.hits` /
-//! `service.cache.misses`, `service.errors`, the `service.queue.depth`
-//! gauge, and the `service.request.latency_ms` / `service.queue.wait_ms` /
-//! `service.solve_ms` histograms, alongside the usual solver counters —
-//! `core.solver.solves` stays flat across cache hits, which is how the
-//! tests pin down that hits never re-solve.
+//! * **`gsched serve --diag`/`--trace`** record the instrumentation layer
+//!   for the server's lifetime. Every request is assigned a trace context:
+//!   all spans recorded while serving it — `service.request`,
+//!   `service.solve`, the engine's sweep/point spans, and the qbd/core
+//!   solver spans below them — carry the same `request_id` (`r-<n>`), and
+//!   the Chrome-trace export tags each event with it (`args.request_id`).
+//!   The `--diag` snapshot includes `service.requests`,
+//!   `service.cache.hits` / `service.cache.misses`, `service.errors`, the
+//!   `service.queue.depth` gauge, and the `service.request.latency_ms` /
+//!   `service.queue.wait_ms` / `service.solve_ms` histograms, alongside the
+//!   usual solver counters — `core.solver.solves` stays flat across cache
+//!   hits, which is how the tests pin down that hits never re-solve.
 
 pub mod cache;
 pub mod client;
@@ -129,7 +118,7 @@ pub mod render;
 pub mod server;
 mod telemetry;
 
-pub use cache::{CacheStats, CacheStore, MemoryLru, PersistentLru};
+pub use cache::MemoryLru;
 pub use client::Client;
 pub use protocol::{
     error_frame, extract_result, frame_is_ok, parse_request, ErrorKind, Op, Request, Response,

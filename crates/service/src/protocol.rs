@@ -446,6 +446,143 @@ mod tests {
         }
     }
 
+    /// The valid frames the tests above parse.
+    fn valid_frames() -> Vec<String> {
+        let sc = gsched_scenario::registry::lookup("fig2").unwrap();
+        vec![
+            r#"{"scenario":"fig2"}"#.to_string(),
+            r#"{"proto":2,"scenario":"fig2"}"#.to_string(),
+            r#"{"id":"r-1","op":"sweep","scenario":"fig3","quick":true,"deadline_ms":250}"#
+                .to_string(),
+            r#"{"op":"stats"}"#.to_string(),
+            format!(r#"{{"scenario":{}}}"#, serde_json::to_string(&sc).unwrap()),
+        ]
+    }
+
+    /// Parse `bytes` the way the server does (lossy UTF-8, then
+    /// [`parse_request`]). Either the frame is accepted or it is rejected
+    /// with a typed error that says why; a panic fails the test.
+    fn parse_or_reject(bytes: &[u8]) -> Result<Request, ServiceError> {
+        let line = String::from_utf8_lossy(bytes);
+        let outcome = std::panic::catch_unwind(|| parse_request(&line))
+            .unwrap_or_else(|_| panic!("parse_request panicked on {line:?}"));
+        if let Err(e) = &outcome {
+            assert!(
+                matches!(e.kind, ErrorKind::BadRequest | ErrorKind::InvalidScenario),
+                "{line:?}: unexpected kind {:?}",
+                e.kind
+            );
+            assert!(!e.message.is_empty(), "{line:?}: empty message");
+        }
+        outcome
+    }
+
+    #[test]
+    fn truncated_and_corrupted_frames_never_panic() {
+        for frame in valid_frames() {
+            let bytes = frame.as_bytes();
+            assert!(parse_or_reject(bytes).is_ok(), "{frame}");
+            for end in 0..bytes.len() {
+                // Every proper prefix lacks the closing brace.
+                assert!(parse_or_reject(&bytes[..end]).is_err(), "{end}");
+            }
+            for i in 0..bytes.len() {
+                let mut deleted = bytes.to_vec();
+                deleted.remove(i);
+                let _ = parse_or_reject(&deleted);
+                for b in [b'"', b'}', b'0', b'-'] {
+                    let mut replaced = bytes.to_vec();
+                    replaced[i] = b;
+                    let _ = parse_or_reject(&replaced);
+                }
+            }
+        }
+    }
+
+    /// An inline fig2 sweep frame.
+    fn inline_fig2() -> String {
+        let sc = gsched_scenario::registry::lookup("fig2").unwrap();
+        format!(
+            r#"{{"op":"sweep","scenario":{}}}"#,
+            serde_json::to_string(&sc).unwrap()
+        )
+    }
+
+    /// `frame` with the number after the first `key` written as `token`.
+    fn with_number(frame: &str, key: &str, token: &str) -> String {
+        let start = frame.find(key).unwrap() + key.len();
+        let end = start + frame[start..].find([',', '}']).unwrap();
+        format!("{}{token}{}", &frame[..start], &frame[end..])
+    }
+
+    #[test]
+    fn numerically_hostile_inline_scenarios_are_rejected_by_kind() {
+        let frame = inline_fig2();
+        for dist in ["arrival", "service", "quantum", "switch_overhead"] {
+            // Class 0's distribution: the first one of its name.
+            let at = frame.find(&format!(r#""{dist}":{{"#)).unwrap();
+            for (token, kind) in [
+                // JSON has no NaN or infinity token ...
+                ("NaN", ErrorKind::BadRequest),
+                ("Infinity", ErrorKind::BadRequest),
+                // ... but overflowing literals read as infinities, which
+                // fail as scenarios like every other non-rate.
+                ("1e999", ErrorKind::InvalidScenario),
+                ("-1e999", ErrorKind::InvalidScenario),
+                ("null", ErrorKind::InvalidScenario),
+                (r#""NaN""#, ErrorKind::InvalidScenario),
+                ("-0.4", ErrorKind::InvalidScenario),
+                ("0", ErrorKind::InvalidScenario),
+                ("-0.0", ErrorKind::InvalidScenario),
+            ] {
+                let line = format!(
+                    "{}{}",
+                    &frame[..at],
+                    with_number(&frame[at..], r#""rate":"#, token)
+                );
+                let err = parse_or_reject(line.as_bytes())
+                    .expect_err(&format!("{dist} rate {token} accepted"));
+                assert_eq!(err.kind, kind, "{dist} rate {token}: {}", err.message);
+            }
+        }
+        // Class 0 has g = 8 on P = 8: partitions that do not fit.
+        for (key, token) in [
+            (r#""partition_size":"#, "16"),
+            (r#""partition_size":"#, "0"),
+            (r#""partition_size":"#, "-8"),
+            (r#""partition_size":"#, "8.5"),
+            (r#""processors":"#, "4"),
+            (r#""processors":"#, "0"),
+        ] {
+            let line = with_number(&frame, key, token);
+            let err =
+                parse_or_reject(line.as_bytes()).expect_err(&format!("{key}{token} accepted"));
+            assert_eq!(err.kind, ErrorKind::InvalidScenario, "{key}{token}");
+        }
+    }
+
+    #[test]
+    fn overloaded_inline_scenarios_parse() {
+        // ρ ≥ 1 is a question with an answer (the solver flags the
+        // unstable classes), not a malformed frame.
+        let frame = inline_fig2();
+        for rate in ["1.328125", "10", "4e5"] {
+            // Class 0 alone offers ρ_0 = λ_0 / μ_0 ≥ 1.
+            let at = frame.find(r#""arrival":{"#).unwrap();
+            let line = format!(
+                "{}{}",
+                &frame[..at],
+                with_number(&frame[at..], r#""rate":"#, rate)
+            );
+            let req = parse_or_reject(line.as_bytes())
+                .unwrap_or_else(|e| panic!("arrival rate {rate}: {}", e.message));
+            let Some(ScenarioRef::Inline(sc)) = req.scenario else {
+                panic!("expected an inline scenario");
+            };
+            assert!(sc.build_model().unwrap().total_utilization() >= 1.0);
+        }
+    }
+
     #[test]
     fn result_extraction_is_exact() {
         let result = r#"{"a":[1,2,{"b":null}],"c":0.30000000000000004}"#;

@@ -1,7 +1,7 @@
 //! The long-running solve server.
 //!
 //! A [`Server`] owns a `TcpListener`, a fixed pool of solver worker
-//! threads, and a shared [`CacheStore`]. Connection threads parse
+//! threads, and a shared [`MemoryLru`] result cache. Connection threads parse
 //! request frames, serve cache hits immediately, and enqueue misses for
 //! the worker pool; workers solve, render, cache, and publish. All
 //! threads are scoped (`crossbeam::scope`) so `run` cannot return with
@@ -29,8 +29,7 @@
 //! * **Admission control** — when `queue_limit` is set, requests that
 //!   would push the queue past the limit are shed with an `overloaded`
 //!   error frame instead of being allowed to grow the queue without
-//!   bound. Shed counts and the configured limit are exported through
-//!   `stats` and `/metrics`.
+//!   bound. Shed counts and the configured limit are reported by `stats`.
 //!
 //! # Lifecycle and degradation
 //!
@@ -49,28 +48,19 @@
 //! * **Shutdown** — a `shutdown` frame, [`Server::request_shutdown`], or
 //!   SIGINT (when [`install_ctrl_c_handler`] was called) stops the accept
 //!   loop, drains queued jobs, joins every thread, and returns from `run`.
-//!
-//! # Persistence
-//!
-//! With `cache_path` configured the result cache is a
-//! [`PersistentLru`]: every insert is appended to an NDJSON segment file
-//! and replayed on the next [`Server::bind`], so a restarted server
-//! answers previously solved scenarios from cache without re-solving.
 
-use crate::cache::{CacheStore, MemoryLru, PersistentLru};
+use crate::cache::MemoryLru;
 use crate::protocol::{parse_request, ErrorKind, Op, Request, Response, ScenarioRef, ServiceError};
 use crate::render;
-use crate::telemetry::{AccessRecord, ExternalStats, Telemetry};
+use crate::telemetry::{op_index, ExternalStats, Telemetry, INVALID_OP};
 use gsched_core::{solve, SolverOptions};
 use gsched_engine::{run_batch, BatchItem, CancelToken, SweepOptions};
 use gsched_obs as obs;
-use gsched_obs::AccessLog;
 use gsched_scenario::{registry, Scenario};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind as IoErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -89,9 +79,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Result-cache capacity in entries; `0` disables caching.
     pub cache_capacity: usize,
-    /// Persist the result cache to this NDJSON segment file and replay it
-    /// on startup; `None` keeps the cache in memory only.
-    pub cache_path: Option<PathBuf>,
     /// Default per-request deadline in milliseconds, applied when a
     /// request does not carry `deadline_ms`; `0` means no default.
     pub default_deadline_ms: u64,
@@ -101,15 +88,6 @@ pub struct ServeConfig {
     /// Most queued sweep jobs a worker merges into one engine batch;
     /// `1` disables batching.
     pub batch_max: usize,
-    /// Bind an HTTP listener serving Prometheus text exposition at this
-    /// address (e.g. `127.0.0.1:9090`); `None` disables the scraper.
-    pub metrics_addr: Option<String>,
-    /// Write one NDJSON access-log line per request to this file; `None`
-    /// disables the log.
-    pub access_log: Option<PathBuf>,
-    /// Rotate the access log (atomically, to `<path>.1`) once the live
-    /// file exceeds this many bytes; `0` never rotates.
-    pub access_log_max_bytes: u64,
 }
 
 impl Default for ServeConfig {
@@ -118,13 +96,9 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7070".to_string(),
             workers: 0,
             cache_capacity: 256,
-            cache_path: None,
             default_deadline_ms: 30_000,
             queue_limit: 0,
             batch_max: 8,
-            metrics_addr: None,
-            access_log: None,
-            access_log_max_bytes: 8 * 1024 * 1024,
         }
     }
 }
@@ -168,12 +142,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Persist the cache to this segment file and replay it on startup.
-    pub fn cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.config.cache_path = Some(path.into());
-        self
-    }
-
     /// Default per-request deadline in milliseconds; `0` disables.
     pub fn default_deadline_ms(mut self, ms: u64) -> Self {
         self.config.default_deadline_ms = ms;
@@ -192,24 +160,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Serve Prometheus text exposition on this address.
-    pub fn metrics_addr(mut self, addr: impl Into<String>) -> Self {
-        self.config.metrics_addr = Some(addr.into());
-        self
-    }
-
-    /// Append one NDJSON access-log line per request to this file.
-    pub fn access_log(mut self, path: impl Into<PathBuf>) -> Self {
-        self.config.access_log = Some(path.into());
-        self
-    }
-
-    /// Rotate the access log past this many bytes; `0` never rotates.
-    pub fn access_log_max_bytes(mut self, bytes: u64) -> Self {
-        self.config.access_log_max_bytes = bytes;
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<ServeConfig, ServiceError> {
         let bad = |msg: String| ServiceError::new(ErrorKind::BadRequest, msg);
@@ -217,21 +167,9 @@ impl ServeConfigBuilder {
         if c.addr.is_empty() {
             return Err(bad("listen address must not be empty".to_string()));
         }
-        if let Some(addr) = &c.metrics_addr {
-            if addr.is_empty() {
-                return Err(bad("metrics address must not be empty".to_string()));
-            }
-        }
         if c.batch_max == 0 {
             return Err(bad(
                 "batch_max must be at least 1 (1 disables batching)".to_string()
-            ));
-        }
-        if c.cache_path.is_some() && c.cache_capacity == 0 {
-            return Err(bad(
-                "cache_path requires a non-zero cache capacity (persistence with \
-                 caching disabled would never store anything)"
-                    .to_string(),
             ));
         }
         Ok(c)
@@ -270,14 +208,7 @@ pub fn install_ctrl_c_handler() {
 static NEXT_REQUEST_CTX: AtomicU64 = AtomicU64::new(1);
 
 /// What a flight publishes for all of its waiters.
-struct FlightResult {
-    result: Result<Arc<String>, ServiceError>,
-    /// Milliseconds the job sat in the queue (`None` if it never queued,
-    /// e.g. a shed request).
-    queue_wait_ms: Option<f64>,
-    /// Milliseconds the worker spent solving and rendering.
-    solve_ms: Option<f64>,
-}
+type FlightResult = Result<Arc<String>, ServiceError>;
 
 /// The rendezvous between one in-flight solve and every connection
 /// waiting on it.
@@ -348,65 +279,25 @@ struct Stats {
 /// The solve server. See the module docs for the threading model.
 pub struct Server {
     listener: TcpListener,
-    metrics_listener: Option<TcpListener>,
     workers: usize,
     default_deadline_ms: u64,
     queue_limit: usize,
     batch_max: usize,
-    cache: Box<dyn CacheStore>,
-    /// Entries replayed from the persistent segment at bind time.
-    cache_replayed: u64,
+    cache: MemoryLru,
     queue: JobQueue,
     /// In-flight solves by cache key; the singleflight map.
     inflight: Mutex<HashMap<u64, Arc<FlightSlot>>>,
     stats: Stats,
     telemetry: Telemetry,
-    access_log: Option<AccessLog>,
     shutdown: AtomicBool,
     solver: SolverOptions,
 }
 
 impl Server {
-    /// Bind the listen socket (and the metrics socket, when configured)
-    /// and prepare (but do not start) the server.
-    ///
-    /// With `cache_path` set, the persistent segment is replayed here —
-    /// a restarted server comes up warm.
+    /// Bind the listen socket and prepare (but do not start) the server.
     pub fn bind(opts: &ServeConfig) -> std::io::Result<Server> {
-        let (cache, replayed): (Box<dyn CacheStore>, u64) = match &opts.cache_path {
-            Some(path) => {
-                let store = PersistentLru::open(path, opts.cache_capacity)?;
-                let replayed = store.replayed() as u64;
-                (Box::new(store), replayed)
-            }
-            None => (Box::new(MemoryLru::new(opts.cache_capacity)), 0),
-        };
-        Self::bind_with_store(opts, cache, replayed)
-    }
-
-    /// [`Server::bind`] with a caller-provided cache store.
-    ///
-    /// This is the seam tests use to inject failing or instrumented
-    /// stores; `replayed` is reported as `cache_replayed` in stats.
-    pub fn bind_with_store(
-        opts: &ServeConfig,
-        cache: Box<dyn CacheStore>,
-        replayed: u64,
-    ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
         listener.set_nonblocking(true)?;
-        let metrics_listener = match &opts.metrics_addr {
-            Some(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
-        let access_log = match &opts.access_log {
-            Some(path) => Some(AccessLog::open(path, opts.access_log_max_bytes)?),
-            None => None,
-        };
         let workers = if opts.workers > 0 {
             opts.workers
         } else {
@@ -414,21 +305,17 @@ impl Server {
                 .map(|n| n.get())
                 .unwrap_or(1)
         };
-        obs::gauge_set(obs::names::SERVICE_CACHE_REPLAYED, replayed as f64);
         Ok(Server {
             listener,
-            metrics_listener,
             workers,
             default_deadline_ms: opts.default_deadline_ms,
             queue_limit: opts.queue_limit,
             batch_max: opts.batch_max,
-            cache,
-            cache_replayed: replayed,
+            cache: MemoryLru::new(opts.cache_capacity),
             queue: JobQueue::default(),
             inflight: Mutex::new(HashMap::new()),
             stats: Stats::default(),
             telemetry: Telemetry::new(),
-            access_log,
             shutdown: AtomicBool::new(false),
             // The same defaults `gsched solve` uses, so served results are
             // byte-identical to local solves.
@@ -441,21 +328,9 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The bound metrics address, when `metrics_addr` was configured.
-    pub fn metrics_local_addr(&self) -> Option<SocketAddr> {
-        self.metrics_listener
-            .as_ref()
-            .and_then(|l| l.local_addr().ok())
-    }
-
     /// Worker threads the pool will run.
     pub fn worker_count(&self) -> usize {
         self.workers
-    }
-
-    /// Entries replayed from the persistent segment at bind time.
-    pub fn cache_replayed(&self) -> u64 {
-        self.cache_replayed
     }
 
     /// Ask the server to stop: the accept loop closes, queued work drains,
@@ -477,9 +352,6 @@ impl Server {
         crossbeam::scope(|s| {
             for _ in 0..self.workers {
                 s.spawn(|_| self.worker_loop());
-            }
-            if self.metrics_listener.is_some() {
-                s.spawn(|_| self.metrics_loop());
             }
             loop {
                 if self.shutting_down() {
@@ -551,14 +423,12 @@ impl Server {
             let Some(batch) = self.next_batch() else {
                 return;
             };
-            let mut queue_waits = Vec::with_capacity(batch.len());
             for job in &batch {
                 let depth = self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
                 obs::gauge_set(obs::names::SERVICE_QUEUE_DEPTH, depth as f64);
                 let queue_wait_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
                 self.telemetry.record_queue_wait(queue_wait_ms);
                 obs::observe(obs::names::SERVICE_QUEUE_WAIT_MS, queue_wait_ms);
-                queue_waits.push(queue_wait_ms);
             }
             if batch.len() > 1 {
                 let merged = (batch.len() - 1) as u64;
@@ -574,40 +444,31 @@ impl Server {
             let _ctx = obs::context_enter(batch[0].ctx);
             // A panic inside numerical code must degrade to error frames,
             // never take the whole server down.
-            let results: Vec<Result<Arc<String>, ServiceError>> =
-                catch_unwind(AssertUnwindSafe(|| match batch[0].op {
-                    Op::Sweep => self.process_batch(&batch),
-                    Op::Solve => batch.iter().map(|job| self.process_solve(job)).collect(),
-                    Op::Stats | Op::Shutdown => {
-                        unreachable!("control operations never reach the queue")
-                    }
-                }))
-                .unwrap_or_else(|_| {
-                    batch
-                        .iter()
-                        .map(|_| {
-                            Err(ServiceError::new(
-                                ErrorKind::Internal,
-                                "worker panicked while processing the request",
-                            ))
-                        })
-                        .collect()
-                });
+            let results: Vec<FlightResult> = catch_unwind(AssertUnwindSafe(|| match batch[0].op {
+                Op::Sweep => self.process_batch(&batch),
+                Op::Solve => batch.iter().map(|job| self.process_solve(job)).collect(),
+                Op::Stats | Op::Shutdown => {
+                    unreachable!("control operations never reach the queue")
+                }
+            }))
+            .unwrap_or_else(|_| {
+                batch
+                    .iter()
+                    .map(|_| {
+                        Err(ServiceError::new(
+                            ErrorKind::Internal,
+                            "worker panicked while processing the request",
+                        ))
+                    })
+                    .collect()
+            });
             // Batched jobs all report the batch wall clock: the work was
             // genuinely shared and no finer attribution exists.
             let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-            for ((job, result), queue_wait_ms) in batch.iter().zip(results).zip(queue_waits) {
+            for (job, result) in batch.iter().zip(results) {
                 self.telemetry.record_solve(solve_ms);
                 obs::observe(obs::names::SERVICE_SOLVE_MS, solve_ms);
-                self.publish(
-                    job.cache_key,
-                    &job.reply,
-                    FlightResult {
-                        result,
-                        queue_wait_ms: Some(queue_wait_ms),
-                        solve_ms: Some(solve_ms),
-                    },
-                );
+                self.publish(job.cache_key, &job.reply, result);
             }
         }
     }
@@ -764,8 +625,8 @@ impl Server {
     /// no reply can be delivered.
     ///
     /// Allocates the request's trace context (its `request_id`), times the
-    /// request end to end, updates per-op telemetry, and appends the
-    /// access-log line — for every outcome, including dropped clients.
+    /// request end to end, and updates per-op telemetry — for every
+    /// outcome, including dropped clients.
     fn handle_request(&self, stream: &TcpStream, line: &str) -> Option<String> {
         let ctx = NEXT_REQUEST_CTX.fetch_add(1, Ordering::Relaxed);
         let _ctx_guard = obs::context_enter(ctx);
@@ -773,110 +634,95 @@ impl Server {
         let _span = obs::span("service.request");
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         obs::counter_add(obs::names::SERVICE_REQUESTS, 1);
-        let mut access = AccessRecord::new(ctx);
-        let reply = self.dispatch(stream, line, &mut access);
+        let (op, reply) = self.dispatch(stream, line, ctx);
         let latency_ms = t0.elapsed().as_secs_f64() * 1e3;
-        access.latency_ms = latency_ms;
-        if reply.is_none() {
-            access.outcome = "dropped".to_string();
-        }
-        let errored = access.outcome.starts_with("error:");
+        let errored = matches!(reply, Some(Err(_)));
         self.telemetry
-            .record_request(access.op_idx(), latency_ms, errored);
+            .record_request(op.map_or(INVALID_OP, op_index), latency_ms, errored);
         obs::observe(obs::names::SERVICE_REQUEST_LATENCY_MS, latency_ms);
-        if let Some(log) = &self.access_log {
-            // Log failures must not take down request handling.
-            let _ = log.append(&access.to_json());
-        }
-        reply
+        reply.map(|frame| frame.unwrap_or_else(|error_frame| error_frame))
     }
 
-    /// The op dispatch behind [`Server::handle_request`], filling `access`
-    /// as facts about the request become known.
-    ///
+    /// The op dispatch behind [`Server::handle_request`]: the parsed op
+    /// (`None` for a frame that did not parse) and the reply, `Ok` for a
+    /// success frame and `Err` for an error frame. No reply means the
+    /// client is gone.
+    #[allow(clippy::type_complexity)]
     fn dispatch(
         &self,
         stream: &TcpStream,
         line: &str,
-        access: &mut AccessRecord,
-    ) -> Option<String> {
+        ctx: u64,
+    ) -> (Option<Op>, Option<Result<String, String>>) {
         let req = match parse_request(line) {
             Ok(req) => req,
-            Err(e) => {
-                access.outcome = format!("error:{}", e.kind.as_str());
-                return Some(self.error_reply(None, e));
-            }
+            Err(e) => return (None, Some(Err(self.error_reply(None, e)))),
         };
-        access.op = req.op.as_str();
-        access.client_id = req.id.clone();
         let id = req.id.clone();
-        match req.op {
-            Op::Stats => {
-                Some(Response::ok(id, Op::Stats, false, Arc::new(self.stats_json())).render())
-            }
+        let reply = match req.op {
+            Op::Stats => Some(Ok(Response::ok(
+                id,
+                Op::Stats,
+                false,
+                Arc::new(self.stats_json()),
+            )
+            .render())),
             Op::Shutdown => {
                 self.request_shutdown();
                 self.queue.ready.notify_all();
-                Some(
-                    Response::ok(
-                        id,
-                        Op::Shutdown,
-                        false,
-                        Arc::new(r#"{"stopping":true}"#.to_string()),
-                    )
-                    .render(),
+                Some(Ok(Response::ok(
+                    id,
+                    Op::Shutdown,
+                    false,
+                    Arc::new(r#"{"stopping":true}"#.to_string()),
                 )
+                .render()))
             }
-            Op::Solve | Op::Sweep => {
-                if self.shutting_down() {
-                    let e = ServiceError::new(ErrorKind::ShuttingDown, "server is shutting down");
-                    access.outcome = format!("error:{}", e.kind.as_str());
-                    return Some(self.error_reply(id, e));
-                }
-                let scenario = match resolve_scenario(req.scenario.as_ref()) {
-                    Ok(sc) => sc,
-                    Err(e) => {
-                        access.outcome = format!("error:{}", e.kind.as_str());
-                        return Some(self.error_reply(id, e));
-                    }
-                };
-                if !scenario.name.is_empty() {
-                    access.scenario = Some(scenario.name.clone());
-                }
-                let content_hash = scenario.content_hash();
-                access.scenario_hash = Some(content_hash);
-                let key = cache_key(req.op, req.quick, content_hash);
-                if let Some(hit) = self.cache.get(key) {
-                    obs::counter_add(obs::names::SERVICE_CACHE_HITS, 1);
-                    access.cached = true;
-                    return Some(Response::ok(id, req.op, true, hit).render());
-                }
-                obs::counter_add(obs::names::SERVICE_CACHE_MISSES, 1);
-                let outcome = self.dispatch_and_wait(stream, &req, scenario, key, access)?;
-                Some(match outcome {
-                    Ok(result) => Response::ok(id, req.op, false, result).render(),
-                    Err(e) => {
-                        access.outcome = format!("error:{}", e.kind.as_str());
-                        self.error_reply(id, e)
-                    }
-                })
-            }
+            Op::Solve | Op::Sweep => self
+                .serve(stream, &req, ctx)
+                .map(|outcome| outcome.map_err(|e| self.error_reply(id, e))),
+        };
+        (Some(req.op), reply)
+    }
+
+    /// Answer a `solve` or `sweep` request from the cache, or join (or
+    /// lead) its flight and wait. `None` means the client is gone.
+    fn serve(
+        &self,
+        stream: &TcpStream,
+        req: &Request,
+        ctx: u64,
+    ) -> Option<Result<String, ServiceError>> {
+        if self.shutting_down() {
+            return Some(Err(ServiceError::new(
+                ErrorKind::ShuttingDown,
+                "server is shutting down",
+            )));
         }
+        let scenario = match resolve_scenario(req.scenario.as_ref()) {
+            Ok(sc) => sc,
+            Err(e) => return Some(Err(e)),
+        };
+        let key = cache_key(req.op, req.quick, scenario.content_hash());
+        if let Some(hit) = self.cache.get(key) {
+            obs::counter_add(obs::names::SERVICE_CACHE_HITS, 1);
+            return Some(Ok(Response::ok(req.id.clone(), req.op, true, hit).render()));
+        }
+        obs::counter_add(obs::names::SERVICE_CACHE_MISSES, 1);
+        let outcome = self.dispatch_and_wait(stream, req, scenario, key, ctx)?;
+        Some(outcome.map(|result| Response::ok(req.id.clone(), req.op, false, result).render()))
     }
 
     /// Join (or lead) the singleflight for `key` and wait for its result,
     /// watching for client disconnects. `None` means the client is gone.
-    /// Queue-wait and solve times measured by the worker are copied into
-    /// `access`.
-    #[allow(clippy::type_complexity)]
     fn dispatch_and_wait(
         &self,
         stream: &TcpStream,
         req: &Request,
         scenario: Scenario,
         key: u64,
-        access: &mut AccessRecord,
-    ) -> Option<Result<Arc<String>, ServiceError>> {
+        ctx: u64,
+    ) -> Option<FlightResult> {
         let deadline_ms = req.deadline_ms.unwrap_or(self.default_deadline_ms);
         let deadline =
             (deadline_ms > 0).then(|| Instant::now() + Duration::from_millis(deadline_ms));
@@ -896,24 +742,16 @@ impl Server {
             }
         };
         if leader {
-            if let Err(e) = self.try_enqueue(req, scenario, key, &slot, access.ctx) {
+            if let Err(e) = self.try_enqueue(req, scenario, key, &slot, ctx) {
                 // Publish the shed to the slot (not just this caller) so
                 // followers that raced in behind us see the same outcome.
-                self.publish(
-                    key,
-                    &slot,
-                    FlightResult {
-                        result: Err(e),
-                        queue_wait_ms: None,
-                        solve_ms: None,
-                    },
-                );
+                self.publish(key, &slot, Err(e));
             }
         } else {
             self.stats.coalesced.fetch_add(1, Ordering::Relaxed);
             obs::counter_add(obs::names::SERVICE_SINGLEFLIGHT_COALESCED, 1);
         }
-        self.wait_for_flight(stream, &slot, key, deadline, access)
+        self.wait_for_flight(stream, &slot, key, deadline)
     }
 
     /// Enqueue the leader's job, shedding instead when the queue is at
@@ -969,14 +807,11 @@ impl Server {
         slot: &Arc<FlightSlot>,
         key: u64,
         deadline: Option<Instant>,
-        access: &mut AccessRecord,
-    ) -> Option<Result<Arc<String>, ServiceError>> {
+    ) -> Option<FlightResult> {
         let mut outcome = slot.outcome.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(published) = outcome.as_ref() {
-                access.queue_wait_ms = published.queue_wait_ms;
-                access.solve_ms = published.solve_ms;
-                return Some(published.result.clone());
+                return Some(published.clone());
             }
             let (guard, _) = slot
                 .ready
@@ -1038,7 +873,6 @@ impl Server {
 
     /// Server-owned counters the telemetry reports fold in.
     fn external_stats(&self) -> ExternalStats {
-        let cache = self.cache.stats();
         ExternalStats {
             workers: self.workers,
             queue_depth: self.stats.queue_depth.load(Ordering::Relaxed),
@@ -1048,11 +882,10 @@ impl Server {
             shed: self.stats.shed.load(Ordering::Relaxed),
             coalesced: self.stats.coalesced.load(Ordering::Relaxed),
             batch_merged: self.stats.batch_merged.load(Ordering::Relaxed),
-            cache_hits: cache.hits,
-            cache_misses: cache.misses,
-            cache_entries: cache.entries,
-            cache_capacity: cache.capacity,
-            cache_replayed: self.cache_replayed,
+            cache_hits: self.cache.hits(),
+            cache_misses: self.cache.misses(),
+            cache_entries: self.cache.len(),
+            cache_capacity: self.cache.capacity(),
             r_solver: self.solver.qbd.method.as_str(),
         }
     }
@@ -1060,76 +893,6 @@ impl Server {
     /// The `stats` result document (see [`Telemetry::stats_json`]).
     fn stats_json(&self) -> String {
         self.telemetry.stats_json(&self.external_stats())
-    }
-
-    // ---- metrics exposition side ----
-
-    /// Accept loop of the `--metrics-addr` listener. Each connection gets
-    /// one HTTP response and is closed; scrapers reconnect per scrape.
-    fn metrics_loop(&self) {
-        let listener = self
-            .metrics_listener
-            .as_ref()
-            .expect("metrics loop requires a bound listener");
-        loop {
-            if self.shutting_down() {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    // A misbehaving scraper only loses its own response.
-                    let _ = self.serve_metrics_connection(stream);
-                }
-                Err(e)
-                    if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut =>
-                {
-                    std::thread::sleep(POLL_INTERVAL)
-                }
-                Err(_) => std::thread::sleep(POLL_INTERVAL),
-            }
-        }
-    }
-
-    /// Answer one HTTP request on the metrics socket with Prometheus text
-    /// exposition (`GET /metrics`, with `/` accepted as an alias).
-    fn serve_metrics_connection(&self, mut stream: TcpStream) -> std::io::Result<()> {
-        stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-        let mut head = Vec::new();
-        let mut buf = [0u8; 1024];
-        // Read until the end of the request head; the body (none is
-        // expected for GET) is ignored.
-        loop {
-            match stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => {
-                    head.extend_from_slice(&buf[..n]);
-                    if head.windows(4).any(|w| w == b"\r\n\r\n")
-                        || head.windows(2).any(|w| w == b"\n\n")
-                        || head.len() > 8192
-                    {
-                        break;
-                    }
-                }
-                Err(e)
-                    if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut =>
-                {
-                    break
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let head = String::from_utf8_lossy(&head);
-        let path = head.split_whitespace().nth(1).unwrap_or("/");
-        let (status, body) = if path == "/metrics" || path == "/" {
-            ("200 OK", self.telemetry.prometheus(&self.external_stats()))
-        } else {
-            ("404 Not Found", "not found\n".to_string())
-        };
-        let response = format!(
-            "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len(),
-        );
-        stream.write_all(response.as_bytes())
     }
 }
 
@@ -1223,7 +986,6 @@ mod tests {
         let addr = server.local_addr().unwrap();
         assert_ne!(addr.port(), 0);
         assert_eq!(server.worker_count(), 2);
-        assert_eq!(server.cache_replayed(), 0);
     }
 
     #[test]
@@ -1240,11 +1002,7 @@ mod tests {
     fn builder_rejects_misconfiguration_with_bad_request() {
         let cases = [
             ServeConfig::builder().addr(""),
-            ServeConfig::builder().metrics_addr(""),
             ServeConfig::builder().batch_max(0),
-            ServeConfig::builder()
-                .cache_path("/tmp/seg")
-                .cache_capacity(0),
         ];
         for builder in cases {
             let err = builder.build().unwrap_err();
@@ -1258,21 +1016,15 @@ mod tests {
             .addr("127.0.0.1:0")
             .workers(4)
             .cache_capacity(64)
-            .cache_path("/tmp/gsched-cache.ndjson")
             .default_deadline_ms(5_000)
             .queue_limit(32)
             .batch_max(4)
-            .metrics_addr("127.0.0.1:0")
-            .access_log("/tmp/access.ndjson")
-            .access_log_max_bytes(1024)
             .build()
             .unwrap();
         assert_eq!(config.workers, 4);
+        assert_eq!(config.cache_capacity, 64);
+        assert_eq!(config.default_deadline_ms, 5_000);
         assert_eq!(config.queue_limit, 32);
         assert_eq!(config.batch_max, 4);
-        assert_eq!(
-            config.cache_path.as_deref(),
-            Some(std::path::Path::new("/tmp/gsched-cache.ndjson"))
-        );
     }
 }

@@ -1,15 +1,17 @@
-//! Telemetry integration tests: the expanded `stats` report under real
-//! concurrent traffic, the Prometheus scrape endpoint, and the link
-//! between access-log `request_id`s and exported span trees.
+//! Telemetry integration tests: the `stats` report under real concurrent
+//! traffic, and the request context that links one request's spans into
+//! the exported trace.
 
 use gsched_service::client::{control_frame, frame_for_name, RequestSpec};
 use gsched_service::{Client, Op, ServeConfig, Server};
 use serde_json::Value;
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+
+/// Serializes the tests in this binary: the instrumentation recorder is
+/// process-global, so one test's traffic must not land in another test's
+/// snapshot.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 struct TestServer {
     server: Arc<Server>,
@@ -36,7 +38,7 @@ impl TestServer {
         Client::connect(&self.addr).expect("connect")
     }
 
-    /// Shut down and join, so the access log is complete before reading it.
+    /// Shut down and join, so every span is recorded before reading them.
     fn stop(mut self) {
         self.server.request_shutdown();
         if let Some(thread) = self.thread.take() {
@@ -54,34 +56,14 @@ impl Drop for TestServer {
     }
 }
 
-/// A process-unique scratch path (the container runs tests in parallel).
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "gsched-telemetry-{}-{tag}.ndjson",
-        std::process::id()
-    ))
-}
-
-fn opts_with(access_log: Option<PathBuf>, metrics: bool) -> ServeConfig {
-    let mut builder = ServeConfig::builder()
+fn test_config() -> ServeConfig {
+    ServeConfig::builder()
         .addr("127.0.0.1:0")
         .workers(2)
         .cache_capacity(64)
-        .default_deadline_ms(30_000);
-    if metrics {
-        builder = builder.metrics_addr("127.0.0.1:0");
-    }
-    if let Some(path) = access_log {
-        builder = builder.access_log(path);
-    }
-    builder.build().expect("valid test config")
-}
-
-fn read_ndjson(path: &PathBuf) -> Vec<Value> {
-    let text = std::fs::read_to_string(path).expect("access log exists");
-    text.lines()
-        .map(|line| serde_json::from_str(line).unwrap_or_else(|e| panic!("bad line {line}: {e}")))
-        .collect()
+        .default_deadline_ms(30_000)
+        .build()
+        .expect("valid test config")
 }
 
 fn stats_doc(client: &mut Client) -> Value {
@@ -95,12 +77,11 @@ fn stats_doc(client: &mut Client) -> Value {
 
 /// Drive concurrent solve traffic with deterministic cache behaviour (each
 /// thread owns one scenario, so per-thread repeats are guaranteed hits),
-/// then check the stats report and the access log agree with each other.
+/// then check the stats report adds up.
 #[test]
-fn stats_and_access_log_agree_under_concurrent_traffic() {
-    let log_path = temp_path("stats");
-    let _ = std::fs::remove_file(&log_path);
-    let ts = TestServer::start(opts_with(Some(log_path.clone()), false));
+fn stats_report_adds_up_under_concurrent_traffic() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ts = TestServer::start(test_config());
 
     let mut handles = Vec::new();
     for name in ["fig2", "fig4"] {
@@ -145,7 +126,6 @@ fn stats_and_access_log_agree_under_concurrent_traffic() {
         p50 > 0.0 && p95 >= p50 && p99 >= p95,
         "p50={p50} p95={p95} p99={p99}"
     );
-    assert_eq!(solve["recent_latency_ms"]["count"].as_u64(), Some(6));
 
     // Only the two misses reached the worker pool.
     assert_eq!(first["queue_wait_ms"]["count"].as_u64(), Some(2), "{first}");
@@ -175,145 +155,16 @@ fn stats_and_access_log_agree_under_concurrent_traffic() {
     );
 
     ts.stop();
-
-    // The access log tells the same story, one line per request.
-    let lines = read_ndjson(&log_path);
-    let solves: Vec<&Value> = lines
-        .iter()
-        .filter(|l| l["op"].as_str() == Some("solve"))
-        .collect();
-    assert_eq!(solves.len(), 6, "one access line per solve");
-    assert_eq!(
-        solves
-            .iter()
-            .filter(|l| l["cached"].as_bool() == Some(true))
-            .count(),
-        4
-    );
-    assert_eq!(
-        lines
-            .iter()
-            .filter(|l| l["op"].as_str() == Some("stats"))
-            .count(),
-        2
-    );
-    let mut ids: Vec<&str> = lines
-        .iter()
-        .map(|l| l["request_id"].as_str().expect("request_id present"))
-        .collect();
-    assert!(ids.iter().all(|id| {
-        id.strip_prefix("r-")
-            .is_some_and(|n| n.parse::<u64>().is_ok())
-    }));
-    ids.sort_unstable();
-    let unique = ids.len();
-    ids.dedup();
-    assert_eq!(ids.len(), unique, "request ids are unique");
-    for line in &solves {
-        assert_eq!(line["outcome"].as_str(), Some("ok"), "{line}");
-        assert!(line["scenario_hash"].as_str().is_some(), "{line}");
-        let cached = line["cached"].as_bool().unwrap();
-        // Misses went through the queue and a worker; hits never did.
-        assert_eq!(line["queue_wait_ms"].is_null(), cached, "{line}");
-        assert_eq!(line["solve_ms"].is_null(), cached, "{line}");
-        assert!(line["latency_ms"].as_f64().unwrap() > 0.0);
-    }
-    let _ = std::fs::remove_file(&log_path);
 }
 
-/// One raw HTTP exchange against the metrics socket.
-fn scrape(addr: &std::net::SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect metrics");
-    stream
-        .write_all(format!("GET {path} HTTP/1.0\r\nHost: test\r\n\r\n").as_bytes())
-        .expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .expect("response has a header/body split");
-    (head.to_string(), body.to_string())
-}
-
+/// Every span recorded while serving one request carries that request's
+/// context, on the connection thread and the worker alike, and the
+/// Chrome-trace export labels them with its `request_id`.
 #[test]
-fn metrics_endpoint_serves_valid_prometheus_text() {
-    let ts = TestServer::start(opts_with(None, true));
-    let metrics_addr = ts.server.metrics_local_addr().expect("metrics bound");
-
-    let mut client = ts.client();
-    let reply = client
-        .request_line(&frame_for_name("fig2", &RequestSpec::default()))
-        .unwrap();
-    assert!(reply.contains(r#""status":"ok""#), "{reply}");
-
-    let (head, body) = scrape(&metrics_addr, "/metrics");
-    assert!(head.starts_with("HTTP/1.0 200"), "{head}");
-    assert!(
-        head.contains("text/plain; version=0.0.4"),
-        "exposition content type: {head}"
-    );
-    assert!(!body.contains("NaN"), "{body}");
-    for family in [
-        "gsched_uptime_seconds",
-        "gsched_workers",
-        "gsched_workers_busy",
-        "gsched_queue_depth",
-        "gsched_queue_limit",
-        "gsched_shed_total",
-        "gsched_coalesced_total",
-        "gsched_batch_merged_total",
-        "gsched_cache_replayed",
-        "gsched_connections_total",
-        "gsched_requests_total",
-        "gsched_errors_total",
-        "gsched_cache_hits_total",
-        "gsched_cache_misses_total",
-        "gsched_cache_entries",
-        "gsched_cache_capacity",
-        "gsched_cache_hit_ratio",
-        "gsched_request_latency_ms",
-        "gsched_queue_wait_ms",
-        "gsched_solve_ms",
-    ] {
-        assert!(
-            body.contains(&format!("# TYPE {family} ")),
-            "missing family {family}:\n{body}"
-        );
-    }
-    assert!(
-        body.contains(r#"gsched_requests_total{op="solve"} 1"#),
-        "{body}"
-    );
-    assert!(body.contains("gsched_cache_misses_total 1"), "{body}");
-    assert!(
-        body.contains(r#"gsched_request_latency_ms{op="solve",quantile="0.5"}"#),
-        "{body}"
-    );
-    // Every sample line ends in a value Prometheus can parse.
-    for line in body.lines() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        let (_, value) = line.rsplit_once(' ').expect("sample has a value");
-        assert!(
-            value.parse::<f64>().is_ok() || value == "+Inf" || value == "-Inf",
-            "bad sample value in {line:?}"
-        );
-    }
-
-    let (head, _) = scrape(&metrics_addr, "/no-such-path");
-    assert!(head.starts_with("HTTP/1.0 404"), "{head}");
-    ts.stop();
-}
-
-/// The `request_id` written to the access log is the same context label the
-/// span tree carries, all the way into the Chrome-trace export.
-#[test]
-fn access_log_request_ids_match_exported_span_trees() {
+fn request_spans_share_one_context_into_the_trace_export() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let recorder = gsched_obs::install_memory();
-    let log_path = temp_path("trace");
-    let _ = std::fs::remove_file(&log_path);
-    let ts = TestServer::start(opts_with(Some(log_path.clone()), false));
+    let ts = TestServer::start(test_config());
     let mut client = ts.client();
     let reply = client
         .request_line(&frame_for_name("fig2", &RequestSpec::default()))
@@ -323,45 +174,40 @@ fn access_log_request_ids_match_exported_span_trees() {
     ts.stop();
     gsched_obs::uninstall();
 
-    let lines = read_ndjson(&log_path);
-    let solve_line = lines
-        .iter()
-        .find(|l| l["op"].as_str() == Some("solve"))
-        .expect("solve line logged");
-    let request_id = solve_line["request_id"]
-        .as_str()
-        .expect("request_id")
-        .to_string();
-
-    // Other tests in this binary share the global recorder; filter to the
-    // spans carrying exactly this request's context.
+    // The server saw exactly one request; its connection-side span holds
+    // the context the rest of its spans must share.
     let snapshot = recorder.snapshot();
-    let ours: Vec<_> = snapshot
+    let requests: Vec<_> = snapshot
         .span_intervals
         .iter()
-        .filter(|s| s.ctx != 0 && gsched_obs::context_label(s.ctx) == request_id)
+        .filter(|s| s.path == "service.request")
         .collect();
+    assert_eq!(requests.len(), 1, "{requests:?}");
+    let ctx = requests[0].ctx;
+    assert_ne!(ctx, 0, "the request span carries a context");
     assert!(
-        ours.iter().any(|s| s.path == "service.request"),
-        "connection-side span tagged: {ours:?}"
-    );
-    assert!(
-        ours.iter().any(|s| s.path.starts_with("service.solve")),
-        "worker-side span tree tagged: {ours:?}"
+        snapshot
+            .span_intervals
+            .iter()
+            .any(|s| s.ctx == ctx && s.path.starts_with("service.solve")),
+        "worker-side span tree tagged: {:?}",
+        snapshot.span_intervals
     );
 
+    let request_id = gsched_obs::context_label(ctx);
     let trace: Value = serde_json::from_str(&snapshot.to_chrome_trace()).expect("valid trace");
     let tagged: Vec<&Value> = trace["traceEvents"]
         .as_array()
         .unwrap()
         .iter()
-        .filter(|e| e["args"]["request_id"].as_str() == Some(&request_id))
+        .filter(|e| e["args"]["request_id"].as_str() == Some(request_id.as_str()))
         .collect();
-    assert!(
-        tagged
-            .iter()
-            .any(|e| e["args"]["path"].as_str() == Some("service.request")),
-        "trace export carries the request id"
-    );
-    let _ = std::fs::remove_file(&log_path);
+    for path in ["service.request", "service.solve"] {
+        assert!(
+            tagged.iter().any(|e| e["args"]["path"]
+                .as_str()
+                .is_some_and(|p| p.starts_with(path))),
+            "trace export labels {path} with {request_id}: {tagged:?}"
+        );
+    }
 }
