@@ -6,7 +6,7 @@
 //! gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs]
 //!                               [--horizon T] [--warmup T] [--seed N] [--json]
 //! gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick]
-//!                  [--parity-check] [--method M] [--json]
+//!                  [--method M] [--json]
 //! gsched validate  [<scenario>...] [--json]
 //! gsched xval      <scenario | all> [--points N] [--full]
 //!                  [--horizon-scale F] [--json]
@@ -52,13 +52,12 @@
 //! `gsched sweep` evaluates the paper's figure sweeps on the
 //! `gsched-engine` work-stealing pool, each point warm-started from its
 //! chunk neighbour: `--jobs N` sets the worker count (0 = all cores), and
-//! `--parity-check` re-runs the sweep single-threaded and fails unless the
-//! parallel results match to 1e-10. A sweep-capable registry scenario also
-//! works positionally (`gsched sweep p_sweep`). A scenario that declares a
-//! certified-tail ceiling has every point's certificate checked against
-//! it, and one that declares an asymptotic tolerance has its largest point
-//! cross-checked against the zero-queueing limit (`gsched solve
-//! --asymptotic`) — see `docs/LARGE_P.md`.
+//! the answers are bitwise identical for every value. A sweep-capable
+//! registry scenario also works positionally (`gsched sweep p_sweep`). A
+//! scenario that declares a certified-tail ceiling has every point's
+//! certificate checked against it, and one that declares an asymptotic
+//! tolerance has its largest point cross-checked against the zero-queueing
+//! limit (`gsched solve --asymptotic`) — see `docs/LARGE_P.md`.
 //!
 //! `gsched validate` lints scenarios (schema, grids, solvability) and
 //! reports per-class stability with drift margins; it exits non-zero when
@@ -239,7 +238,7 @@ fn usage() -> String {
     format!(
         "usage:\n  gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact] [--method lr|ss] [--percentiles] [--asymptotic] [--json]\n  \
          gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs] [--horizon T] [--warmup T] [--seed N] [--json]\n  \
-         gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick] [--parity-check] [--method M] [--json]\n  \
+         gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick] [--method M] [--json]\n  \
          gsched validate  [<scenario>...] [--json]\n  \
          gsched xval      <scenario | all> [--points N] [--full] [--horizon-scale F] [--json]\n  \
          gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]\n  \
@@ -269,7 +268,6 @@ const BOOL_FLAGS: &[&str] = &[
     "percentiles",
     "quick",
     "full",
-    "parity-check",
     "frame",
     "convergence",
     "expect-no-shed",
@@ -286,10 +284,7 @@ const DIAG_FLAGS: &[&str] = &["diag", "trace"];
 const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("solve", "scenario mode method percentiles asymptotic json"),
     ("simulate", "scenario policy horizon warmup seed json"),
-    (
-        "sweep",
-        "scenario jobs quick parity-check mode method percentiles json",
-    ),
+    ("sweep", "scenario jobs quick mode method percentiles json"),
     ("validate", "mode method percentiles json"),
     (
         "xval",
@@ -739,25 +734,6 @@ fn cmd_simulate(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Largest per-point, per-class difference in mean response between two
-/// runs of the same sweep (`NaN`-safe: two failed points agree).
-fn sweep_divergence(a: &SweepReport, b: &SweepReport, classes: usize) -> f64 {
-    let mut worst: f64 = 0.0;
-    for (pa, pb) in a.points.iter().zip(b.points.iter()) {
-        for (ra, rb) in pa
-            .mean_responses(classes)
-            .iter()
-            .zip(pb.mean_responses(classes).iter())
-        {
-            if ra.is_nan() && rb.is_nan() {
-                continue;
-            }
-            worst = worst.max((ra - rb).abs());
-        }
-    }
-    worst
-}
-
 fn print_sweep_human(name: &str, report: &SweepReport, classes: usize) {
     println!(
         "{}: {} points, {} jobs, {} chunks, warm hit rate {:.0}%, {:.1} ms",
@@ -903,11 +879,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     };
     let jobs = flag_count(&flags, "jobs", 0)?;
     let solver = solver_options(&flags)?;
-    let parity = flags.contains_key("parity-check");
     let diag = Diagnostics::from_flags(&flags);
     let mut json_reports = Vec::new();
     let mut failures = 0;
-    let mut parity_errors = Vec::new();
     let mut contract_lines = Vec::new();
     let mut contract_errors = Vec::new();
     for job in &jobs_list {
@@ -922,16 +896,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             .unwrap_or(0);
         let report = run_sweep(&job.req, &opts);
         failures += report.failures();
-        if parity {
-            let seq = run_sweep(&job.req, &opts.clone().with_jobs(1));
-            let div = sweep_divergence(&report, &seq, classes);
-            if div > 1e-10 {
-                parity_errors.push(format!(
-                    "{}: parallel vs sequential diverge by {div:.3e} (> 1e-10)",
-                    job.scenario.name
-                ));
-            }
-        }
         match check_large_p_contract(&job.scenario, &report) {
             Ok(lines) => contract_lines.extend(lines),
             Err(e) => contract_errors.push(e),
@@ -958,12 +922,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     }
     if !contract_errors.is_empty() {
         return Err(contract_errors.join("; "));
-    }
-    if !parity_errors.is_empty() {
-        return Err(parity_errors.join("; "));
-    }
-    if parity && !flags.contains_key("json") {
-        println!("parity check passed (sequential vs parallel within 1e-10)");
     }
     Ok(())
 }

@@ -378,10 +378,10 @@ fn bench_scaling_quick_reproduces_the_committed_record() {
     }
 }
 #[test]
-fn sweep_parity_check_and_json() {
+fn sweep_json_reports_every_point() {
     let out = gsched()
         .arg("sweep")
-        .args(["fig4", "--quick", "--jobs", "2", "--parity-check", "--json"])
+        .args(["fig4", "--quick", "--jobs", "2", "--json"])
         .output()
         .unwrap();
     assert!(
@@ -443,6 +443,10 @@ fn unknown_and_removed_flags_fail_by_name() {
         ),
         (&["sweep", "fig2", "--quik", "--json"][..], "--quik"),
         (&["sweep", "fig2", "--quick", "--no-warm"][..], "--no-warm"),
+        (
+            &["sweep", "fig4", "--quick", "--parity-check"][..],
+            "--parity-check",
+        ),
         (
             &["solve", "--scenario", "fig2", "--bogus", "3", "--json"][..],
             "--bogus",

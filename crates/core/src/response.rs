@@ -22,7 +22,7 @@
 //! Validation: the mean of the returned distribution reproduces
 //! `T_p = N_p/λ_p` (Little's law) to numerical precision, and its quantiles
 //! match the simulator's streaming percentile estimates (see
-//! `tests/response_distribution.rs`).
+//! `crates/sim/tests/response_distribution.rs`).
 
 use crate::generator::ClassChain;
 use crate::{GangError, Result};

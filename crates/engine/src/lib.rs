@@ -43,7 +43,8 @@
 //! a sweep's results are **bitwise identical** for any `jobs` value and
 //! any batch; see `points_and_parity` and
 //! `batched_requests_are_bitwise_identical_to_standalone` in the test
-//! suite and the `gsched sweep --parity-check` CLI flag.
+//! suite and `parallel_sweeps_match_sequential_bitwise` in
+//! `gsched-scenario`'s.
 
 mod cancel;
 mod pool;

@@ -18,6 +18,10 @@
 //! for a GFLOP/s denominator that should be comparable across sparsity
 //! patterns.
 //!
+//! Debug-only checks (a `debug_assert!` that re-derives a residual, say)
+//! run their kernels inside [`uncounted`], so the counted work of a run is
+//! the same in every build profile.
+//!
 //! [`Matrix::matmul`]: crate::Matrix::matmul
 //! [`Lu::new`]: crate::Lu::new
 //! [`Lu::solve_vec`]: crate::Lu::solve_vec
@@ -32,10 +36,42 @@ static LU_FLOPS: AtomicU64 = AtomicU64::new(0);
 static TRIANGULAR_SOLVES: AtomicU64 = AtomicU64::new(0);
 static TRIANGULAR_FLOPS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Nesting depth of [`uncounted`] on this thread (debug builds only).
+    static PAUSED: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Whether a kernel call is charged: a recorder is installed and no
+/// [`uncounted`] check is running on this thread.
+#[inline]
+fn recording() -> bool {
+    gsched_obs::enabled() && (cfg!(not(debug_assertions)) || PAUSED.with(|p| p.get() == 0))
+}
+
+/// Run `check` without charging its kernels to the counters.
+///
+/// Meant for debug-only checks: it keeps the counted work of a debug build
+/// equal to a release build's, which has no such checks. In release builds
+/// it is a plain call.
+pub fn uncounted<T>(check: impl FnOnce() -> T) -> T {
+    if cfg!(not(debug_assertions)) {
+        return check();
+    }
+    struct Resume;
+    impl Drop for Resume {
+        fn drop(&mut self) {
+            PAUSED.with(|p| p.set(p.get() - 1));
+        }
+    }
+    PAUSED.with(|p| p.set(p.get() + 1));
+    let _resume = Resume;
+    check()
+}
+
 /// Record an `m×k · k×n` matrix product (`2·m·n·k` nominal flops).
 #[inline]
 pub(crate) fn record_matmul(m: usize, n: usize, k: usize) {
-    if !gsched_obs::enabled() {
+    if !recording() {
         return;
     }
     MATMUL_CALLS.fetch_add(1, Ordering::Relaxed);
@@ -45,7 +81,7 @@ pub(crate) fn record_matmul(m: usize, n: usize, k: usize) {
 /// Record one `n×n` LU factorization (`2n³/3` nominal flops).
 #[inline]
 pub(crate) fn record_lu_factorization(n: usize) {
-    if !gsched_obs::enabled() {
+    if !recording() {
         return;
     }
     let n = n as u64;
@@ -57,7 +93,7 @@ pub(crate) fn record_lu_factorization(n: usize) {
 /// (`2n²` nominal flops). Matrix solves record one pair per right-hand side.
 #[inline]
 pub(crate) fn record_triangular_solve(n: usize) {
-    if !gsched_obs::enabled() {
+    if !recording() {
         return;
     }
     let n = n as u64;
@@ -206,6 +242,29 @@ mod tests {
         assert!(
             ok,
             "the kernels never produced the textbook nominal charge {want:?} in 100 attempts"
+        );
+    }
+
+    #[test]
+    fn uncounted_kernels_are_charged_only_in_release_builds() {
+        let _lock = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let _rec = gsched_obs::install_memory();
+        let a = Matrix::identity(3);
+        let want = u64::from(!cfg!(debug_assertions));
+        // A concurrent test's kernels can bleed into a delta; retry until a
+        // quiet window shows the exact charge.
+        let ok = (0..100).any(|_| {
+            let before = WorkCounters::snapshot();
+            let _ = uncounted(|| uncounted(|| a.matmul(&a).unwrap()).matmul(&a));
+            let after_check = before.delta_since();
+            let _ = a.matmul(&a).unwrap();
+            let d = before.delta_since();
+            after_check.matmul_calls == 2 * want && d.matmul_calls == 2 * want + 1
+        });
+        gsched_obs::uninstall();
+        assert!(
+            ok,
+            "uncounted kernels were charged (or counting did not resume)"
         );
     }
 

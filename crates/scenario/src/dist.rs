@@ -79,8 +79,9 @@ fn default_det_stages() -> usize {
 impl DistSpec {
     /// Materialize the specification into a validated [`PhaseType`].
     pub fn build(&self) -> Result<PhaseType, String> {
-        // JSON admits overflowing literals (`1e999` reads as infinity);
-        // the phase-type constructors assume finite parameters.
+        // JSON parsing rejects overflowing literals, but a spec built or
+        // rescaled in code can still carry a NaN or an infinity, and the
+        // phase-type constructors assume finite parameters.
         if let Some(x) = self.reals().into_iter().find(|x| !x.is_finite()) {
             return Err(format!("parameters must be finite, got {x}"));
         }
@@ -423,6 +424,19 @@ mod tests {
         assert!(DistSpec::Exponential { rate: 1.0 }
             .scaled_to_mean(f64::NAN)
             .is_err());
+    }
+
+    #[test]
+    fn stage_counts_past_usize_fail_to_parse() {
+        let err = serde_json::from_str::<DistSpec>(
+            r#"{ "type": "erlang", "stages": 1e300, "rate": 1.0 }"#,
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains("field `stages`: integer 1e300 out of range for usize"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -572,6 +572,26 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_integers_fail_naming_the_written_value() {
+        let text = include_str!("../examples/scenarios/two_class.json");
+        assert!(Scenario::from_json(text).is_ok());
+        for written in ["-4", "1e300"] {
+            let bad = text.replacen(
+                "\"partition_size\": 4",
+                &format!("\"partition_size\": {written}"),
+                1,
+            );
+            let err = Scenario::from_json(&bad).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!(
+                    "field `partition_size`: integer {written} out of range"
+                )),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn figure_scenarios_match_paper_machine() {
         let sc = fig2();
         let m = sc.build_model().unwrap();

@@ -522,13 +522,14 @@ mod tests {
             // Class 0's distribution: the first one of its name.
             let at = frame.find(&format!(r#""{dist}":{{"#)).unwrap();
             for (token, kind) in [
-                // JSON has no NaN or infinity token ...
+                // JSON has no NaN or infinity token, and a literal past
+                // `f64::MAX` is out of range rather than an infinity: all
+                // four make the frame invalid JSON ...
                 ("NaN", ErrorKind::BadRequest),
                 ("Infinity", ErrorKind::BadRequest),
-                // ... but overflowing literals read as infinities, which
-                // fail as scenarios like every other non-rate.
-                ("1e999", ErrorKind::InvalidScenario),
-                ("-1e999", ErrorKind::InvalidScenario),
+                ("1e999", ErrorKind::BadRequest),
+                ("-1e999", ErrorKind::BadRequest),
+                // ... while well-formed non-rates fail as scenarios.
                 ("null", ErrorKind::InvalidScenario),
                 (r#""NaN""#, ErrorKind::InvalidScenario),
                 ("-0.4", ErrorKind::InvalidScenario),
