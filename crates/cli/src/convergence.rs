@@ -27,8 +27,6 @@ pub struct ClassConvergence {
     pub r_solves: u64,
     /// Total inner iterations across those solves.
     pub r_iterations: u64,
-    /// Solver family: `logred`, `substitution`, `warm`, or `mixed`.
-    pub r_method: String,
     /// Geometric mean contraction per iteration of the longest residual
     /// series: `(r_last / r_first)^(1/(n-1))`. `None` when no series had
     /// at least two finite, positive entries.
@@ -53,16 +51,6 @@ pub struct ConvergenceReport {
     pub warnings: Vec<String>,
 }
 
-/// Short display name for a `qbd.rmatrix.solve` method string.
-fn method_short(method: &str) -> &'static str {
-    match method {
-        "logarithmic_reduction" => "logred",
-        "successive_substitution" => "substitution",
-        "warm_substitution" => "warm",
-        _ => "unknown",
-    }
-}
-
 /// Class index from an event's span path: the digits of the first
 /// `core.class<p>` segment, if any.
 fn class_of_span(span: &str) -> Option<u64> {
@@ -77,13 +65,6 @@ fn field_u64(ev: &EventSnapshot, key: &str) -> Option<u64> {
         .iter()
         .find(|(k, _)| k == key)
         .and_then(|(_, v)| v.as_u64())
-}
-
-fn field_str<'a>(ev: &'a EventSnapshot, key: &str) -> Option<&'a str> {
-    ev.fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_str())
 }
 
 fn field_series(ev: &EventSnapshot, key: &str) -> Vec<f64> {
@@ -109,8 +90,7 @@ fn decay_rate(series: &[f64]) -> Option<f64> {
 /// per-class convergence report.
 pub fn analyze(snap: &Snapshot) -> ConvergenceReport {
     let mut classes: Vec<ClassConvergence> = Vec::new();
-    // Per entry: methods seen, and the longest residual series so far.
-    let mut methods: Vec<Vec<String>> = Vec::new();
+    // Per entry: the longest residual series so far.
     let mut longest: Vec<Vec<f64>> = Vec::new();
     for ev in snap.events_named("qbd.rmatrix.solve") {
         let class = class_of_span(&ev.span);
@@ -121,33 +101,22 @@ pub fn analyze(snap: &Snapshot) -> ConvergenceReport {
                     class,
                     r_solves: 0,
                     r_iterations: 0,
-                    r_method: String::new(),
                     decay_rate: None,
                     longest_series: 0,
                     stagnation: false,
                 });
-                methods.push(Vec::new());
                 longest.push(Vec::new());
                 classes.len() - 1
             }
         };
         classes[idx].r_solves += 1;
         classes[idx].r_iterations += field_u64(ev, "iterations").unwrap_or(0);
-        let method = method_short(field_str(ev, "method").unwrap_or("")).to_string();
-        if !methods[idx].contains(&method) {
-            methods[idx].push(method);
-        }
         let series = field_series(ev, "residuals");
         if series.len() > longest[idx].len() {
             longest[idx] = series;
         }
     }
-    for ((row, ms), series) in classes.iter_mut().zip(&methods).zip(&longest) {
-        row.r_method = match ms.as_slice() {
-            [] => "unknown".to_string(),
-            [one] => one.clone(),
-            _ => "mixed".to_string(),
-        };
+    for (row, series) in classes.iter_mut().zip(&longest) {
         row.decay_rate = decay_rate(series);
         row.longest_series = series.len() as u64;
         row.stagnation = row.decay_rate.is_some_and(|r| r > STAGNATION_RATE)
@@ -192,18 +161,17 @@ impl ConvergenceReport {
                 .unwrap_or_else(|| "-".to_string())
         ));
         out.push_str(&format!(
-            "{:>7} {:>9} {:>9} {:>13} {:>11} {:>9}\n",
-            "class", "R solves", "R iters", "method", "decay/iter", "longest"
+            "{:>7} {:>9} {:>9} {:>11} {:>9}\n",
+            "class", "R solves", "R iters", "decay/iter", "longest"
         ));
         for c in &self.classes {
             out.push_str(&format!(
-                "{:>7} {:>9} {:>9} {:>13} {:>11} {:>9}\n",
+                "{:>7} {:>9} {:>9} {:>11} {:>9}\n",
                 c.class
                     .map(|p| p.to_string())
                     .unwrap_or_else(|| "-".to_string()),
                 c.r_solves,
                 c.r_iterations,
-                c.r_method,
                 c.decay_rate
                     .map(|r| format!("{r:.4}"))
                     .unwrap_or_else(|| "-".to_string()),
@@ -243,15 +211,11 @@ mod tests {
         assert_eq!(decay_rate(&[]), None);
     }
 
-    fn solve_event(span: &str, method: &str, residuals: Vec<f64>) -> obs::EventSnapshot {
+    fn solve_event(span: &str, residuals: Vec<f64>) -> obs::EventSnapshot {
         obs::EventSnapshot {
             name: "qbd.rmatrix.solve".to_string(),
             span: span.to_string(),
             fields: vec![
-                (
-                    "method".to_string(),
-                    serde_json::Value::String(method.to_string()),
-                ),
                 (
                     "iterations".to_string(),
                     serde_json::Value::Number(residuals.len() as f64),
@@ -292,19 +256,10 @@ mod tests {
         let snap = snapshot_with(vec![
             solve_event(
                 "core.solve/core.class0/qbd.solve/qbd.solve_r",
-                "logarithmic_reduction",
                 healthy.clone(),
             ),
-            solve_event(
-                "core.solve/core.class0/qbd.solve/qbd.solve_r",
-                "logarithmic_reduction",
-                healthy,
-            ),
-            solve_event(
-                "core.solve/core.class1/qbd.solve/qbd.solve_r",
-                "successive_substitution",
-                stagnant,
-            ),
+            solve_event("core.solve/core.class0/qbd.solve/qbd.solve_r", healthy),
+            solve_event("core.solve/core.class1/qbd.solve/qbd.solve_r", stagnant),
         ]);
         let rep = analyze(&snap);
         assert_eq!(rep.fp_iterations, 7);
@@ -313,34 +268,14 @@ mod tests {
         assert_eq!(c0.class, Some(0));
         assert_eq!(c0.r_solves, 2);
         assert_eq!(c0.r_iterations, 10);
-        assert_eq!(c0.r_method, "logred");
         assert!(!c0.stagnation);
         let c1 = &rep.classes[1];
-        assert_eq!(c1.r_method, "substitution");
         assert!(c1.stagnation, "{c1:?}");
         assert!(c1.decay_rate.unwrap() > STAGNATION_RATE);
         assert_eq!(rep.warnings.len(), 1);
         assert!(rep.warnings[0].contains("class 1"), "{:?}", rep.warnings);
         let text = rep.render();
-        assert!(text.contains("logred"), "{text}");
+        assert!(text.contains("decay/iter"), "{text}");
         assert!(text.contains("WARN"), "{text}");
-    }
-
-    #[test]
-    fn mixed_methods_are_labelled_mixed() {
-        let snap = snapshot_with(vec![
-            solve_event(
-                "core.solve/core.class0/qbd.solve/qbd.solve_r",
-                "warm_substitution",
-                vec![1e-2, 1e-6],
-            ),
-            solve_event(
-                "core.solve/core.class0/qbd.solve/qbd.solve_r",
-                "logarithmic_reduction",
-                vec![1e-2, 1e-8],
-            ),
-        ]);
-        let rep = analyze(&snap);
-        assert_eq!(rep.classes[0].r_method, "mixed");
     }
 }

@@ -2,21 +2,21 @@
 //!
 //! ```text
 //! gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact]
-//!                  [--method lr|ss] [--percentiles] [--asymptotic] [--json]
+//!                  [--percentiles] [--asymptotic] [--json]
 //! gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs]
 //!                               [--horizon T] [--warmup T] [--seed N] [--json]
 //! gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick]
-//!                  [--method M] [--json]
+//!                  [--json]
 //! gsched validate  [<scenario>...] [--json]
 //! gsched xval      <scenario | all> [--points N] [--full]
 //!                  [--horizon-scale F] [--json]
 //! gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]
 //! gsched stability <model.json> [--class P] [--lo Q] [--hi Q]
 //! gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact]
-//!                  [--method M] [--convergence] [--warn-drift X] [--warn-gap X]
+//!                  [--convergence] [--warn-drift X] [--warn-gap X]
 //!                  [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]
 //! gsched profile   <scenario | --sweep fig2..fig5|all> [--quick]
-//!                  [--method M] [--json] [--trace PATH]
+//!                  [--json] [--trace PATH]
 //! gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]
 //! gsched paper     [--rho R] [--quantum Q] [--json]
 //! gsched figure    <fig1|fig2|fig3|fig4|fig5|all>
@@ -40,14 +40,11 @@
 //! `solve`, `doctor`, `sweep`, `profile`, `bench`, `validate`, `xval` and
 //! the server alike.
 //!
-//! The solving subcommands `solve`, `sweep`, `doctor` and `profile` accept
-//! `--method lr|ss` to pick the QBD `R`-matrix solver; both agree within
-//! each scenario's declared tolerance, and the default (`lr`) reproduces
-//! the historical results bit-for-bit. The active method is surfaced by
-//! `doctor`, `profile --json`, and the service `stats` verb. Each
-//! subcommand accepts only the flags it reads plus the diagnostics flags
-//! below; any other flag, including one another subcommand owns, is an
-//! error (`<subcommand>: unknown flag --X`), never silently ignored.
+//! Every QBD `R` matrix is solved cold by logarithmic reduction; there is
+//! no solver choice to make. Each subcommand accepts only the flags it
+//! reads plus the diagnostics flags below; any other flag, including one
+//! another subcommand owns, is an error (`<subcommand>: unknown flag --X`),
+//! never silently ignored.
 //!
 //! `gsched sweep` evaluates the paper's figure sweeps on the
 //! `gsched-engine` work-stealing pool, each point warm-started from its
@@ -105,7 +102,7 @@
 //! table (drift slack, `sp(R)`, `R` residual, truncated tail mass) with WARN
 //! lines when a class is close to instability or under-resolved.
 //! `--convergence` adds the per-class convergence section (R-solve counts,
-//! method, residual decay rate, stagnation warnings); `--json` always
+//! residual decay rate, stagnation warnings); `--json` always
 //! includes it.
 //!
 //! `gsched profile` runs a scenario's workload through the same engine
@@ -144,7 +141,7 @@ mod loadtest;
 mod profile;
 
 use gsched_core::model::GangModel;
-use gsched_core::solver::{solve, GangSolution, RSolverMethod, SolverOptions, VacationMode};
+use gsched_core::solver::{solve, GangSolution, SolverOptions, VacationMode};
 use gsched_core::tuning::{optimize_common_quantum, stability_threshold_quantum, Objective};
 use gsched_core::{solve_asymptotic, AsymptoticSolution};
 use gsched_engine::{run_sweep, SweepOptions, SweepReport, SweepRequest};
@@ -236,15 +233,15 @@ fn print_usage() {
 
 fn usage() -> String {
     format!(
-        "usage:\n  gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact] [--method lr|ss] [--percentiles] [--asymptotic] [--json]\n  \
+        "usage:\n  gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact] [--percentiles] [--asymptotic] [--json]\n  \
          gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs] [--horizon T] [--warmup T] [--seed N] [--json]\n  \
-         gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick] [--method M] [--json]\n  \
+         gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick] [--json]\n  \
          gsched validate  [<scenario>...] [--json]\n  \
          gsched xval      <scenario | all> [--points N] [--full] [--horizon-scale F] [--json]\n  \
          gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]\n  \
          gsched stability <model.json> [--class P] [--lo Q] [--hi Q]\n  \
-         gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--method M] [--convergence] [--warn-drift X] [--warn-gap X] [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]\n  \
-         gsched profile   <scenario | --sweep fig2..fig5|all> [--quick] [--method M] [--json] [--trace PATH]\n  \
+         gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--convergence] [--warn-drift X] [--warn-gap X] [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]\n  \
+         gsched profile   <scenario | --sweep fig2..fig5|all> [--quick] [--json] [--trace PATH]\n  \
          gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]\n  \
          gsched paper     [--rho R] [--quantum Q] [--json]\n  \
          gsched figure    <fig1|fig2|fig3|fig4|fig5|all>\n  \
@@ -254,7 +251,6 @@ fn usage() -> String {
          gsched example-model\n  \
          gsched example-scenario\n\
          a scenario S is a registry name ({}) or a scenario JSON file.\n\
-         --method M picks the R-matrix solver (lr|ss).\n\
          diagnostics (every subcommand but request, bench and example-*): --diag <path> writes a JSON metrics \
          snapshot; --trace <path> writes a Chrome Trace Event file \
          (Perfetto); -v prints a report to stderr (-vv adds events)",
@@ -282,22 +278,19 @@ const DIAG_FLAGS: &[&str] = &["diag", "trace"];
 /// [`DIAG_FLAGS`]. A flag outside its subcommand's set is an error, never
 /// silently ignored.
 const COMMAND_FLAGS: &[(&str, &str)] = &[
-    ("solve", "scenario mode method percentiles asymptotic json"),
+    ("solve", "scenario mode percentiles asymptotic json"),
     ("simulate", "scenario policy horizon warmup seed json"),
-    ("sweep", "scenario jobs quick mode method percentiles json"),
-    ("validate", "mode method percentiles json"),
-    (
-        "xval",
-        "points full horizon-scale mode method percentiles json",
-    ),
+    ("sweep", "scenario jobs quick mode percentiles json"),
+    ("validate", "mode percentiles json"),
+    ("xval", "points full horizon-scale mode percentiles json"),
     ("tune", "lo hi objective json"),
     ("stability", "class lo hi"),
     (
         "doctor",
-        "scenario mode method percentiles convergence warn-drift warn-gap \
+        "scenario mode percentiles convergence warn-drift warn-gap \
          warn-residual warn-trunc warn-certified json",
     ),
-    ("profile", "sweep quick mode method percentiles json"),
+    ("profile", "sweep quick mode percentiles json"),
     ("bench", "scenario scaling quick out"),
     ("paper", "rho quantum json"),
     ("figure", ""),
@@ -516,15 +509,11 @@ fn solver_options(flags: &HashMap<String, String>) -> Result<SolverOptions, Stri
         Some("exact") => VacationMode::Exact,
         Some(other) => return Err(format!("unknown --mode `{other}`")),
     };
-    let mut opts = SolverOptions {
+    Ok(SolverOptions {
         mode,
         response_quantiles: flags.contains_key("percentiles"),
         ..SolverOptions::default()
-    };
-    if let Some(m) = flags.get("method") {
-        opts.qbd.method = m.parse::<RSolverMethod>()?;
-    }
-    Ok(opts)
+    })
 }
 
 fn print_solution_human(model: &GangModel, sol: &GangSolution) {
@@ -1283,10 +1272,9 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
             .map(|c| serde_json::to_string(c).expect("convergence report serializes"))
             .unwrap_or_else(|| "null".to_string());
         println!(
-            r#"{{"all_stable":{},"converged":{},"r_solver":{},"classes":[{}],"warnings":[{}],"convergence":{}}}"#,
+            r#"{{"all_stable":{},"converged":{},"classes":[{}],"warnings":[{}],"convergence":{}}}"#,
             sol.all_stable,
             sol.converged,
-            json_str(opts.qbd.method.as_str()),
             classes.join(","),
             warnings.join(","),
             convergence_json
@@ -1298,7 +1286,6 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
             sol.converged,
             sol.all_stable
         );
-        println!("R solver = {}", opts.qbd.method);
         print!("{}", health.render(&thresholds));
         if let Some(c) = &conv {
             println!("convergence:");

@@ -81,9 +81,6 @@ pub struct ProfileReport {
     pub workload: String,
     /// Whether the reduced `--quick` point grids were used.
     pub quick: bool,
-    /// R-solver method the run used (`logarithmic_reduction`,
-    /// `successive_substitution`).
-    pub r_solver: String,
     /// Models solved.
     pub points: u64,
     /// Points that failed to solve (unstable/non-convergent ends of a
@@ -259,7 +256,6 @@ fn measure(
         profile_schema_version: PROFILE_SCHEMA_VERSION,
         workload: names.join("+"),
         quick,
-        r_solver: solver.qbd.method.as_str().to_string(),
         points,
         failed_points: failed,
         wall_ms,
@@ -300,7 +296,6 @@ fn print_human(rep: &ProfileReport) {
         rep.attributed_ms,
         rep.attributed_fraction * 100.0
     );
-    println!("R solver = {}", rep.r_solver);
     println!(
         "{:<26} {:<24} {:>8} {:>10} {:>10} {:>7}",
         "phase", "span", "count", "self ms", "cum ms", "wall%"
@@ -399,7 +394,6 @@ mod tests {
             profile_schema_version: PROFILE_SCHEMA_VERSION,
             workload: "fig2".to_string(),
             quick: true,
-            r_solver: "logarithmic_reduction".to_string(),
             points: 4,
             failed_points: 1,
             wall_ms: 12.5,
@@ -445,7 +439,6 @@ mod tests {
                 "profile_schema_version",
                 "workload",
                 "quick",
-                "r_solver",
                 "points",
                 "failed_points",
                 "wall_ms",
@@ -463,7 +456,6 @@ mod tests {
         );
         assert_eq!(v["workload"].as_str(), Some("fig2"));
         assert_eq!(v["quick"].as_bool(), Some(true));
-        assert_eq!(v["r_solver"].as_str(), Some("logarithmic_reduction"));
         assert_eq!(v["points"].as_u64(), Some(4));
         assert_eq!(v["failed_points"].as_u64(), Some(1));
         assert_eq!(v["attributed_fraction"].as_f64(), Some(0.96));

@@ -25,10 +25,6 @@ use gsched_phase::PhaseType;
 use gsched_qbd::solution::SolveOptions as QbdSolveOptions;
 use gsched_qbd::{QbdError, QbdSolution, TruncationCertificate};
 
-// Re-exported so downstream crates (CLI, service) can name the R-solver
-// method without depending on gsched-qbd directly.
-pub use gsched_qbd::RSolverMethod;
-
 /// How the vacation distributions are built during the fixed point.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VacationMode {
@@ -97,8 +93,8 @@ pub struct SolverOptions {
     pub tail_eps: f64,
     /// Maximum levels above `c_p` for the truncation cap.
     pub max_extra_levels: usize,
-    /// Options passed to the per-class QBD solves: the `R` method and its
-    /// tolerance and budget, an explicit warm-start `R` (which no solver
+    /// Options passed to the per-class QBD solves: the `R` tolerance and
+    /// budget, an explicit warm-start `R` (which no solver
     /// path sets), and the level-truncation policy. With [`gsched_qbd::LevelTruncation::Auto`], solves at large
     /// `c_p` pick a truncation level automatically and attach a certified
     /// tail-mass bound to [`ClassResult::truncation`].

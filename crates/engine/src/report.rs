@@ -95,9 +95,4 @@ impl SweepReport {
     pub fn failures(&self) -> usize {
         self.points.iter().filter(|p| !p.is_ok()).count()
     }
-
-    /// Total fixed-point iterations across all solved points.
-    pub fn total_iterations(&self) -> usize {
-        self.solutions().map(|(_, s)| s.iterations).sum()
-    }
 }

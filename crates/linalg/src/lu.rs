@@ -7,8 +7,8 @@ use crate::{LinalgError, Matrix, Result};
 /// Stores the combined `L\U` factors in a single matrix plus the pivot
 /// permutation, in the usual LAPACK-style packed form. Construction is
 /// `O(n³)`; each subsequent solve is `O(n²)`, which matters because the QBD
-/// boundary solver and the successive-substitution iteration for `R` reuse
-/// one factorization for many right-hand (or left-hand) sides.
+/// boundary solver and the logarithmic reduction for `R` apply one
+/// factorization to several right-hand (or left-hand) sides.
 #[derive(Clone, Debug)]
 pub struct Lu {
     lu: Matrix,

@@ -81,16 +81,6 @@ impl Matrix {
         m
     }
 
-    /// Create a `1 × n` row vector.
-    pub fn row_vector(entries: &[f64]) -> Self {
-        Matrix::from_vec(1, entries.len(), entries.to_vec())
-    }
-
-    /// Create an `n × 1` column vector.
-    pub fn col_vector(entries: &[f64]) -> Self {
-        Matrix::from_vec(entries.len(), 1, entries.to_vec())
-    }
-
     /// Number of rows.
     #[inline]
     pub fn rows(&self) -> usize {

@@ -80,24 +80,9 @@ impl AbsorbingCtmc {
         AbsorbingCtmc::new(t, exits)
     }
 
-    /// Number of transient states.
-    pub fn transient_dim(&self) -> usize {
-        self.t.rows()
-    }
-
-    /// Number of absorbing states.
-    pub fn absorbing_dim(&self) -> usize {
-        self.exits.cols()
-    }
-
     /// Borrow the transient sub-generator `T`.
     pub fn sub_generator(&self) -> &Matrix {
         &self.t
-    }
-
-    /// Borrow the exit-rate columns.
-    pub fn exit_matrix(&self) -> &Matrix {
-        &self.exits
     }
 
     /// Fundamental matrix `M = (−T)^{-1}`: `M[(i,j)]` is the expected total

@@ -1,7 +1,6 @@
-//! Continuous-time Markov chains: generators, stationary solutions, GTH,
-//! and uniformization.
+//! Continuous-time Markov chains: generators and stationary solutions (GTH
+//! and LU).
 
-use crate::dtmc::Dtmc;
 use crate::scc::is_strongly_connected;
 use crate::{MarkovError, Result};
 use gsched_linalg::{stationary::solve_stationary, Matrix};
@@ -110,22 +109,6 @@ impl Ctmc {
             return Err(MarkovError::NotIrreducible);
         }
         Ok(solve_stationary(&self.q)?)
-    }
-
-    /// Uniformize into a discrete-time chain (paper §2.4): `P = I + Q/q`
-    /// with `q ≥ q_max`. Returns the DTMC and the uniformization rate used.
-    ///
-    /// `rate_factor ≥ 1` inflates `q_max` (a strict inequality `q > q_max`
-    /// guarantees aperiodicity of the uniformized chain).
-    pub fn uniformize(&self, rate_factor: f64) -> Result<(Dtmc, f64)> {
-        assert!(rate_factor >= 1.0, "uniformize: rate_factor must be >= 1");
-        let q = (self.max_exit_rate() * rate_factor).max(f64::MIN_POSITIVE);
-        let n = self.dim();
-        let mut p = self.q.scaled(1.0 / q);
-        for i in 0..n {
-            p[(i, i)] += 1.0;
-        }
-        Ok((Dtmc::new(p)?, q))
     }
 }
 
@@ -274,18 +257,6 @@ mod tests {
             c.stationary_gth(),
             Err(MarkovError::NotIrreducible)
         ));
-    }
-
-    #[test]
-    fn uniformization_preserves_stationary() {
-        let c = two_state(1.0, 4.0);
-        let (p, q) = c.uniformize(1.1).unwrap();
-        assert!(q >= c.max_exit_rate());
-        let pi_d = p.stationary().unwrap();
-        let pi_c = c.stationary_gth().unwrap();
-        for (a, b) in pi_d.iter().zip(pi_c.iter()) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
     }
 
     #[test]

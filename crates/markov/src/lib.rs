@@ -1,11 +1,11 @@
-//! Continuous- and discrete-time Markov chain machinery.
+//! Continuous-time Markov chain machinery.
 //!
-//! This crate provides the background results of §2 of the SPAA 1996 paper:
+//! This crate provides the background results of §2 of the SPAA 1996 paper
+//! that the solver uses:
 //!
-//! * [`Ctmc`] — validated infinitesimal generator matrices (§2.2, eqs. 5–6),
-//!   stationary distributions via the numerically stable GTH elimination
-//!   (Theorem 2.4, eqs. 9–10), and **uniformization** (§2.4) into a [`Dtmc`].
-//! * [`Dtmc`] — validated stochastic matrices and their stationary vectors.
+//! * [`Ctmc`] — validated infinitesimal generator matrices (§2.2, eqs. 5–6)
+//!   and stationary distributions via the numerically stable GTH
+//!   elimination (Theorem 2.4, eqs. 9–10).
 //! * [`absorbing`] — analysis of absorbing chains: fundamental matrix,
 //!   expected time to absorption, absorption probabilities. This is the
 //!   machinery behind the paper's construction of the effective-quantum
@@ -13,19 +13,14 @@
 //!   phase-type distribution.
 //! * [`scc`] — strong connectivity (a linear-time check and Tarjan's
 //!   components), used for the irreducibility verification of §4.4.
-//! * [`transient`] — Poisson-weighted transient solutions `π(t)` via
-//!   uniformization.
 
 pub mod absorbing;
 pub mod ctmc;
-pub mod dtmc;
 pub mod scc;
-pub mod transient;
 
 pub use absorbing::AbsorbingCtmc;
 pub use ctmc::Ctmc;
-pub use dtmc::Dtmc;
-pub use scc::{condensation, is_strongly_connected, tarjan_scc, CsrDigraph};
+pub use scc::{is_strongly_connected, tarjan_scc, CsrDigraph};
 
 /// Errors produced by chain validation and solving.
 #[derive(Debug, Clone, PartialEq)]

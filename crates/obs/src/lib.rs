@@ -4,14 +4,14 @@
 //!
 //! # Architecture
 //!
-//! All instrumentation flows through a global, swappable [`Recorder`]. By
+//! All instrumentation flows through one global [`MemoryRecorder`]. By
 //! default none is installed and every probe is a single relaxed atomic
 //! load — solver and simulator hot paths pay essentially nothing. Callers
-//! that want diagnostics install a [`MemoryRecorder`] (usually via
-//! [`install_memory`]), run the workload, then take a [`Snapshot`] for JSON
-//! export ([`Snapshot::to_json`]), a tree report ([`Snapshot::render`]), or
-//! a Chrome Trace Event timeline ([`Snapshot::to_chrome_trace`], viewable
-//! in Perfetto). Sidecar files should be written with [`write_atomic`] so
+//! that want diagnostics install one with [`install_memory`], run the
+//! workload, then take a [`Snapshot`] for JSON export
+//! ([`Snapshot::to_json`]), a tree report ([`Snapshot::render`]), or a
+//! Chrome Trace Event timeline ([`Snapshot::to_chrome_trace`], viewable in
+//! Perfetto). Sidecar files should be written with [`write_atomic`] so
 //! concurrent readers never see a torn JSON document.
 //!
 //! Metric names use `crate.component.operation` form (for example
@@ -49,9 +49,9 @@ pub use attribution::{canonical_span_name, Attribution, AttributionRow};
 pub use fsio::write_atomic;
 pub use histogram::LogHistogram;
 pub use recorder::{
-    context_enter, context_label, counter_add, current_context, enabled, event, gauge_set, install,
-    install_memory, installed_memory, observe, span, thread_label, uninstall, ContextGuard,
-    FieldValue, MemoryRecorder, Recorder, SpanGuard,
+    context_enter, context_label, counter_add, current_context, enabled, event, gauge_set,
+    install_memory, observe, span, thread_label, uninstall, ContextGuard, FieldValue,
+    MemoryRecorder, SpanGuard,
 };
 pub use snapshot::{
     EventSnapshot, HistogramSnapshot, MetricF64, MetricU64, Snapshot, SpanIntervalSnapshot,

@@ -40,31 +40,9 @@ impl FieldValue {
     }
 }
 
-/// Sink for instrumentation data. Implementations must be thread-safe;
-/// probes may fire concurrently from solver worker threads.
-pub trait Recorder: Send + Sync {
-    /// Add `delta` to the monotone counter `name`.
-    fn counter_add(&self, name: &str, delta: u64);
-    /// Set gauge `name` to `value` (last write wins).
-    fn gauge_set(&self, name: &str, value: f64);
-    /// Record `value` into histogram `name`.
-    fn observe(&self, name: &str, value: f64);
-    /// Record a completed span occurrence for `path` (slash-joined).
-    fn span_record(&self, path: &str, nanos: u64);
-    /// Record one completed span *interval*: its start offset from the
-    /// process timing epoch, duration, the recording thread, and the
-    /// request context that was active when the span opened (`0` = none;
-    /// see [`context_enter`]). Default is a no-op so aggregate-only
-    /// recorders need not store intervals.
-    fn span_interval(&self, _path: &str, _start_nanos: u64, _dur_nanos: u64, _tid: u64, _ctx: u64) {
-    }
-    /// Record a structured event, tagged with the emitting span `path`.
-    fn event(&self, name: &str, span_path: &str, fields: &[(&str, FieldValue)]);
-}
-
 /// Process-wide timing epoch all span intervals are measured from. Anchored
-/// lazily at the first [`install`]/[`span`] call so trace timestamps start
-/// near zero.
+/// lazily at the first [`install_memory`]/[`span`] call so trace timestamps
+/// start near zero.
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
 fn epoch() -> Instant {
@@ -90,11 +68,7 @@ pub fn thread_label() -> u64 {
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// The installed recorder. `RwLock` so probes share read access.
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
-
-/// Typed handle kept alongside `RECORDER` when the installed recorder is a
-/// [`MemoryRecorder`], so diagnostics code can snapshot it later.
-static MEMORY: RwLock<Option<Arc<MemoryRecorder>>> = RwLock::new(None);
+static RECORDER: RwLock<Option<Arc<MemoryRecorder>>> = RwLock::new(None);
 
 thread_local! {
     /// Names of the spans currently open on this thread, outermost first.
@@ -151,25 +125,14 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Install `recorder` as the global sink, replacing any previous one.
-pub fn install(recorder: Arc<dyn Recorder>) {
-    epoch(); // anchor the interval clock no later than installation
-    *MEMORY.write() = None;
-    *RECORDER.write() = Some(recorder);
-    ENABLED.store(true, Ordering::Release);
-}
-
-/// Install a fresh [`MemoryRecorder`] and return a handle to it.
+/// Install a fresh [`MemoryRecorder`] as the global sink, replacing any
+/// previous one, and return a handle to it.
 pub fn install_memory() -> Arc<MemoryRecorder> {
+    epoch(); // anchor the interval clock no later than installation
     let recorder = Arc::new(MemoryRecorder::new());
-    install(recorder.clone());
-    *MEMORY.write() = Some(recorder.clone());
+    *RECORDER.write() = Some(recorder.clone());
+    ENABLED.store(true, Ordering::Release);
     recorder
-}
-
-/// The currently installed recorder, if it is a [`MemoryRecorder`].
-pub fn installed_memory() -> Option<Arc<MemoryRecorder>> {
-    MEMORY.read().clone()
 }
 
 /// Serializes tests that install/uninstall the process-global recorder, so
@@ -181,16 +144,15 @@ pub(crate) static TEST_RECORDER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::n
 pub fn uninstall() {
     ENABLED.store(false, Ordering::Release);
     *RECORDER.write() = None;
-    *MEMORY.write() = None;
 }
 
-fn with_recorder(f: impl FnOnce(&dyn Recorder)) {
+fn with_recorder(f: impl FnOnce(&MemoryRecorder)) {
     if !enabled() {
         return;
     }
     let guard = RECORDER.read();
     if let Some(recorder) = guard.as_ref() {
-        f(recorder.as_ref());
+        f(recorder);
     }
 }
 
@@ -293,21 +255,16 @@ const MAX_EVENTS: usize = 100_000;
 /// past the cap are counted in `span_intervals_dropped`.
 const MAX_SPAN_INTERVALS: usize = 200_000;
 
-/// Recorder that aggregates everything in memory behind a mutex, for
-/// export via [`MemoryRecorder::snapshot`].
+/// The recorder: aggregates everything in memory behind a mutex, for
+/// export via [`MemoryRecorder::snapshot`]. Thread-safe; probes may fire
+/// concurrently from solver worker threads.
 pub struct MemoryRecorder {
     registry: Mutex<Registry>,
 }
 
-impl Default for MemoryRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl MemoryRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
+    /// An empty recorder; [`install_memory`] makes the global one.
+    pub(crate) fn new() -> Self {
         MemoryRecorder {
             registry: Mutex::new(Registry::default()),
         }
@@ -362,10 +319,9 @@ impl MemoryRecorder {
             events_dropped: registry.events_dropped,
         }
     }
-}
 
-impl Recorder for MemoryRecorder {
-    fn counter_add(&self, name: &str, delta: u64) {
+    /// Add `delta` to the monotone counter `name`.
+    pub(crate) fn counter_add(&self, name: &str, delta: u64) {
         let mut registry = self.registry.lock();
         match registry.counters.get_mut(name) {
             Some(total) => *total += delta,
@@ -375,7 +331,8 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn gauge_set(&self, name: &str, value: f64) {
+    /// Set gauge `name` to `value` (last write wins).
+    pub(crate) fn gauge_set(&self, name: &str, value: f64) {
         let mut registry = self.registry.lock();
         match registry.gauges.get_mut(name) {
             Some(slot) => *slot = value,
@@ -385,7 +342,8 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn observe(&self, name: &str, value: f64) {
+    /// Record `value` into histogram `name`.
+    pub(crate) fn observe(&self, name: &str, value: f64) {
         let mut registry = self.registry.lock();
         match registry.histograms.get_mut(name) {
             Some(h) => h.record(value),
@@ -397,7 +355,8 @@ impl Recorder for MemoryRecorder {
         }
     }
 
-    fn span_record(&self, path: &str, nanos: u64) {
+    /// Record a completed span occurrence for `path` (slash-joined).
+    pub(crate) fn span_record(&self, path: &str, nanos: u64) {
         let mut registry = self.registry.lock();
         let stat = match registry.spans.get_mut(path) {
             Some(stat) => stat,
@@ -410,7 +369,18 @@ impl Recorder for MemoryRecorder {
         stat.total_nanos += nanos;
     }
 
-    fn span_interval(&self, path: &str, start_nanos: u64, dur_nanos: u64, tid: u64, ctx: u64) {
+    /// Record one completed span *interval*: its start offset from the
+    /// process timing epoch, duration, the recording thread, and the
+    /// request context that was active when the span opened (`0` = none;
+    /// see [`context_enter`]).
+    pub(crate) fn span_interval(
+        &self,
+        path: &str,
+        start_nanos: u64,
+        dur_nanos: u64,
+        tid: u64,
+        ctx: u64,
+    ) {
         let mut registry = self.registry.lock();
         if registry.span_intervals.len() >= MAX_SPAN_INTERVALS {
             registry.span_intervals_dropped += 1;
@@ -425,7 +395,8 @@ impl Recorder for MemoryRecorder {
         });
     }
 
-    fn event(&self, name: &str, span_path: &str, fields: &[(&str, FieldValue)]) {
+    /// Record a structured event, tagged with the emitting span `path`.
+    pub(crate) fn event(&self, name: &str, span_path: &str, fields: &[(&str, FieldValue)]) {
         let mut registry = self.registry.lock();
         if registry.events.len() >= MAX_EVENTS {
             registry.events_dropped += 1;

@@ -78,7 +78,7 @@ impl Snapshot {
 
 #[cfg(test)]
 mod tests {
-    use crate::recorder::{FieldValue, MemoryRecorder, Recorder};
+    use crate::recorder::{FieldValue, MemoryRecorder};
 
     #[test]
     fn render_shows_all_sections() {

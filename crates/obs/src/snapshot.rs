@@ -1,9 +1,9 @@
 //! Exportable view of everything a recorder accumulated.
 
-use serde::{Deserialize, Error, Serialize, Value};
+use serde::{Serialize, Value};
 
 /// A named `u64` counter value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricU64 {
     /// Metric name (`crate.component.operation`).
     pub name: String,
@@ -12,7 +12,7 @@ pub struct MetricU64 {
 }
 
 /// A named `f64` gauge value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MetricF64 {
     /// Metric name.
     pub name: String,
@@ -24,8 +24,8 @@ pub struct MetricF64 {
 ///
 /// Serialization is hand-written so the NaN statistics of an *empty*
 /// histogram (mean and quantiles of zero samples) appear as `null` on the
-/// wire and come back as NaN — the same convention `Series` uses for
-/// unstable sweep points. JSON output never contains a bare `NaN` token.
+/// wire — the same convention `Series` uses for unstable sweep points.
+/// JSON output never contains a bare `NaN` token.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSnapshot {
     /// Metric name.
@@ -55,15 +55,6 @@ fn stat_to_value(v: f64) -> Value {
     }
 }
 
-/// `null` (or an absent field) reads back as NaN; numbers read as-is.
-fn stat_from_value(v: Option<&Value>, key: &str) -> Result<f64, Error> {
-    match v {
-        None | Some(Value::Null) => Ok(f64::NAN),
-        Some(other) => f64::from_value(other)
-            .map_err(|e| Error::msg(format!("HistogramSnapshot field `{key}`: {e}"))),
-    }
-}
-
 impl Serialize for HistogramSnapshot {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -79,36 +70,8 @@ impl Serialize for HistogramSnapshot {
     }
 }
 
-impl Deserialize for HistogramSnapshot {
-    fn from_value(value: &Value) -> Result<Self, Error> {
-        let obj = value.as_object().ok_or_else(|| {
-            Error::msg(format!(
-                "expected object for `HistogramSnapshot`, got {}",
-                value.kind()
-            ))
-        })?;
-        let get = |key: &str| obj.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-        let name = get("name")
-            .ok_or_else(|| Error::msg("HistogramSnapshot: missing field `name`"))
-            .and_then(String::from_value)?;
-        let count = get("count")
-            .ok_or_else(|| Error::msg("HistogramSnapshot: missing field `count`"))
-            .and_then(u64::from_value)?;
-        Ok(HistogramSnapshot {
-            name,
-            count,
-            mean: stat_from_value(get("mean"), "mean")?,
-            min: stat_from_value(get("min"), "min")?,
-            max: stat_from_value(get("max"), "max")?,
-            p50: stat_from_value(get("p50"), "p50")?,
-            p90: stat_from_value(get("p90"), "p90")?,
-            p99: stat_from_value(get("p99"), "p99")?,
-        })
-    }
-}
-
 /// Aggregate timing for one span path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpanSnapshot {
     /// Slash-joined nesting path, e.g. `core.solve/qbd.solve`.
     pub path: String,
@@ -120,7 +83,7 @@ pub struct SpanSnapshot {
 
 /// One completed span occurrence with its timing interval — the raw
 /// material for trace export (see [`Snapshot::to_chrome_trace`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SpanIntervalSnapshot {
     /// Slash-joined nesting path, e.g. `core.solve/qbd.solve`.
     pub path: String,
@@ -130,14 +93,12 @@ pub struct SpanIntervalSnapshot {
     pub dur_nanos: u64,
     /// Dense per-thread label (1-based, first-use order).
     pub tid: u64,
-    /// Request context active when the span opened; `0` means none
-    /// (absent in pre-context snapshots, hence the default).
-    #[serde(default = "u64::default")]
+    /// Request context active when the span opened; `0` means none.
     pub ctx: u64,
 }
 
 /// One structured event with its fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EventSnapshot {
     /// Event name.
     pub name: String,
@@ -148,7 +109,7 @@ pub struct EventSnapshot {
 }
 
 /// Complete diagnostics bundle; serializes to the `--diag` JSON schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Snapshot {
     /// All counters, sorted by name.
     pub counters: Vec<MetricU64>,
@@ -158,12 +119,9 @@ pub struct Snapshot {
     pub histograms: Vec<HistogramSnapshot>,
     /// All span paths, sorted by path.
     pub spans: Vec<SpanSnapshot>,
-    /// Raw span intervals in completion order (absent in pre-trace
-    /// snapshots, hence the deserialization default).
-    #[serde(default = "Vec::new")]
+    /// Raw span intervals in completion order.
     pub span_intervals: Vec<SpanIntervalSnapshot>,
     /// Span intervals discarded once the in-memory cap was reached.
-    #[serde(default = "u64::default")]
     pub span_intervals_dropped: u64,
     /// Structured events in emission order.
     pub events: Vec<EventSnapshot>,
@@ -204,11 +162,6 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("snapshot serializes")
     }
-
-    /// Parse a snapshot back from its JSON form.
-    pub fn from_json(text: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(text)
-    }
 }
 
 #[cfg(test)]
@@ -237,36 +190,5 @@ mod tests {
             text.contains("\"min\":0"),
             "finite stats stay numbers: {text}"
         );
-    }
-
-    #[test]
-    fn null_statistics_deserialize_as_nan() {
-        let text = serde_json::to_string(&empty_histogram_snapshot()).unwrap();
-        let back: HistogramSnapshot = serde_json::from_str(&text).unwrap();
-        assert_eq!(back.name, "empty.hist");
-        assert_eq!(back.count, 0);
-        assert!(back.mean.is_nan());
-        assert!(back.p50.is_nan());
-        assert!(back.p90.is_nan());
-        assert!(back.p99.is_nan());
-        assert_eq!(back.min, 0.0);
-    }
-
-    #[test]
-    fn span_interval_ctx_defaults_for_old_snapshots() {
-        // A pre-context interval (no `ctx` key) still parses, as ctx 0.
-        let old = r#"{"path":"a/b","start_nanos":5,"dur_nanos":10,"tid":1}"#;
-        let parsed: SpanIntervalSnapshot = serde_json::from_str(old).unwrap();
-        assert_eq!(parsed.ctx, 0);
-        let with_ctx = SpanIntervalSnapshot {
-            path: "a/b".to_string(),
-            start_nanos: 5,
-            dur_nanos: 10,
-            tid: 1,
-            ctx: 42,
-        };
-        let text = serde_json::to_string(&with_ctx).unwrap();
-        let back: SpanIntervalSnapshot = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, with_ctx);
     }
 }

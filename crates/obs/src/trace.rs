@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn trace_events_carry_request_ids() {
-        use crate::recorder::{MemoryRecorder, Recorder};
+        use crate::recorder::MemoryRecorder;
         let recorder = MemoryRecorder::new();
         recorder.span_interval("service.request/engine.sweep", 0, 1000, 1, 17);
         recorder.span_interval("service.idle", 2000, 500, 1, 0);

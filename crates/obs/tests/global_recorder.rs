@@ -1,5 +1,5 @@
 //! Tests of the global recorder: span nesting, elapsed aggregation, and
-//! JSON round-trips. These install/uninstall the process-wide recorder, so
+//! the JSON export. These install/uninstall the process-wide recorder, so
 //! each test holds a lock to serialize against the others (the test harness
 //! runs tests on multiple threads).
 
@@ -110,16 +110,26 @@ fn snapshot_round_trips_through_json() {
             );
         }
         let snapshot = recorder.snapshot();
-        let json = snapshot.to_json();
-        let parsed = obs::Snapshot::from_json(&json).expect("diag JSON parses");
-        assert_eq!(parsed, snapshot);
-        // Spot-check the schema: quantiles survive, vector fields survive.
-        assert_eq!(parsed.counter("sim.events_processed"), Some(1234));
-        let hist = parsed.histogram("sim.queue_length.class0").unwrap();
-        assert_eq!(hist.count, 100);
-        assert!((hist.p50 - 50.0).abs() / 50.0 < 0.045);
-        let event = parsed.events_named("sim.batch").next().unwrap();
-        assert_eq!(event.fields[1].1[1].as_f64(), Some(2.0));
+        let json: serde_json::Value =
+            serde_json::from_str(&snapshot.to_json()).expect("diag JSON parses");
+        // Spot-check the schema: counters, gauges, quantiles, spans and
+        // vector fields all reach the document.
+        assert_eq!(
+            json["counters"][0]["name"].as_str(),
+            Some("sim.events_processed")
+        );
+        assert_eq!(json["counters"][0]["value"].as_u64(), Some(1234));
+        assert_eq!(json["gauges"][0]["value"].as_f64(), Some(5.5e6));
+        let hist = &json["histograms"][0];
+        assert_eq!(hist["name"].as_str(), Some("sim.queue_length.class0"));
+        assert_eq!(hist["count"].as_u64(), Some(100));
+        let p50 = hist["p50"].as_f64().unwrap();
+        assert!((p50 - 50.0).abs() / 50.0 < 0.045);
+        assert_eq!(json["spans"][0]["path"].as_str(), Some("sim.run"));
+        assert_eq!(json["span_intervals"][0]["ctx"].as_u64(), Some(0));
+        let event = &json["events"][0];
+        assert_eq!(event["name"].as_str(), Some("sim.batch"));
+        assert_eq!(event["fields"][1][1][1].as_f64(), Some(2.0));
     });
 }
 
@@ -153,27 +163,6 @@ fn span_intervals_follow_the_span_tree() {
 }
 
 #[test]
-fn pre_interval_diag_json_still_parses() {
-    // Diag snapshots written before span intervals existed lack the
-    // `span_intervals` fields; the schema must default them.
-    let old = r#"{
-      "counters": [{"name": "a", "value": 1}],
-      "gauges": [],
-      "histograms": [],
-      "spans": [{"path": "core.solve", "count": 1, "total_nanos": 5}],
-      "events": [],
-      "events_dropped": 0
-    }"#;
-    let parsed = obs::Snapshot::from_json(old).expect("old schema parses");
-    assert!(parsed.span_intervals.is_empty());
-    assert_eq!(parsed.span_intervals_dropped, 0);
-    assert_eq!(parsed.counter("a"), Some(1));
-    // And the trace exporter accepts it (producing an empty timeline).
-    let trace: serde_json::Value = serde_json::from_str(&parsed.to_chrome_trace()).unwrap();
-    assert!(trace["traceEvents"].as_array().is_some());
-}
-
-#[test]
 fn install_replaces_and_uninstall_disables() {
     with_global(|| {
         let first = obs::install_memory();
@@ -182,7 +171,6 @@ fn install_replaces_and_uninstall_disables() {
         obs::counter_add("x", 10);
         assert_eq!(first.snapshot().counter("x"), Some(1));
         assert_eq!(second.snapshot().counter("x"), Some(10));
-        assert!(obs::installed_memory().is_some());
         obs::uninstall();
         assert!(!obs::enabled());
         obs::counter_add("x", 100);

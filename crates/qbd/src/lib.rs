@@ -16,10 +16,10 @@
 //! Provided here:
 //! * [`QbdProcess`] — a validated level-structured generator with an
 //!   arbitrary finite boundary (levels `0..=c` of possibly differing sizes).
-//! * [`rmatrix`] — two solvers for `R`: classical successive substitution
-//!   and the quadratically convergent logarithmic-reduction algorithm of
-//!   Latouche–Ramaswami (the modern counterpart of the paper's reference
-//!   \[23\], MAGIC), both on the dense `gsched-linalg` kernels.
+//! * [`rmatrix`] — the `R` solver: the quadratically convergent
+//!   logarithmic-reduction algorithm of Latouche–Ramaswami (the modern
+//!   counterpart of the paper's reference \[23\], MAGIC), on the dense
+//!   `gsched-linalg` kernels.
 //! * [`solution::QbdSolution`] — the stationary distribution with closed-form
 //!   level moments (the paper's eq. 37).
 //! * [`stability`] — the drift condition of Theorem 4.4.
@@ -98,9 +98,7 @@ pub mod solution;
 pub mod stability;
 
 pub use process::QbdProcess;
-pub use rmatrix::{
-    r_residual, solve_g_logarithmic_reduction, solve_r, solve_r_successive, RSolverMethod,
-};
+pub use rmatrix::{r_residual, solve_g_logarithmic_reduction, solve_r, RSolverMethod};
 pub use solution::{LevelTruncation, QbdSolution, SolveOptions, TruncationCertificate};
 pub use stability::{drift_condition, DriftReport};
 

@@ -6,17 +6,12 @@
 //!     A₀ + R·A₁ + R²·A₂ = 0
 //! ```
 //!
-//! Two algorithms are provided:
+//! It is computed by **logarithmic reduction** (Latouche–Ramaswami 1993):
+//! the first-passage matrix `G` (minimal solution of
+//! `A₂ + A₁G + A₀G² = 0`) converges quadratically, and
+//! `R = A₀ · (−(A₁ + A₀G))⁻¹` recovers `R` from it.
 //!
-//! * **Successive substitution** — the classical fixed point
-//!   `R ← −(A₀ + R²A₂)·A₁⁻¹`, which converges monotonically from `R = 0`
-//!   (Neuts 1981). Linear convergence; slow near instability.
-//! * **Logarithmic reduction** (Latouche–Ramaswami 1993) — computes the
-//!   first-passage matrix `G` (minimal solution of `A₂ + A₁G + A₀G² = 0`)
-//!   with quadratic convergence and recovers
-//!   `R = A₀ · (−(A₁ + A₀G))⁻¹`. This is the default.
-//!
-//! Both run on the dense kernels of `gsched-linalg`: [`Matrix::matmul`] for
+//! It runs on the dense kernels of `gsched-linalg`: [`Matrix::matmul`] for
 //! products and [`Lu`] for factorizations and solves. Every solver path
 //! solves `R` cold; [`solve_r_warm`] runs only when a caller passes an
 //! explicit `SolveOptions::initial_r`.
@@ -25,57 +20,20 @@ use crate::{QbdError, Result};
 use gsched_linalg::{vecops, Lu, Matrix};
 use gsched_obs as obs;
 
-/// Which algorithm to use for `R`.
+/// The algorithm for `R`: logarithmic reduction, the only one.
 ///
-/// Every solver path uses the default, logarithmic reduction, unless the
-/// caller opts in to successive substitution (`--method ss`). The choice
-/// stays because the benchmark harness (`perfbench/`) times
-/// [`solve_r`] with it; deleting it waits for a change to that harness.
+/// It stays only as the type of the `method` argument of [`solve_r`] and
+/// of `SolveOptions::method`, which the benchmark harness
+/// (`perfbench/src/trace.rs`) passes; it goes with the next change to that
+/// harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RSolverMethod {
-    /// Quadratically convergent logarithmic reduction (default).
+    /// Quadratically convergent logarithmic reduction.
     #[default]
     LogarithmicReduction,
-    /// Classical successive substitution.
-    SuccessiveSubstitution,
 }
 
-impl RSolverMethod {
-    /// Stable machine-readable name, as reported on `qbd.rmatrix.solve`
-    /// events and in `profile`/`doctor`/service stats output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            RSolverMethod::LogarithmicReduction => "logarithmic_reduction",
-            RSolverMethod::SuccessiveSubstitution => "successive_substitution",
-        }
-    }
-}
-
-impl std::fmt::Display for RSolverMethod {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for RSolverMethod {
-    type Err = String;
-
-    fn from_str(s: &str) -> std::result::Result<Self, String> {
-        match s {
-            "lr" | "logarithmic_reduction" | "logarithmic-reduction" => {
-                Ok(RSolverMethod::LogarithmicReduction)
-            }
-            "ss" | "successive_substitution" | "successive-substitution" => {
-                Ok(RSolverMethod::SuccessiveSubstitution)
-            }
-            other => Err(format!(
-                "unknown R-solver method '{other}' (expected one of: lr, ss)"
-            )),
-        }
-    }
-}
-
-/// Solve for `R` cold using the requested method.
+/// Solve for `R` cold by logarithmic reduction.
 pub fn solve_r(
     a0: &Matrix,
     a1: &Matrix,
@@ -84,17 +42,13 @@ pub fn solve_r(
     tol: f64,
     max_iter: usize,
 ) -> Result<Matrix> {
+    let RSolverMethod::LogarithmicReduction = method;
     let _span = obs::span("qbd.solve_r");
-    match method {
-        RSolverMethod::SuccessiveSubstitution => solve_r_successive(a0, a1, a2, tol, max_iter),
-        RSolverMethod::LogarithmicReduction => {
-            let g = solve_g_logarithmic_reduction(a0, a1, a2, tol, max_iter)?;
-            r_from_g(a0, a1, &g)
-        }
-    }
+    let g = solve_g_logarithmic_reduction(a0, a1, a2, tol, max_iter)?;
+    r_from_g(a0, a1, &g)
 }
 
-/// Emit the per-solve instrumentation shared by the `R` algorithms.
+/// Emit the per-solve instrumentation shared by the cold and warm `R` solves.
 ///
 /// `residuals` is the per-iteration convergence trace (one entry per
 /// iteration, in order); it is only collected while a recorder is
@@ -135,7 +89,7 @@ fn record_r_solve(
 /// the trace is only collected while a recorder is installed. A stall, or
 /// a NaN step (which no later step recovers from), reports
 /// [`NoConvergence`](gsched_linalg::LinalgError::NoConvergence) under
-/// `method`.
+/// `solve_r_warm`.
 fn substitute(
     a0: &Matrix,
     a1: &Matrix,
@@ -143,7 +97,6 @@ fn substitute(
     mut r: Matrix,
     tol: f64,
     max_iter: usize,
-    method: &'static str,
 ) -> Result<(Matrix, usize, f64, Vec<f64>)> {
     let a1_f = Lu::new(a1)?;
     let mut last_diff = f64::INFINITY;
@@ -172,40 +125,16 @@ fn substitute(
     }
     Err(QbdError::Linalg(
         gsched_linalg::LinalgError::NoConvergence {
-            method,
+            method: "solve_r_warm",
             iterations,
             residual: last_diff,
         },
     ))
 }
 
-/// Successive substitution: `R_{k+1} = −(A₀ + R_k² A₂) A₁⁻¹`, starting from
-/// `R₀ = 0`. The iterates increase monotonically to the minimal solution.
-pub fn solve_r_successive(
-    a0: &Matrix,
-    a1: &Matrix,
-    a2: &Matrix,
-    tol: f64,
-    max_iter: usize,
-) -> Result<Matrix> {
-    let d = a1.rows();
-    let zero = Matrix::zeros(d, d);
-    let (r, iterations, last_diff, residuals) =
-        substitute(a0, a1, a2, zero, tol, max_iter, "solve_r_successive")?;
-    record_r_solve(
-        "successive_substitution",
-        d,
-        iterations,
-        last_diff,
-        &residuals,
-    );
-    Ok(r)
-}
-
 /// Warm-started `R` solve: run the successive-substitution fixed point
-/// from a caller-supplied initial iterate instead of from zero. Both
-/// methods warm start this way — logarithmic reduction iterates on
-/// `G`-space cycle matrices, not on `R`, so it has no warm-startable
+/// from a caller-supplied initial iterate. Logarithmic reduction iterates
+/// on `G`-space cycle matrices, not on `R`, so it has no warm-startable
 /// iterate of its own.
 ///
 /// No solver path calls it: substitution from a nearby `R` converges
@@ -215,9 +144,9 @@ pub fn solve_r_successive(
 /// (`perfbench/`) replays; deleting both waits for a change to that
 /// harness.
 ///
-/// Unlike the cold start, convergence from an arbitrary nonnegative iterate
-/// is not guaranteed (the monotone-from-below argument does not apply), so
-/// the result is validated against the defining equation: `Err` is returned
+/// Substitution converges monotonically only from `R = 0`; from an
+/// arbitrary nonnegative iterate convergence is not guaranteed, so the
+/// result is validated against the defining equation: `Err` is returned
 /// when the iteration stalls or the final residual exceeds `residual_tol`,
 /// and callers should fall back to a cold solve.
 pub fn solve_r_warm(
@@ -239,8 +168,7 @@ pub fn solve_r_warm(
             },
         ));
     }
-    let (r, iterations, _, residuals) =
-        substitute(a0, a1, a2, initial.clone(), tol, max_iter, "solve_r_warm")?;
+    let (r, iterations, _, residuals) = substitute(a0, a1, a2, initial.clone(), tol, max_iter)?;
     let residual = r_residual(a0, a1, a2, &r);
     // A diverging start overflows to `inf`, whose `inf − inf` step reads as
     // converged and whose NaN residual the max-norm drops: reject it here.
@@ -340,7 +268,6 @@ pub fn r_residual(a0: &Matrix, a1: &Matrix, a2: &Matrix, r: &Matrix) -> f64 {
 mod tests {
     use super::*;
     use gsched_linalg::spectral::spectral_radius_default;
-    use gsched_linalg::Lu;
 
     fn mm1_blocks(lambda: f64, mu: f64) -> (Matrix, Matrix, Matrix) {
         (
@@ -365,32 +292,24 @@ mod tests {
     #[test]
     fn mm1_r_is_rho_all_methods() {
         let (a0, a1, a2) = mm1_blocks(0.6, 1.0);
-        for method in [
-            RSolverMethod::SuccessiveSubstitution,
-            RSolverMethod::LogarithmicReduction,
-        ] {
-            let r = solve_r(&a0, &a1, &a2, method, 1e-14, 100_000).unwrap();
-            assert!(
-                (r[(0, 0)] - 0.6).abs() < 1e-10,
-                "{method:?}: R = {}",
-                r[(0, 0)]
-            );
-        }
-    }
-
-    #[test]
-    fn methods_agree_on_multiphase_blocks() {
-        let (a0, a1, a2) = mmpp_blocks();
-        let r_ss = solve_r(
+        let r = solve_r(
             &a0,
             &a1,
             &a2,
-            RSolverMethod::SuccessiveSubstitution,
-            1e-13,
-            1_000_000,
+            RSolverMethod::LogarithmicReduction,
+            1e-14,
+            100_000,
         )
         .unwrap();
-        let r_lr = solve_r(
+        assert!((r[(0, 0)] - 0.6).abs() < 1e-10, "R = {}", r[(0, 0)]);
+    }
+
+    /// A solution of the quadratic that is nonnegative with `sp(R) < 1` is
+    /// the minimal one.
+    #[test]
+    fn multiphase_r_is_the_minimal_solution() {
+        let (a0, a1, a2) = mmpp_blocks();
+        let r = solve_r(
             &a0,
             &a1,
             &a2,
@@ -399,10 +318,9 @@ mod tests {
             200,
         )
         .unwrap();
-        assert!(r_ss.max_abs_diff(&r_lr) < 1e-8);
-        assert!(r_residual(&a0, &a1, &a2, &r_lr) < 1e-10);
-        assert!(r_lr.is_nonnegative(1e-12));
-        let sp = spectral_radius_default(&r_lr).unwrap();
+        assert!(r_residual(&a0, &a1, &a2, &r) < 1e-10);
+        assert!(r.is_nonnegative(1e-12));
+        let sp = spectral_radius_default(&r).unwrap();
         assert!(sp < 1.0, "sp(R) = {sp}");
     }
 
@@ -429,26 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn method_names_round_trip() {
-        for method in [
-            RSolverMethod::LogarithmicReduction,
-            RSolverMethod::SuccessiveSubstitution,
-        ] {
-            let parsed: RSolverMethod = method.as_str().parse().unwrap();
-            assert_eq!(parsed, method);
-        }
-        assert_eq!(
-            "lr".parse::<RSolverMethod>().unwrap(),
-            RSolverMethod::LogarithmicReduction
-        );
-        assert_eq!(
-            "ss".parse::<RSolverMethod>().unwrap(),
-            RSolverMethod::SuccessiveSubstitution
-        );
-        assert!("qr".parse::<RSolverMethod>().is_err());
-    }
-
-    #[test]
     fn non_finite_blocks_end_in_a_typed_error() {
         use gsched_linalg::LinalgError;
         let (a0, a1, a2) = mmpp_blocks();
@@ -471,17 +369,11 @@ mod tests {
                     matches!(lr, Err(QbdError::Linalg(LinalgError::Singular))),
                     "lr, {case}: {lr:?}"
                 );
-                // Substitution must not read an `inf − inf` step as
-                // converged, and stops at the first NaN step instead of
+                // Substitution from zero must not read an `inf − inf` step
+                // as converged, and stops at the first NaN step instead of
                 // spending its whole budget.
-                let ss = solve_r(
-                    b0,
-                    b1,
-                    b2,
-                    RSolverMethod::SuccessiveSubstitution,
-                    1e-13,
-                    10_000,
-                );
+                let zero = Matrix::zeros(2, 2);
+                let ss = solve_r_warm(b0, b1, b2, &zero, 1e-13, 10_000, 1e-8);
                 match ss {
                     Err(QbdError::Linalg(LinalgError::Singular)) => {}
                     Err(QbdError::Linalg(LinalgError::NoConvergence { iterations, .. })) => {
@@ -502,7 +394,7 @@ mod tests {
 
     #[test]
     fn heavy_load_still_converges() {
-        // rho = 0.99: successive substitution needs many iterations, LR few.
+        // rho = 0.99, near instability: LR still needs only a few steps.
         let (a0, a1, a2) = mm1_blocks(0.99, 1.0);
         let r = solve_r(
             &a0,
@@ -529,26 +421,5 @@ mod tests {
         )
         .unwrap();
         assert!(r_residual(&a0, &a1, &a2, &r) < 1e-12);
-    }
-
-    #[test]
-    fn successive_substitution_monotone_from_zero() {
-        // After a few iterations every entry must be <= the converged R
-        // (monotone convergence from below).
-        let (a0, a1, a2) = mm1_blocks(0.7, 1.0);
-        let r5 = {
-            let a1_lu = Lu::new(&a1).unwrap();
-            let mut r = Matrix::zeros(1, 1);
-            for _ in 0..5 {
-                let r2 = r.matmul(&r).unwrap();
-                let mut num = r2.matmul(&a2).unwrap();
-                num += &a0;
-                r = a1_lu.solve_left_matrix(&num.scaled(-1.0)).unwrap();
-            }
-            r
-        };
-        let r_star = solve_r_successive(&a0, &a1, &a2, 1e-14, 1_000_000).unwrap();
-        assert!(r5[(0, 0)] <= r_star[(0, 0)] + 1e-12);
-        assert!(r5[(0, 0)] > 0.0);
     }
 }

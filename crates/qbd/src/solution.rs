@@ -88,7 +88,8 @@ pub struct TruncationCertificate {
 /// irreducibility first ([`QbdError::NotIrreducible`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
-    /// Algorithm for the rate matrix `R`.
+    /// Algorithm for the rate matrix `R` (logarithmic reduction, the only
+    /// one; see [`RSolverMethod`]).
     pub method: RSolverMethod,
     /// Convergence tolerance for the `R` iteration.
     pub tol: f64,
@@ -97,7 +98,7 @@ pub struct SolveOptions {
     /// Explicit warm-start iterate for `R`. When set and
     /// dimension-compatible, a bounded successive-substitution iteration is
     /// run from it first; if that stalls or fails validation the solve falls
-    /// back to the cold `method` transparently. Hits and fallbacks are
+    /// back to the cold solve transparently. Hits and fallbacks are
     /// counted under `qbd.rmatrix.warm_hits` / `qbd.rmatrix.warm_misses`.
     ///
     /// No solver path sets it: the fixed point, the sweeps and the
@@ -360,14 +361,13 @@ impl LevelView<'_> {
         drift_condition(self.a0, self.a1, self.a2)
     }
 
-    /// Compute `R` cold by `opts.method`, unless the caller supplied an
-    /// explicit [`SolveOptions::initial_r`].
+    /// Compute `R` cold, unless the caller supplied an explicit
+    /// [`SolveOptions::initial_r`].
     ///
     /// A dimension-compatible `initial_r` triggers a bounded
     /// successive-substitution attempt first; any failure (stall, residual
-    /// above tolerance, negative entries) falls back to the cold
-    /// `opts.method` solve so the result is always as trustworthy as a cold
-    /// solve.
+    /// above tolerance, negative entries) falls back to the cold solve, so
+    /// the result is always as trustworthy as a cold solve.
     fn solve_r(&self, opts: &SolveOptions) -> Result<Matrix> {
         if let Some(r0) = &opts.initial_r {
             let d = self.a1.rows();
@@ -1249,21 +1249,37 @@ mod tests {
         }
     }
 
+    /// The stationary vector of `q` truncated at `max_level`, by a direct
+    /// GTH solve that shares no code with the matrix-geometric path, split
+    /// into one vector per level.
+    fn gth_levels(q: &QbdProcess, max_level: usize) -> Vec<Vec<f64>> {
+        let t = q.truncated_generator(max_level);
+        let pi = gsched_markov::Ctmc::new(t)
+            .unwrap()
+            .stationary_gth()
+            .unwrap();
+        let mut rest = pi.as_slice();
+        (0..=max_level)
+            .map(|i| {
+                let (level, tail) = rest.split_at(q.level_dim(i));
+                rest = tail;
+                level.to_vec()
+            })
+            .collect()
+    }
+
     #[test]
     fn solution_matches_truncated_ctmc() {
-        use gsched_markov::Ctmc;
-        let q = mmc(1.0, 0.8, 3);
-        let sol = q.solve(&SolveOptions::default()).unwrap();
-        // Direct solve of the truncated chain at a high level.
-        let t = q.truncated_generator(60);
-        let pi = Ctmc::new(t).unwrap().stationary_gth().unwrap();
-        for (n, &pi_n) in pi.iter().enumerate().take(10) {
-            assert!(
-                (sol.level_prob(n) - pi_n).abs() < 1e-8,
-                "n={n}: {} vs {}",
-                sol.level_prob(n),
-                pi_n
-            );
+        // One phase per level, then two: an environment-modulated M/M/3.
+        for q in [mmc(1.0, 0.8, 3), env_mmc([0.5, 2.0], 0.3, 1.0, 3)] {
+            let sol = q.solve(&SolveOptions::default()).unwrap();
+            // Direct solve of the truncated chain at a high level.
+            let pi = gth_levels(&q, 60);
+            for (n, want) in pi.iter().enumerate().take(10) {
+                for (got, want) in sol.level_vector(n).iter().zip(want) {
+                    assert!((got - want).abs() < 1e-8, "n={n}: {got} vs {want}");
+                }
+            }
         }
     }
 
@@ -1318,23 +1334,25 @@ mod tests {
         assert!((sol.r()[(0, 0)] - 0.5).abs() < 1e-10);
     }
 
+    /// The closed-form mean level (eq. 37) against the mean of a direct GTH
+    /// solve, on a one-phase chain and on M/E₂/1, whose boundary level is
+    /// smaller than its repeating levels.
     #[test]
     fn methods_agree_on_solution() {
-        let q = mmc(1.2, 1.0, 2);
-        let want = q.solve(&SolveOptions::default()).unwrap();
-        let sol = q
-            .solve(&SolveOptions {
-                method: RSolverMethod::SuccessiveSubstitution,
-                ..Default::default()
-            })
-            .unwrap();
-        assert!(
-            (sol.mean_level() - want.mean_level()).abs() < 1e-9,
-            "ss vs lr: {} vs {}",
-            sol.mean_level(),
-            want.mean_level()
-        );
-        assert!((sol.total_mass() - 1.0).abs() < 1e-9);
+        for q in [mmc(1.2, 1.0, 2), m_e2_1(0.7)] {
+            let sol = q.solve(&SolveOptions::default()).unwrap();
+            let gth: f64 = gth_levels(&q, 200)
+                .iter()
+                .enumerate()
+                .map(|(n, level)| n as f64 * level.iter().sum::<f64>())
+                .sum();
+            assert!(
+                (sol.mean_level() - gth).abs() < 1e-9,
+                "qbd vs gth: {} vs {gth}",
+                sol.mean_level()
+            );
+            assert!((sol.total_mass() - 1.0).abs() < 1e-9);
+        }
     }
 
     /// Mean number in an M/M/c system by Erlang-C, through the Erlang-B
@@ -1348,7 +1366,6 @@ mod tests {
 
     #[test]
     fn boundary_matches_truncated_ctmc_and_erlang_c() {
-        use gsched_markov::Ctmc;
         for (lambda, servers) in [(3.0, 5), (1.2, 3)] {
             let sol = mmc(lambda, 1.0, servers)
                 .solve(&SolveOptions::default())
@@ -1358,9 +1375,9 @@ mod tests {
             assert!((sol.total_mass() - 1.0).abs() < 1e-12);
             // One state per level; the reflected tail above 200 is below
             // 1e-40.
-            let t = mmc(lambda, 1.0, servers).truncated_generator(200);
-            let pi = Ctmc::new(t).unwrap().stationary_gth().unwrap();
-            for (n, &pi_n) in pi.iter().enumerate().take(12) {
+            let pi = gth_levels(&mmc(lambda, 1.0, servers), 200);
+            for (n, level) in pi.iter().enumerate().take(12) {
+                let pi_n = level[0];
                 assert!(
                     (sol.level_prob(n) - pi_n).abs() < 1e-12,
                     "n={n}: {} vs {pi_n}",

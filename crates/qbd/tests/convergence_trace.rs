@@ -1,10 +1,10 @@
-//! The `R` solvers publish a per-iteration residual trace on their
-//! `qbd.rmatrix.solve` event whenever a recorder is installed — the raw
-//! material for `gsched doctor --convergence`.
+//! The `R` solves, cold and warm, publish a per-iteration residual trace
+//! on their `qbd.rmatrix.solve` event whenever a recorder is installed —
+//! the raw material for `gsched doctor --convergence`.
 
 use gsched_linalg::Matrix;
 use gsched_obs as obs;
-use gsched_qbd::rmatrix::{solve_r, RSolverMethod};
+use gsched_qbd::rmatrix::{solve_r, solve_r_warm, RSolverMethod};
 
 fn mm1_blocks(lambda: f64, mu: f64) -> (Matrix, Matrix, Matrix) {
     (
@@ -33,15 +33,8 @@ fn r_solvers_emit_per_iteration_residual_series() {
     let recorder = obs::install_memory();
     let (a0, a1, a2) = mm1_blocks(0.6, 1.0);
     let tol = 1e-12;
-    solve_r(
-        &a0,
-        &a1,
-        &a2,
-        RSolverMethod::SuccessiveSubstitution,
-        tol,
-        100_000,
-    )
-    .unwrap();
+    // Substitution from zero, then the cold logarithmic reduction.
+    solve_r_warm(&a0, &a1, &a2, &Matrix::zeros(1, 1), tol, 100_000, 1e-8).unwrap();
     solve_r(&a0, &a1, &a2, RSolverMethod::LogarithmicReduction, tol, 200).unwrap();
     obs::uninstall();
     let snap = recorder.snapshot();
@@ -71,7 +64,7 @@ fn r_solvers_emit_per_iteration_residual_series() {
             "residuals decay overall: {series:?}"
         );
     }
-    // The two methods are distinguishable in the trace.
+    // The two solves are distinguishable in the trace.
     let methods: Vec<&str> = events
         .iter()
         .map(|ev| {
@@ -82,7 +75,7 @@ fn r_solvers_emit_per_iteration_residual_series() {
                 .expect("method field")
         })
         .collect();
-    assert!(methods.contains(&"successive_substitution"), "{methods:?}");
+    assert!(methods.contains(&"warm_substitution"), "{methods:?}");
     assert!(methods.contains(&"logarithmic_reduction"), "{methods:?}");
     // Logarithmic reduction converges quadratically: far fewer iterations.
     let ss = residual_series(events[0]).len();

@@ -10,7 +10,6 @@ use crate::render::json_str;
 use gsched_scenario::Scenario;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
 
 /// Everything about a request other than which scenario it names.
 #[derive(Debug, Clone, Default)]
@@ -93,11 +92,6 @@ impl Client {
             writer: stream,
             reader,
         })
-    }
-
-    /// Bound how long [`Client::request_line`] waits for a reply.
-    pub fn set_reply_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.writer.set_read_timeout(timeout)
     }
 
     /// Send one request frame (a full JSON document, no newline) and read

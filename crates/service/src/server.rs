@@ -886,7 +886,6 @@ impl Server {
             cache_misses: self.cache.misses(),
             cache_entries: self.cache.len(),
             cache_capacity: self.cache.capacity(),
-            r_solver: self.solver.qbd.method.as_str(),
         }
     }
 

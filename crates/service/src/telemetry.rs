@@ -77,8 +77,6 @@ pub(crate) struct ExternalStats {
     pub coalesced: u64,
     /// Sweep jobs merged into engine batches behind a leader job.
     pub batch_merged: u64,
-    /// `R`-matrix algorithm the workers solve with (stable name).
-    pub r_solver: &'static str,
 }
 
 impl ExternalStats {
@@ -170,7 +168,7 @@ impl Telemetry {
                 r#"{{"workers":{},"queue_depth":{},"requests":{},"errors":{},"#,
                 r#""cache_hits":{},"cache_misses":{},"cache_entries":{},"cache_capacity":{},"#,
                 r#""queue_limit":{},"shed":{},"coalesced":{},"batch_merged":{},"#,
-                r#""r_solver":{},"uptime_ms":{},"#,
+                r#""uptime_ms":{},"#,
                 r#""workers_busy":{},"connections":{},"cache_hit_ratio":{},"#,
                 r#""queue_wait_ms":{},"solve_ms":{},"ops":{{{}}}}}"#
             ),
@@ -186,7 +184,6 @@ impl Telemetry {
             ext.shed,
             ext.coalesced,
             ext.batch_merged,
-            json_str(ext.r_solver),
             self.uptime_ms(),
             self.workers_busy_now(),
             self.connections.load(Ordering::Relaxed),
@@ -243,7 +240,6 @@ mod tests {
             shed: 0,
             coalesced: 0,
             batch_merged: 0,
-            r_solver: "logarithmic_reduction",
         }
     }
 
@@ -262,8 +258,8 @@ mod tests {
         assert_eq!(v["coalesced"].as_u64(), Some(0));
         assert_eq!(v["batch_merged"].as_u64(), Some(0));
         assert_eq!(v["queue_limit"].as_u64(), Some(0));
-        assert_eq!(v["r_solver"].as_str(), Some("logarithmic_reduction"));
         assert!(v.get("backend").is_none(), "{text}");
+        assert!(v.get("r_solver").is_none(), "{text}");
     }
 
     #[test]
