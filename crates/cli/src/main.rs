@@ -12,9 +12,7 @@
 //!                  [--horizon-scale F] [--json]
 //! gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]
 //! gsched stability <model.json> [--class P] [--lo Q] [--hi Q]
-//! gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact]
-//!                  [--convergence] [--warn-drift X] [--warn-gap X]
-//!                  [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]
+//! gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--json]
 //! gsched profile   <scenario | --sweep fig2..fig5|all> [--quick]
 //!                  [--json] [--trace PATH]
 //! gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]
@@ -98,19 +96,20 @@
 //! and `--trace` record the server's spans and counters for its lifetime,
 //! each span tagged with the request it served.
 //!
-//! `gsched doctor` solves the model and prints the per-class numerical-health
-//! table (drift slack, `sp(R)`, `R` residual, truncated tail mass) with WARN
-//! lines when a class is close to instability or under-resolved.
-//! `--convergence` adds the per-class convergence section (R-solve counts,
-//! residual decay rate, stagnation warnings); `--json` always
-//! includes it.
+//! `gsched doctor` solves the model and prints the fixed-point iteration
+//! count and the per-class numerical-health table (drift slack, `sp(R)`,
+//! `R` residual, truncated tail mass, truncation certificate) of the
+//! solution's health report, with WARN lines when a class is close to
+//! instability or under-resolved. The thresholds are fixed; doctor records
+//! nothing beyond what the diagnostics flags ask for.
 //!
 //! `gsched profile` runs a scenario's workload through the same engine
 //! sweep as `gsched sweep --jobs 1`, on the calling thread under the
 //! instrumentation layer, and prints a phase table (self time per solver
 //! phase, attributing ≥90% of wall time), the dense-kernel work counters
-//! with achieved GFLOP/s, and the convergence report. `--trace PATH` also
-//! writes the Chrome Trace Event timeline of the same run.
+//! with achieved GFLOP/s, and the fixed-point and `R`-solve iteration
+//! counts. `--trace PATH` also writes the Chrome Trace Event timeline of
+//! the same run.
 //!
 //! `gsched bench` counts; it does not time. It runs the canonical Figure
 //! 2–5 solver sweeps plus a simulator workload and writes their
@@ -135,7 +134,6 @@
 //! example-model` and `gsched example-scenario` print templates.
 
 mod bench;
-mod convergence;
 mod figure;
 mod loadtest;
 mod profile;
@@ -240,7 +238,7 @@ fn usage() -> String {
          gsched xval      <scenario | all> [--points N] [--full] [--horizon-scale F] [--json]\n  \
          gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]\n  \
          gsched stability <model.json> [--class P] [--lo Q] [--hi Q]\n  \
-         gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--convergence] [--warn-drift X] [--warn-gap X] [--warn-residual X] [--warn-trunc X] [--warn-certified X] [--json]\n  \
+         gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--json]\n  \
          gsched profile   <scenario | --sweep fig2..fig5|all> [--quick] [--json] [--trace PATH]\n  \
          gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]\n  \
          gsched paper     [--rho R] [--quantum Q] [--json]\n  \
@@ -265,7 +263,6 @@ const BOOL_FLAGS: &[&str] = &[
     "quick",
     "full",
     "frame",
-    "convergence",
     "expect-no-shed",
     "scaling",
     "asymptotic",
@@ -285,11 +282,7 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("xval", "points full horizon-scale mode percentiles json"),
     ("tune", "lo hi objective json"),
     ("stability", "class lo hi"),
-    (
-        "doctor",
-        "scenario mode percentiles convergence warn-drift warn-gap \
-         warn-residual warn-trunc warn-certified json",
-    ),
+    ("doctor", "scenario mode percentiles json"),
     ("profile", "sweep quick mode percentiles json"),
     ("bench", "scenario scaling quick out"),
     ("paper", "rho quantum json"),
@@ -405,23 +398,6 @@ impl Diagnostics {
             trace_path,
             verbosity,
         }
-    }
-
-    /// Like [`Diagnostics::from_flags`], but guarantee a recorder is
-    /// installed — for commands that analyze the snapshot themselves
-    /// (e.g. `doctor --convergence`) regardless of the `--diag` flags.
-    fn from_flags_recording(flags: &HashMap<String, String>) -> Self {
-        let mut diag = Diagnostics::from_flags(flags);
-        if diag.recorder.is_none() {
-            diag.recorder = Some(gsched_obs::install_memory());
-        }
-        diag
-    }
-
-    /// Snapshot the recorder without stopping it (recording continues
-    /// until [`Diagnostics::finish`]).
-    fn snapshot(&self) -> Option<gsched_obs::Snapshot> {
-        self.recorder.as_ref().map(|r| r.snapshot())
     }
 
     /// Stop recording and emit the snapshot (JSON file, trace file, and/or
@@ -1217,28 +1193,8 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
     let (pos, flags) = parse_flags("doctor", args)?;
     let (model, mut opts) = resolve_model("doctor", &pos, &flags)?;
     opts.collect_health = true;
-    let defaults = gsched_core::HealthThresholds::default();
-    let thresholds = gsched_core::HealthThresholds {
-        drift_margin: flag_f64(&flags, "warn-drift", defaults.drift_margin)?,
-        spectral_gap: flag_f64(&flags, "warn-gap", defaults.spectral_gap)?,
-        r_residual: flag_f64(&flags, "warn-residual", defaults.r_residual)?,
-        truncated_mass: flag_f64(&flags, "warn-trunc", defaults.truncated_mass)?,
-        certified_tail: flag_f64(&flags, "warn-certified", defaults.certified_tail)?,
-    };
-    // Convergence analysis needs the R-solve event stream, so those paths
-    // always record; `--json` includes the section unconditionally.
-    let want_convergence = flags.contains_key("convergence") || flags.contains_key("json");
-    let diag = if want_convergence {
-        Diagnostics::from_flags_recording(&flags)
-    } else {
-        Diagnostics::from_flags(&flags)
-    };
+    let diag = Diagnostics::from_flags(&flags);
     let sol = solve(&model, &opts).map_err(|e| e.to_string());
-    let conv = if want_convergence {
-        diag.snapshot().map(|s| convergence::analyze(&s))
-    } else {
-        None
-    };
     diag.finish()?;
     let sol = sol?;
     let health = sol.health.as_ref().expect("collect_health was set");
@@ -1262,35 +1218,24 @@ fn cmd_doctor(args: &[String]) -> Result<(), String> {
                 )
             })
             .collect();
-        let warnings: Vec<String> = health
-            .warnings(&thresholds)
-            .iter()
-            .map(|w| json_str(w))
-            .collect();
-        let convergence_json = conv
-            .as_ref()
-            .map(|c| serde_json::to_string(c).expect("convergence report serializes"))
-            .unwrap_or_else(|| "null".to_string());
+        let warnings: Vec<String> = health.warnings().iter().map(|w| json_str(w)).collect();
         println!(
-            r#"{{"all_stable":{},"converged":{},"classes":[{}],"warnings":[{}],"convergence":{}}}"#,
+            r#"{{"all_stable":{},"converged":{},"iterations":{},"classes":[{}],"warnings":[{}]}}"#,
             sol.all_stable,
             sol.converged,
+            sol.iterations,
             classes.join(","),
-            warnings.join(","),
-            convergence_json
+            warnings.join(",")
         );
     } else {
         println!(
-            "numerical health: {} classes, converged = {}, all stable = {}",
+            "numerical health: {} classes, {} fixed-point iterations, converged = {}, all stable = {}",
             health.classes.len(),
+            sol.iterations,
             sol.converged,
             sol.all_stable
         );
-        print!("{}", health.render(&thresholds));
-        if let Some(c) = &conv {
-            println!("convergence:");
-            print!("{}", c.render());
-        }
+        print!("{}", health.render());
     }
     Ok(())
 }

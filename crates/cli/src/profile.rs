@@ -6,14 +6,13 @@
 //! command's own stack and self-time attribution partitions the measured
 //! wall clock. On top of the span tree it reports the dense-kernel work
 //! counters from `gsched-linalg` — calls, nominal flops, and achieved
-//! GFLOP/s — and the convergence behaviour of the `R` solves and the
-//! outer fixed point.
+//! GFLOP/s — and the iteration counts of the outer fixed point and the
+//! `R` solves.
 //!
 //! The `--json` document is schema-versioned ([`PROFILE_SCHEMA_VERSION`])
 //! and consumed by the CI `profile-smoke` job, which asserts the phase
 //! table attributes at least 90% of wall time.
 
-use crate::convergence::{self, ConvergenceReport};
 use gsched_core::solver::SolverOptions;
 use gsched_engine::{run_sweep, ScenarioBase, SweepAxis, SweepOptions, SweepPoint, SweepRequest};
 use gsched_linalg::WorkCounters;
@@ -25,7 +24,7 @@ use std::time::Instant;
 
 /// Version of the `gsched profile --json` document. Bump on incompatible
 /// changes.
-pub const PROFILE_SCHEMA_VERSION: u64 = 1;
+pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// One row of the phase table: a canonical span name with its self time.
 #[derive(Debug, Serialize)]
@@ -56,6 +55,20 @@ pub struct KernelRow {
     /// `flops / wall`, in GFLOP/s — the rate achieved over the whole run,
     /// not a per-kernel microbenchmark.
     pub gflops_per_sec: f64,
+}
+
+/// Iteration counters of the fixed point and the `R` solves.
+#[derive(Debug, Serialize)]
+pub struct ConvergenceCounters {
+    /// Outer fixed-point iterations (`core.solver.fp_iterations`).
+    pub fp_iterations: u64,
+    /// Final fixed-point change of the last solve, when recorded
+    /// (`core.solver.final_change`).
+    pub final_change: Option<f64>,
+    /// `R` solves (`qbd.rmatrix.solves`).
+    pub r_solves: u64,
+    /// Iterations across those solves (`qbd.rmatrix.iterations`).
+    pub r_iterations: u64,
 }
 
 /// Deterministic work counters of the certified level-truncation search
@@ -96,8 +109,8 @@ pub struct ProfileReport {
     pub phases: Vec<PhaseRow>,
     /// Kernel work counters with achieved rates.
     pub kernels: Vec<KernelRow>,
-    /// Convergence behaviour of the run.
-    pub convergence: ConvergenceReport,
+    /// Fixed-point and `R`-solve iteration counters.
+    pub convergence: ConvergenceCounters,
     /// Truncation-search counters.
     pub search: SearchCounters,
 }
@@ -271,7 +284,16 @@ fn measure(
                 work.triangular_flops,
             ),
         ],
-        convergence: convergence::analyze(&snap),
+        convergence: ConvergenceCounters {
+            fp_iterations: snap
+                .counter(obs::names::CORE_SOLVER_FP_ITERATIONS)
+                .unwrap_or(0),
+            final_change: snap.gauge(obs::names::CORE_SOLVER_FINAL_CHANGE),
+            r_solves: snap.counter(obs::names::QBD_RMATRIX_SOLVES).unwrap_or(0),
+            r_iterations: snap
+                .counter(obs::names::QBD_RMATRIX_ITERATIONS)
+                .unwrap_or(0),
+        },
         search: SearchCounters {
             truncation_attempts: snap
                 .counter(obs::names::QBD_TRUNCATION_ATTEMPTS)
@@ -325,8 +347,15 @@ fn print_human(rep: &ProfileReport) {
         "truncation search: {} attempt(s), {} skipped as unstable, {} level(s) eliminated",
         rep.search.truncation_attempts, rep.search.unstable_skips, rep.search.levels_eliminated
     );
-    println!("convergence:");
-    print!("{}", rep.convergence.render());
+    let c = &rep.convergence;
+    println!(
+        "convergence: {} fixed-point iteration(s), final change {}; {} R solve(s), {} R iteration(s)",
+        c.fp_iterations,
+        c.final_change
+            .map_or_else(|| "-".to_string(), |x| format!("{x:.3e}")),
+        c.r_solves,
+        c.r_iterations
+    );
 }
 
 /// Entry point for `gsched profile`.
@@ -413,11 +442,11 @@ mod tests {
                 flops: 2_000_000,
                 gflops_per_sec: 0.16,
             }],
-            convergence: ConvergenceReport {
+            convergence: ConvergenceCounters {
                 fp_iterations: 9,
                 final_change: Some(1e-9),
-                classes: Vec::new(),
-                warnings: Vec::new(),
+                r_solves: 36,
+                r_iterations: 180,
             },
             search: SearchCounters {
                 truncation_attempts: 12,
@@ -466,6 +495,8 @@ mod tests {
         assert_eq!(v["kernels"][0]["flops"].as_u64(), Some(2_000_000));
         assert_eq!(v["convergence"]["fp_iterations"].as_u64(), Some(9));
         assert_eq!(v["convergence"]["final_change"].as_f64(), Some(1e-9));
+        assert_eq!(v["convergence"]["r_solves"].as_u64(), Some(36));
+        assert_eq!(v["convergence"]["r_iterations"].as_u64(), Some(180));
         assert_eq!(v["search"]["truncation_attempts"].as_u64(), Some(12));
         assert_eq!(v["search"]["unstable_skips"].as_u64(), Some(8));
         assert_eq!(v["search"]["levels_eliminated"].as_u64(), Some(2048));

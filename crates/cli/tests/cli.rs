@@ -199,19 +199,17 @@ fn doctor_json_has_per_class_health() {
 }
 
 #[test]
-fn doctor_warns_with_tight_thresholds() {
-    // Force warnings by making the thresholds impossible to satisfy.
-    let dir = tmpdir("doctorwarn");
-    let model = write_model(&dir);
+fn doctor_warns_near_instability_at_default_thresholds() {
+    // The thresholds are fixed: a scenario built to sit near saturation
+    // trips them without any tuning.
     let out = gsched()
         .arg("doctor")
-        .arg(&model)
-        .args(["--warn-drift", "1.0", "--warn-gap", "1.0"])
+        .args(["--scenario", "near_instability"])
         .output()
         .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("WARN"), "{text}");
+    assert!(text.contains("WARN class 0: truncated tail mass"), "{text}");
 }
 
 #[test]
@@ -485,6 +483,31 @@ fn unknown_and_removed_flags_fail_by_name() {
         (
             &["profile", "fig2", "--quick", "--method", "lr"][..],
             "--method",
+        ),
+        // Doctor's thresholds are fixed and it has no convergence section.
+        (
+            &["doctor", "--scenario", "fig2", "--convergence"][..],
+            "--convergence",
+        ),
+        (
+            &["doctor", "--scenario", "fig2", "--warn-drift", "0.1"][..],
+            "--warn-drift",
+        ),
+        (
+            &["doctor", "--scenario", "fig2", "--warn-gap", "0.1"][..],
+            "--warn-gap",
+        ),
+        (
+            &["doctor", "--scenario", "fig2", "--warn-residual", "1e-9"][..],
+            "--warn-residual",
+        ),
+        (
+            &["doctor", "--scenario", "fig2", "--warn-trunc", "1e-9"][..],
+            "--warn-trunc",
+        ),
+        (
+            &["doctor", "--scenario", "fig2", "--warn-certified", "1e-9"][..],
+            "--warn-certified",
         ),
         // Flags another subcommand owns are unknown here.
         (
@@ -1144,7 +1167,7 @@ fn profile_quick_json_attributes_wall_time() {
     );
     let parsed: serde_json::Value =
         serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
-    assert_eq!(parsed["profile_schema_version"].as_f64().unwrap(), 1.0);
+    assert_eq!(parsed["profile_schema_version"].as_f64().unwrap(), 2.0);
     // The headline invariant: span attribution accounts for >= 90% of wall time.
     let fraction = parsed["attributed_fraction"].as_f64().unwrap();
     assert!(fraction >= 0.9, "attributed_fraction {fraction} < 0.9");
@@ -1159,19 +1182,21 @@ fn profile_quick_json_attributes_wall_time() {
     };
     assert!(flops_of("matmul") > 0.0);
     assert!(flops_of("lu_factorization") > 0.0);
-    // Phase table includes the R-iteration span and convergence has classes.
+    // Phase table includes the R-iteration span and the R solves are counted.
     let phases = parsed["phases"].as_array().unwrap();
     assert!(phases
         .iter()
         .any(|p| p["span"].as_str().unwrap() == "qbd.solve_r"));
-    assert!(!parsed["convergence"]["classes"]
-        .as_array()
-        .unwrap()
-        .is_empty());
+    let convergence = &parsed["convergence"];
+    assert!(convergence["r_solves"].as_u64().unwrap() > 0);
+    assert!(
+        convergence["r_iterations"].as_u64().unwrap() >= convergence["r_solves"].as_u64().unwrap()
+    );
 }
 
 /// `gsched profile` measures the sweep `gsched sweep` runs: the same
-/// chunked warm-start chains, so the same fixed-point iteration count.
+/// chunked warm-start chains, so the same fixed-point and `R` iteration
+/// counts.
 #[test]
 fn profile_counts_the_fixed_point_iterations_of_the_sweep() {
     let dir = tmpdir("profile_vs_sweep");
@@ -1184,13 +1209,15 @@ fn profile_counts_the_fixed_point_iterations_of_the_sweep() {
     assert!(out.status.success());
     let snap: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&diag).unwrap()).unwrap();
-    let sweep_iterations = snap["counters"]
-        .as_array()
-        .unwrap()
-        .iter()
-        .find(|c| c["name"].as_str() == Some("core.solver.fp_iterations"))
-        .and_then(|c| c["value"].as_u64())
-        .unwrap();
+    let sweep_counter = |name: &str| {
+        snap["counters"]
+            .as_array()
+            .unwrap()
+            .iter()
+            .find(|c| c["name"].as_str() == Some(name))
+            .and_then(|c| c["value"].as_u64())
+            .unwrap()
+    };
 
     let out = gsched()
         .args(["profile", "fig2", "--quick", "--json"])
@@ -1199,10 +1226,17 @@ fn profile_counts_the_fixed_point_iterations_of_the_sweep() {
     assert!(out.status.success());
     let profile: serde_json::Value =
         serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
-    assert_eq!(
-        profile["convergence"]["fp_iterations"].as_u64(),
-        Some(sweep_iterations)
-    );
+    for (key, counter) in [
+        ("fp_iterations", "core.solver.fp_iterations"),
+        ("r_solves", "qbd.rmatrix.solves"),
+        ("r_iterations", "qbd.rmatrix.iterations"),
+    ] {
+        assert_eq!(
+            profile["convergence"][key].as_u64(),
+            Some(sweep_counter(counter)),
+            "{key}"
+        );
+    }
 }
 
 #[test]
@@ -1248,32 +1282,18 @@ fn profile_of_a_processors_sweep_runs_the_truncation_search() {
     assert!(search["levels_eliminated"].as_f64().unwrap() > 0.0);
 }
 
+/// `doctor` renders the solution's own health report: its fixed-point
+/// iteration count is the solve's, and it carries no convergence section.
 #[test]
-fn doctor_convergence_reports_per_class_r_solves() {
-    let out = gsched()
-        .arg("doctor")
-        .args(["--scenario", "fig2", "--convergence"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("convergence:"), "{text}");
-    assert!(text.contains("fixed point:"), "{text}");
-
-    let out = gsched()
-        .arg("doctor")
-        .args(["--scenario", "fig2", "--json"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let parsed: serde_json::Value =
-        serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
-    let classes = parsed["convergence"]["classes"].as_array().unwrap();
-    assert!(!classes.is_empty());
-    assert!(classes[0]["r_solves"].as_f64().unwrap() > 0.0);
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        !text.contains("r_method") && !text.contains("r_solver"),
-        "{text}"
-    );
+fn doctor_json_reports_the_solution_iterations() {
+    let json_of = |args: &[&str]| -> serde_json::Value {
+        let out = gsched().args(args).output().unwrap();
+        assert!(out.status.success(), "{args:?}");
+        serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap()
+    };
+    let doctor = json_of(&["doctor", "--scenario", "fig2", "--json"]);
+    let solved = json_of(&["solve", "--scenario", "fig2", "--json"]);
+    assert!(doctor.get("convergence").is_none(), "{doctor}");
+    assert!(doctor["iterations"].as_u64().unwrap() > 0);
+    assert_eq!(doctor["iterations"], solved["iterations"]);
 }

@@ -7,7 +7,7 @@
 //! from saturation, and the effective-quantum extraction truncates the level
 //! space leaving a known tail mass behind. All four are computed during the
 //! solve and already determine accuracy — this module aggregates them into
-//! one table with explicit WARN thresholds, surfaced by `gsched doctor`.
+//! one table with fixed WARN thresholds, surfaced by `gsched doctor`.
 
 use std::fmt::Write;
 
@@ -39,32 +39,18 @@ pub struct ClassHealth {
     pub certified_tail: f64,
 }
 
-/// WARN thresholds for [`HealthReport::warnings`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthThresholds {
-    /// Warn when a stable class's drift margin falls below this.
-    pub drift_margin: f64,
-    /// Warn when `1 − sp(R)` falls below this.
-    pub spectral_gap: f64,
-    /// Warn when the `R` residual exceeds this.
-    pub r_residual: f64,
-    /// Warn when the truncated tail mass exceeds this.
-    pub truncated_mass: f64,
-    /// Warn when the certified level-truncation tail bound exceeds this.
-    pub certified_tail: f64,
-}
-
-impl Default for HealthThresholds {
-    fn default() -> Self {
-        HealthThresholds {
-            drift_margin: 0.05,
-            spectral_gap: 0.05,
-            r_residual: 1e-8,
-            truncated_mass: 1e-6,
-            certified_tail: 1e-6,
-        }
-    }
-}
+/// [`HealthReport::warnings`] flags a stable class whose drift margin falls
+/// below this; `validate_report` in `gsched-scenario` warns on the same
+/// margin.
+pub const WARN_DRIFT_MARGIN: f64 = 0.05;
+/// Warn when `1 − sp(R)` falls below this.
+const WARN_SPECTRAL_GAP: f64 = 0.05;
+/// Warn when the `R` residual exceeds this.
+const WARN_R_RESIDUAL: f64 = 1e-8;
+/// Warn when the truncated tail mass exceeds this.
+const WARN_TRUNCATED_MASS: f64 = 1e-6;
+/// Warn when the certified level-truncation tail bound exceeds this.
+const WARN_CERTIFIED_TAIL: f64 = 1e-6;
 
 /// The aggregated per-class health table.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -76,7 +62,7 @@ pub struct HealthReport {
 impl HealthReport {
     /// All threshold violations, one human-readable line each. Empty when
     /// every class is comfortably inside the thresholds.
-    pub fn warnings(&self, th: &HealthThresholds) -> Vec<String> {
+    pub fn warnings(&self) -> Vec<String> {
         let mut out = Vec::new();
         for c in &self.classes {
             if !c.stable {
@@ -86,36 +72,36 @@ impl HealthReport {
                 ));
                 continue;
             }
-            if c.drift_margin < th.drift_margin {
+            if c.drift_margin < WARN_DRIFT_MARGIN {
                 out.push(format!(
                     "class {}: drift margin {:.4} below {:.4} — near saturation",
-                    c.class, c.drift_margin, th.drift_margin
+                    c.class, c.drift_margin, WARN_DRIFT_MARGIN
                 ));
             }
-            if 1.0 - c.spectral_radius < th.spectral_gap {
+            if 1.0 - c.spectral_radius < WARN_SPECTRAL_GAP {
                 out.push(format!(
                     "class {}: spectral gap 1-sp(R) = {:.4} below {:.4} — slow geometric tail",
                     c.class,
                     1.0 - c.spectral_radius,
-                    th.spectral_gap
+                    WARN_SPECTRAL_GAP
                 ));
             }
-            if c.r_residual > th.r_residual {
+            if c.r_residual > WARN_R_RESIDUAL {
                 out.push(format!(
                     "class {}: R residual {:.3e} above {:.3e} — R iteration under-converged",
-                    c.class, c.r_residual, th.r_residual
+                    c.class, c.r_residual, WARN_R_RESIDUAL
                 ));
             }
-            if c.truncated_mass > th.truncated_mass {
+            if c.truncated_mass > WARN_TRUNCATED_MASS {
                 out.push(format!(
                     "class {}: truncated tail mass {:.3e} above {:.3e} — raise max_extra_levels",
-                    c.class, c.truncated_mass, th.truncated_mass
+                    c.class, c.truncated_mass, WARN_TRUNCATED_MASS
                 ));
             }
-            if c.certified_tail > th.certified_tail {
+            if c.certified_tail > WARN_CERTIFIED_TAIL {
                 out.push(format!(
                     "class {}: certified truncation tail {:.3e} above {:.3e} — lower target_tail or solve untruncated",
-                    c.class, c.certified_tail, th.certified_tail
+                    c.class, c.certified_tail, WARN_CERTIFIED_TAIL
                 ));
             }
         }
@@ -123,7 +109,7 @@ impl HealthReport {
     }
 
     /// Render the health table plus WARN lines.
-    pub fn render(&self, th: &HealthThresholds) -> String {
+    pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -154,7 +140,7 @@ impl HealthReport {
                 c.certified_tail,
             );
         }
-        let warnings = self.warnings(th);
+        let warnings = self.warnings();
         if warnings.is_empty() {
             let _ = writeln!(out, "all classes within health thresholds");
         } else {
@@ -188,16 +174,14 @@ mod tests {
         let report = HealthReport {
             classes: vec![healthy(0), healthy(1)],
         };
-        let th = HealthThresholds::default();
-        assert!(report.warnings(&th).is_empty());
-        let text = report.render(&th);
+        assert!(report.warnings().is_empty());
+        let text = report.render();
         assert!(text.contains("all classes within health thresholds"));
         assert!(!text.contains("WARN"));
     }
 
     #[test]
     fn each_threshold_fires_independently() {
-        let th = HealthThresholds::default();
         let mut near_saturation = healthy(0);
         near_saturation.drift_margin = 0.01;
         let mut slow_tail = healthy(1);
@@ -218,14 +202,14 @@ mod tests {
                 loose_cert,
             ],
         };
-        let warnings = report.warnings(&th);
+        let warnings = report.warnings();
         assert_eq!(warnings.len(), 5, "{warnings:?}");
         assert!(warnings[0].contains("drift margin"));
         assert!(warnings[1].contains("spectral gap"));
         assert!(warnings[2].contains("R residual"));
         assert!(warnings[3].contains("truncated tail mass"));
         assert!(warnings[4].contains("certified truncation tail"));
-        let text = report.render(&th);
+        let text = report.render();
         assert_eq!(text.matches("WARN").count(), 5);
     }
 
@@ -243,7 +227,7 @@ mod tests {
                 certified_tail: f64::NAN,
             }],
         };
-        let warnings = report.warnings(&HealthThresholds::default());
+        let warnings = report.warnings();
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("UNSTABLE"));
     }

@@ -90,7 +90,7 @@ pub use asymptotic::{solve_asymptotic, AsymptoticClass, AsymptoticSolution};
 /// [`SolverOptions::qbd`] types (truncation, certificate, `R` solver)
 /// without a direct dependency.
 pub use gsched_qbd as qbd;
-pub use health::{ClassHealth, HealthReport, HealthThresholds};
+pub use health::{ClassHealth, HealthReport, WARN_DRIFT_MARGIN};
 pub use model::{ClassParams, GangModel, ModelError};
 pub use solver::{
     solve, solve_warm, GangSolution, SolveOutcome, SolverOptions, VacationMode, WarmStart,

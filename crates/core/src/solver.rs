@@ -837,12 +837,7 @@ mod tests {
             assert!(c.truncated_mass >= 0.0 && c.truncated_mass < 1e-6);
         }
         // A comfortably loaded model trips no thresholds.
-        let th = crate::health::HealthThresholds::default();
-        assert!(
-            health.warnings(&th).is_empty(),
-            "{:?}",
-            health.warnings(&th)
-        );
+        assert!(health.warnings().is_empty(), "{:?}", health.warnings());
     }
 
     #[test]
@@ -869,8 +864,7 @@ mod tests {
         let c = &health.classes[0];
         assert!(c.stable && c.drift_margin > 0.0);
         assert!(c.spectral_radius < 1.0);
-        let th = crate::health::HealthThresholds::default();
-        let warnings = health.warnings(&th);
+        let warnings = health.warnings();
         assert!(
             warnings.iter().any(|w| w.contains("drift margin")),
             "expected a drift-margin warning, got {warnings:?}"
@@ -883,7 +877,7 @@ mod tests {
             warnings.iter().any(|w| w.contains("truncated tail mass")),
             "expected a truncated-mass warning, got {warnings:?}"
         );
-        assert!(health.render(&th).contains("WARN"));
+        assert!(health.render().contains("WARN"));
     }
 
     #[test]
@@ -904,7 +898,7 @@ mod tests {
         assert!(bad.spectral_radius.is_nan());
         assert!(bad.r_residual.is_nan());
         assert!(bad.truncated_mass.is_nan());
-        let warnings = health.warnings(&crate::health::HealthThresholds::default());
+        let warnings = health.warnings();
         assert!(warnings.iter().any(|w| w.contains("UNSTABLE")));
     }
 

@@ -73,13 +73,6 @@ impl Ctmc {
         &self.q
     }
 
-    /// Maximum total exit rate `q_max = max_i (−Q_ii)` (paper §2.4).
-    pub fn max_exit_rate(&self) -> f64 {
-        (0..self.dim())
-            .map(|i| -self.q[(i, i)])
-            .fold(0.0_f64, f64::max)
-    }
-
     /// True if the positive-rate digraph is strongly connected.
     pub fn is_irreducible(&self) -> bool {
         let n = self.dim();
@@ -257,12 +250,6 @@ mod tests {
             c.stationary_gth(),
             Err(MarkovError::NotIrreducible)
         ));
-    }
-
-    #[test]
-    fn max_exit_rate() {
-        let c = two_state(1.0, 7.0);
-        assert_eq!(c.max_exit_rate(), 7.0);
     }
 
     #[test]

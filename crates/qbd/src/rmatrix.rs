@@ -49,17 +49,7 @@ pub fn solve_r(
 }
 
 /// Emit the per-solve instrumentation shared by the cold and warm `R` solves.
-///
-/// `residuals` is the per-iteration convergence trace (one entry per
-/// iteration, in order); it is only collected while a recorder is
-/// installed, so an empty slice just omits the field's content.
-fn record_r_solve(
-    method: &'static str,
-    dim: usize,
-    iterations: usize,
-    residual: f64,
-    residuals: &[f64],
-) {
+fn record_r_solve(method: &'static str, dim: usize, iterations: usize, residual: f64) {
     if !obs::enabled() {
         return;
     }
@@ -77,7 +67,6 @@ fn record_r_solve(
             ("dim", obs::FieldValue::U64(dim as u64)),
             ("iterations", obs::FieldValue::U64(iterations as u64)),
             ("residual", obs::FieldValue::F64(residual)),
-            ("residuals", obs::FieldValue::F64s(residuals.to_vec())),
         ],
     );
 }
@@ -85,8 +74,7 @@ fn record_r_solve(
 /// The successive-substitution fixed point `R ← −(A₀ + R²A₂)·A₁⁻¹` from
 /// `r`, run until two iterates differ by at most `tol`.
 ///
-/// Returns `(R, iterations, last difference, per-iteration differences)`;
-/// the trace is only collected while a recorder is installed. A stall, or
+/// Returns `(R, iterations)`. A stall, or
 /// a NaN step (which no later step recovers from), reports
 /// [`NoConvergence`](gsched_linalg::LinalgError::NoConvergence) under
 /// `solve_r_warm`.
@@ -97,11 +85,9 @@ fn substitute(
     mut r: Matrix,
     tol: f64,
     max_iter: usize,
-) -> Result<(Matrix, usize, f64, Vec<f64>)> {
+) -> Result<(Matrix, usize)> {
     let a1_f = Lu::new(a1)?;
     let mut last_diff = f64::INFINITY;
-    let trace = obs::enabled();
-    let mut residuals = Vec::new();
     let mut iterations = 0;
     for iteration in 1..=max_iter {
         iterations = iteration;
@@ -113,11 +99,8 @@ fn substitute(
         let next = a1_f.solve_left_matrix(&num.scaled(-1.0))?;
         last_diff = next.max_abs_diff(&r);
         r = next;
-        if trace {
-            residuals.push(last_diff);
-        }
         if last_diff <= tol {
-            return Ok((r, iteration, last_diff, residuals));
+            return Ok((r, iteration));
         }
         if last_diff.is_nan() {
             break;
@@ -168,7 +151,7 @@ pub fn solve_r_warm(
             },
         ));
     }
-    let (r, iterations, _, residuals) = substitute(a0, a1, a2, initial.clone(), tol, max_iter)?;
+    let (r, iterations) = substitute(a0, a1, a2, initial.clone(), tol, max_iter)?;
     let residual = r_residual(a0, a1, a2, &r);
     // A diverging start overflows to `inf`, whose `inf − inf` step reads as
     // converged and whose NaN residual the max-norm drops: reject it here.
@@ -181,7 +164,7 @@ pub fn solve_r_warm(
             },
         ));
     }
-    record_r_solve("warm_substitution", d, iterations, residual, &residuals);
+    record_r_solve("warm_substitution", d, iterations, residual);
     Ok(r)
 }
 
@@ -203,8 +186,6 @@ pub fn solve_g_logarithmic_reduction(
     let mut t = h.clone();
 
     let mut residual = f64::INFINITY;
-    let trace = obs::enabled();
-    let mut residuals = Vec::new();
     for iteration in 1..=max_iter {
         // U = H·L + L·H ; H ← (I−U)⁻¹H² ; L ← (I−U)⁻¹L²
         let hl = h.matmul(&l)?;
@@ -227,11 +208,8 @@ pub fn solve_g_logarithmic_reduction(
         let defect = vecops::max_abs_of(g.row_sums().into_iter().map(|s| 1.0 - s));
         let correction = tl.max_abs();
         residual = defect.min(correction);
-        if trace {
-            residuals.push(residual);
-        }
         if correction <= tol || defect <= tol {
-            record_r_solve("logarithmic_reduction", d, iteration, residual, &residuals);
+            record_r_solve("logarithmic_reduction", d, iteration, residual);
             return Ok(g);
         }
     }

@@ -18,7 +18,7 @@
 use crate::dist::DistSpec;
 use crate::model_spec::ModelSpec;
 use gsched_core::qbd::LevelTruncation;
-use gsched_core::{solve, GangModel, HealthThresholds, SolverOptions};
+use gsched_core::{solve, GangModel, SolverOptions, WARN_DRIFT_MARGIN};
 use gsched_engine::{ScenarioBase, SweepAxis, SweepPoint, SweepRequest};
 use gsched_sim::{Policy, SimConfig, SimResult};
 use serde::{Deserialize, Serialize};
@@ -703,7 +703,7 @@ impl ValidationReport {
 /// Lint a scenario: structural validation, then a solve of the base model
 /// (under the scenario's [`Scenario::solver_options`] of `solver`)
 /// reporting per-class stability and drift margins. Near-instability (drift
-/// margin below the [`HealthThresholds`] default) is a warning; an unstable
+/// margin below [`WARN_DRIFT_MARGIN`]) is a warning; an unstable
 /// class is an error.
 pub fn validate_report(scenario: &Scenario, solver: &SolverOptions) -> ValidationReport {
     let mut report = ValidationReport {
@@ -737,7 +737,6 @@ pub fn validate_report(scenario: &Scenario, solver: &SolverOptions) -> Validatio
             message: format!("base model solve failed: {e}"),
         }),
         Ok(sol) => {
-            let th = HealthThresholds::default();
             let health = sol.health.unwrap_or_default();
             for (p, h) in health.classes.iter().enumerate() {
                 report.classes.push(ClassStability {
@@ -754,12 +753,12 @@ pub fn validate_report(scenario: &Scenario, solver: &SolverOptions) -> Validatio
                             h.drift_margin
                         ),
                     });
-                } else if h.drift_margin < th.drift_margin {
+                } else if h.drift_margin < WARN_DRIFT_MARGIN {
                     report.issues.push(LintIssue {
                         level: LintLevel::Warning,
                         message: format!(
                             "class {p} is near instability (drift margin {:.4} < {:.2})",
-                            h.drift_margin, th.drift_margin
+                            h.drift_margin, WARN_DRIFT_MARGIN
                         ),
                     });
                 }
