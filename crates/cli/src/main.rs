@@ -1,7 +1,7 @@
 //! `gsched` — solve, simulate, and tune gang-scheduled parallel machines.
 //!
 //! ```text
-//! gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact]
+//! gsched solve     <model.json | --scenario S> [--mode ht|m2|m3]
 //!                  [--percentiles] [--asymptotic] [--json]
 //! gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs]
 //!                               [--horizon T] [--warmup T] [--seed N] [--json]
@@ -12,7 +12,7 @@
 //!                  [--horizon-scale F] [--json]
 //! gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]
 //! gsched stability <model.json> [--class P] [--lo Q] [--hi Q]
-//! gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--json]
+//! gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3] [--json]
 //! gsched profile   <scenario | --sweep fig2..fig5|all> [--quick]
 //!                  [--json] [--trace PATH]
 //! gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]
@@ -231,14 +231,14 @@ fn print_usage() {
 
 fn usage() -> String {
     format!(
-        "usage:\n  gsched solve     <model.json | --scenario S> [--mode ht|m2|m3|exact] [--percentiles] [--asymptotic] [--json]\n  \
+        "usage:\n  gsched solve     <model.json | --scenario S> [--mode ht|m2|m3] [--percentiles] [--asymptotic] [--json]\n  \
          gsched simulate  <model.json | --scenario S> [--policy gang|lend|rr|fcfs] [--horizon T] [--warmup T] [--seed N] [--json]\n  \
          gsched sweep     [fig2|fig3|fig4|fig5|all | <scenario> | --scenario S] [--jobs N] [--quick] [--json]\n  \
          gsched validate  [<scenario>...] [--json]\n  \
          gsched xval      <scenario | all> [--points N] [--full] [--horizon-scale F] [--json]\n  \
          gsched tune      <model.json> [--lo Q] [--hi Q] [--objective total|max] [--json]\n  \
          gsched stability <model.json> [--class P] [--lo Q] [--hi Q]\n  \
-         gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3|exact] [--json]\n  \
+         gsched doctor    <model.json | --scenario S> [--mode ht|m2|m3] [--json]\n  \
          gsched profile   <scenario | --sweep fig2..fig5|all> [--quick] [--json] [--trace PATH]\n  \
          gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]\n  \
          gsched paper     [--rho R] [--quantum Q] [--json]\n  \
@@ -482,7 +482,6 @@ fn solver_options(flags: &HashMap<String, String>) -> Result<SolverOptions, Stri
         None | Some("m2") => VacationMode::MomentMatched { moments: 2 },
         Some("m3") => VacationMode::MomentMatched { moments: 3 },
         Some("ht") => VacationMode::HeavyTraffic,
-        Some("exact") => VacationMode::Exact,
         Some(other) => return Err(format!("unknown --mode `{other}`")),
     };
     Ok(SolverOptions {
@@ -1485,10 +1484,10 @@ mod tests {
 
     #[test]
     fn flag_parsing() {
-        let args = strings(&["model.json", "--mode", "exact", "--json", "-v"]);
+        let args = strings(&["model.json", "--mode", "m3", "--json", "-v"]);
         let (pos, flags) = parse_flags("solve", &args).unwrap();
         assert_eq!(pos, vec!["model.json"]);
-        assert_eq!(flags.get("mode").map(|s| s.as_str()), Some("exact"));
+        assert_eq!(flags.get("mode").map(|s| s.as_str()), Some("m3"));
         assert!(flags.contains_key("json"));
         assert_eq!(flags.get("verbose").map(|s| s.as_str()), Some("1"));
     }

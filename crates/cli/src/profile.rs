@@ -123,7 +123,6 @@ fn phase_label(span: &str) -> &'static str {
         "core.vacation" => "vacation analysis",
         "core.generator" => "generator build",
         "core.effective" => "effective quanta",
-        "core.compress" => "moment compression",
         "core.measures" => "stationary measures",
         "qbd.solve" => "QBD assembly",
         "qbd.truncation" => "truncation search",
@@ -401,7 +400,6 @@ mod tests {
             "core.vacation",
             "core.generator",
             "core.effective",
-            "core.compress",
             "core.measures",
             "qbd.solve",
             "qbd.truncation",

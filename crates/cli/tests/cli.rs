@@ -537,8 +537,13 @@ fn unknown_and_removed_flags_fail_by_name() {
             "{err}"
         );
     }
-    // The history gate is gone with its subcommand.
+    // The history gate is gone with its subcommand, and the dense
+    // absorbed-chain vacation mode with its flag value.
     for (args, want) in [
+        (
+            &["solve", "--scenario", "fig2", "--mode", "exact"][..],
+            "unknown --mode `exact`",
+        ),
         (
             &["bench", "trend"][..],
             "bench: unexpected argument `trend`",

@@ -30,8 +30,9 @@
 //!   `C_p * G_{p+1} * C_{p+1} * … * C_{p−1}` (Theorem 4.1 for the
 //!   heavy-traffic initialization, Theorem 4.3 with *effective* quanta for
 //!   the general case);
-//! * [`effective`] extracts the effective-quantum distribution of a class
-//!   from its solved chain by absorbing-chain analysis (§4.3);
+//! * [`effective`] extracts the skip atom and moments of a class's
+//!   effective quantum from its solved chain by absorbing-chain analysis
+//!   (§4.3), and fits a small PH to them;
 //! * [`solver`] runs the fixed-point iteration of §4.3 and produces
 //!   [`solver::GangSolution`] with the paper's performance measures
 //!   (eq. 37 and Little's law, §4.5).

@@ -10,6 +10,8 @@
 //!   including the `i-k-j` matrix product every solver layer calls.
 //! * [`lu::Lu`]: LU decomposition with partial pivoting, linear solves and
 //!   inverses.
+//! * [`blocktri::BlockTridiagonalLu`]: level-by-level LU of a
+//!   block-tridiagonal matrix, for level-structured absorbing chains.
 //! * [`spectral`]: power iteration for the spectral radius of a nonnegative
 //!   matrix. A diagnostic only: the QBD solve certifies `sp(R) < 1` through
 //!   `(I−R)⁻¹ ≥ 0` and reports the power-iteration value on request.
@@ -23,6 +25,7 @@
 //! workspace instrumentation layer `gsched-obs`, used solely as the on/off
 //! guard for the work counters.
 
+pub mod blocktri;
 pub mod counters;
 pub mod lu;
 pub mod matrix;
@@ -30,6 +33,7 @@ pub mod spectral;
 pub mod stationary;
 pub mod vecops;
 
+pub use blocktri::BlockTridiagonalLu;
 pub use counters::WorkCounters;
 pub use lu::Lu;
 pub use matrix::Matrix;

@@ -35,45 +35,7 @@ impl Lu {
         let n = a.rows();
         let mut lu = a.clone();
         let mut piv = vec![0usize; n];
-        let mut sign = 1.0;
-
-        for k in 0..n {
-            // Find pivot: largest |entry| in column k at or below row k.
-            let mut p = k;
-            let mut pmax = lu[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = lu[(i, k)].abs();
-                if v > pmax {
-                    pmax = v;
-                    p = i;
-                }
-            }
-            piv[k] = p;
-            if p != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(p, j)];
-                    lu[(p, j)] = tmp;
-                }
-                sign = -sign;
-            }
-            let pivot = lu[(k, k)];
-            if pivot == 0.0 || !pivot.is_finite() {
-                return Err(LinalgError::Singular);
-            }
-            for i in (k + 1)..n {
-                let f = lu[(i, k)] / pivot;
-                lu[(i, k)] = f;
-                if f == 0.0 {
-                    continue;
-                }
-                for j in (k + 1)..n {
-                    let v = lu[(k, j)];
-                    lu[(i, j)] -= f * v;
-                }
-            }
-        }
-        crate::counters::record_lu_factorization(n);
+        let sign = factor_in_place(lu.as_mut_slice(), &mut piv)?;
         Ok(Lu { lu, piv, sign })
     }
 
@@ -157,25 +119,8 @@ impl Lu {
                 rhs: (n, n),
             });
         }
-        crate::counters::record_triangular_solve(n);
-        // Solve Uᵀ y = b (forward, Uᵀ lower-triangular with diag of U)...
         let mut y = b.to_vec();
-        for i in 0..n {
-            let s: f64 = (0..i).map(|j| self.lu[(j, i)] * y[j]).sum();
-            y[i] = (y[i] - s) / self.lu[(i, i)];
-        }
-        // ...then Lᵀ z = y (backward, unit diagonal).
-        for i in (0..n).rev() {
-            let s: f64 = ((i + 1)..n).map(|j| self.lu[(j, i)] * y[j]).sum();
-            y[i] -= s;
-        }
-        // Undo the permutation: x = z Pᵀ, i.e. apply swaps in reverse.
-        for k in (0..n).rev() {
-            let p = self.piv[k];
-            if p != k {
-                y.swap(k, p);
-            }
-        }
+        solve_left_in_place(self.lu.as_slice(), &self.piv, &mut y);
         Ok(y)
     }
 
@@ -200,6 +145,74 @@ impl Lu {
     /// Inverse of the factored matrix.
     pub fn inverse(&self) -> Result<Matrix> {
         self.solve_matrix(&Matrix::identity(self.dim()))
+    }
+}
+
+/// Factor the row-major `n × n` matrix `lu` in place as `P·a = L·U`
+/// ([`Lu::new`]'s packed form), writing the pivots to `piv` (length `n`);
+/// returns the sign of the permutation.
+pub(crate) fn factor_in_place(lu: &mut [f64], piv: &mut [usize]) -> Result<f64> {
+    let n = piv.len();
+    let mut sign = 1.0;
+    for k in 0..n {
+        // Find pivot: largest |entry| in column k at or below row k.
+        let mut p = k;
+        let mut pmax = lu[k * n + k].abs();
+        for i in (k + 1)..n {
+            let v = lu[i * n + k].abs();
+            if v > pmax {
+                pmax = v;
+                p = i;
+            }
+        }
+        piv[k] = p;
+        if p != k {
+            for j in 0..n {
+                lu.swap(k * n + j, p * n + j);
+            }
+            sign = -sign;
+        }
+        let pivot = lu[k * n + k];
+        if pivot == 0.0 || !pivot.is_finite() {
+            return Err(LinalgError::Singular);
+        }
+        for i in (k + 1)..n {
+            let f = lu[i * n + k] / pivot;
+            lu[i * n + k] = f;
+            if f == 0.0 {
+                continue;
+            }
+            for j in (k + 1)..n {
+                let v = lu[k * n + j];
+                lu[i * n + j] -= f * v;
+            }
+        }
+    }
+    crate::counters::record_lu_factorization(n);
+    Ok(sign)
+}
+
+/// Overwrite the row vector `y` with `y a⁻¹`, for `a` factored by
+/// [`factor_in_place`] into `lu` and `piv`.
+pub(crate) fn solve_left_in_place(lu: &[f64], piv: &[usize], y: &mut [f64]) {
+    let n = piv.len();
+    crate::counters::record_triangular_solve(n);
+    // Solve Uᵀ y = b (forward, Uᵀ lower-triangular with diag of U)...
+    for i in 0..n {
+        let s: f64 = (0..i).map(|j| lu[j * n + i] * y[j]).sum();
+        y[i] = (y[i] - s) / lu[i * n + i];
+    }
+    // ...then Lᵀ z = y (backward, unit diagonal).
+    for i in (0..n).rev() {
+        let s: f64 = ((i + 1)..n).map(|j| lu[j * n + i] * y[j]).sum();
+        y[i] -= s;
+    }
+    // Undo the permutation: x = z Pᵀ, i.e. apply swaps in reverse.
+    for k in (0..n).rev() {
+        let p = piv[k];
+        if p != k {
+            y.swap(k, p);
+        }
     }
 }
 

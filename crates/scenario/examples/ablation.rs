@@ -2,10 +2,9 @@
 //! DESIGN.md), run on the registry scenario `ablation` (λ = 0.5,
 //! quantum mean 1):
 //!
-//! 1. **Vacation mode** — heavy-traffic only (Thm 4.1) vs fixed point with
-//!    2-moment compression vs 3-moment compression vs the exact truncated
-//!    absorbed chain (Thm 4.3). Shows how much the fixed point matters and
-//!    how little the compression order does.
+//! 1. **Vacation mode** — heavy-traffic only (Thm 4.1) vs the fixed point
+//!    (Thm 4.3) with 2-moment vs 3-moment effective quanta. Shows how much
+//!    the fixed point matters and how little the compression order does.
 //! 2. **Erlang stage count K** of the quantum distribution — the paper's
 //!    figures leave K unspecified; this quantifies the sensitivity.
 //! 3. **Fixed-point tolerance** — iterations vs accuracy.
@@ -25,7 +24,6 @@ fn main() {
         ("heavy-traffic", VacationMode::HeavyTraffic),
         ("moment-2", VacationMode::MomentMatched { moments: 2 }),
         ("moment-3", VacationMode::MomentMatched { moments: 3 }),
-        ("exact-truncated", VacationMode::Exact),
     ];
     for (name, mode) in modes {
         let opts = SolverOptions {
