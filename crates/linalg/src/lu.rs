@@ -1,6 +1,16 @@
 //! LU decomposition with partial pivoting, linear solves and inverses.
+//!
+//! The kernels work on whole rows of contiguous row-major slices: the
+//! factorization swaps and updates rows, and a matrix solve substitutes
+//! all right-hand sides at once, row by row. Every entry still gets the
+//! textbook column-at-a-time arithmetic in the same order, so the results
+//! are bit-identical to it (the `oracle` tests keep that textbook code and
+//! compare bits).
 
 use crate::{LinalgError, Matrix, Result};
+
+#[cfg(test)]
+mod oracle;
 
 /// LU decomposition of a square matrix with partial (row) pivoting.
 ///
@@ -66,29 +76,12 @@ impl Lu {
                 rhs: (b.len(), 1),
             });
         }
-        crate::counters::record_triangular_solve(n);
         let mut x = b.to_vec();
-        // Apply permutation.
-        for k in 0..n {
-            let p = self.piv[k];
-            if p != k {
-                x.swap(k, p);
-            }
-        }
-        // Forward substitution (L has unit diagonal).
-        for i in 1..n {
-            let s: f64 = (0..i).map(|j| self.lu[(i, j)] * x[j]).sum();
-            x[i] -= s;
-        }
-        // Backward substitution.
-        for i in (0..n).rev() {
-            let s: f64 = ((i + 1)..n).map(|j| self.lu[(i, j)] * x[j]).sum();
-            x[i] = (x[i] - s) / self.lu[(i, i)];
-        }
+        self.solve_in_place(&mut x, 1);
         Ok(x)
     }
 
-    /// Solve `a X = B` column by column.
+    /// Solve `a X = B` for every column of `B` at once.
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         let n = self.dim();
         if b.rows() != n {
@@ -98,15 +91,49 @@ impl Lu {
                 rhs: b.shape(),
             });
         }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve_vec(&col)?;
-            for i in 0..n {
-                out[(i, j)] = x[i];
+        let mut x = b.clone();
+        self.solve_in_place(x.as_mut_slice(), b.cols());
+        Ok(x)
+    }
+
+    /// Overwrite the row-major `n × m` block `x` with `a⁻¹ x`.
+    ///
+    /// The substitutions run over whole rows of `x`, but every entry sees
+    /// the textbook column solve's arithmetic: `x_i − Σ_{j<i} l_ij x_j`
+    /// forward and `(x_i − Σ_{j>i} u_ij x_j) / u_ii` backward, each sum
+    /// accumulated in ascending `j` from `−0.0` as `Iterator::sum` does.
+    fn solve_in_place(&self, x: &mut [f64], m: usize) {
+        let n = self.dim();
+        crate::counters::record_triangular_solves(n, m);
+        if m == 0 {
+            return; // nothing to solve, and rows of width 0 cannot be chunked
+        }
+        let lu = self.lu.as_slice();
+        // Apply the row swaps.
+        for (k, &p) in self.piv.iter().enumerate() {
+            if p != k {
+                let (upper, lower) = x.split_at_mut(p * m);
+                upper[k * m..(k + 1) * m].swap_with_slice(&mut lower[..m]);
             }
         }
-        Ok(out)
+        let mut s = vec![0.0; m];
+        // Forward substitution (L has unit diagonal).
+        for i in 1..n {
+            let (solved, rest) = x.split_at_mut(i * m);
+            weighted_row_sum(&mut s, &lu[i * n..i * n + i], solved);
+            for (v, &s) in rest[..m].iter_mut().zip(&s) {
+                *v -= s;
+            }
+        }
+        // Backward substitution.
+        for i in (0..n).rev() {
+            let (rest, solved) = x.split_at_mut((i + 1) * m);
+            weighted_row_sum(&mut s, &lu[i * n + i + 1..(i + 1) * n], solved);
+            let d = lu[i * n + i];
+            for (v, &s) in rest[i * m..].iter_mut().zip(&s) {
+                *v = (*v - s) / d;
+            }
+        }
     }
 
     /// Solve `x a = b` for a row vector `b`, i.e. `aᵀ xᵀ = bᵀ`.
@@ -124,7 +151,7 @@ impl Lu {
         Ok(y)
     }
 
-    /// Solve `X a = B` row by row.
+    /// Solve `X a = B` row by row, each row in place.
     pub fn solve_left_matrix(&self, b: &Matrix) -> Result<Matrix> {
         let n = self.dim();
         if b.cols() != n {
@@ -134,12 +161,11 @@ impl Lu {
                 rhs: (n, n),
             });
         }
-        let mut out = Matrix::zeros(b.rows(), n);
+        let mut x = b.clone();
         for i in 0..b.rows() {
-            let x = self.solve_left_vec(b.row(i))?;
-            out.row_mut(i).copy_from_slice(&x);
+            solve_left_in_place(self.lu.as_slice(), &self.piv, x.row_mut(i));
         }
-        Ok(out)
+        Ok(x)
     }
 
     /// Inverse of the factored matrix.
@@ -167,24 +193,24 @@ pub(crate) fn factor_in_place(lu: &mut [f64], piv: &mut [usize]) -> Result<f64> 
         }
         piv[k] = p;
         if p != k {
-            for j in 0..n {
-                lu.swap(k * n + j, p * n + j);
-            }
+            let (upper, lower) = lu.split_at_mut(p * n);
+            upper[k * n..(k + 1) * n].swap_with_slice(&mut lower[..n]);
             sign = -sign;
         }
-        let pivot = lu[k * n + k];
+        let (upper, lower) = lu.split_at_mut((k + 1) * n);
+        let pivot_row = &upper[k * n..];
+        let pivot = pivot_row[k];
         if pivot == 0.0 || !pivot.is_finite() {
             return Err(LinalgError::Singular);
         }
-        for i in (k + 1)..n {
-            let f = lu[i * n + k] / pivot;
-            lu[i * n + k] = f;
+        for row in lower.chunks_exact_mut(n) {
+            let f = row[k] / pivot;
+            row[k] = f;
             if f == 0.0 {
                 continue;
             }
-            for j in (k + 1)..n {
-                let v = lu[k * n + j];
-                lu[i * n + j] -= f * v;
+            for (v, &u) in row[k + 1..].iter_mut().zip(&pivot_row[k + 1..]) {
+                *v -= f * u;
             }
         }
     }
@@ -196,7 +222,7 @@ pub(crate) fn factor_in_place(lu: &mut [f64], piv: &mut [usize]) -> Result<f64> 
 /// [`factor_in_place`] into `lu` and `piv`.
 pub(crate) fn solve_left_in_place(lu: &[f64], piv: &[usize], y: &mut [f64]) {
     let n = piv.len();
-    crate::counters::record_triangular_solve(n);
+    crate::counters::record_triangular_solves(n, 1);
     // Solve Uᵀ y = b (forward, Uᵀ lower-triangular with diag of U)...
     for i in 0..n {
         let s: f64 = (0..i).map(|j| lu[j * n + i] * y[j]).sum();
@@ -212,6 +238,17 @@ pub(crate) fn solve_left_in_place(lu: &[f64], piv: &[usize], y: &mut [f64]) {
         let p = piv[k];
         if p != k {
             y.swap(k, p);
+        }
+    }
+}
+
+/// `s = Σ_j coef[j] · rows[j]` over the consecutive rows of `rows` (each
+/// `s.len()` long), summed in ascending `j` from `−0.0` like `Iterator::sum`.
+fn weighted_row_sum(s: &mut [f64], coef: &[f64], rows: &[f64]) {
+    s.fill(-0.0);
+    for (&c, row) in coef.iter().zip(rows.chunks_exact(s.len())) {
+        for (s, &r) in s.iter_mut().zip(row) {
+            *s += c * r;
         }
     }
 }

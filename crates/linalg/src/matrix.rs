@@ -129,11 +129,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Copy column `j` into a new `Vec`.
-    pub fn col(&self, j: usize) -> Vec<f64> {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -156,16 +151,17 @@ impl Matrix {
         }
         crate::counters::record_matmul(self.rows, rhs.cols, self.cols);
         let mut out = Matrix::zeros(self.rows, rhs.cols);
+        if self.cols == 0 || rhs.cols == 0 {
+            return Ok(out); // all zeros, and rows of width 0 cannot be chunked
+        }
         // i-k-j loop order: streams through rhs rows, friendly to row-major.
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
+        let a_rows = self.data.chunks_exact(self.cols);
+        for (orow, arow) in out.data.chunks_exact_mut(rhs.cols).zip(a_rows) {
+            for (&a, rrow) in arow.iter().zip(rhs.data.chunks_exact(rhs.cols)) {
                 if a == 0.0 {
                     continue;
                 }
-                let rrow = rhs.row(k);
-                let orow = out.row_mut(i);
-                for (o, &b) in orow.iter_mut().zip(rrow.iter()) {
+                for (o, &b) in orow.iter_mut().zip(rrow) {
                     *o += a * b;
                 }
             }
@@ -420,7 +416,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m[(1, 0)], 3.0);
-        assert_eq!(m.col(1), vec![2.0, 4.0]);
     }
 
     #[test]

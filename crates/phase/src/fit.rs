@@ -15,9 +15,9 @@
 //!   graceful fallback to the two-moment fit outside the Coxian-2 feasible
 //!   region.
 
-use crate::builders::{coxian, erlang, exponential};
+use crate::builders::{coxian, exponential};
 use crate::dist::PhaseType;
-use crate::ops::mixture;
+use gsched_linalg::Matrix;
 
 /// Tolerance within which an SCV is treated as exactly 1 (exponential).
 const SCV_TOL: f64 = 1e-9;
@@ -53,13 +53,35 @@ pub fn fit_two_moment(mean: f64, scv: f64) -> PhaseType {
     let k = (1.0 / scv).ceil() as usize;
     let k = k.clamp(2, 128);
     let kf = k as f64;
-    // Tijms: p chooses E_{k-1} (k-1 stages) with stage rate mu.
-    let p = (kf * scv - (kf * (1.0 + scv) - kf * kf * scv).sqrt()) / (1.0 + scv);
+    // Tijms: p chooses E_{k-1} (k-1 stages) with stage rate mu. Where `1/scv`
+    // rounds onto an integer, roundoff can push the root's argument below
+    // zero or p just outside [0, 1]; both are clamped to the exact limit.
+    let root = (kf * (1.0 + scv) - kf * kf * scv).max(0.0).sqrt();
+    let p = ((kf * scv - root) / (1.0 + scv)).clamp(0.0, 1.0);
     let mu = (kf - p) / mean; // per-stage rate
-                              // Erlang builder takes (stages, overall rate) with stage rate = stages*rate.
-    let e_km1 = erlang(k - 1, mu / (kf - 1.0));
-    let e_k = erlang(k, mu / kf);
-    mixture(&[p, 1.0 - p], &[e_km1, e_k]).expect("mixed-Erlang weights are valid")
+    mixed_erlang(k, p, mu)
+}
+
+/// `p·E_{k−1} + (1 − p)·E_k` with common stage rate `mu`, built as one PH.
+/// Each branch's stage rate is computed as
+/// [`erlang`](crate::builders::erlang) computes it for `erlang(k − 1,
+/// mu/(k − 1))` and `erlang(k, mu/k)`, so the result is bitwise their
+/// [`mixture`](crate::ops::mixture).
+fn mixed_erlang(k: usize, p: f64, mu: f64) -> PhaseType {
+    let n = 2 * k - 1;
+    let mut s = Matrix::zeros(n, n);
+    let mut alpha = vec![0.0; n];
+    (alpha[0], alpha[k - 1]) = (p, 1.0 - p);
+    for (start, stages) in [(0, k - 1), (k - 1, k)] {
+        let rate = stages as f64 * (mu / stages as f64);
+        for i in start..start + stages {
+            s[(i, i)] = -rate;
+            if i + 1 < start + stages {
+                s[(i, i + 1)] = rate;
+            }
+        }
+    }
+    PhaseType::new(alpha, s).expect("mixed-Erlang parameters are valid")
 }
 
 /// Outcome of a three-moment fit.
@@ -170,6 +192,7 @@ fn solve_coxian2(m1: f64, m2: f64, m3: f64) -> Option<(f64, f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builders::erlang;
 
     #[test]
     fn two_moment_exponential_case() {
@@ -193,6 +216,66 @@ mod tests {
             assert!((ph.mean() - 3.0).abs() < 1e-8, "scv={scv}");
             assert!((ph.scv() - scv).abs() < 1e-6, "scv={scv}: got {}", ph.scv());
         }
+    }
+
+    /// The mixed-Erlang branch as it was built before [`mixed_erlang`]: two
+    /// Erlangs and their mixture, each validated. `None` where it could not
+    /// build one (a weight outside [0, 1] from roundoff).
+    fn mixture_route(mean: f64, scv: f64) -> Option<PhaseType> {
+        use crate::ops::mixture;
+        let scv = scv.max(1.0 / 128.0);
+        let k = (1.0 / scv).ceil() as usize;
+        let k = k.clamp(2, 128);
+        let kf = k as f64;
+        let p = (kf * scv - (kf * (1.0 + scv) - kf * kf * scv).sqrt()) / (1.0 + scv);
+        let mu = (kf - p) / mean;
+        if !(0.0..=1.0).contains(&p) {
+            return None;
+        }
+        let e_km1 = erlang(k - 1, mu / (kf - 1.0));
+        let e_k = erlang(k, mu / kf);
+        mixture(&[p, 1.0 - p], &[e_km1, e_k]).ok()
+    }
+
+    #[test]
+    fn mixed_erlang_is_bitwise_the_mixture_of_two_erlangs() {
+        let bits = |ph: &PhaseType| {
+            let s = ph.sub_generator();
+            let all = ph.alpha().iter().chain(s.as_slice());
+            all.map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        // Every stage-count boundary 1/k and its two neighbouring floats,
+        // plus a fine grid over (1/128, 1).
+        let mut scvs: Vec<f64> = (2..=128)
+            .flat_map(|k| {
+                let b = 1.0 / k as f64;
+                [
+                    f64::from_bits(b.to_bits() - 1),
+                    b,
+                    f64::from_bits(b.to_bits() + 1),
+                ]
+            })
+            .collect();
+        scvs.extend((1..1000).map(|i| 1.0 / 128.0 + (1.0 - 1.0 / 128.0) * i as f64 / 1000.0));
+        let mut clamped = 0;
+        for scv in scvs.into_iter().filter(|&v| v > 1.0 / 128.0 && v < 1.0) {
+            for mean in [0.37, 12.5] {
+                let got = fit_two_moment(mean, scv);
+                match mixture_route(mean, scv) {
+                    Some(want) => assert_eq!(bits(&got), bits(&want), "scv {scv:e}, mean {mean}"),
+                    None => clamped += 1,
+                }
+                // Also where roundoff defeated the old route, the fit is a
+                // valid PH with the requested mean.
+                assert!((got.mean() - mean).abs() <= 1e-9 * mean, "scv {scv:e}");
+                assert!(
+                    (got.scv() - scv).abs() <= 1e-6,
+                    "scv {scv:e}: {}",
+                    got.scv()
+                );
+            }
+        }
+        assert!(clamped > 0, "no boundary case exercised the clamp");
     }
 
     #[test]
