@@ -257,8 +257,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
             let config = ServeConfig::builder()
                 .addr("127.0.0.1:0")
                 .workers(crate::flag_count(&flags, "workers", 2)?)
-                .cache_capacity(256)
-                .queue_limit(crate::flag_count(&flags, "queue-limit", 0)?)
+                .queue_limit(crate::flag_count(
+                    &flags,
+                    "queue-limit",
+                    ServeConfig::default().queue_limit,
+                )?)
                 .build()
                 .map_err(|e| format!("loadtest: {}", e.message))?;
             let server =

@@ -19,7 +19,7 @@
 //! gsched paper     [--rho R] [--quantum Q] [--json]
 //! gsched figure    <fig1|fig2|fig3|fig4|fig5|all>
 //! gsched serve     [--addr A] [--workers N] [--cache-cap N]
-//!                  [--deadline-ms N] [--queue-limit N] [--batch-max N]
+//!                  [--deadline-ms N] [--queue-limit N]
 //! gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown]
 //!                  [--quick] [--deadline-ms N] [--id ID] [--frame]
 //! gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick]
@@ -79,10 +79,10 @@
 //! scenario requests arrive as newline-delimited JSON over TCP, repeated
 //! questions are answered from a result cache, and SIGINT (or a
 //! `shutdown` frame) stops it cleanly. Under concurrent traffic the
-//! server coalesces identical in-flight requests (singleflight), batches
-//! compatible queued sweeps, and — with `--queue-limit` — sheds overflow
-//! with `overloaded` errors. `gsched request` is the matching client;
-//! it prints just the `result` document, which is byte-identical to the
+//! server coalesces identical in-flight requests (singleflight) and —
+//! with `--queue-limit` — sheds overflow with `overloaded` errors.
+//! `gsched request` is the matching client; it prints just the `result`
+//! document, which is byte-identical to the
 //! corresponding `gsched solve --json` output. See the `gsched-service`
 //! crate docs for the wire protocol. `gsched loadtest` drives a server —
 //! self-hosted, or a live one via `--addr` — with mixed concurrent
@@ -243,7 +243,7 @@ fn usage() -> String {
          gsched bench     [--scenario S | --scaling] [--quick] [--out DIR]\n  \
          gsched paper     [--rho R] [--quantum Q] [--json]\n  \
          gsched figure    <fig1|fig2|fig3|fig4|fig5|all>\n  \
-         gsched serve     [--addr A] [--workers N] [--cache-cap N] [--deadline-ms N] [--queue-limit N] [--batch-max N]\n  \
+         gsched serve     [--addr A] [--workers N] [--cache-cap N] [--deadline-ms N] [--queue-limit N]\n  \
          gsched request   [<scenario>] [--addr A] [--op solve|sweep|stats|shutdown] [--quick] [--deadline-ms N] [--id ID] [--frame]\n  \
          gsched loadtest  [--addr A] [--clients N] [--requests N] [--quick] [--expect-no-shed] [--json]\n  \
          gsched example-model\n  \
@@ -287,10 +287,7 @@ const COMMAND_FLAGS: &[(&str, &str)] = &[
     ("bench", "scenario scaling quick out"),
     ("paper", "rho quantum json"),
     ("figure", ""),
-    (
-        "serve",
-        "addr workers cache-cap deadline-ms queue-limit batch-max",
-    ),
+    ("serve", "addr workers cache-cap deadline-ms queue-limit"),
     ("request", "addr op quick deadline-ms id frame"),
     (
         "loadtest",
@@ -1345,17 +1342,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     let defaults = ServeConfig::default();
     let opts = ServeConfig::builder()
-        .addr(
-            flags
-                .get("addr")
-                .cloned()
-                .unwrap_or_else(|| "127.0.0.1:7070".to_string()),
-        )
-        .workers(flag_count(&flags, "workers", 0)?)
-        .cache_capacity(flag_count(&flags, "cache-cap", 256)?)
-        .default_deadline_ms(flag_count(&flags, "deadline-ms", 30_000)?)
+        .addr(flags.get("addr").cloned().unwrap_or(defaults.addr))
+        .workers(flag_count(&flags, "workers", defaults.workers)?)
+        .cache_capacity(flag_count(&flags, "cache-cap", defaults.cache_capacity)?)
+        .default_deadline_ms(flag_count(
+            &flags,
+            "deadline-ms",
+            defaults.default_deadline_ms,
+        )?)
         .queue_limit(flag_count(&flags, "queue-limit", defaults.queue_limit)?)
-        .batch_max(flag_count(&flags, "batch-max", defaults.batch_max)?)
         .build()
         .map_err(|e| format!("serve: {}", e.message))?;
     let diag = Diagnostics::from_flags(&flags);
@@ -1384,7 +1379,7 @@ fn cmd_request(args: &[String]) -> Result<(), String> {
     let addr = flags
         .get("addr")
         .cloned()
-        .unwrap_or_else(|| "127.0.0.1:7070".to_string());
+        .unwrap_or_else(|| ServeConfig::default().addr);
     let op = flags
         .get("op")
         .map(|s| {

@@ -583,6 +583,10 @@ fn removed_serving_extras_fail_by_name() {
             &["serve", "--access-log-max-bytes", "1"][..],
             "serve: unknown flag --access-log-max-bytes",
         ),
+        (
+            &["serve", "--batch-max", "2"][..],
+            "serve: unknown flag --batch-max",
+        ),
         (&["top"][..], "unknown subcommand `top`"),
         (&["top", "--once"][..], "unknown subcommand `top`"),
     ] {

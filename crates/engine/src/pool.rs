@@ -1,22 +1,21 @@
 //! The work-stealing evaluation pool.
 //!
-//! [`run_batch`] evaluates one or more sweep requests on one pool of
-//! workers. Each request's points are split into contiguous chunks of
-//! [`DEFAULT_CHUNK_SIZE`] along its sweep axis, and the chunks of every
-//! request form one work list that the workers take from a shared atomic
-//! counter. A worker solves a chunk's points left to right, warm-starting
-//! every point from its left neighbour's converged state, and one
-//! [`VacationCache`] serves the whole call. [`run_sweep`] is a one-item
-//! batch.
+//! [`run_sweep`] evaluates one sweep request on a pool of workers. The
+//! request's points are split into contiguous chunks of
+//! [`DEFAULT_CHUNK_SIZE`] along its sweep axis, and the workers take
+//! chunks from a shared atomic counter. A worker solves a chunk's points
+//! left to right, warm-starting every point from its left neighbour's
+//! converged state, and one [`VacationCache`] serves the whole call.
 //!
 //! The calling thread is always one of the workers; `jobs − 1` scoped
 //! helpers join it. A one-worker sweep therefore starts no thread, and its
-//! chunk and point spans nest under the caller's open spans.
+//! chunk and point spans nest under the caller's open spans. Helper
+//! threads re-enter the caller's request context, so every chunk and
+//! point span attributes to the caller's request.
 //!
-//! Because a request's chunk layout depends only on its point count —
-//! never on the worker count or on the requests it is batched with — and
-//! warm chains never cross a chunk boundary, every request's results are
-//! bitwise identical for any `jobs` value and any batch.
+//! Because the chunk layout depends only on the point count — never on
+//! the worker count — and warm chains never cross a chunk boundary, the
+//! results are bitwise identical for any `jobs` value.
 
 use crate::cancel::{CancelToken, CANCELLED_POINT_ERROR};
 use crate::report::{PointReport, SweepReport, SweepStats};
@@ -24,6 +23,7 @@ use crate::request::SweepRequest;
 use gsched_core::{solve_warm, SolverOptions, VacationCache, WarmStart};
 use gsched_obs as obs;
 use parking_lot::Mutex;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -32,7 +32,7 @@ use std::time::Instant;
 /// pool to balance.
 pub const DEFAULT_CHUNK_SIZE: usize = 4;
 
-/// Options for [`run_sweep`] and [`run_batch`].
+/// Options for [`run_sweep`].
 ///
 /// `#[non_exhaustive]`: start from `SweepOptions::default()` and adjust via
 /// the chainable `with_*` methods (or field assignment).
@@ -84,68 +84,16 @@ fn effective_jobs(requested: usize) -> usize {
     }
 }
 
-/// One request in a [`run_batch`] call: the sweep itself plus its private
-/// cancellation token and observability context.
-#[derive(Debug)]
-pub struct BatchItem<'a> {
-    /// The sweep to evaluate.
-    pub request: &'a SweepRequest,
-    /// Cancels only this item's remaining points; the batch-wide
-    /// `SweepOptions::cancel` (if any) cancels every item.
-    pub cancel: Option<CancelToken>,
-    /// Request context (`gsched_obs::current_context`) to attribute this
-    /// item's chunk and point spans to; `0` inherits the batch caller's.
-    pub ctx: u64,
-}
-
-impl<'a> BatchItem<'a> {
-    /// An item with no private cancellation and inherited context.
-    pub fn new(request: &'a SweepRequest) -> Self {
-        BatchItem {
-            request,
-            cancel: None,
-            ctx: 0,
-        }
-    }
-
-    /// Attach a private cancellation token.
-    #[must_use]
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Attribute this item's spans to a request context.
-    #[must_use]
-    pub fn with_ctx(mut self, ctx: u64) -> Self {
-        self.ctx = ctx;
-        self
-    }
-}
-
-/// One chunk of one item: points `lo..hi` of `items[item]`.
-struct Task {
-    item: usize,
-    chunk: usize,
-    lo: usize,
-    hi: usize,
-}
-
-/// What the workers accumulate for one item.
-struct ItemOutcome {
+/// Everything a chunk solve shares with the other workers.
+struct Pool<'a> {
+    req: &'a SweepRequest,
     points: Mutex<Vec<Option<PointReport>>>,
     warm_hits: AtomicU64,
     warm_misses: AtomicU64,
-}
-
-/// Everything a chunk solve shares with the other workers.
-struct Pool<'a> {
-    items: &'a [BatchItem<'a>],
-    outcomes: Vec<ItemOutcome>,
-    tasks: Vec<Task>,
+    /// The next chunk to hand out.
     next: AtomicUsize,
     solver: SolverOptions,
-    opts: &'a SweepOptions,
+    cancel: Option<&'a CancelToken>,
     cache: VacationCache,
     caller_ctx: u64,
 }
@@ -153,40 +101,32 @@ struct Pool<'a> {
 impl Pool<'_> {
     /// One worker: take chunks off the shared counter until none are left.
     fn work(&self) {
-        while let Some(task) = self.tasks.get(self.next.fetch_add(1, Ordering::Relaxed)) {
-            let item = &self.items[task.item];
-            // Chunk and point spans attribute to the item's own request,
-            // not to whichever request the batch was started for.
-            let ctx = if item.ctx != 0 {
-                item.ctx
-            } else {
-                self.caller_ctx
-            };
-            let _ctx = obs::context_enter(ctx);
-            let _chunk_span = obs::span(format!("engine.sweep.chunk{}", task.chunk));
-            self.solve_chunk(task, item);
+        // Helper threads start with no context; re-enter the caller's so
+        // chunk and point spans attribute to its request.
+        let _ctx = obs::context_enter(self.caller_ctx);
+        let n = self.req.points.len();
+        loop {
+            let chunk = self.next.fetch_add(1, Ordering::Relaxed);
+            let lo = chunk * DEFAULT_CHUNK_SIZE;
+            if lo >= n {
+                return;
+            }
+            let _chunk_span = obs::span(format!("engine.sweep.chunk{chunk}"));
+            self.solve_chunk(lo..(lo + DEFAULT_CHUNK_SIZE).min(n));
         }
-    }
-
-    fn cancelled(&self, item: &BatchItem<'_>) -> bool {
-        [&self.opts.cancel, &item.cancel]
-            .into_iter()
-            .flatten()
-            .any(CancelToken::is_cancelled)
     }
 
     /// Solve one chunk's points left to right, warm-chaining within it.
     /// Cancellation is polled before every point; once it fires, the
     /// remaining points are recorded as cancelled without solving.
-    fn solve_chunk(&self, task: &Task, item: &BatchItem<'_>) {
-        let outcome = &self.outcomes[task.item];
+    fn solve_chunk(&self, points: Range<usize>) {
         let mut carry: Option<WarmStart> = None;
-        for i in task.lo..task.hi {
-            let pt = &item.request.points[i];
-            if self.cancelled(item) {
+        for i in points {
+            let pt = &self.req.points[i];
+            if self.cancel.is_some_and(CancelToken::is_cancelled) {
                 carry = None;
                 obs::counter_add(obs::names::ENGINE_SWEEP_CANCELLED_POINTS, 1);
-                outcome.points.lock()[i] = Some(PointReport {
+                self.points.lock()[i] = Some(PointReport {
                     x: pt.x,
                     solution: None,
                     error: Some(CANCELLED_POINT_ERROR.to_string()),
@@ -206,10 +146,10 @@ impl Pool<'_> {
             let report = match res {
                 Ok(solved) => {
                     if warm_started {
-                        outcome.warm_hits.fetch_add(1, Ordering::Relaxed);
+                        self.warm_hits.fetch_add(1, Ordering::Relaxed);
                         obs::counter_add(obs::names::ENGINE_WARM_HITS, 1);
                     } else {
-                        outcome.warm_misses.fetch_add(1, Ordering::Relaxed);
+                        self.warm_misses.fetch_add(1, Ordering::Relaxed);
                         obs::counter_add(obs::names::ENGINE_WARM_MISSES, 1);
                     }
                     carry = Some(solved.warm);
@@ -242,97 +182,52 @@ impl Pool<'_> {
                     }
                 }
             };
-            outcome.points.lock()[i] = Some(report);
+            self.points.lock()[i] = Some(report);
         }
     }
 }
 
-/// Evaluate every point of `req` and collect the outcomes: a one-item
-/// [`run_batch`].
+/// Evaluate every point of `req` and collect the outcomes.
 ///
 /// Per-point failures are recorded in the corresponding [`PointReport`]
 /// (with class and sweep-point context in the message) and never abort the
 /// rest of the sweep.
+///
+/// `opts.jobs` sizes the pool (0 = auto), clamped to the chunk count;
+/// when more workers were asked for than there are chunks, the spare
+/// cores go to per-class parallelism inside each solve, which is
+/// numerics-neutral. The report's `stats.jobs` records the pool size.
 pub fn run_sweep(req: &SweepRequest, opts: &SweepOptions) -> SweepReport {
-    run_batch(&[BatchItem::new(req)], opts)
-        .pop()
-        .expect("one report per item")
-}
-
-/// Evaluate several sweep requests on one shared worker pool.
-///
-/// Every request is chunked the same way whatever it shares the pool
-/// with, so each report is **bitwise identical** to the request's
-/// standalone [`run_sweep`] — the batch only shares the workers and one
-/// [`VacationCache`], whose memoized constructions are
-/// value-deterministic. Reports come back in item order. A cancelled item
-/// never stops its batch-mates; per-item tokens compose with the
-/// batch-wide `opts.cancel`.
-///
-/// `opts.jobs` sizes the pool (0 = auto), clamped to the total chunk
-/// count; when more workers were asked for than there are chunks, the
-/// spare cores go to per-class parallelism inside each solve, which is
-/// numerics-neutral. Each report's `stats.jobs` records the pool size and
-/// `stats.wall_ms` the whole call's wall time (items interleave on the
-/// pool, so per-item wall is not meaningful).
-pub fn run_batch(items: &[BatchItem<'_>], opts: &SweepOptions) -> Vec<SweepReport> {
     let start = Instant::now();
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let labels: Vec<&str> = items
-        .iter()
-        .map(|b| b.request.base.label.as_str())
-        .collect();
-    let label = labels.join("+");
+    let label = req.base.label.as_str();
     let _span = obs::span(format!("engine.sweep.{label}"));
-    let mut tasks = Vec::new();
-    for (item, b) in items.iter().enumerate() {
-        let n = b.request.points.len();
-        for chunk in 0..n.div_ceil(DEFAULT_CHUNK_SIZE) {
-            let lo = chunk * DEFAULT_CHUNK_SIZE;
-            let hi = (lo + DEFAULT_CHUNK_SIZE).min(n);
-            tasks.push(Task {
-                item,
-                chunk,
-                lo,
-                hi,
-            });
-        }
-    }
+    let n = req.points.len();
+    let chunks = n.div_ceil(DEFAULT_CHUNK_SIZE);
     let requested = effective_jobs(opts.jobs);
-    let jobs = requested.clamp(1, tasks.len().max(1));
+    let jobs = requested.clamp(1, chunks.max(1));
     let mut solver = opts.solver.clone();
-    solver.parallel_classes |= requested > tasks.len();
+    solver.parallel_classes |= requested > chunks;
 
-    let points: usize = items.iter().map(|b| b.request.points.len()).sum();
     if obs::enabled() {
         obs::event(
             "engine.sweep.start",
             &[
-                ("label", obs::FieldValue::Str(label)),
-                ("items", obs::FieldValue::U64(items.len() as u64)),
-                ("points", obs::FieldValue::U64(points as u64)),
-                ("chunks", obs::FieldValue::U64(tasks.len() as u64)),
+                ("label", obs::FieldValue::Str(label.to_string())),
+                ("points", obs::FieldValue::U64(n as u64)),
+                ("chunks", obs::FieldValue::U64(chunks as u64)),
                 ("jobs", obs::FieldValue::U64(jobs as u64)),
             ],
         );
     }
 
     let pool = Pool {
-        items,
-        outcomes: items
-            .iter()
-            .map(|b| ItemOutcome {
-                points: Mutex::new(vec![None; b.request.points.len()]),
-                warm_hits: AtomicU64::new(0),
-                warm_misses: AtomicU64::new(0),
-            })
-            .collect(),
-        tasks,
+        req,
+        points: Mutex::new(vec![None; n]),
+        warm_hits: AtomicU64::new(0),
+        warm_misses: AtomicU64::new(0),
         next: AtomicUsize::new(0),
         solver,
-        opts,
+        cancel: opts.cancel.as_ref(),
         cache: VacationCache::new(),
         caller_ctx: obs::current_context(),
     };
@@ -344,44 +239,31 @@ pub fn run_batch(items: &[BatchItem<'_>], opts: &SweepOptions) -> Vec<SweepRepor
     })
     .expect("sweep worker threads join cleanly");
 
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let parallel_classes = pool.solver.parallel_classes;
-    let reports: Vec<SweepReport> = pool
-        .outcomes
-        .into_iter()
-        .zip(items)
-        .map(|(outcome, b)| SweepReport {
-            axis: b.request.axis.clone(),
-            label: b.request.base.label.clone(),
-            points: outcome
-                .points
-                .into_inner()
-                .into_iter()
-                .map(|p| p.expect("every sweep point is evaluated"))
-                .collect(),
-            stats: SweepStats {
-                warm_hits: outcome.warm_hits.into_inner(),
-                warm_misses: outcome.warm_misses.into_inner(),
-                jobs,
-                chunks: b.request.points.len().div_ceil(DEFAULT_CHUNK_SIZE),
-                parallel_classes,
-                wall_ms,
-            },
-        })
-        .collect();
+    let stats = SweepStats {
+        warm_hits: pool.warm_hits.into_inner(),
+        warm_misses: pool.warm_misses.into_inner(),
+        jobs,
+        chunks,
+        wall_ms: start.elapsed().as_secs_f64() * 1e3,
+    };
     if obs::enabled() {
-        let total = SweepStats {
-            warm_hits: reports.iter().map(|r| r.stats.warm_hits).sum(),
-            warm_misses: reports.iter().map(|r| r.stats.warm_misses).sum(),
-            ..SweepStats::default()
-        };
         obs::gauge_set(
             obs::names::ENGINE_SWEEP_WARM_HIT_RATE,
-            total.warm_hit_rate(),
+            stats.warm_hit_rate(),
         );
         obs::gauge_set(obs::names::ENGINE_SWEEP_JOBS, jobs as f64);
     }
-    reports
+    SweepReport {
+        axis: req.axis.clone(),
+        label: req.base.label.clone(),
+        points: pool
+            .points
+            .into_inner()
+            .into_iter()
+            .map(|p| p.expect("every sweep point is evaluated"))
+            .collect(),
+        stats,
+    }
 }
 
 #[cfg(test)]
@@ -539,45 +421,5 @@ mod tests {
                 .with_cancel(CancelToken::new()),
         );
         assert_eq!(response_bits(&plain), response_bits(&tokened));
-    }
-
-    #[test]
-    fn batched_requests_are_bitwise_identical_to_standalone() {
-        let reqs = [request(10, 0.15), request(6, 0.25), request(3, 0.1)];
-        let solo_opts = SweepOptions::default().with_jobs(1);
-        let solos: Vec<SweepReport> = reqs.iter().map(|r| run_sweep(r, &solo_opts)).collect();
-        let items: Vec<BatchItem> = reqs.iter().map(BatchItem::new).collect();
-        let batched = run_batch(&items, &SweepOptions::default().with_jobs(3));
-        assert_eq!(batched.len(), 3);
-        for (solo, batch) in solos.iter().zip(batched.iter()) {
-            assert_eq!(response_bits(solo), response_bits(batch));
-            assert_eq!(solo.stats.warm_hits, batch.stats.warm_hits);
-            assert_eq!(solo.stats.warm_misses, batch.stats.warm_misses);
-            assert_eq!(solo.stats.chunks, batch.stats.chunks);
-            assert_eq!(solo.label, batch.label);
-        }
-    }
-
-    #[test]
-    fn batch_cancellation_is_per_item() {
-        let reqs = [request(4, 0.15), request(4, 0.15)];
-        let token = CancelToken::new();
-        token.cancel();
-        let items = vec![
-            BatchItem::new(&reqs[0]),
-            BatchItem::new(&reqs[1]).with_cancel(token),
-        ];
-        let reports = run_batch(&items, &SweepOptions::default().with_jobs(1));
-        assert_eq!(reports[0].failures(), 0, "uncancelled item completes");
-        assert_eq!(reports[1].failures(), 4, "cancelled item solves nothing");
-        assert!(reports[1]
-            .points
-            .iter()
-            .all(|p| p.error.as_deref() == Some(CANCELLED_POINT_ERROR)));
-    }
-
-    #[test]
-    fn empty_batch_returns_nothing() {
-        assert!(run_batch(&[], &SweepOptions::default()).is_empty());
     }
 }

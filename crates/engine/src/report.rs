@@ -40,15 +40,13 @@ impl PointReport {
 pub struct SweepStats {
     /// Points solved from a neighbour's converged state.
     pub warm_hits: u64,
-    /// Points solved cold (first point of each chunk, failures, or all
-    /// points when warm starting is disabled).
+    /// Points solved cold: each chunk's first point, and any point whose
+    /// left neighbour failed.
     pub warm_misses: u64,
     /// Worker threads used.
     pub jobs: usize,
     /// Work-stealing chunks the points were split into.
     pub chunks: usize,
-    /// Whether per-class parallelism was enabled for the solves.
-    pub parallel_classes: bool,
     /// Wall-clock time for the whole sweep, in milliseconds.
     pub wall_ms: f64,
 }

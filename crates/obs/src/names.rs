@@ -39,8 +39,6 @@ pub const SERVICE_CANCELLED_DISCONNECTS: &str = "service.cancelled_disconnects";
 pub const SERVICE_SHED: &str = "service.shed";
 /// Requests coalesced onto an already in-flight identical solve (counter).
 pub const SERVICE_SINGLEFLIGHT_COALESCED: &str = "service.singleflight.coalesced";
-/// Queued sweep jobs merged into an engine batch behind a leader (counter).
-pub const SERVICE_BATCH_MERGED: &str = "service.batch.merged";
 
 // ---- gsched-engine ----
 
@@ -140,7 +138,6 @@ pub const ALL: &[&str] = &[
     SERVICE_CANCELLED_DISCONNECTS,
     SERVICE_SHED,
     SERVICE_SINGLEFLIGHT_COALESCED,
-    SERVICE_BATCH_MERGED,
     ENGINE_WARM_HITS,
     ENGINE_WARM_MISSES,
     ENGINE_SWEEP_CANCELLED_POINTS,

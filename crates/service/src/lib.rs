@@ -25,8 +25,7 @@
 //!    unwound from outside.
 //!
 //! Under concurrent traffic the server additionally **coalesces**
-//! identical cache misses onto one in-flight solve (singleflight),
-//! **batches** queued sweeps through the engine's shared batch pool, and
+//! identical cache misses onto one in-flight solve (singleflight) and
 //! **sheds** load with `overloaded` errors once the bounded queue is
 //! full — see [`server`] for the mechanics.
 //!

@@ -3,13 +3,15 @@
 //! A [`Server`] owns a `TcpListener`, a fixed pool of solver worker
 //! threads, and a shared [`MemoryLru`] result cache. Connection threads parse
 //! request frames, serve cache hits immediately, and enqueue misses for
-//! the worker pool; workers solve, render, cache, and publish. All
+//! the worker pool. Each worker takes one job at a time and solves,
+//! renders, caches, and publishes it; a sweep job is one engine
+//! [`run_sweep`] call on the worker's own thread (`jobs = 1`). All
 //! threads are scoped (`crossbeam::scope`) so `run` cannot return with
 //! work still borrowing the server.
 //!
 //! # Concurrency control
 //!
-//! Three mechanisms keep the server healthy under concurrent traffic:
+//! Two mechanisms keep the server healthy under concurrent traffic:
 //!
 //! * **Singleflight** — cache misses for the same cache key (operation +
 //!   grid flavour + scenario content hash) coalesce onto one in-flight
@@ -18,14 +20,6 @@
 //!   all share the published result. The solve is cancelled only when
 //!   the **last** waiter departs; one impatient client never kills work
 //!   another client is still waiting for.
-//! * **Request batching** — every sweep job runs through one engine
-//!   [`run_batch`] call. A worker drains up to `batch_max` queued sweeps
-//!   that resolve to the same solver options (`Scenario::solver_options`)
-//!   into that call (just the one when no other such sweep is waiting):
-//!   one shared pool and one shared vacation cache amortize work across
-//!   clients. Per-request point results are bitwise identical to
-//!   standalone evaluation (only the run-dependent `stats.jobs`/`wall_ms`
-//!   fields reflect the batch).
 //! * **Admission control** — when `queue_limit` is set, requests that
 //!   would push the queue past the limit are shed with an `overloaded`
 //!   error frame instead of being allowed to grow the queue without
@@ -54,7 +48,7 @@ use crate::protocol::{parse_request, ErrorKind, Op, Request, Response, ScenarioR
 use crate::render;
 use crate::telemetry::{op_index, ExternalStats, Telemetry, INVALID_OP};
 use gsched_core::{solve, SolverOptions};
-use gsched_engine::{run_batch, BatchItem, CancelToken, SweepOptions};
+use gsched_engine::{run_sweep, CancelToken, SweepOptions};
 use gsched_obs as obs;
 use gsched_scenario::{registry, Scenario};
 use std::collections::{HashMap, VecDeque};
@@ -85,9 +79,6 @@ pub struct ServeConfig {
     /// Shed requests once this many jobs are queued (`overloaded` error
     /// frames); `0` leaves the queue unbounded.
     pub queue_limit: usize,
-    /// Most queued sweep jobs a worker merges into one engine batch;
-    /// `1` disables batching.
-    pub batch_max: usize,
 }
 
 impl Default for ServeConfig {
@@ -98,7 +89,6 @@ impl Default for ServeConfig {
             cache_capacity: 256,
             default_deadline_ms: 30_000,
             queue_limit: 0,
-            batch_max: 8,
         }
     }
 }
@@ -154,23 +144,12 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Most queued sweeps merged into one engine batch; `1` disables.
-    pub fn batch_max(mut self, max: usize) -> Self {
-        self.config.batch_max = max;
-        self
-    }
-
     /// Validate and produce the configuration.
     pub fn build(self) -> Result<ServeConfig, ServiceError> {
         let bad = |msg: String| ServiceError::new(ErrorKind::BadRequest, msg);
         let c = self.config;
         if c.addr.is_empty() {
             return Err(bad("listen address must not be empty".to_string()));
-        }
-        if c.batch_max == 0 {
-            return Err(bad(
-                "batch_max must be at least 1 (1 disables batching)".to_string()
-            ));
         }
         Ok(c)
     }
@@ -245,8 +224,7 @@ impl FlightSlot {
 /// One queued unit of solver work (the leader's half of a flight).
 struct Job {
     scenario: Scenario,
-    /// The options the scenario solves under; queued sweeps batch only
-    /// with sweeps whose options are equal.
+    /// The options the scenario solves under.
     solver: SolverOptions,
     op: Op,
     quick: bool,
@@ -273,7 +251,6 @@ struct Stats {
     queue_depth: AtomicU64,
     shed: AtomicU64,
     coalesced: AtomicU64,
-    batch_merged: AtomicU64,
 }
 
 /// The solve server. See the module docs for the threading model.
@@ -282,7 +259,6 @@ pub struct Server {
     workers: usize,
     default_deadline_ms: u64,
     queue_limit: usize,
-    batch_max: usize,
     cache: MemoryLru,
     queue: JobQueue,
     /// In-flight solves by cache key; the singleflight map.
@@ -310,7 +286,6 @@ impl Server {
             workers,
             default_deadline_ms: opts.default_deadline_ms,
             queue_limit: opts.queue_limit,
-            batch_max: opts.batch_max,
             cache: MemoryLru::new(opts.cache_capacity),
             queue: JobQueue::default(),
             inflight: Mutex::new(HashMap::new()),
@@ -382,29 +357,12 @@ impl Server {
 
     // ---- worker side ----
 
-    /// Pop the next job, draining compatible queued sweeps behind it into
-    /// one batch. `None` means shutdown with an empty queue.
-    fn next_batch(&self) -> Option<Vec<Job>> {
+    /// Pop the next job; `None` means shutdown with an empty queue.
+    fn next_job(&self) -> Option<Job> {
         let mut jobs = self.queue.jobs.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            if let Some(first) = jobs.pop_front() {
-                let mut batch = vec![first];
-                if batch[0].op == Op::Sweep && self.batch_max > 1 {
-                    // Pull further sweeps under the same options from
-                    // anywhere in the queue; every other job keeps its
-                    // relative order.
-                    let mut i = 0;
-                    while i < jobs.len() && batch.len() < self.batch_max {
-                        if jobs[i].op == Op::Sweep && jobs[i].solver == batch[0].solver {
-                            if let Some(job) = jobs.remove(i) {
-                                batch.push(job);
-                            }
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                return Some(batch);
+            if let Some(job) = jobs.pop_front() {
+                return Some(job);
             }
             if self.shutting_down() {
                 return None;
@@ -419,57 +377,37 @@ impl Server {
     }
 
     fn worker_loop(&self) {
-        loop {
-            let Some(batch) = self.next_batch() else {
-                return;
-            };
-            for job in &batch {
-                let depth = self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
-                obs::gauge_set(obs::names::SERVICE_QUEUE_DEPTH, depth as f64);
-                let queue_wait_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
-                self.telemetry.record_queue_wait(queue_wait_ms);
-                obs::observe(obs::names::SERVICE_QUEUE_WAIT_MS, queue_wait_ms);
-            }
-            if batch.len() > 1 {
-                let merged = (batch.len() - 1) as u64;
-                self.stats.batch_merged.fetch_add(merged, Ordering::Relaxed);
-                obs::counter_add(obs::names::SERVICE_BATCH_MERGED, merged);
-            }
+        while let Some(job) = self.next_job() {
+            let depth = self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed) - 1;
+            obs::gauge_set(obs::names::SERVICE_QUEUE_DEPTH, depth as f64);
+            let queue_wait_ms = job.enqueued.elapsed().as_secs_f64() * 1e3;
+            self.telemetry.record_queue_wait(queue_wait_ms);
+            obs::observe(obs::names::SERVICE_QUEUE_WAIT_MS, queue_wait_ms);
             let _busy = self.telemetry.worker_busy();
             let t0 = Instant::now();
-            // Re-enter the leading request's context so every span the
-            // work opens here (service.solve, service.sweep, engine.sweep.*,
-            // core/qbd internals) carries its request_id in the trace
-            // export; batched sweeps attribute their own chunks.
-            let _ctx = obs::context_enter(batch[0].ctx);
-            // A panic inside numerical code must degrade to error frames,
-            // never take the whole server down.
-            let results: Vec<FlightResult> = catch_unwind(AssertUnwindSafe(|| match batch[0].op {
-                Op::Sweep => self.process_batch(&batch),
-                Op::Solve => batch.iter().map(|job| self.process_solve(job)).collect(),
+            // Re-enter the request's context so every span the work opens
+            // here (service.solve, service.sweep, engine.sweep.*, core/qbd
+            // internals) carries its request_id in the trace export.
+            let _ctx = obs::context_enter(job.ctx);
+            // A panic inside numerical code must degrade to an error
+            // frame, never take the whole server down.
+            let result = catch_unwind(AssertUnwindSafe(|| match job.op {
+                Op::Sweep => self.process_sweep(&job),
+                Op::Solve => self.process_solve(&job),
                 Op::Stats | Op::Shutdown => {
                     unreachable!("control operations never reach the queue")
                 }
             }))
             .unwrap_or_else(|_| {
-                batch
-                    .iter()
-                    .map(|_| {
-                        Err(ServiceError::new(
-                            ErrorKind::Internal,
-                            "worker panicked while processing the request",
-                        ))
-                    })
-                    .collect()
+                Err(ServiceError::new(
+                    ErrorKind::Internal,
+                    "worker panicked while processing the request",
+                ))
             });
-            // Batched jobs all report the batch wall clock: the work was
-            // genuinely shared and no finer attribution exists.
             let solve_ms = t0.elapsed().as_secs_f64() * 1e3;
-            for (job, result) in batch.iter().zip(results) {
-                self.telemetry.record_solve(solve_ms);
-                obs::observe(obs::names::SERVICE_SOLVE_MS, solve_ms);
-                self.publish(job.cache_key, &job.reply, result);
-            }
+            self.telemetry.record_solve(solve_ms);
+            obs::observe(obs::names::SERVICE_SOLVE_MS, solve_ms);
+            self.publish(job.cache_key, &job.reply, result);
         }
     }
 
@@ -515,63 +453,33 @@ impl Server {
         Ok(rendered)
     }
 
-    /// Evaluate a drained batch of one or more sweep jobs on one engine
-    /// pool, one worker per job, under the options the jobs share
-    /// ([`Server::next_batch`] batches only equal ones): concurrency comes
-    /// from the server's worker pool, cancellation from each job's token.
-    /// Per-job failures (validation, cancellation) degrade to per-job error
-    /// outcomes; the rest still batch.
-    fn process_batch(&self, jobs: &[Job]) -> Vec<Result<Arc<String>, ServiceError>> {
+    /// Evaluate one `sweep` job: its grid through [`run_sweep`] on this
+    /// worker's thread, under the job's solver options and cancel token.
+    /// Concurrency comes from the server's worker pool.
+    fn process_sweep(&self, job: &Job) -> Result<Arc<String>, ServiceError> {
+        if job.cancel.is_cancelled() {
+            return Err(cancel_error(&job.cancel));
+        }
         let _span = obs::span("service.sweep");
-        let mut out: Vec<Result<Arc<String>, ServiceError>> = jobs
-            .iter()
-            .map(|_| {
-                Err(ServiceError::new(
-                    ErrorKind::Internal,
-                    "batch slot was not filled",
-                ))
-            })
-            .collect();
-        let mut requests = Vec::with_capacity(jobs.len());
-        for (i, job) in jobs.iter().enumerate() {
-            if job.cancel.is_cancelled() {
-                out[i] = Err(cancel_error(&job.cancel));
-                continue;
-            }
-            match job.scenario.sweep_request(job.quick) {
-                Ok(req) => requests.push((i, req)),
-                Err(e) => {
-                    out[i] = Err(ServiceError::new(ErrorKind::InvalidScenario, e.to_string()))
-                }
-            }
-        }
-        let items: Vec<BatchItem<'_>> = requests
-            .iter()
-            .map(|(i, req)| {
-                BatchItem::new(req)
-                    .with_cancel(jobs[*i].cancel.clone())
-                    .with_ctx(jobs[*i].ctx)
-            })
-            .collect();
+        let req = job
+            .scenario
+            .sweep_request(job.quick)
+            .map_err(|e| ServiceError::new(ErrorKind::InvalidScenario, e.to_string()))?;
         let opts = SweepOptions::default()
-            .with_jobs(items.len())
-            .with_solver(jobs[0].solver.clone());
-        let reports = run_batch(&items, &opts);
-        for ((i, _), report) in requests.iter().zip(reports) {
-            let job = &jobs[*i];
-            if job.cancel.is_cancelled() {
-                out[*i] = Err(cancel_error(&job.cancel));
-                continue;
-            }
-            let classes = job.scenario.machine.classes.len();
-            let rendered = Arc::new(format!(
-                "[{}]",
-                render::sweep_report_json(&job.scenario.name, &report, classes)
-            ));
-            self.cache.insert(job.cache_key, rendered.clone());
-            out[*i] = Ok(rendered);
+            .with_jobs(1)
+            .with_solver(job.solver.clone())
+            .with_cancel(job.cancel.clone());
+        let report = run_sweep(&req, &opts);
+        if job.cancel.is_cancelled() {
+            return Err(cancel_error(&job.cancel));
         }
-        out
+        let classes = job.scenario.machine.classes.len();
+        let rendered = Arc::new(format!(
+            "[{}]",
+            render::sweep_report_json(&job.scenario.name, &report, classes)
+        ));
+        self.cache.insert(job.cache_key, rendered.clone());
+        Ok(rendered)
     }
 
     // ---- connection side ----
@@ -881,7 +789,6 @@ impl Server {
             errors: self.stats.errors.load(Ordering::Relaxed),
             shed: self.stats.shed.load(Ordering::Relaxed),
             coalesced: self.stats.coalesced.load(Ordering::Relaxed),
-            batch_merged: self.stats.batch_merged.load(Ordering::Relaxed),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cache_entries: self.cache.len(),
@@ -994,19 +901,12 @@ mod tests {
         assert_eq!(built.addr, defaults.addr);
         assert_eq!(built.cache_capacity, defaults.cache_capacity);
         assert_eq!(built.queue_limit, defaults.queue_limit);
-        assert_eq!(built.batch_max, defaults.batch_max);
     }
 
     #[test]
     fn builder_rejects_misconfiguration_with_bad_request() {
-        let cases = [
-            ServeConfig::builder().addr(""),
-            ServeConfig::builder().batch_max(0),
-        ];
-        for builder in cases {
-            let err = builder.build().unwrap_err();
-            assert_eq!(err.kind, ErrorKind::BadRequest, "{}", err.message);
-        }
+        let err = ServeConfig::builder().addr("").build().unwrap_err();
+        assert_eq!(err.kind, ErrorKind::BadRequest, "{}", err.message);
     }
 
     #[test]
@@ -1017,13 +917,11 @@ mod tests {
             .cache_capacity(64)
             .default_deadline_ms(5_000)
             .queue_limit(32)
-            .batch_max(4)
             .build()
             .unwrap();
         assert_eq!(config.workers, 4);
         assert_eq!(config.cache_capacity, 64);
         assert_eq!(config.default_deadline_ms, 5_000);
         assert_eq!(config.queue_limit, 32);
-        assert_eq!(config.batch_max, 4);
     }
 }

@@ -75,8 +75,6 @@ pub(crate) struct ExternalStats {
     pub shed: u64,
     /// Requests coalesced onto an in-flight identical solve.
     pub coalesced: u64,
-    /// Sweep jobs merged into engine batches behind a leader job.
-    pub batch_merged: u64,
 }
 
 impl ExternalStats {
@@ -167,7 +165,7 @@ impl Telemetry {
             concat!(
                 r#"{{"workers":{},"queue_depth":{},"requests":{},"errors":{},"#,
                 r#""cache_hits":{},"cache_misses":{},"cache_entries":{},"cache_capacity":{},"#,
-                r#""queue_limit":{},"shed":{},"coalesced":{},"batch_merged":{},"#,
+                r#""queue_limit":{},"shed":{},"coalesced":{},"#,
                 r#""uptime_ms":{},"#,
                 r#""workers_busy":{},"connections":{},"cache_hit_ratio":{},"#,
                 r#""queue_wait_ms":{},"solve_ms":{},"ops":{{{}}}}}"#
@@ -183,7 +181,6 @@ impl Telemetry {
             ext.queue_limit,
             ext.shed,
             ext.coalesced,
-            ext.batch_merged,
             self.uptime_ms(),
             self.workers_busy_now(),
             self.connections.load(Ordering::Relaxed),
@@ -239,7 +236,6 @@ mod tests {
             queue_limit: 0,
             shed: 0,
             coalesced: 0,
-            batch_merged: 0,
         }
     }
 
@@ -256,7 +252,6 @@ mod tests {
         assert!(v["ops"]["solve"]["latency_ms"]["p50"].is_null());
         assert_eq!(v["shed"].as_u64(), Some(0));
         assert_eq!(v["coalesced"].as_u64(), Some(0));
-        assert_eq!(v["batch_merged"].as_u64(), Some(0));
         assert_eq!(v["queue_limit"].as_u64(), Some(0));
         assert!(v.get("backend").is_none(), "{text}");
         assert!(v.get("r_solver").is_none(), "{text}");

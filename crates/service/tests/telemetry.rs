@@ -159,55 +159,90 @@ fn stats_report_adds_up_under_concurrent_traffic() {
 
 /// Every span recorded while serving one request carries that request's
 /// context, on the connection thread and the worker alike, and the
-/// Chrome-trace export labels them with its `request_id`.
+/// Chrome-trace export labels them with its `request_id`. A served sweep's
+/// engine spans get their context from the worker alone.
 #[test]
 fn request_spans_share_one_context_into_the_trace_export() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let recorder = gsched_obs::install_memory();
     let ts = TestServer::start(test_config());
     let mut client = ts.client();
-    let reply = client
-        .request_line(&frame_for_name("fig2", &RequestSpec::default()))
-        .unwrap();
-    assert!(reply.contains(r#""status":"ok""#), "{reply}");
+    let sweep = RequestSpec {
+        op: Some(Op::Sweep),
+        quick: true,
+        ..RequestSpec::default()
+    };
+    for spec in [RequestSpec::default(), sweep] {
+        let reply = client.request_line(&frame_for_name("fig2", &spec)).unwrap();
+        assert!(reply.contains(r#""status":"ok""#), "{reply}");
+    }
     drop(client);
     ts.stop();
     gsched_obs::uninstall();
 
-    // The server saw exactly one request; its connection-side span holds
-    // the context the rest of its spans must share.
+    // The server saw the solve, then the sweep; each connection-side span
+    // holds the context the rest of its request's spans must share.
     let snapshot = recorder.snapshot();
-    let requests: Vec<_> = snapshot
+    let mut requests: Vec<_> = snapshot
         .span_intervals
         .iter()
         .filter(|s| s.path == "service.request")
         .collect();
-    assert_eq!(requests.len(), 1, "{requests:?}");
-    let ctx = requests[0].ctx;
-    assert_ne!(ctx, 0, "the request span carries a context");
+    assert_eq!(requests.len(), 2, "{requests:?}");
+    requests.sort_by_key(|s| s.start_nanos);
+    let (solve_ctx, sweep_ctx) = (requests[0].ctx, requests[1].ctx);
+    assert_ne!(solve_ctx, 0, "the solve request span carries a context");
+    assert_ne!(sweep_ctx, 0, "the sweep request span carries a context");
+    assert_ne!(solve_ctx, sweep_ctx);
+    let leaf = |path: &str| path.rsplit('/').next().unwrap_or(path).to_string();
     assert!(
         snapshot
             .span_intervals
             .iter()
-            .any(|s| s.ctx == ctx && s.path.starts_with("service.solve")),
-        "worker-side span tree tagged: {:?}",
+            .any(|s| s.ctx == solve_ctx && s.path.starts_with("service.solve")),
+        "worker-side solve span tree tagged: {:?}",
         snapshot.span_intervals
     );
-
-    let request_id = gsched_obs::context_label(ctx);
-    let trace: Value = serde_json::from_str(&snapshot.to_chrome_trace()).expect("valid trace");
-    let tagged: Vec<&Value> = trace["traceEvents"]
-        .as_array()
-        .unwrap()
+    assert!(
+        snapshot
+            .span_intervals
+            .iter()
+            .any(|s| s.ctx == sweep_ctx && s.path == "service.sweep"),
+        "service.sweep tagged: {:?}",
+        snapshot.span_intervals
+    );
+    let chunks: Vec<_> = snapshot
+        .span_intervals
         .iter()
-        .filter(|e| e["args"]["request_id"].as_str() == Some(request_id.as_str()))
+        .filter(|s| leaf(&s.path).starts_with("engine.sweep.chunk"))
         .collect();
-    for path in ["service.request", "service.solve"] {
-        assert!(
-            tagged.iter().any(|e| e["args"]["path"]
-                .as_str()
-                .is_some_and(|p| p.starts_with(path))),
-            "trace export labels {path} with {request_id}: {tagged:?}"
-        );
+    assert!(!chunks.is_empty(), "{:?}", snapshot.span_intervals);
+    assert!(
+        chunks.iter().all(|s| s.ctx == sweep_ctx),
+        "every chunk span carries the sweep's context: {chunks:?}"
+    );
+
+    let trace: Value = serde_json::from_str(&snapshot.to_chrome_trace()).expect("valid trace");
+    let events = trace["traceEvents"].as_array().unwrap();
+    for (ctx, paths) in [
+        (solve_ctx, &["service.request", "service.solve"][..]),
+        (
+            sweep_ctx,
+            &["service.request", "service.sweep", "engine.sweep.chunk"][..],
+        ),
+    ] {
+        let request_id = gsched_obs::context_label(ctx);
+        let tagged: Vec<&Value> = events
+            .iter()
+            .filter(|e| e["args"]["request_id"].as_str() == Some(request_id.as_str()))
+            .collect();
+        for path in paths {
+            assert!(
+                tagged.iter().any(|e| e["args"]["path"]
+                    .as_str()
+                    .is_some_and(|p| p.starts_with(path) || leaf(p).starts_with(path))),
+                "trace export labels {path} with {request_id}: {tagged:?}"
+            );
+        }
     }
 }
