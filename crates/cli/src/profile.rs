@@ -62,6 +62,9 @@ pub struct KernelRow {
 pub struct ConvergenceCounters {
     /// Outer fixed-point iterations (`core.solver.fp_iterations`).
     pub fp_iterations: u64,
+    /// Anderson history resets of the fixed point
+    /// (`core.solver.fp_restarts`).
+    pub fp_restarts: u64,
     /// Final fixed-point change of the last solve, when recorded
     /// (`core.solver.final_change`).
     pub final_change: Option<f64>,
@@ -287,6 +290,9 @@ fn measure(
             fp_iterations: snap
                 .counter(obs::names::CORE_SOLVER_FP_ITERATIONS)
                 .unwrap_or(0),
+            fp_restarts: snap
+                .counter(obs::names::CORE_SOLVER_FP_RESTARTS)
+                .unwrap_or(0),
             final_change: snap.gauge(obs::names::CORE_SOLVER_FINAL_CHANGE),
             r_solves: snap.counter(obs::names::QBD_RMATRIX_SOLVES).unwrap_or(0),
             r_iterations: snap
@@ -348,8 +354,9 @@ fn print_human(rep: &ProfileReport) {
     );
     let c = &rep.convergence;
     println!(
-        "convergence: {} fixed-point iteration(s), final change {}; {} R solve(s), {} R iteration(s)",
+        "convergence: {} fixed-point iteration(s), {} restart(s), final change {}; {} R solve(s), {} R iteration(s)",
         c.fp_iterations,
+        c.fp_restarts,
         c.final_change
             .map_or_else(|| "-".to_string(), |x| format!("{x:.3e}")),
         c.r_solves,
@@ -442,6 +449,7 @@ mod tests {
             }],
             convergence: ConvergenceCounters {
                 fp_iterations: 9,
+                fp_restarts: 2,
                 final_change: Some(1e-9),
                 r_solves: 36,
                 r_iterations: 180,
@@ -492,6 +500,7 @@ mod tests {
         assert_eq!(v["kernels"][0]["kernel"].as_str(), Some("matmul"));
         assert_eq!(v["kernels"][0]["flops"].as_u64(), Some(2_000_000));
         assert_eq!(v["convergence"]["fp_iterations"].as_u64(), Some(9));
+        assert_eq!(v["convergence"]["fp_restarts"].as_u64(), Some(2));
         assert_eq!(v["convergence"]["final_change"].as_f64(), Some(1e-9));
         assert_eq!(v["convergence"]["r_solves"].as_u64(), Some(36));
         assert_eq!(v["convergence"]["r_iterations"].as_u64(), Some(180));

@@ -1237,6 +1237,7 @@ fn profile_counts_the_fixed_point_iterations_of_the_sweep() {
         serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
     for (key, counter) in [
         ("fp_iterations", "core.solver.fp_iterations"),
+        ("fp_restarts", "core.solver.fp_restarts"),
         ("r_solves", "qbd.rmatrix.solves"),
         ("r_iterations", "qbd.rmatrix.iterations"),
     ] {

@@ -73,6 +73,7 @@
 //! assert!(solution.classes[0].mean_jobs > 0.0);
 //! ```
 
+mod anderson;
 pub mod asymptotic;
 pub mod dot;
 pub mod effective;

@@ -10,7 +10,16 @@
 //! (pessimistic) vacations keeps its full quantum — a saturated class never
 //! surrenders its time slice — and typically becomes stable as the other
 //! classes' effective quanta shrink.
+//!
+//! The iterate is the stacked vector of every class's skip atom and fitted
+//! raw moments. A plain damped step converges geometrically; the solver
+//! instead takes type-II Anderson steps on that vector (depth 3, mixing
+//! weight equal to the damping), falling back to the damped step per class
+//! where the extrapolated moments cannot be fitted or would raise the
+//! quantum's order, and restarting the history when a class crosses the
+//! stability boundary or the residual jumps.
 
+use crate::anderson::Anderson;
 use crate::effective::{compress, effective_quantum, QuantumMoments};
 use crate::generator::{build_class_chain, ClassChain};
 use crate::health::{ClassHealth, HealthReport};
@@ -52,10 +61,16 @@ impl Default for VacationMode {
 /// whose residual is already small is still returned (unconverged).
 const FP_MAX_ITER: usize = 300;
 
-/// Under-relaxation weight `θ` on the effective-quantum update: the next
-/// iteration uses the fit to the mixture `θ·new + (1−θ)·old`, which
-/// suppresses the stable/unstable flapping that can occur near saturation.
+/// Under-relaxation weight `θ` on the effective-quantum update: the damped
+/// step fits the mixture `θ·new + (1−θ)·old`, which suppresses the
+/// stable/unstable flapping that can occur near saturation. It is also the
+/// Anderson mixing weight `β`, so an accelerated step with no history is
+/// the damped step.
 const DAMPING: f64 = 0.7;
+
+/// Anderson history depth: the number of past differences each
+/// accelerated step mixes.
+const ANDERSON_DEPTH: usize = 3;
 
 /// Options for [`solve`]: plain data, set by field assignment from
 /// [`SolverOptions::default`]. [`solve_warm`] checks them
@@ -313,6 +328,50 @@ pub fn solve_warm(
     warm: Option<&WarmStart>,
     cache: Option<&VacationCache>,
 ) -> Result<SolveOutcome> {
+    fixed_point(model, opts, warm, cache, true)
+}
+
+/// The plain damped iteration (every pass takes the damped step), kept as
+/// the reference the accelerated [`solve_warm`] is tested against: the same
+/// fixed point, reached in more passes. Solves cold, without a cache.
+#[cfg(any(test, feature = "damped-oracle"))]
+pub fn solve_damped(model: &GangModel, opts: &SolverOptions) -> Result<SolveOutcome> {
+    fixed_point(model, opts, None, None, false)
+}
+
+/// How a pass's effective quanta were made from the previous pass.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Step {
+    /// The first pass: parameter or warm-start quanta.
+    Initial,
+    /// Every class took the damped step (no Anderson history).
+    Damped,
+    /// Every class took the Anderson extrapolation.
+    Accelerated,
+    /// Extrapolated, but at least one class fell back to its damped step.
+    Guarded,
+}
+
+impl Step {
+    fn name(self) -> &'static str {
+        match self {
+            Step::Initial => "initial",
+            Step::Damped => "damped",
+            Step::Accelerated => "accelerated",
+            Step::Guarded => "guarded",
+        }
+    }
+}
+
+/// The Theorem 4.3 iteration behind [`solve_warm`]; `accelerate = false`
+/// takes the damped step on every pass.
+fn fixed_point(
+    model: &GangModel,
+    opts: &SolverOptions,
+    warm: Option<&WarmStart>,
+    cache: Option<&VacationCache>,
+    accelerate: bool,
+) -> Result<SolveOutcome> {
     opts.validate()?;
     let _span = obs::span("core.solve");
     let l = model.num_classes();
@@ -325,18 +384,13 @@ pub fn solve_warm(
             quanta = q.clone();
         }
     }
+    let mut accel = Accelerator::new(model, opts, accelerate);
     let mut prev_n: Vec<f64> = vec![f64::NAN; l];
+    let mut prev_stable: Option<Vec<bool>> = None;
+    let mut step = Step::Initial;
     let mut iterations = 0usize;
-    let mut converged = false;
-    #[allow(unused_assignments)]
-    let mut last_change = f64::INFINITY;
 
-    #[allow(unused_assignments)]
-    let mut last_pass: Vec<ClassIterate> = Vec::new();
-    #[allow(unused_assignments)]
-    let mut last_vacations: Vec<PhaseType> = Vec::new();
-
-    loop {
+    let (last_pass, last_vacations, last_change, converged) = loop {
         iterations += 1;
         // ---- Solve every class under the current vacations ----
         // The per-class solves are mutually independent, so the parallel
@@ -400,25 +454,17 @@ pub fn solve_warm(
                         obs::FieldValue::F64s(quanta.iter().map(|q| q.mean()).collect()),
                     ),
                     ("max_relative_change", obs::FieldValue::F64(change)),
-                    ("damping", obs::FieldValue::F64(DAMPING)),
+                    ("step", obs::FieldValue::Str(step.name().to_string())),
                 ],
             );
         }
         prev_n = n_now;
-        last_pass = pass;
-        last_vacations = vacs;
-        last_change = change;
 
-        if opts.mode == VacationMode::HeavyTraffic {
-            converged = true;
-            break;
-        }
-        if iterations > 1 && change < opts.fp_tol {
-            converged = true;
-            break;
+        if opts.mode == VacationMode::HeavyTraffic || (iterations > 1 && change < opts.fp_tol) {
+            break (pass, vacs, change, true);
         }
         if iterations >= FP_MAX_ITER {
-            break;
+            break (pass, vacs, change, false);
         }
 
         // ---- Update effective quanta for the next iteration ----
@@ -426,8 +472,9 @@ pub fn solve_warm(
         let VacationMode::MomentMatched { moments } = opts.mode else {
             unreachable!("heavy-traffic mode stops after one pass");
         };
-        for p in 0..l {
-            let new = match &last_pass[p] {
+        let mut images = Vec::with_capacity(l);
+        for (p, item) in pass.iter().enumerate() {
+            images.push(QuantumMoments::of(&match item {
                 ClassIterate::Stable(cs) => {
                     let (chain, sol) = cs.as_ref();
                     let eff = effective_quantum(chain, sol, opts.tail_eps, opts.max_extra_levels)?;
@@ -435,14 +482,18 @@ pub fn solve_warm(
                 }
                 // A saturated class always has work: full quantum.
                 ClassIterate::Unstable => model.class(p).quantum.clone(),
-            };
-            // Under-relax: fit the mixture of the new quantum and the current
-            // one. A mixture's atom and moments are the mixed ones, taken
-            // from the realised PHs, so no mixture PH is built.
-            let mixed = QuantumMoments::of(&new).mix(DAMPING, &QuantumMoments::of(&quanta[p]));
-            quanta[p] = compress(&mixed, moments);
+            }));
         }
-    }
+        // A class crossing the stability boundary changes the map itself,
+        // so the history from before the crossing is dropped.
+        let stable: Vec<bool> = pass
+            .iter()
+            .map(|item| matches!(item, ClassIterate::Stable(_)))
+            .collect();
+        let flipped = prev_stable.as_ref().is_some_and(|s| *s != stable);
+        prev_stable = Some(stable);
+        step = accel.update(&mut quanta, &images, moments, flipped);
+    };
 
     // ---- Assemble the final report ----
     let measures_span = obs::span("core.measures");
@@ -562,6 +613,7 @@ pub fn solve_warm(
     if obs::enabled() {
         obs::counter_add(obs::names::CORE_SOLVER_SOLVES, 1);
         obs::counter_add(obs::names::CORE_SOLVER_FP_ITERATIONS, iterations as u64);
+        obs::counter_add(obs::names::CORE_SOLVER_FP_RESTARTS, accel.restarts());
         obs::gauge_set(obs::names::CORE_SOLVER_FINAL_CHANGE, last_change);
         for (p, class) in classes.iter().enumerate() {
             obs::observe(
@@ -614,6 +666,169 @@ pub fn solve_warm(
         },
         warm: warm_out,
     })
+}
+
+/// The effective-quantum update between passes: the damped step, or type-II
+/// Anderson acceleration ([`Anderson`]) on the stacked vector of every
+/// class's skip atom and fitted raw moments.
+struct Accelerator<'a> {
+    model: &'a GangModel,
+    mixer: Option<Anderson>,
+    /// The first update's iterate and images, held unstacked until a second
+    /// update needs them. The scales cost a moment solve per class, which a
+    /// solve that converges in two passes (most large-P points) would pay
+    /// for nothing: the first step is the damped one whatever they are.
+    first: Option<(Vec<QuantumMoments>, Vec<QuantumMoments>)>,
+    /// Per class, the parameter quantum's `E[G^k]` (`k = 1, 2, 3`), the
+    /// scale of the class's stacked moments ([`moment_coordinate`]); empty
+    /// until the second update.
+    scales: Vec<[f64; 3]>,
+}
+
+impl<'a> Accelerator<'a> {
+    fn new(model: &'a GangModel, opts: &SolverOptions, accelerate: bool) -> Accelerator<'a> {
+        let on = accelerate && opts.mode != VacationMode::HeavyTraffic;
+        Accelerator {
+            model,
+            mixer: on.then(|| Anderson::new(ANDERSON_DEPTH, DAMPING)),
+            first: None,
+            scales: Vec::new(),
+        }
+    }
+
+    /// Anderson history clearings so far.
+    fn restarts(&self) -> u64 {
+        self.mixer.as_ref().map_or(0, Anderson::restarts)
+    }
+
+    /// The Anderson extrapolation of the stacked iterate, if any.
+    fn extrapolate(
+        &mut self,
+        current: &[QuantumMoments],
+        images: &[QuantumMoments],
+        moments: u8,
+        flipped: bool,
+    ) -> Option<Vec<f64>> {
+        let mixer = self.mixer.as_mut()?;
+        if self.scales.is_empty() {
+            let Some((x, g)) = self.first.take() else {
+                self.first = Some((current.to_vec(), images.to_vec()));
+                return None;
+            };
+            self.scales = (self.model.classes().iter())
+                .map(|c| QuantumMoments::of(&c.quantum).raw)
+                .collect();
+            mixer.step(
+                &stack(&x, &self.scales, moments),
+                &stack(&g, &self.scales, moments),
+                false,
+            );
+        }
+        mixer.step(
+            &stack(current, &self.scales, moments),
+            &stack(images, &self.scales, moments),
+            flipped,
+        )
+    }
+
+    /// Replace `quanta` (this pass's) by the next pass's, given `images`,
+    /// the moments of the effective quanta this pass produced. `flipped`
+    /// (a class crossed the stability boundary) clears the history. Each
+    /// class takes the extrapolation unless its moments are infeasible or
+    /// their fit has a higher order than both its damped step and its
+    /// current quantum; then it takes the damped step.
+    fn update(
+        &mut self,
+        quanta: &mut [PhaseType],
+        images: &[QuantumMoments],
+        moments: u8,
+        flipped: bool,
+    ) -> Step {
+        let current: Vec<QuantumMoments> = quanta.iter().map(QuantumMoments::of).collect();
+        let extrapolated = self.extrapolate(&current, images, moments, flipped);
+        let width = 1 + usize::from(moments);
+        let mut step = match extrapolated {
+            Some(_) => Step::Accelerated,
+            None => Step::Damped,
+        };
+        for (p, quantum) in quanta.iter_mut().enumerate() {
+            // The damped step: fit the mixture of this pass's effective
+            // quantum and the current one. A mixture's atom and moments are
+            // the mixed ones, so no mixture PH is built.
+            let damped = compress(&images[p].mix(DAMPING, &current[p]), moments);
+            let accelerated = extrapolated.as_ref().and_then(|v| {
+                let v = &v[p * width..(p + 1) * width];
+                let mut raw = current[p].raw;
+                for (i, m) in raw.iter_mut().enumerate().take(width - 1) {
+                    *m = moment_from_coordinate(v[1 + i], self.scales[p][i], i);
+                }
+                let target = QuantumMoments { skip: v[0], raw };
+                feasible(&target, moments)
+                    .then(|| compress(&target, moments))
+                    .filter(|fit| fit.order() <= damped.order().max(quantum.order()))
+            });
+            *quantum = accelerated.unwrap_or_else(|| {
+                if extrapolated.is_some() {
+                    step = Step::Guarded;
+                }
+                damped
+            });
+        }
+        step
+    }
+}
+
+/// Per class: the skip atom, then the coordinates of the `moments` fitted
+/// raw moments against the class's `scales`.
+fn stack(qs: &[QuantumMoments], scales: &[[f64; 3]], moments: u8) -> Vec<f64> {
+    let k = usize::from(moments);
+    qs.iter()
+        .zip(scales)
+        .flat_map(|(q, s)| {
+            let coordinate = |i: usize| moment_coordinate(q.raw[i], s[i], i);
+            std::iter::once(q.skip).chain((0..k).map(coordinate))
+        })
+        .collect()
+}
+
+/// The stacked coordinate of a raw moment `E[X^k]` (`k = i + 1`): the
+/// `k`-th root of its ratio to the parameter quantum's `E[G^k]`. Every
+/// coordinate then scales like a mean, so a relative error in the third
+/// moment weighs in the least-squares fit as much as one in the mean; the
+/// plain ratios would shrink the third moment's share by the cube of
+/// `E[X]/E[G]`, and leave it converging at the damped rate.
+fn moment_coordinate(raw: f64, scale: f64, i: usize) -> f64 {
+    let ratio = raw / scale;
+    match i {
+        0 => ratio,
+        1 => ratio.sqrt(),
+        _ => ratio.cbrt(),
+    }
+}
+
+/// The raw moment of a stacked coordinate; NaN (infeasible) for a
+/// negative coordinate.
+fn moment_from_coordinate(c: f64, scale: f64, i: usize) -> f64 {
+    match c >= 0.0 {
+        true => c.powi(i as i32 + 1) * scale,
+        false => f64::NAN,
+    }
+}
+
+/// Whether extrapolated moments describe a quantum [`compress`] can fit:
+/// finite, an atom in `[0, 1)`, a positive mean, a nonnegative conditional
+/// variance (`E[X²]·(1−skip) ≥ E[X]²`) and, under `m3`, a realisable third
+/// moment (`E[X³]·E[X] ≥ E[X²]²`).
+fn feasible(q: &QuantumMoments, moments: u8) -> bool {
+    let [m1, m2, m3] = q.raw;
+    let third = moments < 3 || (m3.is_finite() && m3 * m1 >= m2 * m2);
+    q.skip.is_finite()
+        && m1.is_finite()
+        && m2.is_finite()
+        && (0.0..1.0).contains(&q.skip)
+        && m1 > 0.0
+        && m2 * (1.0 - q.skip) >= m1 * m1
+        && third
 }
 
 #[cfg(test)]
@@ -701,6 +916,17 @@ mod tests {
         assert!(sol.classes[1].mean_jobs > sol.classes[0].mean_jobs);
     }
 
+    /// Every class's stable/unstable verdict.
+    fn verdicts(sol: &GangSolution) -> Vec<bool> {
+        sol.classes.iter().map(|c| c.stable).collect()
+    }
+
+    /// The verdicts of the accelerated solve equal the damped iteration's.
+    fn assert_damped_verdicts(m: &GangModel, sol: &GangSolution) {
+        let damped = solve_damped(m, &SolverOptions::default()).unwrap().solution;
+        assert_eq!(verdicts(sol), verdicts(&damped));
+    }
+
     #[test]
     fn overload_reported_unstable() {
         // Two classes each wanting 80% of the machine cannot both fit.
@@ -709,6 +935,7 @@ mod tests {
         assert!(!sol.all_stable);
         assert!(sol.classes.iter().any(|c| !c.stable));
         assert!(sol.total_mean_jobs().is_infinite());
+        assert_damped_verdicts(&m, &sol);
         // Strict mode errors out instead.
         let err = solve(
             &m,
@@ -748,6 +975,50 @@ mod tests {
         assert!(!sol.classes[0].stable);
         assert!(sol.classes[1].stable, "class 1 should survive");
         assert!(sol.classes[1].mean_jobs.is_finite());
+        assert_damped_verdicts(&m, &sol);
+    }
+
+    #[test]
+    fn repeated_solves_are_bit_identical() {
+        // The Anderson history lives inside one solve: nothing carries over.
+        for (m, moments) in [
+            (symmetric_model(4, 3, 0.25, 1.0, 1.5), 2),
+            (symmetric_model(4, 3, 0.25, 1.0, 1.5), 3),
+            (symmetric_model(4, 2, 0.8, 1.0, 1.0), 2),
+        ] {
+            let opts = SolverOptions {
+                mode: VacationMode::MomentMatched { moments },
+                ..Default::default()
+            };
+            let first = solve(&m, &opts).unwrap();
+            assert_same_bits(&first, &solve(&m, &opts).unwrap(), "second solve");
+        }
+    }
+
+    #[test]
+    fn extrapolated_moments_outside_the_fit_domain_are_infeasible() {
+        let ok = QuantumMoments {
+            skip: 0.25,
+            raw: [0.5, 0.5, 0.75],
+        };
+        assert!(feasible(&ok, 2) && feasible(&ok, 3));
+        let with = |f: fn(&mut QuantumMoments)| {
+            let mut q = ok;
+            f(&mut q);
+            q
+        };
+        for (what, q) in [
+            ("NaN mean", with(|q| q.raw[0] = f64::NAN)),
+            ("negative skip", with(|q| q.skip = -1e-3)),
+            ("skip 1", with(|q| q.skip = 1.0)),
+            ("zero mean", with(|q| q.raw[0] = 0.0)),
+            ("negative variance", with(|q| q.raw[1] = 0.3)),
+        ] {
+            assert!(!feasible(&q, 2), "{what}");
+        }
+        // E[X³]·E[X] < E[X²]² has no distribution: only `m3` reads it.
+        let low_third = with(|q| q.raw[2] = 0.49);
+        assert!(feasible(&low_third, 2) && !feasible(&low_third, 3));
     }
 
     #[test]

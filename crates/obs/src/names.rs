@@ -85,6 +85,8 @@ pub const QBD_BOUNDARY_LEVELS_ELIMINATED: &str = "qbd.boundary.levels_eliminated
 pub const CORE_SOLVER_SOLVES: &str = "core.solver.solves";
 /// Fixed-point iterations across solves (counter).
 pub const CORE_SOLVER_FP_ITERATIONS: &str = "core.solver.fp_iterations";
+/// Anderson history resets of the fixed point across solves (counter).
+pub const CORE_SOLVER_FP_RESTARTS: &str = "core.solver.fp_restarts";
 /// Final fixed-point change of the last solve (gauge).
 pub const CORE_SOLVER_FINAL_CHANGE: &str = "core.solver.final_change";
 /// Per-class effective quantum mean at convergence (histogram).
@@ -155,6 +157,7 @@ pub const ALL: &[&str] = &[
     QBD_BOUNDARY_LEVELS_ELIMINATED,
     CORE_SOLVER_SOLVES,
     CORE_SOLVER_FP_ITERATIONS,
+    CORE_SOLVER_FP_RESTARTS,
     CORE_SOLVER_FINAL_CHANGE,
     CORE_SOLVER_EFFECTIVE_QUANTUM_MEAN,
     CORE_VACATION_CACHE_HITS,

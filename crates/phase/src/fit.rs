@@ -19,7 +19,8 @@ use crate::builders::{coxian, exponential};
 use crate::dist::PhaseType;
 use gsched_linalg::Matrix;
 
-/// Tolerance within which an SCV is treated as exactly 1 (exponential).
+/// Tolerance within which an SCV is treated as exactly 1 (exponential), or
+/// `k·scv` as exactly 1 (Erlang-k).
 const SCV_TOL: f64 = 1e-9;
 
 /// Fit a PH distribution matching a `mean` and squared coefficient of
@@ -27,8 +28,9 @@ const SCV_TOL: f64 = 1e-9;
 ///
 /// * `scv ≈ 1` → exponential;
 /// * `scv > 1` → two-phase balanced-means hyperexponential;
-/// * `scv < 1` → mixture of Erlang-(k−1) and Erlang-k with common stage rate
-///   where `k = ⌈1/scv⌉` (exactly matches both moments).
+/// * `scv ≈ 1/k` (`|k·scv − 1| ≤ 1e-9`) → Erlang-k;
+/// * `scv < 1` otherwise → mixture of Erlang-(k−1) and Erlang-k with common
+///   stage rate where `k = ⌈1/scv⌉` (exactly matches both moments).
 ///
 /// # Panics
 /// Panics if `mean <= 0` or `scv < 0`.
@@ -50,12 +52,19 @@ pub fn fit_two_moment(mean: f64, scv: f64) -> PhaseType {
     // count is capped at 128 (SCV resolution 1/128) so a near-deterministic
     // request cannot allocate an enormous dense representation.
     let scv = scv.max(1.0 / 128.0);
+    // On a stage-count boundary the mixture degenerates to one Erlang, and
+    // which side of it roundoff puts `scv` would otherwise decide between
+    // order k and orders 2k ± 1.
+    let nearest = (1.0 / scv).round();
+    if (nearest * scv - 1.0).abs() <= SCV_TOL {
+        return crate::builders::erlang(nearest as usize, 1.0 / mean);
+    }
     let k = (1.0 / scv).ceil() as usize;
     let k = k.clamp(2, 128);
     let kf = k as f64;
-    // Tijms: p chooses E_{k-1} (k-1 stages) with stage rate mu. Where `1/scv`
-    // rounds onto an integer, roundoff can push the root's argument below
-    // zero or p just outside [0, 1]; both are clamped to the exact limit.
+    // Tijms: p chooses E_{k-1} (k-1 stages) with stage rate mu. The clamps
+    // keep roundoff from pushing the root's argument below zero or p just
+    // outside [0, 1].
     let root = (kf * (1.0 + scv) - kf * kf * scv).max(0.0).sqrt();
     let p = ((kf * scv - root) / (1.0 + scv)).clamp(0.0, 1.0);
     let mu = (kf - p) / mean; // per-stage rate
@@ -220,7 +229,7 @@ mod tests {
 
     /// The mixed-Erlang branch as it was built before [`mixed_erlang`]: two
     /// Erlangs and their mixture, each validated. `None` where it could not
-    /// build one (a weight outside [0, 1] from roundoff).
+    /// build one (a weight outside [0, 1]).
     fn mixture_route(mean: f64, scv: f64) -> Option<PhaseType> {
         use crate::ops::mixture;
         let scv = scv.max(1.0 / 128.0);
@@ -244,29 +253,13 @@ mod tests {
             let all = ph.alpha().iter().chain(s.as_slice());
             all.map(|v| v.to_bits()).collect::<Vec<_>>()
         };
-        // Every stage-count boundary 1/k and its two neighbouring floats,
-        // plus a fine grid over (1/128, 1).
-        let mut scvs: Vec<f64> = (2..=128)
-            .flat_map(|k| {
-                let b = 1.0 / k as f64;
-                [
-                    f64::from_bits(b.to_bits() - 1),
-                    b,
-                    f64::from_bits(b.to_bits() + 1),
-                ]
-            })
-            .collect();
-        scvs.extend((1..1000).map(|i| 1.0 / 128.0 + (1.0 - 1.0 / 128.0) * i as f64 / 1000.0));
-        let mut clamped = 0;
-        for scv in scvs.into_iter().filter(|&v| v > 1.0 / 128.0 && v < 1.0) {
+        // A fine grid over (1/128, 1), away from the stage-count boundaries.
+        for i in 1..1000 {
+            let scv = 1.0 / 128.0 + (1.0 - 1.0 / 128.0) * i as f64 / 1000.0;
             for mean in [0.37, 12.5] {
                 let got = fit_two_moment(mean, scv);
-                match mixture_route(mean, scv) {
-                    Some(want) => assert_eq!(bits(&got), bits(&want), "scv {scv:e}, mean {mean}"),
-                    None => clamped += 1,
-                }
-                // Also where roundoff defeated the old route, the fit is a
-                // valid PH with the requested mean.
+                let want = mixture_route(mean, scv).expect("p lies in [0, 1]");
+                assert_eq!(bits(&got), bits(&want), "scv {scv:e}, mean {mean}");
                 assert!((got.mean() - mean).abs() <= 1e-9 * mean, "scv {scv:e}");
                 assert!(
                     (got.scv() - scv).abs() <= 1e-6,
@@ -275,7 +268,24 @@ mod tests {
                 );
             }
         }
-        assert!(clamped > 0, "no boundary case exercised the clamp");
+        // Every stage-count boundary 1/k and its two neighbouring floats is
+        // one Erlang-k, where the mixture's order used to follow roundoff
+        // (k, 2k − 1 or 2k + 1).
+        for k in 2..=128usize {
+            let b = 1.0 / k as f64;
+            for scv in [
+                f64::from_bits(b.to_bits() - 1),
+                b,
+                f64::from_bits(b.to_bits() + 1),
+            ] {
+                for mean in [0.37, 12.5] {
+                    let got = fit_two_moment(mean, scv);
+                    assert_eq!(got.order(), k, "scv {scv:e}, mean {mean}");
+                    assert!((got.mean() - mean).abs() <= 1e-12 * mean, "scv {scv:e}");
+                    assert!((got.scv() - b).abs() <= 1e-9, "scv {scv:e}");
+                }
+            }
+        }
     }
 
     #[test]

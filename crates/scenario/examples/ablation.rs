@@ -7,7 +7,8 @@
 //!    the fixed point matters and how little the compression order does.
 //! 2. **Erlang stage count K** of the quantum distribution — the paper's
 //!    figures leave K unspecified; this quantifies the sensitivity.
-//! 3. **Fixed-point tolerance** — iterations vs accuracy.
+//! 3. **Fixed-point tolerance** — iterations vs accuracy, the error measured
+//!    against a `1e-11` solve.
 //!
 //! Run: `cargo run --release --example ablation`
 
@@ -70,17 +71,36 @@ fn main() {
     }
 
     println!("\n# Ablation 3: fixed-point tolerance (lambda=0.5, quantum=1)");
-    println!("tol,N0,iterations");
-    for tol in [1e-2, 1e-4, 1e-6, 1e-8] {
+    println!("tol,N0,iterations,max_rel_error");
+    let solve_to = |fp_tol: f64| {
         let opts = SolverOptions {
-            fp_tol: tol,
+            fp_tol,
             ..SolverOptions::default()
         };
-        match solve(&model, &opts) {
-            Ok(sol) => println!(
-                "{tol:.0e},{:.6},{}",
-                sol.classes[0].mean_jobs, sol.iterations
-            ),
+        solve(&model, &opts)
+    };
+    let reference = match solve_to(1e-11) {
+        Ok(sol) => sol,
+        Err(e) => {
+            println!("1e-11,error: {e}");
+            return;
+        }
+    };
+    for tol in [1e-2, 1e-4, 1e-6, 1e-8] {
+        match solve_to(tol) {
+            Ok(sol) => {
+                // Largest relative error in any class's mean jobs.
+                let error = sol
+                    .classes
+                    .iter()
+                    .zip(&reference.classes)
+                    .map(|(c, r)| (c.mean_jobs - r.mean_jobs).abs() / r.mean_jobs)
+                    .fold(0.0, f64::max);
+                println!(
+                    "{tol:.0e},{:.6},{},{error:.1e}",
+                    sol.classes[0].mean_jobs, sol.iterations
+                );
+            }
             Err(e) => println!("{tol:.0e},error: {e}"),
         }
     }
