@@ -499,7 +499,10 @@ fn fig1() {
         chain.space.c,
         vacation.order()
     );
-    print!("{}", class_chain_dot(&chain, 5));
+    print!(
+        "{}",
+        class_chain_dot(&chain, 5).expect("figure-1 chain is a generator")
+    );
     eprintln!("fig1: DOT written to stdout (render with `dot -Tsvg`)");
 }
 

@@ -86,6 +86,9 @@ pub struct SearchCounters {
     /// Levels eliminated by the boundary solves, each level once per
     /// class solve (`qbd.boundary.levels_eliminated`).
     pub levels_eliminated: u64,
+    /// Boundary levels assembled, each level once per class chain, when a
+    /// solve first reads it (`qbd.boundary.levels_built`).
+    pub levels_built: u64,
 }
 
 /// The full `gsched profile` document.
@@ -309,6 +312,9 @@ fn measure(
             levels_eliminated: snap
                 .counter(obs::names::QBD_BOUNDARY_LEVELS_ELIMINATED)
                 .unwrap_or(0),
+            levels_built: snap
+                .counter(obs::names::QBD_BOUNDARY_LEVELS_BUILT)
+                .unwrap_or(0),
         },
     })
 }
@@ -349,8 +355,11 @@ fn print_human(rep: &ProfileReport) {
         );
     }
     println!(
-        "truncation search: {} attempt(s), {} skipped as unstable, {} level(s) eliminated",
-        rep.search.truncation_attempts, rep.search.unstable_skips, rep.search.levels_eliminated
+        "truncation search: {} attempt(s), {} skipped as unstable, {} level(s) eliminated, {} level(s) built",
+        rep.search.truncation_attempts,
+        rep.search.unstable_skips,
+        rep.search.levels_eliminated,
+        rep.search.levels_built
     );
     let c = &rep.convergence;
     println!(
@@ -458,6 +467,7 @@ mod tests {
                 truncation_attempts: 12,
                 unstable_skips: 8,
                 levels_eliminated: 2048,
+                levels_built: 2050,
             },
         };
         let v: serde_json::Value =
@@ -507,5 +517,6 @@ mod tests {
         assert_eq!(v["search"]["truncation_attempts"].as_u64(), Some(12));
         assert_eq!(v["search"]["unstable_skips"].as_u64(), Some(8));
         assert_eq!(v["search"]["levels_eliminated"].as_u64(), Some(2048));
+        assert_eq!(v["search"]["levels_built"].as_u64(), Some(2050));
     }
 }

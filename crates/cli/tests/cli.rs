@@ -1290,6 +1290,14 @@ fn profile_of_a_processors_sweep_runs_the_truncation_search() {
             > search["unstable_skips"].as_f64().unwrap()
     );
     assert!(search["levels_eliminated"].as_f64().unwrap() > 0.0);
+    // Each class solve assembles the levels its search reads: at most two
+    // more than it eliminates.
+    let built = search["levels_built"].as_f64().unwrap();
+    assert!(built > 0.0);
+    assert!(
+        built <= search["levels_eliminated"].as_f64().unwrap() + 2.0 * class_solves,
+        "{built} levels built in {class_solves} class solves"
+    );
 }
 
 /// `doctor` renders the solution's own health report: its fixed-point

@@ -7,15 +7,21 @@
 //! `gsched figure fig1` and render with `dot -Tsvg`.
 
 use crate::generator::ClassChain;
+use crate::{GangError, Result};
 
 /// Render the chain truncated at `max_level` as a Graphviz digraph.
 ///
 /// Nodes are labelled `i=<level> a=<arrival phase> cfg=<service phases>
 /// k=<cycle phase>`, where the cycle phase is `Q<j>` during the class's
 /// quantum and `V<j>` during its vacation. Edge labels carry the rates.
-pub fn class_chain_dot(chain: &ClassChain, max_level: usize) -> String {
+/// A boundary level that fails its generator check is a [`GangError::Qbd`]
+/// naming the class.
+pub fn class_chain_dot(chain: &ClassChain, max_level: usize) -> Result<String> {
     let sp = &chain.space;
-    let q = chain.qbd.truncated_generator(max_level.max(sp.c + 1));
+    let q = chain
+        .qbd
+        .truncated_generator(max_level.max(sp.c + 1))
+        .map_err(|e| GangError::from(e).with_class(chain.class))?;
     let max_level = max_level.max(sp.c + 1);
 
     // Global index offsets per level.
@@ -71,7 +77,7 @@ pub fn class_chain_dot(chain: &ClassChain, max_level: usize) -> String {
         }
     }
     out.push_str("}\n");
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -113,7 +119,7 @@ mod tests {
     #[test]
     fn dot_contains_all_states() {
         let chain = figure1_chain();
-        let dot = class_chain_dot(&chain, 4);
+        let dot = class_chain_dot(&chain, 4).unwrap();
         assert!(dot.starts_with("digraph"));
         assert!(dot.ends_with("}\n"));
         // All five level clusters present.
@@ -130,7 +136,7 @@ mod tests {
     #[test]
     fn dot_edge_count_matches_generator() {
         let chain = figure1_chain();
-        let q = chain.qbd.truncated_generator(4);
+        let q = chain.qbd.truncated_generator(4).unwrap();
         let mut edges = 0;
         for i in 0..q.rows() {
             for j in 0..q.cols() {
@@ -139,7 +145,7 @@ mod tests {
                 }
             }
         }
-        let dot = class_chain_dot(&chain, 4);
+        let dot = class_chain_dot(&chain, 4).unwrap();
         let arrow_count = dot.matches("->").count();
         assert_eq!(arrow_count, edges);
     }

@@ -170,6 +170,10 @@ pub fn effective_quantum(
     let dims: Vec<usize> = (1..=cap)
         .map(|i| sp.m_a * sp.num_cfgs(i) * sp.m_q)
         .collect();
+    chain
+        .qbd
+        .build_levels(cap)
+        .map_err(|e| GangError::from(e).with_class(chain.class))?;
     let neg_t = BlockTridiagonalLu::new(&dims, |j, diag, down, up| {
         fill_level(chain, j + 1, cap, diag, down, up)
     })
@@ -190,7 +194,8 @@ pub fn effective_quantum(
 }
 
 /// Write level `i`'s blocks of `−T` into `diag`, `down` (to level `i − 1`)
-/// and `up` (to level `i + 1`).
+/// and `up` (to level `i + 1`). The class chain's levels `1..=min(i, c)`
+/// must be built.
 ///
 /// `X_b` is the class chain restricted to its service states, so each block
 /// is the matching generator block with the vacation phases dropped: every
@@ -208,7 +213,7 @@ fn fill_level(
     up: &mut [f64],
 ) {
     let (sp, d, q) = (&chain.space, &chain.dists, &chain.qbd);
-    let (m_q, c, b) = (sp.m_q, sp.c, sp.m_a * sp.num_cfgs(i) * sp.m_q);
+    let (m_q, b) = (sp.m_q, sp.m_a * sp.num_cfgs(i) * sp.m_q);
     // Service state `s` of a level ≥ 1 in the class chain's numbering.
     let at = |s: usize| s / m_q * sp.num_k(1) + s % m_q;
     let negated_service_block = |dst: &mut [f64], src: &Matrix| {
@@ -220,16 +225,9 @@ fn fill_level(
                 .for_each(|(col, v)| *v = -from[at(col)]);
         }
     };
-    negated_service_block(diag, if i <= c { &q.boundary_local[i] } else { &q.a1 });
-    negated_service_block(
-        down,
-        if i <= c {
-            &q.boundary_down[i - 1]
-        } else {
-            &q.a2
-        },
-    );
-    negated_service_block(up, if i < c { &q.boundary_up[i] } else { &q.a0 });
+    negated_service_block(diag, q.local(i));
+    negated_service_block(down, q.down(i));
+    negated_service_block(up, q.up(i));
     let per_phase = b / sp.m_a;
     for (r, row) in diag.chunks_exact_mut(b).enumerate() {
         let k = r % m_q;

@@ -15,13 +15,21 @@
 //!   vacation.
 //!
 //! Levels `0..=c_p` form the boundary; the blocks repeat above `c_p`.
+//! [`build_class_chain`] assembles only the level sizes and the repeating
+//! blocks. The boundary levels are assembled when the QBD solve first reads
+//! them ([`LevelSource`]), so a certified truncation at `m ≪ c_p` never
+//! assembles the levels above `m + 1`.
 
 use crate::model::GangModel;
 use crate::statespace::ClassStateSpace;
 use crate::{GangError, Result};
 use gsched_linalg::Matrix;
+use gsched_obs as obs;
 use gsched_phase::PhaseType;
+use gsched_qbd::process::{LevelBlocks, LevelSource};
 use gsched_qbd::{QbdError, QbdProcess};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Distribution data unpacked into plain matrices/vectors for fast assembly.
 #[derive(Debug, Clone)]
@@ -63,14 +71,14 @@ pub struct DistData {
 pub struct ClassChain {
     /// Class index within the model.
     pub class: usize,
-    /// The enumerated state space.
-    pub space: ClassStateSpace,
-    /// The assembled QBD process.
+    /// The enumerated state space, shared with the chain's level source.
+    pub space: Arc<ClassStateSpace>,
+    /// The QBD process; its boundary levels are assembled on demand.
     pub qbd: QbdProcess,
     /// The vacation distribution used for this build.
     pub vacation: PhaseType,
-    /// Unpacked distribution data.
-    pub dists: DistData,
+    /// Unpacked distribution data, shared with the chain's level source.
+    pub dists: Arc<DistData>,
 }
 
 /// Build the class-`p` QBD for the given vacation distribution `F_p`.
@@ -106,38 +114,29 @@ pub fn build_class_chain(model: &GangModel, p: usize, vacation: &PhaseType) -> R
         alpha_v_cond,
     };
 
-    let space = ClassStateSpace::new(
+    let space = Arc::new(ClassStateSpace::new(
         c,
         params.arrival.order(),
         params.service.order(),
         params.quantum.order(),
         vacation.order(),
-    );
+    ));
+    let dists = Arc::new(dists);
 
     let asm = Assembler {
         space: &space,
         d: &dists,
     };
-
-    // Boundary blocks.
-    let mut boundary_up = Vec::with_capacity(c);
-    let mut boundary_local = Vec::with_capacity(c + 1);
-    let mut boundary_down = Vec::with_capacity(c);
-    for i in 0..c {
-        boundary_up.push(asm.up_block(i));
-    }
-    for i in 0..=c {
-        boundary_local.push(asm.local_block(i));
-    }
-    for i in 1..=c {
-        boundary_down.push(asm.down_block(i));
-    }
     // Repeating blocks: up/local identical from level c on; down from c+1.
     let a0 = asm.up_block(c);
     let a1 = asm.local_block(c + 1);
     let a2 = asm.down_block(c + 1);
-
-    let qbd = QbdProcess::new(boundary_up, boundary_local, boundary_down, a0, a1, a2)
+    let dims = (0..=c).map(|i| space.level_dim(i)).collect();
+    let levels = ChainLevels {
+        space: Arc::clone(&space),
+        dists: Arc::clone(&dists),
+    };
+    let qbd = QbdProcess::on_demand(dims, a0, a1, a2, Arc::new(levels))
         .map_err(|source| GangError::from(source).with_class(p))?;
 
     Ok(ClassChain {
@@ -147,6 +146,42 @@ pub fn build_class_chain(model: &GangModel, p: usize, vacation: &PhaseType) -> R
         vacation: vacation.clone(),
         dists,
     })
+}
+
+/// The boundary levels of a class chain, assembled when the QBD solve first
+/// reads them.
+#[derive(Debug)]
+struct ChainLevels {
+    space: Arc<ClassStateSpace>,
+    dists: Arc<DistData>,
+}
+
+impl LevelSource for ChainLevels {
+    /// Assemble a batch of levels under one `core.generator` span, so the
+    /// profile attributes on-demand assembly to the generator build.
+    fn build(
+        &self,
+        levels: Range<usize>,
+        accept: &mut dyn FnMut(usize, LevelBlocks) -> gsched_qbd::Result<()>,
+    ) -> gsched_qbd::Result<()> {
+        let _span = obs::span("core.generator");
+        let asm = Assembler {
+            space: &self.space,
+            d: &self.dists,
+        };
+        let c = self.space.c;
+        for i in levels {
+            let blocks = LevelBlocks {
+                down: (i >= 1).then(|| asm.down_block(i)),
+                local: asm.local_block(i),
+                up: (i < c).then(|| asm.up_block(i)),
+            };
+            #[cfg(test)]
+            let blocks = tests::break_level(i, blocks);
+            accept(i, blocks)?;
+        }
+        Ok(())
+    }
 }
 
 /// Internal block assembler. Levels are clamped to the repeating region:
@@ -289,10 +324,7 @@ impl Assembler<'_> {
                                 if b2 != b {
                                     let r = count * d.sb[(b, b2)];
                                     if r > 0.0 {
-                                        let mut cfg2 = cfg.clone();
-                                        cfg2[b] -= 1;
-                                        cfg2[b2] += 1;
-                                        let ci2 = sp.cfg_index(n, &cfg2);
+                                        let ci2 = sp.cfg_index_moved(cfg, Some(b), Some(b2));
                                         m[(src, sp.state_index(lv, a, ci2, k))] += r;
                                     }
                                 }
@@ -356,9 +388,7 @@ impl Assembler<'_> {
                                 if pb == 0.0 {
                                     continue;
                                 }
-                                let mut cfg2 = cfg.clone();
-                                cfg2[b] += 1;
-                                let ci2 = sp.cfg_index(n + 1, &cfg2);
+                                let ci2 = sp.cfg_index_moved(cfg, None, Some(b));
                                 let dst = sp.state_index(lv_next, a2, ci2, k_next);
                                 m[(src, dst)] += rate0 * pa * pb;
                             }
@@ -420,18 +450,13 @@ impl Assembler<'_> {
                                 if pb == 0.0 {
                                     continue;
                                 }
-                                let mut cfg2 = cfg.clone();
-                                cfg2[b] -= 1;
-                                cfg2[b2] += 1;
-                                let ci2 = sp.cfg_index(n, &cfg2);
+                                let ci2 = sp.cfg_index_moved(cfg, Some(b), Some(b2));
                                 let dst = sp.state_index(lv_prev, a, ci2, k);
                                 m[(src, dst)] += rate0 * pb;
                             }
                         } else if level >= 2 {
                             // One fewer job in service; quantum continues.
-                            let mut cfg2 = cfg.clone();
-                            cfg2[b] -= 1;
-                            let ci2 = sp.cfg_index(n - 1, &cfg2);
+                            let ci2 = sp.cfg_index_moved(cfg, Some(b), None);
                             let dst = sp.state_index(lv_prev, a, ci2, k);
                             m[(src, dst)] += rate0;
                         } else {
@@ -484,7 +509,72 @@ mod tests {
     use crate::model::{ClassParams, GangModel};
     use crate::vacation::heavy_traffic_vacation;
     use gsched_phase::{erlang, exponential};
-    use gsched_qbd::solution::SolveOptions;
+    use gsched_qbd::solution::{LevelTruncation, SolveOptions};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Level whose first up rate chains assembled on this thread negate,
+        /// so that level fails its sign check when a solve first reads it.
+        static BROKEN_LEVEL: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Level `i`'s blocks with the fault [`BROKEN_LEVEL`] injects.
+    pub(super) fn break_level(i: usize, mut blocks: LevelBlocks) -> LevelBlocks {
+        if BROKEN_LEVEL.get() == Some(i) {
+            let up = blocks.up.as_mut().expect("the broken level is below c");
+            let j = up.row(0).iter().position(|&v| v > 0.0).unwrap();
+            up[(0, j)] = -up[(0, j)];
+        }
+        blocks
+    }
+
+    /// A level built on demand that fails its check is an error of the
+    /// class whose chain it belongs to, from the fixed point as from
+    /// the QBD solve, under the full solve and the truncation search alike;
+    /// levels no solve reads are never built, so never fail.
+    #[test]
+    fn a_broken_level_is_an_error_of_its_class() {
+        // Class 0 spans the machine (c = 1); class 1 has c = 8 levels.
+        let class = |g: usize| ClassParams {
+            partition_size: g,
+            arrival: exponential(0.5),
+            service: exponential(1.0),
+            quantum: erlang(2, 1.0),
+            switch_overhead: exponential(100.0),
+        };
+        let m = GangModel::new(8, vec![class(8), class(1)]).unwrap();
+        let auto = LevelTruncation::Auto {
+            target_tail: 1e-8,
+            min_levels: 4,
+        };
+        BROKEN_LEVEL.set(Some(5));
+        for truncation in [LevelTruncation::None, auto] {
+            let mut opts = crate::SolverOptions::default();
+            opts.qbd.truncation = truncation;
+            match crate::solve(&m, &opts) {
+                Err(GangError::Qbd {
+                    class: Some(1),
+                    source: QbdError::NotGenerator(msg),
+                    ..
+                }) => assert!(msg.starts_with("up[5][0,"), "{msg}"),
+                other => panic!("{truncation:?}: {other:?}"),
+            }
+            let vac = heavy_traffic_vacation(&m, 1);
+            let chain = build_class_chain(&m, 1, &vac).expect("level 5 is not built yet");
+            let got = chain.qbd.solve(&opts.qbd);
+            assert!(
+                matches!(got, Err(QbdError::NotGenerator(_))),
+                "{truncation:?}: {got:?}"
+            );
+            // A cut at 2 reads levels 0..=3 only.
+            let fixed = SolveOptions {
+                truncation: LevelTruncation::Fixed { level: 2 },
+                ..SolveOptions::default()
+            };
+            assert!(chain.qbd.solve(&fixed).is_ok());
+        }
+        BROKEN_LEVEL.set(None);
+    }
 
     fn single_class_model(
         lambda: f64,
@@ -510,7 +600,7 @@ mod tests {
         let m = single_class_model(0.4, 1.0, 10.0, 0.01);
         let vac = heavy_traffic_vacation(&m, 0);
         let chain = build_class_chain(&m, 0, &vac).unwrap();
-        assert!(chain.qbd.is_irreducible());
+        assert!(chain.qbd.is_irreducible().unwrap());
         assert_eq!(chain.qbd.c(), 1); // c = P/g = 1
                                       // level 0: vacation phases only (order 1) * m_a 1 = 1.
         assert_eq!(chain.qbd.level_dim(0), 1);
@@ -619,7 +709,7 @@ mod tests {
         for p in 0..2 {
             let vac = heavy_traffic_vacation(&m, p);
             let chain = build_class_chain(&m, p, &vac).unwrap();
-            assert!(chain.qbd.is_irreducible(), "class {p}");
+            assert!(chain.qbd.is_irreducible().unwrap(), "class {p}");
             let sol = chain.qbd.solve(&SolveOptions::default()).unwrap();
             assert!(sol.mean_level().is_finite());
             assert!((sol.total_mass() - 1.0).abs() < 1e-8);

@@ -16,8 +16,6 @@
 //! the machine with an empty queue, so level 0 carries **only** vacation
 //! phases.
 
-use std::collections::HashMap;
-
 /// Enumerate all compositions of `n` into `m` nonnegative parts, in
 /// lexicographic order. `C(n+m−1, m−1)` results.
 pub fn compositions(n: usize, m: usize) -> Vec<Vec<u32>> {
@@ -67,8 +65,6 @@ pub struct ClassStateSpace {
     pub m_v: usize,
     /// `cfgs[n]` = compositions of `n` jobs into `m_B` phases.
     cfgs: Vec<Vec<Vec<u32>>>,
-    /// Index maps from configuration to its position in `cfgs[n]`.
-    cfg_index: Vec<HashMap<Vec<u32>, usize>>,
 }
 
 impl ClassStateSpace {
@@ -85,26 +81,13 @@ impl ClassStateSpace {
             m_a >= 1 && m_b >= 1 && m_q >= 1 && m_v >= 1,
             "all phase counts must be positive"
         );
-        let mut cfgs = Vec::with_capacity(c + 1);
-        let mut cfg_index = Vec::with_capacity(c + 1);
-        for n in 0..=c {
-            let list = compositions(n, m_b);
-            let map: HashMap<Vec<u32>, usize> = list
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (v.clone(), i))
-                .collect();
-            cfgs.push(list);
-            cfg_index.push(map);
-        }
         ClassStateSpace {
             c,
             m_a,
             m_b,
             m_q,
             m_v,
-            cfgs,
-            cfg_index,
+            cfgs: (0..=c).map(|n| compositions(n, m_b)).collect(),
         }
     }
 
@@ -125,7 +108,33 @@ impl ClassStateSpace {
 
     /// Index of a configuration among those for `n` jobs in service.
     pub fn cfg_index(&self, n: usize, cfg: &[u32]) -> usize {
-        self.cfg_index[n][cfg]
+        debug_assert_eq!(cfg.iter().sum::<u32>() as usize, n);
+        self.cfg_index_moved(cfg, None, None)
+    }
+
+    /// Index of the configuration `cfg` with one job taken out of phase
+    /// `from` and one put into phase `to` (either may be `None`), among
+    /// those for its own number of jobs — ranked in place, without building
+    /// the moved configuration.
+    ///
+    /// The rank of a composition `x` of `n` into `m` parts in the
+    /// lexicographic order of [`compositions`] counts the compositions that
+    /// agree with `x` before part `j` and are smaller at it. With `r` jobs
+    /// left for parts `j..m` and `k = m − 1 − j` parts after `j`, there are
+    /// `Σ_{v<x_j} C(r − v + k − 1, k − 1) = C(r + k, k) − C(r − x_j + k, k)`
+    /// of them.
+    pub fn cfg_index_moved(&self, cfg: &[u32], from: Option<usize>, to: Option<usize>) -> usize {
+        let part =
+            |j: usize| cfg[j] as usize + usize::from(to == Some(j)) - usize::from(from == Some(j));
+        let m = cfg.len();
+        let mut left: usize = (0..m).map(part).sum();
+        let mut rank = 0;
+        for j in 0..m.saturating_sub(1) {
+            let (k, x) = (m - 1 - j, part(j));
+            rank += binomial(left + k, k) - binomial(left - x + k, k);
+            left -= x;
+        }
+        rank
     }
 
     /// Number of cycle-phase values at `level`: vacation-only at level 0.
@@ -241,10 +250,44 @@ mod tests {
 
     #[test]
     fn cfg_index_lookup() {
-        let s = ClassStateSpace::new(3, 1, 2, 1, 1);
-        for n in 0..=3 {
-            for (i, cfg) in s.cfgs_for(n).iter().enumerate() {
-                assert_eq!(s.cfg_index(n, cfg), i);
+        for m_b in 1..=4 {
+            let s = ClassStateSpace::new(12, 1, m_b, 1, 1);
+            for n in 0..=12 {
+                for (i, cfg) in s.cfgs_for(n).iter().enumerate() {
+                    assert_eq!(s.cfg_index(n, cfg), i, "n={n} m_b={m_b} {cfg:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn moved_configurations_rank_like_the_moved_copy() {
+        let s = ClassStateSpace::new(6, 1, 3, 1, 1);
+        for n in 0..=5 {
+            for cfg in s.cfgs_for(n) {
+                for b in 0..3 {
+                    let mut up = cfg.clone();
+                    up[b] += 1;
+                    assert_eq!(
+                        s.cfg_index_moved(cfg, None, Some(b)),
+                        s.cfg_index(n + 1, &up)
+                    );
+                    if cfg[b] == 0 {
+                        continue;
+                    }
+                    let mut down = cfg.clone();
+                    down[b] -= 1;
+                    assert_eq!(
+                        s.cfg_index_moved(cfg, Some(b), None),
+                        s.cfg_index(n - 1, &down)
+                    );
+                    for b2 in 0..3 {
+                        let mut moved = down.clone();
+                        moved[b2] += 1;
+                        let got = s.cfg_index_moved(cfg, Some(b), Some(b2));
+                        assert_eq!(got, s.cfg_index(n, &moved), "{cfg:?} {b}->{b2}");
+                    }
+                }
             }
         }
     }

@@ -33,9 +33,12 @@ fn chains_are_generators_and_irreducible_across_grid() {
             let vac = heavy_traffic_vacation(m, p);
             let chain = build_class_chain(m, p, &vac)
                 .unwrap_or_else(|e| panic!("grid model {i}, class {p}: {e}"));
-            assert!(chain.qbd.is_irreducible(), "grid model {i}, class {p}");
+            assert!(
+                chain.qbd.is_irreducible().unwrap(),
+                "grid model {i}, class {p}"
+            );
             // Truncated generator rows sum to zero.
-            let t = chain.qbd.truncated_generator(chain.qbd.c() + 3);
+            let t = chain.qbd.truncated_generator(chain.qbd.c() + 3).unwrap();
             for (r, rs) in t.row_sums().iter().enumerate() {
                 assert!(
                     rs.abs() < 1e-8,

@@ -78,6 +78,9 @@ pub const QBD_TRUNCATION_UNSTABLE_SKIPS: &str = "qbd.truncation.unstable_skips";
 /// Levels eliminated by the boundary solves; a truncation search that
 /// resumes its elimination counts each level once (counter).
 pub const QBD_BOUNDARY_LEVELS_ELIMINATED: &str = "qbd.boundary.levels_eliminated";
+/// Boundary levels whose blocks were assembled: a process built on demand
+/// counts each level once, when it is first read (counter).
+pub const QBD_BOUNDARY_LEVELS_BUILT: &str = "qbd.boundary.levels_built";
 
 // ---- gsched-core ----
 
@@ -155,6 +158,7 @@ pub const ALL: &[&str] = &[
     QBD_TRUNCATION_ATTEMPTS,
     QBD_TRUNCATION_UNSTABLE_SKIPS,
     QBD_BOUNDARY_LEVELS_ELIMINATED,
+    QBD_BOUNDARY_LEVELS_BUILT,
     CORE_SOLVER_SOLVES,
     CORE_SOLVER_FP_ITERATIONS,
     CORE_SOLVER_FP_RESTARTS,

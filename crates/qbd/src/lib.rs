@@ -15,7 +15,9 @@
 //!
 //! Provided here:
 //! * [`QbdProcess`] — a validated level-structured generator with an
-//!   arbitrary finite boundary (levels `0..=c` of possibly differing sizes).
+//!   arbitrary finite boundary (levels `0..=c` of possibly differing sizes),
+//!   given up front or built level by level on first read by a
+//!   [`process::LevelSource`] and checked as each level is built.
 //! * [`rmatrix`] — the `R` solver: the quadratically convergent
 //!   logarithmic-reduction algorithm of Latouche–Ramaswami (the modern
 //!   counterpart of the paper's reference \[23\], MAGIC), on the dense

@@ -1,8 +1,13 @@
 //! The level-structured QBD generator and its validation.
 
+use crate::stability::{drift_condition, DriftReport};
 use crate::{QbdError, Result};
 use gsched_linalg::Matrix;
 use gsched_markov::scc::CsrDigraph;
+use gsched_obs as obs;
+use std::fmt;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 /// A continuous-time QBD process with a finite, possibly inhomogeneous
 /// boundary — the structure of the paper's eq. (20):
@@ -20,14 +25,21 @@ use gsched_markov::scc::CsrDigraph;
 /// Levels `0..=c` form the *boundary* (sizes `d₀, …, d_c` with `d_c = D`);
 /// levels `c+1, c+2, …` repeat with the `D × D` blocks `A₀` (up), `A₁`
 /// (local) and `A₂` (down).
+///
+/// The boundary levels are memoised cells. [`QbdProcess::new`] fills every
+/// cell up front; [`QbdProcess::on_demand`] leaves them to a
+/// [`LevelSource`], which [`QbdProcess::build_levels`] asks for the missing
+/// levels of a prefix `0..=top` in one batch. A level is checked for sign
+/// structure and zero row sums when it is built, so a solve that never
+/// reads a level never builds or checks it.
 #[derive(Debug, Clone)]
 pub struct QbdProcess {
-    /// `up[i]`: level `i → i+1`, shape `dᵢ × dᵢ₊₁`, for `i ∈ 0..c`.
-    pub boundary_up: Vec<Matrix>,
-    /// `local[i]`: level `i → i` (with diagonal), shape `dᵢ × dᵢ`, `i ∈ 0..=c`.
-    pub boundary_local: Vec<Matrix>,
-    /// `down[i]`: level `i → i−1`, shape `dᵢ × dᵢ₋₁`, for `i ∈ 1..=c`.
-    pub boundary_down: Vec<Matrix>,
+    /// Size of each boundary level `0..=c`.
+    dims: Vec<usize>,
+    /// The blocks out of each boundary level, once built and checked.
+    levels: Vec<OnceLock<LevelBlocks>>,
+    /// Builds missing levels; `None` when every level was given up front.
+    source: Option<Arc<dyn LevelSource>>,
     /// Repeating up block `A₀` (`D × D`), also used from level `c`.
     pub a0: Matrix,
     /// Repeating local block `A₁` (`D × D`), levels `> c`.
@@ -36,12 +48,39 @@ pub struct QbdProcess {
     pub a2: Matrix,
 }
 
+/// The blocks out of boundary level `i`.
+#[derive(Debug, Clone)]
+pub struct LevelBlocks {
+    /// Level `i → i−1`, shape `dᵢ × dᵢ₋₁`; present exactly when `i ≥ 1`.
+    pub down: Option<Matrix>,
+    /// Level `i → i` (with diagonal), shape `dᵢ × dᵢ`.
+    pub local: Matrix,
+    /// Level `i → i+1`, shape `dᵢ × dᵢ₊₁`; present exactly when `i < c`
+    /// (level `c` goes up by `A₀`).
+    pub up: Option<Matrix>,
+}
+
+/// Builds the boundary levels of a [`QbdProcess::on_demand`] process.
+pub trait LevelSource: fmt::Debug + Send + Sync {
+    /// Build the blocks of each level in `levels`, in increasing order, and
+    /// hand each to `accept` as soon as it is built; return the first error
+    /// `accept` returns. One call is one batch: an implementation may time
+    /// it as a whole.
+    fn build(
+        &self,
+        levels: Range<usize>,
+        accept: &mut dyn FnMut(usize, LevelBlocks) -> Result<()>,
+    ) -> Result<()>;
+}
+
 /// Numerical slack for generator validation.
 const VTOL: f64 = 1e-7;
 
 impl QbdProcess {
-    /// Validate shapes, sign structure, and zero row sums of the implied
-    /// infinite generator.
+    /// A process with every boundary level given up front: `up[i]` for
+    /// `i ∈ 0..c`, `local[i]` for `i ∈ 0..=c` and `down[i]` (the block out
+    /// of level `i+1`) for `i ∈ 0..c`. Validates shapes, sign structure and
+    /// zero row sums of the implied infinite generator.
     pub fn new(
         boundary_up: Vec<Matrix>,
         boundary_local: Vec<Matrix>,
@@ -69,6 +108,49 @@ impl QbdProcess {
                 boundary_down.len()
             )));
         }
+        let dims = boundary_local.iter().map(Matrix::rows).collect();
+        let proc = QbdProcess::with_repeating(dims, a0, a1, a2, None)?;
+        let mut ups = boundary_up.into_iter();
+        let mut downs = boundary_down.into_iter();
+        for (i, local) in boundary_local.into_iter().enumerate() {
+            let blocks = LevelBlocks {
+                down: if i >= 1 { downs.next() } else { None },
+                local,
+                up: if i < c { ups.next() } else { None },
+            };
+            proc.check_level(i, &blocks)?;
+            let _ = proc.levels[i].set(blocks);
+        }
+        Ok(proc)
+    }
+
+    /// A process whose boundary levels are built by `source` when first
+    /// read. Only the level sizes `dims` (`d₀, …, d_c`) and the repeating
+    /// blocks are given, and only they are checked here; each level is
+    /// checked when it is built.
+    pub fn on_demand(
+        dims: Vec<usize>,
+        a0: Matrix,
+        a1: Matrix,
+        a2: Matrix,
+        source: Arc<dyn LevelSource>,
+    ) -> Result<QbdProcess> {
+        QbdProcess::with_repeating(dims, a0, a1, a2, Some(source))
+    }
+
+    /// An empty-celled process with checked repeating blocks.
+    fn with_repeating(
+        dims: Vec<usize>,
+        a0: Matrix,
+        a1: Matrix,
+        a2: Matrix,
+        source: Option<Arc<dyn LevelSource>>,
+    ) -> Result<QbdProcess> {
+        let Some(&top) = dims.last() else {
+            return Err(QbdError::Shape(
+                "at least one boundary level (level 0) required".to_string(),
+            ));
+        };
         let d = a1.rows();
         for (name, m) in [("A0", &a0), ("A1", &a1), ("A2", &a2)] {
             if m.shape() != (d, d) {
@@ -79,59 +161,29 @@ impl QbdProcess {
                 )));
             }
         }
-        // Level sizes.
-        let dims: Vec<usize> = boundary_local.iter().map(|m| m.rows()).collect();
-        if dims[c] != d {
+        if top != d {
             return Err(QbdError::Shape(format!(
-                "level c={c} must have the repeating dimension {d}, got {}",
-                dims[c]
+                "level c={} must have the repeating dimension {d}, got {top}",
+                dims.len() - 1
             )));
         }
-        for (i, m) in boundary_local.iter().enumerate() {
-            if !m.is_square() {
-                return Err(QbdError::Shape(format!("local[{i}] is not square")));
-            }
-        }
-        for (i, m) in boundary_up.iter().enumerate() {
-            if m.shape() != (dims[i], dims[i + 1]) {
-                return Err(QbdError::Shape(format!(
-                    "up[{i}] must be {}x{}, got {}x{}",
-                    dims[i],
-                    dims[i + 1],
-                    m.rows(),
-                    m.cols()
-                )));
-            }
-        }
-        for (i, m) in boundary_down.iter().enumerate() {
-            // boundary_down[i] is the down block out of level i+1.
-            if m.shape() != (dims[i + 1], dims[i]) {
-                return Err(QbdError::Shape(format!(
-                    "down[{}] must be {}x{}, got {}x{}",
-                    i + 1,
-                    dims[i + 1],
-                    dims[i],
-                    m.rows(),
-                    m.cols()
-                )));
-            }
-        }
-
-        let proc = QbdProcess {
-            boundary_up,
-            boundary_local,
-            boundary_down,
+        check_nonneg(|| "A0".to_string(), &a0, false)?;
+        check_nonneg(|| "A1".to_string(), &a1, true)?;
+        check_nonneg(|| "A2".to_string(), &a2, false)?;
+        check_row_sums(|| "repeating level".to_string(), &[&a2, &a1, &a0])?;
+        Ok(QbdProcess {
+            levels: (0..dims.len()).map(|_| OnceLock::new()).collect(),
+            dims,
+            source,
             a0,
             a1,
             a2,
-        };
-        proc.validate_generator()?;
-        Ok(proc)
+        })
     }
 
     /// Index of the first repeating level, `c`.
     pub fn c(&self) -> usize {
-        self.boundary_local.len() - 1
+        self.dims.len() - 1
     }
 
     /// Dimension of the repeating levels, `D`.
@@ -141,82 +193,135 @@ impl QbdProcess {
 
     /// Dimension of level `i`.
     pub fn level_dim(&self, i: usize) -> usize {
-        self.view().level_dim(i)
+        self.dims.get(i).copied().unwrap_or(self.a1.rows())
     }
 
-    /// Check sign structure and zero row sums level by level.
-    fn validate_generator(&self) -> Result<()> {
-        let c = self.c();
-        let check_nonneg = |name: String, m: &Matrix, skip_diag: bool| -> Result<()> {
-            for i in 0..m.rows() {
-                for j in 0..m.cols() {
-                    if skip_diag && i == j {
-                        continue;
-                    }
-                    if m[(i, j)] < -VTOL {
-                        return Err(QbdError::NotGenerator(format!(
-                            "{name}[{i},{j}] = {} is negative",
-                            m[(i, j)]
-                        )));
-                    }
-                }
+    /// Build and check, in one batch, every level of `0..=min(top, c)` that
+    /// is not built yet. Each level built counts once under
+    /// `qbd.boundary.levels_built`.
+    pub fn build_levels(&self, top: usize) -> Result<()> {
+        let top = top.min(self.c());
+        let Some(first) = (0..=top).find(|&i| self.levels[i].get().is_none()) else {
+            return Ok(());
+        };
+        let source = self
+            .source
+            .as_ref()
+            .expect("a process without a level source has every level");
+        let mut built = 0;
+        let result = source.build(first..top + 1, &mut |i, blocks| {
+            if self.levels[i].get().is_none() {
+                built += 1;
+                self.check_level(i, &blocks)?;
+                let _ = self.levels[i].set(blocks);
             }
             Ok(())
-        };
-        for (i, m) in self.boundary_local.iter().enumerate() {
-            check_nonneg(format!("local[{i}]"), m, true)?;
-        }
-        for (i, m) in self.boundary_up.iter().enumerate() {
-            check_nonneg(format!("up[{i}]"), m, false)?;
-        }
-        for (i, m) in self.boundary_down.iter().enumerate() {
-            check_nonneg(format!("down[{}]", i + 1), m, false)?;
-        }
-        check_nonneg("A0".to_string(), &self.a0, false)?;
-        check_nonneg("A1".to_string(), &self.a1, true)?;
-        check_nonneg("A2".to_string(), &self.a2, false)?;
-
-        // Row sums per level.
-        if c == 0 {
-            check_row_sums("level 0", &[&self.boundary_local[0], &self.a0])?;
-        } else {
-            check_row_sums("level 0", &[&self.boundary_local[0], &self.boundary_up[0]])?;
-            for i in 1..c {
-                check_row_sums(
-                    &format!("level {i}"),
-                    &[
-                        &self.boundary_down[i - 1],
-                        &self.boundary_local[i],
-                        &self.boundary_up[i],
-                    ],
-                )?;
-            }
-            check_row_sums(
-                &format!("level {c}"),
-                &[
-                    &self.boundary_down[c - 1],
-                    &self.boundary_local[c],
-                    &self.a0,
-                ],
-            )?;
-        }
-        check_row_sums("repeating level", &[&self.a2, &self.a1, &self.a0])
+        });
+        obs::counter_add(obs::names::QBD_BOUNDARY_LEVELS_BUILT, built);
+        result
     }
 
-    /// The whole chain as a borrowed [`LevelView`].
-    pub(crate) fn view(&self) -> LevelView<'_> {
-        LevelView {
-            up: &self.boundary_up,
-            local: &self.boundary_local,
-            down: &self.boundary_down,
+    /// Level `i`'s blocks. Panics when level `i ≤ c` is not built yet: call
+    /// [`build_levels`](Self::build_levels) first.
+    fn level(&self, i: usize) -> &LevelBlocks {
+        self.levels[i]
+            .get()
+            .unwrap_or_else(|| panic!("boundary level {i} read before it was built"))
+    }
+
+    /// The local block of level `i` (`A₁` above `c`). Level `i` must be
+    /// built when `i ≤ c`.
+    pub fn local(&self, i: usize) -> &Matrix {
+        if i <= self.c() {
+            &self.level(i).local
+        } else {
+            &self.a1
+        }
+    }
+
+    /// The up block out of level `i` (`A₀` from `c` on). Level `i` must be
+    /// built when `i < c`.
+    pub fn up(&self, i: usize) -> &Matrix {
+        if i < self.c() {
+            self.level(i).up.as_ref().expect("checked when built")
+        } else {
+            &self.a0
+        }
+    }
+
+    /// The down block out of level `i ≥ 1` (`A₂` above `c`). Level `i` must
+    /// be built when `i ≤ c`.
+    pub fn down(&self, i: usize) -> &Matrix {
+        assert!(i >= 1, "level 0 has no down block");
+        if i <= self.c() {
+            self.level(i).down.as_ref().expect("checked when built")
+        } else {
+            &self.a2
+        }
+    }
+
+    /// Check the shapes, sign structure and zero row sums of level `i`'s
+    /// blocks. Block names are formatted only for an error.
+    fn check_level(&self, i: usize, b: &LevelBlocks) -> Result<()> {
+        let c = self.c();
+        let dim = self.dims[i];
+        if b.local.shape() != (dim, dim) {
+            return Err(QbdError::Shape(format!(
+                "local[{i}] must be {dim}x{dim}, got {}x{}",
+                b.local.rows(),
+                b.local.cols()
+            )));
+        }
+        // `present`: whether level `i` has this block; `to`: its target level.
+        let neighbour =
+            |name: &str, block: Option<&Matrix>, present: bool, to: usize| match (block, present) {
+                (Some(m), true) if m.shape() != (dim, self.dims[to]) => {
+                    Err(QbdError::Shape(format!(
+                        "{name}[{i}] must be {dim}x{}, got {}x{}",
+                        self.dims[to],
+                        m.rows(),
+                        m.cols()
+                    )))
+                }
+                (Some(_), true) | (None, false) => Ok(()),
+                _ => Err(QbdError::Shape(format!(
+                    "level {i} of {} must have {} {name} block",
+                    c + 1,
+                    if present { "a" } else { "no" }
+                ))),
+            };
+        neighbour("up", b.up.as_ref(), i < c, i + 1)?;
+        neighbour("down", b.down.as_ref(), i >= 1, i.saturating_sub(1))?;
+
+        check_nonneg(|| format!("local[{i}]"), &b.local, true)?;
+        if let Some(up) = &b.up {
+            check_nonneg(|| format!("up[{i}]"), up, false)?;
+        }
+        if let Some(down) = &b.down {
+            check_nonneg(|| format!("down[{i}]"), down, false)?;
+        }
+        let up = b.up.as_ref().unwrap_or(&self.a0);
+        let name = || format!("level {i}");
+        match &b.down {
+            Some(down) => check_row_sums(name, &[down, &b.local, up]),
+            None => check_row_sums(name, &[&b.local, up]),
+        }
+    }
+
+    /// The whole chain as a borrowed [`LevelView`], every level built.
+    pub(crate) fn view(&self) -> Result<LevelView<'_>> {
+        self.build_levels(self.c())?;
+        Ok(LevelView {
+            q: self,
+            c: self.c(),
             a0: &self.a0,
             a1: &self.a1,
             a2: &self.a2,
-        }
+        })
     }
 
     /// The frozen-capacity truncation of this process at boundary level `m`,
-    /// borrowed: nothing is copied.
+    /// borrowed: nothing is copied, and only levels `0..=m+1` are built.
     ///
     /// The truncated chain's boundary is levels `0..=m` of this process and
     /// its repeating blocks are the level-`m` boundary blocks:
@@ -232,10 +337,11 @@ impl QbdProcess {
     /// Requires `1 ≤ m < c` and `level_dim(m) == level_dim(m+1)` (the level
     /// sizes must have saturated — true below `c` only when the service
     /// distribution has a single phase). Returns [`QbdError::Shape`]
-    /// otherwise; callers using automatic truncation fall back to the full
-    /// solve on that error. Levels `0..=m` were validated with the process;
-    /// the one new condition, zero row sums of the frozen repeating level,
-    /// is checked here ([`QbdError::NotGenerator`] when it fails).
+    /// otherwise, before any level is built; callers using automatic
+    /// truncation fall back to the full solve on that error. Levels
+    /// `0..=m+1` are checked as they are built; the one new condition, zero
+    /// row sums of the frozen repeating level, is checked here
+    /// ([`QbdError::NotGenerator`] when it fails).
     pub(crate) fn frozen(&self, m: usize) -> Result<LevelView<'_>> {
         let c = self.c();
         if m == 0 || m >= c {
@@ -251,15 +357,18 @@ impl QbdProcess {
                 self.level_dim(m + 1)
             )));
         }
+        self.build_levels(m + 1)?;
         let view = LevelView {
-            up: &self.boundary_up[..m],
-            local: &self.boundary_local[..=m],
-            down: &self.boundary_down[..m],
-            a0: &self.boundary_up[m],
-            a1: &self.boundary_local[m + 1],
-            a2: &self.boundary_down[m],
+            q: self,
+            c: m,
+            a0: self.up(m),
+            a1: self.local(m + 1),
+            a2: self.down(m + 1),
         };
-        check_row_sums("repeating level", &[view.a2, view.a1, view.a0])?;
+        check_row_sums(
+            || "repeating level".to_string(),
+            &[view.a2, view.a1, view.a0],
+        )?;
         Ok(view)
     }
 
@@ -271,18 +380,19 @@ impl QbdProcess {
     /// §4.4 irreducibility check: the finite chain made of the boundary plus
     /// the first two repeating levels must be strongly connected (transitions
     /// above the truncation are dropped; by the repeating structure this is
-    /// sufficient).
-    pub fn is_irreducible(&self) -> bool {
-        self.view().is_irreducible()
+    /// sufficient). Builds every boundary level.
+    pub fn is_irreducible(&self) -> Result<bool> {
+        Ok(self.view()?.is_irreducible())
     }
 
     /// Build the generator of the chain truncated at `max_level` (transitions
     /// above are redirected nowhere; the top level keeps its up-rates on the
     /// diagonal as a reflecting approximation). Used for cross-validation
-    /// against direct CTMC solves in tests.
-    pub fn truncated_generator(&self, max_level: usize) -> Matrix {
+    /// against direct CTMC solves in tests. Builds every boundary level.
+    pub fn truncated_generator(&self, max_level: usize) -> Result<Matrix> {
         let c = self.c();
         assert!(max_level > c, "truncate above the boundary");
+        self.build_levels(c)?;
         let dims: Vec<usize> = (0..=max_level).map(|i| self.level_dim(i)).collect();
         let offsets: Vec<usize> = dims
             .iter()
@@ -294,25 +404,13 @@ impl QbdProcess {
             .collect();
         let n: usize = dims.iter().sum();
         let mut q = Matrix::zeros(n, n);
-        let put = |q: &mut Matrix, from: usize, to: usize, m: &Matrix| {
-            q.set_block(offsets[from], offsets[to], m);
-        };
-        for (i, m) in self.boundary_local.iter().enumerate() {
-            put(&mut q, i, i, m);
-        }
-        for (i, m) in self.boundary_up.iter().enumerate() {
-            put(&mut q, i, i + 1, m);
-        }
-        for (i, m) in self.boundary_down.iter().enumerate() {
-            put(&mut q, i + 1, i, m);
-        }
-        for lvl in c..=max_level {
-            if lvl > c {
-                put(&mut q, lvl, lvl, &self.a1);
-                put(&mut q, lvl, lvl - 1, &self.a2);
+        for lvl in 0..=max_level {
+            q.set_block(offsets[lvl], offsets[lvl], self.local(lvl));
+            if lvl >= 1 {
+                q.set_block(offsets[lvl], offsets[lvl - 1], self.down(lvl));
             }
             if lvl < max_level {
-                put(&mut q, lvl, lvl + 1, &self.a0);
+                q.set_block(offsets[lvl], offsets[lvl + 1], self.up(lvl));
             }
         }
         // Reflect: fold the dropped up-rates of the top level into its
@@ -324,12 +422,35 @@ impl QbdProcess {
             let up_rate: f64 = self.a0.row(i).iter().sum();
             q[(top + i, top + i)] += up_rate;
         }
-        q
+        Ok(q)
     }
 }
 
-/// Check that each row of the level made of the blocks `parts` sums to zero.
-fn check_row_sums(level: &str, parts: &[&Matrix]) -> Result<()> {
+/// The drift test (Theorem 4.4) on the repeating blocks `a0`, `a1`, `a2`.
+pub(crate) fn drift(a0: &Matrix, a1: &Matrix, a2: &Matrix) -> Result<DriftReport> {
+    let _span = obs::span("qbd.drift");
+    drift_condition(a0, a1, a2)
+}
+
+/// Check that `m` has no negative entry (off the diagonal when
+/// `skip_diag`); `name` is formatted only for the error.
+fn check_nonneg(name: impl FnOnce() -> String, m: &Matrix, skip_diag: bool) -> Result<()> {
+    for i in 0..m.rows() {
+        for (j, &v) in m.row(i).iter().enumerate() {
+            if v < -VTOL && !(skip_diag && i == j) {
+                return Err(QbdError::NotGenerator(format!(
+                    "{}[{i},{j}] = {v} is negative",
+                    name()
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Check that each row of the level made of the blocks `parts` sums to
+/// zero; `level` is formatted only for the error.
+fn check_row_sums(level: impl FnOnce() -> String, parts: &[&Matrix]) -> Result<()> {
     let rows = parts[0].rows();
     for r in 0..rows {
         let total: f64 = parts.iter().map(|m| m.row(r).iter().sum::<f64>()).sum();
@@ -339,16 +460,17 @@ fn check_row_sums(level: &str, parts: &[&Matrix]) -> Result<()> {
             .sum();
         if total.abs() > VTOL * (1.0 + scale) {
             return Err(QbdError::NotGenerator(format!(
-                "row {r} of {level} sums to {total}"
+                "row {r} of {} sums to {total}",
+                level()
             )));
         }
     }
     Ok(())
 }
 
-/// A borrowed level-structured chain: boundary levels `0..=c` (`up`,
-/// `local`, `down`, laid out as in [`QbdProcess`]) followed by repeating
-/// levels with the blocks `a0`, `a1`, `a2`.
+/// A borrowed level-structured chain: boundary levels `0..=c` of a
+/// [`QbdProcess`], all built, followed by repeating levels with the blocks
+/// `a0`, `a1`, `a2`.
 ///
 /// [`QbdProcess::view`] is the process itself; [`QbdProcess::frozen`] is its
 /// frozen-capacity truncation at a level `m < c`, which borrows the prefix
@@ -356,12 +478,10 @@ fn check_row_sums(level: &str, parts: &[&Matrix]) -> Result<()> {
 /// truncation search never copies the boundary.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LevelView<'a> {
-    /// `up[i]`: level `i → i+1`, for `i ∈ 0..c`.
-    pub(crate) up: &'a [Matrix],
-    /// `local[i]`: level `i → i`, for `i ∈ 0..=c`.
-    pub(crate) local: &'a [Matrix],
-    /// `down[i]`: level `i+1 → i`, for `i ∈ 0..c`.
-    pub(crate) down: &'a [Matrix],
+    /// The process whose boundary levels `0..=c` this view reads.
+    q: &'a QbdProcess,
+    /// Index of the view's first repeating level.
+    c: usize,
     /// Repeating up block, also used from level `c`.
     pub(crate) a0: &'a Matrix,
     /// Repeating local block, levels `> c`.
@@ -370,15 +490,46 @@ pub(crate) struct LevelView<'a> {
     pub(crate) a2: &'a Matrix,
 }
 
-impl LevelView<'_> {
+impl<'a> LevelView<'a> {
     /// Index of the first repeating level, `c`.
     pub(crate) fn c(&self) -> usize {
-        self.local.len() - 1
+        self.c
     }
 
     /// Dimension of level `i`.
     pub(crate) fn level_dim(&self, i: usize) -> usize {
-        self.local.get(i).unwrap_or(self.a1).rows()
+        if i <= self.c {
+            self.q.dims[i]
+        } else {
+            self.a1.rows()
+        }
+    }
+
+    /// The local block of level `i`.
+    pub(crate) fn local(&self, i: usize) -> &'a Matrix {
+        if i <= self.c {
+            self.q.local(i)
+        } else {
+            self.a1
+        }
+    }
+
+    /// The up block out of level `i`.
+    pub(crate) fn up(&self, i: usize) -> &'a Matrix {
+        if i < self.c {
+            self.q.up(i)
+        } else {
+            self.a0
+        }
+    }
+
+    /// The down block out of level `i ≥ 1`.
+    pub(crate) fn down(&self, i: usize) -> &'a Matrix {
+        if i <= self.c {
+            self.q.down(i)
+        } else {
+            self.a2
+        }
     }
 
     /// §4.4 irreducibility check on levels `0..=c+2` (see
@@ -390,9 +541,6 @@ impl LevelView<'_> {
     /// — linear in the number of rates, with no per-state allocation.
     pub(crate) fn is_irreducible(&self) -> bool {
         let top = self.c() + 2;
-        let local = |l: usize| self.local.get(l).unwrap_or(self.a1);
-        let up = |l: usize| self.up.get(l).unwrap_or(self.a0);
-        let down = |l: usize| self.down.get(l - 1).unwrap_or(self.a2);
         // offsets[l]: global index of level l's first state.
         let mut offsets = vec![0usize];
         for l in 0..=top {
@@ -404,9 +552,9 @@ impl LevelView<'_> {
             // (block, first state of its target level); up-transitions out
             // of the top level are dropped.
             let blocks = [
-                (l >= 1).then(|| (down(l), offsets[l - 1])),
-                Some((local(l), offsets[l])),
-                (l < top).then(|| (up(l), offsets[l + 1])),
+                (l >= 1).then(|| (self.down(l), offsets[l - 1])),
+                Some((self.local(l), offsets[l])),
+                (l < top).then(|| (self.up(l), offsets[l + 1])),
             ];
             for u in offsets[l]..offsets[l + 1] {
                 let i = u - offsets[l];
@@ -472,14 +620,14 @@ mod tests {
         let q = mm1(0.5, 1.0);
         assert_eq!(q.c(), 0);
         assert_eq!(q.repeating_dim(), 1);
-        assert!(q.is_irreducible());
+        assert!(q.is_irreducible().unwrap());
     }
 
     #[test]
     fn mm2_valid() {
         let q = mm2(0.5, 1.0);
         assert_eq!(q.c(), 2);
-        assert!(q.is_irreducible());
+        assert!(q.is_irreducible().unwrap());
     }
 
     #[test]
@@ -534,7 +682,7 @@ mod tests {
     #[test]
     fn truncated_generator_is_generator() {
         let q = mm2(0.7, 1.0);
-        let t = q.truncated_generator(6);
+        let t = q.truncated_generator(6).unwrap();
         assert_eq!(t.rows(), 7); // levels 0..=6, one state each
         for rs in t.row_sums() {
             assert!(rs.abs() < 1e-12);
@@ -560,21 +708,15 @@ mod tests {
                 }
             }
         };
-        for (i, m) in v.local.iter().enumerate() {
-            add(i, i, m);
+        for l in 0..=c + 2 {
+            add(l, l, v.local(l));
+            if l >= 1 {
+                add(l, l - 1, v.down(l));
+            }
+            if l < c + 2 {
+                add(l, l + 1, v.up(l));
+            }
         }
-        for (i, m) in v.up.iter().enumerate() {
-            add(i, i + 1, m);
-        }
-        for (i, m) in v.down.iter().enumerate() {
-            add(i + 1, i, m);
-        }
-        add(c, c + 1, v.a0);
-        for l in [c + 1, c + 2] {
-            add(l, l, v.a1);
-            add(l, l - 1, v.a2);
-        }
-        add(c + 1, c + 2, v.a0);
         gsched_markov::tarjan_scc(&adj).len() == 1
     }
 
@@ -633,8 +775,8 @@ mod tests {
             let d = 1 + rng.random_below(3) as usize;
             let sparse = [0.0, 0.5, 0.7, 0.85][trial % 4];
             let q = random_qbd(&mut rng, c, d, sparse);
-            let want = tarjan_irreducible(&q.view());
-            assert_eq!(q.is_irreducible(), want, "trial {trial}: {q:?}");
+            let want = tarjan_irreducible(&q.view().unwrap());
+            assert_eq!(q.is_irreducible().unwrap(), want, "trial {trial}: {q:?}");
             if want {
                 irreducible += 1;
             } else {
@@ -692,6 +834,143 @@ mod tests {
         assert!(matches!(q.solve(&auto), Err(QbdError::NotGenerator(_))));
     }
 
+    /// M/M/c as a QBD with one state per level.
+    fn mmc(lambda: f64, mu: f64, c: usize) -> QbdProcess {
+        let rate = |i: usize| Matrix::from_rows(&[&[i as f64 * mu]]);
+        let local = |i: usize| Matrix::from_rows(&[&[-(lambda + i as f64 * mu)]]);
+        let arrive = || Matrix::from_rows(&[&[lambda]]);
+        QbdProcess::new(
+            (0..c).map(|_| arrive()).collect(),
+            (0..=c).map(local).collect(),
+            (1..=c).map(rate).collect(),
+            arrive(),
+            local(c),
+            rate(c),
+        )
+        .unwrap()
+    }
+
+    /// A level source handing out given blocks and logging the levels it
+    /// builds.
+    #[derive(Debug)]
+    struct Logged {
+        levels: Vec<LevelBlocks>,
+        built: std::sync::Mutex<Vec<usize>>,
+    }
+
+    impl LevelSource for Logged {
+        fn build(
+            &self,
+            levels: Range<usize>,
+            accept: &mut dyn FnMut(usize, LevelBlocks) -> Result<()>,
+        ) -> Result<()> {
+            for i in levels {
+                self.built.lock().unwrap().push(i);
+                accept(i, self.levels[i].clone())?;
+            }
+            Ok(())
+        }
+    }
+
+    /// `q`'s blocks, with `edit` applied to them, as an on-demand process
+    /// and its source.
+    fn on_demand(
+        q: &QbdProcess,
+        edit: impl FnOnce(&mut [LevelBlocks]),
+    ) -> (QbdProcess, Arc<Logged>) {
+        q.build_levels(q.c()).unwrap();
+        let mut levels: Vec<LevelBlocks> =
+            q.levels.iter().map(|l| l.get().unwrap().clone()).collect();
+        edit(&mut levels);
+        let source = Arc::new(Logged {
+            levels,
+            built: Default::default(),
+        });
+        let lazy = QbdProcess::on_demand(
+            q.dims.clone(),
+            q.a0.clone(),
+            q.a1.clone(),
+            q.a2.clone(),
+            source.clone(),
+        )
+        .unwrap();
+        (lazy, source)
+    }
+
+    /// The same blocks as an eager process, or the error its validation
+    /// finds.
+    fn eager(levels: &[LevelBlocks], q: &QbdProcess) -> Result<QbdProcess> {
+        QbdProcess::new(
+            levels.iter().filter_map(|l| l.up.clone()).collect(),
+            levels.iter().map(|l| l.local.clone()).collect(),
+            levels.iter().filter_map(|l| l.down.clone()).collect(),
+            q.a0.clone(),
+            q.a1.clone(),
+            q.a2.clone(),
+        )
+    }
+
+    #[test]
+    fn a_search_builds_each_level_it_reads_once() {
+        use crate::solution::{LevelTruncation, SolveOptions};
+        let q = mmc(8.0, 1.0, 64);
+        let (lazy, source) = on_demand(&q, |_| {});
+        let auto = SolveOptions {
+            truncation: LevelTruncation::Auto {
+                target_tail: 1e-9,
+                min_levels: 4,
+            },
+            ..Default::default()
+        };
+        let got = lazy.solve(&auto).unwrap();
+        let want = q.solve(&auto).unwrap();
+        let m = got.truncation().expect("certified").level;
+        assert_eq!(want.truncation().unwrap().level, m);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (g, w) in got.boundary().iter().zip(want.boundary()) {
+            assert_eq!(bits(g), bits(w));
+        }
+        // Levels 0..=m+1 of the last cut, each built once, in order.
+        assert_eq!(
+            *source.built.lock().unwrap(),
+            (0..=m + 1).collect::<Vec<_>>()
+        );
+        // The full solve builds the rest, and a second one builds nothing.
+        lazy.solve(&SolveOptions::default()).unwrap();
+        lazy.solve(&SolveOptions::default()).unwrap();
+        assert_eq!(*source.built.lock().unwrap(), (0..=64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_broken_level_fails_when_it_is_built_as_eagerly() {
+        use crate::solution::{LevelTruncation, SolveOptions};
+        let q = mmc(8.0, 1.0, 64);
+        let auto = SolveOptions {
+            truncation: LevelTruncation::Auto {
+                target_tail: 1e-9,
+                min_levels: 4,
+            },
+            ..Default::default()
+        };
+        let breaks: [fn(&mut LevelBlocks); 3] = [
+            |l| l.up.as_mut().unwrap()[(0, 0)] = -8.0,
+            |l| l.down.as_mut().unwrap()[(0, 0)] = -60.0,
+            |l| l.local[(0, 0)] *= 2.0,
+        ];
+        for brk in breaks {
+            let (lazy, _) = on_demand(&q, |levels| brk(&mut levels[60]));
+            // The search certifies below level 59 and never reads level 60.
+            let sol = lazy.solve(&auto).unwrap();
+            assert!(sol.truncation().unwrap().level + 1 < 60);
+            // The full solve reads it and fails as the eager check does.
+            let err = lazy.solve(&SolveOptions::default()).unwrap_err();
+            let (_, source) = on_demand(&q, |levels| brk(&mut levels[60]));
+            let want = eager(&source.levels, &q).unwrap_err();
+            assert!(matches!(err, QbdError::NotGenerator(_)), "{err}");
+            assert_eq!(err, want);
+        }
+    }
+
     #[test]
     fn reducible_detected() {
         // Up rate zero: can never leave level 0 upward -> truncated graph
@@ -705,6 +984,6 @@ mod tests {
             Matrix::from_rows(&[&[1.0]]),
         )
         .unwrap();
-        assert!(!q.is_irreducible());
+        assert!(!q.is_irreducible().unwrap());
     }
 }

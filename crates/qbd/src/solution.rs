@@ -1,8 +1,8 @@
 //! Boundary solve and the stationary solution object (Theorem 4.2, eq. 37).
 
-use crate::process::{LevelView, QbdProcess};
+use crate::process::{drift, LevelView, QbdProcess};
 use crate::rmatrix::{r_residual, solve_r, solve_r_warm, RSolverMethod};
-use crate::stability::{drift_condition, DriftReport};
+use crate::stability::DriftReport;
 use crate::{QbdError, Result};
 use gsched_linalg::{counters, spectral_radius, Lu, Matrix};
 use gsched_obs as obs;
@@ -36,9 +36,10 @@ const STABILITY_GATE_RTOL: f64 = 1e-9;
 /// original — the reported tail mass above `m` is a *certified upper bound*
 /// on the true mass the truncation could misplace. The certificate is
 /// attached to the solution as [`TruncationCertificate`]. The only check a
-/// truncation adds to those the process passed on construction is that the
-/// frozen repeating level's rows sum to zero ([`QbdError::NotGenerator`]
-/// otherwise).
+/// truncation adds to those its levels passed when they were built is that
+/// the frozen repeating level's rows sum to zero ([`QbdError::NotGenerator`]
+/// otherwise). A truncated solve builds levels `0..=m+1` of its last cut
+/// `m` and no others.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum LevelTruncation {
     /// Solve the full boundary (the default).
@@ -154,7 +155,7 @@ impl QbdProcess {
     pub fn solve(&self, opts: &SolveOptions) -> Result<QbdSolution> {
         match opts.truncation {
             LevelTruncation::None => {
-                self.view()
+                self.view()?
                     .solve(opts, None, &mut CensoredElimination::default())
             }
             LevelTruncation::Fixed { level } => {
@@ -181,7 +182,8 @@ impl QbdProcess {
     /// truncation cannot apply or stops paying off.
     ///
     /// Each level's work is done once: every attempt borrows its chain
-    /// ([`QbdProcess::frozen`]), runs the drift test on its three frozen
+    /// ([`QbdProcess::frozen`], which builds the levels it lacks in one
+    /// batch), runs the drift test on its three frozen
     /// blocks before anything else (an attempt that cannot drain the load
     /// costs one `D × D` GTH solve), and the boundary solve continues the
     /// forward elimination where the previous attempt stopped. `R` is not
@@ -199,7 +201,7 @@ impl QbdProcess {
         // chain must surface as Unstable, not as a truncation that never
         // certifies (every frozen-capacity truncation of an unstable chain
         // is itself unstable, but the converse error would be misleading).
-        let drift = self.view().drift()?;
+        let drift = drift(&self.a0, &self.a1, &self.a2)?;
         if !drift.is_stable() {
             return Err(QbdError::Unstable(drift));
         }
@@ -241,7 +243,7 @@ impl QbdProcess {
                 Err(e) => return Err(e),
             }
         }
-        self.view().solve(opts, None, &mut elim)
+        self.view()?.solve(opts, None, &mut elim)
     }
 }
 
@@ -302,7 +304,7 @@ impl CensoredElimination {
             Some(s) if self.ts.len() <= c => (s, self.ts.len()),
             _ => {
                 self.ts.clear();
-                (view.local[0].clone(), 0)
+                (view.local(0).clone(), 0)
             }
         };
         for i in start..c {
@@ -316,10 +318,10 @@ impl CensoredElimination {
                     *v = 0.0;
                 }
             }
-            let t = view.down[i].matmul(&neg_s_inv)?;
-            let tu = t.matmul(&view.up[i])?;
-            s = &view.local[i + 1] + &tu;
-            conserve_mass(&mut s, view.up.get(i + 1).unwrap_or(view.a0));
+            let t = view.down(i + 1).matmul(&neg_s_inv)?;
+            let tu = t.matmul(view.up(i))?;
+            s = view.local(i + 1) + &tu;
+            conserve_mass(&mut s, view.up(i + 1));
             self.ts.push(t);
         }
         obs::counter_add(
@@ -357,8 +359,7 @@ fn conserve_mass(s: &mut Matrix, up: &Matrix) {
 impl LevelView<'_> {
     /// The drift test (Theorem 4.4) on this chain's repeating blocks.
     fn drift(&self) -> Result<DriftReport> {
-        let _span = obs::span("qbd.drift");
-        drift_condition(self.a0, self.a1, self.a2)
+        drift(self.a0, self.a1, self.a2)
     }
 
     /// Compute `R` cold, unless the caller supplied an explicit
@@ -851,6 +852,7 @@ impl LevelWalk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stability::drift_condition;
 
     fn mm1(lambda: f64, mu: f64) -> QbdProcess {
         QbdProcess::new(
@@ -941,13 +943,14 @@ mod tests {
     /// built from copies of the prefix blocks: the reference the borrowed
     /// truncation must reproduce.
     fn owned_frozen(q: &QbdProcess, m: usize) -> QbdProcess {
+        q.build_levels(m + 1).unwrap();
         QbdProcess::new(
-            q.boundary_up[..m].to_vec(),
-            q.boundary_local[..=m].to_vec(),
-            q.boundary_down[..m].to_vec(),
-            q.boundary_up[m].clone(),
-            q.boundary_local[m + 1].clone(),
-            q.boundary_down[m].clone(),
+            (0..m).map(|i| q.up(i).clone()).collect(),
+            (0..=m).map(|i| q.local(i).clone()).collect(),
+            (1..=m).map(|i| q.down(i).clone()).collect(),
+            q.up(m).clone(),
+            q.local(m + 1).clone(),
+            q.down(m + 1).clone(),
         )
         .unwrap()
     }
@@ -1253,7 +1256,7 @@ mod tests {
     /// GTH solve that shares no code with the matrix-geometric path, split
     /// into one vector per level.
     fn gth_levels(q: &QbdProcess, max_level: usize) -> Vec<Vec<f64>> {
-        let t = q.truncated_generator(max_level);
+        let t = q.truncated_generator(max_level).unwrap();
         let pi = gsched_markov::Ctmc::new(t)
             .unwrap()
             .stationary_gth()

@@ -28,7 +28,7 @@ fn phased_qbd(l1: f64, l2: f64, mu: f64, sw: f64) -> QbdProcess {
 fn matches_truncated_direct_solve() {
     let q = phased_qbd(0.5, 1.1, 2.0, 0.4);
     let sol = q.solve(&SolveOptions::default()).unwrap();
-    let truncated = q.truncated_generator(80);
+    let truncated = q.truncated_generator(80).unwrap();
     let pi = Ctmc::new(truncated).unwrap().stationary_gth().unwrap();
     // Compare level probabilities for the first 12 levels.
     let mut offset = 0usize;
