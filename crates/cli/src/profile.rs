@@ -132,7 +132,6 @@ fn phase_label(span: &str) -> &'static str {
         "core.measures" => "stationary measures",
         "qbd.solve" => "QBD assembly",
         "qbd.truncation" => "truncation search",
-        "qbd.irreducible" => "irreducibility check",
         "qbd.drift" => "drift test",
         "qbd.solve_r" => "R iteration",
         "qbd.inverse" => "(I-R)^-1 stability gate",
@@ -419,7 +418,6 @@ mod tests {
             "core.measures",
             "qbd.solve",
             "qbd.truncation",
-            "qbd.irreducible",
             "qbd.drift",
             "qbd.solve_r",
             "qbd.inverse",

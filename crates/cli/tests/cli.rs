@@ -936,6 +936,40 @@ fn example_scenario_round_trips_through_solve_and_validate() {
     );
 }
 
+/// A distribution written with a branch that carries no probability is the
+/// distribution without it. `zero_weight_branches.json` spells two of
+/// fig2's exponentials as a Coxian with continuation probability 0 and a
+/// hyperexponential with a zero weight; it validates and solves to fig2's
+/// answer byte for byte.
+#[test]
+fn zero_weight_branches_solve_exactly_as_fig2() {
+    let path = format!(
+        "{}/../scenario/examples/scenarios/zero_weight_branches.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let solve = |scenario: &str| {
+        let out = gsched()
+            .args(["solve", "--scenario", scenario, "--json"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let got = solve(&path);
+    assert!(got.contains("\"classes\""), "{got}");
+    assert_eq!(got, solve("fig2"));
+    let validated = gsched().arg("validate").arg(&path).output().unwrap();
+    assert!(
+        validated.status.success(),
+        "{}",
+        String::from_utf8_lossy(&validated.stderr)
+    );
+}
+
 #[test]
 fn bench_scenario_flag_runs_one_scenario() {
     let dir = tmpdir("bench-scenario");

@@ -261,9 +261,6 @@ pub fn compress(q: &QuantumMoments, moments: u8) -> PhaseType {
         let scv = ((m2 - m1 * m1) / (m1 * m1)).max(0.0);
         fit_two_moment(m1, scv)
     };
-    // Prune zero-weight branches (a mixed-Erlang fit can land exactly on a
-    // boundary) so downstream chains stay irreducible.
-    let fitted = fitted.pruned();
     if delta <= 1e-15 {
         return fitted;
     }

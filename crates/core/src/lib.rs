@@ -88,6 +88,10 @@ pub mod tuning;
 pub mod vacation;
 
 pub use asymptotic::{solve_asymptotic, AsymptoticClass, AsymptoticSolution};
+/// Re-export of the CTMC crate the solver's GTH and asymptotic solves use,
+/// so downstream users can check a chain independently of the QBD solver
+/// (for example strong connectivity by Tarjan's components).
+pub use gsched_markov as markov;
 /// Re-export of the QBD solver crate so downstream users can name
 /// [`SolverOptions::qbd`] types (truncation, certificate, `R` solver)
 /// without a direct dependency.

@@ -1,7 +1,7 @@
 //! Model configuration: the machine and its job classes (paper §3).
 
 use gsched_phase::PhaseType;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Validation errors for [`GangModel`].
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +55,7 @@ impl std::fmt::Display for ModelError {
 impl std::error::Error for ModelError {}
 
 /// Parameters of one job class (paper §3.2).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ClassParams {
     /// `g(p)`: processors required by each job of this class. Must divide
     /// `P`; the class then has `P/g(p)` partitions.
@@ -86,7 +86,7 @@ impl ClassParams {
 }
 
 /// The gang-scheduled machine: `P` processors and `L` job classes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GangModel {
     processors: usize,
     classes: Vec<ClassParams>,

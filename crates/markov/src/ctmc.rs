@@ -1,9 +1,9 @@
-//! Continuous-time Markov chains: generators and stationary solutions (GTH
-//! and LU).
+//! Continuous-time Markov chains: generators and their stationary solution
+//! by GTH elimination.
 
 use crate::scc::is_strongly_connected;
 use crate::{MarkovError, Result};
-use gsched_linalg::{stationary::solve_stationary, Matrix};
+use gsched_linalg::Matrix;
 
 /// Numerical slack for generator validation.
 const VTOL: f64 = 1e-8;
@@ -93,16 +93,6 @@ impl Ctmc {
         }
         Ok(gth_stationary(&self.q))
     }
-
-    /// Stationary distribution via LU on the global balance equations
-    /// (eqs. (9)–(10)). Faster than GTH for small systems, slightly less
-    /// robust for stiff ones; used for cross-checking.
-    pub fn stationary_lu(&self) -> Result<Vec<f64>> {
-        if !self.is_irreducible() {
-            return Err(MarkovError::NotIrreducible);
-        }
-        Ok(solve_stationary(&self.q)?)
-    }
 }
 
 /// GTH elimination for the stationary vector of an irreducible generator.
@@ -170,6 +160,7 @@ fn gth_stationary_impl(q: &Matrix) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gsched_linalg::stationary::solve_stationary;
 
     fn two_state(a: f64, b: f64) -> Ctmc {
         Ctmc::new(Matrix::from_rows(&[&[-a, a], &[b, -b]])).unwrap()
@@ -219,7 +210,7 @@ mod tests {
             }
             let c = Ctmc::from_rates(&rates).unwrap();
             let gth = c.stationary_gth().unwrap();
-            let lu = c.stationary_lu().unwrap();
+            let lu = solve_stationary(c.generator()).unwrap();
             for (a, b) in gth.iter().zip(lu.iter()) {
                 assert!((a - b).abs() < 1e-10, "n={n}: {a} vs {b}");
             }

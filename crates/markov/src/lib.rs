@@ -6,13 +6,14 @@
 //! * [`Ctmc`] — validated infinitesimal generator matrices (§2.2, eqs. 5–6)
 //!   and stationary distributions via the numerically stable GTH
 //!   elimination (Theorem 2.4, eqs. 9–10).
-//! * [`absorbing`] — analysis of absorbing chains: fundamental matrix,
-//!   expected time to absorption, absorption probabilities. This is the
-//!   machinery behind the paper's construction of the effective-quantum
-//!   distribution (§4.3): the time to absorption of a PH chain *is* the
-//!   phase-type distribution.
+//! * [`absorbing`] — analysis of absorbing chains: fundamental matrix and
+//!   expected time to absorption. This is the machinery behind the paper's
+//!   construction of the effective-quantum distribution (§4.3): the time to
+//!   absorption of a PH chain *is* the phase-type distribution.
 //! * [`scc`] — strong connectivity (a linear-time check and Tarjan's
-//!   components), used for the irreducibility verification of §4.4.
+//!   components). GTH checks its input with the first; the second is the
+//!   tests' independent §4.4 oracle, since the class chains are irreducible
+//!   by construction and no solve checks them.
 
 pub mod absorbing;
 pub mod ctmc;
@@ -20,7 +21,7 @@ pub mod scc;
 
 pub use absorbing::AbsorbingCtmc;
 pub use ctmc::Ctmc;
-pub use scc::{is_strongly_connected, tarjan_scc, CsrDigraph};
+pub use scc::{is_strongly_connected, tarjan_scc};
 
 /// Errors produced by chain validation and solving.
 #[derive(Debug, Clone, PartialEq)]

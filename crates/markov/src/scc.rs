@@ -1,11 +1,8 @@
 //! Strong connectivity: Tarjan's components and a linear-time yes/no check.
 //!
-//! §4.4 of the paper verifies irreducibility of each per-class process by
-//! checking that the boundary levels plus the first repeating level are
-//! strongly connected. [`CsrDigraph`] answers that yes/no question with two
-//! reachability passes over a compressed-sparse-row digraph, which callers
-//! can fill straight from their transition blocks; [`tarjan_scc`] computes
-//! the components themselves on adjacency lists.
+//! [`is_strongly_connected`] answers the yes/no question with two
+//! reachability passes over a compressed-sparse-row digraph; [`tarjan_scc`]
+//! computes the components themselves. Both take adjacency lists.
 
 /// Compute the strongly connected components of a digraph given as adjacency
 /// lists. Components are returned in **reverse topological order** (Tarjan's
@@ -87,14 +84,14 @@ pub fn is_strongly_connected(adj: &[Vec<usize>]) -> bool {
 /// of the vertex being filled, [`end_vertex`](Self::end_vertex) closes it
 /// and moves on to the next. Edges may point at vertices not yet filled.
 #[derive(Debug, Clone)]
-pub struct CsrDigraph {
+struct CsrDigraph {
     offsets: Vec<usize>,
     targets: Vec<usize>,
 }
 
 impl CsrDigraph {
     /// An empty digraph with room for `vertices` vertices and `edges` edges.
-    pub fn with_capacity(vertices: usize, edges: usize) -> CsrDigraph {
+    fn with_capacity(vertices: usize, edges: usize) -> CsrDigraph {
         let mut offsets = Vec::with_capacity(vertices + 1);
         offsets.push(0);
         CsrDigraph {
@@ -104,7 +101,7 @@ impl CsrDigraph {
     }
 
     /// The digraph of adjacency lists `adj`.
-    pub fn from_adjacency(adj: &[Vec<usize>]) -> CsrDigraph {
+    fn from_adjacency(adj: &[Vec<usize>]) -> CsrDigraph {
         let edges = adj.iter().map(Vec::len).sum();
         let mut g = CsrDigraph::with_capacity(adj.len(), edges);
         for out in adj {
@@ -117,17 +114,17 @@ impl CsrDigraph {
     }
 
     /// Add the edge `v → to` out of the vertex `v` being filled.
-    pub fn push_edge(&mut self, to: usize) {
+    fn push_edge(&mut self, to: usize) {
         self.targets.push(to);
     }
 
     /// Close the vertex being filled; later edges leave the next vertex.
-    pub fn end_vertex(&mut self) {
+    fn end_vertex(&mut self) {
         self.offsets.push(self.targets.len());
     }
 
     /// Number of closed vertices.
-    pub fn vertex_count(&self) -> usize {
+    fn vertex_count(&self) -> usize {
         self.offsets.len() - 1
     }
 
@@ -137,7 +134,7 @@ impl CsrDigraph {
     ///
     /// # Panics
     /// If an edge points at a vertex that was never closed.
-    pub fn is_strongly_connected(&self) -> bool {
+    fn is_strongly_connected(&self) -> bool {
         let n = self.vertex_count();
         n == 0 || (self.reach_count() == n && self.transpose().reach_count() == n)
     }

@@ -105,26 +105,6 @@ fn absorption_time_matches_simulation() {
 }
 
 #[test]
-fn absorption_split_matches_simulation() {
-    // One transient state with two absorbing exits at rates 1 and 3.
-    let t = Matrix::from_rows(&[&[-4.0]]);
-    let exits = Matrix::from_rows(&[&[1.0, 3.0]]);
-    let a = AbsorbingCtmc::new(t, exits).unwrap();
-    let b = a.absorption_probabilities().unwrap();
-    let mut rng = StdRng::seed_from_u64(7);
-    let n_runs = 100_000;
-    let mut hits_a = 0usize;
-    for _ in 0..n_runs {
-        let u: f64 = rng.random::<f64>() * 4.0;
-        if u < 1.0 {
-            hits_a += 1;
-        }
-    }
-    let emp = hits_a as f64 / n_runs as f64;
-    assert!((b[(0, 0)] - emp).abs() < 0.01, "{} vs {emp}", b[(0, 0)]);
-}
-
-#[test]
 fn uniformized_chain_reaches_same_longrun_behaviour() {
     let q = Matrix::from_rows(&[&[-0.7, 0.7], &[2.0, -2.0]]);
     let c = Ctmc::new(q.clone()).unwrap();

@@ -2,7 +2,7 @@
 
 use gsched_linalg::{lu::Lu, Matrix};
 use rand::{Rng, RngExt as _};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Validation errors for phase-type parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,8 +49,14 @@ impl std::error::Error for PhaseTypeError {}
 /// * `α ≥ 0`, `Σα ≤ 1` (the deficit `1 − Σα` is an atom at zero);
 /// * `S` has nonnegative off-diagonal entries, nonpositive diagonal, and
 ///   nonpositive row sums (`s⁰ = −S e ≥ 0`);
-/// * every phase reachable from `α` can reach absorption (finite mean).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// * every phase is reachable from `α`: [`PhaseType::new`] drops the
+///   phases that `α` cannot reach, which defines the same distribution;
+/// * every phase can reach absorption (finite mean).
+///
+/// Every value comes from [`PhaseType::new`] or from an operation that
+/// keeps these invariants. The type is serialized but never deserialized,
+/// so no decoded value can skip the checks.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseType {
     alpha: Vec<f64>,
     s: MatrixSerde,
@@ -58,7 +64,7 @@ pub struct PhaseType {
 
 /// Serde-friendly wrapper around `gsched_linalg::Matrix` (which is
 /// dependency-free and does not implement serde traits itself).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 struct MatrixSerde {
     rows: usize,
     cols: usize,
@@ -85,7 +91,13 @@ impl MatrixSerde {
 const VTOL: f64 = 1e-9;
 
 impl PhaseType {
-    /// Construct and validate a `PH(α, S)`.
+    /// Construct and validate a `PH(α, S)`, dropping the phases that `α`
+    /// cannot reach.
+    ///
+    /// A mixture with a zero weight or a Coxian with a zero continuation
+    /// probability carries such phases. They never hold probability, so the
+    /// restricted representation defines the same distribution, and a
+    /// Markov chain that embeds it has no states it can never enter.
     pub fn new(alpha: Vec<f64>, s: Matrix) -> Result<PhaseType, PhaseTypeError> {
         if !s.is_square() || alpha.len() != s.rows() {
             return Err(PhaseTypeError::Shape {
@@ -130,19 +142,18 @@ impl PhaseType {
             alpha,
             s: MatrixSerde::from(&s),
         };
-        // Absorbing check: -S must be nonsingular on the reachable part. A
-        // cheap sufficient test is that (−S) is invertible; Lu::new errors on
-        // exact singularity. States unreachable from alpha with no exit are
-        // tolerated by first restricting to the reachable set.
-        if ph.order() > 0 {
-            let reach = ph.reachable_states();
-            if reach.is_empty() {
-                return Ok(ph); // pure atom at zero
-            }
-            let sub = ph.restrict(&reach);
-            if Lu::new(&sub.sub_generator().scaled(-1.0)).is_err() {
-                return Err(PhaseTypeError::NotAbsorbing);
-            }
+        // Keep the phases reachable from alpha; with none left the
+        // distribution is the atom at zero, of order 0.
+        let reach = ph.reachable_states();
+        let ph = if reach.len() < m {
+            ph.restrict(&reach)
+        } else {
+            ph
+        };
+        // Absorbing check: every kept phase must reach absorption, i.e. −S
+        // is nonsingular; Lu::new errors on exact singularity.
+        if ph.order() > 0 && Lu::new(&ph.sub_generator().scaled(-1.0)).is_err() {
+            return Err(PhaseTypeError::NotAbsorbing);
         }
         Ok(ph)
     }
@@ -179,21 +190,6 @@ impl PhaseType {
     pub fn exit_vector(&self) -> Vec<f64> {
         let s = self.s.to_matrix();
         s.row_sums().iter().map(|&r| (-r).max(0.0)).collect()
-    }
-
-    /// Remove phases unreachable from the support of `α`.
-    ///
-    /// Fitted and mixed representations can carry zero-probability branches
-    /// (e.g. a mixed-Erlang fit whose weight lands exactly on 0); embedding
-    /// such phases into a larger Markov chain would break its
-    /// irreducibility. The pruned representation defines the same
-    /// distribution.
-    pub fn pruned(&self) -> PhaseType {
-        let reach = self.reachable_states();
-        if reach.len() == self.order() {
-            return self.clone();
-        }
-        self.restrict(&reach)
     }
 
     /// Indices of phases reachable from the support of `α`.
@@ -740,6 +736,59 @@ mod tests {
             PhaseType::new(vec![1.0, 0.0], s),
             Err(PhaseTypeError::NotAbsorbing)
         ));
+    }
+
+    #[test]
+    fn unreachable_phases_are_pruned() {
+        use crate::builders::coxian;
+        // Phase 3 feeds phase 1 but α never reaches it. Phases 0–2 stay, in
+        // order: Exp(2) then Exp(4) w.p. 1/2, Exp(3) w.p. 1/4, atom 1/4.
+        let pruned = PhaseType::new(
+            vec![0.5, 0.0, 0.25, 0.0],
+            Matrix::from_rows(&[
+                &[-2.0, 2.0, 0.0, 0.0],
+                &[0.0, -4.0, 0.0, 0.0],
+                &[0.0, 0.0, -3.0, 0.0],
+                &[0.0, 5.0, 0.0, -5.0],
+            ]),
+        )
+        .unwrap();
+        assert_eq!(pruned.order(), 3);
+        assert!((pruned.atom_at_zero() - 0.25).abs() < 1e-15);
+        assert!((pruned.mean() - (0.5 * (0.5 + 0.25) + 0.25 / 3.0)).abs() < 1e-15);
+        for t in [0.0_f64, 0.1, 0.5, 1.0, 3.0] {
+            let tail = 0.5 * (2.0 * (-2.0 * t).exp() - (-4.0 * t).exp()) + 0.25 * (-3.0 * t).exp();
+            assert!((pruned.cdf(t) - (1.0 - tail)).abs() < 1e-12, "t={t}");
+        }
+        let kept = PhaseType::new(
+            vec![0.5, 0.0, 0.25],
+            Matrix::from_rows(&[&[-2.0, 2.0, 0.0], &[0.0, -4.0, 0.0], &[0.0, 0.0, -3.0]]),
+        )
+        .unwrap();
+        for (got, want) in [
+            (pruned, kept),
+            // A zero continuation probability and a zero mixture weight.
+            (
+                coxian(&[1.328125, 3.0], &[0.0]).unwrap(),
+                exponential(1.328125),
+            ),
+            (
+                hyperexponential(&[1.0, 0.0], &[100.0, 50.0]).unwrap(),
+                exponential(100.0),
+            ),
+        ] {
+            // Bit for bit the representation without the unreachable phases.
+            assert_eq!(got, want);
+            assert_eq!(got.moments(3), want.moments(3));
+        }
+        // With nothing reachable only the atom at zero is left, even when
+        // the unreachable phases could never absorb.
+        let atom = PhaseType::new(
+            vec![0.0, 0.0],
+            Matrix::from_rows(&[&[-1.0, 1.0], &[1.0, -1.0]]),
+        )
+        .unwrap();
+        assert_eq!(atom, PhaseType::zero());
     }
 
     #[test]

@@ -113,8 +113,6 @@ pub enum QbdError {
     NotGenerator(String),
     /// The process is not positive recurrent (drift condition fails).
     Unstable(DriftReport),
-    /// The boundary + first repeating level is not irreducible.
-    NotIrreducible,
     /// Underlying numeric failure.
     Linalg(gsched_linalg::LinalgError),
     /// Underlying Markov-chain failure.
@@ -131,7 +129,6 @@ impl std::fmt::Display for QbdError {
                 "QBD is not positive recurrent: up-drift {} >= down-drift {}",
                 r.up_drift, r.down_drift
             ),
-            QbdError::NotIrreducible => write!(f, "QBD is not irreducible"),
             QbdError::Linalg(e) => write!(f, "linear algebra failure: {e}"),
             QbdError::Markov(e) => write!(f, "markov failure: {e}"),
         }

@@ -3,7 +3,6 @@
 use crate::stability::{drift_condition, DriftReport};
 use crate::{QbdError, Result};
 use gsched_linalg::Matrix;
-use gsched_markov::scc::CsrDigraph;
 use gsched_obs as obs;
 use std::fmt;
 use std::ops::Range;
@@ -377,14 +376,6 @@ impl QbdProcess {
         &(&self.a0 + &self.a1) + &self.a2
     }
 
-    /// §4.4 irreducibility check: the finite chain made of the boundary plus
-    /// the first two repeating levels must be strongly connected (transitions
-    /// above the truncation are dropped; by the repeating structure this is
-    /// sufficient). Builds every boundary level.
-    pub fn is_irreducible(&self) -> Result<bool> {
-        Ok(self.view()?.is_irreducible())
-    }
-
     /// Build the generator of the chain truncated at `max_level` (transitions
     /// above are redirected nowhere; the top level keeps its up-rates on the
     /// diagonal as a reflecting approximation). Used for cross-validation
@@ -478,8 +469,10 @@ fn check_row_sums(level: impl FnOnce() -> String, parts: &[&Matrix]) -> Result<(
 /// truncation search never copies the boundary.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct LevelView<'a> {
-    /// The process whose boundary levels `0..=c` this view reads.
-    q: &'a QbdProcess,
+    /// The process whose boundary levels `0..=c` this view reads: for
+    /// `i ≤ c`, `q.local(i)`, `q.down(i)` and `q.up(i)` are the view's
+    /// blocks, `q.up(c)` being `a0`.
+    pub(crate) q: &'a QbdProcess,
     /// Index of the view's first repeating level.
     c: usize,
     /// Repeating up block, also used from level `c`.
@@ -495,88 +488,11 @@ impl<'a> LevelView<'a> {
     pub(crate) fn c(&self) -> usize {
         self.c
     }
-
-    /// Dimension of level `i`.
-    pub(crate) fn level_dim(&self, i: usize) -> usize {
-        if i <= self.c {
-            self.q.dims[i]
-        } else {
-            self.a1.rows()
-        }
-    }
-
-    /// The local block of level `i`.
-    pub(crate) fn local(&self, i: usize) -> &'a Matrix {
-        if i <= self.c {
-            self.q.local(i)
-        } else {
-            self.a1
-        }
-    }
-
-    /// The up block out of level `i`.
-    pub(crate) fn up(&self, i: usize) -> &'a Matrix {
-        if i < self.c {
-            self.q.up(i)
-        } else {
-            self.a0
-        }
-    }
-
-    /// The down block out of level `i ≥ 1`.
-    pub(crate) fn down(&self, i: usize) -> &'a Matrix {
-        if i <= self.c {
-            self.q.down(i)
-        } else {
-            self.a2
-        }
-    }
-
-    /// §4.4 irreducibility check on levels `0..=c+2` (see
-    /// [`QbdProcess::is_irreducible`]).
-    ///
-    /// The positive off-diagonal rates are written straight into a CSR
-    /// digraph, one state at a time (down, local, then up block of its
-    /// level), and strong connectivity is decided by two reachability passes
-    /// — linear in the number of rates, with no per-state allocation.
-    pub(crate) fn is_irreducible(&self) -> bool {
-        let top = self.c() + 2;
-        // offsets[l]: global index of level l's first state.
-        let mut offsets = vec![0usize];
-        for l in 0..=top {
-            offsets.push(offsets[l] + self.level_dim(l));
-        }
-        let n = offsets[top + 1];
-        let mut g = CsrDigraph::with_capacity(n, 4 * n);
-        for l in 0..=top {
-            // (block, first state of its target level); up-transitions out
-            // of the top level are dropped.
-            let blocks = [
-                (l >= 1).then(|| (self.down(l), offsets[l - 1])),
-                Some((self.local(l), offsets[l])),
-                (l < top).then(|| (self.up(l), offsets[l + 1])),
-            ];
-            for u in offsets[l]..offsets[l + 1] {
-                let i = u - offsets[l];
-                for &(m, base) in blocks.iter().flatten() {
-                    for (j, &v) in m.row(i).iter().enumerate() {
-                        if v > 0.0 && base + j != u {
-                            g.push_edge(base + j);
-                        }
-                    }
-                }
-                g.end_vertex();
-            }
-        }
-        g.is_strongly_connected()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{RngExt as _, SeedableRng};
 
     /// M/M/1 queue as a trivial QBD: one phase, boundary level 0 only.
     pub(crate) fn mm1(lambda: f64, mu: f64) -> QbdProcess {
@@ -620,14 +536,12 @@ mod tests {
         let q = mm1(0.5, 1.0);
         assert_eq!(q.c(), 0);
         assert_eq!(q.repeating_dim(), 1);
-        assert!(q.is_irreducible().unwrap());
     }
 
     #[test]
     fn mm2_valid() {
         let q = mm2(0.5, 1.0);
         assert_eq!(q.c(), 2);
-        assert!(q.is_irreducible().unwrap());
     }
 
     #[test]
@@ -689,109 +603,28 @@ mod tests {
         }
     }
 
-    /// The §4.4 check the long way: adjacency lists over levels `0..=c+2`
-    /// and Tarjan's components.
-    fn tarjan_irreducible(v: &LevelView<'_>) -> bool {
-        let c = v.c();
-        let mut offsets = vec![0usize];
-        for l in 0..=c + 2 {
-            offsets.push(offsets[l] + v.level_dim(l));
-        }
-        let mut adj = vec![Vec::new(); offsets[c + 3]];
-        let mut add = |from: usize, to: usize, m: &Matrix| {
-            for i in 0..m.rows() {
-                for j in 0..m.cols() {
-                    let (a, b) = (offsets[from] + i, offsets[to] + j);
-                    if m[(i, j)] > 0.0 && a != b {
-                        adj[a].push(b);
-                    }
-                }
-            }
-        };
-        for l in 0..=c + 2 {
-            add(l, l, v.local(l));
-            if l >= 1 {
-                add(l, l - 1, v.down(l));
-            }
-            if l < c + 2 {
-                add(l, l + 1, v.up(l));
-            }
-        }
-        gsched_markov::tarjan_scc(&adj).len() == 1
-    }
-
-    /// A seeded random QBD with `c` boundary levels of random sizes and
-    /// repeating dimension `d`; each rate is zero with probability `sparse`,
-    /// so sparse draws are often reducible.
-    fn random_qbd(rng: &mut StdRng, c: usize, d: usize, sparse: f64) -> QbdProcess {
-        let dims: Vec<usize> = (0..=c)
-            .map(|i| {
-                if i == c {
-                    d
-                } else {
-                    1 + rng.random_below(3) as usize
-                }
-            })
-            .collect();
-        let mut block = |r: usize, k: usize| {
-            let mut m = Matrix::zeros(r, k);
-            for v in m.as_mut_slice() {
-                if rng.random::<f64>() >= sparse {
-                    *v = 0.1 + rng.random::<f64>();
-                }
-            }
-            m
-        };
-        let up: Vec<Matrix> = (0..c).map(|i| block(dims[i], dims[i + 1])).collect();
-        let down: Vec<Matrix> = (0..c).map(|i| block(dims[i + 1], dims[i])).collect();
-        let mut local: Vec<Matrix> = dims.iter().map(|&k| block(k, k)).collect();
-        let (a0, mut a1, a2) = (block(d, d), block(d, d), block(d, d));
-        // Diagonals close every row: level i leaves by down[i-1], local[i]
-        // and up[i] (A₀ at level c); repeating levels by A₂, A₁, A₀.
-        let row_out = |m: &Matrix, r: usize| m.row(r).iter().sum::<f64>();
-        for (i, l) in local.iter_mut().enumerate() {
-            for r in 0..dims[i] {
-                l[(r, r)] = 0.0;
-                let mut out = row_out(l, r) + row_out(up.get(i).unwrap_or(&a0), r);
-                if i >= 1 {
-                    out += row_out(&down[i - 1], r);
-                }
-                l[(r, r)] = -out;
-            }
-        }
-        for r in 0..d {
-            a1[(r, r)] = 0.0;
-            a1[(r, r)] = -(row_out(&a1, r) + row_out(&a0, r) + row_out(&a2, r));
-        }
-        QbdProcess::new(up, local, down, a0, a1, a2).unwrap()
-    }
-
     #[test]
-    fn irreducibility_agrees_with_tarjan_on_level_structured_chains() {
-        let mut rng = StdRng::seed_from_u64(44);
-        let (mut irreducible, mut reducible) = (0, 0);
-        for trial in 0..400 {
-            let c = rng.random_below(6) as usize;
-            let d = 1 + rng.random_below(3) as usize;
-            let sparse = [0.0, 0.5, 0.7, 0.85][trial % 4];
-            let q = random_qbd(&mut rng, c, d, sparse);
-            let want = tarjan_irreducible(&q.view().unwrap());
-            assert_eq!(q.is_irreducible().unwrap(), want, "trial {trial}: {q:?}");
-            if want {
-                irreducible += 1;
-            } else {
-                reducible += 1;
-            }
-        }
-        assert!(
-            irreducible > 50 && reducible > 50,
-            "{irreducible} vs {reducible}"
+    fn reducible_detected() {
+        // No solve checks §4.4, but the drift test's GTH still refuses a
+        // reducible phase process: phase 1 is left at rate 3 and never
+        // entered, so A = A₀ + A₁ + A₂ has two components.
+        let (lambda, mu) = (0.5, 1.0);
+        let diag = |r: f64| Matrix::from_rows(&[&[r, 0.0], &[0.0, r]]);
+        let leave = |out: f64| Matrix::from_rows(&[&[-out, 0.0], &[3.0, -(out + 3.0)]]);
+        let q = QbdProcess::new(
+            vec![],
+            vec![leave(lambda)],
+            vec![],
+            diag(lambda),
+            leave(lambda + mu),
+            diag(mu),
+        )
+        .unwrap();
+        assert_eq!(
+            q.solve(&crate::solution::SolveOptions::default())
+                .unwrap_err(),
+            QbdError::Markov(gsched_markov::MarkovError::NotIrreducible)
         );
-        // Frozen truncations of the M/M/c-like chains, too.
-        let q = mm2(0.5, 1.0);
-        let frozen = q.frozen(1).unwrap();
-        assert!(frozen.is_irreducible());
-        assert_eq!(frozen.is_irreducible(), tarjan_irreducible(&frozen));
     }
 
     #[test]
@@ -969,21 +802,5 @@ mod tests {
             assert!(matches!(err, QbdError::NotGenerator(_)), "{err}");
             assert_eq!(err, want);
         }
-    }
-
-    #[test]
-    fn reducible_detected() {
-        // Up rate zero: can never leave level 0 upward -> truncated graph
-        // not strongly connected.
-        let q = QbdProcess::new(
-            vec![],
-            vec![Matrix::from_rows(&[&[0.0]])],
-            vec![],
-            Matrix::from_rows(&[&[0.0]]),
-            Matrix::from_rows(&[&[-1.0]]),
-            Matrix::from_rows(&[&[1.0]]),
-        )
-        .unwrap();
-        assert!(!q.is_irreducible().unwrap());
     }
 }

@@ -85,8 +85,9 @@ pub struct TruncationCertificate {
     pub target: f64,
 }
 
-/// Options controlling the QBD solve. Every solve checks §4.4
-/// irreducibility first ([`QbdError::NotIrreducible`]).
+/// Options controlling the QBD solve. They say how to solve, not what is
+/// solvable: irreducibility is the caller's precondition (see
+/// [`QbdProcess::solve`]), and no option checks it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
     /// Algorithm for the rate matrix `R` (logarithmic reduction, the only
@@ -144,8 +145,18 @@ pub struct QbdSolution {
 impl QbdProcess {
     /// Solve for the stationary distribution (Theorem 4.2).
     ///
-    /// Steps: §4.4 irreducibility check → drift condition (Theorem 4.4) →
-    /// `R` from eq. (23) → boundary system eqs. (21)/(24) → assemble.
+    /// Steps: drift condition (Theorem 4.4) → `R` from eq. (23) → boundary
+    /// system eqs. (21)/(24) → assemble.
+    ///
+    /// # Precondition
+    /// The chain must be irreducible (§4.4), and so must every frozen
+    /// truncation the search solves. The solve does not check it: a chain
+    /// built by `gsched-core` from validated phase-type distributions, which
+    /// keep only the phases their initial vector reaches, is irreducible by
+    /// construction (DESIGN.md, "Irreducible by construction"). On a
+    /// reducible chain the answer is not meaningful, though the drift
+    /// test's and the boundary GTH's own checks may still reject it (as
+    /// [`QbdError::Markov`]).
     ///
     /// With [`SolveOptions::truncation`] other than [`LevelTruncation::None`]
     /// the solve runs on a frozen-capacity truncation of the chain — levels
@@ -304,7 +315,7 @@ impl CensoredElimination {
             Some(s) if self.ts.len() <= c => (s, self.ts.len()),
             _ => {
                 self.ts.clear();
-                (view.local(0).clone(), 0)
+                (view.q.local(0).clone(), 0)
             }
         };
         for i in start..c {
@@ -318,10 +329,10 @@ impl CensoredElimination {
                     *v = 0.0;
                 }
             }
-            let t = view.down(i + 1).matmul(&neg_s_inv)?;
-            let tu = t.matmul(view.up(i))?;
-            s = view.local(i + 1) + &tu;
-            conserve_mass(&mut s, view.up(i + 1));
+            let t = view.q.down(i + 1).matmul(&neg_s_inv)?;
+            let tu = t.matmul(view.q.up(i))?;
+            s = view.q.local(i + 1) + &tu;
+            conserve_mass(&mut s, view.q.up(i + 1));
             self.ts.push(t);
         }
         obs::counter_add(
@@ -396,9 +407,10 @@ impl LevelView<'_> {
         )
     }
 
-    /// Solve this chain: §4.4 irreducibility check → drift condition
-    /// (skipped when the caller passes the `drift` it already ran on these
-    /// blocks) → `R` → boundary, resuming `elim` → assemble.
+    /// Solve this chain: drift condition (skipped when the caller passes the
+    /// `drift` it already ran on these blocks) → `R` → boundary, resuming
+    /// `elim` → assemble. The chain must be irreducible (see
+    /// [`QbdProcess::solve`]).
     fn solve(
         &self,
         opts: &SolveOptions,
@@ -406,13 +418,6 @@ impl LevelView<'_> {
         elim: &mut CensoredElimination,
     ) -> Result<QbdSolution> {
         let _span = obs::span("qbd.solve");
-        let irreducible = {
-            let _span = obs::span("qbd.irreducible");
-            self.is_irreducible()
-        };
-        if !irreducible {
-            return Err(QbdError::NotIrreducible);
-        }
         let drift = match drift {
             Some(drift) => drift,
             None => self.drift()?,
@@ -435,7 +440,7 @@ impl LevelView<'_> {
 
         // ---- Boundary linear system (eqs. 21/25/26 + 24) ----
         let c = self.c();
-        let nb: usize = (0..=c).map(|i| self.level_dim(i)).sum();
+        let nb: usize = (0..=c).map(|i| self.q.level_dim(i)).sum();
         let boundary_span = obs::span("qbd.boundary_solve");
         obs::event(
             "qbd.boundary",
@@ -956,7 +961,7 @@ mod tests {
     }
 
     /// The truncation search done the long way: every attempt solves an
-    /// owned copy from scratch (irreducibility, drift, a cold `R`, boundary
+    /// owned copy from scratch (drift, a cold `R`, boundary
     /// eliminated from level 0). Returns the certified solution and the
     /// levels of the stable attempts.
     fn reference_search(
