@@ -41,7 +41,7 @@ pub fn class_chain_dot(chain: &ClassChain, max_level: usize) -> Result<String> {
         let idx = g - offsets[lvl];
         let (a, ci, k) = sp.decode(lvl, idx);
         let n = sp.in_service(lvl);
-        let cfg = &sp.cfgs_for(n)[ci];
+        let cfg = sp.cfg(n, ci);
         let kname = if lvl == 0 {
             format!("V{k}")
         } else if sp.is_quantum_phase(k) {

@@ -381,7 +381,7 @@ mod tests {
         // Absorption rate per state (quantum end events).
         let mut absorb = vec![0.0; ns];
         // Neighbouring service configuration, rebuilt in place per transition.
-        let mut cfg2: Vec<u32> = Vec::with_capacity(sp.m_b);
+        let mut cfg2 = vec![0u32; sp.m_b];
         let mut i = 1;
 
         for src in 0..ns {
@@ -391,7 +391,7 @@ mod tests {
             let (n, ncfg) = (sp.in_service(i), sp.num_cfgs(i));
             let local = (src - ends[i - 1]) / sp.m_q;
             let (a, ci, k) = (local / ncfg, local % ncfg, src % sp.m_q);
-            let cfg = &sp.cfgs_for(n)[ci];
+            let cfg = sp.cfg(n, ci);
             let mut out_sum = 0.0;
             let add = |t: &mut Matrix, dst: usize, rate: f64, out_sum: &mut f64| {
                 if rate <= 0.0 || dst == src {
@@ -422,7 +422,7 @@ mod tests {
                                 if pb == 0.0 {
                                     continue;
                                 }
-                                cfg2.clone_from(cfg);
+                                cfg2.copy_from_slice(cfg);
                                 cfg2[b] += 1;
                                 let ci2 = sp.cfg_index(n + 1, &cfg2);
                                 add(&mut t, index(i + 1, a2, ci2, k), ra * pa * pb, &mut out_sum);
@@ -457,7 +457,7 @@ mod tests {
                     if b2 != b {
                         let r = count * d.sb[(b, b2)];
                         if r > 0.0 {
-                            cfg2.clone_from(cfg);
+                            cfg2.copy_from_slice(cfg);
                             cfg2[b] -= 1;
                             cfg2[b2] += 1;
                             let ci2 = sp.cfg_index(n, &cfg2);
@@ -475,14 +475,14 @@ mod tests {
                             if pb == 0.0 {
                                 continue;
                             }
-                            cfg2.clone_from(cfg);
+                            cfg2.copy_from_slice(cfg);
                             cfg2[b] -= 1;
                             cfg2[b2] += 1;
                             let ci2 = sp.cfg_index(n, &cfg2);
                             add(&mut t, index(i - 1, a, ci2, k), rc * pb, &mut out_sum);
                         }
                     } else {
-                        cfg2.clone_from(cfg);
+                        cfg2.copy_from_slice(cfg);
                         cfg2[b] -= 1;
                         let ci2 = sp.cfg_index(n - 1, &cfg2);
                         add(&mut t, index(i - 1, a, ci2, k), rc, &mut out_sum);

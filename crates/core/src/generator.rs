@@ -271,9 +271,8 @@ impl Assembler<'_> {
         let d = self.d;
         let lv = self.clamp(level);
         let n = sp.in_service(lv);
-        let cfgs = sp.cfgs_for(n);
         for a in 0..sp.m_a {
-            for (ci, cfg) in cfgs.iter().enumerate() {
+            for (ci, cfg) in sp.cfgs_for(n).enumerate() {
                 for k in 0..sp.num_k(lv) {
                     let src = sp.state_index(lv, a, ci, k);
                     // Arrival-phase internal.
@@ -367,9 +366,8 @@ impl Assembler<'_> {
         let mut m = Matrix::zeros(rows, cols);
         let n = sp.in_service(lv);
         let enters_service = level < sp.c; // new job starts service
-        let cfgs = sp.cfgs_for(n);
         for a in 0..sp.m_a {
-            for (ci, cfg) in cfgs.iter().enumerate() {
+            for (ci, cfg) in sp.cfgs_for(n).enumerate() {
                 for k in 0..sp.num_k(lv) {
                     let src = sp.state_index(lv, a, ci, k);
                     let rate0 = d.s0a[a];
@@ -429,9 +427,8 @@ impl Assembler<'_> {
         let cols = sp.level_dim(lv_prev);
         let mut m = Matrix::zeros(rows, cols);
         let n = sp.in_service(lv);
-        let cfgs = sp.cfgs_for(n);
         for a in 0..sp.m_a {
-            for (ci, cfg) in cfgs.iter().enumerate() {
+            for (ci, cfg) in sp.cfgs_for(n).enumerate() {
                 for k in 0..sp.m_q {
                     // departures only during quantum phases
                     let src = sp.state_index(lv, a, ci, k);
@@ -492,7 +489,7 @@ impl Assembler<'_> {
             if !sp.is_quantum_phase(k) {
                 continue;
             }
-            let cfg = &sp.cfgs_for(n)[ci];
+            let cfg = sp.cfg(n, ci);
             *o = cfg
                 .iter()
                 .zip(self.d.s0b.iter())

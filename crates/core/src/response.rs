@@ -209,7 +209,7 @@ pub fn response_time_distribution(
         if running {
             match state {
                 Tagged::Waiting { h, cfg, k } => {
-                    let cfg_vec = sp.cfgs_for(c)[cfg].clone();
+                    let cfg_vec = sp.cfg(c, cfg);
                     for b in 0..sp.m_b {
                         let count = cfg_vec[b] as f64;
                         if count == 0.0 {
@@ -220,7 +220,7 @@ pub fn response_time_distribution(
                             if b2 != b {
                                 let r = count * d.sb[(b, b2)];
                                 if r > 0.0 {
-                                    let mut c2 = cfg_vec.clone();
+                                    let mut c2 = cfg_vec.to_vec();
                                     c2[b] -= 1;
                                     c2[b2] += 1;
                                     let ci2 = sp.cfg_index(c, &c2);
@@ -243,7 +243,7 @@ pub fn response_time_distribution(
                                     if pb == 0.0 {
                                         continue;
                                     }
-                                    let mut c2 = cfg_vec.clone();
+                                    let mut c2 = cfg_vec.to_vec();
                                     c2[b] -= 1;
                                     c2[b2] += 1;
                                     let ci2 = sp.cfg_index(c, &c2);
@@ -262,7 +262,7 @@ pub fn response_time_distribution(
                             } else {
                                 // h == c: the tagged job finally enters
                                 // service with a fresh phase ~ β.
-                                let mut c2 = cfg_vec.clone();
+                                let mut c2 = cfg_vec.to_vec();
                                 c2[b] -= 1;
                                 let ci2 = sp.cfg_index(c - 1, &c2);
                                 for (b2, &pb) in d.beta.iter().enumerate() {
@@ -287,7 +287,7 @@ pub fn response_time_distribution(
                     }
                 }
                 Tagged::InService { h, cfg, own, k } => {
-                    let cfg_vec = sp.cfgs_for(h)[cfg].clone();
+                    let cfg_vec = sp.cfg(h, cfg);
                     // Ahead jobs evolve.
                     for b in 0..sp.m_b {
                         let count = cfg_vec[b] as f64;
@@ -298,7 +298,7 @@ pub fn response_time_distribution(
                             if b2 != b {
                                 let r = count * d.sb[(b, b2)];
                                 if r > 0.0 {
-                                    let mut c2 = cfg_vec.clone();
+                                    let mut c2 = cfg_vec.to_vec();
                                     c2[b] -= 1;
                                     c2[b2] += 1;
                                     let ci2 = sp.cfg_index(h, &c2);
@@ -319,7 +319,7 @@ pub fn response_time_distribution(
                         }
                         let rc = count * d.s0b[b];
                         if rc > 0.0 && h >= 1 {
-                            let mut c2 = cfg_vec.clone();
+                            let mut c2 = cfg_vec.to_vec();
                             c2[b] -= 1;
                             let ci2 = sp.cfg_index(h - 1, &c2);
                             add(

@@ -16,16 +16,14 @@
 //! the machine with an empty queue, so level 0 carries **only** vacation
 //! phases.
 
-/// Enumerate all compositions of `n` into `m` nonnegative parts, in
-/// lexicographic order. `C(n+m−1, m−1)` results.
-pub fn compositions(n: usize, m: usize) -> Vec<Vec<u32>> {
+/// Append all compositions of `n` into `m` nonnegative parts to `out`, in
+/// lexicographic order, `m` parts each: `C(n+m−1, m−1)` of them.
+fn push_compositions(n: usize, m: usize, out: &mut Vec<u32>) {
     assert!(m >= 1, "compositions: need at least one part");
-    let mut out = Vec::new();
-    let mut cur = vec![0u32; m];
-    fn rec(out: &mut Vec<Vec<u32>>, cur: &mut Vec<u32>, pos: usize, left: u32) {
+    fn rec(out: &mut Vec<u32>, cur: &mut [u32], pos: usize, left: u32) {
         if pos + 1 == cur.len() {
             cur[pos] = left;
-            out.push(cur.clone());
+            out.extend_from_slice(cur);
             return;
         }
         for v in 0..=left {
@@ -33,8 +31,7 @@ pub fn compositions(n: usize, m: usize) -> Vec<Vec<u32>> {
             rec(out, cur, pos + 1, left - v);
         }
     }
-    rec(&mut out, &mut cur, 0, n as u32);
-    out
+    rec(out, &mut vec![0u32; m], 0, n as u32);
 }
 
 /// Binomial coefficient (exact for the small arguments used here).
@@ -63,8 +60,12 @@ pub struct ClassStateSpace {
     pub m_q: usize,
     /// Vacation phases `N_p`.
     pub m_v: usize,
-    /// `cfgs[n]` = compositions of `n` jobs into `m_B` phases.
-    cfgs: Vec<Vec<Vec<u32>>>,
+    /// The compositions of `n` jobs into `m_B` phases for every `n ≤ c`,
+    /// `n` after `n`, `m_B` parts each, in one buffer.
+    cfgs: Vec<u32>,
+    /// `cfg_starts[n]`: the index (in configurations) of the first
+    /// composition of `n` in `cfgs`; `c + 2` entries.
+    cfg_starts: Vec<usize>,
 }
 
 impl ClassStateSpace {
@@ -81,13 +82,20 @@ impl ClassStateSpace {
             m_a >= 1 && m_b >= 1 && m_q >= 1 && m_v >= 1,
             "all phase counts must be positive"
         );
+        let mut cfgs = Vec::new();
+        let mut cfg_starts = vec![0];
+        for n in 0..=c {
+            push_compositions(n, m_b, &mut cfgs);
+            cfg_starts.push(cfgs.len() / m_b);
+        }
         ClassStateSpace {
             c,
             m_a,
             m_b,
             m_q,
             m_v,
-            cfgs: (0..=c).map(|n| compositions(n, m_b)).collect(),
+            cfgs,
+            cfg_starts,
         }
     }
 
@@ -98,12 +106,21 @@ impl ClassStateSpace {
 
     /// Number of service configurations at `level`.
     pub fn num_cfgs(&self, level: usize) -> usize {
-        self.cfgs[self.in_service(level)].len()
+        let n = self.in_service(level);
+        self.cfg_starts[n + 1] - self.cfg_starts[n]
     }
 
-    /// The configuration list for `n` jobs in service.
-    pub fn cfgs_for(&self, n: usize) -> &[Vec<u32>] {
-        &self.cfgs[n]
+    /// The configurations for `n` jobs in service, in order.
+    pub fn cfgs_for(&self, n: usize) -> std::slice::ChunksExact<'_, u32> {
+        let (first, end) = (self.cfg_starts[n], self.cfg_starts[n + 1]);
+        self.cfgs[first * self.m_b..end * self.m_b].chunks_exact(self.m_b)
+    }
+
+    /// Configuration `ci` among those for `n` jobs in service.
+    pub fn cfg(&self, n: usize, ci: usize) -> &[u32] {
+        debug_assert!(ci < self.cfg_starts[n + 1] - self.cfg_starts[n]);
+        let at = (self.cfg_starts[n] + ci) * self.m_b;
+        &self.cfgs[at..at + self.m_b]
     }
 
     /// Index of a configuration among those for `n` jobs in service.
@@ -118,9 +135,10 @@ impl ClassStateSpace {
     /// the moved configuration.
     ///
     /// The rank of a composition `x` of `n` into `m` parts in the
-    /// lexicographic order of [`compositions`] counts the compositions that
-    /// agree with `x` before part `j` and are smaller at it. With `r` jobs
-    /// left for parts `j..m` and `k = m − 1 − j` parts after `j`, there are
+    /// lexicographic order of [`cfgs_for`](Self::cfgs_for) counts the
+    /// compositions that agree with `x` before part `j` and are smaller at
+    /// it. With `r` jobs left for parts `j..m` and `k = m − 1 − j` parts
+    /// after `j`, there are
     /// `Σ_{v<x_j} C(r − v + k − 1, k − 1) = C(r + k, k) − C(r − x_j + k, k)`
     /// of them.
     pub fn cfg_index_moved(&self, cfg: &[u32], from: Option<usize>, to: Option<usize>) -> usize {
@@ -185,6 +203,13 @@ impl ClassStateSpace {
 mod tests {
     use super::*;
 
+    /// The compositions of `n` into `m` parts, one `Vec` each.
+    fn compositions(n: usize, m: usize) -> Vec<Vec<u32>> {
+        let mut flat = Vec::new();
+        push_compositions(n, m, &mut flat);
+        flat.chunks_exact(m).map(<[u32]>::to_vec).collect()
+    }
+
     #[test]
     fn compositions_counts() {
         assert_eq!(compositions(0, 1), vec![vec![0]]);
@@ -214,6 +239,24 @@ mod tests {
         let list = compositions(4, 3);
         for w in list.windows(2) {
             assert!(w[0] < w[1], "not strictly increasing: {:?}", w);
+        }
+    }
+
+    #[test]
+    fn the_flat_configuration_lists_are_the_compositions() {
+        for (c, m_b) in [(1, 1), (7, 1), (6, 2), (5, 3), (4, 4)] {
+            let s = ClassStateSpace::new(c, 1, m_b, 1, 1);
+            for n in 0..=c {
+                let want = compositions(n, m_b);
+                let got: Vec<Vec<u32>> = s.cfgs_for(n).map(<[u32]>::to_vec).collect();
+                assert_eq!(got, want, "c={c} m_b={m_b} n={n}");
+                assert_eq!(s.cfgs_for(n).len(), want.len());
+                for (ci, cfg) in want.iter().enumerate() {
+                    assert_eq!(s.cfg(n, ci), &cfg[..]);
+                }
+                assert_eq!(s.num_cfgs(n), want.len());
+            }
+            assert_eq!(s.num_cfgs(c + 5), s.num_cfgs(c));
         }
     }
 
@@ -253,7 +296,7 @@ mod tests {
         for m_b in 1..=4 {
             let s = ClassStateSpace::new(12, 1, m_b, 1, 1);
             for n in 0..=12 {
-                for (i, cfg) in s.cfgs_for(n).iter().enumerate() {
+                for (i, cfg) in s.cfgs_for(n).enumerate() {
                     assert_eq!(s.cfg_index(n, cfg), i, "n={n} m_b={m_b} {cfg:?}");
                 }
             }
@@ -266,7 +309,7 @@ mod tests {
         for n in 0..=5 {
             for cfg in s.cfgs_for(n) {
                 for b in 0..3 {
-                    let mut up = cfg.clone();
+                    let mut up = cfg.to_vec();
                     up[b] += 1;
                     assert_eq!(
                         s.cfg_index_moved(cfg, None, Some(b)),
@@ -275,7 +318,7 @@ mod tests {
                     if cfg[b] == 0 {
                         continue;
                     }
-                    let mut down = cfg.clone();
+                    let mut down = cfg.to_vec();
                     down[b] -= 1;
                     assert_eq!(
                         s.cfg_index_moved(cfg, Some(b), None),

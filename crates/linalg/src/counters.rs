@@ -294,8 +294,14 @@ mod tests {
             let _ = lu.solve_left_matrix(&left).unwrap();
             let after_left = before.delta_since();
             let _ = lu.inverse().unwrap();
+            let after_inverse = before.delta_since();
+            let mut rows = vec![1.0; m * n];
+            lu.solve_left_rows(&mut rows).unwrap();
             let d = before.delta_since();
-            after_right == pairs(m) && after_left == pairs(2 * m) && d == pairs(2 * m + n)
+            after_right == pairs(m)
+                && after_left == pairs(2 * m)
+                && after_inverse == pairs(2 * m + n)
+                && d == pairs(3 * m + n)
         });
         gsched_obs::uninstall();
         assert!(

@@ -18,7 +18,9 @@ mod oracle;
 /// permutation, in the usual LAPACK-style packed form. Construction is
 /// `O(n³)`; each subsequent solve is `O(n²)`, which matters because the QBD
 /// boundary solver and the logarithmic reduction for `R` apply one
-/// factorization to several right-hand (or left-hand) sides.
+/// factorization to several right-hand (or left-hand) sides. The default
+/// value is the factorization of the `0 × 0` matrix, a buffer for
+/// [`Lu::refactor`].
 #[derive(Clone, Debug)]
 pub struct Lu {
     lu: Matrix,
@@ -28,6 +30,16 @@ pub struct Lu {
     sign: f64,
 }
 
+impl Default for Lu {
+    fn default() -> Lu {
+        Lu {
+            lu: Matrix::zeros(0, 0),
+            piv: Vec::new(),
+            sign: 1.0,
+        }
+    }
+}
+
 impl Lu {
     /// Factor `a` as `P·a = L·U`.
     ///
@@ -35,6 +47,16 @@ impl Lu {
     /// finite. Near-singular matrices are *not* rejected — callers that care
     /// should inspect [`Lu::min_pivot`].
     pub fn new(a: &Matrix) -> Result<Lu> {
+        let mut lu = Lu::default();
+        lu.refactor(a)?;
+        Ok(lu)
+    }
+
+    /// Factor `a` into `self`, reusing its buffers: the factorization
+    /// [`Lu::new`] makes, charged to the work counters the same way, with
+    /// no allocation when `a` has the dimension last factored here. On an
+    /// error `self` holds no usable factorization.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<()> {
         if !a.is_square() {
             return Err(LinalgError::DimensionMismatch {
                 op: "lu",
@@ -42,11 +64,14 @@ impl Lu {
                 rhs: a.shape(),
             });
         }
-        let n = a.rows();
-        let mut lu = a.clone();
-        let mut piv = vec![0usize; n];
-        let sign = factor_in_place(lu.as_mut_slice(), &mut piv)?;
-        Ok(Lu { lu, piv, sign })
+        if self.lu.shape() == a.shape() {
+            self.lu.as_mut_slice().copy_from_slice(a.as_slice());
+        } else {
+            self.lu = a.clone();
+        }
+        self.piv.resize(a.rows(), 0);
+        self.sign = factor_in_place(self.lu.as_mut_slice(), &mut self.piv)?;
+        Ok(())
     }
 
     /// Dimension of the factored matrix.
@@ -162,10 +187,30 @@ impl Lu {
             });
         }
         let mut x = b.clone();
-        for i in 0..b.rows() {
-            solve_left_in_place(self.lu.as_slice(), &self.piv, x.row_mut(i));
-        }
+        self.solve_left_rows(x.as_mut_slice())?;
         Ok(x)
+    }
+
+    /// Overwrite each row `b` of the row-major block `rows` (rows of length
+    /// `n`, the factored dimension) with the solution `x` of `x a = b`:
+    /// [`Lu::solve_left_vec`] on every row, in place, charging one
+    /// substitution pair per row.
+    pub fn solve_left_rows(&self, rows: &mut [f64]) -> Result<()> {
+        let n = self.dim();
+        if rows.is_empty() {
+            return Ok(());
+        }
+        if n == 0 || !rows.len().is_multiple_of(n) {
+            return Err(LinalgError::DimensionMismatch {
+                op: "solve_left_rows",
+                lhs: (1, rows.len()),
+                rhs: (n, n),
+            });
+        }
+        for row in rows.chunks_exact_mut(n) {
+            solve_left_in_place(self.lu.as_slice(), &self.piv, row);
+        }
+        Ok(())
     }
 
     /// Inverse of the factored matrix.
@@ -339,6 +384,48 @@ mod tests {
         let b = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[2.0, 2.0]]);
         let x = Lu::new(&a).unwrap().solve_left_matrix(&b).unwrap();
         assert!(approx(&x.matmul(&a).unwrap(), &b, 1e-12));
+    }
+
+    #[test]
+    fn refactor_reuses_the_buffer_and_matches_new_bitwise() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let a3 = Matrix::from_rows(&[&[0.0, 2.0, 1.0], &[3.0, 1.0, 0.5], &[1.0, 4.0, 3.0]]);
+        let b3 = Matrix::from_rows(&[&[5.0, 1.0, 0.0], &[1.0, 6.0, 2.0], &[0.0, 2.0, 7.0]]);
+        let a2 = Matrix::from_rows(&[&[0.0, 1.0], &[2.0, 3.0]]);
+        let mut lu = Lu::default();
+        assert_eq!(lu.dim(), 0);
+        // Same dimension twice, then a smaller and a larger one.
+        for a in [&a3, &b3, &a2, &a3] {
+            lu.refactor(a).unwrap();
+            let want = Lu::new(a).unwrap();
+            assert_eq!(bits(lu.lu.as_slice()), bits(want.lu.as_slice()));
+            assert_eq!(lu.piv, want.piv);
+            assert_eq!(lu.det().to_bits(), want.det().to_bits());
+        }
+        assert!(matches!(
+            lu.refactor(&Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]])),
+            Err(LinalgError::Singular)
+        ));
+        assert!(lu.refactor(&Matrix::zeros(2, 3)).is_err());
+    }
+
+    #[test]
+    fn solve_left_rows_is_solve_left_vec_per_row() {
+        let a = Matrix::from_rows(&[&[0.5, 2.0, 1.0], &[3.0, 1.0, 0.5], &[1.0, 4.0, 3.0]]);
+        let lu = Lu::new(&a).unwrap();
+        let b = [1.0, -2.0, 0.25, 0.0, 3.0, 1.5];
+        let mut rows = b;
+        lu.solve_left_rows(&mut rows).unwrap();
+        for (got, want) in rows.chunks_exact(3).zip(b.chunks_exact(3)) {
+            let want = lu.solve_left_vec(want).unwrap();
+            assert_eq!(
+                got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                want.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+            );
+        }
+        lu.solve_left_rows(&mut []).unwrap();
+        assert!(lu.solve_left_rows(&mut [1.0; 4]).is_err());
+        assert!(Lu::default().solve_left_rows(&mut [1.0]).is_err());
     }
 
     #[test]

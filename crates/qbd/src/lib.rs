@@ -33,7 +33,9 @@
 //! time. Two mechanisms keep it tractable:
 //!
 //! * Block-tridiagonal *censored* elimination solves the exact boundary in
-//!   `O(c·d³)` time and `O(c·d²)` memory, never the dense system. Each step
+//!   `O(c·d³)` time and `O(c·r·d)` memory, never the dense system: each
+//!   level is one LU and a left solve per row that departures reach
+//!   (`r ≤ d` of them), with no inverse and no matrix product. Each step
 //!   rebuilds the censored block's diagonal from conservation of mass (the
 //!   Grassmann–Taksar–Heyman idea), so the elimination stays accurate at
 //!   levels far above the load.

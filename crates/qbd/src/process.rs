@@ -260,8 +260,24 @@ impl QbdProcess {
     }
 
     /// Check the shapes, sign structure and zero row sums of level `i`'s
-    /// blocks. Block names are formatted only for an error.
+    /// blocks.
+    ///
+    /// After the shape checks one fused scan per row decides the sign and
+    /// row-sum checks together ([`level_is_generator`]). Only a level it
+    /// rejects runs the separate checks, in their order, to name the first
+    /// fault: every verdict and message is theirs.
     fn check_level(&self, i: usize, b: &LevelBlocks) -> Result<()> {
+        self.check_level_shapes(i, b)?;
+        let up = b.up.as_ref().unwrap_or(&self.a0);
+        if level_is_generator(b.down.as_ref(), &b.local, up) {
+            return Ok(());
+        }
+        self.check_level_entries(i, b)
+    }
+
+    /// The shape checks of [`check_level`](Self::check_level). Block names
+    /// are formatted only for an error.
+    fn check_level_shapes(&self, i: usize, b: &LevelBlocks) -> Result<()> {
         let c = self.c();
         let dim = self.dims[i];
         if b.local.shape() != (dim, dim) {
@@ -290,8 +306,13 @@ impl QbdProcess {
                 ))),
             };
         neighbour("up", b.up.as_ref(), i < c, i + 1)?;
-        neighbour("down", b.down.as_ref(), i >= 1, i.saturating_sub(1))?;
+        neighbour("down", b.down.as_ref(), i >= 1, i.saturating_sub(1))
+    }
 
+    /// The sign and row-sum checks of [`check_level`](Self::check_level),
+    /// one block at a time, returning the first fault. Block names are
+    /// formatted only for an error.
+    fn check_level_entries(&self, i: usize, b: &LevelBlocks) -> Result<()> {
         check_nonneg(|| format!("local[{i}]"), &b.local, true)?;
         if let Some(up) = &b.up {
             check_nonneg(|| format!("up[{i}]"), up, false)?;
@@ -457,6 +478,32 @@ fn check_row_sums(level: impl FnOnce() -> String, parts: &[&Matrix]) -> Result<(
         }
     }
     Ok(())
+}
+
+/// Whether the level made of the blocks `down` (when present), `local` and
+/// `up` passes [`check_nonneg`] on each block (off the diagonal of `local`)
+/// and [`check_row_sums`], decided in one scan per row with their
+/// comparisons and their summation order.
+fn level_is_generator(down: Option<&Matrix>, local: &Matrix, up: &Matrix) -> bool {
+    (0..local.rows()).all(|r| {
+        let (mut total, mut scale) = (0.0, 0.0);
+        for (block, diag) in [(down, None), (Some(local), Some(r)), (Some(up), None)] {
+            let Some(block) = block else { continue };
+            let (mut sum, mut abs) = (0.0, 0.0);
+            for (j, &v) in block.row(r).iter().enumerate() {
+                if v < -VTOL && diag != Some(j) {
+                    return false;
+                }
+                sum += v;
+                abs += v.abs();
+            }
+            total += sum;
+            scale += abs;
+        }
+        // `>` as in `check_row_sums`, so a NaN row passes both alike.
+        let fails = total.abs() > VTOL * (1.0 + scale);
+        !fails
+    })
 }
 
 /// A borrowed level-structured chain: boundary levels `0..=c` of a
@@ -741,6 +788,105 @@ mod tests {
             q.a1.clone(),
             q.a2.clone(),
         )
+    }
+
+    /// An environment-modulated M/M/3 with two states per level and dyadic
+    /// rates, so every row sum is exact.
+    fn env_mm3() -> QbdProcess {
+        let (lambdas, switch, c) = ([0.5, 2.0], 0.25, 3);
+        let diag = |a: f64, b: f64| Matrix::from_rows(&[&[a, 0.0], &[0.0, b]]);
+        let local = |i: usize| {
+            let svc = i.min(c) as f64;
+            Matrix::from_rows(&[
+                &[-(lambdas[0] + svc + switch), switch],
+                &[switch, -(lambdas[1] + svc + switch)],
+            ])
+        };
+        let up = diag(lambdas[0], lambdas[1]);
+        let down = |i: usize| diag(i as f64, i as f64);
+        QbdProcess::new(
+            vec![up.clone(); c],
+            (0..=c).map(local).collect(),
+            (1..=c).map(down).collect(),
+            up,
+            local(c),
+            down(c),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn fused_level_check_keeps_every_verdict_and_message() {
+        let q = env_mm3();
+        let level = |i: usize| q.levels[i].get().unwrap().clone();
+        // The checks one block at a time, in their order: what the fused
+        // scan must agree with.
+        let separate = |i: usize, b: &LevelBlocks| {
+            q.check_level_shapes(i, b)
+                .and_then(|()| q.check_level_entries(i, b))
+        };
+        for i in 0..=q.c() {
+            assert_eq!(q.check_level(i, &level(i)), Ok(()), "level {i}");
+            assert_eq!(separate(i, &level(i)), Ok(()), "level {i}");
+        }
+        let shape = |m: &str| QbdError::Shape(m.to_string());
+        let sign = |m: &str| QbdError::NotGenerator(m.to_string());
+        type Break = (fn(&mut LevelBlocks), QbdError);
+        let breaks: [Break; 9] = [
+            (
+                |l| l.local[(0, 1)] = -0.5,
+                sign("local[2][0,1] = -0.5 is negative"),
+            ),
+            (
+                |l| l.up.as_mut().unwrap()[(1, 1)] = -1.0,
+                sign("up[2][1,1] = -1 is negative"),
+            ),
+            (
+                |l| l.down.as_mut().unwrap()[(1, 0)] = -2.0,
+                sign("down[2][1,0] = -2 is negative"),
+            ),
+            (
+                |l| l.local[(1, 1)] -= 0.25,
+                sign("row 1 of level 2 sums to -0.25"),
+            ),
+            (
+                |l| l.local = Matrix::zeros(3, 3),
+                shape("local[2] must be 2x2, got 3x3"),
+            ),
+            (|l| l.up = None, shape("level 2 of 4 must have a up block")),
+            (
+                |l| l.down = Some(Matrix::zeros(2, 1)),
+                shape("down[2] must be 2x2, got 2x1"),
+            ),
+            // Two faults at once: the first in the separate checks' order
+            // names the level.
+            (
+                |l| {
+                    l.down.as_mut().unwrap()[(0, 0)] = -2.0;
+                    l.local[(1, 0)] = -0.5;
+                },
+                sign("local[2][1,0] = -0.5 is negative"),
+            ),
+            (
+                |l| {
+                    l.local[(0, 0)] += 1.0;
+                    l.up.as_mut().unwrap()[(1, 0)] = -4.0;
+                },
+                sign("up[2][1,0] = -4 is negative"),
+            ),
+        ];
+        for (brk, want) in breaks {
+            let mut b = level(2);
+            brk(&mut b);
+            assert_eq!(q.check_level(2, &b), Err(want.clone()));
+            assert_eq!(separate(2, &b), Err(want));
+        }
+        // Level c goes up by A₀: a row-sum fault there names the level too.
+        let mut top = level(3);
+        top.local[(0, 0)] += 0.5;
+        let want = sign("row 0 of level 3 sums to 0.5");
+        assert_eq!(q.check_level(3, &top), Err(want.clone()));
+        assert_eq!(separate(3, &top), Err(want));
     }
 
     #[test]

@@ -297,18 +297,63 @@ fn next_truncation_level(m: usize, c: usize, tail: f64, rate: f64, target_tail: 
 /// `m₂ > m₁` continues from the `S_{m₁}` an attempt at `m₁` left here rather
 /// than eliminating levels `0..m₁` again. The `+R·A₂` term of the top level
 /// is added to a copy, never to the stored `S`.
+///
+/// `T_i = D_{i+1}(−S_i)⁻¹` is zero outside the rows where `D_{i+1}` has a
+/// nonzero entry (in a class chain departures happen only in quantum
+/// phases), so only those rows are solved for and kept, with their
+/// indices.
 #[derive(Debug, Default)]
 struct CensoredElimination {
-    /// `T_i = D_{i+1}(−S_i)⁻¹` for `i < ts.len()`, kept for
-    /// back-substitution.
-    ts: Vec<Matrix>,
+    /// `T_i` for `i < ts.len()`, kept for back-substitution.
+    ts: Vec<RowsOf>,
     /// `S_{ts.len()}` without any `R·A₂` term; `None` before the first step.
     s: Option<Matrix>,
+    /// The factorization of the last `S_i`, its buffer reused level to
+    /// level.
+    lu: Lu,
+    /// The nonzeros `(column, value)` of the last `U_i`, row after row,
+    /// with `u_starts[j]..u_starts[j + 1]` holding row `j`.
+    u_nz: Vec<(usize, f64)>,
+    u_starts: Vec<usize>,
+}
+
+/// Some rows of a matrix whose other rows are zero.
+#[derive(Debug)]
+struct RowsOf {
+    /// The indices of the rows kept, ascending.
+    index: Vec<usize>,
+    /// Those rows, in that order.
+    rows: Matrix,
+}
+
+impl RowsOf {
+    /// `x · M` for the matrix `M` these rows are of; the sum runs over
+    /// ascending rows and skips zero entries of `x`, as
+    /// [`Matrix::left_mul_vec`] does.
+    fn left_mul_vec(&self, x: &[f64]) -> Vec<f64> {
+        let mut out = vec![0.0; self.rows.cols()];
+        for (r, &k) in self.index.iter().enumerate() {
+            let xk = x[k];
+            if xk == 0.0 {
+                continue;
+            }
+            for (o, &t) in out.iter_mut().zip(self.rows.row(r)) {
+                *o += xk * t;
+            }
+        }
+        out
+    }
 }
 
 impl CensoredElimination {
     /// Extend the elimination to level `c = view.c()` and return `S_c`
     /// (still without `R·A₂`). `view` must share this state's lower levels.
+    ///
+    /// Each level costs one LU of `S_i` and one left solve per nonzero row
+    /// of `D_{i+1}`: `P S_i = L U` is the factorization of `−S_i` with `U`
+    /// negated, so solving `x S_i = −D_{i+1}[k]` gives row `k` of `T_i`
+    /// bit for bit as a solve against `−S_i` would. `T_i U_i` is added into
+    /// those rows of `S_{i+1}` only, through the nonzeros of `U_i`.
     fn advance_to(&mut self, view: &LevelView<'_>) -> Result<&Matrix> {
         let c = view.c();
         let (mut s, start) = match self.s.take() {
@@ -319,19 +364,55 @@ impl CensoredElimination {
             }
         };
         for i in start..c {
-            let mut neg_s_inv = Lu::new(&s.scaled(-1.0))?.inverse()?;
-            // `−S_i` is an M-matrix, so its inverse is entrywise nonnegative
-            // in exact arithmetic; clamp inversion roundoff so the `T_i`
-            // products (and the back-substituted `π_i`) stay nonnegative by
+            self.lu.refactor(&s)?;
+            let down = view.q.down(i + 1);
+            let index: Vec<usize> = (0..down.rows())
+                .filter(|&k| down.row(k).iter().any(|&v| v != 0.0))
+                .collect();
+            let mut t: Vec<f64> = index
+                .iter()
+                .flat_map(|&k| down.row(k).iter().map(|&v| -v))
+                .collect();
+            self.lu.solve_left_rows(&mut t)?;
+            // `−S_i` is an M-matrix, so `T_i = D_{i+1}(−S_i)⁻¹` is entrywise
+            // nonnegative in exact arithmetic; clamp the solves' roundoff so
+            // `S_{i+1}` (and the back-substituted `π_i`) stay nonnegative by
             // construction instead of tripping the probability check.
-            for v in neg_s_inv.as_mut_slice() {
+            for v in &mut t {
                 if *v < 0.0 {
                     *v = 0.0;
                 }
             }
-            let t = view.q.down(i + 1).matmul(&neg_s_inv)?;
-            let tu = t.matmul(view.q.up(i))?;
-            s = view.q.local(i + 1) + &tu;
+            let t = RowsOf {
+                rows: Matrix::from_vec(index.len(), down.cols(), t),
+                index,
+            };
+            let up = view.q.up(i);
+            self.u_nz.clear();
+            self.u_starts.clear();
+            for j in 0..up.rows() {
+                self.u_starts.push(self.u_nz.len());
+                let nz = up.row(j).iter().enumerate().filter(|&(_, &v)| v != 0.0);
+                self.u_nz.extend(nz.map(|(l, &v)| (l, v)));
+            }
+            self.u_starts.push(self.u_nz.len());
+            let local = view.q.local(i + 1);
+            if s.shape() == local.shape() {
+                s.as_mut_slice().copy_from_slice(local.as_slice());
+            } else {
+                s = local.clone();
+            }
+            for (r, &k) in t.index.iter().enumerate() {
+                let s_row = s.row_mut(k);
+                for (j, &tj) in t.rows.row(r).iter().enumerate() {
+                    if tj == 0.0 {
+                        continue;
+                    }
+                    for &(l, u) in &self.u_nz[self.u_starts[j]..self.u_starts[j + 1]] {
+                        s_row[l] += tj * u;
+                    }
+                }
+            }
             conserve_mass(&mut s, view.q.up(i + 1));
             self.ts.push(t);
         }
@@ -354,16 +435,17 @@ impl CensoredElimination {
 /// roundoff by `(i+1)μ/λ` per level once the level passes the load: a
 /// lightly loaded chain with `c` in the thousands loses every digit.
 fn conserve_mass(s: &mut Matrix, up: &Matrix) {
-    for (i, out) in up.row_sums().into_iter().enumerate() {
+    for i in 0..s.rows() {
+        let out: f64 = up.row(i).iter().sum();
+        let row = s.row_mut(i);
         let mut off = 0.0;
-        for j in 0..s.cols() {
+        for (j, v) in row.iter_mut().enumerate() {
             if j != i {
-                let v = &mut s[(i, j)];
                 *v = v.max(0.0);
                 off += *v;
             }
         }
-        s[(i, i)] = -(off + out);
+        row[i] = -(off + out);
     }
 }
 
@@ -470,8 +552,12 @@ impl LevelView<'_> {
     /// conservation (see [`conserve_mass`]), plus `R·A₂` at `i+1 = c`; then
     /// `π_c S_c = 0` is a `d × d` stationary problem, and back-substitution
     /// `π_i = π_{i+1} T_i` recovers the lower levels. Never materializes the
-    /// dense `nb × nb` system: `O(c·d³)` time, `O(c·d²)` memory. The forward
-    /// elimination continues from wherever `elim` stopped.
+    /// dense `nb × nb` system, and never inverts: level `i` costs one LU of
+    /// `S_i` (`2d³/3` flops) and `r_i` left solves (`2d²` each), where `r_i`
+    /// is the number of nonzero rows of `D_{i+1}`, plus `T_i U_i` over the
+    /// nonzeros of `U_i`; it keeps only those `r_i × d_i` rows of `T_i` and
+    /// their indices. The forward elimination continues from wherever `elim`
+    /// stopped.
     fn boundary(
         &self,
         r: &Matrix,
@@ -489,7 +575,6 @@ impl LevelView<'_> {
             *v = v.max(0.0);
         }
         let pi_c = gsched_markov::Ctmc::from_rates(&rates)?.stationary_gth()?;
-        let ts = &elim.ts;
         // Back-substitution can span more than the exponent range of an
         // `f64` (M/M/2000 at λ = 250: π_250 / π_2000 ≈ 1e1046). Level `i`
         // holds `π_i / RESCALE^shift[i]`: a level that grows past `RESCALE`
@@ -500,7 +585,7 @@ impl LevelView<'_> {
         let mut boundary = vec![Vec::new(); c + 1];
         boundary[c] = clamp_nonneg(&pi_c, c)?;
         for i in (0..c).rev() {
-            let mut v = clamp_nonneg(&ts[i].left_mul_vec(&boundary[i + 1])?, i)?;
+            let mut v = clamp_nonneg(&elim.ts[i].left_mul_vec(&boundary[i + 1]), i)?;
             shift[i] = shift[i + 1];
             if v.iter().any(|&x| x > RESCALE) {
                 v.iter_mut().for_each(|x| *x /= RESCALE);
