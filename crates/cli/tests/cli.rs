@@ -98,6 +98,37 @@ fn simulate_runs_each_policy() {
 }
 
 #[test]
+fn simulate_fig2_reports_switch_time_and_counters_for_every_policy() {
+    let dir = tmpdir("simdiag");
+    for policy in ["gang", "lend", "rr", "fcfs"] {
+        let diag = dir.join(format!("sim-{policy}.json"));
+        let out = gsched()
+            .args(["simulate", "--scenario", "fig2", "--policy", policy])
+            .args(["--horizon", "2000", "--json", "--diag"])
+            .arg(&diag)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "policy {policy}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let parsed: serde_json::Value =
+            serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).unwrap();
+        let switch = parsed["switch_fraction"].as_f64().unwrap();
+        if policy == "fcfs" {
+            assert_eq!(switch, 0.0, "FCFS never switches");
+        } else {
+            assert!(switch > 0.0 && switch < 1.0, "policy {policy}: {switch}");
+        }
+        let snapshot = std::fs::read_to_string(&diag).unwrap();
+        for name in ["sim.events_processed", "sim.run"] {
+            assert!(snapshot.contains(name), "policy {policy}: no {name}");
+        }
+    }
+}
+
+#[test]
 fn tune_reports_a_quantum() {
     let dir = tmpdir("tune");
     let model = write_model(&dir);

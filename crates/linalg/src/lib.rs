@@ -15,8 +15,6 @@
 //! * [`spectral`]: power iteration for the spectral radius of a nonnegative
 //!   matrix. A diagnostic only: the QBD solve certifies `sp(R) < 1` through
 //!   `(I−R)⁻¹ ≥ 0` and reports the power-iteration value on request.
-//! * [`stationary`]: solving `x M = 0`, `x e = 1` systems that arise for
-//!   stationary probability vectors and QBD boundary equations.
 //! * [`counters`]: process-global work counters (kernel calls and nominal
 //!   flops) behind the `gsched_obs::enabled()` guard, feeding the
 //!   `gsched profile` GFLOP/s attribution.
@@ -30,7 +28,6 @@ pub mod counters;
 pub mod lu;
 pub mod matrix;
 pub mod spectral;
-pub mod stationary;
 pub mod vecops;
 
 pub use blocktri::BlockTridiagonalLu;
@@ -38,11 +35,6 @@ pub use counters::WorkCounters;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use spectral::spectral_radius;
-pub use stationary::solve_left_nullspace;
-
-/// Default numerical tolerance used across the crate for convergence tests
-/// and singularity detection.
-pub const EPS: f64 = 1e-12;
 
 /// Error type for linear-algebra failures.
 #[derive(Debug, Clone, PartialEq)]

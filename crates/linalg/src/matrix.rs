@@ -236,11 +236,6 @@ impl Matrix {
         vecops::max_abs_of((0..self.rows).map(|i| self.row(i).iter().map(|v| v.abs()).sum()))
     }
 
-    /// Frobenius norm.
-    pub fn norm_fro(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Copy block `src` into `self` with its top-left corner at `(r, c)`.
     ///
     /// # Panics
@@ -489,7 +484,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[3.0, -4.0], &[0.0, 0.0]]);
         assert_eq!(m.norm_inf(), 7.0);
         assert_eq!(m.max_abs(), 4.0);
-        assert!((m.norm_fro() - 5.0).abs() < 1e-15);
     }
 
     #[test]

@@ -9,11 +9,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
 }
 
-/// Sum of entries.
-pub fn sum(a: &[f64]) -> f64 {
-    a.iter().sum()
-}
-
 /// `y += alpha * x` in place.
 ///
 /// # Panics
@@ -23,25 +18,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, xi) in y.iter_mut().zip(x.iter()) {
         *yi += alpha * xi;
     }
-}
-
-/// Scale a vector in place.
-pub fn scale(a: &mut [f64], s: f64) {
-    for v in a {
-        *v *= s;
-    }
-}
-
-/// Normalize so entries sum to one; returns the original sum.
-///
-/// Leaves the vector untouched (and returns 0) if the sum is zero or not
-/// finite.
-pub fn normalize_l1(a: &mut [f64]) -> f64 {
-    let s = sum(a);
-    if s != 0.0 && s.is_finite() {
-        scale(a, 1.0 / s);
-    }
-    s
 }
 
 /// Largest absolute value in `values`: `0` when empty, NaN when any value
@@ -93,7 +69,6 @@ mod tests {
     #[test]
     fn dot_and_sum() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(sum(&[1.0, 2.0, 3.0]), 6.0);
         assert_eq!(dot(&[], &[]), 0.0);
     }
 
@@ -102,21 +77,6 @@ mod tests {
         let mut y = vec![1.0, 1.0];
         axpy(2.0, &[3.0, 4.0], &mut y);
         assert_eq!(y, vec![7.0, 9.0]);
-    }
-
-    #[test]
-    fn normalize_sums_to_one() {
-        let mut v = vec![2.0, 6.0];
-        let s = normalize_l1(&mut v);
-        assert_eq!(s, 8.0);
-        assert_eq!(v, vec![0.25, 0.75]);
-    }
-
-    #[test]
-    fn normalize_zero_vector_is_noop() {
-        let mut v = vec![0.0, 0.0];
-        assert_eq!(normalize_l1(&mut v), 0.0);
-        assert_eq!(v, vec![0.0, 0.0]);
     }
 
     #[test]

@@ -16,68 +16,50 @@ use gsched_linalg::{Lu, Matrix};
 ///    Q = ⎣ 0   0 ⎦
 /// ```
 ///
-/// `T` (`m × m`) governs the transient states. Only `T` is kept: the
-/// analyses here need the exit rates only through the zero row sums of the
-/// whole generator, which [`AbsorbingCtmc::new`] checks.
+/// `T` (`m × m`) governs the transient states. Only `T` is kept: the exit
+/// column `t = −T e` is implied by the zero row sums of the whole generator,
+/// and the analyses here need nothing else.
 #[derive(Debug, Clone)]
 pub struct AbsorbingCtmc {
     t: Matrix,
 }
 
 impl AbsorbingCtmc {
-    /// Build from the transient sub-generator and exit-rate columns
-    /// (`m × k`, one column per absorbing state).
+    /// Build from the transient sub-generator `T`.
     ///
-    /// Validates that off-diagonals of `T` and all exit rates are
-    /// nonnegative and that each row of `[T | exits]` sums to zero.
-    pub fn new(t: Matrix, exits: Matrix) -> Result<AbsorbingCtmc> {
-        if !t.is_square() || t.rows() != exits.rows() {
+    /// Validates that `T` is square, that its off-diagonal entries are
+    /// nonnegative and that its row sums are at most zero (the implied exit
+    /// rates `−T e` are nonnegative), each within a small tolerance.
+    pub fn new(t: Matrix) -> Result<AbsorbingCtmc> {
+        if !t.is_square() {
             return Err(MarkovError::Invalid(format!(
-                "shape mismatch: T is {}x{}, exits is {}x{}",
+                "T must be square, got {}x{}",
                 t.rows(),
-                t.cols(),
-                exits.rows(),
-                exits.cols()
+                t.cols()
             )));
         }
-        let m = t.rows();
         const VTOL: f64 = 1e-8;
-        for i in 0..m {
-            let mut sum = 0.0;
-            for j in 0..m {
-                if i != j && t[(i, j)] < -VTOL {
-                    return Err(MarkovError::Invalid(format!(
-                        "negative off-diagonal T({i},{j})"
-                    )));
-                }
-                sum += t[(i, j)];
-            }
-            for j in 0..exits.cols() {
-                if exits[(i, j)] < -VTOL {
-                    return Err(MarkovError::Invalid(format!(
-                        "negative exit rate at ({i},{j})"
-                    )));
-                }
-                sum += exits[(i, j)];
-            }
-            if sum.abs() > VTOL * (1.0 + t.row(i).iter().map(|v| v.abs()).sum::<f64>()) {
+        for i in 0..t.rows() {
+            let row = t.row(i);
+            if let Some(j) = (0..row.len()).find(|&j| j != i && row[j] < -VTOL) {
                 return Err(MarkovError::Invalid(format!(
-                    "row {i} of [T|exits] sums to {sum}, expected 0"
+                    "negative off-diagonal T({i},{j})"
+                )));
+            }
+            let sum: f64 = row.iter().sum();
+            if sum > VTOL * (1.0 + row.iter().map(|v| v.abs()).sum::<f64>()) {
+                return Err(MarkovError::Invalid(format!(
+                    "row {i} of T sums to {sum}, expected at most 0"
                 )));
             }
         }
         Ok(AbsorbingCtmc { t })
     }
 
-    /// Convenience constructor for a single absorbing state: exits are the
-    /// negated row sums of `T`.
+    /// The chain with a single absorbing state entered at rates `−T e`;
+    /// the same validation as [`AbsorbingCtmc::new`].
     pub fn from_sub_generator(t: Matrix) -> Result<AbsorbingCtmc> {
-        let m = t.rows();
-        let mut exits = Matrix::zeros(m, 1);
-        for (i, rs) in t.row_sums().iter().enumerate() {
-            exits[(i, 0)] = (-rs).max(0.0);
-        }
-        AbsorbingCtmc::new(t, exits)
+        AbsorbingCtmc::new(t)
     }
 
     /// Borrow the transient sub-generator `T`.
@@ -143,15 +125,15 @@ mod tests {
 
     #[test]
     fn validation_rejects_leaky_rows() {
-        let t = Matrix::from_rows(&[&[-1.0]]);
-        let exits = Matrix::from_rows(&[&[2.0]]); // row sums to +1
-        assert!(AbsorbingCtmc::new(t, exits).is_err());
+        // Row 0 sums to +1: a negative exit rate.
+        let t = Matrix::from_rows(&[&[-1.0, 2.0], &[0.0, -1.0]]);
+        assert!(AbsorbingCtmc::new(t).is_err());
+        assert!(AbsorbingCtmc::new(Matrix::zeros(2, 3)).is_err());
     }
 
     #[test]
     fn validation_rejects_negative_rates() {
         let t = Matrix::from_rows(&[&[-1.0, -0.5], &[0.0, -1.0]]);
-        let exits = Matrix::from_rows(&[&[1.5], &[1.0]]);
-        assert!(AbsorbingCtmc::new(t, exits).is_err());
+        assert!(AbsorbingCtmc::new(t).is_err());
     }
 }

@@ -160,7 +160,21 @@ fn gth_stationary_impl(q: &Matrix) -> Option<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gsched_linalg::stationary::solve_stationary;
+    use gsched_linalg::Lu;
+
+    /// The LU oracle: `x Q = 0`, `Σ x = 1`, solved as `x Q' = e_n` where `Q'`
+    /// is `Q` with its last column replaced by ones (valid for an
+    /// irreducible chain, whose left nullspace is one-dimensional).
+    fn solve_stationary_lu(q: &Matrix) -> Vec<f64> {
+        let n = q.rows();
+        let mut sys = q.clone();
+        for i in 0..n {
+            sys[(i, n - 1)] = 1.0;
+        }
+        let mut rhs = vec![0.0; n];
+        rhs[n - 1] = 1.0;
+        Lu::new(&sys).unwrap().solve_left_vec(&rhs).unwrap()
+    }
 
     fn two_state(a: f64, b: f64) -> Ctmc {
         Ctmc::new(Matrix::from_rows(&[&[-a, a], &[b, -b]])).unwrap()
@@ -210,7 +224,7 @@ mod tests {
             }
             let c = Ctmc::from_rates(&rates).unwrap();
             let gth = c.stationary_gth().unwrap();
-            let lu = solve_stationary(c.generator()).unwrap();
+            let lu = solve_stationary_lu(c.generator());
             for (a, b) in gth.iter().zip(lu.iter()) {
                 assert!((a - b).abs() < 1e-10, "n={n}: {a} vs {b}");
             }

@@ -21,8 +21,7 @@
 
 use gsched_core::model::{ClassParams, GangModel};
 use gsched_phase::{erlang, exponential, hyperexponential};
-use gsched_sim::baselines::{SpaceSharingSim, TimeSharingSim};
-use gsched_sim::{GangPolicy, GangSim, SimConfig};
+use gsched_sim::{simulate, Policy, SimConfig};
 
 fn main() {
     // 8 processors. Class 0: long-running batch jobs on half the machine
@@ -79,16 +78,16 @@ fn main() {
         );
     };
 
-    let gang_sw = GangSim::new(&model, GangPolicy::SystemWide, cfg.clone()).run();
+    let gang_sw = simulate(&model, Policy::Gang, cfg.clone());
     report("gang (system-wide)", &gang_sw);
 
-    let gang_pp = GangSim::new(&model, GangPolicy::PerPartition, cfg.clone()).run();
+    let gang_pp = simulate(&model, Policy::Lend, cfg.clone());
     report("gang (per-partition, §6)", &gang_pp);
 
-    let ts = TimeSharingSim::new(&model, cfg.clone()).run();
+    let ts = simulate(&model, Policy::RoundRobin, cfg.clone());
     report("pure time-sharing (RR)", &ts);
 
-    let ss = SpaceSharingSim::new(&model, cfg).run();
+    let ss = simulate(&model, Policy::Fcfs, cfg);
     report("pure space-sharing (FCFS)", &ss);
 
     println!();

@@ -6,7 +6,7 @@
 use gsched_core::model::{ClassParams, GangModel};
 use gsched_core::solver::{solve, SolverOptions};
 use gsched_phase::{erlang, exponential};
-use gsched_sim::{GangPolicy, GangSim, SimConfig};
+use gsched_sim::{simulate, Policy, SimConfig};
 
 fn main() {
     // A 4-processor machine with two job classes:
@@ -63,17 +63,16 @@ fn main() {
 
     // ---- Simulation cross-check (exact policy, paper §3.1) ----
     println!("\nsimulating the same system…");
-    let sim = GangSim::new(
+    let sim = simulate(
         &model,
-        GangPolicy::SystemWide,
+        Policy::Gang,
         SimConfig {
             horizon: 200_000.0,
             warmup: 20_000.0,
             seed: 7,
             batches: 20,
         },
-    )
-    .run();
+    );
     for (p, stats) in sim.classes.iter().enumerate() {
         let analytic = solution.classes[p].mean_jobs;
         println!(

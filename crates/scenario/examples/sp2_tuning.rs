@@ -12,7 +12,7 @@
 
 use gsched_core::solver::{solve, SolverOptions};
 use gsched_scenario::registry::paper_machine;
-use gsched_sim::{GangPolicy, GangSim, SimConfig};
+use gsched_sim::{simulate, Policy, SimConfig};
 
 fn main() {
     let lambda = 0.5; // workload intensity (rho = lambda)
@@ -63,17 +63,16 @@ fn main() {
         let model = paper_machine(lambda, q, 2)
             .build()
             .expect("paper parameters are valid");
-        let sim = GangSim::new(
+        let sim = simulate(
             &model,
-            GangPolicy::SystemWide,
+            Policy::Gang,
             SimConfig {
                 horizon: 150_000.0,
                 warmup: 15_000.0,
                 seed: 2024,
                 batches: 15,
             },
-        )
-        .run();
+        );
         let total: f64 = sim.classes.iter().map(|c| c.mean_jobs).sum();
         println!("quantum {q:>5.2}: simulated total population {total:.3}");
     }

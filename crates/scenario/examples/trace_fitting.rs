@@ -17,7 +17,7 @@ use gsched_core::model::{ClassParams, GangModel};
 use gsched_core::solver::SolverOptions;
 use gsched_core::tuning::{optimize_common_quantum, Objective};
 use gsched_phase::{erlang, exponential, fit_from_samples, hyperexponential, PhaseType};
-use gsched_sim::{GangPolicy, GangSim, SimConfig};
+use gsched_sim::{simulate, Policy, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -109,17 +109,16 @@ fn main() {
             c.quantum = c.quantum.with_mean(q);
             m = m.with_class(p, c);
         }
-        let sim = GangSim::new(
+        let sim = simulate(
             &m,
-            GangPolicy::SystemWide,
+            Policy::Gang,
             SimConfig {
                 horizon: 200_000.0,
                 warmup: 20_000.0,
                 seed: 5,
                 batches: 20,
             },
-        )
-        .run();
+        );
         let total: f64 = sim.classes.iter().map(|c| c.mean_jobs).sum();
         let marker = if (q - tuned.quantum).abs() < 1e-9 {
             "  <- tuned"

@@ -11,7 +11,7 @@
 
 use gsched_core::solver::{solve, SolverOptions};
 use gsched_scenario::registry::paper_machine;
-use gsched_sim::{GangPolicy, GangSim, SimConfig};
+use gsched_sim::{simulate, Policy, SimConfig};
 
 fn sim_cfg(seed: u64) -> SimConfig {
     SimConfig {
@@ -28,7 +28,7 @@ fn compare(lambda: f64, quantum: f64, tolerance: f64) {
         .expect("paper parameters are valid");
     let ana = solve(&model, &SolverOptions::default()).expect("analysis solves");
     assert!(ana.all_stable, "analysis says unstable at rho={lambda}");
-    let sim = GangSim::new(&model, GangPolicy::SystemWide, sim_cfg(1234)).run();
+    let sim = simulate(&model, Policy::Gang, sim_cfg(1234));
     for p in 0..4 {
         let a = ana.classes[p].mean_jobs;
         let s = sim.classes[p].mean_jobs;
@@ -67,7 +67,7 @@ fn simulation_sees_u_shape_too() {
             let model = paper_machine(0.5, q, 2)
                 .build()
                 .expect("paper parameters are valid");
-            let sim = GangSim::new(&model, GangPolicy::SystemWide, sim_cfg(777)).run();
+            let sim = simulate(&model, Policy::Gang, sim_cfg(777));
             sim.classes.iter().map(|c| c.mean_jobs).sum()
         })
         .collect();
@@ -90,7 +90,7 @@ fn littles_law_in_simulation() {
     let model = paper_machine(0.4, 1.0, 2)
         .build()
         .expect("paper parameters are valid");
-    let sim = GangSim::new(&model, GangPolicy::SystemWide, sim_cfg(31415)).run();
+    let sim = simulate(&model, Policy::Gang, sim_cfg(31415));
     for p in 0..4 {
         let gap = sim.littles_law_gap(p);
         assert!(gap < 0.12, "class {p}: Little's-law gap {gap}");

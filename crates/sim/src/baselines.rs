@@ -1,420 +1,137 @@
 //! Baseline policies from the paper's introduction.
 //!
-//! * [`TimeSharingSim`] — *pure time-sharing*: the whole machine is given to
+//! * [`RoundRobin`] — *pure time-sharing*: the whole machine is given to
 //!   one job at a time, round-robin, with a context switch between jobs. A
 //!   job of class `p` can only exploit `g(p)` of the `P` processors — the
 //!   "simply allocating the total number of available processors … may
 //!   underutilize a system's resources" critique.
-//! * [`SpaceSharingSim`] — *pure space-sharing*: a single FCFS queue of
-//!   rigid jobs run to completion on their `g(p)` processors; no
-//!   preemption, no overhead, but head-of-line blocking and no interactive
-//!   response for short jobs behind long ones.
+//! * [`Fcfs`] — *pure space-sharing*: a single FCFS queue of rigid jobs run
+//!   to completion on their `g(p)` processors; no preemption, no overhead,
+//!   but head-of-line blocking and no interactive response for short jobs
+//!   behind long ones.
 
-use crate::engine::{EventQueue, SimClock};
-use crate::quantiles::ResponseQuantiles;
-use crate::stats::{BatchMeans, ClassStats, SimConfig, SimResult, TimeAverage, Welford};
-use gsched_core::model::GangModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::{HashMap, VecDeque};
+use crate::engine::{Core, Discipline, Event};
+use std::collections::VecDeque;
 
-#[derive(Debug, Clone)]
-struct Job {
-    class: usize,
-    arrived: f64,
-    remaining: f64,
-    run_start: Option<f64>,
-    epoch: u64,
+/// Pure time-sharing: the machine round-robins over *jobs*, one at a time,
+/// with each job's class quantum and a switch overhead between jobs.
+#[derive(Default)]
+pub(crate) struct RoundRobin {
+    /// Ready queue of job ids; the running job is at the front.
+    ready: VecDeque<u64>,
+    running: Option<u64>,
+    quantum_epoch: u64,
+    in_switch: bool,
 }
 
-#[derive(Debug)]
-enum Event {
-    Arrival { class: usize },
-    Completion { job: u64, epoch: u64 },
-    QuantumEnd { epoch: u64 },
-    SwitchDone,
-}
-
-/// Shared bookkeeping for the two baseline simulators.
-struct Core<'a> {
-    model: &'a GangModel,
-    cfg: SimConfig,
-    rng: StdRng,
-    clock: SimClock,
-    events: EventQueue<Event>,
-    jobs: HashMap<u64, Job>,
-    next_id: u64,
-    jobs_ta: Vec<TimeAverage>,
-    batch_ta: Vec<TimeAverage>,
-    batch: Vec<BatchMeans>,
-    next_batch_at: f64,
-    batch_len: f64,
-    busy_ta: TimeAverage,
-    response: Vec<Welford>,
-    response_q: Vec<ResponseQuantiles>,
-    arrivals: Vec<u64>,
-    completions: Vec<u64>,
-}
-
-impl<'a> Core<'a> {
-    fn new(model: &'a GangModel, cfg: SimConfig) -> Self {
-        let l = model.num_classes();
-        let batches = cfg.batches.max(2);
-        let batch_len = (cfg.horizon - cfg.warmup) / batches as f64;
-        let mut core = Core {
-            model,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            clock: SimClock::default(),
-            events: EventQueue::new(),
-            jobs: HashMap::new(),
-            next_id: 0,
-            jobs_ta: vec![TimeAverage::default(); l],
-            batch_ta: vec![TimeAverage::default(); l],
-            batch: vec![BatchMeans::new(); l],
-            next_batch_at: cfg.warmup + batch_len,
-            batch_len,
-            busy_ta: TimeAverage::default(),
-            response: vec![Welford::default(); l],
-            response_q: vec![ResponseQuantiles::new(); l],
-            arrivals: vec![0; l],
-            completions: vec![0; l],
-            cfg,
+impl RoundRobin {
+    /// Run the job at the front of the ready queue for one quantum.
+    fn start_front(&mut self, core: &mut Core) {
+        let Some(&id) = self.ready.front() else {
+            self.running = None;
+            core.record_busy();
+            return;
         };
-        for p in 0..l {
-            core.jobs_ta[p].start(0.0, 0.0);
-            core.batch_ta[p].start(core.cfg.warmup, 0.0);
-            let dt = model.class(p).arrival.sample(&mut core.rng);
-            core.events.schedule(dt, Event::Arrival { class: p });
-        }
-        core.busy_ta.start(0.0, 0.0);
-        core
+        self.running = Some(id);
+        self.quantum_epoch += 1;
+        let epoch = self.quantum_epoch;
+        let q = core.sample_quantum(core.jobs[&id].class);
+        core.events
+            .schedule(core.now() + q, Event::QuantumEnd { epoch });
+        core.jobs.get_mut(&id).expect("front job").epoch = epoch;
+        core.start_job(id);
     }
 
-    fn close_batches_until(&mut self, t: f64) {
-        let l = self.model.num_classes();
-        while t >= self.next_batch_at && self.next_batch_at <= self.cfg.horizon {
-            let b = self.next_batch_at;
-            for p in 0..l {
-                let avg = self.batch_ta[p].average(b);
-                self.batch[p].add_batch(avg);
-                let v = self.batch_ta[p].value();
-                self.batch_ta[p].start(b, v);
-            }
-            self.next_batch_at += self.batch_len;
-        }
-    }
-
-    fn record_count(&mut self, p: usize, n: f64) {
-        let t = self.clock.now();
-        self.jobs_ta[p].update(t, n);
-        if t >= self.cfg.warmup {
-            self.batch_ta[p].update(t, n);
-        } else {
-            self.batch_ta[p].start(self.cfg.warmup, n);
-        }
-    }
-
-    fn new_job(&mut self, p: usize) -> u64 {
-        let now = self.clock.now();
-        let dt = self.model.class(p).arrival.sample(&mut self.rng);
-        self.events.schedule(now + dt, Event::Arrival { class: p });
-        let service = self.model.class(p).service.sample(&mut self.rng);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.jobs.insert(
-            id,
-            Job {
-                class: p,
-                arrived: now,
-                remaining: service,
-                run_start: None,
-                epoch: 0,
-            },
-        );
-        if now >= self.cfg.warmup {
-            self.arrivals[p] += 1;
-        }
-        id
-    }
-
-    fn finish_job(&mut self, id: u64) -> usize {
-        let now = self.clock.now();
-        let job = self.jobs.remove(&id).expect("job exists");
-        if job.arrived >= self.cfg.warmup {
-            self.completions[job.class] += 1;
-            self.response[job.class].add(now - job.arrived);
-            self.response_q[job.class].add(now - job.arrived);
-        }
-        job.class
-    }
-
-    fn result(self) -> SimResult {
-        let end = self.cfg.horizon;
-        let measured = end - self.cfg.warmup;
-        let l = self.model.num_classes();
-        let mut classes = Vec::with_capacity(l);
-        for p in 0..l {
-            let full = self.batch[p].mean();
-            let n = self.batch[p].count() as f64;
-            let partial_start = self.cfg.warmup + n * self.batch_len;
-            let mean_jobs = if partial_start < end - 1e-9 {
-                let partial = self.batch_ta[p].average(end);
-                if n > 0.0 {
-                    full * ((n * self.batch_len) / measured)
-                        + partial * ((end - partial_start) / measured)
-                } else {
-                    partial
-                }
-            } else {
-                full
-            };
-            classes.push(ClassStats {
-                mean_jobs,
-                mean_jobs_ci95: self.batch[p].ci95_halfwidth(),
-                mean_response: self.response[p].mean(),
-                response_std: self.response[p].std_dev(),
-                arrivals: self.arrivals[p],
-                completions: self.completions[p],
-                response_quantiles: self.response_q[p].values(),
-            });
-        }
-        SimResult {
-            classes,
-            processor_utilization: self.busy_ta.average(end) / self.model.processors() as f64,
-            switch_overhead_fraction: 0.0,
-            measured_time: measured,
-        }
+    /// Switch away from a job of `class`, paying that class's overhead.
+    fn begin_switch(&mut self, core: &mut Core, class: usize) {
+        self.in_switch = true;
+        core.set_switching(true);
+        let o = core.sample_overhead(class);
+        core.events
+            .schedule(core.now() + o, Event::SwitchDone { epoch: 0 });
     }
 }
 
-/// Pure time-sharing: the machine round-robins over *jobs*, one at a time.
-pub struct TimeSharingSim<'a> {
-    model: &'a GangModel,
-    config: SimConfig,
-}
-
-impl<'a> TimeSharingSim<'a> {
-    /// Create a round-robin time-sharing simulator. Quantum and overhead are
-    /// taken from each job's class parameters.
-    pub fn new(model: &'a GangModel, config: SimConfig) -> Self {
-        TimeSharingSim { model, config }
+impl Discipline for RoundRobin {
+    fn arrived(&mut self, core: &mut Core, id: u64) {
+        self.ready.push_back(id);
+        if self.running.is_none() && !self.in_switch {
+            self.start_front(core);
+        }
     }
 
-    /// Run and collect statistics.
-    pub fn run(&self) -> SimResult {
-        let mut core = Core::new(self.model, self.config.clone());
-        // Ready queue of job ids; the running job is at the front.
-        let mut ready: VecDeque<u64> = VecDeque::new();
-        let mut running: Option<u64> = None;
-        let mut quantum_epoch = 0u64;
-        let mut in_switch = false;
-        let mut counts = vec![0f64; self.model.num_classes()];
-
-        // Local helper: start the job at the front of the queue.
-        macro_rules! start_front {
-            ($core:expr) => {
-                if let Some(&id) = ready.front() {
-                    let now = $core.clock.now();
-                    let class;
-                    let remaining;
-                    {
-                        let job = $core.jobs.get_mut(&id).expect("front job");
-                        job.run_start = Some(now);
-                        class = job.class;
-                        remaining = job.remaining;
-                    }
-                    running = Some(id);
-                    quantum_epoch += 1;
-                    let epoch = quantum_epoch;
-                    let q = $core.model.class(class).quantum.sample(&mut $core.rng);
-                    $core.events.schedule(now + q, Event::QuantumEnd { epoch });
-                    {
-                        let job = $core.jobs.get_mut(&id).expect("front job");
-                        job.epoch = epoch;
-                    }
-                    $core
-                        .events
-                        .schedule(now + remaining, Event::Completion { job: id, epoch });
-                    let g = $core.model.class(class).partition_size as f64;
-                    $core.busy_ta.update(now, g);
-                } else {
-                    running = None;
-                    $core.busy_ta.update($core.clock.now(), 0.0);
-                }
-            };
+    fn completed(&mut self, core: &mut Core, id: u64, class: usize) {
+        self.ready.retain(|&x| x != id);
+        self.running = None;
+        core.release(core.partition(class));
+        if !self.ready.is_empty() {
+            self.begin_switch(core, class);
         }
+    }
 
-        while let Some(t) = core.events.peek_time() {
-            if t > core.cfg.horizon {
+    fn quantum_end(&mut self, core: &mut Core, epoch: u64) {
+        if self.quantum_epoch != epoch {
+            return;
+        }
+        let Some(id) = self.running.take() else {
+            return;
+        };
+        core.preempt(id);
+        let class = core.jobs[&id].class;
+        core.release(core.partition(class));
+        // Rotate: preempted job to the back.
+        if let Some(pos) = self.ready.iter().position(|&x| x == id) {
+            self.ready.remove(pos);
+        }
+        self.ready.push_back(id);
+        self.begin_switch(core, class);
+    }
+
+    fn switch_done(&mut self, core: &mut Core, _epoch: u64) {
+        self.in_switch = false;
+        core.set_switching(false);
+        self.start_front(core);
+    }
+}
+
+/// Pure space-sharing: one global FCFS queue, rigid jobs run to completion
+/// (no preemption, no overhead, no backfilling).
+#[derive(Default)]
+pub(crate) struct Fcfs {
+    /// Jobs waiting to start, in arrival order.
+    waiting: VecDeque<u64>,
+}
+
+impl Fcfs {
+    /// Start jobs from the head while they fit (no backfill: stop at the
+    /// first job that does not fit).
+    fn dispatch(&mut self, core: &mut Core) {
+        while let Some(&id) = self.waiting.front() {
+            if core.partition(core.jobs[&id].class) > core.free {
                 break;
             }
-            core.close_batches_until(t);
-            let (t, ev) = core.events.pop().expect("peeked");
-            core.clock.advance_to(t);
-            match ev {
-                Event::Arrival { class } => {
-                    let id = core.new_job(class);
-                    ready.push_back(id);
-                    counts[class] += 1.0;
-                    core.record_count(class, counts[class]);
-                    if running.is_none() && !in_switch {
-                        start_front!(core);
-                    }
-                }
-                Event::Completion { job, epoch } => {
-                    let valid = core
-                        .jobs
-                        .get(&job)
-                        .map(|j| j.run_start.is_some() && j.epoch == epoch)
-                        .unwrap_or(false);
-                    if !valid {
-                        continue;
-                    }
-                    ready.retain(|&x| x != job);
-                    let class = core.finish_job(job);
-                    counts[class] -= 1.0;
-                    core.record_count(class, counts[class]);
-                    running = None;
-                    core.busy_ta.update(core.clock.now(), 0.0);
-                    // Switch overhead before the next job runs.
-                    if !ready.is_empty() {
-                        in_switch = true;
-                        let o = core
-                            .model
-                            .class(class)
-                            .switch_overhead
-                            .sample(&mut core.rng);
-                        core.events
-                            .schedule(core.clock.now() + o, Event::SwitchDone);
-                    }
-                }
-                Event::QuantumEnd { epoch } => {
-                    if quantum_epoch != epoch || running.is_none() {
-                        continue;
-                    }
-                    let id = running.take().expect("running");
-                    let now = core.clock.now();
-                    let class;
-                    {
-                        let job = core.jobs.get_mut(&id).expect("job");
-                        if let Some(start) = job.run_start.take() {
-                            job.remaining = (job.remaining - (now - start)).max(0.0);
-                        }
-                        job.epoch += 1;
-                        class = job.class;
-                    }
-                    core.busy_ta.update(now, 0.0);
-                    // Rotate: preempted job to the back.
-                    if let Some(pos) = ready.iter().position(|&x| x == id) {
-                        ready.remove(pos);
-                    }
-                    ready.push_back(id);
-                    in_switch = true;
-                    let o = core
-                        .model
-                        .class(class)
-                        .switch_overhead
-                        .sample(&mut core.rng);
-                    core.events
-                        .schedule(core.clock.now() + o, Event::SwitchDone);
-                }
-                Event::SwitchDone => {
-                    in_switch = false;
-                    start_front!(core);
-                }
-            }
+            self.waiting.pop_front();
+            core.start_job(id);
         }
-        core.result()
     }
 }
 
-/// Pure space-sharing: one global FCFS queue, rigid jobs run to completion.
-pub struct SpaceSharingSim<'a> {
-    model: &'a GangModel,
-    config: SimConfig,
-}
-
-impl<'a> SpaceSharingSim<'a> {
-    /// Create an FCFS run-to-completion simulator (no preemption, no
-    /// overhead, no backfilling).
-    pub fn new(model: &'a GangModel, config: SimConfig) -> Self {
-        SpaceSharingSim { model, config }
+impl Discipline for Fcfs {
+    fn arrived(&mut self, core: &mut Core, id: u64) {
+        self.waiting.push_back(id);
+        self.dispatch(core);
     }
 
-    /// Run and collect statistics.
-    pub fn run(&self) -> SimResult {
-        let mut core = Core::new(self.model, self.config.clone());
-        let mut fcfs: VecDeque<u64> = VecDeque::new();
-        let mut free = self.model.processors();
-        let mut counts = vec![0f64; self.model.num_classes()];
-
-        // Start jobs from the head while they fit (no backfill: stop at the
-        // first job that does not fit).
-        macro_rules! dispatch {
-            ($core:expr) => {
-                while let Some(&id) = fcfs.front() {
-                    let class = $core.jobs[&id].class;
-                    let g = $core.model.class(class).partition_size;
-                    if g > free {
-                        break;
-                    }
-                    fcfs.pop_front();
-                    free -= g;
-                    let now = $core.clock.now();
-                    let remaining;
-                    {
-                        let job = $core.jobs.get_mut(&id).expect("job");
-                        job.run_start = Some(now);
-                        remaining = job.remaining;
-                    }
-                    $core
-                        .events
-                        .schedule(now + remaining, Event::Completion { job: id, epoch: 0 });
-                    let busy = ($core.model.processors() - free) as f64;
-                    $core.busy_ta.update(now, busy);
-                }
-            };
-        }
-
-        while let Some(t) = core.events.peek_time() {
-            if t > core.cfg.horizon {
-                break;
-            }
-            core.close_batches_until(t);
-            let (t, ev) = core.events.pop().expect("peeked");
-            core.clock.advance_to(t);
-            match ev {
-                Event::Arrival { class } => {
-                    let id = core.new_job(class);
-                    fcfs.push_back(id);
-                    counts[class] += 1.0;
-                    core.record_count(class, counts[class]);
-                    dispatch!(core);
-                }
-                Event::Completion { job, .. } => {
-                    if !core.jobs.contains_key(&job) {
-                        continue;
-                    }
-                    let class = core.jobs[&job].class;
-                    free += core.model.class(class).partition_size;
-                    let class = core.finish_job(job);
-                    counts[class] -= 1.0;
-                    core.record_count(class, counts[class]);
-                    let busy = (core.model.processors() - free) as f64;
-                    core.busy_ta.update(core.clock.now(), busy);
-                    dispatch!(core);
-                }
-                _ => {}
-            }
-        }
-        core.result()
+    fn completed(&mut self, core: &mut Core, _id: u64, class: usize) {
+        core.release(core.partition(class));
+        self.dispatch(core);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use gsched_core::model::ClassParams;
+    use crate::{simulate, Policy, SimConfig};
+    use gsched_core::model::{ClassParams, GangModel};
     use gsched_phase::{erlang, exponential};
 
     fn model(lambda: f64) -> GangModel {
@@ -452,7 +169,7 @@ mod tests {
             }],
         )
         .unwrap();
-        let r = SpaceSharingSim::new(&m, cfg(19)).run();
+        let r = simulate(&m, Policy::Fcfs, cfg(19));
         let got = r.classes[0].mean_jobs;
         assert!(
             (got - 1.0).abs() < 0.15,
@@ -463,7 +180,7 @@ mod tests {
     #[test]
     fn time_sharing_conserves_jobs() {
         let m = model(0.15);
-        let r = TimeSharingSim::new(&m, cfg(23)).run();
+        let r = simulate(&m, Policy::RoundRobin, cfg(23));
         for c in &r.classes {
             assert!(c.arrivals > 50);
             let gap = (c.arrivals as f64 - c.completions as f64).abs();
@@ -474,7 +191,7 @@ mod tests {
     #[test]
     fn time_sharing_littles_law() {
         let m = model(0.15);
-        let r = TimeSharingSim::new(&m, cfg(29)).run();
+        let r = simulate(&m, Policy::RoundRobin, cfg(29));
         for p in 0..2 {
             assert!(r.littles_law_gap(p) < 0.12, "gap {}", r.littles_law_gap(p));
         }
@@ -483,7 +200,7 @@ mod tests {
     #[test]
     fn space_sharing_littles_law() {
         let m = model(0.2);
-        let r = SpaceSharingSim::new(&m, cfg(31)).run();
+        let r = simulate(&m, Policy::Fcfs, cfg(31));
         for p in 0..2 {
             assert!(r.littles_law_gap(p) < 0.12);
         }
@@ -494,8 +211,8 @@ mod tests {
         // Class 1 jobs use 1 of 4 processors under time sharing; utilization
         // must reflect that waste relative to space sharing at equal load.
         let m = model(0.3);
-        let ts = TimeSharingSim::new(&m, cfg(37)).run();
-        let ss = SpaceSharingSim::new(&m, cfg(37)).run();
+        let ts = simulate(&m, Policy::RoundRobin, cfg(37));
+        let ss = simulate(&m, Policy::Fcfs, cfg(37));
         assert!(
             ts.processor_utilization < ss.processor_utilization + 0.05,
             "ts {} vs ss {}",
@@ -507,8 +224,8 @@ mod tests {
     #[test]
     fn deterministic_baselines() {
         let m = model(0.2);
-        let a = SpaceSharingSim::new(&m, cfg(41)).run();
-        let b = SpaceSharingSim::new(&m, cfg(41)).run();
+        let a = simulate(&m, Policy::Fcfs, cfg(41));
+        let b = simulate(&m, Policy::Fcfs, cfg(41));
         assert_eq!(a.classes[0].completions, b.classes[0].completions);
     }
 }

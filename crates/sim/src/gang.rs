@@ -1,4 +1,4 @@
-//! The gang-scheduling simulator.
+//! The gang-scheduling policy.
 //!
 //! Simulates the exact policy of the paper's §3.1: classes rotate in a
 //! timeplexing cycle; during class `p`'s quantum the first `P/g(p)` jobs of
@@ -7,83 +7,20 @@
 //! work. Context switches cost an overhead drawn from `C_p`. All parameter
 //! distributions are sampled exactly from their phase-type representations.
 //!
-//! [`GangPolicy::PerPartition`] implements the SP2 variant sketched in §6:
-//! processors left idle by the current class are lent, in cycle order, to
-//! jobs of the following classes instead of idling until the quantum
-//! expires. (Quantum boundaries remain system-wide; the §6 design relaxes
-//! that too, which would need a per-partition cycle state.)
+//! With lending on ([`Policy::Lend`](crate::Policy::Lend)) it is the SP2
+//! variant sketched in §6: processors left idle by the current class are
+//! lent, in cycle order, to jobs of the following classes instead of idling
+//! until the quantum expires. (Quantum boundaries remain system-wide; the §6
+//! design relaxes that too, which would need a per-partition cycle state.)
 
-use crate::engine::{EventQueue, SimClock};
-use crate::quantiles::ResponseQuantiles;
-use crate::stats::{BatchMeans, ClassStats, SimConfig, SimResult, TimeAverage, Welford};
-use gsched_core::model::GangModel;
-use gsched_obs as obs;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
+use crate::engine::{Core, Discipline, Event};
 
-/// Which scheduling variant to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GangPolicy {
-    /// The paper's analyzed policy: only the current class's jobs run.
-    SystemWide,
-    /// §6 variant: idle processors are lent to later classes' jobs.
-    PerPartition,
-}
-
-#[derive(Debug, Clone)]
-struct Job {
-    class: usize,
-    arrived: f64,
-    remaining: f64,
-    /// Set while running: the time service last (re)started.
-    run_start: Option<f64>,
-    /// Bumped on every preemption to invalidate completion events.
-    epoch: u64,
-}
-
-#[derive(Debug)]
-enum Event {
-    Arrival { class: usize },
-    Completion { job: u64, epoch: u64 },
-    QuantumEnd { epoch: u64 },
-    SwitchDone { epoch: u64 },
-}
-
-/// The gang-scheduling simulator.
-pub struct GangSim<'a> {
-    model: &'a GangModel,
-    policy: GangPolicy,
-    config: SimConfig,
-}
-
-impl<'a> GangSim<'a> {
-    /// Create a simulator for `model` under `policy`.
-    pub fn new(model: &'a GangModel, policy: GangPolicy, config: SimConfig) -> Self {
-        GangSim {
-            model,
-            policy,
-            config,
-        }
-    }
-
-    /// Run the simulation and collect statistics.
-    pub fn run(&self) -> SimResult {
-        State::new(self.model, self.policy, self.config.clone()).run()
-    }
-}
-
-struct State<'a> {
-    model: &'a GangModel,
-    policy: GangPolicy,
-    cfg: SimConfig,
-    rng: StdRng,
-    clock: SimClock,
-    events: EventQueue<Event>,
-    jobs: HashMap<u64, Job>,
+/// The timeplexing cycle's state.
+pub(crate) struct Gang {
+    /// Lend idle processors to later classes (§6).
+    lend: bool,
     /// FCFS order of all jobs per class (running jobs included).
     queues: Vec<Vec<u64>>,
-    next_job_id: u64,
     /// Current class in the cycle.
     current: usize,
     in_switch: bool,
@@ -95,285 +32,72 @@ struct State<'a> {
     idle: bool,
     quantum_epoch: u64,
     switch_epoch: u64,
-    free_procs: usize,
-    // Statistics.
-    jobs_ta: Vec<TimeAverage>,
-    busy_ta: TimeAverage,
-    switch_ta: TimeAverage,
-    response: Vec<Welford>,
-    response_q: Vec<ResponseQuantiles>,
-    arrivals_after_warmup: Vec<u64>,
-    completions_after_warmup: Vec<u64>,
-    batch: Vec<BatchMeans>,
-    batch_ta: Vec<TimeAverage>,
-    next_batch_at: f64,
-    batch_len: f64,
     /// Zero-time switch spins at the same instant (guards pathological
     /// zero-overhead configurations).
     spin_count: usize,
     spin_time: f64,
-    /// Full rotations of the timeplexing cycle completed so far.
-    cycles_completed: u64,
-    /// Pre-built metric names (`sim.class{p}.queue_len`) so the per-event
-    /// queue-length probe does not allocate.
-    queue_len_metric: Vec<String>,
 }
 
-impl<'a> State<'a> {
-    fn new(model: &'a GangModel, policy: GangPolicy, cfg: SimConfig) -> Self {
-        let l = model.num_classes();
-        let batches = cfg.batches.max(2);
-        let batch_len = (cfg.horizon - cfg.warmup) / batches as f64;
-        State {
-            model,
-            policy,
-            rng: StdRng::seed_from_u64(cfg.seed),
-            clock: SimClock::default(),
-            events: EventQueue::new(),
-            jobs: HashMap::new(),
-            queues: vec![Vec::new(); l],
-            next_job_id: 0,
+impl Gang {
+    pub(crate) fn new(classes: usize, lend: bool) -> Self {
+        Gang {
+            lend,
+            queues: vec![Vec::new(); classes],
             current: 0,
             in_switch: false,
             idle: false,
             quantum_epoch: 0,
             switch_epoch: 0,
-            free_procs: model.processors(),
-            jobs_ta: vec![TimeAverage::default(); l],
-            busy_ta: TimeAverage::default(),
-            switch_ta: TimeAverage::default(),
-            response: vec![Welford::default(); l],
-            response_q: vec![ResponseQuantiles::new(); l],
-            arrivals_after_warmup: vec![0; l],
-            completions_after_warmup: vec![0; l],
-            batch: vec![BatchMeans::new(); l],
-            batch_ta: vec![TimeAverage::default(); l],
-            next_batch_at: cfg.warmup + batch_len,
-            batch_len,
             spin_count: 0,
             spin_time: -1.0,
-            cycles_completed: 0,
-            queue_len_metric: (0..l).map(obs::names::sim_queue_length).collect(),
-            cfg,
         }
-    }
-
-    fn run(mut self) -> SimResult {
-        let _span = obs::span("sim.run");
-        let wall_start = std::time::Instant::now();
-        let l = self.model.num_classes();
-        for p in 0..l {
-            self.jobs_ta[p].start(0.0, 0.0);
-            self.batch_ta[p].start(self.cfg.warmup, 0.0);
-            let dt = self.model.class(p).arrival.sample(&mut self.rng);
-            self.events.schedule(dt, Event::Arrival { class: p });
-        }
-        self.busy_ta.start(0.0, 0.0);
-        self.switch_ta.start(0.0, 0.0);
-        self.start_quantum();
-
-        while let Some(t) = self.events.peek_time() {
-            if t > self.cfg.horizon {
-                break;
-            }
-            // Close any batch boundaries passed.
-            while t >= self.next_batch_at && self.next_batch_at <= self.cfg.horizon {
-                let b = self.next_batch_at;
-                for p in 0..l {
-                    let avg = self.batch_ta[p].average(b);
-                    self.batch[p].add_batch(avg);
-                    let v = self.batch_ta[p].value();
-                    self.batch_ta[p].start(b, v);
-                }
-                self.next_batch_at += self.batch_len;
-            }
-            let (t, ev) = self.events.pop().expect("peeked");
-            self.clock.advance_to(t);
-            match ev {
-                Event::Arrival { class } => self.on_arrival(class),
-                Event::Completion { job, epoch } => self.on_completion(job, epoch),
-                Event::QuantumEnd { epoch } => self.on_quantum_end(epoch),
-                Event::SwitchDone { epoch } => self.on_switch_done(epoch),
-            }
-        }
-
-        let end = self.cfg.horizon;
-        let measured = end - self.cfg.warmup;
-        let mut classes = Vec::with_capacity(l);
-        for p in 0..l {
-            // Recompute the after-warmup time average from batches plus the
-            // overall TA restarted at warmup: we maintained jobs_ta from 0;
-            // derive the measurement-window average from batch_ta history.
-            let mean_jobs = {
-                // Combine finished batches with the partial last batch.
-                let full = self.batch[p].mean();
-                let n = self.batch[p].count() as f64;
-                let partial_start = self.cfg.warmup + n * self.batch_len;
-                if partial_start < end - 1e-9 {
-                    let partial = self.batch_ta[p].average(end);
-                    let w_full = (n * self.batch_len) / measured;
-                    let w_part = (end - partial_start) / measured;
-                    if n > 0.0 {
-                        full * w_full + partial * w_part
-                    } else {
-                        partial
-                    }
-                } else {
-                    full
-                }
-            };
-            classes.push(ClassStats {
-                mean_jobs,
-                mean_jobs_ci95: self.batch[p].ci95_halfwidth(),
-                mean_response: self.response[p].mean(),
-                response_std: self.response[p].std_dev(),
-                arrivals: self.arrivals_after_warmup[p],
-                completions: self.completions_after_warmup[p],
-                response_quantiles: self.response_q[p].values(),
-            });
-        }
-        let busy_avg = self.busy_ta.average(end);
-        let switch_avg = self.switch_ta.average(end);
-        if obs::enabled() {
-            obs::counter_add(obs::names::SIM_RUNS, 1);
-            obs::counter_add(obs::names::SIM_EVENTS_PROCESSED, self.events.popped());
-            obs::counter_add(obs::names::SIM_CYCLES_COMPLETED, self.cycles_completed);
-            obs::counter_add(
-                obs::names::SIM_COMPLETIONS,
-                self.completions_after_warmup.iter().sum(),
-            );
-            obs::gauge_set(obs::names::SIM_MEASURED_TIME, measured);
-            let secs = wall_start.elapsed().as_secs_f64();
-            if secs > 0.0 {
-                obs::gauge_set(
-                    obs::names::SIM_EVENT_RATE_PER_SEC,
-                    self.events.popped() as f64 / secs,
-                );
-            }
-        }
-        SimResult {
-            classes,
-            processor_utilization: busy_avg / self.model.processors() as f64,
-            switch_overhead_fraction: switch_avg,
-            measured_time: measured,
-        }
-    }
-
-    // ---- helpers ----
-
-    fn now(&self) -> f64 {
-        self.clock.now()
-    }
-
-    fn class_has_jobs(&self, p: usize) -> bool {
-        !self.queues[p].is_empty()
-    }
-
-    fn record_jobs(&mut self, p: usize) {
-        let n = self.queues[p].len() as f64;
-        let t = self.now();
-        if obs::enabled() {
-            obs::observe(&self.queue_len_metric[p], n);
-        }
-        self.jobs_ta[p].update(t, n);
-        if t >= self.cfg.warmup {
-            self.batch_ta[p].update(t, n);
-        } else {
-            self.batch_ta[p].start(self.cfg.warmup, n);
-        }
-    }
-
-    fn busy_procs(&self) -> usize {
-        self.model.processors() - self.free_procs
-    }
-
-    fn record_busy(&mut self) {
-        let t = self.now();
-        let b = self.busy_procs() as f64;
-        self.busy_ta.update(t, b);
-    }
-
-    fn start_job(&mut self, id: u64) {
-        let now = self.now();
-        let job = self.jobs.get_mut(&id).expect("job exists");
-        debug_assert!(job.run_start.is_none());
-        job.run_start = Some(now);
-        let done_at = now + job.remaining;
-        self.events.schedule(
-            done_at,
-            Event::Completion {
-                job: id,
-                epoch: job.epoch,
-            },
-        );
-        self.free_procs -= self.model.class(job.class).partition_size;
-        self.record_busy();
-    }
-
-    fn preempt_all(&mut self) {
-        let now = self.now();
-        for queue in &self.queues {
-            for &id in queue {
-                if let Some(job) = self.jobs.get_mut(&id) {
-                    if let Some(start) = job.run_start.take() {
-                        job.remaining = (job.remaining - (now - start)).max(0.0);
-                        job.epoch += 1;
-                    }
-                }
-            }
-        }
-        self.free_procs = self.model.processors();
-        self.record_busy();
     }
 
     /// Greedily start waiting jobs of class `p` (FCFS) while processors fit.
-    fn assign_class(&mut self, p: usize) {
-        let g = self.model.class(p).partition_size;
-        let ids: Vec<u64> = self.queues[p].clone();
-        for id in ids {
-            if self.free_procs < g {
+    fn assign_class(&self, core: &mut Core, p: usize) {
+        let g = core.partition(p);
+        for &id in &self.queues[p] {
+            if core.free < g {
                 break;
             }
-            let running = self.jobs[&id].run_start.is_some();
-            if !running {
-                self.start_job(id);
+            if core.jobs[&id].run_start.is_none() {
+                core.start_job(id);
             }
         }
     }
 
-    /// After class `current`'s own jobs are placed, lend leftover processors
-    /// to later classes (PerPartition policy only).
-    fn lend_processors(&mut self) {
-        if self.policy != GangPolicy::PerPartition {
-            return;
-        }
-        let l = self.model.num_classes();
-        for step in 1..l {
-            let n = (self.current + step) % l;
-            self.assign_class(n);
+    /// Place the current class's jobs, then lend what is left to the later
+    /// classes in cycle order when lending is on.
+    fn assign(&self, core: &mut Core) {
+        self.assign_class(core, self.current);
+        if self.lend {
+            let l = self.queues.len();
+            for step in 1..l {
+                self.assign_class(core, (self.current + step) % l);
+            }
         }
     }
 
-    fn start_quantum(&mut self) {
+    fn start_quantum(&mut self, core: &mut Core) {
         let p = self.current;
-        if !self.class_has_jobs(p) {
-            self.begin_switch();
+        if self.queues[p].is_empty() {
+            self.begin_switch(core);
             return;
         }
         self.quantum_epoch += 1;
-        let q = self.model.class(p).quantum.sample(&mut self.rng);
-        self.events.schedule(
-            self.now() + q,
-            Event::QuantumEnd {
-                epoch: self.quantum_epoch,
-            },
-        );
-        self.assign_class(p);
-        self.lend_processors();
+        let q = core.sample_quantum(p);
+        let epoch = self.quantum_epoch;
+        core.events
+            .schedule(core.now() + q, Event::QuantumEnd { epoch });
+        self.assign(core);
     }
 
-    fn begin_switch(&mut self) {
-        self.preempt_all();
+    fn begin_switch(&mut self, core: &mut Core) {
+        for &id in self.queues.iter().flatten() {
+            core.preempt(id);
+        }
+        core.free = core.model.processors();
+        core.record_busy();
         // Invalidate any outstanding quantum-end event.
         self.quantum_epoch += 1;
         self.in_switch = true;
@@ -381,163 +105,102 @@ impl<'a> State<'a> {
         // Idle fast-path: with every queue empty the cycle would rotate
         // through zero-work switches until an arrival — park it instead.
         // Parked time is counted as idle, not switching, in the statistics.
-        let all_empty = (0..self.model.num_classes()).all(|p| !self.class_has_jobs(p));
-        if all_empty {
+        if self.queues.iter().all(Vec::is_empty) {
             self.idle = true;
-            self.switch_ta.update(self.now(), 0.0);
-            return; // resumed by on_arrival
+            core.set_switching(false);
+            return; // resumed by `arrived`
         }
-        self.switch_ta.update(self.now(), 1.0);
-        let mut o = self
-            .model
-            .class(self.current)
-            .switch_overhead
-            .sample(&mut self.rng);
+        core.set_switching(true);
+        let now = core.now();
+        let mut o = core.sample_overhead(self.current);
         // Zero-time spin guard for pathological zero-overhead parameters
         // with work present (bounded by one full rotation, but be safe).
         if o == 0.0 {
-            if self.spin_time == self.now() {
+            if self.spin_time == now {
                 self.spin_count += 1;
             } else {
-                self.spin_time = self.now();
+                self.spin_time = now;
                 self.spin_count = 0;
             }
-            if self.spin_count > 4 * self.model.num_classes() {
-                if let Some(t) = self.events.peek_time() {
-                    o = (t - self.now()).max(0.0);
+            if self.spin_count > 4 * self.queues.len() {
+                if let Some(t) = core.events.peek_time() {
+                    o = (t - now).max(0.0);
                 }
             }
         }
-        self.events.schedule(
-            self.now() + o,
-            Event::SwitchDone {
-                epoch: self.switch_epoch,
-            },
-        );
+        let epoch = self.switch_epoch;
+        core.events.schedule(now + o, Event::SwitchDone { epoch });
+    }
+}
+
+impl Discipline for Gang {
+    fn start(&mut self, core: &mut Core) {
+        self.start_quantum(core);
     }
 
-    // ---- event handlers ----
-
-    fn on_arrival(&mut self, p: usize) {
-        let now = self.now();
-        // Schedule the next arrival of this class.
-        let dt = self.model.class(p).arrival.sample(&mut self.rng);
-        self.events.schedule(now + dt, Event::Arrival { class: p });
-
-        let service = self.model.class(p).service.sample(&mut self.rng);
-        let id = self.next_job_id;
-        self.next_job_id += 1;
-        self.jobs.insert(
-            id,
-            Job {
-                class: p,
-                arrived: now,
-                remaining: service,
-                run_start: None,
-                epoch: 0,
-            },
-        );
+    fn arrived(&mut self, core: &mut Core, id: u64) {
+        let p = core.jobs[&id].class;
         self.queues[p].push(id);
-        if now >= self.cfg.warmup {
-            self.arrivals_after_warmup[p] += 1;
-        }
-        self.record_jobs(p);
-
         // Resume a parked rotation: the machine finishes the in-progress
         // context switch (fresh sample = residual for exponential overheads)
         // and the cycle continues toward the arriving class.
         if self.idle {
             self.idle = false;
             self.switch_epoch += 1;
-            self.switch_ta.update(now, 1.0);
-            let o = self
-                .model
-                .class(self.current)
-                .switch_overhead
-                .sample(&mut self.rng);
-            self.events.schedule(
-                now + o,
-                Event::SwitchDone {
-                    epoch: self.switch_epoch,
-                },
-            );
+            core.set_switching(true);
+            let o = core.sample_overhead(self.current);
+            let epoch = self.switch_epoch;
+            core.events
+                .schedule(core.now() + o, Event::SwitchDone { epoch });
             return;
         }
-
-        if !self.in_switch {
-            let eligible = p == self.current || self.policy == GangPolicy::PerPartition;
-            if eligible && self.free_procs >= self.model.class(p).partition_size {
-                // FCFS: every earlier job of this class is already running
-                // (we assign greedily), so the newcomer may start.
-                let had_quantum = self.class_has_jobs(self.current);
-                if had_quantum && self.jobs[&id].run_start.is_none() {
-                    self.start_job(id);
-                }
-            }
-            // If the current class was empty we are mid-switch by
-            // construction (begin_switch ran), so nothing else to do.
+        // Mid-switch the job waits; outside a switch the current class has
+        // work (switch-on-empty). FCFS: every earlier job of this class is
+        // already running (we assign greedily), so the newcomer may start.
+        let eligible = p == self.current || self.lend;
+        if !self.in_switch && eligible && core.free >= core.partition(p) {
+            core.start_job(id);
         }
     }
 
-    fn on_completion(&mut self, id: u64, epoch: u64) {
-        let now = self.now();
-        let valid = self
-            .jobs
-            .get(&id)
-            .map(|j| j.run_start.is_some() && j.epoch == epoch)
-            .unwrap_or(false);
-        if !valid {
-            return; // stale event from a cancelled run
-        }
-        let job = self.jobs.remove(&id).expect("validated");
-        let p = job.class;
-        self.queues[p].retain(|&x| x != id);
-        self.free_procs += self.model.class(p).partition_size;
-        self.record_busy();
-        self.record_jobs(p);
-        if job.arrived >= self.cfg.warmup {
-            self.completions_after_warmup[p] += 1;
-            self.response[p].add(now - job.arrived);
-            self.response_q[p].add(now - job.arrived);
-        }
-
+    fn completed(&mut self, core: &mut Core, id: u64, class: usize) {
+        self.queues[class].retain(|&x| x != id);
+        core.release(core.partition(class));
         if self.in_switch {
             return; // shouldn't happen: completions are cancelled on switch
         }
         // Hand the freed partition to the next waiting job.
-        self.assign_class(self.current);
-        self.lend_processors();
+        self.assign(core);
         // Switch-on-empty.
-        if !self.class_has_jobs(self.current) {
-            self.begin_switch();
+        if self.queues[self.current].is_empty() {
+            self.begin_switch(core);
         }
     }
 
-    fn on_quantum_end(&mut self, epoch: u64) {
-        if self.in_switch || epoch != self.quantum_epoch {
-            return;
+    fn quantum_end(&mut self, core: &mut Core, epoch: u64) {
+        if !self.in_switch && epoch == self.quantum_epoch {
+            self.begin_switch(core);
         }
-        self.begin_switch();
     }
 
-    fn on_switch_done(&mut self, epoch: u64) {
+    fn switch_done(&mut self, core: &mut Core, epoch: u64) {
         if epoch != self.switch_epoch {
             return;
         }
         self.in_switch = false;
-        self.switch_ta.update(self.now(), 0.0);
-        self.current = (self.current + 1) % self.model.num_classes();
+        core.set_switching(false);
+        self.current = (self.current + 1) % self.queues.len();
         if self.current == 0 {
-            self.cycles_completed += 1;
+            core.cycles += 1;
         }
-        self.start_quantum();
+        self.start_quantum(core);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use gsched_core::model::ClassParams;
+    use crate::{simulate, Policy, SimConfig};
+    use gsched_core::model::{ClassParams, GangModel};
     use gsched_phase::{erlang, exponential};
 
     fn model(lambda: f64, classes: usize, g: usize, p: usize) -> GangModel {
@@ -563,7 +226,7 @@ mod tests {
     #[test]
     fn conservation_arrivals_completions() {
         let m = model(0.2, 2, 2, 4);
-        let r = GangSim::new(&m, GangPolicy::SystemWide, quick_cfg(7)).run();
+        let r = simulate(&m, Policy::Gang, quick_cfg(7));
         for (p, c) in r.classes.iter().enumerate() {
             assert!(c.arrivals > 100, "class {p} got {} arrivals", c.arrivals);
             // Completions within a few percent of arrivals (stable system).
@@ -580,7 +243,7 @@ mod tests {
     #[test]
     fn littles_law_holds() {
         let m = model(0.2, 2, 2, 4);
-        let r = GangSim::new(&m, GangPolicy::SystemWide, quick_cfg(11)).run();
+        let r = simulate(&m, Policy::Gang, quick_cfg(11));
         for p in 0..2 {
             let gap = r.littles_law_gap(p);
             assert!(gap < 0.1, "class {p}: Little's-law gap {gap}");
@@ -590,8 +253,8 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_seed() {
         let m = model(0.3, 2, 4, 4);
-        let a = GangSim::new(&m, GangPolicy::SystemWide, quick_cfg(5)).run();
-        let b = GangSim::new(&m, GangPolicy::SystemWide, quick_cfg(5)).run();
+        let a = simulate(&m, Policy::Gang, quick_cfg(5));
+        let b = simulate(&m, Policy::Gang, quick_cfg(5));
         for p in 0..2 {
             assert_eq!(a.classes[p].arrivals, b.classes[p].arrivals);
             assert_eq!(a.classes[p].completions, b.classes[p].completions);
@@ -602,7 +265,7 @@ mod tests {
     #[test]
     fn utilization_below_one_and_positive() {
         let m = model(0.25, 2, 2, 4);
-        let r = GangSim::new(&m, GangPolicy::SystemWide, quick_cfg(3)).run();
+        let r = simulate(&m, Policy::Gang, quick_cfg(3));
         assert!(r.processor_utilization > 0.05);
         assert!(r.processor_utilization < 1.0);
         assert!(r.switch_overhead_fraction > 0.0);
@@ -623,17 +286,16 @@ mod tests {
             }],
         )
         .unwrap();
-        let r = GangSim::new(
+        let r = simulate(
             &m,
-            GangPolicy::SystemWide,
+            Policy::Gang,
             SimConfig {
                 horizon: 300_000.0,
                 warmup: 30_000.0,
                 seed: 42,
                 batches: 20,
             },
-        )
-        .run();
+        );
         let want = 1.0; // rho/(1-rho) with rho = 0.5
         let got = r.classes[0].mean_jobs;
         assert!(
@@ -649,8 +311,8 @@ mod tests {
         // symmetric setting.
         let m = model(0.25, 2, 1, 4);
         let cfg = quick_cfg(9);
-        let sw = GangSim::new(&m, GangPolicy::SystemWide, cfg.clone()).run();
-        let pp = GangSim::new(&m, GangPolicy::PerPartition, cfg).run();
+        let sw = simulate(&m, Policy::Gang, cfg.clone());
+        let pp = simulate(&m, Policy::Lend, cfg);
         let n_sw: f64 = sw.classes.iter().map(|c| c.mean_jobs).sum();
         let n_pp: f64 = pp.classes.iter().map(|c| c.mean_jobs).sum();
         assert!(
@@ -661,14 +323,9 @@ mod tests {
 
     #[test]
     fn heavier_load_more_jobs() {
-        let light = GangSim::new(&model(0.1, 2, 2, 4), GangPolicy::SystemWide, quick_cfg(1))
-            .run()
-            .classes[0]
-            .mean_jobs;
-        let heavy = GangSim::new(&model(0.35, 2, 2, 4), GangPolicy::SystemWide, quick_cfg(1))
-            .run()
-            .classes[0]
-            .mean_jobs;
+        let light = simulate(&model(0.1, 2, 2, 4), Policy::Gang, quick_cfg(1)).classes[0].mean_jobs;
+        let heavy =
+            simulate(&model(0.35, 2, 2, 4), Policy::Gang, quick_cfg(1)).classes[0].mean_jobs;
         assert!(heavy > light);
     }
 }

@@ -1,11 +1,14 @@
-//! Named scheduling policies and a single simulation entry point.
+//! Named scheduling policies and the simulator's entry point.
 //!
 //! Everything the simulator can run — the analyzed gang policy, the SP2
 //! lending variant, and the two baselines — behind one [`Policy`] name, so
 //! scenario descriptions and the CLI select a simulator the same way.
+//! [`simulate`] runs any of them on the shared event loop of
+//! [`engine`](crate::engine).
 
-use crate::baselines::{SpaceSharingSim, TimeSharingSim};
-use crate::gang::{GangPolicy, GangSim};
+use crate::baselines::{Fcfs, RoundRobin};
+use crate::engine::Core;
+use crate::gang::Gang;
 use crate::stats::{SimConfig, SimResult};
 use gsched_core::GangModel;
 use serde::{Deserialize, Serialize, Value};
@@ -76,13 +79,17 @@ impl Deserialize for Policy {
     }
 }
 
-/// Run the simulator for `model` under `policy`.
+/// Run the simulator for `model` under `policy`: the one way to simulate.
+///
+/// Deterministic for a fixed `config.seed`.
 pub fn simulate(model: &GangModel, policy: Policy, config: SimConfig) -> SimResult {
+    let core = Core::new(model, config);
+    let classes = model.num_classes();
     match policy {
-        Policy::Gang => GangSim::new(model, GangPolicy::SystemWide, config).run(),
-        Policy::Lend => GangSim::new(model, GangPolicy::PerPartition, config).run(),
-        Policy::RoundRobin => TimeSharingSim::new(model, config).run(),
-        Policy::Fcfs => SpaceSharingSim::new(model, config).run(),
+        Policy::Gang => core.run(&mut Gang::new(classes, false)),
+        Policy::Lend => core.run(&mut Gang::new(classes, true)),
+        Policy::RoundRobin => core.run(&mut RoundRobin::default()),
+        Policy::Fcfs => core.run(&mut Fcfs::default()),
     }
 }
 

@@ -3,8 +3,7 @@
 
 use gsched_core::model::{ClassParams, GangModel};
 use gsched_phase::{erlang, exponential};
-use gsched_sim::gang::{GangPolicy, GangSim};
-use gsched_sim::stats::SimConfig;
+use gsched_sim::{simulate, Policy, SimConfig};
 use std::sync::Mutex;
 
 /// Both tests manipulate the process-global recorder; serialize them.
@@ -33,7 +32,7 @@ fn run_metrics_match_returned_stats() {
     };
 
     let recorder = gsched_obs::install_memory();
-    let result = GangSim::new(&model, GangPolicy::SystemWide, cfg).run();
+    let result = simulate(&model, Policy::Gang, cfg);
     gsched_obs::uninstall();
     let snap = recorder.snapshot();
 
@@ -104,6 +103,6 @@ fn no_recorder_means_no_overhead_paths() {
         seed: 3,
         batches: 5,
     };
-    let result = GangSim::new(&model, GangPolicy::SystemWide, cfg).run();
+    let result = simulate(&model, Policy::Gang, cfg);
     assert!(result.classes.iter().all(|c| c.completions > 0));
 }

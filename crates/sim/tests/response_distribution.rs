@@ -6,7 +6,7 @@ use gsched_core::model::{ClassParams, GangModel};
 use gsched_core::response::response_time_distribution;
 use gsched_core::vacation::heavy_traffic_vacation;
 use gsched_phase::{erlang, exponential};
-use gsched_sim::{GangPolicy, GangSim, SimConfig};
+use gsched_sim::{simulate, Policy, SimConfig};
 
 /// A single-class system where the heavy-traffic vacation is exact (there is
 /// only the class's own overhead), so the analytic tagged-job distribution
@@ -33,17 +33,16 @@ fn quantiles_match_simulation_single_class() {
     let sol = chain.qbd.solve(&Default::default()).unwrap();
     let rt = response_time_distribution(&chain, &sol, 1e-8, 100).unwrap();
 
-    let sim = GangSim::new(
+    let sim = simulate(
         &m,
-        GangPolicy::SystemWide,
+        Policy::Gang,
         SimConfig {
             horizon: 300_000.0,
             warmup: 30_000.0,
             seed: 77,
             batches: 20,
         },
-    )
-    .run();
+    );
     let (s50, s90, s95, _s99) = sim.classes[0].response_quantiles;
 
     for (p, sim_q) in [(0.5, s50), (0.9, s90), (0.95, s95)] {
@@ -81,17 +80,16 @@ fn multi_class_distribution_brackets_simulation() {
     let m = GangModel::new(4, vec![mk(4, 0.15, 1.0), mk(1, 0.6, 1.5)]).unwrap();
     // Use the fixed point's converged vacations for the tagged-job analysis.
     let full = gsched_core::solver::solve(&m, &Default::default()).unwrap();
-    let sim = GangSim::new(
+    let sim = simulate(
         &m,
-        GangPolicy::SystemWide,
+        Policy::Gang,
         SimConfig {
             horizon: 200_000.0,
             warmup: 20_000.0,
             seed: 13,
             batches: 20,
         },
-    )
-    .run();
+    );
     for p in 0..2 {
         // Rebuild the class chain at the heavy-traffic vacation as a bound
         // check: analytic p95 (optimistic fixed point) should be below the

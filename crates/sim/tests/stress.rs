@@ -4,8 +4,7 @@
 
 use gsched_core::model::{ClassParams, GangModel};
 use gsched_phase::{deterministic_approx, erlang, exponential, hyperexponential};
-use gsched_sim::baselines::{SpaceSharingSim, TimeSharingSim};
-use gsched_sim::{GangPolicy, GangSim, SimConfig};
+use gsched_sim::{simulate, Policy, SimConfig};
 
 fn cfg(seed: u64, horizon: f64) -> SimConfig {
     SimConfig {
@@ -41,7 +40,7 @@ fn heavy_tailed_service_keeps_invariants() {
         ],
     )
     .unwrap();
-    let r = GangSim::new(&m, GangPolicy::SystemWide, cfg(3, 60_000.0)).run();
+    let r = simulate(&m, Policy::Gang, cfg(3, 60_000.0));
     for p in 0..2 {
         assert!(
             r.littles_law_gap(p) < 0.25,
@@ -77,7 +76,7 @@ fn near_saturation_does_not_violate_conservation() {
         }],
     )
     .unwrap();
-    let r = GangSim::new(&m, GangPolicy::SystemWide, cfg(17, 50_000.0)).run();
+    let r = simulate(&m, Policy::Gang, cfg(17, 50_000.0));
     let c = &r.classes[0];
     // Not a strict identity over the warmup boundary, but close.
     let in_flight_bound = c.mean_jobs * 5.0 + 100.0;
@@ -113,7 +112,7 @@ fn deterministic_overhead_and_quantum() {
         ],
     )
     .unwrap();
-    let r = GangSim::new(&m, GangPolicy::SystemWide, cfg(23, 40_000.0)).run();
+    let r = simulate(&m, Policy::Gang, cfg(23, 40_000.0));
     for p in 0..2 {
         assert!(r.classes[p].completions > 500, "class {p}");
         assert!(r.littles_law_gap(p) < 0.2);
@@ -136,10 +135,10 @@ fn all_policies_agree_on_light_load_throughput() {
     .unwrap();
     let c = cfg(29, 50_000.0);
     let thr = |r: &gsched_sim::SimResult| r.classes[0].completions as f64 / r.measured_time;
-    let gang = thr(&GangSim::new(&m, GangPolicy::SystemWide, c.clone()).run());
-    let lend = thr(&GangSim::new(&m, GangPolicy::PerPartition, c.clone()).run());
-    let rr = thr(&TimeSharingSim::new(&m, c.clone()).run());
-    let fcfs = thr(&SpaceSharingSim::new(&m, c).run());
+    let gang = thr(&simulate(&m, Policy::Gang, c.clone()));
+    let lend = thr(&simulate(&m, Policy::Lend, c.clone()));
+    let rr = thr(&simulate(&m, Policy::RoundRobin, c.clone()));
+    let fcfs = thr(&simulate(&m, Policy::Fcfs, c));
     for (name, t) in [("gang", gang), ("lend", lend), ("rr", rr), ("fcfs", fcfs)] {
         assert!(
             (t - 0.2).abs() < 0.02,
@@ -162,8 +161,8 @@ fn seed_sensitivity_is_statistical_not_structural() {
         }],
     )
     .unwrap();
-    let a = GangSim::new(&m, GangPolicy::SystemWide, cfg(1, 80_000.0)).run();
-    let b = GangSim::new(&m, GangPolicy::SystemWide, cfg(2, 80_000.0)).run();
+    let a = simulate(&m, Policy::Gang, cfg(1, 80_000.0));
+    let b = simulate(&m, Policy::Gang, cfg(2, 80_000.0));
     let gap = (a.classes[0].mean_jobs - b.classes[0].mean_jobs).abs();
     let tol = 4.0 * (a.classes[0].mean_jobs_ci95 + b.classes[0].mean_jobs_ci95) + 0.02;
     assert!(gap < tol, "seed gap {gap} vs tol {tol}");
@@ -193,7 +192,7 @@ fn zero_work_class_is_harmless() {
         ],
     )
     .unwrap();
-    let r = GangSim::new(&m, GangPolicy::SystemWide, cfg(31, 60_000.0)).run();
+    let r = simulate(&m, Policy::Gang, cfg(31, 60_000.0));
     // Class 0 behaves nearly like it owns the machine (M/M/2-ish at 0.2).
     assert!(r.classes[0].mean_jobs < 1.0);
     assert!(r.classes[1].arrivals < 10);
